@@ -2,15 +2,10 @@
 uncertain, user-specific cost functions."""
 
 from .cost import (
-    CostFunction,
-    CostMatrix,
     CostSampleSet,
-    cost_matrix,
-    emc,
     min_cost,
     sample_cost_batch,
     sample_cost_function,
-    transition_cost,
 )
 from .evaluate import (
     MetricsReport,
@@ -30,7 +25,6 @@ from .model import (
     Classifier,
     TrainConfig,
     load_model,
-    predict,
     predict_batch,
     save_model,
     train_classifier,
@@ -49,7 +43,6 @@ from .schema import (
     save_schema,
 )
 from .search import (
-    BenefitMatrix,
     RecourseSet,
     SearchConfig,
     SearchResult,
@@ -57,7 +50,6 @@ from .search import (
     compute_benefits,
     local_search,
     pcols,
-    perturb,
     random_search,
     select_swaps,
 )

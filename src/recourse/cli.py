@@ -273,7 +273,7 @@ def _cmd_evaluate(args) -> int:
         by_method.setdefault(method, []).append(report)
     mean_rows = []
     for method, reports in by_method.items():
-        mean_rows.extend(xp.report_rows(method, xp._mean_report(reports)))
+        mean_rows.extend(xp.report_rows(method, xp.mean_report(reports)))
     xp.write_csv(
         os.path.join(args.out, "metrics_mean.csv"),
         ["method", "metric", "value"],

@@ -1,23 +1,31 @@
-"""User cost functions: hierarchical sampling, transition costs, and the
+"""User cost functions as arrays: hierarchical sampling, pricing, and the
 expected-minimum-cost objective.
 
-A cost function assigns, per feature, a cost in [0, 1] to every transition
-from the user's current value; infeasible transitions cost infinity. Costs
-are sampled hierarchically: an editable feature subset, Dirichlet preference
-scores over it, a mixing weight alpha between two notions of difficulty
-(step counts vs. percentile shift), and finally a Beta draw per transition
-around the blended mean. alpha=1 gives the pure step-count distribution,
-alpha=0 the pure percentile one, and a uniform random alpha the mixture.
+A `CostSampleSet` holds M cost functions for one user state. `costs[f]` is
+an (M, |D_f|) array whose row i prices moving feature f from the user's
+value to each domain position under sample i: a cost in [0, 1], 0 for the
+no-op and infinity when infeasible. `alpha` is (M,); `editable` (bool) and
+`preferences` are (M, d).
 
-Infinity is `math.inf` throughout; sums saturate, so one infeasible feature
-makes a whole transition infeasible.
+Sampling is hierarchical: an editable feature subset, Dirichlet preference
+scores over it, a mixing weight alpha between step-count (alpha=1) and
+percentile-shift (alpha=0) difficulty, and a Beta draw per transition
+around the blended mean. Sample i of a batch is drawn from
+`stream_rng(stream, seed, i, subkey)` alone, in this order: the subset, the
+preferences, alpha, then per editable feature in index order two
+Uniform(size=|D_f|) draws (unordered features only) and one Beta draw over
+its finite targets. Batches therefore extend without disturbing earlier
+samples, and features outside the editable set draw nothing.
+
+Every price comes from `cost_rows`, which adds the features' costs left to
+right; sums saturate at `math.inf`, so one infeasible feature makes a whole
+transition infeasible.
 """
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -38,200 +46,124 @@ DISTRIBUTIONS = ("lin", "perc", "mix")
 
 
 @dataclass(frozen=True)
-class CostFunction:
-    """One sampled cost function, conditioned on a user state.
-
-    `vectors[f][j]` is the cost of moving feature f from its current value
-    to the j-th domain value (by domain position). `preference_scores` sum
-    to 1 over the editable features and are 0 elsewhere.
-    """
+class CostSampleSet:
+    """M cost functions sampled for one user state, as arrays."""
 
     schema: DatasetSchema
     state: UserState
-    vectors: tuple[np.ndarray, ...]
-    preference_scores: np.ndarray
-    alpha: float
-    editable: frozenset[int]
-
-    def cost_of(self, feature_index: int, value: int) -> float:
-        f = self.schema.features[feature_index]
-        return float(self.vectors[feature_index][f.index_of(value)])
-
-
-@dataclass
-class CostSampleSet:
-    """M cost functions sampled for one user, plus the metadata to redo it."""
-
-    state: UserState
-    samples: list[CostFunction]
-    seed: int
-    distribution_tag: str
-    _stacks: Optional[list[np.ndarray]] = field(default=None, repr=False)
+    costs: tuple[np.ndarray, ...]  # per feature, (M, |D_f|)
+    alpha: np.ndarray  # (M,)
+    editable: np.ndarray  # (M, d) bool
+    preferences: np.ndarray  # (M, d)
 
     @property
     def m(self) -> int:
-        return len(self.samples)
-
-    @property
-    def schema(self) -> DatasetSchema:
-        return self.samples[0].schema
-
-    def feature_stacks(self) -> list[np.ndarray]:
-        """Per feature, the (M, |domain|) matrix of sampled transition costs.
-
-        Cached; lets many candidate states be scored against all samples
-        with one gather per feature.
-        """
-        if self._stacks is None:
-            n_features = len(self.samples[0].vectors)
-            self._stacks = [
-                np.stack([s.vectors[f] for s in self.samples])
-                for f in range(n_features)
-            ]
-        return self._stacks
-
-    def concentration_vectors(self) -> np.ndarray:
-        """Binary (M, d) matrix marking each sample's editable features."""
-        d = len(self.samples[0].vectors)
-        out = np.zeros((self.m, d), dtype=float)
-        for i, s in enumerate(self.samples):
-            for f in s.editable:
-                out[i, f] = 1.0
-        return out
+        return len(self.alpha)
 
 
-@dataclass(frozen=True)
-class CostMatrix:
-    """Incurred cost of each of N candidates under each of M samples."""
-
-    entries: np.ndarray  # (N, M), values in [0, n_features] or inf
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.entries.shape
-
-
-def _feasible_mask(schema: DatasetSchema, feature_index: int, state: UserState):
-    f = schema.features[feature_index]
-    allowed = feasible_values(schema, feature_index, state.values[feature_index])
-    return np.array([v in allowed for v in f.domain], dtype=bool)
-
-
-def linear_cost_means(
-    state: UserState,
-    pref: float,
-    feature_index: int,
-    editable: frozenset[int],
-    schema: DatasetSchema,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Mean transition costs proportional to the number of ordered steps.
-
-    For an ordered feature at value s, the raw mean of moving to x > s is
-    the fraction of the upward range covered: |{y : s < y <= x}| / |{y : y > s}|
-    (mirrored downward). Unordered features get an independent Uniform(0,1)
-    raw mean per target. Returned means are raw * (1 - pref); infeasible
-    targets are inf and the no-op is 0.
-    """
-    if not 0.0 <= pref <= 1.0:
-        raise ValueError(f"preference score must lie in [0,1], got {pref}")
-    f = schema.features[feature_index]
-    s_idx = f.index_of(state.values[feature_index])
-    means = np.full(f.size, INF)
-    means[s_idx] = 0.0
-    if feature_index not in editable:
-        return means
-    mask = _feasible_mask(schema, feature_index, state)
-    if f.kind == "unordered":
-        draws = rng.uniform(0.0, 1.0, size=f.size)
-        means[mask] = draws[mask]
-    else:
-        n_up = f.size - s_idx - 1
-        n_down = s_idx
-        for j in range(f.size):
-            if j == s_idx or not mask[j]:
-                continue
-            if j > s_idx:
-                means[j] = (j - s_idx) / n_up
-            else:
-                means[j] = (s_idx - j) / n_down
-    means[s_idx] = 0.0
-    means[np.isfinite(means)] *= 1.0 - pref
-    return means
-
-
-def percentile_cost_means(
-    state: UserState,
-    pref: float,
-    feature_index: int,
-    editable: frozenset[int],
-    table: PercentileTable,
-    schema: DatasetSchema,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Mean transition costs proportional to the empirical-CDF shift.
-
-    Same case structure as `linear_cost_means` but the ordered raw mean is
-    |cdf(x) - cdf(s)|.
-    """
-    if not 0.0 <= pref <= 1.0:
-        raise ValueError(f"preference score must lie in [0,1], got {pref}")
-    f = schema.features[feature_index]
-    s_idx = f.index_of(state.values[feature_index])
-    means = np.full(f.size, INF)
-    means[s_idx] = 0.0
-    if feature_index not in editable:
-        return means
-    mask = _feasible_mask(schema, feature_index, state)
-    if f.kind == "unordered":
-        draws = rng.uniform(0.0, 1.0, size=f.size)
-        means[mask] = draws[mask]
-    else:
-        cdf_s = table.percentile(f, state.values[feature_index])
-        for j, v in enumerate(f.domain):
-            if j == s_idx or not mask[j]:
-                continue
-            means[j] = abs(table.percentile(f, v) - cdf_s)
-    means[s_idx] = 0.0
-    means[np.isfinite(means)] *= 1.0 - pref
-    return means
-
-
-def _beta_draws(means: np.ndarray, std: float, rng: np.random.Generator) -> np.ndarray:
-    """Sample around each finite mean with a Beta of the given std.
-
-    Mean/std convert to shape parameters via nu = mu(1-mu)/std^2 - 1. Where
-    that is undefined (mu so close to 0 or 1 that the variance target is
-    unreachable) the mean itself is returned, clamped to [0, 1].
-    """
-    out = means.copy()
-    finite = np.isfinite(means)
-    if not finite.any():
-        return out
-    mu = np.clip(means[finite], 0.0, 1.0)
-    var = std * std
-    nu = mu * (1.0 - mu) / var - 1.0
-    ok = nu > 0.0
-    draws = mu.copy()
-    if ok.any():
-        a = mu[ok] * nu[ok]
-        b = (1.0 - mu[ok]) * nu[ok]
-        draws[ok] = rng.beta(a, b)
-    out[finite] = draws
+def _targets(
+    state: UserState, schema: DatasetSchema, table: PercentileTable
+) -> list[tuple[int, np.ndarray, Optional[tuple[np.ndarray, np.ndarray]]]]:
+    """Per feature: the user's domain position s, the other feasible
+    positions x, and for ordered features the raw means of moving there:
+    step count |{y : s < y <= x}| / |{y : y > s}| (mirrored downward) and
+    CDF shift |cdf(x) - cdf(s)|. Unordered raw means are drawn per sample."""
+    out = []
+    for fi, f in enumerate(schema.features):
+        value = state.values[fi]
+        s_idx = f.index_of(value)
+        allowed = feasible_values(schema, fi, value)
+        targets = [j for j, v in enumerate(f.domain) if j != s_idx and v in allowed]
+        raw = None
+        if f.kind == "ordered":
+            n_up, n_down = f.size - s_idx - 1, s_idx
+            lin = [(j - s_idx) / n_up if j > s_idx else (s_idx - j) / n_down for j in targets]
+            cdf_s = table.percentile(f, value) if targets else 0.0
+            perc = [abs(table.percentile(f, f.domain[j]) - cdf_s) for j in targets]
+            raw = (np.array(lin, dtype=float), np.array(perc, dtype=float))
+        out.append((s_idx, np.array(targets, dtype=np.intp), raw))
     return out
 
 
-def _random_editable_subset(
-    schema: DatasetSchema, rng: np.random.Generator
-) -> frozenset[int]:
-    """Uniform over non-empty subsets of the non-immutable features."""
-    candidates = schema.mutable_indices()
+def _random_editable_subset(candidates: list[int], rng: np.random.Generator) -> list[int]:
+    """Uniform over non-empty subsets of the candidate features, ascending."""
     if not candidates:
         raise ValueError("schema has no mutable features; supply an editable set")
     while True:
         mask = rng.random(len(candidates)) < 0.5
         if mask.any():
-            return frozenset(c for c, m in zip(candidates, mask) if m)
+            return [c for c, m in zip(candidates, mask) if m]
+
+
+def _sample(
+    state: UserState,
+    schema: DatasetSchema,
+    table: PercentileTable,
+    rngs: Sequence[np.random.Generator],
+    alpha: Optional[float],
+    editable: Optional[frozenset[int]],
+    pref: Optional[np.ndarray],
+) -> CostSampleSet:
+    """Fill row i of every array from `rngs[i]` alone; absent inputs are
+    drawn per sample (see `sample_cost_function`)."""
+    d = schema.n_features
+    pinned = None if editable is None else sorted(int(i) for i in editable)
+    for i in pinned or []:
+        if not 0 <= i < d:
+            raise ValueError(f"editable feature index {i} out of range")
+    if pref is not None:
+        pref = np.asarray(pref, dtype=float)
+        if pref.shape != (d,):
+            raise ValueError("preference vector length must match feature count")
+        if (pref < 0).any():
+            raise ValueError("preference scores must be non-negative")
+        inside = np.zeros(d, dtype=bool)
+        inside[pinned or []] = True
+        if (pref[~inside] != 0.0).any():
+            raise ValueError("preference mass outside the editable set")
+        if pinned and abs(pref.sum() - 1.0) > 1e-9:
+            raise ValueError("preference scores must sum to 1 over editable features")
+    if alpha is not None and not 0.0 <= alpha <= 1.0:
+        raise ValueError(f"alpha must lie in [0,1], got {alpha}")
+
+    plan = _targets(state, schema, table)
+    candidates = schema.mutable_indices()
+    m = len(rngs)
+    costs = [np.full((m, f.size), INF) for f in schema.features]
+    for stack, (s_idx, _, _) in zip(costs, plan):
+        stack[:, s_idx] = 0.0
+    alphas = np.empty(m)
+    chosen_mask = np.zeros((m, d), dtype=bool)
+    prefs = np.zeros((m, d))
+    var = COST_STD * COST_STD
+    for i, rng in enumerate(rngs):
+        chosen = pinned if pinned is not None else _random_editable_subset(candidates, rng)
+        chosen_mask[i, chosen] = True
+        if pref is None:
+            prefs[i, chosen] = rng.dirichlet(np.ones(len(chosen)))
+        else:
+            prefs[i] = pref
+        alphas[i] = a = float(rng.uniform(0.0, 1.0)) if alpha is None else alpha
+        for fi in chosen:
+            s_idx, targets, raw = plan[fi]
+            if raw is None:
+                size = schema.features[fi].size
+                lin = rng.uniform(0.0, 1.0, size=size)[targets]
+                perc = rng.uniform(0.0, 1.0, size=size)[targets]
+            else:
+                lin, perc = raw
+            keep = 1.0 - prefs[i, fi]
+            # Beta around each mean: nu = mu(1-mu)/std^2 - 1; where that is
+            # not positive the (clipped) mean itself is the cost.
+            mu = np.clip(a * (lin * keep) + (1.0 - a) * (perc * keep), 0.0, 1.0)
+            nu = mu * (1.0 - mu) / var - 1.0
+            ok = nu > 0.0
+            if ok.any():
+                mu[ok] = rng.beta(mu[ok] * nu[ok], (1.0 - mu[ok]) * nu[ok])
+            costs[fi][i, targets] = mu
+    for arr in (*costs, alphas, chosen_mask, prefs):
+        arr.setflags(write=False)
+    return CostSampleSet(schema, state, tuple(costs), alphas, chosen_mask, prefs)
 
 
 def sample_cost_function(
@@ -242,70 +174,17 @@ def sample_cost_function(
     alpha: Optional[float] = None,
     editable: Optional[frozenset[int]] = None,
     pref: Optional[np.ndarray] = None,
-) -> CostFunction:
-    """Draw one cost function conditioned on `state`.
+) -> CostSampleSet:
+    """Draw one cost function conditioned on `state` (a set with M=1).
 
     Absent inputs are sampled: the editable set uniformly over non-empty
     subsets of non-immutable features, preference scores from a flat
     Dirichlet over the editable set (zero elsewhere), alpha from
     Uniform(0,1). Per feature the step-count and percentile means are
-    blended with alpha and each transition cost drawn from a Beta around
-    the blend; the no-op transition stays 0 and infeasible ones stay inf.
+    scaled by (1 - preference), blended with alpha, and each transition
+    cost drawn from a Beta around the blend.
     """
-    if editable is None:
-        editable = _random_editable_subset(schema, rng)
-    else:
-        editable = frozenset(int(i) for i in editable)
-        for i in editable:
-            if not 0 <= i < schema.n_features:
-                raise ValueError(f"editable feature index {i} out of range")
-    if pref is None:
-        scores = np.zeros(schema.n_features)
-        order = sorted(editable)
-        scores[order] = rng.dirichlet(np.ones(len(order)))
-    else:
-        scores = np.asarray(pref, dtype=float).copy()
-        if scores.shape != (schema.n_features,):
-            raise ValueError("preference vector length must match feature count")
-        if (scores < 0).any():
-            raise ValueError("preference scores must be non-negative")
-        outside = [i for i in range(schema.n_features) if i not in editable]
-        if any(scores[i] != 0.0 for i in outside):
-            raise ValueError("preference mass outside the editable set")
-        if editable and abs(scores.sum() - 1.0) > 1e-9:
-            raise ValueError("preference scores must sum to 1 over editable features")
-    if alpha is None:
-        alpha = float(rng.uniform(0.0, 1.0))
-    elif not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0,1], got {alpha}")
-
-    scores.setflags(write=False)
-    vectors = []
-    for fi in range(schema.n_features):
-        p = float(scores[fi])
-        mu_lin = linear_cost_means(state, p, fi, editable, schema, rng)
-        mu_perc = percentile_cost_means(state, p, fi, editable, table, schema, rng)
-        both_finite = np.isfinite(mu_lin) & np.isfinite(mu_perc)
-        means = np.where(
-            both_finite,
-            alpha * np.where(np.isfinite(mu_lin), mu_lin, 0.0)
-            + (1.0 - alpha) * np.where(np.isfinite(mu_perc), mu_perc, 0.0),
-            INF,
-        )
-        s_idx = schema.features[fi].index_of(state.values[fi])
-        means[s_idx] = 0.0
-        costs = _beta_draws(means, COST_STD, rng)
-        costs[s_idx] = 0.0
-        costs.setflags(write=False)
-        vectors.append(costs)
-    return CostFunction(
-        schema=schema,
-        state=state,
-        vectors=tuple(vectors),
-        preference_scores=scores,
-        alpha=alpha,
-        editable=editable,
-    )
+    return _sample(state, schema, table, [rng], alpha, editable, pref)
 
 
 def stream_rng(stream: int, seed: int, index: int, subkey: int = 0) -> np.random.Generator:
@@ -328,60 +207,39 @@ def sample_cost_batch(
     """Draw M independent cost functions; deterministic per (stream, seed, state).
 
     `distribution` fixes alpha: "lin" -> 1, "perc" -> 0, "mix" -> per-sample
-    Uniform(0,1) unless an explicit `alpha` pins it. Sample i uses an RNG
-    sub-stream derived from (stream, seed, i), so batches can be built
-    concurrently and extended without disturbing earlier samples.
+    Uniform(0,1) unless an explicit `alpha` pins it.
     """
     if m < 1:
         raise ValueError(f"sample count must be >= 1, got {m}")
     if distribution not in DISTRIBUTIONS:
         raise ValueError(f"unknown distribution {distribution!r}")
-    if distribution == "lin":
-        fixed_alpha: Optional[float] = 1.0
-    elif distribution == "perc":
-        fixed_alpha = 0.0
-    else:
-        fixed_alpha = alpha  # None -> fresh Uniform(0,1) per sample
-    samples = [
-        sample_cost_function(
-            state,
-            schema,
-            table,
-            stream_rng(stream, seed, i, subkey),
-            alpha=fixed_alpha,
-            editable=editable,
-            pref=pref,
-        )
-        for i in range(m)
-    ]
-    return CostSampleSet(
-        state=state, samples=samples, seed=seed, distribution_tag=distribution
-    )
+    fixed_alpha = {"lin": 1.0, "perc": 0.0}.get(distribution, alpha)
+    rngs = [stream_rng(stream, seed, i, subkey) for i in range(m)]
+    return _sample(state, schema, table, rngs, fixed_alpha, editable, pref)
 
 
-def transition_cost(s_u: UserState, s_j: UserState, c: CostFunction) -> float:
-    """Total cost of moving from s_u to s_j: the per-feature costs summed."""
-    if c.state.values != s_u.values:
-        raise ValueError("cost function is conditioned on a different state")
-    total = 0.0
-    for fi, f in enumerate(c.schema.features):
-        cost = float(c.vectors[fi][f.index_of(s_j.values[fi])])
-        if cost == INF:
-            return INF
-        total += cost
-    return total
+def cost_rows(index_matrix: np.ndarray, samples: CostSampleSet) -> np.ndarray:
+    """(N, M) cost table for members given as (N, d) domain-position indices."""
+    out = np.zeros((index_matrix.shape[0], samples.m))
+    for fi, stack in enumerate(samples.costs):
+        out += stack[:, index_matrix[:, fi]].T
+    return out
 
 
-def min_cost(s_u: UserState, members: Sequence[UserState], c: CostFunction) -> float:
-    """Least transition cost over the set; ties keep the lowest index."""
+def min_cost(s_u: UserState, members: Sequence[UserState], samples: CostSampleSet) -> float:
+    """Least transition cost over the set under a single cost function (M=1)."""
     if not members:
         raise ValueError("recourse set is empty")
-    best = INF
-    for s in members:
-        cost = transition_cost(s_u, s, c)
-        if cost < best:
-            best = cost
-    return best
+    if samples.state.values != s_u.values:
+        raise ValueError("cost function is conditioned on a different state")
+    if samples.m != 1:
+        raise ValueError(f"expected a single cost function, got {samples.m}")
+    features = samples.schema.features
+    idx = np.array(
+        [[f.index_of(v) for f, v in zip(features, s.values)] for s in members],
+        dtype=np.intp,
+    )
+    return float(cost_rows(idx, samples).min())
 
 
 def emc_of_matrix(entries: np.ndarray) -> float:
@@ -392,96 +250,3 @@ def emc_of_matrix(entries: np.ndarray) -> float:
     if np.isinf(mins).any():
         return INF
     return float(mins.mean())
-
-
-def emc(s_u: UserState, members: Sequence[UserState], samples: CostSampleSet) -> float:
-    """Monte-Carlo expected minimum cost of a recourse set."""
-    if samples.m == 0:
-        raise ValueError("sample set is empty")
-    return emc_of_matrix(cost_matrix(s_u, members, samples).entries)
-
-
-def cost_matrix(
-    s_u: UserState, members: Sequence[UserState], samples: CostSampleSet
-) -> CostMatrix:
-    """(N, M) table of transition costs of each member under each sample."""
-    if not members:
-        raise ValueError("recourse set is empty")
-    if samples.state.values != s_u.values:
-        raise ValueError("sample set is conditioned on a different state")
-    schema = samples.schema
-    idx = np.array(
-        [
-            [f.index_of(s.values[fi]) for fi, f in enumerate(schema.features)]
-            for s in members
-        ],
-        dtype=np.intp,
-    )
-    return CostMatrix(entries=cost_rows(idx, samples))
-
-
-def cost_rows(index_matrix: np.ndarray, samples: CostSampleSet) -> np.ndarray:
-    """Cost table for members given as (N, d) domain-position indices."""
-    stacks = samples.feature_stacks()
-    n = index_matrix.shape[0]
-    out = np.zeros((n, samples.m))
-    for fi, stack in enumerate(stacks):
-        out += stack[:, index_matrix[:, fi]].T
-    return out
-
-
-def save_sample_set(samples: CostSampleSet, path) -> None:
-    """Write a sample set as JSON; infinities become the string "inf"."""
-
-    def enc(vec: np.ndarray) -> list:
-        return [("inf" if math.isinf(v) else float(v)) for v in vec]
-
-    doc = {
-        "distribution": samples.distribution_tag,
-        "seed": samples.seed,
-        "m": samples.m,
-        "state": list(samples.state.values),
-        "samples": [
-            {
-                "alpha": s.alpha,
-                "preferences": [float(v) for v in s.preference_scores],
-                "editable": sorted(s.editable),
-                "costs": [enc(v) for v in s.vectors],
-            }
-            for s in samples.samples
-        ],
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
-
-
-def load_sample_set(path, schema: DatasetSchema) -> CostSampleSet:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    state = UserState(tuple(doc["state"])).validate(schema)
-
-    def dec(raw: list) -> np.ndarray:
-        vec = np.array([INF if v == "inf" else float(v) for v in raw])
-        vec.setflags(write=False)
-        return vec
-
-    samples = []
-    for entry in doc["samples"]:
-        scores = np.asarray(entry["preferences"], dtype=float)
-        scores.setflags(write=False)
-        samples.append(
-            CostFunction(
-                schema=schema,
-                state=state,
-                vectors=tuple(dec(v) for v in entry["costs"]),
-                preference_scores=scores,
-                alpha=float(entry["alpha"]),
-                editable=frozenset(entry["editable"]),
-            )
-        )
-    return CostSampleSet(
-        state=state,
-        samples=samples,
-        seed=int(doc["seed"]),
-        distribution_tag=str(doc["distribution"]),
-    )

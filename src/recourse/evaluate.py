@@ -16,13 +16,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .cost import (
-    TEST_STREAM,
-    CostFunction,
-    min_cost,
-    sample_cost_function,
-    stream_rng,
-)
+from .cost import TEST_STREAM, CostSampleSet, min_cost, sample_cost_function, stream_rng
 from .schema import DatasetSchema, PercentileTable, UserState
 from .search import RecourseSet
 
@@ -32,7 +26,7 @@ INF = math.inf
 @dataclass(frozen=True)
 class SimulatedUser:
     state: UserState
-    true_cost: CostFunction
+    true_cost: CostSampleSet  # a single hidden cost function (M=1)
     subgroups: Mapping[str, int]
 
 

@@ -241,12 +241,12 @@ def _tabular_comparison(spec, states, user_ids, classifier, schema, table, metho
             reports[method].append(report)
             rows.extend([seed, *r] for r in report_rows(method, report))
     for method in methods:
-        mean = _mean_report(reports[method])
+        mean = mean_report(reports[method])
         rows.extend(["mean", *r] for r in report_rows(method, mean))
     return header, rows
 
 
-def _mean_report(reports: Sequence[MetricsReport]) -> MetricsReport:
+def mean_report(reports: Sequence[MetricsReport]) -> MetricsReport:
     from .evaluate import PacResult
 
     pac_vals = [r.pac.value for r in reports if r.pac.value is not None]
@@ -356,7 +356,7 @@ def _concentration_shift(spec, states, user_ids, classifier, schema, table):
             uid, state, classifier, schema, table, settings, keep_samples=True
         )
         docs.append(doc)
-        train_conc.append(samples.concentration_vectors())
+        train_conc.append(samples.editable)
     sets = recourse_sets_from_docs(docs)
 
     movable = schema.mutable_indices()

@@ -5,8 +5,8 @@ Two architectures are supported, a logistic regression and a 2-hidden-layer
 MLP. Inputs are the integer feature codes min-max scaled to [0, 1] with
 bounds taken from the training split and stored inside the weights file, so
 a loaded model predicts with no outside context. All optimizer access to
-the model goes through `predict`/`predict_batch`, which charge a
-`BudgetMeter` one unit per forward-passed state.
+the model goes through `predict_batch`, which charges a `BudgetMeter` one
+unit per forward-passed state.
 """
 
 from __future__ import annotations
@@ -98,12 +98,6 @@ class Classifier:
         w, b = self.layers[-1]
         z = (x @ w + b).ravel()
         return 1.0 / (1.0 + np.exp(-np.clip(z, -60.0, 60.0)))
-
-
-def predict(classifier: Classifier, state: UserState, meter: BudgetMeter) -> int:
-    """Classify one state, charging exactly one budget unit."""
-    meter.charge(1)
-    return int(classifier.prob(np.asarray([state.values], dtype=float))[0] >= 0.5)
 
 
 def predict_batch(

@@ -178,12 +178,18 @@ def run_population(
     Each user owns an independent RNG stream and budget meter, so the pooled
     run is byte-identical to the sequential one.
     """
+    raw = os.environ.get(WORKERS_ENV, "") or "1"
+    try:
+        workers = int(raw)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ValueError(f"{WORKERS_ENV} must be a positive integer, got {raw!r}")
     ids = list(user_ids) if user_ids is not None else list(range(len(states)))
     tasks = [
         (uid, state, classifier, schema, table, settings)
         for uid, state in zip(ids, states)
     ]
-    workers = int(os.environ.get(WORKERS_ENV, "1") or "1")
     if workers > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_worker, tasks))

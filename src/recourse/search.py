@@ -26,11 +26,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from .cost import CostMatrix, CostSampleSet, cost_rows, emc_of_matrix
+from .cost import CostSampleSet, cost_rows, emc_of_matrix
 from .model import BudgetExhausted, BudgetMeter, Classifier, predict_batch
 from .schema import DatasetSchema, UserState, feasible_values
 
@@ -63,13 +63,6 @@ class RecourseSet:
         return len(self.members)
 
 
-@dataclass(frozen=True)
-class BenefitMatrix:
-    """entries[p, q]: bookkept gain of replacing best member p by candidate q."""
-
-    entries: np.ndarray
-
-
 @dataclass
 class SearchConfig:
     budget: int = 5000
@@ -90,7 +83,7 @@ class SearchConfig:
 @dataclass
 class SearchResult:
     recourse_set: RecourseSet
-    cost_matrix: Optional[CostMatrix]
+    cost_matrix: Optional[np.ndarray]  # (N, M) final member costs
     trace: list[float]
     queries_used: int
     emc: float
@@ -155,23 +148,6 @@ class _Workspace:
         return out
 
 
-def perturb(
-    best: Sequence[UserState],
-    s_u: UserState,
-    schema: DatasetSchema,
-    rng: np.random.Generator,
-) -> list[UserState]:
-    """One candidate per member: two non-immutable features resampled from
-    the feasible values relative to s_u (redraws may keep the current value,
-    so the move distance is at most two)."""
-    ws = _Workspace(s_u, schema)
-    base = np.array(
-        [[f.index_of(v) for f, v in zip(schema.features, s.values)] for s in best],
-        dtype=np.intp,
-    )
-    return ws.to_states(ws.perturb_rows(base, rng))
-
-
 def _column_minima(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per column: (min value, min row index, second-min value).
 
@@ -215,11 +191,11 @@ class _ColumnCache:
 
 
 def compute_benefits(
-    best_costs: np.ndarray | CostMatrix,
-    cand_costs: np.ndarray | CostMatrix,
+    best_costs: np.ndarray,
+    cand_costs: np.ndarray,
     cache: Optional[_ColumnCache] = None,
-) -> BenefitMatrix:
-    """Benefit of every (best member p, candidate q) single replacement.
+) -> np.ndarray:
+    """(N, N) benefit of every (best member p, candidate q) single replacement.
 
     For each sample column whose minimum sits at row p, the replacement
     changes that column's minimum from best[p, r] to
@@ -241,10 +217,8 @@ def compute_benefits(
     rows could never attract a positive swap and would stay frozen for the
     rest of the run.
     """
-    cb = best_costs.entries if isinstance(best_costs, CostMatrix) else best_costs
-    cc = cand_costs.entries if isinstance(cand_costs, CostMatrix) else cand_costs
-    cb = np.asarray(cb, dtype=float)
-    cc = np.asarray(cc, dtype=float)
+    cb = np.asarray(best_costs, dtype=float)
+    cc = np.asarray(cand_costs, dtype=float)
     if cb.ndim != 2 or cb.shape[1] != cc.shape[1]:
         raise ValueError(f"cost tables disagree on samples: {cb.shape} vs {cc.shape}")
     cb_c = np.minimum(cb, BIG)
@@ -275,16 +249,15 @@ def compute_benefits(
                     min_vals[None, :] - cc_c, 0.0
                 )[:, covered].sum(axis=1)
             benefits[p] += exact_gains
-    return BenefitMatrix(entries=benefits)
+    return benefits
 
 
-def select_swaps(benefits: BenefitMatrix) -> list[tuple[int, int]]:
+def select_swaps(benefits: np.ndarray) -> list[tuple[int, int]]:
     """At most one swap: the largest strictly positive entry, ties to the
     lexicographically smallest (p, q). Empty when nothing improves."""
-    b = benefits.entries
-    flat = int(np.argmax(b))
-    p, q = divmod(flat, b.shape[1])
-    if b[p, q] > 0.0:
+    flat = int(np.argmax(benefits))
+    p, q = divmod(flat, benefits.shape[1])
+    if benefits[p, q] > 0.0:
         return [(p, q)]
     return []
 
@@ -366,7 +339,7 @@ def cols(
     )
     return SearchResult(
         recourse_set=recourse_set,
-        cost_matrix=CostMatrix(entries=true_costs),
+        cost_matrix=true_costs,
         trace=trace,
         queries_used=meter.used,
         emc=trace[-1],
@@ -454,7 +427,7 @@ def random_search(
     )
     return SearchResult(
         recourse_set=recourse_set,
-        cost_matrix=CostMatrix(entries=costs),
+        cost_matrix=costs,
         trace=trace,
         queries_used=meter.used,
         emc=trace[-1],
@@ -533,7 +506,7 @@ def local_search(
     )
     return SearchResult(
         recourse_set=recourse_set,
-        cost_matrix=CostMatrix(entries=final_costs) if final_costs is not None else None,
+        cost_matrix=final_costs,
         trace=trace,
         queries_used=meter.used,
         emc=emc_of_matrix(final_costs) if final_costs is not None else INF,

@@ -11,14 +11,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from recourse.cost import (
-    INF,
-    linear_cost_means,
-    percentile_cost_means,
-    sample_cost_batch,
-    sample_cost_function,
-    transition_cost,
-)
+from recourse.cost import INF, _targets, sample_cost_batch, sample_cost_function
 from recourse.datasets import make_adult_like, make_synthetic_6f
 from recourse.evaluate import dir_ratio, distance_metrics, fs_at_k, pac, coverage
 from recourse.experiments import (
@@ -29,9 +22,10 @@ from recourse.experiments import (
 )
 from recourse.model import BudgetMeter
 from recourse.results import GenerationSettings, run_population
-from recourse.schema import UserState, build_percentile_table
+from recourse.schema import UserState, build_percentile_table, feasible_values
 from recourse.search import BIG, SearchConfig, cols, compute_benefits
 
+from test_cost import transition_cost
 from test_search import naive_benefits
 
 
@@ -121,7 +115,7 @@ def test_criterion_2_benefit_matrix_oracle():
     cb = np.array([[0.5, 0.9], [0.7, 0.3]])
     cc = np.array([[0.2, 0.8], [0.6, 0.6]])
     assert np.allclose(
-        compute_benefits(cb, cc).entries, [[0.3, -0.1], [-0.5, -0.3]], atol=1e-12
+        compute_benefits(cb, cc), [[0.3, -0.1], [-0.5, -0.3]], atol=1e-12
     )
 
     rng = np.random.default_rng(20260810)
@@ -131,7 +125,7 @@ def test_criterion_2_benefit_matrix_oracle():
         m = int(rng.integers(1, 6))
         cb = rng.uniform(0, 1, size=(n, m))
         cc = rng.uniform(0, 1, size=(n, m))
-        got = compute_benefits(cb, cc).entries
+        got = compute_benefits(cb, cc)
         assert np.allclose(got, naive_benefits(cb, cc), atol=1e-9)
 
         owners = cb.argmin(axis=0)
@@ -168,12 +162,12 @@ def test_criterion_3_exhaustive_optimum(toy2):
     for seed in range(20):
         samples = sample_cost_batch(s_u, schema, table, 3, "mix", seed=seed)
         optima = [
-            min((transition_cost(s_u, s, c) for s in valid), default=INF)
-            for c in samples.samples
+            min((transition_cost(s_u, s, samples, i) for s in valid), default=INF)
+            for i in range(samples.m)
         ]
         config = SearchConfig(budget=3000, set_size=3, num_samples=3, seed=seed)
         res = cols(s_u, clf, samples, schema, config)
-        got = res.cost_matrix.entries.min(axis=0)
+        got = res.cost_matrix.min(axis=0)
         for g, o in zip(got, optima):
             assert g == o or abs(g - o) < 1e-12
     _pass(3, "20/20 seeds reach the exhaustive per-sample optima exactly")
@@ -191,8 +185,8 @@ def test_criterion_3b_whole_set_optimum(toy2):
         for s in all_states:
             ok = clf.prob(np.asarray([s.values], dtype=float))[0] >= 0.5
             costs.append(
-                [transition_cost(s_u, s, c) if ok else INF
-                 for c in samples.samples]
+                [transition_cost(s_u, s, samples, i) if ok else INF
+                 for i in range(samples.m)]
             )
         costs = np.asarray(costs)
         best = INF
@@ -220,48 +214,43 @@ def test_criterion_4_sampler_invariants(synth6, adult):
             for draw in range(1668):
                 state = rows[(draw * 3 + dist_i) % len(rows)]
                 c = sample_cost_function(state, schema, table, rng, alpha=alpha)
-                total += 1
+                total += c.m
+                editable = c.editable[0]
                 for fi, f in enumerate(schema.features):
-                    vec = c.vectors[fi]
+                    vec = c.costs[fi][0]
                     s_idx = f.index_of(state.values[fi])
                     assert vec[s_idx] == 0.0
                     finite = vec[np.isfinite(vec)]
                     assert ((finite >= 0.0) & (finite <= 1.0)).all()
-                    if fi not in c.editable:
+                    if not editable[fi]:
                         assert all(vec[j] == INF for j in range(f.size)
                                    if j != s_idx)
                     else:
-                        from recourse.schema import feasible_values
-
                         allowed = feasible_values(schema, fi, state.values[fi])
                         for j, v in enumerate(f.domain):
                             if v not in allowed:
                                 assert vec[j] == INF
-                scores = c.preference_scores
+                scores = c.preferences[0]
                 assert (scores >= 0).all()
                 assert abs(scores.sum() - 1.0) < 1e-9
+                assert (scores[~editable] == 0.0).all()
+                if alpha is not None:
+                    assert c.alpha[0] == alpha
     assert total == 2 * 3 * 1668  # 10,008 sampled functions
 
     # ordered raw means are monotone in the feasible direction
     for schema, rows, table in packs:
-        rng = np.random.default_rng(5)
-        for fi, f in enumerate(schema.features):
-            if f.kind != "ordered" or f.mutability == "immutable":
-                continue
-            for state in rows[:10]:
-                s_idx = f.index_of(state.values[fi])
-                for means in (
-                    linear_cost_means(state, 0.0, fi, frozenset({fi}),
-                                      schema, rng),
-                    percentile_cost_means(state, 0.0, fi, frozenset({fi}),
-                                          table, schema, rng),
-                ):
-                    up = [means[j] for j in range(s_idx, f.size)
-                          if np.isfinite(means[j])]
-                    down = [means[j] for j in range(s_idx, -1, -1)
-                            if np.isfinite(means[j])]
-                    assert all(b >= a - 1e-12 for a, b in zip(up, up[1:]))
-                    assert all(b >= a - 1e-12 for a, b in zip(down, down[1:]))
+        for state in rows[:10]:
+            plan = _targets(state, schema, table)
+            for fi, f in enumerate(schema.features):
+                if f.kind != "ordered" or f.mutability == "immutable":
+                    continue
+                s_idx, targets, raw = plan[fi]
+                for means in raw:
+                    up = means[targets > s_idx]
+                    down = means[targets < s_idx][::-1]
+                    assert (np.diff(up) >= -1e-12).all() and (up >= 0).all()
+                    assert (np.diff(down) >= -1e-12).all() and (down >= 0).all()
     _pass(4, f"{total} sampled cost functions, zero invariant violations")
 
 

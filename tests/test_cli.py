@@ -160,15 +160,15 @@ class TestGenerate:
             state, schema, table, 20, "mix", seed=1,
             editable=frozenset(editable), subkey=doc.user_id,
         )
-        for sample in batch.samples:
-            for fi, f in enumerate(schema.features):
-                if fi in editable:
-                    continue
-                s_idx = f.index_of(state.values[fi])
-                vec = sample.vectors[fi]
-                assert all(
-                    vec[j] == INF for j in range(f.size) if j != s_idx
-                )
+        for fi, f in enumerate(schema.features):
+            assert batch.editable[:, fi].all() == (fi in editable)
+            if fi in editable:
+                continue
+            s_idx = f.index_of(state.values[fi])
+            stack = batch.costs[fi]
+            assert all(
+                (stack[:, j] == INF).all() for j in range(f.size) if j != s_idx
+            )
 
     def test_preferences_require_editable(self, workdir, tmp_path, capsys):
         code = main(
@@ -450,3 +450,19 @@ class TestResultDocs:
         par = run_population(rows[:4], clf, schema, table, settings)
         assert [d.members for d in seq] == [d.members for d in par]
         assert [d.trace for d in seq] == [d.trace for d in par]
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-3"])
+    def test_bad_worker_count_rejected(self, synth6, monkeypatch, value):
+        import recourse.results as results
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+        schema, rows, _, table, clf = synth6
+        settings = GenerationSettings(
+            method="cols", budget=60, set_size=4, num_samples=10, seed=3
+        )
+        monkeypatch.setattr(results, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setenv("RECOURSE_WORKERS", value)
+        with pytest.raises(ValueError, match=f"RECOURSE_WORKERS.*{value}"):
+            run_population(rows[:2], clf, schema, table, settings)

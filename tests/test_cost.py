@@ -1,21 +1,15 @@
-import math
-
 import numpy as np
 import pytest
 
 from recourse.cost import (
     INF,
-    CostFunction,
-    cost_matrix,
-    emc,
-    linear_cost_means,
-    load_sample_set,
+    CostSampleSet,
+    _targets,
+    cost_rows,
+    emc_of_matrix,
     min_cost,
-    percentile_cost_means,
     sample_cost_batch,
     sample_cost_function,
-    save_sample_set,
-    transition_cost,
 )
 from recourse.schema import (
     DatasetSchema,
@@ -24,7 +18,45 @@ from recourse.schema import (
     SchemaError,
     UserState,
     build_percentile_table,
+    feasible_values,
 )
+
+
+def transition_cost(s_u, s_j, samples, i=0):
+    """Scalar oracle: the cost of moving s_u to s_j under sample i, summed
+    feature by feature; one infinite feature makes the move infinite."""
+    if samples.state.values != s_u.values:
+        raise ValueError("cost function is conditioned on a different state")
+    total = 0.0
+    for fi, f in enumerate(samples.schema.features):
+        cost = float(samples.costs[fi][i, f.index_of(s_j.values[fi])])
+        if cost == INF:
+            return INF
+        total += cost
+    return total
+
+
+def manual_samples(schema, state, per_sample):
+    """Sample set from hand-set costs: per_sample[i][f] lists feature f's
+    costs by domain position under sample i (inf allowed)."""
+    m, d = len(per_sample), schema.n_features
+    return CostSampleSet(
+        schema=schema,
+        state=state,
+        costs=tuple(
+            np.array([s[f] for s in per_sample], dtype=float) for f in range(d)
+        ),
+        alpha=np.full(m, 0.5),
+        editable=np.ones((m, d), dtype=bool),
+        preferences=np.full((m, d), 1.0 / d),
+    )
+
+
+def index_rows(schema, members):
+    return np.array(
+        [[f.index_of(v) for f, v in zip(schema.features, s.values)] for s in members],
+        dtype=np.intp,
+    )
 
 
 def one_feature_schema(mutability="increase_only", kind="ordered"):
@@ -39,50 +71,87 @@ def flat_table(schema):
     return build_percentile_table(rows, schema)
 
 
+def raw_means(schema, state, table, fi=0):
+    """Feature fi's raw (step-count, CDF-shift) means by domain position:
+    0 at the user's value, inf where infeasible."""
+    s_idx, targets, (lin, perc) = _targets(state, schema, table)[fi]
+    out = []
+    for raw in (lin, perc):
+        full = np.full(schema.features[fi].size, INF)
+        full[s_idx] = 0.0
+        full[targets] = raw
+        out.append(full)
+    return out
+
+
+def two_feature_schema():
+    return DatasetSchema(
+        features=(
+            FeatureSpec("f", "ordered", (0, 1, 2, 3, 4), "increase_only"),
+            FeatureSpec("g", "ordered", (0, 1, 2), "mutable"),
+        )
+    )
+
+
 class TestLinearMeans:
     def test_two_thirds_example(self):
         schema = one_feature_schema("increase_only")
-        rng = np.random.default_rng(0)
-        means = linear_cost_means(UserState((1,)), 0.0, 0, frozenset({0}), schema, rng)
+        means, _ = raw_means(schema, UserState((1,)), flat_table(schema))
         assert means[3] == pytest.approx(2 / 3)
         assert means[2] == pytest.approx(1 / 3)
         assert means[4] == pytest.approx(1.0)
 
     def test_preference_halves_the_mean(self):
-        schema = one_feature_schema("increase_only")
-        rng = np.random.default_rng(0)
-        means = linear_cost_means(UserState((1,)), 0.5, 0, frozenset({0}), schema, rng)
-        assert means[3] == pytest.approx(1 / 3)
+        # half the preference mass on f: its sampled costs center on half
+        # the raw mean of 2/3
+        schema = two_feature_schema()
+        batch = sample_cost_batch(
+            UserState((1, 0)), schema, flat_table(schema), 200, "lin", seed=0,
+            editable=frozenset({0, 1}), pref=np.array([0.5, 0.5]),
+        )
+        assert batch.costs[0][:, 3].mean() == pytest.approx(1 / 3, abs=0.005)
 
     def test_case_split(self):
         schema = one_feature_schema("increase_only")
-        rng = np.random.default_rng(0)
-        means = linear_cost_means(UserState((1,)), 0.0, 0, frozenset({0}), schema, rng)
+        means, _ = raw_means(schema, UserState((1,)), flat_table(schema))
         assert means[1] == 0.0
         assert means[0] == INF
 
     def test_decrease_only_mirrors(self):
         schema = one_feature_schema("decrease_only")
-        rng = np.random.default_rng(0)
-        means = linear_cost_means(UserState((3,)), 0.0, 0, frozenset({0}), schema, rng)
+        means, _ = raw_means(schema, UserState((3,)), flat_table(schema))
         assert means[1] == pytest.approx(2 / 3)
         assert means[4] == INF
         assert means[3] == 0.0
 
     def test_not_editable_is_all_infinite(self):
-        schema = one_feature_schema("mutable")
-        rng = np.random.default_rng(0)
-        means = linear_cost_means(UserState((2,)), 0.0, 0, frozenset(), schema, rng)
-        assert means[2] == 0.0
-        assert all(means[j] == INF for j in (0, 1, 3, 4))
+        schema = two_feature_schema()
+        batch = sample_cost_batch(
+            UserState((1, 2)), schema, flat_table(schema), 20, "lin", seed=0,
+            editable=frozenset({0}),
+        )
+        g = batch.costs[1]
+        assert (g[:, 2] == 0.0).all()
+        assert (g[:, :2] == INF).all()
+        assert not batch.editable[:, 1].any()
 
     def test_unordered_uniform_means(self):
-        schema = one_feature_schema("mutable", kind="unordered")
-        rng = np.random.default_rng(0)
-        means = linear_cost_means(UserState((2,)), 0.0, 0, frozenset({0}), schema, rng)
-        finite = [means[j] for j in (0, 1, 3, 4)]
-        assert all(0.0 <= v <= 1.0 for v in finite)
-        assert means[2] == 0.0
+        # the preference mass sits on g, leaving f's means unscaled
+        schema = DatasetSchema(
+            features=(
+                FeatureSpec("f", "unordered", (0, 1, 2, 3, 4), "mutable"),
+                FeatureSpec("g", "ordered", (0, 1, 2), "mutable"),
+            )
+        )
+        batch = sample_cost_batch(
+            UserState((2, 0)), schema, flat_table(schema), 50, "lin", seed=0,
+            editable=frozenset({0, 1}), pref=np.array([0.0, 1.0]),
+        )
+        finite = batch.costs[0][:, [0, 1, 3, 4]]
+        assert ((finite >= 0.0) & (finite <= 1.0)).all()
+        assert (batch.costs[0][:, 2] == 0.0).all()
+        # raw means are fresh Uniform(0,1) draws per sample and target
+        assert len(np.unique(finite)) == finite.size
 
 
 class TestPercentileMeans:
@@ -91,29 +160,30 @@ class TestPercentileMeans:
 
     def test_cdf_shift_example(self):
         schema = one_feature_schema("increase_only")
-        rng = np.random.default_rng(0)
-        means = percentile_cost_means(
-            UserState((1,)), 0.0, 0, frozenset({0}), self._table(), schema, rng
-        )
+        _, means = raw_means(schema, UserState((1,)), self._table())
         assert means[3] == pytest.approx(0.4)
         assert means[1] == 0.0
         assert means[0] == INF
 
     def test_preference_scaling(self):
-        schema = one_feature_schema("increase_only")
-        rng = np.random.default_rng(0)
-        means = percentile_cost_means(
-            UserState((1,)), 0.25, 0, frozenset({0}), self._table(), schema, rng
+        # a quarter of the preference mass on f scales its CDF shift of 0.4
+        # by 0.75
+        schema = two_feature_schema()
+        table = PercentileTable(
+            {**self._table().tables, "g": {0: 0.3, 1: 0.6, 2: 1.0}}
         )
-        assert means[3] == pytest.approx(0.3)
+        batch = sample_cost_batch(
+            UserState((1, 0)), schema, table, 200, "perc", seed=0,
+            editable=frozenset({0, 1}), pref=np.array([0.25, 0.75]),
+        )
+        assert batch.costs[0][:, 3].mean() == pytest.approx(0.3, abs=0.005)
 
     def test_missing_entry_for_ordered_feature(self):
         schema = one_feature_schema("increase_only")
-        rng = np.random.default_rng(0)
         with pytest.raises(SchemaError):
-            percentile_cost_means(
-                UserState((1,)), 0.0, 0, frozenset({0}), PercentileTable({}),
-                schema, rng,
+            sample_cost_function(
+                UserState((1,)), schema, PercentileTable({}),
+                np.random.default_rng(0), editable=frozenset({0}),
             )
 
 
@@ -127,13 +197,7 @@ class TestMonotoneMeans:
         rows = [UserState((int(v),)) for v in rng.integers(0, 5, size=200)]
         table = build_percentile_table(rows, schema)
         for s in range(5):
-            state = UserState((s,))
-            for means in (
-                linear_cost_means(state, 0.0, 0, frozenset({0}), schema, rng),
-                percentile_cost_means(
-                    state, 0.0, 0, frozenset({0}), table, schema, rng
-                ),
-            ):
+            for means in raw_means(schema, UserState((s,)), table):
                 up = [means[j] for j in range(s, 5) if means[j] != INF]
                 down = [means[j] for j in range(s, -1, -1) if means[j] != INF]
                 assert all(b >= a - 1e-12 for a, b in zip(up, up[1:]))
@@ -151,19 +215,15 @@ class TestSampleCostFunction:
             UserState((1,)), schema, table, rng, alpha=1.0,
             editable=frozenset({0}), pref=pref,
         )
-        assert c.vectors[0][0] == INF
-        assert c.vectors[0][1] == 0.0
+        assert c.m == 1
+        assert c.costs[0][0, 0] == INF
+        assert c.costs[0][0, 1] == 0.0
         for j in (2, 3, 4):
-            assert abs(c.vectors[0][j] - 0.0) < 0.05
+            assert abs(c.costs[0][0, j] - 0.0) < 0.05
 
     def test_lin_alpha_tracks_linear_means(self):
         # all preference mass on the second feature leaves the first unscaled
-        schema = DatasetSchema(
-            features=(
-                FeatureSpec("f", "ordered", (0, 1, 2, 3, 4), "increase_only"),
-                FeatureSpec("g", "ordered", (0, 1, 2), "mutable"),
-            )
-        )
+        schema = two_feature_schema()
         table = flat_table(schema)
         rng = np.random.default_rng(1)
         c = sample_cost_function(
@@ -171,7 +231,7 @@ class TestSampleCostFunction:
             editable=frozenset({0, 1}), pref=np.array([0.0, 1.0]),
         )
         for j, expected in ((2, 1 / 3), (3, 2 / 3), (4, 1.0)):
-            assert abs(c.vectors[0][j] - expected) < 0.05
+            assert abs(c.costs[0][0, j] - expected) < 0.05
 
     def test_all_immutable_without_editable_set(self):
         schema = DatasetSchema(
@@ -189,9 +249,9 @@ class TestSampleCostFunction:
             rng = np.random.default_rng(123)
             draws.append(sample_cost_function(rows[0], schema, table, rng))
         a, b = draws
-        assert a.alpha == b.alpha
-        assert a.editable == b.editable
-        assert all(np.array_equal(x, y) for x, y in zip(a.vectors, b.vectors))
+        assert np.array_equal(a.alpha, b.alpha)
+        assert np.array_equal(a.editable, b.editable)
+        assert all(np.array_equal(x, y) for x, y in zip(a.costs, b.costs))
 
     def test_invariants_on_samples(self, synth6):
         schema, rows, _, table, _ = synth6
@@ -199,24 +259,21 @@ class TestSampleCostFunction:
         state = rows[0]
         for _ in range(50):
             c = sample_cost_function(state, schema, table, rng)
+            editable = c.editable[0]
             for fi, f in enumerate(schema.features):
-                vec = c.vectors[fi]
+                vec = c.costs[fi][0]
                 s_idx = f.index_of(state.values[fi])
                 assert vec[s_idx] == 0.0
                 finite = vec[np.isfinite(vec)]
                 assert ((finite >= 0.0) & (finite <= 1.0)).all()
-                if fi not in c.editable:
+                if not editable[fi]:
                     assert all(
                         vec[j] == INF for j in range(f.size) if j != s_idx
                     )
-            scores = c.preference_scores
+            scores = c.preferences[0]
             assert (scores >= 0).all()
             assert abs(scores.sum() - 1.0) < 1e-9
-            assert all(
-                scores[i] == 0.0
-                for i in range(schema.n_features)
-                if i not in c.editable
-            )
+            assert (scores[~editable] == 0.0).all()
 
     def test_malformed_preferences_rejected(self, synth6):
         schema, rows, _, table, _ = synth6
@@ -232,25 +289,36 @@ class TestSampleBatch:
     def test_batch_shape_and_tags(self, synth6):
         schema, rows, _, table, _ = synth6
         batch = sample_cost_batch(rows[0], schema, table, 5, "mix", seed=1)
+        d = schema.n_features
         assert batch.m == 5
-        assert batch.distribution_tag == "mix"
-        alphas = {s.alpha for s in batch.samples}
-        assert len(alphas) > 1  # mix draws fresh alphas
+        assert [c.shape for c in batch.costs] == [(5, f.size) for f in schema.features]
+        assert batch.alpha.shape == (5,)
+        assert batch.editable.shape == batch.preferences.shape == (5, d)
+        assert batch.editable.dtype == bool
+        assert len(set(batch.alpha)) > 1  # mix draws fresh alphas
 
     def test_lin_and_perc_pin_alpha(self, synth6):
         schema, rows, _, table, _ = synth6
         lin = sample_cost_batch(rows[0], schema, table, 3, "lin", seed=1)
         perc = sample_cost_batch(rows[0], schema, table, 3, "perc", seed=1)
-        assert all(s.alpha == 1.0 for s in lin.samples)
-        assert all(s.alpha == 0.0 for s in perc.samples)
+        assert (lin.alpha == 1.0).all()
+        assert (perc.alpha == 0.0).all()
 
     def test_same_seed_byte_identical(self, synth6):
         schema, rows, _, table, _ = synth6
         a = sample_cost_batch(rows[0], schema, table, 4, "mix", seed=9)
         b = sample_cost_batch(rows[0], schema, table, 4, "mix", seed=9)
-        for sa, sb in zip(a.samples, b.samples):
-            assert sa.alpha == sb.alpha
-            assert all(np.array_equal(x, y) for x, y in zip(sa.vectors, sb.vectors))
+        assert a.alpha.tobytes() == b.alpha.tobytes()
+        assert all(x.tobytes() == y.tobytes() for x, y in zip(a.costs, b.costs))
+
+    def test_prefix_of_a_larger_batch(self, synth6):
+        # sample i depends only on its own stream, so batches extend
+        schema, rows, _, table, _ = synth6
+        small = sample_cost_batch(rows[0], schema, table, 3, "mix", seed=9, subkey=2)
+        big = sample_cost_batch(rows[0], schema, table, 8, "mix", seed=9, subkey=2)
+        assert np.array_equal(small.alpha, big.alpha[:3])
+        assert all(np.array_equal(x, y[:3]) for x, y in zip(small.costs, big.costs))
+        assert np.array_equal(small.preferences, big.preferences[:3])
 
     def test_singleton(self, synth6):
         schema, rows, _, table, _ = synth6
@@ -261,33 +329,16 @@ class TestSampleBatch:
         with pytest.raises(ValueError):
             sample_cost_batch(rows[0], schema, table, 0, "mix", seed=0)
 
-    def test_serialization_roundtrip(self, synth6, tmp_path):
+    def test_arrays_are_read_only(self, synth6):
         schema, rows, _, table, _ = synth6
-        batch = sample_cost_batch(rows[0], schema, table, 3, "mix", seed=2)
-        path = tmp_path / "samples.json"
-        save_sample_set(batch, path)
-        loaded = load_sample_set(path, schema)
-        assert loaded.m == batch.m
-        assert loaded.distribution_tag == batch.distribution_tag
-        for sa, sb in zip(batch.samples, loaded.samples):
-            assert all(np.array_equal(x, y) for x, y in zip(sa.vectors, sb.vectors))
-        assert "inf" in path.read_text()
-
-
-def manual_cost(schema, state, per_feature):
-    """CostFunction with given per-feature vectors (lists, inf allowed)."""
-    vectors = tuple(np.asarray(v, dtype=float) for v in per_feature)
-    return CostFunction(
-        schema=schema,
-        state=state,
-        vectors=vectors,
-        preference_scores=np.zeros(schema.n_features),
-        alpha=0.5,
-        editable=frozenset(range(schema.n_features)),
-    )
+        batch = sample_cost_batch(rows[0], schema, table, 2, "mix", seed=0)
+        with pytest.raises(ValueError):
+            batch.costs[0][0, 0] = 1.0
 
 
 class TestTransitionCost:
+    """Prices from `min_cost`/`cost_rows` against hand sums."""
+
     def _setup(self):
         schema = DatasetSchema(
             features=(
@@ -297,29 +348,47 @@ class TestTransitionCost:
             )
         )
         state = UserState((0, 0, 0))
-        c = manual_cost(
-            schema,
-            state,
-            [[0.0, 0.2, 0.9], [0.0, 0.3, 0.8], [0.0, INF]],
+        c = manual_samples(
+            schema, state, [[[0.0, 0.2, 0.9], [0.0, 0.3, 0.8], [0.0, INF]]]
         )
         return schema, state, c
 
     def test_noop_is_free(self):
         _, state, c = self._setup()
-        assert transition_cost(state, state, c) == 0.0
+        assert min_cost(state, [state], c) == 0.0
 
     def test_hand_sum(self):
         _, state, c = self._setup()
-        assert transition_cost(state, UserState((1, 1, 0)), c) == pytest.approx(0.5)
+        assert min_cost(state, [UserState((1, 1, 0))], c) == pytest.approx(0.5)
+        assert min_cost(state, [UserState((2, 1, 0))], c) == pytest.approx(1.2)
 
     def test_immutable_edit_is_infinite(self):
         _, state, c = self._setup()
-        assert transition_cost(state, UserState((0, 0, 1)), c) == INF
+        assert min_cost(state, [UserState((0, 0, 1))], c) == INF
 
     def test_wrong_conditioning_state(self):
         _, state, c = self._setup()
         with pytest.raises(ValueError):
-            transition_cost(UserState((1, 0, 0)), state, c)
+            min_cost(UserState((1, 0, 0)), [state], c)
+
+    def test_cost_rows_match_scalar_oracle_bitwise(self, synth6):
+        schema, rows, _, table, _ = synth6
+        state = rows[0]
+        batch = sample_cost_batch(state, schema, table, 30, "mix", seed=3)
+        rng = np.random.default_rng(0)
+        members = [
+            UserState(tuple(
+                sorted(feasible_values(schema, i, v))[
+                    rng.integers(len(feasible_values(schema, i, v)))
+                ]
+                for i, v in enumerate(state.values)
+            ))
+            for _ in range(12)
+        ]
+        got = cost_rows(index_rows(schema, members), batch)
+        want = [[transition_cost(state, s, batch, i) for i in range(batch.m)]
+                for s in members]
+        assert got.tobytes() == np.asarray(want).tobytes()
 
 
 class TestMinCostAndEmc:
@@ -328,7 +397,7 @@ class TestMinCostAndEmc:
             features=(FeatureSpec("f", "ordered", tuple(range(len(costs)))),)
         )
         state = UserState((0,))
-        return schema, state, manual_cost(schema, state, [costs])
+        return schema, state, manual_samples(schema, state, [[costs]])
 
     def test_min_of_three(self):
         schema, state, c = self._single_feature([0.0, 0.5, 0.2, 0.9])
@@ -349,27 +418,28 @@ class TestMinCostAndEmc:
         with pytest.raises(ValueError):
             min_cost(state, [], c)
 
+    def test_several_samples_rejected(self):
+        schema = DatasetSchema(features=(FeatureSpec("f", "ordered", (0, 1)),))
+        state = UserState((0,))
+        c = manual_samples(schema, state, [[[0.0, 0.2]], [[0.0, 0.4]]])
+        with pytest.raises(ValueError):
+            min_cost(state, [UserState((1,))], c)
+
     def test_emc_single_sample_equals_min_cost(self, synth6):
         schema, rows, _, table, _ = synth6
         state = rows[0]
         batch = sample_cost_batch(state, schema, table, 1, "mix", seed=4)
         members = [state]
-        assert emc(state, members, batch) == pytest.approx(
-            min_cost(state, members, batch.samples[0])
+        assert emc_of_matrix(cost_rows(index_rows(schema, members), batch)) == (
+            min_cost(state, members, batch)
         )
 
     def test_emc_hand_average(self):
-        schema = DatasetSchema(
-            features=(FeatureSpec("f", "ordered", (0, 1)),)
-        )
+        schema = DatasetSchema(features=(FeatureSpec("f", "ordered", (0, 1)),))
         state = UserState((0,))
-        from recourse.cost import CostSampleSet
-
-        c1 = manual_cost(schema, state, [[0.0, 0.2]])
-        c2 = manual_cost(schema, state, [[0.0, 0.4]])
-        batch = CostSampleSet(state=state, samples=[c1, c2], seed=0,
-                              distribution_tag="mix")
-        assert emc(state, [UserState((1,))], batch) == pytest.approx(0.3)
+        batch = manual_samples(schema, state, [[[0.0, 0.2]], [[0.0, 0.4]]])
+        rows = cost_rows(index_rows(schema, [UserState((1,))]), batch)
+        assert emc_of_matrix(rows) == pytest.approx(0.3)
 
     def test_pair_beats_either_singleton(self):
         # two samples preferring different moves: the pair set is strictly
@@ -381,20 +451,22 @@ class TestMinCostAndEmc:
             )
         )
         state = UserState((0, 0))
-        from recourse.cost import CostSampleSet
+        batch = manual_samples(
+            schema, state,
+            [[[0.0, 0.1], [0.0, 0.9]], [[0.0, 0.9], [0.0, 0.1]]],
+        )
 
-        c1 = manual_cost(schema, state, [[0.0, 0.1], [0.0, 0.9]])
-        c2 = manual_cost(schema, state, [[0.0, 0.9], [0.0, 0.1]])
-        batch = CostSampleSet(state=state, samples=[c1, c2], seed=0,
-                              distribution_tag="mix")
+        def emc(members):
+            return emc_of_matrix(cost_rows(index_rows(schema, members), batch))
+
         move_a, move_b = UserState((1, 0)), UserState((0, 1))
-        pair = emc(state, [move_a, move_b], batch)
-        singles = [emc(state, [m], batch) for m in (move_a, move_b)]
+        pair = emc([move_a, move_b])
+        singles = [emc([m]) for m in (move_a, move_b)]
         # exhaustive check over every changed-state singleton in the domain
         for a in (0, 1):
             for b in (0, 1):
                 if (a, b) != state.values:
-                    singles.append(emc(state, [UserState((a, b))], batch))
+                    singles.append(emc([UserState((a, b))]))
         assert pair < min(singles)
 
     def test_emc_subset_monotone(self, synth6):
@@ -402,7 +474,6 @@ class TestMinCostAndEmc:
         state = rows[0]
         batch = sample_cost_batch(state, schema, table, 20, "mix", seed=6)
         rng = np.random.default_rng(0)
-        from recourse.schema import feasible_values
 
         def random_member():
             vals = []
@@ -412,29 +483,29 @@ class TestMinCostAndEmc:
             return UserState(tuple(vals))
 
         members = [random_member() for _ in range(6)]
+        rows_all = cost_rows(index_rows(schema, members), batch)
         for cut in range(1, 6):
-            assert emc(state, members, batch) <= emc(state, members[:cut], batch)
+            assert emc_of_matrix(rows_all) <= emc_of_matrix(rows_all[:cut])
 
 
 class TestCostMatrix:
     def test_1x1(self):
         schema = DatasetSchema(features=(FeatureSpec("f", "ordered", (0, 1)),))
         state = UserState((0,))
-        from recourse.cost import CostSampleSet
-
-        c = manual_cost(schema, state, [[0.0, 0.7]])
-        batch = CostSampleSet(state=state, samples=[c], seed=0,
-                              distribution_tag="mix")
-        cm = cost_matrix(state, [UserState((1,))], batch)
+        batch = manual_samples(schema, state, [[[0.0, 0.7]]])
+        cm = cost_rows(index_rows(schema, [UserState((1,))]), batch)
         assert cm.shape == (1, 1)
-        assert cm.entries[0, 0] == pytest.approx(0.7)
+        assert cm[0, 0] == pytest.approx(0.7)
 
     def test_column_minima_mean_equals_emc(self, synth6):
         schema, rows, _, table, _ = synth6
         state = rows[0]
         batch = sample_cost_batch(state, schema, table, 10, "mix", seed=8)
-        members = [state, rows[1] if False else state]
-        cm = cost_matrix(state, [state, state], batch)
-        mins = cm.entries.min(axis=0)
-        expected = INF if np.isinf(mins).any() else float(mins.mean())
-        assert emc(state, [state, state], batch) == expected
+        members = [state, rows[1]]
+        cm = cost_rows(index_rows(schema, members), batch)
+        mins = [
+            min(transition_cost(state, s, batch, i) for s in members)
+            for i in range(batch.m)
+        ]
+        expected = INF if np.isinf(mins).any() else float(np.mean(mins))
+        assert emc_of_matrix(cm) == expected

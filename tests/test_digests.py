@@ -1,0 +1,91 @@
+"""Bit-identity guard: pinned sha256 digests of sampled cost functions.
+
+The digests cover every cost array, alpha, editable mask and preference
+vector that `sample_cost_batch` and `simulate_user` produce for fixed
+adult-like inputs. Any change to the draw order, the RNG streams or the
+floating-point steps of the sampler changes them.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from recourse.cost import sample_cost_batch
+from recourse.evaluate import simulate_user
+from recourse.experiments import select_undesired
+
+# Fixed editable set and preferences for the pinned batch: three ordered
+# features (age, capital_gain, hours_per_week) and two unordered ones
+# (workclass, occupation).
+PINNED_EDITABLE = frozenset({0, 1, 4, 8, 10})
+PINNED_PREF = (0.3, 0.1, 0.0, 0.0, 0.2, 0.0, 0.0, 0.0, 0.25, 0.0, 0.15, 0.0)
+
+BATCH_DIGESTS = {
+    "lin": "f75b0e83a9550c37e4e3e5c6dc4ad92e9d268c5451c75a3728f2fb3ba43bf3a0",
+    "mix": "7e99d553b9c5e6e4bfb3c1824c924eeb27f2e4230bd3ad28a85f5180483cfed2",
+    "mix-pinned": "c826a630f05d02fecbf19ba2553188a42bc87c5345de75baa3da00b7dc1f48b1",
+    "perc": "133b6144fd20c9bc8484342a11634922636c7822e8d8a9faee8180dd49ddbf0b",
+}
+SIMULATED_DIGEST = "be4552bdc2bf117bd78c25ff9561a45d63fc96c70a32d2aeb9244f059a4513b5"
+
+
+def _fields(samples):
+    """(per-feature cost arrays, alpha, editable, preferences) of a sample set.
+
+    Reads the array layout when the set has one, and otherwise stacks the
+    per-sample cost functions of the object layout, so that the same
+    digests check both."""
+    if hasattr(samples, "costs"):
+        return (list(samples.costs), samples.alpha, samples.editable,
+                samples.preferences)
+    fns = samples.samples if hasattr(samples, "samples") else [samples]
+    d = len(fns[0].vectors)
+    return (
+        [np.stack([c.vectors[f] for c in fns]) for f in range(d)],
+        [c.alpha for c in fns],
+        [[f in c.editable for f in range(d)] for c in fns],
+        [c.preference_scores for c in fns],
+    )
+
+
+def _update(h, samples) -> None:
+    costs, alpha, editable, prefs = _fields(samples)
+    arrays = [np.ascontiguousarray(c, dtype=np.float64) for c in costs]
+    arrays.append(np.ascontiguousarray(alpha, dtype=np.float64))
+    arrays.append(np.ascontiguousarray(editable, dtype=bool))
+    arrays.append(np.ascontiguousarray(prefs, dtype=np.float64))
+    for a in arrays:
+        h.update(repr(a.shape).encode())
+        h.update(a.tobytes())
+
+
+@pytest.fixture(scope="module")
+def rejected(adult):
+    schema, rows, _, table, clf = adult
+    states, ids = select_undesired(rows, clf, schema, limit=20)
+    return schema, table, states, ids
+
+
+@pytest.mark.parametrize("case", sorted(BATCH_DIGESTS))
+def test_sample_cost_batch_digest(rejected, case):
+    schema, table, states, ids = rejected
+    distribution, _, pinned = case.partition("-")
+    samples = sample_cost_batch(
+        states[0], schema, table, 50, distribution, seed=3, subkey=ids[0],
+        editable=PINNED_EDITABLE if pinned else None,
+        pref=np.asarray(PINNED_PREF) if pinned else None,
+    )
+    h = hashlib.sha256()
+    _update(h, samples)
+    assert h.hexdigest() == BATCH_DIGESTS[case]
+
+
+def test_simulate_user_digest(rejected):
+    schema, table, states, ids = rejected
+    h = hashlib.sha256()
+    for k in range(20):
+        user = simulate_user(states[k], schema, table, test_seed=k % 4,
+                             user_id=ids[k], distribution=("mix", "lin", "perc")[k % 3])
+        _update(h, user.true_cost)
+    assert h.hexdigest() == SIMULATED_DIGEST

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from recourse.cost import INF, CostFunction
+from recourse.cost import INF
 from recourse.evaluate import (
     SimulatedUser,
     compute_report,
@@ -19,6 +19,8 @@ from recourse.evaluate import (
 from recourse.schema import DatasetSchema, FeatureSpec, UserState
 from recourse.search import RecourseSet
 
+from test_cost import manual_samples
+
 
 def single_feature_user(costs):
     """A user on a one-feature domain with hand-set transition costs.
@@ -30,14 +32,7 @@ def single_feature_user(costs):
         features=(FeatureSpec("f", "ordered", tuple(range(len(costs)))),)
     )
     state = UserState((0,))
-    cost = CostFunction(
-        schema=schema,
-        state=state,
-        vectors=(np.asarray(costs, dtype=float),),
-        preference_scores=np.ones(1),
-        alpha=0.5,
-        editable=frozenset({0}),
-    )
+    cost = manual_samples(schema, state, [[costs]])
     return SimulatedUser(state=state, true_cost=cost, subgroups={})
 
 
@@ -233,7 +228,7 @@ class TestSimulatedUsers:
         b = simulate_user(rows[0], schema, table, test_seed=5, user_id=3)
         assert all(
             np.array_equal(x, y)
-            for x, y in zip(a.true_cost.vectors, b.true_cost.vectors)
+            for x, y in zip(a.true_cost.costs, b.true_cost.costs)
         )
 
     def test_different_from_generation_stream(self, synth6):
@@ -244,7 +239,7 @@ class TestSimulatedUsers:
         test = simulate_user(rows[0], schema, table, test_seed=5, user_id=3)
         same = all(
             np.array_equal(x, y)
-            for x, y in zip(gen.samples[0].vectors, test.true_cost.vectors)
+            for x, y in zip(gen.costs, test.true_cost.costs)
         )
         assert not same
 

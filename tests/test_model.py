@@ -9,7 +9,6 @@ from recourse.model import (
     Classifier,
     TrainConfig,
     load_model,
-    predict,
     predict_batch,
     save_model,
     train_classifier,
@@ -79,6 +78,11 @@ class TestTraining:
         assert agree >= 0.95
 
 
+def predict_one(clf, state, meter):
+    """Classify one state as a 1-row batch."""
+    return int(predict_batch(clf, np.asarray([state.values], dtype=float), meter)[0])
+
+
 class TestPredictAndBudget:
     def _clf(self):
         # prob = sigmoid(4*(x_scaled - 0.5)): class 1 iff x >= 5 on 0..9
@@ -92,16 +96,16 @@ class TestPredictAndBudget:
     def test_thresholding_and_charging(self):
         clf = self._clf()
         meter = BudgetMeter(limit=10)
-        assert predict(clf, UserState((9,)), meter) == 1
-        assert predict(clf, UserState((0,)), meter) == 0
+        assert predict_one(clf, UserState((9,)), meter) == 1
+        assert predict_one(clf, UserState((0,)), meter) == 0
         assert meter.used == 2
 
     def test_meter_at_limit_charges_nothing(self):
         clf = self._clf()
         meter = BudgetMeter(limit=1)
-        predict(clf, UserState((9,)), meter)
+        predict_one(clf, UserState((9,)), meter)
         with pytest.raises(BudgetExhausted):
-            predict(clf, UserState((9,)), meter)
+            predict_one(clf, UserState((9,)), meter)
         assert meter.used == 1
 
     def test_exactly_5000_then_error(self):
@@ -109,10 +113,10 @@ class TestPredictAndBudget:
         meter = BudgetMeter(limit=5000)
         state = UserState((7,))
         for _ in range(5000):
-            predict(clf, state, meter)
+            predict_one(clf, state, meter)
         assert meter.used == 5000
         with pytest.raises(BudgetExhausted):
-            predict(clf, state, meter)
+            predict_one(clf, state, meter)
         assert meter.used == 5000
 
     def test_batch_is_atomic(self):
