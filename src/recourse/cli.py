@@ -8,7 +8,6 @@ per-user generation comes from the RECOURSE_WORKERS environment variable.
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import sys
 
@@ -27,43 +26,11 @@ from .results import (
 from .schema import (
     DatasetSchema,
     SchemaError,
-    UserState,
     build_percentile_table,
     load_dataset,
     load_schema,
 )
 from .search import OBJECTIVES
-
-
-def _load_labeled(path, schema: DatasetSchema, label_column: str):
-    """CSV with the schema's columns plus one 0/1 label column."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = [h.strip() for h in next(reader)]
-        if label_column not in header:
-            raise SchemaError(f"label column {label_column!r} not in {path}")
-        order = []
-        for name in schema.names:
-            if name not in header:
-                raise SchemaError(f"dataset {path}: missing column {name!r}")
-            order.append(header.index(name))
-        label_idx = header.index(label_column)
-        rows, labels = [], []
-        for lineno, cells in enumerate(reader, start=1):
-            if not cells:
-                continue
-            values = tuple(int(cells[j]) for j in order)
-            for v, f in zip(values, schema.features):
-                if v not in f:
-                    raise SchemaError(
-                        f"dataset {path} row {lineno}: value {v} outside domain "
-                        f"of feature {f.name!r}"
-                    )
-            rows.append(UserState(values))
-            labels.append(int(cells[label_idx]))
-    if not rows:
-        raise SchemaError(f"dataset {path} has no rows")
-    return rows, labels
 
 
 def _parse_editable(raw: str | None, schema: DatasetSchema):
@@ -169,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_train(args) -> int:
     schema = load_schema(args.schema)
-    rows, labels = _load_labeled(args.data, schema, args.label_column)
+    rows, labels = load_dataset(args.data, schema, args.label_column)
     config = TrainConfig(
         architecture=args.arch,
         hidden_width=args.hidden_width,

@@ -6,6 +6,10 @@ the evaluation RNG stream, which is structurally disjoint from the stream
 that produced the generation-time samples. A user's realised cost is the
 minimum over the *valid* members of their recourse set; invalid members
 count as infinitely expensive.
+
+A population is priced once: `compute_report` holds one realised cost per
+user, and FS@k, PAC and coverage, overall and per protected subgroup, are
+reductions over that vector (a subgroup is a boolean mask over it).
 """
 
 from __future__ import annotations
@@ -89,36 +93,23 @@ def realized_cost(user: SimulatedUser, recourse: RecourseSet) -> float:
     return min_cost(user.state, valid_members, user.true_cost)
 
 
-def fs_at_k(
-    users: Sequence[SimulatedUser],
-    sets: Sequence[RecourseSet],
-    k: float = 1.0,
-) -> float:
+def fs_at_k(costs: np.ndarray, k: float = 1.0) -> float:
     """Fraction of users whose realised cost is strictly below k."""
-    if not users or len(users) != len(sets):
-        raise ValueError("need one recourse set per user, at least one user")
-    hits = sum(1 for u, s in zip(users, sets) if realized_cost(u, s) < k)
-    return hits / len(users)
+    return int(np.count_nonzero(costs < k)) / len(costs)
 
 
-def pac(users: Sequence[SimulatedUser], sets: Sequence[RecourseSet]) -> PacResult:
+def pac(costs: np.ndarray) -> PacResult:
     """Mean realised cost over covered users, with the uncovered count."""
-    if not users or len(users) != len(sets):
-        raise ValueError("need one recourse set per user, at least one user")
-    costs = [realized_cost(u, s) for u, s in zip(users, sets)]
-    finite = [c for c in costs if c < INF]
+    finite = costs[costs < INF].tolist()
     uncovered = len(costs) - len(finite)
     if not finite:
         return PacResult(value=None, uncovered=uncovered)
     return PacResult(value=sum(finite) / len(finite), uncovered=uncovered)
 
 
-def coverage(users: Sequence[SimulatedUser], sets: Sequence[RecourseSet]) -> float:
+def coverage(costs: np.ndarray) -> float:
     """Fraction of users with any finite-cost valid recourse."""
-    if not users or len(users) != len(sets):
-        raise ValueError("need one recourse set per user, at least one user")
-    hits = sum(1 for u, s in zip(users, sets) if realized_cost(u, s) < INF)
-    return hits / len(users)
+    return fs_at_k(costs, INF)
 
 
 def _pair_distance(a: UserState, b: UserState, schema: DatasetSchema) -> float:
@@ -207,6 +198,7 @@ def compute_report(
     """All metrics over a population, with per-subgroup splits and ratios."""
     if not users or len(users) != len(sets):
         raise ValueError("need one recourse set per user, at least one user")
+    costs = np.array([realized_cost(u, s) for u, s in zip(users, sets)])
     dists = [distance_metrics(u.state, s, schema) for u, s in zip(users, sets)]
     div, prox, spar, val = (float(np.mean([d[i] for d in dists])) for i in range(4))
 
@@ -214,38 +206,29 @@ def compute_report(
     dir_ratios: dict[str, dict[str, Optional[float]]] = {}
     for attr in schema.protected_attributes:
         feature = schema.features[schema.feature_index(attr)]
+        labels = np.array([u.subgroups.get(attr) for u in users], dtype=object)
         groups: dict[int, dict[str, float]] = {}
-        fs_by_group: dict[int, float] = {}
-        cov_by_group: dict[int, float] = {}
         for value in feature.domain:
-            sub = [
-                (u, s)
-                for u, s in zip(users, sets)
-                if u.subgroups.get(attr) == value
-            ]
-            if not sub:
-                continue
-            sub_users, sub_sets = zip(*sub)
-            groups[value] = {
-                "fs_at_k": fs_at_k(sub_users, sub_sets, k),
-                "coverage": coverage(sub_users, sub_sets),
-                "n": len(sub),
-            }
-            fs_by_group[value] = groups[value]["fs_at_k"]
-            cov_by_group[value] = groups[value]["coverage"]
+            sub = costs[labels == value]
+            if len(sub):
+                groups[value] = {
+                    "fs_at_k": fs_at_k(sub, k),
+                    "coverage": coverage(sub),
+                    "n": len(sub),
+                }
         by_subgroup[attr] = groups
         if len(groups) == 2:
-            order = [v for v in feature.domain if v in groups]
+            order = list(groups)
             dir_ratios[attr] = {
-                "fs_at_k": dir_ratio(fs_by_group, order),
-                "coverage": dir_ratio(cov_by_group, order),
+                metric: dir_ratio({v: g[metric] for v, g in groups.items()}, order)
+                for metric in ("fs_at_k", "coverage")
             }
 
     return MetricsReport(
-        fs_at_k=fs_at_k(users, sets, k),
+        fs_at_k=fs_at_k(costs, k),
         k=k,
-        pac=pac(users, sets),
-        coverage=coverage(users, sets),
+        pac=pac(costs),
+        coverage=coverage(costs),
         diversity=div,
         proximity=prox,
         sparsity=spar,

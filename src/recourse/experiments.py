@@ -1,5 +1,5 @@
-"""Experiment sweeps: method comparisons, ablations, fairness splits,
-robustness grids, and resource scans.
+"""Experiment sweeps: method comparisons (with per-subgroup fairness
+splits), ablations, robustness grids, and resource scans.
 
 Every sweep runs the generation machinery in-process on a fixed user
 subset, evaluates against hidden cost functions keyed by a separate test
@@ -16,6 +16,7 @@ import numpy as np
 
 from .evaluate import (
     MetricsReport,
+    PacResult,
     compute_report,
     concentration_distance,
     realized_cost,
@@ -29,7 +30,6 @@ from .search import RecourseSet
 EXPERIMENT_KINDS = (
     "main",
     "ablation",
-    "fairness",
     "alpha_grid",
     "concentration_shift",
     "budget_sweep",
@@ -218,9 +218,6 @@ def run_experiment(
         methods = ("ls:sparsity", "ls:proximity", "ls:diversity", "ls:emc", "cols")
         return _tabular_comparison(spec, states, user_ids, classifier, schema, table,
                                    methods)
-    if spec.kind == "fairness":
-        return _tabular_comparison(spec, states, user_ids, classifier, schema, table,
-                                   spec.methods)
     if spec.kind == "alpha_grid":
         return _alpha_grid(spec, states, user_ids, classifier, schema, table)
     if spec.kind == "concentration_shift":
@@ -247,8 +244,6 @@ def _tabular_comparison(spec, states, user_ids, classifier, schema, table, metho
 
 
 def mean_report(reports: Sequence[MetricsReport]) -> MetricsReport:
-    from .evaluate import PacResult
-
     pac_vals = [r.pac.value for r in reports if r.pac.value is not None]
     mean_of = lambda attr: float(np.mean([getattr(r, attr) for r in reports]))
     by_subgroup: dict = {}

@@ -29,7 +29,6 @@ from .search import (
     local_search,
     pcols,
     random_search,
-    search_rng,
 )
 
 METHODS = ("cols", "pcols", "random", "ls")
@@ -61,7 +60,6 @@ class GenerationSettings:
         return SearchConfig(
             budget=self.budget,
             set_size=self.set_size,
-            num_samples=self.num_samples,
             restarts=self.restarts,
             seed=self.seed,
         )
@@ -138,10 +136,7 @@ def _dispatch(
     user_id: int,
 ) -> SearchResult:
     if settings.method == "cols":
-        return cols(
-            state, classifier, samples, schema, config,
-            rng=search_rng(config.seed, user_id),
-        )
+        return cols(state, classifier, samples, schema, config, user_key=user_id)
     if settings.method == "pcols":
         return pcols(state, classifier, samples, schema, config, user_key=user_id)
     if settings.method == "random":

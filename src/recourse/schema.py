@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 import yaml
 
@@ -265,12 +265,15 @@ def save_schema(schema: DatasetSchema, path) -> None:
         yaml.safe_dump(doc, fh, sort_keys=False)
 
 
-def load_dataset(path, schema: DatasetSchema) -> list[UserState]:
+def load_dataset(path, schema: DatasetSchema, label_column: Optional[str] = None):
     """Read a comma-delimited table of integer codes as UserStates.
 
-    The header must list exactly the schema's feature names (any order).
-    Rows with out-of-domain values are rejected with their 1-based row index.
+    The header must list exactly the schema's feature names (any order),
+    plus `label_column` when one is given; the result is then the pair
+    (rows, labels) with one 0/1 label per row. Bad cells are rejected with
+    the file, their 1-based row index and their column name.
     """
+    columns = [*schema.names, *([label_column] if label_column else [])]
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -278,38 +281,47 @@ def load_dataset(path, schema: DatasetSchema) -> list[UserState]:
         except StopIteration:
             raise SchemaError(f"dataset {path} is empty") from None
         header = [h.strip() for h in header]
-        expected = set(schema.names)
-        missing = expected - set(header)
-        extra = set(header) - expected
+        missing = set(columns) - set(header)
+        extra = set(header) - set(columns)
         if missing:
             raise SchemaError(f"dataset {path}: missing columns {sorted(missing)}")
         if extra:
             raise SchemaError(f"dataset {path}: unknown columns {sorted(extra)}")
-        order = [header.index(n) for n in schema.names]
+        order = [header.index(n) for n in columns]
         rows: list[UserState] = []
+        labels: list[int] = []
         for lineno, cells in enumerate(reader, start=1):
             if not cells:
                 continue
+            where = f"dataset {path} row {lineno}"
             if len(cells) != len(header):
                 raise SchemaError(
-                    f"dataset {path} row {lineno}: expected {len(header)} cells"
+                    f"{where}: expected {len(header)} cells, got {len(cells)}"
                 )
-            try:
-                values = tuple(int(cells[j]) for j in order)
-            except ValueError:
-                raise SchemaError(
-                    f"dataset {path} row {lineno}: non-integer cell"
-                ) from None
+            values = []
+            for name, j in zip(columns, order):
+                try:
+                    values.append(int(cells[j]))
+                except ValueError:
+                    raise SchemaError(
+                        f"{where}: non-integer cell {cells[j]!r} in column {name!r}"
+                    ) from None
+            if label_column:
+                label = values.pop()
+                if label not in (0, 1):
+                    raise SchemaError(
+                        f"{where}: label {label} in column {label_column!r} is not 0/1"
+                    )
+                labels.append(label)
             for v, f in zip(values, schema.features):
                 if v not in f:
                     raise SchemaError(
-                        f"dataset {path} row {lineno}: value {v} outside domain "
-                        f"of feature {f.name!r}"
+                        f"{where}: value {v} outside domain of feature {f.name!r}"
                     )
-            rows.append(UserState(values))
+            rows.append(UserState(tuple(values)))
     if not rows:
         raise SchemaError(f"dataset {path} has a header but no rows")
-    return rows
+    return (rows, labels) if label_column else rows
 
 
 def save_dataset(rows: Iterable[UserState], schema: DatasetSchema, path) -> None:

@@ -67,13 +67,12 @@ class RecourseSet:
 class SearchConfig:
     budget: int = 5000
     set_size: int = 10
-    num_samples: int = 1000
     hamming_distance: int = 2
     restarts: int = 5
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("budget", "set_size", "num_samples", "hamming_distance", "restarts"):
+        for name in ("budget", "set_size", "hamming_distance", "restarts"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
         if self.restarts > self.budget:
@@ -166,28 +165,15 @@ def _column_minima(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
 
 class _ColumnCache:
     """Cached per-column min/second-min of the best-set cost matrix,
-    refreshed incrementally when a row is replaced."""
+    recomputed in full when a row is replaced."""
 
     def __init__(self, entries: np.ndarray):
         self.entries = entries
         self.min_vals, self.min_idx, self.second_vals = _column_minima(entries)
 
     def replace_row(self, p: int, new_row: np.ndarray) -> None:
-        old_row = self.entries[p].copy()
         self.entries[p] = new_row
-        # Only columns where the old row was a top-2 value, or the new value
-        # beats the current runner-up, can change; rescan just those.
-        affected = (
-            (self.min_idx == p)
-            | (old_row <= self.second_vals)
-            | (new_row < self.second_vals)
-        )
-        if affected.any():
-            sub = self.entries[:, affected]
-            mv, mi, sv = _column_minima(sub)
-            self.min_vals[affected] = mv
-            self.min_idx[affected] = mi
-            self.second_vals[affected] = sv
+        self.min_vals, self.min_idx, self.second_vals = _column_minima(self.entries)
 
 
 def compute_benefits(

@@ -13,7 +13,14 @@ import pytest
 
 from recourse.cost import INF, _targets, sample_cost_batch, sample_cost_function
 from recourse.datasets import make_adult_like, make_synthetic_6f
-from recourse.evaluate import dir_ratio, distance_metrics, fs_at_k, pac, coverage
+from recourse.evaluate import (
+    coverage,
+    dir_ratio,
+    distance_metrics,
+    fs_at_k,
+    pac,
+    realized_cost,
+)
 from recourse.experiments import (
     ExperimentSpec,
     evaluate_docs,
@@ -93,8 +100,7 @@ def test_criterion_1_monotonicity_suite(synth6):
             samples = sample_cost_batch(
                 s_u, schema, table, 100, "mix", seed=seed, subkey=uid
             )
-            config = SearchConfig(budget=2000, set_size=10, num_samples=100,
-                                  seed=seed)
+            config = SearchConfig(budget=2000, set_size=10, seed=seed)
             res = cols(s_u, clf, samples, schema, config)
             runs += 1
             trace = res.trace
@@ -165,7 +171,7 @@ def test_criterion_3_exhaustive_optimum(toy2):
             min((transition_cost(s_u, s, samples, i) for s in valid), default=INF)
             for i in range(samples.m)
         ]
-        config = SearchConfig(budget=3000, set_size=3, num_samples=3, seed=seed)
+        config = SearchConfig(budget=3000, set_size=3, seed=seed)
         res = cols(s_u, clf, samples, schema, config)
         got = res.cost_matrix.min(axis=0)
         for g, o in zip(got, optima):
@@ -195,8 +201,7 @@ def test_criterion_3b_whole_set_optimum(toy2):
             e = INF if np.isinf(mins).any() else float(mins.mean())
             best = min(best, e)
         res = cols(s_u, clf, samples, schema,
-                   SearchConfig(budget=3000, set_size=3, num_samples=3,
-                                seed=seed))
+                   SearchConfig(budget=3000, set_size=3, seed=seed))
         assert abs(res.emc - best) < 1e-9
     _pass(3, "whole-set objective matches the C(25,3) brute force, 5 seeds")
 
@@ -307,16 +312,18 @@ def test_criterion_7_metric_units():
     ratio to three decimals."""
     from test_evaluate import pointing_set, single_feature_user
 
-    users = [single_feature_user([0.0, c]) for c in (0.5, 1.2)]
-    users.append(single_feature_user([0.0, INF]))
-    sets = [pointing_set()] * 3
-    assert fs_at_k(users, sets, k=1.0) == pytest.approx(1 / 3)
-    assert coverage(users, sets) == pytest.approx(2 / 3)
+    def realized(*costs):
+        return np.array([
+            realized_cost(single_feature_user([0.0, c]), pointing_set())
+            for c in costs
+        ])
 
-    pair = [single_feature_user([0.0, c]) for c in (0.2, 0.4)]
-    assert pac(pair, sets[:2]).value == pytest.approx(0.3)
-    mixed = [single_feature_user([0.0, 0.2]), single_feature_user([0.0, INF])]
-    result = pac(mixed, sets[:2])
+    costs = realized(0.5, 1.2, INF)
+    assert fs_at_k(costs, k=1.0) == pytest.approx(1 / 3)
+    assert coverage(costs) == pytest.approx(2 / 3)
+
+    assert pac(realized(0.2, 0.4)).value == pytest.approx(0.3)
+    result = pac(realized(0.2, INF))
     assert result.value == pytest.approx(0.2)
     assert result.uncovered == 1
 
@@ -444,7 +451,7 @@ def test_criterion_9_budget_exactness(synth6):
     samples = sample_cost_batch(s_u, schema, table, 20, "mix", seed=0)
     meter = BudgetMeter(limit=100)
     cols(s_u, clf, samples, schema,
-         SearchConfig(budget=100, set_size=6, num_samples=20, seed=0),
+         SearchConfig(budget=100, set_size=6, seed=0),
          meter=meter)
     assert meter.used <= 100
     _pass(9, f"{checked} instrumented runs, all within budget")

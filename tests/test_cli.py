@@ -82,6 +82,38 @@ class TestTrain(object):
         clf = load_model(workdir / "model.json")
         assert clf.architecture == "mlp"
 
+    def _train_on_edited_row(self, workdir, tmp_path, capsys, column, cell):
+        """Train on labeled.csv with data row 3's `column` set to `cell`."""
+        with open(workdir / "labeled.csv", newline="") as fh:
+            table = list(csv.reader(fh))
+        table[3][table[0].index(column)] = cell
+        bad = tmp_path / "bad.csv"
+        with open(bad, "w", newline="") as fh:
+            csv.writer(fh).writerows(table)
+        code = main(
+            [
+                "train",
+                "--schema", str(workdir / "schema.yaml"),
+                "--data", str(bad),
+                "--label-column", "label",
+                "--epochs", "1",
+                "--out", str(tmp_path / "model.json"),
+            ]
+        )
+        assert code == 2
+        assert not (tmp_path / "model.json").exists()
+        return capsys.readouterr().err
+
+    def test_non_integer_cell_names_file_row_and_column(self, workdir, tmp_path, capsys):
+        err = self._train_on_edited_row(workdir, tmp_path, capsys, "origin", "x")
+        assert f"dataset {tmp_path / 'bad.csv'} row 3" in err
+        assert "'x'" in err and "column 'origin'" in err
+
+    def test_bad_label_names_file_row_and_column(self, workdir, tmp_path, capsys):
+        err = self._train_on_edited_row(workdir, tmp_path, capsys, "label", "7")
+        assert f"dataset {tmp_path / 'bad.csv'} row 3" in err
+        assert "label 7" in err and "column 'label'" in err
+
 
 class TestGenerate:
     def _generate(self, workdir, out, extra=()):
@@ -317,7 +349,7 @@ class TestExperimentCommand:
         code = main(
             [
                 "experiment",
-                "--kind", "fairness",
+                "--kind", "main",
                 "--schema", str(workdir / "schema.yaml"),
                 "--data", str(workdir / "data.csv"),
                 "--model", str(workdir / "model.json"),
@@ -332,7 +364,7 @@ class TestExperimentCommand:
             ]
         )
         assert code == 0
-        with open(out / "fairness.csv") as fh:
+        with open(out / "main.csv") as fh:
             rows = list(csv.reader(fh))
         metrics = {(r[1], r[2]) for r in rows[1:]}
         assert ("cols", "dir_fs_at_1[origin]") in metrics

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from recourse.cost import INF
+from recourse import evaluate
+from recourse.cost import INF, min_cost
+from recourse.datasets import make_adult_like
 from recourse.evaluate import (
     SimulatedUser,
     compute_report,
@@ -16,8 +18,13 @@ from recourse.evaluate import (
     realized_cost,
     simulate_user,
 )
-from recourse.schema import DatasetSchema, FeatureSpec, UserState
-from recourse.search import RecourseSet
+from recourse.schema import (
+    DatasetSchema,
+    FeatureSpec,
+    UserState,
+    build_percentile_table,
+)
+from recourse.search import RecourseSet, _Workspace
 
 from test_cost import manual_samples
 
@@ -40,31 +47,33 @@ def pointing_set(value=1, valid=True):
     return RecourseSet(members=(UserState((value,)),), validity=(valid,))
 
 
+class TestRealizedCost:
+    def test_reads_the_pointed_transition(self):
+        for c in (0.0, 0.5, 1.2, INF):
+            assert realized_cost(single_feature_user([0.0, c]), pointing_set()) == c
+
+
 class TestFsAtK:
     def test_hand_count(self):
-        users = [single_feature_user([0.0, c]) for c in (0.5, 1.2)]
-        users.append(single_feature_user([0.0, INF]))
-        sets = [pointing_set()] * 3
-        assert fs_at_k(users, sets, k=1.0) == pytest.approx(1 / 3)
+        assert fs_at_k(np.array([0.5, 1.2, INF]), k=1.0) == pytest.approx(1 / 3)
 
     def test_all_zero_cost(self):
-        users = [single_feature_user([0.0, 0.0]) for _ in range(4)]
-        sets = [pointing_set()] * 4
-        assert fs_at_k(users, sets, k=1.0) == 1.0
+        assert fs_at_k(np.zeros(4), k=1.0) == 1.0
 
     def test_k_zero_boundary_is_strict(self):
-        users = [single_feature_user([0.0, 0.0])]
-        assert fs_at_k(users, [pointing_set()], k=0.0) == 0.0
+        assert fs_at_k(np.array([0.0]), k=0.0) == 0.0
 
     def test_non_decreasing_in_k(self):
-        users = [single_feature_user([0.0, c]) for c in (0.1, 0.5, 0.9, INF)]
-        sets = [pointing_set()] * 4
-        values = [fs_at_k(users, sets, k) for k in (0.0, 0.2, 0.6, 1.0, 5.0)]
+        costs = np.array([0.1, 0.5, 0.9, INF])
+        values = [fs_at_k(costs, k) for k in (0.0, 0.2, 0.6, 1.0, 5.0)]
         assert values == sorted(values)
 
     def test_invalid_members_cost_infinity(self):
-        users = [single_feature_user([0.0, 0.1])]
-        assert fs_at_k(users, [pointing_set(valid=False)], k=1.0) == 0.0
+        user = single_feature_user([0.0, 0.1])
+        costs = np.array([realized_cost(user, pointing_set(valid=False))])
+        assert costs[0] == INF
+        assert fs_at_k(costs, k=1.0) == 0.0
+        assert coverage(costs) == 0.0
 
     def test_removal_never_helps(self):
         user = single_feature_user([0.0, 0.9, 0.2])
@@ -74,55 +83,56 @@ class TestFsAtK:
         assert realized_cost(user, both) <= realized_cost(user, pointing_set(1))
 
     def test_empty_population_rejected(self):
+        schema = DatasetSchema(features=(FeatureSpec("f", "ordered", (0, 1)),))
         with pytest.raises(ValueError):
-            fs_at_k([], [], k=1.0)
+            compute_report([], [], schema, k=1.0)
+        with pytest.raises(ValueError):
+            compute_report([single_feature_user([0.0, 0.5])], [], schema, k=1.0)
 
 
 class TestPac:
     def test_mean_of_finite(self):
-        users = [single_feature_user([0.0, c]) for c in (0.2, 0.4)]
-        sets = [pointing_set()] * 2
-        result = pac(users, sets)
+        result = pac(np.array([0.2, 0.4]))
         assert result.value == pytest.approx(0.3)
         assert result.uncovered == 0
 
     def test_uncovered_reported_separately(self):
-        users = [single_feature_user([0.0, 0.2]), single_feature_user([0.0, INF])]
-        sets = [pointing_set()] * 2
-        result = pac(users, sets)
+        result = pac(np.array([0.2, INF]))
         assert result.value == pytest.approx(0.2)
         assert result.uncovered == 1
 
     def test_single_zero_cost_user(self):
-        result = pac([single_feature_user([0.0, 0.0])], [pointing_set()])
-        assert result.value == 0.0
+        assert pac(np.array([0.0])).value == 0.0
 
     def test_all_uncovered_flagged_undefined(self):
-        users = [single_feature_user([0.0, INF])]
-        result = pac(users, [pointing_set()])
+        result = pac(np.array([INF]))
         assert result.value is None
         assert result.uncovered == 1
+
+    def test_left_to_right_sum(self):
+        # Sequential float addition, not numpy's pairwise sum: for these
+        # draws np.mean differs in the last bit.
+        finite = np.random.default_rng(0).uniform(0, 2, size=(3, 20))[2]
+        costs = np.insert(finite, 5, INF)
+        expected = sum(finite.tolist()) / len(finite)
+        assert expected != np.mean(finite)
+        assert pac(costs).value == expected
 
 
 class TestCoverage:
     def test_hand_count(self):
-        users = [single_feature_user([0.0, c]) for c in (0.5, INF, 3.0)]
-        sets = [pointing_set()] * 3
-        assert coverage(users, sets) == pytest.approx(2 / 3)
+        assert coverage(np.array([0.5, INF, 3.0])) == pytest.approx(2 / 3)
 
     def test_all_finite(self):
-        users = [single_feature_user([0.0, 0.5])] * 3
-        assert coverage(users, [pointing_set()] * 3) == 1.0
+        assert coverage(np.full(3, 0.5)) == 1.0
 
     def test_fs_never_exceeds_coverage(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
-            costs = [INF if rng.random() < 0.3 else float(rng.uniform(0, 2))
-                     for _ in range(10)]
-            users = [single_feature_user([0.0, c]) for c in costs]
-            sets = [pointing_set()] * 10
+            costs = np.array([INF if rng.random() < 0.3 else float(rng.uniform(0, 2))
+                              for _ in range(10)])
             for k in (0.5, 1.0, 2.0):
-                assert fs_at_k(users, sets, k) <= coverage(users, sets)
+                assert fs_at_k(costs, k) <= coverage(costs)
 
 
 class TestDistanceMetrics:
@@ -251,6 +261,25 @@ class TestSimulatedUsers:
         }
 
 
+@pytest.fixture(scope="module")
+def adult_population():
+    """80 adult-like users, each with three feasible two-feature moves (the
+    first always valid), so realised costs mix cheap, dear and infinite."""
+    schema, rows, _ = make_adult_like(400, seed=7)
+    table = build_percentile_table(rows, schema)
+    rng = np.random.default_rng(4)
+    users, sets = [], []
+    for uid in range(80):
+        users.append(simulate_user(rows[uid], schema, table, 31, uid))
+        ws = _Workspace(rows[uid], schema)
+        moves = ws.perturb_rows(np.tile(ws.user_idx, (3, 1)), rng)
+        sets.append(RecourseSet(
+            members=tuple(ws.to_states(moves)),
+            validity=(True, *(bool(v) for v in rng.random(2) < 0.5)),
+        ))
+    return schema, users, sets
+
+
 class TestComputeReport:
     def test_report_fields_and_subgroups(self, synth6):
         schema, rows, _, table, _ = synth6
@@ -266,3 +295,34 @@ class TestComputeReport:
         assert report.coverage >= report.fs_at_k
         assert "origin" in report.by_subgroup
         assert set(report.dir_ratios.get("origin", {})) <= {"fs_at_k", "coverage"}
+
+    def test_prices_each_pair_once(self, adult_population, monkeypatch):
+        schema, users, sets = adult_population
+        calls = []
+
+        def counting_min_cost(s_u, members, samples):
+            calls.append(len(members))
+            return min_cost(s_u, members, samples)
+
+        monkeypatch.setattr(evaluate, "min_cost", counting_min_cost)
+        compute_report(users, sets, schema, k=1.0)
+        assert len(calls) == len(users)
+
+    def test_subgroups_are_slices_of_the_cost_vector(self, adult_population):
+        schema, users, sets = adult_population
+        k = 1.0
+        report = compute_report(users, sets, schema, k=k)
+        costs = np.array([realized_cost(u, s) for u, s in zip(users, sets)])
+        assert report.fs_at_k == fs_at_k(costs, k)
+        assert report.coverage == coverage(costs)
+        assert len(schema.protected_attributes) == 2
+        for attr in schema.protected_attributes:
+            groups = report.by_subgroup[attr]
+            assert sum(g["n"] for g in groups.values()) == len(users)
+            for value, stats in groups.items():
+                sub = costs[[u.subgroups[attr] == value for u in users]]
+                assert stats == {
+                    "fs_at_k": fs_at_k(sub, k),
+                    "coverage": coverage(sub),
+                    "n": len(sub),
+                }

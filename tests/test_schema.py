@@ -126,6 +126,19 @@ class TestDataset:
         with pytest.raises(SchemaError, match=r"row 2.*'a'"):
             load_dataset(path, self._schema())
 
+    def test_label_column(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("y,a,b\n1,0,1\n0,2,0\n")
+        rows, labels = load_dataset(path, self._schema(), label_column="y")
+        assert [r.values for r in rows] == [(0, 1), (2, 0)]
+        assert labels == [1, 0]
+
+    def test_short_row_names_row(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("a,b,y\n0,1,1\n2,0\n")
+        with pytest.raises(SchemaError, match=r"row 2: expected 3 cells, got 2"):
+            load_dataset(path, self._schema(), label_column="y")
+
     def test_unknown_column(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("a,b,c\n0,1,0\n")

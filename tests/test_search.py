@@ -132,6 +132,18 @@ class TestSelectSwaps:
 
 class TestColumnCache:
     def test_incremental_matches_full_recompute(self):
+        def check(cache):
+            mv, mi, sv = _column_minima(cache.entries)
+            assert np.array_equal(cache.min_vals, mv)
+            assert np.array_equal(cache.min_idx, mi)
+            assert np.array_equal(cache.second_vals, sv)
+
+        # A new row joining a tied minimum takes it: ties go to the lowest row.
+        cache = _ColumnCache(np.array([[0.9], [0.5], [0.5]]))
+        cache.replace_row(0, np.array([0.5]))
+        check(cache)
+        assert cache.min_idx.tolist() == [0]
+
         rng = np.random.default_rng(11)
         for _ in range(50):
             n, m = int(rng.integers(2, 6)), int(rng.integers(1, 8))
@@ -143,10 +155,17 @@ class TestColumnCache:
                 row = rng.uniform(0, 1, size=m)
                 row[rng.random(m) < 0.2] = BIG
                 cache.replace_row(p, row)
-                mv, mi, sv = _column_minima(cache.entries)
-                assert np.array_equal(cache.min_vals, mv)
-                assert np.array_equal(cache.min_idx, mi)
-                assert np.array_equal(cache.second_vals, sv)
+                check(cache)
+
+        # On a coarse grid, ties on the minimum are common.
+        rng = np.random.default_rng(12)
+        for _ in range(50):
+            n, m = int(rng.integers(2, 6)), int(rng.integers(1, 8))
+            cache = _ColumnCache(rng.integers(0, 3, size=(n, m)).astype(float))
+            for _ in range(6):
+                p = int(rng.integers(n))
+                cache.replace_row(p, rng.integers(0, 3, size=m).astype(float))
+                check(cache)
 
 
 def two_mutable_schema():
@@ -215,7 +234,7 @@ class TestCols:
         schema, rows, _, table, clf = synth6
         s_u = rows[0]
         samples = sample_cost_batch(s_u, schema, table, 20, "mix", seed=0)
-        config = SearchConfig(budget=10, set_size=10, num_samples=20, seed=0)
+        config = SearchConfig(budget=10, set_size=10, seed=0)
         res = cols(s_u, clf, samples, schema, config)
         assert res.queries_used == 10
         assert len(res.trace) == 1
@@ -224,7 +243,7 @@ class TestCols:
         schema, rows, _, table, clf = synth6
         for seed, s_u in enumerate(rows[:5]):
             samples = sample_cost_batch(s_u, schema, table, 50, "mix", seed=seed)
-            config = SearchConfig(budget=600, set_size=6, num_samples=50, seed=seed)
+            config = SearchConfig(budget=600, set_size=6, seed=seed)
             res = cols(s_u, clf, samples, schema, config)
             tr = res.trace
             assert all(b <= a + 1e-12 for a, b in zip(tr, tr[1:]))
@@ -234,7 +253,7 @@ class TestCols:
         s_u = rows[1]
         samples = sample_cost_batch(s_u, schema, table, 30, "mix", seed=1)
         for budget in (6, 13, 47, 100):
-            config = SearchConfig(budget=budget, set_size=6, num_samples=30, seed=1)
+            config = SearchConfig(budget=budget, set_size=6, seed=1)
             res = cols(s_u, clf, samples, schema, config)
             assert res.queries_used <= budget
             # whole batches only: usage is a multiple of the set size
@@ -244,7 +263,7 @@ class TestCols:
         schema, rows, _, table, clf = synth6
         s_u = rows[2]
         samples = sample_cost_batch(s_u, schema, table, 30, "mix", seed=2)
-        config = SearchConfig(budget=300, set_size=5, num_samples=30, seed=2)
+        config = SearchConfig(budget=300, set_size=5, seed=2)
         res = cols(s_u, clf, samples, schema, config)
         codes = np.asarray(
             [m.values for m in res.recourse_set.members], dtype=float
@@ -256,7 +275,7 @@ class TestCols:
         schema, rows, _, table, clf = synth6
         s_u = rows[3]
         samples = sample_cost_batch(s_u, schema, table, 30, "mix", seed=3)
-        config = SearchConfig(budget=300, set_size=5, num_samples=30, seed=3)
+        config = SearchConfig(budget=300, set_size=5, seed=3)
         a = cols(s_u, clf, samples, schema, config)
         b = cols(s_u, clf, samples, schema, config)
         assert [m.values for m in a.recourse_set.members] == [
@@ -267,7 +286,7 @@ class TestCols:
     def test_budget_smaller_than_set_rejected(self, synth6):
         schema, rows, _, table, clf = synth6
         samples = sample_cost_batch(rows[0], schema, table, 10, "mix", seed=0)
-        config = SearchConfig(budget=5, set_size=10, num_samples=10, seed=0)
+        config = SearchConfig(budget=5, set_size=10, seed=0)
         with pytest.raises(ValueError):
             cols(rows[0], clf, samples, schema, config)
 
@@ -277,8 +296,7 @@ class TestPcols:
         schema, rows, _, table, clf = synth6
         s_u = rows[0]
         samples = sample_cost_batch(s_u, schema, table, 30, "mix", seed=4)
-        config = SearchConfig(budget=400, set_size=5, num_samples=30,
-                              restarts=1, seed=4)
+        config = SearchConfig(budget=400, set_size=5, restarts=1, seed=4)
         a = pcols(s_u, clf, samples, schema, config)
         b = cols(s_u, clf, samples, schema, config)
         assert [m.values for m in a.recourse_set.members] == [
@@ -290,8 +308,7 @@ class TestPcols:
         schema, rows, _, table, clf = synth6
         s_u = rows[1]
         samples = sample_cost_batch(s_u, schema, table, 20, "mix", seed=5)
-        config = SearchConfig(budget=5000, set_size=10, num_samples=20,
-                              restarts=5, seed=5)
+        config = SearchConfig(budget=5000, set_size=10, restarts=5, seed=5)
         res = pcols(s_u, clf, samples, schema, config)
         assert res.restart_queries == [1000] * 5
         assert res.queries_used == 5000
@@ -300,8 +317,7 @@ class TestPcols:
         schema, rows, _, table, clf = synth6
         s_u = rows[2]
         samples = sample_cost_batch(s_u, schema, table, 20, "mix", seed=6)
-        config = SearchConfig(budget=600, set_size=5, num_samples=20,
-                              restarts=3, seed=6)
+        config = SearchConfig(budget=600, set_size=5, restarts=3, seed=6)
         res = pcols(s_u, clf, samples, schema, config)
         assert len(res.restart_emcs) == 3
         assert all(res.emc <= e for e in res.restart_emcs)
@@ -309,8 +325,7 @@ class TestPcols:
     def test_insufficient_per_restart_budget(self, synth6):
         schema, rows, _, table, clf = synth6
         samples = sample_cost_batch(rows[0], schema, table, 10, "mix", seed=0)
-        config = SearchConfig(budget=20, set_size=10, num_samples=10,
-                              restarts=5, seed=0)
+        config = SearchConfig(budget=20, set_size=10, restarts=5, seed=0)
         with pytest.raises(ValueError):
             pcols(rows[0], clf, samples, schema, config)
 
@@ -320,7 +335,7 @@ class TestRandomSearch:
         schema, rows, _, table, clf = synth6
         s_u = rows[0]
         samples = sample_cost_batch(s_u, schema, table, 30, "mix", seed=7)
-        config = SearchConfig(budget=300, set_size=5, num_samples=30, seed=7)
+        config = SearchConfig(budget=300, set_size=5, seed=7)
         res = random_search(s_u, clf, samples, schema, config)
         tr = res.trace
         assert all(b <= a + 1e-12 for a, b in zip(tr, tr[1:]))
@@ -330,7 +345,7 @@ class TestRandomSearch:
         schema, rows, _, table, clf = synth6
         s_u = rows[1]
         samples = sample_cost_batch(s_u, schema, table, 10, "mix", seed=8)
-        config = SearchConfig(budget=5, set_size=5, num_samples=10, seed=8)
+        config = SearchConfig(budget=5, set_size=5, seed=8)
         res = random_search(s_u, clf, samples, schema, config)
         assert res.queries_used == 5
         assert len(res.trace) == 1
@@ -339,13 +354,13 @@ class TestRandomSearch:
 class TestLocalSearch:
     def test_emc_objective_needs_samples(self, synth6):
         schema, rows, _, table, clf = synth6
-        config = SearchConfig(budget=100, set_size=5, num_samples=10, seed=0)
+        config = SearchConfig(budget=100, set_size=5, seed=0)
         with pytest.raises(ValueError):
             local_search(rows[0], clf, schema, "emc", config)
 
     def test_unknown_objective(self, synth6):
         schema, rows, _, table, clf = synth6
-        config = SearchConfig(budget=100, set_size=5, num_samples=10, seed=0)
+        config = SearchConfig(budget=100, set_size=5, seed=0)
         with pytest.raises(ValueError):
             local_search(rows[0], clf, schema, "novelty", config)
 
@@ -353,7 +368,7 @@ class TestLocalSearch:
         schema, rows, _, table, clf = synth6
         s_u = rows[0]
         samples = sample_cost_batch(s_u, schema, table, 30, "mix", seed=9)
-        config = SearchConfig(budget=400, set_size=5, num_samples=30, seed=9)
+        config = SearchConfig(budget=400, set_size=5, seed=9)
         for objective in ("emc", "diversity", "proximity", "sparsity"):
             res = local_search(
                 s_u, clf, schema, objective, config,
@@ -366,7 +381,7 @@ class TestLocalSearch:
     def test_objective_scores_require_valid_member(self, synth6):
         schema, rows, _, table, clf = synth6
         s_u = rows[0]
-        config = SearchConfig(budget=300, set_size=5, num_samples=10, seed=10)
+        config = SearchConfig(budget=300, set_size=5, seed=10)
         res = local_search(s_u, clf, schema, "diversity", config)
         if res.trace[-1] > -math.inf:
             assert any(res.recourse_set.validity)
@@ -454,8 +469,7 @@ class TestValidityChanneling:
             s_u = rows[seed]
             samples = sample_cost_batch(s_u, schema, table, 30, "mix",
                                         seed=seed)
-            config = SearchConfig(budget=600, set_size=8, num_samples=30,
-                                  seed=seed)
+            config = SearchConfig(budget=600, set_size=8, seed=seed)
             res = cols(s_u, clf, samples, schema, config)
             ws = _Workspace(s_u, schema)
             rng = search_rng(seed, 0)
