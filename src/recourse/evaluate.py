@@ -112,37 +112,41 @@ def coverage(costs: np.ndarray) -> float:
     return fs_at_k(costs, INF)
 
 
-def _pair_distance(a: UserState, b: UserState, schema: DatasetSchema) -> float:
-    """Mean per-feature normalized distance: range-scaled absolute difference
-    for ordered features, change indicator for unordered ones."""
-    total = 0.0
-    for fi, f in enumerate(schema.features):
-        x, y = a.values[fi], b.values[fi]
-        if f.kind == "ordered":
-            span = f.domain[-1] - f.domain[0]
-            total += abs(x - y) / span if span else 0.0
-        else:
-            total += 1.0 if x != y else 0.0
-    return total / schema.n_features
+def _pair_distances(a: np.ndarray, b: np.ndarray, schema: DatasetSchema) -> np.ndarray:
+    """Distance of each row pair of two (P, d) code arrays: the mean
+    per-feature normalized distance, range-scaled absolute difference for
+    ordered features and change indicator for unordered ones. Features are
+    accumulated left to right."""
+    features = schema.features
+    ordered = np.array([f.kind == "ordered" for f in features])
+    # Ordered domains are sorted and duplicate-free, so a zero span is a
+    # one-value domain where every difference is zero.
+    spans = np.array([
+        max(f.domain[-1] - f.domain[0], 1) if f.kind == "ordered" else 1
+        for f in features
+    ])
+    diff = np.abs(a - b)
+    terms = np.where(ordered, diff / spans, diff != 0)
+    return np.cumsum(terms, axis=1)[:, -1] / schema.n_features
 
 
 def set_distance_stats(
     s_u: UserState, members: Sequence[UserState], schema: DatasetSchema
 ) -> tuple[float, float, float]:
-    """(diversity, proximity, sparsity) of a member list, validity aside."""
+    """(diversity, proximity, sparsity) of a member list, validity aside.
+
+    Pair distances are summed left to right, member pairs in (i, j) order."""
     n = len(members)
     d = schema.n_features
-    prox = 1.0 - sum(_pair_distance(s_u, m, schema) for m in members) / n
-    changed = sum(
-        1 for m in members for fi in range(d) if m.values[fi] != s_u.values[fi]
-    )
-    spar = 1.0 - changed / (n * d)
-    if n < 2:
-        div = 0.0
-    else:
-        pairs = [(i, j) for i in range(n - 1) for j in range(i + 1, n)]
-        div = sum(_pair_distance(members[i], members[j], schema) for i, j in pairs)
-        div /= len(pairs)
+    # Rows 0..n-1 are the members and row n is the user.
+    codes = np.array([*(m.values for m in members), s_u.values], dtype=np.int64)
+    i, j = np.nonzero(np.less.outer(np.arange(n), np.arange(n)))
+    left = np.concatenate([np.full(n, n), i])
+    right = np.concatenate([np.arange(n), j])
+    dist = _pair_distances(codes[left], codes[right], schema).tolist()
+    prox = 1.0 - sum(dist[:n]) / n
+    spar = 1.0 - int(np.count_nonzero(codes[:n] != codes[n])) / (n * d)
+    div = sum(dist[n:]) / len(i) if n >= 2 else 0.0
     return div, prox, spar
 
 

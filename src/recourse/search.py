@@ -10,9 +10,22 @@ is row p: the column either improves to the candidate's cost or falls back
 to the second-best member, whichever is cheaper. Applying only strictly
 positive swaps makes the objective non-increasing across iterations.
 
-`pcols` splits the query budget over independent restarts and keeps the
-best run. `random_search` and `local_search` are the whole-set-acceptance
-baselines used for ablations.
+`pcols` splits the query budget over R independent restarts and keeps the
+best run. The restarts run in lockstep: one loop holds an (R, N, d) tensor
+of member indices and an (R, N, M) cost tensor, and each iteration makes one
+classifier query and one pricing gather of R * N rows, then greedy rounds of
+one benefit computation and one swap selection over all restarts. `cols` is
+the same loop with R = 1. One meter of R * (B // R) queries serves all
+restarts: each spends N queries per iteration, so the shared meter runs out
+on the same iteration as R meters of B // R would.
+
+Restart r perturbs from its own (seed, user, r) stream, drawing row by row
+in the order a lone `cols` run would, so every restart equals that run. One
+vectorized draw for all rows has the same distribution but consumes the
+stream differently, which changes every result.
+
+`random_search` and `local_search` are the whole-set-acceptance baselines
+used for ablations.
 
 Candidates predicted to the undesired class are not discarded: their cost
 rows are set to infinity, which keeps them out of every column minimum and
@@ -97,7 +110,11 @@ class _Workspace:
         s_u.validate(schema)
         self.schema = schema
         self.s_u = s_u
-        self.domains = [np.asarray(f.domain) for f in schema.features]
+        # (d, max |D_f|) domain table, zero-padded past each feature's domain.
+        width = max(len(f.domain) for f in schema.features)
+        self.domains = np.zeros((schema.n_features, width))
+        for fi, f in enumerate(schema.features):
+            self.domains[fi, : len(f.domain)] = f.domain
         self.user_idx = np.array(
             [f.index_of(v) for f, v in zip(schema.features, s_u.values)],
             dtype=np.intp,
@@ -116,10 +133,7 @@ class _Workspace:
 
     def decode(self, idx: np.ndarray) -> np.ndarray:
         """Domain-position indices -> raw feature codes, ready for the model."""
-        out = np.empty(idx.shape, dtype=float)
-        for fi, dom in enumerate(self.domains):
-            out[..., fi] = dom[idx[..., fi]]
-        return out
+        return self.domains[np.arange(idx.shape[-1]), idx]
 
     def to_states(self, idx: np.ndarray) -> list[UserState]:
         codes = self.decode(idx)
@@ -148,40 +162,24 @@ class _Workspace:
 
 
 def _column_minima(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per column: (min value, min row index, second-min value).
+    """Per column of each (N, M) table in (..., N, M): (min value, min row
+    index, second-min value), each of shape (..., M).
 
     Ties go to the lowest row index; with a single row the second-min is inf.
     """
-    min_idx = entries.argmin(axis=0)
-    cols = np.arange(entries.shape[1])
-    min_vals = entries[min_idx, cols]
-    if entries.shape[0] == 1:
-        return min_vals, min_idx, np.full(entries.shape[1], INF)
+    min_idx = entries.argmin(axis=-2)
+    at_min = min_idx[..., None, :]
+    min_vals = np.take_along_axis(entries, at_min, axis=-2)[..., 0, :]
+    if entries.shape[-2] == 1:
+        return min_vals, min_idx, np.full(min_vals.shape, INF)
     masked = entries.copy()
-    masked[min_idx, cols] = INF
-    second_vals = masked.min(axis=0)
-    return min_vals, min_idx, second_vals
+    np.put_along_axis(masked, at_min, INF, axis=-2)
+    return min_vals, min_idx, masked.min(axis=-2)
 
 
-class _ColumnCache:
-    """Cached per-column min/second-min of the best-set cost matrix,
-    recomputed in full when a row is replaced."""
-
-    def __init__(self, entries: np.ndarray):
-        self.entries = entries
-        self.min_vals, self.min_idx, self.second_vals = _column_minima(entries)
-
-    def replace_row(self, p: int, new_row: np.ndarray) -> None:
-        self.entries[p] = new_row
-        self.min_vals, self.min_idx, self.second_vals = _column_minima(self.entries)
-
-
-def compute_benefits(
-    best_costs: np.ndarray,
-    cand_costs: np.ndarray,
-    cache: Optional[_ColumnCache] = None,
-) -> np.ndarray:
-    """(N, N) benefit of every (best member p, candidate q) single replacement.
+def compute_benefits(best_costs: np.ndarray, cand_costs: np.ndarray) -> np.ndarray:
+    """(..., N, Nc) benefit of every (best member p, candidate q) single
+    replacement, for (..., N, M) best and (..., Nc, M) candidate tables.
 
     For each sample column whose minimum sits at row p, the replacement
     changes that column's minimum from best[p, r] to
@@ -203,66 +201,40 @@ def compute_benefits(
     rows could never attract a positive swap and would stay frozen for the
     rest of the run.
     """
-    cb = np.asarray(best_costs, dtype=float)
-    cc = np.asarray(cand_costs, dtype=float)
-    if cb.ndim != 2 or cb.shape[1] != cc.shape[1]:
+    cb = np.minimum(np.asarray(best_costs, dtype=float), BIG)
+    cc = np.minimum(np.asarray(cand_costs, dtype=float), BIG)
+    if cb.ndim < 2 or cb.shape[:-2] != cc.shape[:-2] or cb.shape[-1] != cc.shape[-1]:
         raise ValueError(f"cost tables disagree on samples: {cb.shape} vs {cc.shape}")
-    cb_c = np.minimum(cb, BIG)
-    cc_c = np.minimum(cc, BIG)
-    if cache is not None:
-        min_vals, min_idx = cache.min_vals, cache.min_idx
-        second_vals = cache.second_vals
-    else:
-        min_vals, min_idx, second_vals = _column_minima(cb_c)
-    min_vals = np.minimum(min_vals, BIG)
+    min_vals, min_idx, second_vals = _column_minima(cb)
     second_vals = np.minimum(second_vals, BIG)
-
-    # deltas[q, r]: change in column r's minimum if its owner is replaced by q.
-    deltas = min_vals[None, :] - np.minimum(cc_c, second_vals[None, :])
     covered = min_vals < BIG
-    n_best, n_cand = cb.shape[0], cc.shape[0]
-    benefits = np.zeros((n_best, n_cand))
-    if not covered.all():
-        benefits += deltas[:, ~covered].sum(axis=1)[None, :]
-    exact_gains = None
-    for p in range(n_best):
-        owned = (min_idx == p) & covered
-        if owned.any():
-            benefits[p] += deltas[:, owned].sum(axis=1)
-        else:
-            if exact_gains is None:
-                exact_gains = np.maximum(
-                    min_vals[None, :] - cc_c, 0.0
-                )[:, covered].sum(axis=1)
-            benefits[p] += exact_gains
+
+    # deltas[..., q, r]: change in column r's minimum if its owner is replaced by q.
+    deltas = min_vals[..., None, :] - np.minimum(cc, second_vals[..., None, :])
+    rows = np.arange(cb.shape[-2])[:, None]
+    own = (min_idx[..., None, :] == rows) & covered[..., None, :]
+    benefits = own.astype(float) @ np.swapaxes(deltas, -1, -2)
+    benefits += np.where(covered[..., None, :], 0.0, deltas).sum(axis=-1)[..., None, :]
+    idle = ~own.any(axis=-1)
+    if idle.any():
+        gains = np.where(
+            covered[..., None, :], np.maximum(min_vals[..., None, :] - cc, 0.0), 0.0
+        ).sum(axis=-1)
+        benefits = np.where(idle[..., None], benefits + gains[..., None, :], benefits)
     return benefits
 
 
-def select_swaps(benefits: np.ndarray) -> list[tuple[int, int]]:
-    """At most one swap: the largest strictly positive entry, ties to the
-    lexicographically smallest (p, q). Empty when nothing improves."""
-    flat = int(np.argmax(benefits))
-    p, q = divmod(flat, benefits.shape[1])
-    if benefits[p, q] > 0.0:
-        return [(p, q)]
-    return []
-
-
-def _apply_swaps(cache: _ColumnCache, cand_true: np.ndarray,
-                 true_costs: np.ndarray, members: np.ndarray,
-                 cand_members: np.ndarray, valid: np.ndarray,
-                 cand_valid: np.ndarray) -> None:
-    """Greedy loop: apply the single best positive swap, refresh, repeat."""
-    cand_clamped = np.minimum(cand_true, BIG)
-    while True:
-        pairs = select_swaps(compute_benefits(cache.entries, cand_clamped, cache))
-        if not pairs:
-            return
-        p, q = pairs[0]
-        members[p] = cand_members[q]
-        valid[p] = cand_valid[q]
-        true_costs[p] = cand_true[q]
-        cache.replace_row(p, cand_clamped[q])
+def select_swaps(benefits: np.ndarray) -> list[tuple[int, int, int]]:
+    """At most one swap (r, p, q) per restart r of (R, N, Nc) benefits: that
+    restart's largest strictly positive entry, ties to the smallest (p, q).
+    Restarts where nothing improves contribute none."""
+    n_restarts, _, n_cand = benefits.shape
+    flat = benefits.reshape(n_restarts, -1)
+    best = flat.argmax(axis=1)
+    return [
+        (int(r), *divmod(int(best[r]), n_cand))
+        for r in np.flatnonzero(flat[np.arange(n_restarts), best] > 0.0)
+    ]
 
 
 def search_rng(seed: int, user_key: int = 0, restart: int = 0) -> np.random.Generator:
@@ -272,10 +244,76 @@ def search_rng(seed: int, user_key: int = 0, restart: int = 0) -> np.random.Gene
     )
 
 
+def _classify(ws: _Workspace, classifier: Classifier, idx: np.ndarray,
+              meter: BudgetMeter) -> np.ndarray:
+    """Validity of (..., d) member indices, in one metered model query."""
+    codes = ws.decode(idx).reshape(-1, idx.shape[-1])
+    return predict_batch(classifier, codes, meter).reshape(idx.shape[:-1]) == 1
+
+
 def _priced_rows(idx: np.ndarray, samples: CostSampleSet, valid: np.ndarray) -> np.ndarray:
-    rows = cost_rows(idx, samples)
+    """(..., M) costs of (..., d) member indices; invalid rows cost inf."""
+    rows = cost_rows(idx.reshape(-1, idx.shape[-1]), samples)
+    rows = rows.reshape(*idx.shape[:-1], samples.m)
     rows[~valid] = INF
     return rows
+
+
+def _result(ws: _Workspace, members: np.ndarray, valid: np.ndarray,
+            costs: Optional[np.ndarray], trace: list[float],
+            queries_used: int) -> SearchResult:
+    return SearchResult(
+        recourse_set=RecourseSet(
+            members=tuple(ws.to_states(members)),
+            validity=tuple(bool(v) for v in valid),
+        ),
+        cost_matrix=costs,
+        trace=trace,
+        queries_used=queries_used,
+        emc=emc_of_matrix(costs) if costs is not None else INF,
+    )
+
+
+def _lockstep(
+    ws: _Workspace,
+    classifier: Classifier,
+    samples: CostSampleSet,
+    config: SearchConfig,
+    meter: BudgetMeter,
+    rngs: list[np.random.Generator],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[list[float]]]:
+    """COLS restarts run side by side, restart r perturbing from rngs[r].
+
+    Each iteration perturbs every restart, classifies and prices all R * N
+    candidates at once, then applies greedy rounds of the single best
+    positive swap per restart until no restart has one left. The loop ends
+    when `meter` cannot pay for every restart's candidate batch. Returns the
+    (R, N, d) members, (R, N) validity, (R, N, M) costs and R traces.
+    """
+    n, hamming = config.set_size, config.hamming_distance
+    start = np.tile(ws.user_idx, (n, 1))
+    members = np.stack([ws.perturb_rows(start, rng, hamming) for rng in rngs])
+    valid = _classify(ws, classifier, members, meter)
+    costs = _priced_rows(members, samples, valid)
+    traces = [[emc_of_matrix(c)] for c in costs]
+
+    while True:
+        cand = np.stack(
+            [ws.perturb_rows(m, rng, hamming) for m, rng in zip(members, rngs)]
+        )
+        try:
+            cand_valid = _classify(ws, classifier, cand, meter)
+        except BudgetExhausted:
+            break
+        cand_costs = _priced_rows(cand, samples, cand_valid)
+        while swaps := select_swaps(compute_benefits(costs, cand_costs)):
+            r, p, q = np.array(swaps).T
+            members[r, p] = cand[r, q]
+            valid[r, p] = cand_valid[r, q]
+            costs[r, p] = cand_costs[r, q]
+        for trace, c in zip(traces, costs):
+            trace.append(emc_of_matrix(c))
+    return members, valid, costs, traces
 
 
 def cols(
@@ -298,38 +336,12 @@ def cols(
     ws = _Workspace(s_u, schema)
     meter = meter if meter is not None else BudgetMeter(config.budget)
     rng = rng if rng is not None else search_rng(config.seed, user_key)
-    n = config.set_size
-    if meter.remaining < n:
+    if meter.remaining < config.set_size:
         raise ValueError("budget cannot cover the initial set")
-
-    members = ws.perturb_rows(np.tile(ws.user_idx, (n, 1)), rng,
-                              config.hamming_distance)
-    valid = predict_batch(classifier, ws.decode(members), meter) == 1
-    true_costs = _priced_rows(members, samples, valid)
-    cache = _ColumnCache(np.minimum(true_costs, BIG))
-    trace = [emc_of_matrix(true_costs)]
-
-    while True:
-        cand_members = ws.perturb_rows(members, rng, config.hamming_distance)
-        try:
-            cand_valid = predict_batch(classifier, ws.decode(cand_members), meter) == 1
-        except BudgetExhausted:
-            break
-        cand_true = _priced_rows(cand_members, samples, cand_valid)
-        _apply_swaps(cache, cand_true, true_costs, members, cand_members,
-                     valid, cand_valid)
-        trace.append(emc_of_matrix(true_costs))
-
-    recourse_set = RecourseSet(
-        members=tuple(ws.to_states(members)), validity=tuple(bool(v) for v in valid)
+    members, valid, costs, traces = _lockstep(
+        ws, classifier, samples, config, meter, [rng]
     )
-    return SearchResult(
-        recourse_set=recourse_set,
-        cost_matrix=true_costs,
-        trace=trace,
-        queries_used=meter.used,
-        emc=trace[-1],
-    )
+    return _result(ws, members[0], valid[0], costs[0], traces[0], meter.used)
 
 
 def pcols(
@@ -341,35 +353,26 @@ def pcols(
     user_key: int = 0,
 ) -> SearchResult:
     """Independent restarts of `cols`, each on budget // restarts queries and
-    its own RNG sub-stream; the run with the least objective wins (ties to
-    the lowest restart index)."""
-    sub_budget = config.budget // config.restarts
+    its own RNG sub-stream, run in lockstep; the run with the least objective
+    wins (ties to the lowest restart index)."""
+    restarts = config.restarts
+    sub_budget = config.budget // restarts
     if sub_budget < config.set_size:
         raise ValueError(
-            f"budget {config.budget} over {config.restarts} restarts cannot "
+            f"budget {config.budget} over {restarts} restarts cannot "
             f"cover set size {config.set_size}"
         )
-    best: Optional[SearchResult] = None
-    emcs: list[float] = []
-    queries: list[int] = []
-    for r in range(config.restarts):
-        run = cols(
-            s_u,
-            classifier,
-            samples,
-            schema,
-            config,
-            meter=BudgetMeter(sub_budget),
-            rng=search_rng(config.seed, user_key, r),
-        )
-        emcs.append(run.emc)
-        queries.append(run.queries_used)
-        if best is None or run.emc < best.emc:
-            best = run
-    assert best is not None
+    ws = _Workspace(s_u, schema)
+    meter = BudgetMeter(restarts * sub_budget)
+    rngs = [search_rng(config.seed, user_key, r) for r in range(restarts)]
+    members, valid, costs, traces = _lockstep(
+        ws, classifier, samples, config, meter, rngs
+    )
+    emcs = [trace[-1] for trace in traces]
+    win = emcs.index(min(emcs))
+    best = _result(ws, members[win], valid[win], costs[win], traces[win], meter.used)
     best.restart_emcs = emcs
-    best.restart_queries = queries
-    best.queries_used = sum(queries)
+    best.restart_queries = [meter.used // restarts] * restarts
     return best
 
 
@@ -393,31 +396,24 @@ def random_search(
         raise ValueError("budget cannot cover the initial set")
 
     members = ws.uniform_rows(n, rng)
-    valid = predict_batch(classifier, ws.decode(members), meter) == 1
+    valid = _classify(ws, classifier, members, meter)
     costs = _priced_rows(members, samples, valid)
-    trace = [emc_of_matrix(costs)]
+    emc = emc_of_matrix(costs)
+    trace = [emc]
 
     while True:
         cand_members = ws.uniform_rows(n, rng)
         try:
-            cand_valid = predict_batch(classifier, ws.decode(cand_members), meter) == 1
+            cand_valid = _classify(ws, classifier, cand_members, meter)
         except BudgetExhausted:
             break
         cand_costs = _priced_rows(cand_members, samples, cand_valid)
-        if emc_of_matrix(cand_costs) < emc_of_matrix(costs):
-            members, valid, costs = cand_members, cand_valid, cand_costs
-        trace.append(emc_of_matrix(costs))
+        cand_emc = emc_of_matrix(cand_costs)
+        if cand_emc < emc:
+            members, valid, costs, emc = cand_members, cand_valid, cand_costs, cand_emc
+        trace.append(emc)
 
-    recourse_set = RecourseSet(
-        members=tuple(ws.to_states(members)), validity=tuple(bool(v) for v in valid)
-    )
-    return SearchResult(
-        recourse_set=recourse_set,
-        cost_matrix=costs,
-        trace=trace,
-        queries_used=meter.used,
-        emc=trace[-1],
-    )
+    return _result(ws, members, valid, costs, trace, meter.used)
 
 
 def _set_objective(
@@ -469,14 +465,14 @@ def local_search(
 
     members = ws.perturb_rows(np.tile(ws.user_idx, (n, 1)), rng,
                               config.hamming_distance)
-    valid = predict_batch(classifier, ws.decode(members), meter) == 1
+    valid = _classify(ws, classifier, members, meter)
     score = _set_objective(objective, ws, members, valid, samples)
     trace = [score]
 
     while True:
         cand_members = ws.perturb_rows(members, rng, config.hamming_distance)
         try:
-            cand_valid = predict_batch(classifier, ws.decode(cand_members), meter) == 1
+            cand_valid = _classify(ws, classifier, cand_members, meter)
         except BudgetExhausted:
             break
         cand_score = _set_objective(objective, ws, cand_members, cand_valid, samples)
@@ -484,16 +480,7 @@ def local_search(
             members, valid, score = cand_members, cand_valid, cand_score
         trace.append(score)
 
-    recourse_set = RecourseSet(
-        members=tuple(ws.to_states(members)), validity=tuple(bool(v) for v in valid)
-    )
     final_costs = (
         _priced_rows(members, samples, valid) if samples is not None else None
     )
-    return SearchResult(
-        recourse_set=recourse_set,
-        cost_matrix=final_costs,
-        trace=trace,
-        queries_used=meter.used,
-        emc=emc_of_matrix(final_costs) if final_costs is not None else INF,
-    )
+    return _result(ws, members, valid, final_costs, trace, meter.used)

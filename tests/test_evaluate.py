@@ -16,6 +16,7 @@ from recourse.evaluate import (
     fs_at_k,
     pac,
     realized_cost,
+    set_distance_stats,
     simulate_user,
 )
 from recourse.schema import (
@@ -135,6 +136,36 @@ class TestCoverage:
                 assert fs_at_k(costs, k) <= coverage(costs)
 
 
+def _pair_distance(a: UserState, b: UserState, schema: DatasetSchema) -> float:
+    """Scalar oracle: mean per-feature normalized distance, range-scaled
+    absolute difference for ordered features, change indicator for
+    unordered ones, accumulated feature by feature."""
+    total = 0.0
+    for fi, f in enumerate(schema.features):
+        x, y = a.values[fi], b.values[fi]
+        if f.kind == "ordered":
+            span = f.domain[-1] - f.domain[0]
+            total += abs(x - y) / span if span else 0.0
+        else:
+            total += 1.0 if x != y else 0.0
+    return total / schema.n_features
+
+
+def scalar_distance_stats(s_u, members, schema):
+    """(diversity, proximity, sparsity) through the scalar oracle."""
+    n, d = len(members), schema.n_features
+    prox = 1.0 - sum(_pair_distance(s_u, m, schema) for m in members) / n
+    changed = sum(
+        1 for m in members for fi in range(d) if m.values[fi] != s_u.values[fi]
+    )
+    spar = 1.0 - changed / (n * d)
+    if n < 2:
+        return 0.0, prox, spar
+    pairs = [(i, j) for i in range(n - 1) for j in range(i + 1, n)]
+    div = sum(_pair_distance(members[i], members[j], schema) for i, j in pairs)
+    return div / len(pairs), prox, spar
+
+
 class TestDistanceMetrics:
     def _schema3(self):
         return DatasetSchema(
@@ -187,6 +218,23 @@ class TestDistanceMetrics:
                              validity=tuple(rng.random(4) < 0.5))
             for v in distance_metrics(s_u, rs, schema):
                 assert 0.0 <= v <= 1.0
+
+
+    def test_matches_scalar_oracle_bit_for_bit(self):
+        schema, rows, _ = make_adult_like(300, seed=5)
+        rng = np.random.default_rng(6)
+        checked = 0
+        for uid in range(60):
+            ws = _Workspace(rows[uid], schema)
+            n = int(rng.integers(1, 12))
+            moves = ws.perturb_rows(np.tile(ws.user_idx, (n, 1)), rng, 1 + uid % 3)
+            members = ws.to_states(moves)
+            if uid % 4 == 0:  # repeated members and the user's own state
+                members = [members[0], rows[uid], *members, members[0]]
+            got = set_distance_stats(rows[uid], members, schema)
+            assert got == scalar_distance_stats(rows[uid], members, schema)
+            checked += len(members) > 1
+        assert checked > 40
 
 
 class TestDirRatio:

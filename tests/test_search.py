@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from recourse import search as search_module
 from recourse.cost import INF, sample_cost_batch
 from recourse.model import BudgetMeter, Classifier
 from recourse.schema import DatasetSchema, FeatureSpec, UserState, feasible_values
 from recourse.search import (
     BIG,
     SearchConfig,
-    _ColumnCache,
     _column_minima,
     _Workspace,
     cols,
@@ -17,6 +17,7 @@ from recourse.search import (
     local_search,
     pcols,
     random_search,
+    search_rng,
     select_swaps,
 )
 
@@ -103,7 +104,7 @@ class TestComputeBenefits:
             cc = np.full((3, 4), INF)
             got = compute_benefits(cb, cc)
             assert (got <= 0.0).all()
-            assert select_swaps(compute_benefits(cb, cc)) == []
+            assert select_swaps(compute_benefits(cb, cc)[None]) == []
 
     def test_covering_an_uncovered_sample_dominates(self):
         cb = np.array([[0.1, INF], [0.4, INF]])
@@ -113,59 +114,107 @@ class TestComputeBenefits:
         # through the dead row keeps row 0's coverage of column 0
         assert got[0, 0] > 0 and got[1, 0] > 0
         assert got[1, 0] > got[0, 0]
-        assert select_swaps(compute_benefits(cb, cc)) == [(1, 0)]
+        assert select_swaps(compute_benefits(cb, cc)[None]) == [(0, 1, 0)]
+
+    def test_batched_matches_slices_and_oracle(self):
+        rng = np.random.default_rng(14)
+        for _ in range(100):
+            r, n, m = (int(v) for v in rng.integers((1, 1, 1), (5, 6, 7)))
+            nc = int(rng.integers(1, 6))
+            cb = rng.uniform(0, 1, size=(r, n, m))
+            cc = rng.uniform(0, 1, size=(r, nc, m))
+            cb[rng.random(cb.shape) < 0.2] = INF
+            cc[rng.random(cc.shape) < 0.2] = INF
+            got = compute_benefits(cb, cc)
+            assert got.shape == (r, n, nc)
+            for k in range(r):
+                assert np.array_equal(got[k], compute_benefits(cb[k], cc[k]))
+                assert np.allclose(got[k], naive_benefits(cb[k], cc[k]), atol=1e-9)
+
+    def test_batched_shape_mismatch(self):
+        with pytest.raises(ValueError):
+            compute_benefits(np.zeros((2, 3, 4)), np.zeros((3, 3, 4)))
 
 
 class TestSelectSwaps:
     def test_from_hand_trace(self):
         cb = np.array([[0.5, 0.9], [0.7, 0.3]])
         cc = np.array([[0.2, 0.8], [0.6, 0.6]])
-        assert select_swaps(compute_benefits(cb, cc)) == [(0, 0)]
+        assert select_swaps(compute_benefits(cb, cc)[None]) == [(0, 0, 0)]
 
     def test_no_positive_entries(self):
-        assert select_swaps(np.array([[0.0, -1.0]])) == []
+        assert select_swaps(np.array([[[0.0, -1.0]]])) == []
 
     def test_tie_goes_lexicographic(self):
         b = np.array([[0.0, 0.7], [0.7, 0.1]])
-        assert select_swaps(b) == [(0, 1)]
+        assert select_swaps(b[None]) == [(0, 0, 1)]
+
+    def test_one_swap_per_restart(self):
+        b = np.array([
+            [[0.0, 0.7], [0.7, 0.1]],  # tie: the smallest (p, q) wins
+            [[0.0, -1.0], [0.0, 0.0]],  # nothing strictly positive
+            [[0.2, 0.1], [0.3, 0.3]],  # tie in the last row
+        ])
+        assert select_swaps(b) == [(0, 0, 1), (2, 1, 0)]
+        assert all(type(i) is int for swap in select_swaps(b) for i in swap)
 
 
-class TestColumnCache:
-    def test_incremental_matches_full_recompute(self):
-        def check(cache):
-            mv, mi, sv = _column_minima(cache.entries)
-            assert np.array_equal(cache.min_vals, mv)
-            assert np.array_equal(cache.min_idx, mi)
-            assert np.array_equal(cache.second_vals, sv)
+def naive_minima(entries: np.ndarray):
+    """Per-column scan of one (N, M) table: min, first row at the min,
+    second-smallest entry (inf with a single row)."""
+    n, m = entries.shape
+    mins, owners, seconds = [], [], []
+    for r in range(m):
+        col = [float(entries[p, r]) for p in range(n)]
+        mins.append(min(col))
+        owners.append(col.index(min(col)))
+        seconds.append(sorted(col)[1] if n > 1 else INF)
+    return np.array(mins), np.array(owners), np.array(seconds)
+
+
+class TestColumnMinima:
+    def test_batched_matches_per_table_scan_after_swaps(self):
+        def check(stack):
+            mv, mi, sv = _column_minima(stack)
+            for r, entries in enumerate(stack):
+                nv, ni, ns = naive_minima(entries)
+                assert np.array_equal(mv[r], nv)
+                assert np.array_equal(mi[r], ni)
+                assert np.array_equal(sv[r], ns)
+            return mi
 
         # A new row joining a tied minimum takes it: ties go to the lowest row.
-        cache = _ColumnCache(np.array([[0.9], [0.5], [0.5]]))
-        cache.replace_row(0, np.array([0.5]))
-        check(cache)
-        assert cache.min_idx.tolist() == [0]
+        stack = np.array([[[0.9], [0.5], [0.5]], [[0.5], [0.5], [0.9]]])
+        stack[0, 0] = [0.5]
+        assert check(stack).tolist() == [[0], [0]]
 
         rng = np.random.default_rng(11)
         for _ in range(50):
-            n, m = int(rng.integers(2, 6)), int(rng.integers(1, 8))
-            entries = rng.uniform(0, 1, size=(n, m))
-            entries[rng.random((n, m)) < 0.2] = BIG
-            cache = _ColumnCache(entries.copy())
+            r, n, m = (int(v) for v in rng.integers((1, 2, 1), (4, 6, 8)))
+            stack = rng.uniform(0, 1, size=(r, n, m))
+            stack[rng.random(stack.shape) < 0.2] = BIG
+            check(stack)
             for _ in range(6):
-                p = int(rng.integers(n))
                 row = rng.uniform(0, 1, size=m)
                 row[rng.random(m) < 0.2] = BIG
-                cache.replace_row(p, row)
-                check(cache)
+                stack[rng.integers(r), rng.integers(n)] = row
+                check(stack)
 
         # On a coarse grid, ties on the minimum are common.
         rng = np.random.default_rng(12)
         for _ in range(50):
-            n, m = int(rng.integers(2, 6)), int(rng.integers(1, 8))
-            cache = _ColumnCache(rng.integers(0, 3, size=(n, m)).astype(float))
+            r, n, m = (int(v) for v in rng.integers((1, 2, 1), (4, 6, 8)))
+            stack = rng.integers(0, 3, size=(r, n, m)).astype(float)
+            check(stack)
             for _ in range(6):
-                p = int(rng.integers(n))
-                cache.replace_row(p, rng.integers(0, 3, size=m).astype(float))
-                check(cache)
+                stack[rng.integers(r), rng.integers(n)] = rng.integers(0, 3, size=m)
+                check(stack)
+
+    def test_single_row_second_min_is_inf(self):
+        mv, mi, sv = _column_minima(np.array([[[0.3, INF]], [[0.1, 0.2]]]))
+        assert mv.tolist() == [[0.3, INF], [0.1, 0.2]]
+        assert mi.tolist() == [[0, 0], [0, 0]]
+        assert np.isinf(sv).all()
 
 
 def two_mutable_schema():
@@ -330,6 +379,121 @@ class TestPcols:
             pcols(rows[0], clf, samples, schema, config)
 
 
+class TestLockstep:
+    """pcols runs its restarts side by side in one loop; each restart must
+    behave exactly like a cols run on its share of the budget."""
+
+    @pytest.mark.parametrize("restarts", [2, 3, 5])
+    def test_each_restart_equals_its_cols_run(self, synth6, restarts):
+        from recourse.experiments import select_undesired
+
+        schema, rows, _, table, clf = synth6
+        states, _ = select_undesired(rows, clf, schema, limit=4)
+        # Every movable feature editable keeps the objectives finite, so the
+        # restarts differ and the winner is not always restart 0.
+        movable = frozenset(
+            i for i, f in enumerate(schema.features) if f.mutability != "immutable"
+        )
+        winners = []
+        for user, s_u in enumerate(states):
+            samples = sample_cost_batch(s_u, schema, table, 30, "mix", seed=user,
+                                        editable=movable)
+            config = SearchConfig(budget=330, set_size=6, restarts=restarts,
+                                  seed=21 + user)
+            res = pcols(s_u, clf, samples, schema, config, user_key=user)
+            sub = config.budget // restarts
+            runs = [
+                cols(s_u, clf, samples, schema, config, meter=BudgetMeter(sub),
+                     rng=search_rng(config.seed, user, r))
+                for r in range(restarts)
+            ]
+            assert res.restart_emcs == [run.emc for run in runs]
+            assert res.restart_queries == [run.queries_used for run in runs]
+            assert all(math.isfinite(e) for e in res.restart_emcs)
+            win = res.restart_emcs.index(min(res.restart_emcs))
+            winners.append(win)
+            assert res.recourse_set == runs[win].recourse_set
+            assert res.trace == runs[win].trace
+            assert np.array_equal(res.cost_matrix, runs[win].cost_matrix)
+        assert any(winners)
+
+    @pytest.mark.parametrize("budget,restarts", [(330, 3), (5000, 5), (97, 2)])
+    def test_one_query_of_all_restarts_per_iteration(self, synth6, monkeypatch,
+                                                     budget, restarts):
+        schema, rows, _, table, clf = synth6
+        s_u = rows[3]
+        samples = sample_cost_batch(s_u, schema, table, 20, "mix", seed=3)
+        n = 6
+        config = SearchConfig(budget=budget, set_size=n, restarts=restarts, seed=3)
+        sizes, answered = [], []
+        real = search_module.predict_batch
+
+        def counting(classifier, codes, meter):
+            sizes.append(len(codes))
+            out = real(classifier, codes, meter)
+            answered.append(len(codes))
+            return out
+
+        monkeypatch.setattr(search_module, "predict_batch", counting)
+        res = pcols(s_u, clf, samples, schema, config)
+        sub = budget // restarts
+        iterations = len(res.trace) - 1
+        assert iterations == (sub - n) // n
+        assert set(sizes) == {restarts * n}
+        assert len(answered) == 1 + iterations
+        assert len(sizes) == len(answered) + 1  # the refused last call
+        assert res.restart_queries == [sub - sub % n] * restarts
+        assert res.queries_used == sum(answered)
+
+
+class TestTracedNames:
+    def test_patched_names_see_every_call_of_a_pcols_run(self, synth6, monkeypatch):
+        """The benchmark's traced pass wraps these module-level names; the
+        search must look each one up at call time."""
+        schema, rows, _, table, clf = synth6
+        s_u = rows[4]
+        samples = sample_cost_batch(s_u, schema, table, 25, "mix", seed=4)
+        config = SearchConfig(budget=300, set_size=5, restarts=3, seed=4)
+        plain = pcols(s_u, clf, samples, schema, config)
+
+        seen = {"queried": 0, "priced": 0, "benefits": [], "selects": []}
+        real = {name: getattr(search_module, name) for name in
+                ("predict_batch", "cost_rows", "compute_benefits", "select_swaps")}
+
+        def predict_batch(classifier, codes, meter):
+            out = real["predict_batch"](classifier, codes, meter)
+            seen["queried"] += len(codes)
+            return out
+
+        def cost_rows(idx, s):
+            seen["priced"] += len(idx)
+            return real["cost_rows"](idx, s)
+
+        def compute_benefits(best, cand):
+            out = real["compute_benefits"](best, cand)
+            seen["benefits"].append(out)
+            return out
+
+        def select_swaps(benefits):
+            out = real["select_swaps"](benefits)
+            seen["selects"].append((benefits, out))
+            return out
+
+        for name, fn in [("predict_batch", predict_batch), ("cost_rows", cost_rows),
+                         ("compute_benefits", compute_benefits),
+                         ("select_swaps", select_swaps)]:
+            monkeypatch.setattr(search_module, name, fn)
+        res = pcols(s_u, clf, samples, schema, config)
+
+        assert res.recourse_set == plain.recourse_set and res.trace == plain.trace
+        assert seen["queried"] == seen["priced"] == res.queries_used
+        assert len(seen["selects"]) == len(seen["benefits"])
+        assert all(b is out for b, (out, _) in zip(seen["benefits"], seen["selects"]))
+        # every iteration's greedy rounds end on a select that finds nothing
+        empty = sum(1 for _, swaps in seen["selects"] if not swaps)
+        assert empty == len(res.trace) - 1
+
+
 class TestRandomSearch:
     def test_trace_non_increasing_and_budget(self, synth6):
         schema, rows, _, table, clf = synth6
@@ -490,10 +654,10 @@ class TestMonotonicityUnderSwaps:
             n, m = int(rng.integers(2, 5)), int(rng.integers(2, 7))
             cb = rng.uniform(0, 1, size=(n, m))
             cc = rng.uniform(0, 1, size=(n, m))
-            pairs = select_swaps(compute_benefits(cb, cc))
-            if not pairs:
+            swaps = select_swaps(compute_benefits(cb, cc)[None])
+            if not swaps:
                 continue
-            p, q = pairs[0]
+            _, p, q = swaps[0]
             benefit = compute_benefits(cb, cc)[p, q]
             before = cb.min(axis=0).sum()
             swapped = cb.copy()
