@@ -47,6 +47,7 @@ from .search import (
     SearchConfig,
     SearchResult,
     cols,
+    column_stats,
     compute_benefits,
     local_search,
     pcols,

@@ -17,6 +17,16 @@ Uniform(size=|D_f|) draws (unordered features only) and one Beta draw over
 its finite targets. Batches therefore extend without disturbing earlier
 samples, and features outside the editable set draw nothing.
 
+A batch is filled in two passes over its generators. Pass one draws each
+sample's subset, preferences and alpha. An ordered feature's Beta
+parameters depend on nothing else, so they are then computed for all
+samples at once, for the features some sample chose. Pass two goes back to
+each generator, which is exactly where pass one left it, and makes that
+sample's remaining draws in the order above. Every generator therefore
+sees the same calls with the same arguments as when one sample is drawn
+alone, and the arithmetic is the same elementwise steps, so the results
+are bit-identical.
+
 Every price comes from `cost_rows`, which adds the features' costs left to
 right; sums saturate at `math.inf`, so one infeasible feature makes a whole
 transition infeasible.
@@ -36,6 +46,7 @@ INF = math.inf
 
 # Beta noise around each blended transition-cost mean.
 COST_STD = 0.01
+_VAR = COST_STD * COST_STD
 
 # Seed-stream namespaces: generation-time samples and hidden evaluation-time
 # samples must never share an RNG stream, even for equal integer seeds.
@@ -62,27 +73,26 @@ class CostSampleSet:
 
 
 def _targets(
-    state: UserState, schema: DatasetSchema, table: PercentileTable
-) -> list[tuple[int, np.ndarray, Optional[tuple[np.ndarray, np.ndarray]]]]:
-    """Per feature: the user's domain position s, the other feasible
-    positions x, and for ordered features the raw means of moving there:
-    step count |{y : s < y <= x}| / |{y : y > s}| (mirrored downward) and
-    CDF shift |cdf(x) - cdf(s)|. Unordered raw means are drawn per sample."""
-    out = []
-    for fi, f in enumerate(schema.features):
-        value = state.values[fi]
-        s_idx = f.index_of(value)
-        allowed = feasible_values(schema, fi, value)
-        targets = [j for j, v in enumerate(f.domain) if j != s_idx and v in allowed]
-        raw = None
-        if f.kind == "ordered":
-            n_up, n_down = f.size - s_idx - 1, s_idx
-            lin = [(j - s_idx) / n_up if j > s_idx else (s_idx - j) / n_down for j in targets]
-            cdf_s = table.percentile(f, value) if targets else 0.0
-            perc = [abs(table.percentile(f, f.domain[j]) - cdf_s) for j in targets]
-            raw = (np.array(lin, dtype=float), np.array(perc, dtype=float))
-        out.append((s_idx, np.array(targets, dtype=np.intp), raw))
-    return out
+    state: UserState, schema: DatasetSchema, table: PercentileTable, fi: int
+) -> tuple[int, np.ndarray, Optional[np.ndarray]]:
+    """Feature fi's domain position s of the user's value, its other
+    feasible positions x, and for an ordered feature the (2, |x|) raw means
+    of moving there: step count |{y : s < y <= x}| / |{y : y > s}| (mirrored
+    downward) and CDF shift |cdf(x) - cdf(s)|. Unordered raw means are drawn
+    per sample."""
+    f = schema.features[fi]
+    value = state.values[fi]
+    s_idx = f.index_of(value)
+    allowed = feasible_values(schema, fi, value)
+    targets = [j for j, v in enumerate(f.domain) if j != s_idx and v in allowed]
+    raw = None
+    if f.kind == "ordered":
+        n_up, n_down = f.size - s_idx - 1, s_idx
+        lin = [(j - s_idx) / n_up if j > s_idx else (s_idx - j) / n_down for j in targets]
+        cdf_s = table.percentile(f, value) if targets else 0.0
+        perc = [abs(table.percentile(f, f.domain[j]) - cdf_s) for j in targets]
+        raw = np.array([lin, perc], dtype=float)
+    return s_idx, np.array(targets, dtype=np.intp), raw
 
 
 def _random_editable_subset(candidates: list[int], rng: np.random.Generator) -> list[int]:
@@ -93,6 +103,43 @@ def _random_editable_subset(candidates: list[int], rng: np.random.Generator) -> 
         mask = rng.random(len(candidates)) < 0.5
         if mask.any():
             return [c for c, m in zip(candidates, mask) if m]
+
+
+def _blend(
+    a: np.ndarray, keep: np.ndarray, lin: np.ndarray, perc: np.ndarray
+) -> np.ndarray:
+    """Transition-cost means: the alpha blend of the preference-scaled
+    step-count and percentile means, clipped to [0, 1]."""
+    return np.clip(a * (lin * keep) + (1.0 - a) * (perc * keep), 0.0, 1.0)
+
+
+def _beta_shapes(mu: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Where a Beta around each mean exists, nu = mu(1-mu)/std^2 - 1 > 0,
+    and its parameters (mu * nu, (1 - mu) * nu) there in row-major order.
+    Elsewhere the mean itself is the cost."""
+    nu = mu * (1.0 - mu) / _VAR - 1.0
+    ok = nu > 0.0
+    mu_ok, nu_ok = mu[ok], nu[ok]
+    return ok, mu_ok * nu_ok, (1.0 - mu_ok) * nu_ok
+
+
+def _unordered_costs(
+    rng: np.random.Generator, size: int, targets: np.ndarray, a: float, keep: float
+) -> list[float]:
+    """One sample's costs of an unordered feature's targets: fresh
+    Uniform(0,1) step-count and percentile means, blended and Beta-drawn
+    like the ordered features, on Python floats (the same IEEE steps)."""
+    lin = rng.uniform(0.0, 1.0, size=size)[targets].tolist()
+    perc = rng.uniform(0.0, 1.0, size=size)[targets].tolist()
+    b = 1.0 - a
+    mu = [min(max(a * (x * keep) + b * (y * keep), 0.0), 1.0) for x, y in zip(lin, perc)]
+    nu = [v * (1.0 - v) / _VAR - 1.0 for v in mu]
+    ok = [j for j, n in enumerate(nu) if n > 0.0]
+    if ok:
+        draws = rng.beta([mu[j] * nu[j] for j in ok], [(1.0 - mu[j]) * nu[j] for j in ok])
+        for j, v in zip(ok, draws.tolist()):
+            mu[j] = v
+    return mu
 
 
 def _sample(
@@ -126,41 +173,75 @@ def _sample(
     if alpha is not None and not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must lie in [0,1], got {alpha}")
 
-    plan = _targets(state, schema, table)
+    features = schema.features
     candidates = schema.mutable_indices()
     m = len(rngs)
-    costs = [np.full((m, f.size), INF) for f in schema.features]
-    for stack, (s_idx, _, _) in zip(costs, plan):
-        stack[:, s_idx] = 0.0
-    alphas = np.empty(m)
     chosen_mask = np.zeros((m, d), dtype=bool)
     prefs = np.zeros((m, d))
-    var = COST_STD * COST_STD
+    # Pass one: each sample's editable subset, preferences and alpha.
+    subsets, alpha_list = [], []
     for i, rng in enumerate(rngs):
         chosen = pinned if pinned is not None else _random_editable_subset(candidates, rng)
+        subsets.append(chosen)
         chosen_mask[i, chosen] = True
         if pref is None:
             prefs[i, chosen] = rng.dirichlet(np.ones(len(chosen)))
-        else:
-            prefs[i] = pref
-        alphas[i] = a = float(rng.uniform(0.0, 1.0)) if alpha is None else alpha
-        for fi in chosen:
-            s_idx, targets, raw = plan[fi]
-            if raw is None:
-                size = schema.features[fi].size
-                lin = rng.uniform(0.0, 1.0, size=size)[targets]
-                perc = rng.uniform(0.0, 1.0, size=size)[targets]
-            else:
-                lin, perc = raw
-            keep = 1.0 - prefs[i, fi]
-            # Beta around each mean: nu = mu(1-mu)/std^2 - 1; where that is
-            # not positive the (clipped) mean itself is the cost.
-            mu = np.clip(a * (lin * keep) + (1.0 - a) * (perc * keep), 0.0, 1.0)
-            nu = mu * (1.0 - mu) / var - 1.0
-            ok = nu > 0.0
-            if ok.any():
-                mu[ok] = rng.beta(mu[ok] * nu[ok], (1.0 - mu[ok]) * nu[ok])
-            costs[fi][i, targets] = mu
+        alpha_list.append(float(rng.uniform(0.0, 1.0)) if alpha is None else alpha)
+    alphas = np.array(alpha_list, dtype=float)
+    if pref is not None:
+        prefs[:] = pref
+
+    # Blended means and Beta parameters of all samples at once, over the
+    # targets of the features some sample chose, side by side: feature fi
+    # owns columns spans[fi]. Unordered columns hold zero means until pass
+    # two fills them. ok_before[k] counts the Beta draws of the first k
+    # cells in row-major order, so sample i's draws for fi sit in
+    # [ok_before[i * width + lo], ok_before[i * width + hi]).
+    used = [fi for fi, hit in enumerate(chosen_mask.any(axis=0).tolist()) if hit]
+    plan = {fi: _targets(state, schema, table, fi) for fi in used}
+    spans, width = {}, 0
+    for fi in used:
+        spans[fi] = (width, width + len(plan[fi][1]))
+        width = spans[fi][1]
+    raw = np.concatenate(
+        [np.zeros((2, 0))]
+        + [r if r is not None else np.zeros((2, len(t))) for _, t, r in plan.values()],
+        axis=1,
+    )
+    owner = [fi for fi in used for _ in range(*spans[fi])]
+    mu = _blend(alphas[:, None], 1.0 - prefs[:, owner], raw[0], raw[1])
+    ok, shape_a, shape_b = _beta_shapes(mu)
+    ok_before = np.zeros(m * width + 1, dtype=np.intp)
+    np.cumsum(ok, out=ok_before[1:])
+    draws = np.empty(len(shape_a))
+
+    # Pass two: each sample's remaining draws, per editable feature in index
+    # order: two Uniform rows for an unordered feature, then its Beta draw.
+    for i, rng in enumerate(rngs):
+        for fi in subsets[i]:
+            lo, hi = spans[fi]
+            _, targets, ordered_raw = plan[fi]
+            if ordered_raw is None:
+                keep = 1.0 - float(prefs[i, fi])
+                mu[i, lo:hi] = _unordered_costs(
+                    rng, features[fi].size, targets, alpha_list[i], keep
+                )
+                continue
+            start, stop = ok_before[i * width + lo], ok_before[i * width + hi]
+            if stop > start:
+                draws[start:stop] = rng.beta(shape_a[start:stop], shape_b[start:stop])
+    mu[ok] = draws
+    del ok, ok_before, shape_a, shape_b, draws  # freed before the cost arrays
+
+    costs = []
+    for fi, (f, value) in enumerate(zip(features, state.values)):
+        stack = np.empty((m, f.size))
+        stack.fill(INF)
+        stack[:, f.index_of(value)] = 0.0
+        if fi in spans:
+            lo, hi = spans[fi]
+            stack[:, plan[fi][1]] = np.where(chosen_mask[:, fi, None], mu[:, lo:hi], INF)
+        costs.append(stack)
     for arr in (*costs, alphas, chosen_mask, prefs):
         arr.setflags(write=False)
     return CostSampleSet(schema, state, tuple(costs), alphas, chosen_mask, prefs)

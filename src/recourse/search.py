@@ -19,6 +19,16 @@ the same loop with R = 1. One meter of R * (B // R) queries serves all
 restarts: each spends N queries per iteration, so the shared meter runs out
 on the same iteration as R meters of B // R would.
 
+The best sets change only when a swap is applied, so the loop holds their
+column statistics (`column_stats`: minimum, second minimum, coverage,
+one-hot ownership and idle rows) and `compute_benefits` does only the
+candidate-dependent work. After a swap the statistics of the restarts
+that swapped are recomputed in full, never patched, so ties on a column's
+minimum keep going to the lowest row. Within one iteration, a restart
+that found no positive swap has the same costs and candidates in the next
+round, so later rounds evaluate only the restarts that swapped in the
+round before.
+
 Restart r perturbs from its own (seed, user, r) stream, drawing row by row
 in the order a lone `cols` run would, so every restart equals that run. One
 vectorized draw for all rows has the same distribution but consumes the
@@ -39,7 +49,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -177,9 +187,48 @@ def _column_minima(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
     return min_vals, min_idx, masked.min(axis=-2)
 
 
-def compute_benefits(best_costs: np.ndarray, cand_costs: np.ndarray) -> np.ndarray:
+class ColumnStats(NamedTuple):
+    """What `compute_benefits` needs of (..., N, M) best-set cost tables,
+    with infinite costs clamped to BIG."""
+
+    min_vals: np.ndarray  # (..., M) each column's minimum
+    second_vals: np.ndarray  # (..., M) each column's second-smallest entry
+    covered: np.ndarray  # (..., M) bool: the minimum is finite
+    own: np.ndarray  # (..., N, M) 1.0 where the row holds a covered column's minimum
+    idle: np.ndarray  # (..., N) bool: the row holds no covered column's minimum
+
+    def take(self, restarts: np.ndarray) -> "ColumnStats":
+        """The statistics of the given restarts (leading-axis entries)."""
+        return ColumnStats(*(held[restarts] for held in self))
+
+
+def column_stats(best_costs: np.ndarray) -> ColumnStats:
+    """Column statistics of (..., N, M) best-set cost tables; ties on a
+    column's minimum go to the lowest row index."""
+    cb = np.minimum(np.asarray(best_costs, dtype=float), BIG)
+    if cb.ndim < 2:
+        raise ValueError(f"expected (..., N, M) cost tables, got shape {cb.shape}")
+    min_vals, min_idx, second_vals = _column_minima(cb)
+    covered = min_vals < BIG
+    rows = np.arange(cb.shape[-2])[:, None]
+    own = (min_idx[..., None, :] == rows) & covered[..., None, :]
+    return ColumnStats(
+        min_vals, np.minimum(second_vals, BIG), covered, own.astype(float),
+        ~own.any(axis=-1),
+    )
+
+
+def _refresh(stats: ColumnStats, costs: np.ndarray, restarts: np.ndarray) -> None:
+    """Recompute in full, in place, the held statistics of the restarts
+    whose (N, M) tables in `costs` changed."""
+    for held, fresh in zip(stats, column_stats(costs[restarts])):
+        held[restarts] = fresh
+
+
+def compute_benefits(stats: ColumnStats, cand_costs: np.ndarray) -> np.ndarray:
     """(..., N, Nc) benefit of every (best member p, candidate q) single
-    replacement, for (..., N, M) best and (..., Nc, M) candidate tables.
+    replacement, for `stats = column_stats(best)` of (..., N, M) best tables
+    and (..., Nc, M) candidate tables.
 
     For each sample column whose minimum sits at row p, the replacement
     changes that column's minimum from best[p, r] to
@@ -201,21 +250,15 @@ def compute_benefits(best_costs: np.ndarray, cand_costs: np.ndarray) -> np.ndarr
     rows could never attract a positive swap and would stay frozen for the
     rest of the run.
     """
-    cb = np.minimum(np.asarray(best_costs, dtype=float), BIG)
     cc = np.minimum(np.asarray(cand_costs, dtype=float), BIG)
-    if cb.ndim < 2 or cb.shape[:-2] != cc.shape[:-2] or cb.shape[-1] != cc.shape[-1]:
-        raise ValueError(f"cost tables disagree on samples: {cb.shape} vs {cc.shape}")
-    min_vals, min_idx, second_vals = _column_minima(cb)
-    second_vals = np.minimum(second_vals, BIG)
-    covered = min_vals < BIG
+    min_vals, second_vals, covered, own, idle = stats
+    if cc.ndim < 2 or own.shape[:-2] != cc.shape[:-2] or own.shape[-1] != cc.shape[-1]:
+        raise ValueError(f"cost tables disagree on samples: {own.shape} vs {cc.shape}")
 
     # deltas[..., q, r]: change in column r's minimum if its owner is replaced by q.
     deltas = min_vals[..., None, :] - np.minimum(cc, second_vals[..., None, :])
-    rows = np.arange(cb.shape[-2])[:, None]
-    own = (min_idx[..., None, :] == rows) & covered[..., None, :]
-    benefits = own.astype(float) @ np.swapaxes(deltas, -1, -2)
+    benefits = own @ np.swapaxes(deltas, -1, -2)
     benefits += np.where(covered[..., None, :], 0.0, deltas).sum(axis=-1)[..., None, :]
-    idle = ~own.any(axis=-1)
     if idle.any():
         gains = np.where(
             covered[..., None, :], np.maximum(min_vals[..., None, :] - cc, 0.0), 0.0
@@ -296,6 +339,8 @@ def _lockstep(
     valid = _classify(ws, classifier, members, meter)
     costs = _priced_rows(members, samples, valid)
     traces = [[emc_of_matrix(c)] for c in costs]
+    stats = column_stats(costs)
+    everyone = np.arange(len(rngs))
 
     while True:
         cand = np.stack(
@@ -306,11 +351,19 @@ def _lockstep(
         except BudgetExhausted:
             break
         cand_costs = _priced_rows(cand, samples, cand_valid)
-        while swaps := select_swaps(compute_benefits(costs, cand_costs)):
-            r, p, q = np.array(swaps).T
+        # Greedy rounds. A restart that swapped nothing keeps its costs and
+        # candidates, so later rounds of this iteration skip it; while every
+        # restart is active the held statistics are used as they are.
+        active, sub_stats, sub_cand = everyone, stats, cand_costs
+        while swaps := select_swaps(compute_benefits(sub_stats, sub_cand)):
+            local, p, q = np.array(swaps).T
+            r = active[local]
             members[r, p] = cand[r, q]
             valid[r, p] = cand_valid[r, q]
             costs[r, p] = cand_costs[r, q]
+            _refresh(stats, costs, r)
+            if len(r) < len(everyone):
+                active, sub_stats, sub_cand = r, stats.take(r), cand_costs[r]
         for trace, c in zip(traces, costs):
             trace.append(emc_of_matrix(c))
     return members, valid, costs, traces

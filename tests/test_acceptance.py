@@ -30,7 +30,7 @@ from recourse.experiments import (
 from recourse.model import BudgetMeter
 from recourse.results import GenerationSettings, run_population
 from recourse.schema import UserState, build_percentile_table, feasible_values
-from recourse.search import BIG, SearchConfig, cols, compute_benefits
+from recourse.search import BIG, SearchConfig, cols, column_stats, compute_benefits
 
 from test_cost import transition_cost
 from test_search import naive_benefits
@@ -121,7 +121,7 @@ def test_criterion_2_benefit_matrix_oracle():
     cb = np.array([[0.5, 0.9], [0.7, 0.3]])
     cc = np.array([[0.2, 0.8], [0.6, 0.6]])
     assert np.allclose(
-        compute_benefits(cb, cc), [[0.3, -0.1], [-0.5, -0.3]], atol=1e-12
+        compute_benefits(column_stats(cb), cc), [[0.3, -0.1], [-0.5, -0.3]], atol=1e-12
     )
 
     rng = np.random.default_rng(20260810)
@@ -131,7 +131,7 @@ def test_criterion_2_benefit_matrix_oracle():
         m = int(rng.integers(1, 6))
         cb = rng.uniform(0, 1, size=(n, m))
         cc = rng.uniform(0, 1, size=(n, m))
-        got = compute_benefits(cb, cc)
+        got = compute_benefits(column_stats(cb), cc)
         assert np.allclose(got, naive_benefits(cb, cc), atol=1e-9)
 
         owners = cb.argmin(axis=0)
@@ -246,11 +246,10 @@ def test_criterion_4_sampler_invariants(synth6, adult):
     # ordered raw means are monotone in the feasible direction
     for schema, rows, table in packs:
         for state in rows[:10]:
-            plan = _targets(state, schema, table)
             for fi, f in enumerate(schema.features):
                 if f.kind != "ordered" or f.mutability == "immutable":
                     continue
-                s_idx, targets, raw = plan[fi]
+                s_idx, targets, raw = _targets(state, schema, table, fi)
                 for means in raw:
                     up = means[targets > s_idx]
                     down = means[targets < s_idx][::-1]

@@ -74,7 +74,7 @@ def flat_table(schema):
 def raw_means(schema, state, table, fi=0):
     """Feature fi's raw (step-count, CDF-shift) means by domain position:
     0 at the user's value, inf where infeasible."""
-    s_idx, targets, (lin, perc) = _targets(state, schema, table)[fi]
+    s_idx, targets, (lin, perc) = _targets(state, schema, table, fi)
     out = []
     for raw in (lin, perc):
         full = np.full(schema.features[fi].size, INF)

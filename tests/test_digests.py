@@ -1,9 +1,12 @@
-"""Bit-identity guard: pinned sha256 digests of sampled cost functions.
+"""Bit-identity guard: pinned sha256 digests of sampled cost functions and
+of generated result documents.
 
-The digests cover every cost array, alpha, editable mask and preference
-vector that `sample_cost_batch` and `simulate_user` produce for fixed
-adult-like inputs. Any change to the draw order, the RNG streams or the
-floating-point steps of the sampler changes them.
+The sampler digests cover every cost array, alpha, editable mask and
+preference vector that `sample_cost_batch` and `simulate_user` produce for
+fixed adult-like inputs. Any change to the draw order, the RNG streams or
+the floating-point steps of the sampler changes them. The document digests
+cover the members, validity flags, objective trace and query count of
+`run_user` documents, so they also pin every swap the search makes.
 """
 
 import hashlib
@@ -11,9 +14,10 @@ import hashlib
 import numpy as np
 import pytest
 
-from recourse.cost import sample_cost_batch
+from recourse.cost import TRAIN_STREAM, sample_cost_batch, sample_cost_function, stream_rng
 from recourse.evaluate import simulate_user
 from recourse.experiments import select_undesired
+from recourse.results import GenerationSettings, run_user
 
 # Fixed editable set and preferences for the pinned batch: three ordered
 # features (age, capital_gain, hours_per_week) and two unordered ones
@@ -26,6 +30,14 @@ BATCH_DIGESTS = {
     "mix": "7e99d553b9c5e6e4bfb3c1824c924eeb27f2e4230bd3ad28a85f5180483cfed2",
     "mix-pinned": "c826a630f05d02fecbf19ba2553188a42bc87c5345de75baa3da00b7dc1f48b1",
     "perc": "133b6144fd20c9bc8484342a11634922636c7822e8d8a9faee8180dd49ddbf0b",
+}
+DOC_SETTINGS = {
+    "cols": dict(method="cols", budget=500, set_size=10, num_samples=1000),
+    "pcols": dict(method="pcols", budget=500, set_size=10, num_samples=100, restarts=5),
+}
+DOC_DIGESTS = {
+    "cols": "73b75917acb9eac9a1ad1fb799afc52bb771d93cb485e2685d735eb3307c0e2f",
+    "pcols": "1cc40181a8211f72e21dd69e399f31d0d59df780ae12685ccc263e92175a2e99",
 }
 SIMULATED_DIGEST = "be4552bdc2bf117bd78c25ff9561a45d63fc96c70a32d2aeb9244f059a4513b5"
 
@@ -89,3 +101,37 @@ def test_simulate_user_digest(rejected):
                              user_id=ids[k], distribution=("mix", "lin", "perc")[k % 3])
         _update(h, user.true_cost)
     assert h.hexdigest() == SIMULATED_DIGEST
+
+
+@pytest.mark.parametrize("case", sorted(BATCH_DIGESTS))
+def test_batch_rows_are_single_draws_on_their_streams(rejected, case):
+    """Row i of a batch is the one cost function that stream i of (seed,
+    subkey) draws on its own."""
+    schema, table, states, ids = rejected
+    distribution, _, pinned = case.partition("-")
+    pins = dict(editable=PINNED_EDITABLE, pref=np.asarray(PINNED_PREF)) if pinned else {}
+    alpha = {"lin": 1.0, "perc": 0.0}.get(distribution)
+    for state, uid in zip(states[:3], ids[:3]):
+        batch = sample_cost_batch(state, schema, table, 50, distribution, seed=3,
+                                  subkey=uid, **pins)
+        rows = [*batch.costs, batch.alpha, batch.editable, batch.preferences]
+        for i in range(batch.m):
+            one = sample_cost_function(state, schema, table,
+                                       stream_rng(TRAIN_STREAM, 3, i, uid),
+                                       alpha=alpha, **pins)
+            single = [*one.costs, one.alpha, one.editable, one.preferences]
+            for got, want in zip(rows, single):
+                assert got[i].tobytes() == want[0].tobytes()
+
+
+@pytest.mark.parametrize("method", sorted(DOC_DIGESTS))
+def test_run_user_document_digest(adult, rejected, method):
+    schema, _, _, table, clf = adult
+    _, _, states, ids = rejected
+    settings = GenerationSettings(seed=5, **DOC_SETTINGS[method])
+    h = hashlib.sha256()
+    for state, uid in zip(states[:3], ids[:3]):
+        doc, _ = run_user(uid, state, clf, schema, table, settings)
+        trace = [float(t).hex() for t in doc.trace]
+        h.update(repr((doc.members, doc.validity, trace, doc.queries_used)).encode())
+    assert h.hexdigest() == DOC_DIGESTS[method]

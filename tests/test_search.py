@@ -11,8 +11,10 @@ from recourse.search import (
     BIG,
     SearchConfig,
     _column_minima,
+    _refresh,
     _Workspace,
     cols,
+    column_stats,
     compute_benefits,
     local_search,
     pcols,
@@ -57,22 +59,22 @@ class TestComputeBenefits:
     def test_hand_traced_example(self):
         cb = np.array([[0.5, 0.9], [0.7, 0.3]])
         cc = np.array([[0.2, 0.8], [0.6, 0.6]])
-        got = compute_benefits(cb, cc)
+        got = compute_benefits(column_stats(cb), cc)
         assert np.allclose(got, [[0.3, -0.1], [-0.5, -0.3]], atol=1e-12)
 
     def test_single_entry(self):
-        got = compute_benefits(np.array([[0.5]]), np.array([[0.2]]))
+        got = compute_benefits(column_stats(np.array([[0.5]])), np.array([[0.2]]))
         assert np.allclose(got, [[0.3]], atol=1e-12)
 
     def test_self_replacement_diagonal_zero(self):
         rng = np.random.default_rng(0)
         cb = rng.uniform(0, 1, size=(4, 6))
-        got = compute_benefits(cb, cb.copy())
+        got = compute_benefits(column_stats(cb), cb.copy())
         assert np.allclose(np.diag(got), 0.0, atol=1e-12)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            compute_benefits(np.zeros((2, 3)), np.zeros((2, 4)))
+            compute_benefits(column_stats(np.zeros((2, 3))), np.zeros((2, 4)))
 
     def test_matches_naive_oracle(self):
         rng = np.random.default_rng(7)
@@ -81,7 +83,7 @@ class TestComputeBenefits:
             m = int(rng.integers(1, 6))
             cb = rng.uniform(0, 1, size=(n, m))
             cc = rng.uniform(0, 1, size=(n, m))
-            got = compute_benefits(cb, cc)
+            got = compute_benefits(column_stats(cb), cc)
             assert np.allclose(got, naive_benefits(cb, cc), atol=1e-9)
 
     def test_matches_naive_oracle_with_infinities(self):
@@ -93,7 +95,7 @@ class TestComputeBenefits:
             cc = rng.uniform(0, 1, size=(n, m))
             cb[rng.random(cb.shape) < 0.3] = INF
             cc[rng.random(cc.shape) < 0.3] = INF
-            got = compute_benefits(cb, cc)
+            got = compute_benefits(column_stats(cb), cc)
             assert np.isfinite(got).all()
             assert np.allclose(got, naive_benefits(cb, cc), atol=1e-6)
 
@@ -102,19 +104,19 @@ class TestComputeBenefits:
         for _ in range(50):
             cb = rng.uniform(0, 1, size=(3, 4))
             cc = np.full((3, 4), INF)
-            got = compute_benefits(cb, cc)
+            got = compute_benefits(column_stats(cb), cc)
             assert (got <= 0.0).all()
-            assert select_swaps(compute_benefits(cb, cc)[None]) == []
+            assert select_swaps(compute_benefits(column_stats(cb), cc)[None]) == []
 
     def test_covering_an_uncovered_sample_dominates(self):
         cb = np.array([[0.1, INF], [0.4, INF]])
         cc = np.array([[0.9, 0.8], [INF, INF]])
-        got = compute_benefits(cb, cc)
+        got = compute_benefits(column_stats(cb), cc)
         # candidate 0 covers the dead sample through either row, but going
         # through the dead row keeps row 0's coverage of column 0
         assert got[0, 0] > 0 and got[1, 0] > 0
         assert got[1, 0] > got[0, 0]
-        assert select_swaps(compute_benefits(cb, cc)[None]) == [(0, 1, 0)]
+        assert select_swaps(compute_benefits(column_stats(cb), cc)[None]) == [(0, 1, 0)]
 
     def test_batched_matches_slices_and_oracle(self):
         rng = np.random.default_rng(14)
@@ -125,22 +127,24 @@ class TestComputeBenefits:
             cc = rng.uniform(0, 1, size=(r, nc, m))
             cb[rng.random(cb.shape) < 0.2] = INF
             cc[rng.random(cc.shape) < 0.2] = INF
-            got = compute_benefits(cb, cc)
+            got = compute_benefits(column_stats(cb), cc)
             assert got.shape == (r, n, nc)
             for k in range(r):
-                assert np.array_equal(got[k], compute_benefits(cb[k], cc[k]))
+                assert np.array_equal(
+                    got[k], compute_benefits(column_stats(cb[k]), cc[k])
+                )
                 assert np.allclose(got[k], naive_benefits(cb[k], cc[k]), atol=1e-9)
 
     def test_batched_shape_mismatch(self):
         with pytest.raises(ValueError):
-            compute_benefits(np.zeros((2, 3, 4)), np.zeros((3, 3, 4)))
+            compute_benefits(column_stats(np.zeros((2, 3, 4))), np.zeros((3, 3, 4)))
 
 
 class TestSelectSwaps:
     def test_from_hand_trace(self):
         cb = np.array([[0.5, 0.9], [0.7, 0.3]])
         cc = np.array([[0.2, 0.8], [0.6, 0.6]])
-        assert select_swaps(compute_benefits(cb, cc)[None]) == [(0, 0, 0)]
+        assert select_swaps(compute_benefits(column_stats(cb), cc)[None]) == [(0, 0, 0)]
 
     def test_no_positive_entries(self):
         assert select_swaps(np.array([[[0.0, -1.0]]])) == []
@@ -215,6 +219,93 @@ class TestColumnMinima:
         assert mv.tolist() == [[0.3, INF], [0.1, 0.2]]
         assert mi.tolist() == [[0, 0], [0, 0]]
         assert np.isinf(sv).all()
+
+
+class TestHeldColumnStats:
+    """The loop keeps each restart's column statistics between swaps and
+    recomputes a restart's in full after it swaps; benefits from the held
+    statistics must equal those from a fresh scan, bit for bit."""
+
+    @staticmethod
+    def check(held, stack, rng, nc):
+        fresh = column_stats(stack)
+        for h, f in zip(held, fresh):
+            assert np.array_equal(h, f)
+        cand = rng.uniform(0, 1, size=(stack.shape[0], nc, stack.shape[-1]))
+        on_grid = rng.random(cand.shape) < 0.5
+        cand[on_grid] = rng.choice([0.0, 0.5, 1.0, INF], size=int(on_grid.sum()))
+        want = compute_benefits(fresh, cand)
+        assert np.array_equal(compute_benefits(held, cand), want)
+        active = np.flatnonzero(rng.random(stack.shape[0]) < 0.5)
+        got = compute_benefits(held.take(active), cand[active])
+        assert np.array_equal(got, want[active])
+
+    def replace_rows(self, held, stack, rng, draw_row):
+        r = np.flatnonzero(rng.random(stack.shape[0]) < 0.6)
+        for k in r:
+            stack[k, rng.integers(stack.shape[1])] = draw_row()
+        _refresh(held, stack, r)
+
+    def test_tie_repro(self):
+        # Row 0 joins a tied minimum and must take the column from row 1.
+        stack = np.array([[[0.9], [0.5], [0.5]], [[0.5], [0.5], [0.9]]])
+        held = column_stats(stack)
+        assert held.idle.tolist() == [[True, False, True], [False, True, True]]
+        stack[0, 0] = [0.5]
+        _refresh(held, stack, np.array([0]))
+        assert held.own[0, :, 0].tolist() == [1.0, 0.0, 0.0]
+        assert held.idle.tolist() == [[False, True, True], [False, True, True]]
+        self.check(held, stack, np.random.default_rng(0), 2)
+
+    def test_random_row_replacements(self):
+        rng = np.random.default_rng(21)
+        for _ in range(60):
+            r, n, m = (int(v) for v in rng.integers((1, 1, 1), (5, 6, 9)))
+            nc = int(rng.integers(1, 6))
+
+            def draw_row():
+                row = rng.uniform(0, 1, size=m)
+                row[rng.random(m) < 0.25] = INF
+                return row
+
+            stack = np.stack([[draw_row() for _ in range(n)] for _ in range(r)])
+            stack[:, :, rng.random(m) < 0.2] = INF  # columns no member covers
+            held = column_stats(stack)
+            self.check(held, stack, rng, nc)
+            for _ in range(8):
+                self.replace_rows(held, stack, rng, draw_row)
+                self.check(held, stack, rng, nc)
+
+    def test_coarse_grid_ties_and_idle_rows(self):
+        rng = np.random.default_rng(22)
+        for _ in range(60):
+            r, n, m = (int(v) for v in rng.integers((1, 2, 1), (5, 6, 9)))
+            grid = np.array([0.0, 0.5, 1.0, INF])
+
+            def draw_row():
+                # Mostly-high rows own nothing and are idle.
+                if rng.random() < 0.3:
+                    return np.full(m, rng.choice([1.0, INF]))
+                return rng.choice(grid, size=m)
+
+            stack = np.stack([[draw_row() for _ in range(n)] for _ in range(r)])
+            held = column_stats(stack)
+            self.check(held, stack, rng, n)
+            for _ in range(8):
+                self.replace_rows(held, stack, rng, draw_row)
+                self.check(held, stack, rng, n)
+            assert held.idle.shape == (r, n)
+
+    def test_all_infinite_columns(self):
+        stack = np.full((2, 3, 4), INF)
+        stack[0, 1, 0] = 0.2
+        held = column_stats(stack)
+        assert held.covered.tolist() == [[True, False, False, False], [False] * 4]
+        assert held.idle.tolist() == [[True, False, True], [True, True, True]]
+        assert (held.min_vals[~held.covered] == BIG).all()
+        stack[1, 2] = [0.1, INF, 0.3, INF]
+        _refresh(held, stack, np.array([1]))
+        self.check(held, stack, np.random.default_rng(1), 3)
 
 
 def two_mutable_schema():
@@ -469,8 +560,8 @@ class TestTracedNames:
             seen["priced"] += len(idx)
             return real["cost_rows"](idx, s)
 
-        def compute_benefits(best, cand):
-            out = real["compute_benefits"](best, cand)
+        def compute_benefits(stats, cand):
+            out = real["compute_benefits"](stats, cand)
             seen["benefits"].append(out)
             return out
 
@@ -654,11 +745,11 @@ class TestMonotonicityUnderSwaps:
             n, m = int(rng.integers(2, 5)), int(rng.integers(2, 7))
             cb = rng.uniform(0, 1, size=(n, m))
             cc = rng.uniform(0, 1, size=(n, m))
-            swaps = select_swaps(compute_benefits(cb, cc)[None])
+            swaps = select_swaps(compute_benefits(column_stats(cb), cc)[None])
             if not swaps:
                 continue
             _, p, q = swaps[0]
-            benefit = compute_benefits(cb, cc)[p, q]
+            benefit = compute_benefits(column_stats(cb), cc)[p, q]
             before = cb.min(axis=0).sum()
             swapped = cb.copy()
             swapped[p] = cc[q]
