@@ -43,8 +43,8 @@ from .schema import (
     save_schema,
 )
 from .search import (
+    GenerationSettings,
     RecourseSet,
-    SearchConfig,
     SearchResult,
     cols,
     column_stats,

@@ -16,7 +16,6 @@ import numpy as np
 from . import experiments as xp
 from .model import TrainConfig, load_model, save_model, train_classifier
 from .results import (
-    METHODS,
     GenerationSettings,
     read_results,
     run_population,
@@ -30,7 +29,7 @@ from .schema import (
     load_dataset,
     load_schema,
 )
-from .search import OBJECTIVES
+from .search import METHODS, OBJECTIVES
 
 
 def _parse_editable(raw: str | None, schema: DatasetSchema):
@@ -78,6 +77,20 @@ def _add_generation_flags(p: argparse.ArgumentParser):
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--users", type=int, default=None,
                    help="cap on how many rejected users to process")
+
+
+def _generation_settings(args, **fields) -> GenerationSettings:
+    """Settings from the shared generation flags, plus the given fields."""
+    return GenerationSettings(
+        budget=args.budget,
+        set_size=args.set_size,
+        num_samples=args.num_samples,
+        distribution=args.distribution,
+        alpha=args.alpha,
+        restarts=args.restarts,
+        seed=args.seed,
+        **fields,
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -159,17 +172,8 @@ def _cmd_generate(args) -> int:
     table = build_percentile_table(rows, schema)
     editable = _parse_editable(args.editable_features, schema)
     preferences = _parse_preferences(args.preferences, editable, schema)
-    settings = GenerationSettings(
-        method=args.method,
-        objective=args.objective,
-        budget=args.budget,
-        set_size=args.set_size,
-        num_samples=args.num_samples,
-        distribution=args.distribution,
-        alpha=args.alpha,
-        restarts=args.restarts,
-        seed=args.seed,
-        editable=editable,
+    settings = _generation_settings(
+        args, method=args.method, objective=args.objective, editable=editable,
         preferences=preferences,
     )
     states, ids = xp.select_undesired(rows, classifier, schema, limit=args.users)
@@ -266,16 +270,7 @@ def _cmd_experiment(args) -> int:
         if args.kind != "alpha_grid":
             values = [int(v) for v in values]
         grid = tuple(values)
-    base = GenerationSettings(
-        method="cols",
-        budget=args.budget,
-        set_size=args.set_size,
-        num_samples=args.num_samples,
-        distribution=args.distribution,
-        alpha=args.alpha,
-        restarts=args.restarts,
-        seed=args.seed,
-    )
+    base = _generation_settings(args)
     spec = xp.ExperimentSpec(
         kind=args.kind,
         seeds=tuple(int(s) for s in args.seeds.split(",")),

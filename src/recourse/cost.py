@@ -95,7 +95,7 @@ def _targets(
     return s_idx, np.array(targets, dtype=np.intp), raw
 
 
-def _random_editable_subset(candidates: list[int], rng: np.random.Generator) -> list[int]:
+def random_editable_subset(candidates: list[int], rng: np.random.Generator) -> list[int]:
     """Uniform over non-empty subsets of the candidate features, ascending."""
     if not candidates:
         raise ValueError("schema has no mutable features; supply an editable set")
@@ -181,7 +181,7 @@ def _sample(
     # Pass one: each sample's editable subset, preferences and alpha.
     subsets, alpha_list = [], []
     for i, rng in enumerate(rngs):
-        chosen = pinned if pinned is not None else _random_editable_subset(candidates, rng)
+        chosen = pinned if pinned is not None else random_editable_subset(candidates, rng)
         subsets.append(chosen)
         chosen_mask[i, chosen] = True
         if pref is None:
@@ -272,6 +272,14 @@ def stream_rng(stream: int, seed: int, index: int, subkey: int = 0) -> np.random
     return np.random.default_rng(np.random.SeedSequence([stream, seed, subkey, index]))
 
 
+def distribution_alpha(distribution: str, alpha: Optional[float]) -> Optional[float]:
+    """The alpha a named distribution fixes: "lin" -> 1, "perc" -> 0, "mix"
+    -> `alpha` (None draws it per sample)."""
+    if distribution not in DISTRIBUTIONS:
+        raise ValueError(f"unknown distribution {distribution!r}")
+    return {"lin": 1.0, "perc": 0.0}.get(distribution, alpha)
+
+
 def sample_cost_batch(
     state: UserState,
     schema: DatasetSchema,
@@ -292,9 +300,7 @@ def sample_cost_batch(
     """
     if m < 1:
         raise ValueError(f"sample count must be >= 1, got {m}")
-    if distribution not in DISTRIBUTIONS:
-        raise ValueError(f"unknown distribution {distribution!r}")
-    fixed_alpha = {"lin": 1.0, "perc": 0.0}.get(distribution, alpha)
+    fixed_alpha = distribution_alpha(distribution, alpha)
     rngs = [stream_rng(stream, seed, i, subkey) for i in range(m)]
     return _sample(state, schema, table, rngs, fixed_alpha, editable, pref)
 

@@ -20,7 +20,14 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .cost import TEST_STREAM, CostSampleSet, min_cost, sample_cost_function, stream_rng
+from .cost import (
+    TEST_STREAM,
+    CostSampleSet,
+    distribution_alpha,
+    min_cost,
+    sample_cost_function,
+    stream_rng,
+)
 from .schema import DatasetSchema, PercentileTable, UserState
 from .search import RecourseSet
 
@@ -68,13 +75,10 @@ def simulate_user(
     editable: Optional[frozenset[int]] = None,
 ) -> SimulatedUser:
     """Draw one hidden cost function for a user, keyed by (test_seed, user_id)."""
-    if distribution == "lin":
-        alpha = 1.0
-    elif distribution == "perc":
-        alpha = 0.0
     rng = stream_rng(TEST_STREAM, test_seed, user_id)
     true_cost = sample_cost_function(
-        state, schema, table, rng, alpha=alpha, editable=editable
+        state, schema, table, rng, alpha=distribution_alpha(distribution, alpha),
+        editable=editable,
     )
     subgroups = {
         name: state.values[schema.feature_index(name)]

@@ -14,6 +14,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .cost import random_editable_subset
 from .evaluate import (
     MetricsReport,
     PacResult,
@@ -188,20 +189,6 @@ def _method_settings(spec: ExperimentSpec, method: str, seed: int, **overrides):
     )
 
 
-def _fs_of(
-    docs: Sequence[ResultDoc],
-    schema: DatasetSchema,
-    table: PercentileTable,
-    spec: ExperimentSpec,
-    test_alpha: Optional[float] = None,
-    test_distribution: str = "mix",
-) -> float:
-    report = evaluate_docs(
-        docs, schema, table, spec.test_seed, spec.k, test_distribution, test_alpha
-    )
-    return report.fs_at_k
-
-
 def run_experiment(
     spec: ExperimentSpec,
     states: Sequence[UserState],
@@ -299,9 +286,9 @@ def _alpha_grid(spec, states, user_ids, classifier, schema, table):
             docs = run_population(states, classifier, schema, table, settings,
                                   user_ids=user_ids)
             for a_test in grid:
-                acc[(a_train, a_test)].append(
-                    _fs_of(docs, schema, table, spec, test_alpha=a_test)
-                )
+                report = evaluate_docs(docs, schema, table, spec.test_seed, spec.k,
+                                       test_alpha=a_test)
+                acc[(a_train, a_test)].append(report.fs_at_k)
     rows = [
         [a, b, f"{100.0 * float(np.mean(vals)):.2f}", len(vals)]
         for (a, b), vals in acc.items()
@@ -327,7 +314,9 @@ def _resource_sweep(spec, states, user_ids, classifier, schema, table):
                 )
                 docs = run_population(states, classifier, schema, table, settings,
                                       user_ids=user_ids)
-                scores.append(_fs_of(docs, schema, table, spec))
+                scores.append(
+                    evaluate_docs(docs, schema, table, spec.test_seed, spec.k).fs_at_k
+                )
             rows.append(
                 [
                     value,
@@ -360,11 +349,7 @@ def _concentration_shift(spec, states, user_ids, classifier, schema, table):
     )
     distances, satisfied = [], []
     for v in range(spec.shift_vectors):
-        while True:
-            mask = rng.random(len(movable)) < 0.5
-            if mask.any():
-                break
-        editable = frozenset(f for f, on in zip(movable, mask) if on)
+        editable = frozenset(random_editable_subset(movable, rng))
         conc = np.zeros(schema.n_features)
         conc[sorted(editable)] = 1.0
         i = v % len(docs)

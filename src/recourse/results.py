@@ -22,47 +22,9 @@ import numpy as np
 from .cost import CostSampleSet, sample_cost_batch
 from .model import Classifier
 from .schema import DatasetSchema, PercentileTable, UserState
-from .search import (
-    SearchConfig,
-    SearchResult,
-    cols,
-    local_search,
-    pcols,
-    random_search,
-)
-
-METHODS = ("cols", "pcols", "random", "ls")
+from .search import GenerationSettings, cols, local_search, pcols, random_search
 
 WORKERS_ENV = "RECOURSE_WORKERS"
-
-
-@dataclass
-class GenerationSettings:
-    method: str = "cols"
-    objective: str = "emc"
-    budget: int = 5000
-    set_size: int = 10
-    num_samples: int = 1000
-    distribution: str = "mix"
-    alpha: Optional[float] = None
-    restarts: int = 5
-    seed: int = 0
-    editable: Optional[tuple[int, ...]] = None
-    preferences: Optional[tuple[float, ...]] = None
-
-    def __post_init__(self):
-        if self.method not in METHODS:
-            raise ValueError(
-                f"unknown method {self.method!r}; valid methods: {', '.join(METHODS)}"
-            )
-
-    def search_config(self) -> SearchConfig:
-        return SearchConfig(
-            budget=self.budget,
-            set_size=self.set_size,
-            restarts=self.restarts,
-            seed=self.seed,
-        )
 
 
 @dataclass
@@ -101,8 +63,12 @@ def run_user(
         pref=np.asarray(settings.preferences) if settings.preferences else None,
         subkey=user_id,
     )
-    config = settings.search_config()
-    result = _dispatch(settings, state, classifier, samples, schema, config, user_id)
+    # Looked up at call time, so that wrappers installed on this module see
+    # every run.
+    optimizer = {
+        "cols": cols, "pcols": pcols, "random": random_search, "ls": local_search,
+    }[settings.method]
+    result = optimizer(state, classifier, samples, schema, settings, user_key=user_id)
     doc = ResultDoc(
         user_id=user_id,
         method=settings.method,
@@ -124,34 +90,6 @@ def run_user(
         },
     )
     return doc, (samples if keep_samples else None)
-
-
-def _dispatch(
-    settings: GenerationSettings,
-    state: UserState,
-    classifier: Classifier,
-    samples: CostSampleSet,
-    schema: DatasetSchema,
-    config: SearchConfig,
-    user_id: int,
-) -> SearchResult:
-    if settings.method == "cols":
-        return cols(state, classifier, samples, schema, config, user_key=user_id)
-    if settings.method == "pcols":
-        return pcols(state, classifier, samples, schema, config, user_key=user_id)
-    if settings.method == "random":
-        return random_search(
-            state, classifier, samples, schema, config, user_key=user_id
-        )
-    return local_search(
-        state,
-        classifier,
-        schema,
-        settings.objective,
-        config,
-        samples=samples if settings.objective == "emc" else None,
-        user_key=user_id,
-    )
 
 
 def _worker(args) -> ResultDoc:

@@ -34,8 +34,18 @@ in the order a lone `cols` run would, so every restart equals that run. One
 vectorized draw for all rows has the same distribution but consumes the
 stream differently, which changes every result.
 
-`random_search` and `local_search` are the whole-set-acceptance baselines
-used for ablations.
+`random_search` and `local_search` are the baselines used for ablations.
+Both run one whole-set hill climb, `_whole_set`: propose a whole candidate
+set, classify it in one query, score it, and keep it only when its score
+strictly beats the incumbent's. They differ in the proposal alone:
+`random_search` draws N states uniformly from the feasible product space,
+`local_search` perturbs every member like `cols` does. The EMC score is
+the negated objective (higher is better); `random_search` reports the EMC
+itself in its trace, `local_search` the score it maximizes.
+
+Every optimizer takes the same `GenerationSettings` (budget, set size,
+restarts, seed, objective; the other fields drive cost sampling) and has
+the signature `fn(s_u, classifier, samples, schema, settings, user_key=0)`.
 
 Candidates predicted to the undesired class are not discarded: their cost
 rows are set to infinity, which keeps them out of every column minimum and
@@ -49,7 +59,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -67,7 +77,42 @@ BIG = float(2**20)
 # RNG stream namespace for search perturbations (cost sampling owns 0 and 1).
 SEARCH_STREAM = 2
 
+# Features each perturbation resamples per member.
+HAMMING = 2
+
+METHODS = ("cols", "pcols", "random", "ls")
 OBJECTIVES = ("emc", "diversity", "proximity", "sparsity")
+
+
+@dataclass
+class GenerationSettings:
+    """One user's run: the optimizer and its inputs, and how to sample the
+    user's cost functions."""
+
+    method: str = "cols"
+    objective: str = "emc"
+    budget: int = 5000
+    set_size: int = 10
+    num_samples: int = 1000
+    distribution: str = "mix"
+    alpha: Optional[float] = None
+    restarts: int = 5
+    seed: int = 0
+    editable: Optional[tuple[int, ...]] = None
+    preferences: Optional[tuple[float, ...]] = None
+
+    def __post_init__(self):
+        if self.method not in METHODS:
+            raise ValueError(
+                f"unknown method {self.method!r}; valid methods: {', '.join(METHODS)}"
+            )
+        if self.objective not in OBJECTIVES:
+            raise ValueError(f"unknown objective {self.objective!r}")
+        for name in ("budget", "set_size", "restarts"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be positive")
+        if self.restarts > self.budget:
+            raise ValueError("more restarts than budget")
 
 
 @dataclass(frozen=True)
@@ -84,22 +129,6 @@ class RecourseSet:
     @property
     def n(self) -> int:
         return len(self.members)
-
-
-@dataclass
-class SearchConfig:
-    budget: int = 5000
-    set_size: int = 10
-    hamming_distance: int = 2
-    restarts: int = 5
-    seed: int = 0
-
-    def __post_init__(self):
-        for name in ("budget", "set_size", "hamming_distance", "restarts"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive")
-        if self.restarts > self.budget:
-            raise ValueError("more restarts than budget")
 
 
 @dataclass
@@ -150,7 +179,7 @@ class _Workspace:
         return [UserState(tuple(int(v) for v in row)) for row in codes]
 
     def perturb_rows(
-        self, base: np.ndarray, rng: np.random.Generator, hamming: int = 2
+        self, base: np.ndarray, rng: np.random.Generator, hamming: int = HAMMING
     ) -> np.ndarray:
         """Resample up to `hamming` features of each row from the feasible sets."""
         out = base.copy()
@@ -321,7 +350,7 @@ def _lockstep(
     ws: _Workspace,
     classifier: Classifier,
     samples: CostSampleSet,
-    config: SearchConfig,
+    n: int,
     meter: BudgetMeter,
     rngs: list[np.random.Generator],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[list[float]]]:
@@ -333,9 +362,8 @@ def _lockstep(
     when `meter` cannot pay for every restart's candidate batch. Returns the
     (R, N, d) members, (R, N) validity, (R, N, M) costs and R traces.
     """
-    n, hamming = config.set_size, config.hamming_distance
     start = np.tile(ws.user_idx, (n, 1))
-    members = np.stack([ws.perturb_rows(start, rng, hamming) for rng in rngs])
+    members = np.stack([ws.perturb_rows(start, rng) for rng in rngs])
     valid = _classify(ws, classifier, members, meter)
     costs = _priced_rows(members, samples, valid)
     traces = [[emc_of_matrix(c)] for c in costs]
@@ -343,9 +371,7 @@ def _lockstep(
     everyone = np.arange(len(rngs))
 
     while True:
-        cand = np.stack(
-            [ws.perturb_rows(m, rng, hamming) for m, rng in zip(members, rngs)]
-        )
+        cand = np.stack([ws.perturb_rows(m, rng) for m, rng in zip(members, rngs)])
         try:
             cand_valid = _classify(ws, classifier, cand, meter)
         except BudgetExhausted:
@@ -374,7 +400,7 @@ def cols(
     classifier: Classifier,
     samples: CostSampleSet,
     schema: DatasetSchema,
-    config: SearchConfig,
+    settings: GenerationSettings,
     meter: Optional[BudgetMeter] = None,
     rng: Optional[np.random.Generator] = None,
     user_key: int = 0,
@@ -387,12 +413,12 @@ def cols(
     non-increasing; running out of budget mid-batch simply ends the loop.
     """
     ws = _Workspace(s_u, schema)
-    meter = meter if meter is not None else BudgetMeter(config.budget)
-    rng = rng if rng is not None else search_rng(config.seed, user_key)
-    if meter.remaining < config.set_size:
+    meter = meter if meter is not None else BudgetMeter(settings.budget)
+    rng = rng if rng is not None else search_rng(settings.seed, user_key)
+    if meter.remaining < settings.set_size:
         raise ValueError("budget cannot cover the initial set")
     members, valid, costs, traces = _lockstep(
-        ws, classifier, samples, config, meter, [rng]
+        ws, classifier, samples, settings.set_size, meter, [rng]
     )
     return _result(ws, members[0], valid[0], costs[0], traces[0], meter.used)
 
@@ -402,24 +428,24 @@ def pcols(
     classifier: Classifier,
     samples: CostSampleSet,
     schema: DatasetSchema,
-    config: SearchConfig,
+    settings: GenerationSettings,
     user_key: int = 0,
 ) -> SearchResult:
     """Independent restarts of `cols`, each on budget // restarts queries and
     its own RNG sub-stream, run in lockstep; the run with the least objective
     wins (ties to the lowest restart index)."""
-    restarts = config.restarts
-    sub_budget = config.budget // restarts
-    if sub_budget < config.set_size:
+    restarts = settings.restarts
+    sub_budget = settings.budget // restarts
+    if sub_budget < settings.set_size:
         raise ValueError(
-            f"budget {config.budget} over {restarts} restarts cannot "
-            f"cover set size {config.set_size}"
+            f"budget {settings.budget} over {restarts} restarts cannot "
+            f"cover set size {settings.set_size}"
         )
     ws = _Workspace(s_u, schema)
     meter = BudgetMeter(restarts * sub_budget)
-    rngs = [search_rng(config.seed, user_key, r) for r in range(restarts)]
+    rngs = [search_rng(settings.seed, user_key, r) for r in range(restarts)]
     members, valid, costs, traces = _lockstep(
-        ws, classifier, samples, config, meter, rngs
+        ws, classifier, samples, settings.set_size, meter, rngs
     )
     emcs = [trace[-1] for trace in traces]
     win = emcs.index(min(emcs))
@@ -429,55 +455,16 @@ def pcols(
     return best
 
 
-def random_search(
-    s_u: UserState,
-    classifier: Classifier,
-    samples: CostSampleSet,
-    schema: DatasetSchema,
-    config: SearchConfig,
-    meter: Optional[BudgetMeter] = None,
-    user_key: int = 0,
-) -> SearchResult:
-    """Whole-set baseline: draw N states uniformly from the feasible product
-    space each iteration and keep the candidate set only if its objective
-    beats the incumbent's."""
-    ws = _Workspace(s_u, schema)
-    meter = meter if meter is not None else BudgetMeter(config.budget)
-    rng = search_rng(config.seed, user_key)
-    n = config.set_size
-    if meter.remaining < n:
-        raise ValueError("budget cannot cover the initial set")
-
-    members = ws.uniform_rows(n, rng)
-    valid = _classify(ws, classifier, members, meter)
-    costs = _priced_rows(members, samples, valid)
-    emc = emc_of_matrix(costs)
-    trace = [emc]
-
-    while True:
-        cand_members = ws.uniform_rows(n, rng)
-        try:
-            cand_valid = _classify(ws, classifier, cand_members, meter)
-        except BudgetExhausted:
-            break
-        cand_costs = _priced_rows(cand_members, samples, cand_valid)
-        cand_emc = emc_of_matrix(cand_costs)
-        if cand_emc < emc:
-            members, valid, costs, emc = cand_members, cand_valid, cand_costs, cand_emc
-        trace.append(emc)
-
-    return _result(ws, members, valid, costs, trace, meter.used)
-
-
 def _set_objective(
     objective: str,
     ws: _Workspace,
     members: np.ndarray,
     valid: np.ndarray,
-    samples: Optional[CostSampleSet],
+    samples: CostSampleSet,
 ) -> float:
-    """Score to maximize. Sets without a single valid member score -inf,
-    mirroring the hard validity constraint on recourse."""
+    """Score to maximize: the negated EMC, or a distance metric. Sets
+    without a single valid member score -inf, mirroring the hard validity
+    constraint on recourse."""
     if not valid.any():
         return -INF
     if objective == "emc":
@@ -488,42 +475,35 @@ def _set_objective(
     return {"diversity": div, "proximity": prox, "sparsity": spar}[objective]
 
 
-def local_search(
+def _whole_set(
     s_u: UserState,
     classifier: Classifier,
+    samples: CostSampleSet,
     schema: DatasetSchema,
+    settings: GenerationSettings,
+    user_key: int,
     objective: str,
-    config: SearchConfig,
-    meter: Optional[BudgetMeter] = None,
-    samples: Optional[CostSampleSet] = None,
-    user_key: int = 0,
+    propose: Callable[[_Workspace, np.ndarray, np.random.Generator], np.ndarray],
 ) -> SearchResult:
-    """Plain hill climbing on whole sets for a configurable objective.
-
-    Same perturbation neighborhood as `cols`, but a candidate set is taken
-    only when its objective strictly improves on the incumbent set's; there
-    is no per-member swapping. The emc objective is minimized and needs a
-    sample set; diversity, proximity, and sparsity are maximized.
-    """
-    if objective not in OBJECTIVES:
-        raise ValueError(f"unknown objective {objective!r}")
-    if objective == "emc" and samples is None:
-        raise ValueError("the emc objective requires a cost sample set")
+    """Hill climbing on whole sets. `propose(ws, members, rng)` draws a
+    candidate set (the first from N copies of the user state); the candidate
+    replaces the incumbent only when its objective score is strictly higher.
+    The loop ends when the budget cannot pay for a candidate set, and the
+    trace holds the incumbent's score after every iteration. Only the emc
+    objective prices the final set."""
     ws = _Workspace(s_u, schema)
-    meter = meter if meter is not None else BudgetMeter(config.budget)
-    rng = search_rng(config.seed, user_key)
-    n = config.set_size
-    if meter.remaining < n:
+    rng = search_rng(settings.seed, user_key)
+    n = settings.set_size
+    if settings.budget < n:
         raise ValueError("budget cannot cover the initial set")
-
-    members = ws.perturb_rows(np.tile(ws.user_idx, (n, 1)), rng,
-                              config.hamming_distance)
+    meter = BudgetMeter(settings.budget)
+    members = propose(ws, np.tile(ws.user_idx, (n, 1)), rng)
     valid = _classify(ws, classifier, members, meter)
     score = _set_objective(objective, ws, members, valid, samples)
     trace = [score]
 
     while True:
-        cand_members = ws.perturb_rows(members, rng, config.hamming_distance)
+        cand_members = propose(ws, members, rng)
         try:
             cand_valid = _classify(ws, classifier, cand_members, meter)
         except BudgetExhausted:
@@ -533,7 +513,45 @@ def local_search(
             members, valid, score = cand_members, cand_valid, cand_score
         trace.append(score)
 
-    final_costs = (
-        _priced_rows(members, samples, valid) if samples is not None else None
+    costs = _priced_rows(members, samples, valid) if objective == "emc" else None
+    return _result(ws, members, valid, costs, trace, meter.used)
+
+
+def random_search(
+    s_u: UserState,
+    classifier: Classifier,
+    samples: CostSampleSet,
+    schema: DatasetSchema,
+    settings: GenerationSettings,
+    user_key: int = 0,
+) -> SearchResult:
+    """Whole-set baseline: draw N states uniformly from the feasible product
+    space each iteration and keep the candidate set only if its EMC beats
+    the incumbent's. The trace records the EMC itself."""
+    result = _whole_set(
+        s_u, classifier, samples, schema, settings, user_key, "emc",
+        lambda ws, members, rng: ws.uniform_rows(len(members), rng),
     )
-    return _result(ws, members, valid, final_costs, trace, meter.used)
+    result.trace = [-score for score in result.trace]
+    return result
+
+
+def local_search(
+    s_u: UserState,
+    classifier: Classifier,
+    samples: CostSampleSet,
+    schema: DatasetSchema,
+    settings: GenerationSettings,
+    user_key: int = 0,
+) -> SearchResult:
+    """Plain hill climbing on whole sets for `settings.objective`.
+
+    Same perturbation neighborhood as `cols`, but a candidate set is taken
+    only when its objective strictly improves on the incumbent set's; there
+    is no per-member swapping. The trace records the maximized score: the
+    negated EMC, or the diversity, proximity or sparsity of the set.
+    """
+    return _whole_set(
+        s_u, classifier, samples, schema, settings, user_key, settings.objective,
+        _Workspace.perturb_rows,
+    )

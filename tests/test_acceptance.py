@@ -30,7 +30,7 @@ from recourse.experiments import (
 from recourse.model import BudgetMeter
 from recourse.results import GenerationSettings, run_population
 from recourse.schema import UserState, build_percentile_table, feasible_values
-from recourse.search import BIG, SearchConfig, cols, column_stats, compute_benefits
+from recourse.search import BIG, cols, column_stats, compute_benefits
 
 from test_cost import transition_cost
 from test_search import naive_benefits
@@ -100,7 +100,7 @@ def test_criterion_1_monotonicity_suite(synth6):
             samples = sample_cost_batch(
                 s_u, schema, table, 100, "mix", seed=seed, subkey=uid
             )
-            config = SearchConfig(budget=2000, set_size=10, seed=seed)
+            config = GenerationSettings(budget=2000, set_size=10, seed=seed)
             res = cols(s_u, clf, samples, schema, config)
             runs += 1
             trace = res.trace
@@ -171,7 +171,7 @@ def test_criterion_3_exhaustive_optimum(toy2):
             min((transition_cost(s_u, s, samples, i) for s in valid), default=INF)
             for i in range(samples.m)
         ]
-        config = SearchConfig(budget=3000, set_size=3, seed=seed)
+        config = GenerationSettings(budget=3000, set_size=3, seed=seed)
         res = cols(s_u, clf, samples, schema, config)
         got = res.cost_matrix.min(axis=0)
         for g, o in zip(got, optima):
@@ -201,7 +201,7 @@ def test_criterion_3b_whole_set_optimum(toy2):
             e = INF if np.isinf(mins).any() else float(mins.mean())
             best = min(best, e)
         res = cols(s_u, clf, samples, schema,
-                   SearchConfig(budget=3000, set_size=3, seed=seed))
+                   GenerationSettings(budget=3000, set_size=3, seed=seed))
         assert abs(res.emc - best) < 1e-9
     _pass(3, "whole-set objective matches the C(25,3) brute force, 5 seeds")
 
@@ -450,7 +450,7 @@ def test_criterion_9_budget_exactness(synth6):
     samples = sample_cost_batch(s_u, schema, table, 20, "mix", seed=0)
     meter = BudgetMeter(limit=100)
     cols(s_u, clf, samples, schema,
-         SearchConfig(budget=100, set_size=6, seed=0),
+         GenerationSettings(budget=100, set_size=6, seed=0),
          meter=meter)
     assert meter.used <= 100
     _pass(9, f"{checked} instrumented runs, all within budget")

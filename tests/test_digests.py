@@ -31,13 +31,26 @@ BATCH_DIGESTS = {
     "mix-pinned": "c826a630f05d02fecbf19ba2553188a42bc87c5345de75baa3da00b7dc1f48b1",
     "perc": "133b6144fd20c9bc8484342a11634922636c7822e8d8a9faee8180dd49ddbf0b",
 }
+# Every non-immutable feature of the adult-like schema. With all of them
+# editable every sample prices each valid member finitely, so the EMC
+# objectives of `random` and `ls:emc` are finite and their traces move.
+ADULT_MOVABLE = (0, 1, 2, 3, 4, 5, 8, 9, 10)
 DOC_SETTINGS = {
     "cols": dict(method="cols", budget=500, set_size=10, num_samples=1000),
     "pcols": dict(method="pcols", budget=500, set_size=10, num_samples=100, restarts=5),
+    "random": dict(method="random", budget=500, set_size=10, num_samples=100,
+                   editable=ADULT_MOVABLE),
+    "ls:emc": dict(method="ls", objective="emc", budget=500, set_size=10,
+                   num_samples=100, editable=ADULT_MOVABLE),
+    "ls:diversity": dict(method="ls", objective="diversity", budget=500, set_size=10,
+                         num_samples=100),
 }
 DOC_DIGESTS = {
     "cols": "73b75917acb9eac9a1ad1fb799afc52bb771d93cb485e2685d735eb3307c0e2f",
     "pcols": "1cc40181a8211f72e21dd69e399f31d0d59df780ae12685ccc263e92175a2e99",
+    "random": "020ac1d5225ee788ba58de63573428f45abc70ca75281d3487821e11fd465182",
+    "ls:emc": "174e2c800ac229d2d5b489a62eada96df76adf234902b3a21ccca593a0e6e964",
+    "ls:diversity": "64c0313791ad3b9f40330b55dea9f0422c445c207f3d211b5488083c61e1f51f",
 }
 SIMULATED_DIGEST = "be4552bdc2bf117bd78c25ff9561a45d63fc96c70a32d2aeb9244f059a4513b5"
 
@@ -128,6 +141,7 @@ def test_batch_rows_are_single_draws_on_their_streams(rejected, case):
 def test_run_user_document_digest(adult, rejected, method):
     schema, _, _, table, clf = adult
     _, _, states, ids = rejected
+    assert ADULT_MOVABLE == tuple(schema.mutable_indices())
     settings = GenerationSettings(seed=5, **DOC_SETTINGS[method])
     h = hashlib.sha256()
     for state, uid in zip(states[:3], ids[:3]):

@@ -301,6 +301,23 @@ class TestSimulatedUsers:
         )
         assert not same
 
+    def test_unknown_distribution_rejected(self, synth6):
+        from recourse.experiments import evaluate_docs
+        from recourse.results import ResultDoc
+
+        schema, rows, _, table, _ = synth6
+        with pytest.raises(ValueError, match="unknown distribution 'linear'"):
+            simulate_user(rows[0], schema, table, test_seed=5, user_id=3,
+                          distribution="linear")
+        doc = ResultDoc(
+            user_id=3, method="cols", state=list(rows[0].values),
+            members=[list(rows[0].values)], validity=[False], final_emc=INF,
+            trace=[INF], queries_used=1, seed=0,
+        )
+        with pytest.raises(ValueError, match="unknown distribution 'linear'"):
+            evaluate_docs([doc], schema, table, test_seed=5,
+                          test_distribution="linear")
+
     def test_subgroups_read_from_state(self, synth6):
         schema, rows, _, table, _ = synth6
         user = simulate_user(rows[0], schema, table, test_seed=1, user_id=0)

@@ -9,7 +9,7 @@ from recourse.model import BudgetMeter, Classifier
 from recourse.schema import DatasetSchema, FeatureSpec, UserState, feasible_values
 from recourse.search import (
     BIG,
-    SearchConfig,
+    GenerationSettings,
     _column_minima,
     _refresh,
     _Workspace,
@@ -374,7 +374,7 @@ class TestCols:
         schema, rows, _, table, clf = synth6
         s_u = rows[0]
         samples = sample_cost_batch(s_u, schema, table, 20, "mix", seed=0)
-        config = SearchConfig(budget=10, set_size=10, seed=0)
+        config = GenerationSettings(budget=10, set_size=10, seed=0)
         res = cols(s_u, clf, samples, schema, config)
         assert res.queries_used == 10
         assert len(res.trace) == 1
@@ -383,7 +383,7 @@ class TestCols:
         schema, rows, _, table, clf = synth6
         for seed, s_u in enumerate(rows[:5]):
             samples = sample_cost_batch(s_u, schema, table, 50, "mix", seed=seed)
-            config = SearchConfig(budget=600, set_size=6, seed=seed)
+            config = GenerationSettings(budget=600, set_size=6, seed=seed)
             res = cols(s_u, clf, samples, schema, config)
             tr = res.trace
             assert all(b <= a + 1e-12 for a, b in zip(tr, tr[1:]))
@@ -393,7 +393,7 @@ class TestCols:
         s_u = rows[1]
         samples = sample_cost_batch(s_u, schema, table, 30, "mix", seed=1)
         for budget in (6, 13, 47, 100):
-            config = SearchConfig(budget=budget, set_size=6, seed=1)
+            config = GenerationSettings(budget=budget, set_size=6, seed=1)
             res = cols(s_u, clf, samples, schema, config)
             assert res.queries_used <= budget
             # whole batches only: usage is a multiple of the set size
@@ -403,7 +403,7 @@ class TestCols:
         schema, rows, _, table, clf = synth6
         s_u = rows[2]
         samples = sample_cost_batch(s_u, schema, table, 30, "mix", seed=2)
-        config = SearchConfig(budget=300, set_size=5, seed=2)
+        config = GenerationSettings(budget=300, set_size=5, seed=2)
         res = cols(s_u, clf, samples, schema, config)
         codes = np.asarray(
             [m.values for m in res.recourse_set.members], dtype=float
@@ -415,7 +415,7 @@ class TestCols:
         schema, rows, _, table, clf = synth6
         s_u = rows[3]
         samples = sample_cost_batch(s_u, schema, table, 30, "mix", seed=3)
-        config = SearchConfig(budget=300, set_size=5, seed=3)
+        config = GenerationSettings(budget=300, set_size=5, seed=3)
         a = cols(s_u, clf, samples, schema, config)
         b = cols(s_u, clf, samples, schema, config)
         assert [m.values for m in a.recourse_set.members] == [
@@ -426,7 +426,7 @@ class TestCols:
     def test_budget_smaller_than_set_rejected(self, synth6):
         schema, rows, _, table, clf = synth6
         samples = sample_cost_batch(rows[0], schema, table, 10, "mix", seed=0)
-        config = SearchConfig(budget=5, set_size=10, seed=0)
+        config = GenerationSettings(budget=5, set_size=10, seed=0)
         with pytest.raises(ValueError):
             cols(rows[0], clf, samples, schema, config)
 
@@ -436,7 +436,7 @@ class TestPcols:
         schema, rows, _, table, clf = synth6
         s_u = rows[0]
         samples = sample_cost_batch(s_u, schema, table, 30, "mix", seed=4)
-        config = SearchConfig(budget=400, set_size=5, restarts=1, seed=4)
+        config = GenerationSettings(budget=400, set_size=5, restarts=1, seed=4)
         a = pcols(s_u, clf, samples, schema, config)
         b = cols(s_u, clf, samples, schema, config)
         assert [m.values for m in a.recourse_set.members] == [
@@ -448,7 +448,7 @@ class TestPcols:
         schema, rows, _, table, clf = synth6
         s_u = rows[1]
         samples = sample_cost_batch(s_u, schema, table, 20, "mix", seed=5)
-        config = SearchConfig(budget=5000, set_size=10, restarts=5, seed=5)
+        config = GenerationSettings(budget=5000, set_size=10, restarts=5, seed=5)
         res = pcols(s_u, clf, samples, schema, config)
         assert res.restart_queries == [1000] * 5
         assert res.queries_used == 5000
@@ -457,7 +457,7 @@ class TestPcols:
         schema, rows, _, table, clf = synth6
         s_u = rows[2]
         samples = sample_cost_batch(s_u, schema, table, 20, "mix", seed=6)
-        config = SearchConfig(budget=600, set_size=5, restarts=3, seed=6)
+        config = GenerationSettings(budget=600, set_size=5, restarts=3, seed=6)
         res = pcols(s_u, clf, samples, schema, config)
         assert len(res.restart_emcs) == 3
         assert all(res.emc <= e for e in res.restart_emcs)
@@ -465,7 +465,7 @@ class TestPcols:
     def test_insufficient_per_restart_budget(self, synth6):
         schema, rows, _, table, clf = synth6
         samples = sample_cost_batch(rows[0], schema, table, 10, "mix", seed=0)
-        config = SearchConfig(budget=20, set_size=10, restarts=5, seed=0)
+        config = GenerationSettings(budget=20, set_size=10, restarts=5, seed=0)
         with pytest.raises(ValueError):
             pcols(rows[0], clf, samples, schema, config)
 
@@ -489,8 +489,8 @@ class TestLockstep:
         for user, s_u in enumerate(states):
             samples = sample_cost_batch(s_u, schema, table, 30, "mix", seed=user,
                                         editable=movable)
-            config = SearchConfig(budget=330, set_size=6, restarts=restarts,
-                                  seed=21 + user)
+            config = GenerationSettings(budget=330, set_size=6, restarts=restarts,
+                                        seed=21 + user)
             res = pcols(s_u, clf, samples, schema, config, user_key=user)
             sub = config.budget // restarts
             runs = [
@@ -515,7 +515,7 @@ class TestLockstep:
         s_u = rows[3]
         samples = sample_cost_batch(s_u, schema, table, 20, "mix", seed=3)
         n = 6
-        config = SearchConfig(budget=budget, set_size=n, restarts=restarts, seed=3)
+        config = GenerationSettings(budget=budget, set_size=n, restarts=restarts, seed=3)
         sizes, answered = [], []
         real = search_module.predict_batch
 
@@ -544,7 +544,7 @@ class TestTracedNames:
         schema, rows, _, table, clf = synth6
         s_u = rows[4]
         samples = sample_cost_batch(s_u, schema, table, 25, "mix", seed=4)
-        config = SearchConfig(budget=300, set_size=5, restarts=3, seed=4)
+        config = GenerationSettings(budget=300, set_size=5, restarts=3, seed=4)
         plain = pcols(s_u, clf, samples, schema, config)
 
         seen = {"queried": 0, "priced": 0, "benefits": [], "selects": []}
@@ -590,7 +590,7 @@ class TestRandomSearch:
         schema, rows, _, table, clf = synth6
         s_u = rows[0]
         samples = sample_cost_batch(s_u, schema, table, 30, "mix", seed=7)
-        config = SearchConfig(budget=300, set_size=5, seed=7)
+        config = GenerationSettings(budget=300, set_size=5, seed=7)
         res = random_search(s_u, clf, samples, schema, config)
         tr = res.trace
         assert all(b <= a + 1e-12 for a, b in zip(tr, tr[1:]))
@@ -600,35 +600,26 @@ class TestRandomSearch:
         schema, rows, _, table, clf = synth6
         s_u = rows[1]
         samples = sample_cost_batch(s_u, schema, table, 10, "mix", seed=8)
-        config = SearchConfig(budget=5, set_size=5, seed=8)
+        config = GenerationSettings(budget=5, set_size=5, seed=8)
         res = random_search(s_u, clf, samples, schema, config)
         assert res.queries_used == 5
         assert len(res.trace) == 1
 
 
 class TestLocalSearch:
-    def test_emc_objective_needs_samples(self, synth6):
-        schema, rows, _, table, clf = synth6
-        config = SearchConfig(budget=100, set_size=5, seed=0)
-        with pytest.raises(ValueError):
-            local_search(rows[0], clf, schema, "emc", config)
-
-    def test_unknown_objective(self, synth6):
-        schema, rows, _, table, clf = synth6
-        config = SearchConfig(budget=100, set_size=5, seed=0)
-        with pytest.raises(ValueError):
-            local_search(rows[0], clf, schema, "novelty", config)
+    def test_unknown_objective(self):
+        with pytest.raises(ValueError, match="unknown objective 'novelty'"):
+            GenerationSettings(method="ls", objective="novelty", budget=100,
+                               set_size=5, seed=0)
 
     def test_accept_if_better_trace(self, synth6):
         schema, rows, _, table, clf = synth6
         s_u = rows[0]
         samples = sample_cost_batch(s_u, schema, table, 30, "mix", seed=9)
-        config = SearchConfig(budget=400, set_size=5, seed=9)
         for objective in ("emc", "diversity", "proximity", "sparsity"):
-            res = local_search(
-                s_u, clf, schema, objective, config,
-                samples=samples if objective == "emc" else None,
-            )
+            settings = GenerationSettings(method="ls", objective=objective,
+                                          budget=400, set_size=5, seed=9)
+            res = local_search(s_u, clf, samples, schema, settings)
             tr = res.trace
             assert all(b >= a - 1e-12 for a, b in zip(tr, tr[1:]))
             assert res.queries_used <= 400
@@ -636,10 +627,24 @@ class TestLocalSearch:
     def test_objective_scores_require_valid_member(self, synth6):
         schema, rows, _, table, clf = synth6
         s_u = rows[0]
-        config = SearchConfig(budget=300, set_size=5, seed=10)
-        res = local_search(s_u, clf, schema, "diversity", config)
+        samples = sample_cost_batch(s_u, schema, table, 10, "mix", seed=10)
+        settings = GenerationSettings(method="ls", objective="diversity", budget=300,
+                                      set_size=5, seed=10)
+        res = local_search(s_u, clf, samples, schema, settings)
         if res.trace[-1] > -math.inf:
             assert any(res.recourse_set.validity)
+
+
+class TestGenerationSettings:
+    @pytest.mark.parametrize("fields,message", [
+        (dict(budget=0), "budget must be positive"),
+        (dict(set_size=0), "set_size must be positive"),
+        (dict(restarts=0), "restarts must be positive"),
+        (dict(budget=4, restarts=5), "more restarts than budget"),
+    ])
+    def test_rejected_at_construction(self, fields, message):
+        with pytest.raises(ValueError, match=message):
+            GenerationSettings(**fields)
 
 
 class TestPairedDirections:
@@ -724,7 +729,7 @@ class TestValidityChanneling:
             s_u = rows[seed]
             samples = sample_cost_batch(s_u, schema, table, 30, "mix",
                                         seed=seed)
-            config = SearchConfig(budget=600, set_size=8, seed=seed)
+            config = GenerationSettings(budget=600, set_size=8, seed=seed)
             res = cols(s_u, clf, samples, schema, config)
             ws = _Workspace(s_u, schema)
             rng = search_rng(seed, 0)
