@@ -9,7 +9,6 @@ from .cost import (
 )
 from .evaluate import (
     MetricsReport,
-    SimulatedUser,
     compute_report,
     concentration_distance,
     coverage,

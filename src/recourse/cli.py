@@ -25,6 +25,7 @@ from .results import (
 from .schema import (
     DatasetSchema,
     SchemaError,
+    UserState,
     build_percentile_table,
     load_dataset,
     load_schema,
@@ -210,6 +211,19 @@ def _resolve_result_files(raw: str) -> list[str]:
     return files
 
 
+def _check_docs(docs, schema: DatasetSchema, path: str) -> None:
+    """Each document has one validity flag per member, at least one member,
+    and its state and members in the schema's domains; errors name the file
+    and the document."""
+    for n, doc in enumerate(docs, 1):
+        try:
+            xp.recourse_sets_from_docs([doc])
+            for values in (doc.state, *doc.members):
+                UserState(tuple(values)).validate(schema)
+        except ValueError as exc:
+            raise SchemaError(f"{path}: document {n}: {exc}") from None
+
+
 def _cmd_evaluate(args) -> int:
     schema = load_schema(args.schema)
     rows = load_dataset(args.data, schema)
@@ -221,6 +235,7 @@ def _cmd_evaluate(args) -> int:
     per_file_reports: dict[tuple[str, str, int], xp.MetricsReport] = {}
     for path in files:
         docs = read_results(path)
+        _check_docs(docs, schema, path)
         method = docs[0].method
         gen_seeds = {doc.seed for doc in docs}
         for ts in test_seeds:
@@ -276,14 +291,13 @@ def _cmd_experiment(args) -> int:
         seeds=tuple(int(s) for s in args.seeds.split(",")),
         methods=tuple(m.strip() for m in args.methods.split(",")),
         grid=grid,
-        users=args.users or 100,
         test_seed=args.test_seed,
         k=args.k,
         base=base,
         shift_vectors=args.shift_vectors,
         bins=args.bins,
     )
-    states, ids = xp.select_undesired(rows, classifier, schema, limit=spec.users)
+    states, ids = xp.select_undesired(rows, classifier, schema, limit=args.users or 100)
     header, table_rows = xp.run_experiment(spec, states, ids, classifier, schema, table)
     os.makedirs(args.out, exist_ok=True)
     out_path = os.path.join(args.out, f"{args.kind}.csv")

@@ -1,22 +1,24 @@
 """Simulated-user evaluation: satisfaction, cost, coverage, distance, and
 fairness metrics.
 
-Each simulated user carries a hidden ground-truth cost function drawn from
-the evaluation RNG stream, which is structurally disjoint from the stream
-that produced the generation-time samples. A user's realised cost is the
-minimum over the *valid* members of their recourse set; invalid members
-count as infinitely expensive.
+A simulated user is a hidden ground-truth cost function: a `CostSampleSet`
+with M=1, conditioned on the user's state (its `state`), drawn from the
+evaluation RNG stream, which is structurally disjoint from the stream that
+produced the generation-time samples. A user's realised cost is the minimum
+over the *valid* members of their recourse set; invalid members count as
+infinitely expensive.
 
 A population is priced once: `compute_report` holds one realised cost per
 user, and FS@k, PAC and coverage, overall and per protected subgroup, are
-reductions over that vector (a subgroup is a boolean mask over it).
+reductions over that vector (a subgroup is a boolean mask over it, read
+from the users' states).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -29,16 +31,11 @@ from .cost import (
     stream_rng,
 )
 from .schema import DatasetSchema, PercentileTable, UserState
-from .search import RecourseSet
+
+if TYPE_CHECKING:
+    from .search import RecourseSet
 
 INF = math.inf
-
-
-@dataclass(frozen=True)
-class SimulatedUser:
-    state: UserState
-    true_cost: CostSampleSet  # a single hidden cost function (M=1)
-    subgroups: Mapping[str, int]
 
 
 @dataclass
@@ -73,28 +70,23 @@ def simulate_user(
     distribution: str = "mix",
     alpha: Optional[float] = None,
     editable: Optional[frozenset[int]] = None,
-) -> SimulatedUser:
-    """Draw one hidden cost function for a user, keyed by (test_seed, user_id)."""
+) -> CostSampleSet:
+    """A user's hidden cost function (M=1), keyed by (test_seed, user_id)."""
     rng = stream_rng(TEST_STREAM, test_seed, user_id)
-    true_cost = sample_cost_function(
+    return sample_cost_function(
         state, schema, table, rng, alpha=distribution_alpha(distribution, alpha),
         editable=editable,
     )
-    subgroups = {
-        name: state.values[schema.feature_index(name)]
-        for name in schema.protected_attributes
-    }
-    return SimulatedUser(state=state, true_cost=true_cost, subgroups=subgroups)
 
 
-def realized_cost(user: SimulatedUser, recourse: RecourseSet) -> float:
+def realized_cost(user: CostSampleSet, recourse: RecourseSet) -> float:
     """Cheapest valid option under the user's hidden cost function."""
     valid_members = [
         m for m, ok in zip(recourse.members, recourse.validity) if ok
     ]
     if not valid_members:
         return INF
-    return min_cost(user.state, valid_members, user.true_cost)
+    return min_cost(user.state, valid_members, user)
 
 
 def fs_at_k(costs: np.ndarray, k: float = 1.0) -> float:
@@ -198,7 +190,7 @@ def concentration_distance(
 
 
 def compute_report(
-    users: Sequence[SimulatedUser],
+    users: Sequence[CostSampleSet],
     sets: Sequence[RecourseSet],
     schema: DatasetSchema,
     k: float = 1.0,
@@ -210,14 +202,14 @@ def compute_report(
     dists = [distance_metrics(u.state, s, schema) for u, s in zip(users, sets)]
     div, prox, spar, val = (float(np.mean([d[i] for d in dists])) for i in range(4))
 
+    states = np.array([u.state.values for u in users])
     by_subgroup: dict[str, dict[int, dict[str, float]]] = {}
     dir_ratios: dict[str, dict[str, Optional[float]]] = {}
     for attr in schema.protected_attributes:
-        feature = schema.features[schema.feature_index(attr)]
-        labels = np.array([u.subgroups.get(attr) for u in users], dtype=object)
+        fi = schema.feature_index(attr)
         groups: dict[int, dict[str, float]] = {}
-        for value in feature.domain:
-            sub = costs[labels == value]
+        for value in schema.features[fi].domain:
+            sub = costs[states[:, fi] == value]
             if len(sub):
                 groups[value] = {
                     "fs_at_k": fs_at_k(sub, k),

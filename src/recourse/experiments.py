@@ -56,7 +56,6 @@ class ExperimentSpec:
     seeds: tuple[int, ...] = (0, 1, 2, 3, 4)
     methods: tuple[str, ...] = ("cols", "pcols", "random")
     grid: tuple = ()
-    users: int = 100
     test_seed: int = 9001
     k: float = 1.0
     base: GenerationSettings = field(default_factory=GenerationSettings)
@@ -336,9 +335,7 @@ def _concentration_shift(spec, states, user_ids, classifier, schema, table):
     docs: list[ResultDoc] = []
     train_conc: list[np.ndarray] = []
     for uid, state in zip(user_ids, states):
-        doc, samples = run_user(
-            uid, state, classifier, schema, table, settings, keep_samples=True
-        )
+        doc, samples = run_user(uid, state, classifier, schema, table, settings)
         docs.append(doc)
         train_conc.append(samples.editable)
     sets = recourse_sets_from_docs(docs)

@@ -22,6 +22,8 @@ from .schema import DatasetSchema, UserState
 
 ARCHITECTURES = ("logistic", "mlp")
 
+VAL_FRACTION = 0.1  # share of training rows held out for `val_accuracy`
+
 
 class BudgetExhausted(RuntimeError):
     """No queries left; the optimizer must stop and return its current best."""
@@ -52,7 +54,6 @@ class TrainConfig:
     epochs: int = 300
     lr: float = 0.01
     seed: int = 0
-    val_fraction: float = 0.1
 
 
 @dataclass
@@ -156,7 +157,7 @@ def train_classifier(
 
     rng = np.random.default_rng(config.seed)
     order = rng.permutation(len(rows))
-    n_val = max(1, int(len(rows) * config.val_fraction))
+    n_val = max(1, int(len(rows) * VAL_FRACTION))
     val_idx, train_idx = order[:n_val], order[n_val:]
     if len(train_idx) == 0:
         raise ValueError("not enough rows to split off a validation set")

@@ -48,9 +48,9 @@ def run_user(
     schema: DatasetSchema,
     table: PercentileTable,
     settings: GenerationSettings,
-    keep_samples: bool = False,
-) -> tuple[ResultDoc, Optional[CostSampleSet]]:
-    """Sample this user's cost batch and run the configured method."""
+) -> tuple[ResultDoc, CostSampleSet]:
+    """Sample this user's cost batch and run the configured method; returns
+    the result document and the samples it was optimized against."""
     samples = sample_cost_batch(
         state,
         schema,
@@ -89,7 +89,7 @@ def run_user(
             "restarts": settings.restarts,
         },
     )
-    return doc, (samples if keep_samples else None)
+    return doc, samples
 
 
 def _worker(args) -> ResultDoc:

@@ -1,23 +1,24 @@
 """Recourse-set optimizers.
 
-`cols` is the workhorse: it keeps a best set of N counterfactuals, perturbs
-each member (two features at a time) to propose candidates, prices every
-member and candidate against all M sampled cost functions, and then swaps
-candidates in one at a time whenever the bookkept benefit of a replacement
-is strictly positive. The benefit of replacing best-set member p with
-candidate q is accounted per sample over the columns whose current minimum
-is row p: the column either improves to the candidate's cost or falls back
-to the second-best member, whichever is cheaper. Applying only strictly
-positive swaps makes the objective non-increasing across iterations.
+`cols` (COLS) is the workhorse: it keeps a best set of N counterfactuals,
+perturbs each member (two features at a time) to propose candidates, prices
+every member and candidate against all M sampled cost functions, and then
+swaps candidates in one at a time whenever the bookkept benefit of a
+replacement is strictly positive. The benefit of replacing best-set member
+p with candidate q is accounted per sample over the columns whose current
+minimum is row p: the column either improves to the candidate's cost or
+falls back to the second-best member, whichever is cheaper. Only strictly
+positive swaps apply, so the objective never increases across iterations.
 
-`pcols` splits the query budget over R independent restarts and keeps the
-best run. The restarts run in lockstep: one loop holds an (R, N, d) tensor
-of member indices and an (R, N, M) cost tensor, and each iteration makes one
-classifier query and one pricing gather of R * N rows, then greedy rounds of
-one benefit computation and one swap selection over all restarts. `cols` is
-the same loop with R = 1. One meter of R * (B // R) queries serves all
-restarts: each spends N queries per iteration, so the shared meter runs out
-on the same iteration as R meters of B // R would.
+`pcols` (PCOLS) splits the query budget over R independent COLS restarts
+and keeps the best run, and `cols` is `pcols` with R = 1. The restarts run
+in lockstep: one loop holds an (R, N, d) tensor of member indices and an
+(R, N, M) cost tensor, and each iteration makes one classifier query and
+one pricing gather of R * N rows, then greedy rounds of one benefit
+computation and one swap selection over all restarts. One meter of
+R * (B // R) queries serves all restarts: each spends N queries per
+iteration, so the shared meter runs out on the same iteration as R meters
+of B // R would.
 
 The best sets change only when a swap is applied, so the loop holds their
 column statistics (`column_stats`: minimum, second minimum, coverage,
@@ -30,9 +31,10 @@ round, so later rounds evaluate only the restarts that swapped in the
 round before.
 
 Restart r perturbs from its own (seed, user, r) stream, drawing row by row
-in the order a lone `cols` run would, so every restart equals that run. One
-vectorized draw for all rows has the same distribution but consumes the
-stream differently, which changes every result.
+in the order a one-restart run would, so every restart equals `_lockstep`
+run alone on that stream and B // R queries. One vectorized draw for all
+rows has the same distribution but consumes the stream differently, which
+changes every result.
 
 `random_search` and `local_search` are the baselines used for ablations.
 Both run one whole-set hill climb, `_whole_set`: propose a whole candidate
@@ -58,12 +60,13 @@ costs without producing inf - inf artifacts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from .cost import CostSampleSet, cost_rows, emc_of_matrix
+from .evaluate import set_distance_stats
 from .model import BudgetExhausted, BudgetMeter, Classifier, predict_batch
 from .schema import DatasetSchema, UserState, feasible_values
 
@@ -401,26 +404,18 @@ def cols(
     samples: CostSampleSet,
     schema: DatasetSchema,
     settings: GenerationSettings,
-    meter: Optional[BudgetMeter] = None,
-    rng: Optional[np.random.Generator] = None,
     user_key: int = 0,
 ) -> SearchResult:
-    """Cost-optimized local search over recourse sets.
+    """Cost-optimized local search over recourse sets: `pcols` with one
+    restart, whatever `settings.restarts` says.
 
     Initializes the best set with N perturbations of the user state, then
     loops perturb -> classify -> price -> swap until the query budget can no
     longer pay for a candidate batch. The recorded objective trace is
     non-increasing; running out of budget mid-batch simply ends the loop.
     """
-    ws = _Workspace(s_u, schema)
-    meter = meter if meter is not None else BudgetMeter(settings.budget)
-    rng = rng if rng is not None else search_rng(settings.seed, user_key)
-    if meter.remaining < settings.set_size:
-        raise ValueError("budget cannot cover the initial set")
-    members, valid, costs, traces = _lockstep(
-        ws, classifier, samples, settings.set_size, meter, [rng]
-    )
-    return _result(ws, members[0], valid[0], costs[0], traces[0], meter.used)
+    one = replace(settings, restarts=1)
+    return pcols(s_u, classifier, samples, schema, one, user_key)
 
 
 def pcols(
@@ -431,8 +426,8 @@ def pcols(
     settings: GenerationSettings,
     user_key: int = 0,
 ) -> SearchResult:
-    """Independent restarts of `cols`, each on budget // restarts queries and
-    its own RNG sub-stream, run in lockstep; the run with the least objective
+    """Independent COLS restarts, each on budget // restarts queries and its
+    own RNG sub-stream, run in lockstep; the run with the least objective
     wins (ties to the lowest restart index)."""
     restarts = settings.restarts
     sub_budget = settings.budget // restarts
@@ -469,8 +464,6 @@ def _set_objective(
         return -INF
     if objective == "emc":
         return -emc_of_matrix(_priced_rows(members, samples, valid))
-    from .evaluate import set_distance_stats
-
     div, prox, spar = set_distance_stats(ws.s_u, ws.to_states(members), ws.schema)
     return {"diversity": div, "proximity": prox, "sparsity": spar}[objective]
 

@@ -11,6 +11,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from recourse import search as search_module
 from recourse.cost import INF, _targets, sample_cost_batch, sample_cost_function
 from recourse.datasets import make_adult_like, make_synthetic_6f
 from recourse.evaluate import (
@@ -27,7 +28,6 @@ from recourse.experiments import (
     run_experiment,
     select_undesired,
 )
-from recourse.model import BudgetMeter
 from recourse.results import GenerationSettings, run_population
 from recourse.schema import UserState, build_percentile_table, feasible_values
 from recourse.search import BIG, cols, column_stats, compute_benefits
@@ -365,7 +365,6 @@ def test_criterion_8a_samples_sweep(sweep_env):
         seeds=(0, 1),
         methods=("cols",),
         grid=(1, 5, 20, 200, 1000),
-        users=60,
         test_seed=4242,
         base=GenerationSettings(budget=600, set_size=6, num_samples=100),
     )
@@ -387,7 +386,6 @@ def test_criterion_8b_setsize_sweep(sweep_env):
         seeds=(0, 1),
         methods=("cols", "pcols"),
         grid=(1, 2, 3, 5, 10),
-        users=60,
         test_seed=4242,
         base=GenerationSettings(budget=1200, set_size=6, num_samples=100),
     )
@@ -408,7 +406,6 @@ def test_criterion_8c_alpha_grid(sweep_env):
         kind="alpha_grid",
         seeds=(0, 1),
         methods=("cols",),
-        users=60,
         test_seed=4242,
         base=GenerationSettings(budget=600, set_size=6, num_samples=100),
     )
@@ -421,7 +418,7 @@ def test_criterion_8c_alpha_grid(sweep_env):
     _pass(8, f"alpha_grid corners {corners}, spread {spread:.1f} <= 10")
 
 
-def test_criterion_9_budget_exactness(synth6):
+def test_criterion_9_budget_exactness(synth6, monkeypatch):
     """Every method, several seeds and budgets: recorded query usage never
     exceeds the budget, and swap bookkeeping consumes no queries (usage is
     whole candidate batches only)."""
@@ -445,12 +442,20 @@ def test_criterion_9_budget_exactness(synth6):
                     if method != "pcols":
                         assert doc.queries_used % 6 == 0
                     checked += 1
-    # direct meter check on the longest method
+    # direct check of real classifier traffic: the rows of every query the
+    # model answered (a refused last query raises and charges nothing)
     s_u = states[0]
     samples = sample_cost_batch(s_u, schema, table, 20, "mix", seed=0)
-    meter = BudgetMeter(limit=100)
-    cols(s_u, clf, samples, schema,
-         GenerationSettings(budget=100, set_size=6, seed=0),
-         meter=meter)
-    assert meter.used <= 100
+    answered = []
+    real = search_module.predict_batch
+
+    def counting(classifier, codes, meter):
+        out = real(classifier, codes, meter)
+        answered.append(len(codes))
+        return out
+
+    monkeypatch.setattr(search_module, "predict_batch", counting)
+    res = cols(s_u, clf, samples, schema,
+               GenerationSettings(budget=100, set_size=6, seed=0))
+    assert sum(answered) == res.queries_used <= 100
     _pass(9, f"{checked} instrumented runs, all within budget")

@@ -292,6 +292,51 @@ class TestEvaluate:
         assert code == 2
         assert "no result documents" in capsys.readouterr().err
 
+    def _evaluate_tampered(self, workdir, generated, tmp_path, capsys, tamper):
+        """Evaluate the generated documents after `tamper(doc)` edits the
+        second one; returns the exit code, stderr and the tampered file."""
+        docs = read_results(generated / "results_cols.jsonl")
+        tamper(docs[1])
+        path = tmp_path / "tampered.jsonl"
+        write_results(docs, path)
+        code = main(
+            [
+                "evaluate",
+                "--schema", str(workdir / "schema.yaml"),
+                "--data", str(workdir / "data.csv"),
+                "--results", str(path),
+                "--test-seed", "901",
+                "--out", str(tmp_path / "eval"),
+            ]
+        )
+        return code, capsys.readouterr().err, str(path)
+
+    @pytest.mark.parametrize("valid", [False, True])
+    def test_member_outside_domain_names_file_document_and_feature(
+        self, workdir, generated, tmp_path, capsys, valid
+    ):
+        band = load_schema(workdir / "schema.yaml").feature_index("band")
+
+        def tamper(doc):
+            doc.validity[0] = valid
+            doc.members[0][band] = 999
+
+        code, err, path = self._evaluate_tampered(
+            workdir, generated, tmp_path, capsys, tamper
+        )
+        assert code == 2
+        assert (f"{path}: document 2: value 999 not in domain of feature 'band'"
+                in err)
+
+    def test_missing_validity_flag_names_file_and_document(
+        self, workdir, generated, tmp_path, capsys
+    ):
+        code, err, path = self._evaluate_tampered(
+            workdir, generated, tmp_path, capsys, lambda doc: doc.validity.pop()
+        )
+        assert code == 2
+        assert f"{path}: document 2: one validity flag per member required" in err
+
 
 class TestExperimentCommand:
     def test_samples_sweep_smoke(self, workdir, tmp_path):

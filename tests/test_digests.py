@@ -112,7 +112,7 @@ def test_simulate_user_digest(rejected):
     for k in range(20):
         user = simulate_user(states[k], schema, table, test_seed=k % 4,
                              user_id=ids[k], distribution=("mix", "lin", "perc")[k % 3])
-        _update(h, user.true_cost)
+        _update(h, user)
     assert h.hexdigest() == SIMULATED_DIGEST
 
 

@@ -7,7 +7,6 @@ from recourse import evaluate
 from recourse.cost import INF, min_cost
 from recourse.datasets import make_adult_like
 from recourse.evaluate import (
-    SimulatedUser,
     compute_report,
     concentration_distance,
     coverage,
@@ -31,7 +30,8 @@ from test_cost import manual_samples
 
 
 def single_feature_user(costs):
-    """A user on a one-feature domain with hand-set transition costs.
+    """A user on a one-feature domain with hand-set transition costs: a
+    hidden cost function (M=1) conditioned on the state (0,).
 
     costs[j] is the cost of moving from value 0 to value j; a recourse set
     pointing at value 1 realises costs[1].
@@ -39,9 +39,7 @@ def single_feature_user(costs):
     schema = DatasetSchema(
         features=(FeatureSpec("f", "ordered", tuple(range(len(costs)))),)
     )
-    state = UserState((0,))
-    cost = manual_samples(schema, state, [[costs]])
-    return SimulatedUser(state=state, true_cost=cost, subgroups={})
+    return manual_samples(schema, UserState((0,)), [[costs]])
 
 
 def pointing_set(value=1, valid=True):
@@ -286,7 +284,7 @@ class TestSimulatedUsers:
         b = simulate_user(rows[0], schema, table, test_seed=5, user_id=3)
         assert all(
             np.array_equal(x, y)
-            for x, y in zip(a.true_cost.costs, b.true_cost.costs)
+            for x, y in zip(a.costs, b.costs)
         )
 
     def test_different_from_generation_stream(self, synth6):
@@ -297,7 +295,7 @@ class TestSimulatedUsers:
         test = simulate_user(rows[0], schema, table, test_seed=5, user_id=3)
         same = all(
             np.array_equal(x, y)
-            for x, y in zip(gen.costs, test.true_cost.costs)
+            for x, y in zip(gen.costs, test.costs)
         )
         assert not same
 
@@ -317,13 +315,6 @@ class TestSimulatedUsers:
         with pytest.raises(ValueError, match="unknown distribution 'linear'"):
             evaluate_docs([doc], schema, table, test_seed=5,
                           test_distribution="linear")
-
-    def test_subgroups_read_from_state(self, synth6):
-        schema, rows, _, table, _ = synth6
-        user = simulate_user(rows[0], schema, table, test_seed=1, user_id=0)
-        assert user.subgroups == {
-            "origin": rows[0].values[schema.feature_index("origin")]
-        }
 
 
 @pytest.fixture(scope="module")
@@ -384,8 +375,9 @@ class TestComputeReport:
         for attr in schema.protected_attributes:
             groups = report.by_subgroup[attr]
             assert sum(g["n"] for g in groups.values()) == len(users)
+            fi = schema.feature_index(attr)
             for value, stats in groups.items():
-                sub = costs[[u.subgroups[attr] == value for u in users]]
+                sub = costs[[u.state.values[fi] == value for u in users]]
                 assert stats == {
                     "fs_at_k": fs_at_k(sub, k),
                     "coverage": coverage(sub),

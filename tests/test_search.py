@@ -10,7 +10,9 @@ from recourse.schema import DatasetSchema, FeatureSpec, UserState, feasible_valu
 from recourse.search import (
     BIG,
     GenerationSettings,
+    RecourseSet,
     _column_minima,
+    _lockstep,
     _refresh,
     _Workspace,
     cols,
@@ -444,6 +446,25 @@ class TestPcols:
         ]
         assert a.emc == b.emc
 
+    def test_cols_ignores_restarts(self, synth6):
+        """`cols` is a one-restart `pcols`, whatever `settings.restarts` says."""
+        schema, rows, _, table, clf = synth6
+        s_u = rows[1]
+        samples = sample_cost_batch(s_u, schema, table, 30, "mix", seed=8)
+        config = GenerationSettings(budget=400, set_size=5, restarts=5, seed=8)
+        a = cols(s_u, clf, samples, schema, config, user_key=3)
+        b = pcols(s_u, clf, samples, schema,
+                  GenerationSettings(budget=400, set_size=5, restarts=1, seed=8),
+                  user_key=3)
+        assert a.recourse_set.members == b.recourse_set.members
+        assert a.recourse_set.validity == b.recourse_set.validity
+        assert np.array_equal(a.cost_matrix, b.cost_matrix)
+        assert a.trace == b.trace
+        assert a.queries_used == b.queries_used == 400
+        assert a.emc == b.emc
+        assert a.restart_emcs == b.restart_emcs == [b.emc]
+        assert a.restart_queries == b.restart_queries == [400]
+
     def test_budget_split_exact(self, synth6):
         schema, rows, _, table, clf = synth6
         s_u = rows[1]
@@ -472,7 +493,8 @@ class TestPcols:
 
 class TestLockstep:
     """pcols runs its restarts side by side in one loop; each restart must
-    behave exactly like a cols run on its share of the budget."""
+    behave exactly like a lone COLS run: the loop run alone on that
+    restart's stream and share of the budget."""
 
     @pytest.mark.parametrize("restarts", [2, 3, 5])
     def test_each_restart_equals_its_cols_run(self, synth6, restarts):
@@ -493,19 +515,27 @@ class TestLockstep:
                                         seed=21 + user)
             res = pcols(s_u, clf, samples, schema, config, user_key=user)
             sub = config.budget // restarts
-            runs = [
-                cols(s_u, clf, samples, schema, config, meter=BudgetMeter(sub),
-                     rng=search_rng(config.seed, user, r))
-                for r in range(restarts)
-            ]
-            assert res.restart_emcs == [run.emc for run in runs]
-            assert res.restart_queries == [run.queries_used for run in runs]
+            ws = _Workspace(s_u, schema)
+            runs = []
+            for r in range(restarts):
+                meter = BudgetMeter(sub)
+                members, valid, costs, traces = _lockstep(
+                    ws, clf, samples, config.set_size, meter,
+                    [search_rng(config.seed, user, r)],
+                )
+                runs.append((members[0], valid[0], costs[0], traces[0], meter.used))
+            assert res.restart_emcs == [trace[-1] for _, _, _, trace, _ in runs]
+            assert res.restart_queries == [used for *_, used in runs]
             assert all(math.isfinite(e) for e in res.restart_emcs)
             win = res.restart_emcs.index(min(res.restart_emcs))
             winners.append(win)
-            assert res.recourse_set == runs[win].recourse_set
-            assert res.trace == runs[win].trace
-            assert np.array_equal(res.cost_matrix, runs[win].cost_matrix)
+            members, valid, costs, trace, _ = runs[win]
+            assert res.recourse_set == RecourseSet(
+                members=tuple(ws.to_states(members)),
+                validity=tuple(bool(v) for v in valid),
+            )
+            assert res.trace == trace
+            assert np.array_equal(res.cost_matrix, costs)
         assert any(winners)
 
     @pytest.mark.parametrize("budget,restarts", [(330, 3), (5000, 5), (97, 2)])
