@@ -212,14 +212,14 @@ def _resolve_result_files(raw: str) -> list[str]:
 
 
 def _check_docs(docs, schema: DatasetSchema, path: str) -> None:
-    """Each document has one validity flag per member, at least one member,
-    and its state and members in the schema's domains; errors name the file
+    """Each document has its state and members in the schema's domains, at
+    least one member and one validity flag per member; errors name the file
     and the document."""
     for n, doc in enumerate(docs, 1):
         try:
-            xp.recourse_sets_from_docs([doc])
             for values in (doc.state, *doc.members):
                 UserState(tuple(values)).validate(schema)
+            xp.recourse_sets_from_docs([doc])
         except ValueError as exc:
             raise SchemaError(f"{path}: document {n}: {exc}") from None
 
@@ -228,12 +228,18 @@ def _cmd_evaluate(args) -> int:
     schema = load_schema(args.schema)
     rows = load_dataset(args.data, schema)
     table = build_percentile_table(rows, schema)
-    test_seeds = [int(s) for s in str(args.test_seed).split(",")]
+    test_seeds = list(dict.fromkeys(int(s) for s in str(args.test_seed).split(",")))
     files = _resolve_result_files(args.results)
+    # Per-seed tables are named after the file stem, so stems must differ.
+    tags = [os.path.splitext(os.path.basename(path))[0] for path in files]
+    for i, tag in enumerate(tags):
+        if tag in tags[:i]:
+            raise SchemaError(f"{files[tags.index(tag)]} and {files[i]} would both "
+                              f"write metrics_{tag}_seed*.csv; rename one of them")
     os.makedirs(args.out, exist_ok=True)
 
-    per_file_reports: dict[tuple[str, str, int], xp.MetricsReport] = {}
-    for path in files:
+    by_method: dict[str, list[dict]] = {}
+    for tag, path in zip(tags, files):
         docs = read_results(path)
         _check_docs(docs, schema, path)
         method = docs[0].method
@@ -246,20 +252,16 @@ def _cmd_evaluate(args) -> int:
             report = xp.evaluate_docs(
                 docs, schema, table, ts, args.k, args.distribution, args.alpha
             )
-            per_file_reports[(path, method, ts)] = report
-            tag = os.path.splitext(os.path.basename(path))[0]
+            by_method.setdefault(method, []).append(xp.report_table(report))
             xp.write_csv(
                 os.path.join(args.out, f"metrics_{tag}_seed{ts}.csv"),
                 ["method", "metric", "value"],
-                xp.report_rows(method, report),
+                xp.table_rows(method, by_method[method][-1]),
             )
 
-    by_method: dict[str, list] = {}
-    for (_, method, _), report in per_file_reports.items():
-        by_method.setdefault(method, []).append(report)
     mean_rows = []
-    for method, reports in by_method.items():
-        mean_rows.extend(xp.report_rows(method, xp.mean_report(reports)))
+    for method, tables in by_method.items():
+        mean_rows.extend(xp.table_rows(method, xp.mean_table(tables)))
     xp.write_csv(
         os.path.join(args.out, "metrics_mean.csv"),
         ["method", "metric", "value"],
@@ -270,7 +272,8 @@ def _cmd_evaluate(args) -> int:
         vars(args),
         [args.schema, args.data, *files],
     )
-    print(f"wrote {len(per_file_reports)} per-seed tables and metrics_mean.csv to {args.out}")
+    print(f"wrote {len(files) * len(test_seeds)} per-seed tables and metrics_mean.csv "
+          f"to {args.out}")
     return 0
 
 
@@ -297,7 +300,8 @@ def _cmd_experiment(args) -> int:
         shift_vectors=args.shift_vectors,
         bins=args.bins,
     )
-    states, ids = xp.select_undesired(rows, classifier, schema, limit=args.users or 100)
+    limit = 100 if args.users is None else args.users
+    states, ids = xp.select_undesired(rows, classifier, schema, limit=limit)
     header, table_rows = xp.run_experiment(spec, states, ids, classifier, schema, table)
     os.makedirs(args.out, exist_ok=True)
     out_path = os.path.join(args.out, f"{args.kind}.csv")

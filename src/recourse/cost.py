@@ -290,10 +290,10 @@ def sample_cost_batch(
     alpha: Optional[float] = None,
     editable: Optional[frozenset[int]] = None,
     pref: Optional[np.ndarray] = None,
-    stream: int = TRAIN_STREAM,
     subkey: int = 0,
 ) -> CostSampleSet:
-    """Draw M independent cost functions; deterministic per (stream, seed, state).
+    """Draw M independent generation-time cost functions; deterministic per
+    (seed, state, subkey).
 
     `distribution` fixes alpha: "lin" -> 1, "perc" -> 0, "mix" -> per-sample
     Uniform(0,1) unless an explicit `alpha` pins it.
@@ -301,7 +301,7 @@ def sample_cost_batch(
     if m < 1:
         raise ValueError(f"sample count must be >= 1, got {m}")
     fixed_alpha = distribution_alpha(distribution, alpha)
-    rngs = [stream_rng(stream, seed, i, subkey) for i in range(m)]
+    rngs = [stream_rng(TRAIN_STREAM, seed, i, subkey) for i in range(m)]
     return _sample(state, schema, table, rngs, fixed_alpha, editable, pref)
 
 
@@ -313,9 +313,10 @@ def cost_rows(index_matrix: np.ndarray, samples: CostSampleSet) -> np.ndarray:
     return out
 
 
-def min_cost(s_u: UserState, members: Sequence[UserState], samples: CostSampleSet) -> float:
-    """Least transition cost over the set under a single cost function (M=1)."""
-    if not members:
+def min_cost(s_u: UserState, members: np.ndarray, samples: CostSampleSet) -> float:
+    """Least transition cost over (n, d) member codes under a single cost
+    function (M=1)."""
+    if not len(members):
         raise ValueError("recourse set is empty")
     if samples.state.values != s_u.values:
         raise ValueError("cost function is conditioned on a different state")
@@ -323,7 +324,7 @@ def min_cost(s_u: UserState, members: Sequence[UserState], samples: CostSampleSe
         raise ValueError(f"expected a single cost function, got {samples.m}")
     features = samples.schema.features
     idx = np.array(
-        [[f.index_of(v) for f, v in zip(features, s.values)] for s in members],
+        [[f.index_of(v) for f, v in zip(features, row)] for row in members.tolist()],
         dtype=np.intp,
     )
     return float(cost_rows(idx, samples).min())

@@ -6,7 +6,9 @@ with M=1, conditioned on the user's state (its `state`), drawn from the
 evaluation RNG stream, which is structurally disjoint from the stream that
 produced the generation-time samples. A user's realised cost is the minimum
 over the *valid* members of their recourse set; invalid members count as
-infinitely expensive.
+infinitely expensive. A recourse set is two arrays, (N, d) int64 member
+codes and (N,) bool validity, so a realised cost prices
+`members[validity]` and the distance metrics work on the code rows.
 
 A population is priced once: `compute_report` holds one realised cost per
 user, and FS@k, PAC and coverage, overall and per protected subgroup, are
@@ -81,10 +83,8 @@ def simulate_user(
 
 def realized_cost(user: CostSampleSet, recourse: RecourseSet) -> float:
     """Cheapest valid option under the user's hidden cost function."""
-    valid_members = [
-        m for m, ok in zip(recourse.members, recourse.validity) if ok
-    ]
-    if not valid_members:
+    valid_members = recourse.members[recourse.validity]
+    if not len(valid_members):
         return INF
     return min_cost(user.state, valid_members, user)
 
@@ -127,15 +127,15 @@ def _pair_distances(a: np.ndarray, b: np.ndarray, schema: DatasetSchema) -> np.n
 
 
 def set_distance_stats(
-    s_u: UserState, members: Sequence[UserState], schema: DatasetSchema
+    s_u: UserState, members: np.ndarray, schema: DatasetSchema
 ) -> tuple[float, float, float]:
-    """(diversity, proximity, sparsity) of a member list, validity aside.
+    """(diversity, proximity, sparsity) of (n, d) member codes, validity aside.
 
     Pair distances are summed left to right, member pairs in (i, j) order."""
     n = len(members)
     d = schema.n_features
     # Rows 0..n-1 are the members and row n is the user.
-    codes = np.array([*(m.values for m in members), s_u.values], dtype=np.int64)
+    codes = np.vstack([members, s_u.values], dtype=np.int64)
     i, j = np.nonzero(np.less.outer(np.arange(n), np.arange(n)))
     left = np.concatenate([np.full(n, n), i])
     right = np.concatenate([np.arange(n), j])
@@ -150,12 +150,10 @@ def distance_metrics(
     s_u: UserState, recourse: RecourseSet, schema: DatasetSchema
 ) -> tuple[float, float, float, float]:
     """(diversity, proximity, sparsity, validity) of one recourse set."""
-    div, prox, spar = set_distance_stats(s_u, recourse.members, schema)
-    unique_valid = {
-        m.values for m, ok in zip(recourse.members, recourse.validity) if ok
-    }
-    val = len(unique_valid) / recourse.n
-    return div, prox, spar, val
+    members = recourse.members
+    div, prox, spar = set_distance_stats(s_u, members, schema)
+    unique_valid = set(map(tuple, members[recourse.validity].tolist()))
+    return div, prox, spar, len(unique_valid) / len(members)
 
 
 def dir_ratio(

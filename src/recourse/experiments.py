@@ -4,6 +4,10 @@ splits), ablations, robustness grids, and resource scans.
 Every sweep runs the generation machinery in-process on a fixed user
 subset, evaluates against hidden cost functions keyed by a separate test
 seed, and emits plain CSV tables; rendering is left to external tools.
+
+Reports are written as flat tables, metric name -> value (`report_table`);
+the mean of several runs (`mean_table`) averages each metric over the runs
+that define it, so a subgroup present in only some runs keeps its rows.
 """
 
 from __future__ import annotations
@@ -17,7 +21,6 @@ import numpy as np
 from .cost import random_editable_subset
 from .evaluate import (
     MetricsReport,
-    PacResult,
     compute_report,
     concentration_distance,
     realized_cost,
@@ -89,28 +92,23 @@ def select_undesired(
     """Users the model currently rejects; only they need recourse.
 
     The screening queries run on their own meter and are not charged to any
-    user's search budget.
+    user's search budget. `limit` caps how many users are returned.
     """
+    if limit is not None and limit < 1:
+        raise ValueError(f"user limit must be at least 1, got {limit}")
     codes = np.asarray([r.values for r in rows], dtype=float)
     meter = BudgetMeter(limit=len(rows))
     classes = predict_batch(classifier, codes, meter)
-    picked_states, picked_ids = [], []
-    for i, (row, c) in enumerate(zip(rows, classes)):
-        if c != 1:
-            picked_states.append(row)
-            picked_ids.append(i)
-            if limit is not None and len(picked_states) >= limit:
-                break
-    if not picked_states:
+    picked = np.flatnonzero(classes != 1)[:limit].tolist()
+    if not picked:
         raise ValueError("no rows are classified to the undesired class")
-    return picked_states, picked_ids
+    return [rows[i] for i in picked], picked
 
 
 def recourse_sets_from_docs(docs: Sequence[ResultDoc]) -> list[RecourseSet]:
     return [
         RecourseSet(
-            members=tuple(UserState(tuple(m)) for m in doc.members),
-            validity=tuple(bool(v) for v in doc.validity),
+            np.array(doc.members, dtype=np.int64), np.array(doc.validity, dtype=bool)
         )
         for doc in docs
     ]
@@ -141,33 +139,52 @@ def evaluate_docs(
     return compute_report(users, recourse_sets_from_docs(docs), schema, k=k)
 
 
-def report_rows(method: str, report: MetricsReport) -> list[list]:
-    """Flatten a report into (method, metric, value) CSV rows.
-
-    Fractional metrics print as 2-decimal percentages; costs keep 3
-    decimals; undefined values print as '-'.
-    """
-    pct = lambda v: f"{100.0 * v:.2f}"
-    rows = [
-        [method, f"fs_at_{report.k:g}", pct(report.fs_at_k)],
-        [method, "pac", "-" if report.pac.value is None else f"{report.pac.value:.3f}"],
-        [method, "pac_uncovered", report.pac.uncovered],
-        [method, "coverage", pct(report.coverage)],
-        [method, "diversity", pct(report.diversity)],
-        [method, "proximity", pct(report.proximity)],
-        [method, "sparsity", pct(report.sparsity)],
-        [method, "validity", pct(report.validity)],
-    ]
+def report_table(report: MetricsReport) -> dict[str, Optional[float]]:
+    """A report as one flat table, metric name -> value (None: undefined):
+    the overall metrics, then per protected subgroup FS@k and coverage, then
+    the disparate impact ratios."""
+    fs = f"fs_at_{report.k:g}"
+    table = {fs: report.fs_at_k, "pac": report.pac.value,
+             "pac_uncovered": report.pac.uncovered}
+    for name in ("coverage", "diversity", "proximity", "sparsity", "validity"):
+        table[name] = getattr(report, name)
     for attr, groups in report.by_subgroup.items():
         for value, stats in groups.items():
-            rows.append([method, f"fs_at_{report.k:g}[{attr}={value}]", pct(stats["fs_at_k"])])
-            rows.append([method, f"coverage[{attr}={value}]", pct(stats["coverage"])])
+            table[f"{fs}[{attr}={value}]"] = stats["fs_at_k"]
+            table[f"coverage[{attr}={value}]"] = stats["coverage"]
     for attr, ratios in report.dir_ratios.items():
         for metric, ratio in ratios.items():
-            label = f"fs_at_{report.k:g}" if metric == "fs_at_k" else metric
-            rows.append(
-                [method, f"dir_{label}[{attr}]", "-" if ratio is None else f"{ratio:.3f}"]
-            )
+            label = fs if metric == "fs_at_k" else metric
+            table[f"dir_{label}[{attr}]"] = ratio
+    return table
+
+
+def mean_table(tables: Sequence[dict]) -> dict[str, Optional[float]]:
+    """Per metric, the mean over the tables that define it (a value that is
+    not None); None when none does. Metrics keep their first-seen order."""
+    names = dict.fromkeys(name for table in tables for name in table)
+    vals = {name: [t[name] for t in tables if t.get(name) is not None] for name in names}
+    return {name: float(np.mean(v)) if v else None for name, v in vals.items()}
+
+
+def table_rows(method: str, table: dict[str, Optional[float]]) -> list[list]:
+    """(method, metric, value) CSV rows of a flat table.
+
+    Fractional metrics print as 2-decimal percentages, PAC and disparate
+    impact ratios with 3 decimals, the uncovered count as an integer, and
+    undefined values as '-'.
+    """
+    rows = []
+    for name, value in table.items():
+        if value is None:
+            text = "-"
+        elif name == "pac_uncovered":
+            text = round(value)
+        elif name == "pac" or name.startswith("dir_"):
+            text = f"{value:.3f}"
+        else:
+            text = f"{100.0 * value:.2f}"
+        rows.append([method, name, text])
     return rows
 
 
@@ -214,60 +231,18 @@ def run_experiment(
 def _tabular_comparison(spec, states, user_ids, classifier, schema, table, methods):
     header = ["seed", "method", "metric", "value"]
     rows: list[list] = []
-    reports: dict[str, list[MetricsReport]] = {m: [] for m in methods}
+    tables: dict[str, list[dict]] = {m: [] for m in methods}
     for seed in spec.seeds:
         for method in methods:
             settings = _method_settings(spec, method, seed)
             docs = run_population(states, classifier, schema, table, settings,
                                   user_ids=user_ids)
             report = evaluate_docs(docs, schema, table, spec.test_seed, spec.k)
-            reports[method].append(report)
-            rows.extend([seed, *r] for r in report_rows(method, report))
+            tables[method].append(report_table(report))
+            rows.extend([seed, *r] for r in table_rows(method, tables[method][-1]))
     for method in methods:
-        mean = mean_report(reports[method])
-        rows.extend(["mean", *r] for r in report_rows(method, mean))
+        rows.extend(["mean", *r] for r in table_rows(method, mean_table(tables[method])))
     return header, rows
-
-
-def mean_report(reports: Sequence[MetricsReport]) -> MetricsReport:
-    pac_vals = [r.pac.value for r in reports if r.pac.value is not None]
-    mean_of = lambda attr: float(np.mean([getattr(r, attr) for r in reports]))
-    by_subgroup: dict = {}
-    dir_ratios: dict = {}
-    for attr in reports[0].by_subgroup:
-        by_subgroup[attr] = {}
-        for value in reports[0].by_subgroup[attr]:
-            by_subgroup[attr][value] = {
-                key: float(
-                    np.mean([r.by_subgroup[attr][value][key] for r in reports])
-                )
-                for key in reports[0].by_subgroup[attr][value]
-            }
-    for attr in reports[0].dir_ratios:
-        dir_ratios[attr] = {}
-        for metric in reports[0].dir_ratios[attr]:
-            vals = [
-                r.dir_ratios[attr][metric]
-                for r in reports
-                if r.dir_ratios[attr][metric] is not None
-            ]
-            dir_ratios[attr][metric] = float(np.mean(vals)) if vals else None
-    return MetricsReport(
-        fs_at_k=mean_of("fs_at_k"),
-        k=reports[0].k,
-        pac=PacResult(
-            value=float(np.mean(pac_vals)) if pac_vals else None,
-            uncovered=int(round(np.mean([r.pac.uncovered for r in reports]))),
-        ),
-        coverage=mean_of("coverage"),
-        diversity=mean_of("diversity"),
-        proximity=mean_of("proximity"),
-        sparsity=mean_of("sparsity"),
-        validity=mean_of("validity"),
-        n_users=reports[0].n_users,
-        by_subgroup=by_subgroup,
-        dir_ratios=dir_ratios,
-    )
 
 
 def _alpha_grid(spec, states, user_ids, classifier, schema, table):

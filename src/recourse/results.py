@@ -14,7 +14,7 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -73,8 +73,8 @@ def run_user(
         user_id=user_id,
         method=settings.method,
         state=list(state.values),
-        members=[list(m.values) for m in result.recourse_set.members],
-        validity=list(result.recourse_set.validity),
+        members=result.recourse_set.members.tolist(),
+        validity=result.recourse_set.validity.tolist(),
         final_emc=result.emc,
         trace=result.trace,
         queries_used=result.queries_used,
@@ -148,9 +148,9 @@ def _dec_float(v) -> float:
 def write_results(docs: Sequence[ResultDoc], path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for doc in docs:
-            raw = asdict(doc)
-            raw["final_emc"] = _enc_float(raw["final_emc"])
-            raw["trace"] = [_enc_float(v) for v in raw["trace"]]
+            raw = dict(vars(doc))
+            raw["final_emc"] = _enc_float(doc.final_emc)
+            raw["trace"] = [_enc_float(v) for v in doc.trace]
             fh.write(json.dumps(raw) + "\n")
 
 

@@ -48,6 +48,9 @@ itself in its trace, `local_search` the score it maximizes.
 Every optimizer takes the same `GenerationSettings` (budget, set size,
 restarts, seed, objective; the other fields drive cost sampling) and has
 the signature `fn(s_u, classifier, samples, schema, settings, user_key=0)`.
+Its result holds the recourse set as two arrays, the (N, d) int64 feature
+codes of the members and their (N,) bool validity flags, which is also the
+form evaluation scores and result documents store (as lists).
 
 Candidates predicted to the undesired class are not discarded: their cost
 rows are set to infinity, which keeps them out of every column minimum and
@@ -118,20 +121,19 @@ class GenerationSettings:
             raise ValueError("more restarts than budget")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RecourseSet:
-    members: tuple[UserState, ...]
-    validity: tuple[bool, ...]
+    """N options as arrays: (N, d) int64 feature codes, and per member
+    whether the model predicts it to the desired class."""
+
+    members: np.ndarray  # (N, d) int64
+    validity: np.ndarray  # (N,) bool
 
     def __post_init__(self):
         if len(self.members) == 0:
             raise ValueError("recourse set must have at least one member")
         if len(self.members) != len(self.validity):
             raise ValueError("one validity flag per member required")
-
-    @property
-    def n(self) -> int:
-        return len(self.members)
 
 
 @dataclass
@@ -154,7 +156,7 @@ class _Workspace:
         self.s_u = s_u
         # (d, max |D_f|) domain table, zero-padded past each feature's domain.
         width = max(len(f.domain) for f in schema.features)
-        self.domains = np.zeros((schema.n_features, width))
+        self.domains = np.zeros((schema.n_features, width), dtype=np.int64)
         for fi, f in enumerate(schema.features):
             self.domains[fi, : len(f.domain)] = f.domain
         self.user_idx = np.array(
@@ -174,12 +176,8 @@ class _Workspace:
             )
 
     def decode(self, idx: np.ndarray) -> np.ndarray:
-        """Domain-position indices -> raw feature codes, ready for the model."""
+        """Domain-position indices -> int64 feature codes."""
         return self.domains[np.arange(idx.shape[-1]), idx]
-
-    def to_states(self, idx: np.ndarray) -> list[UserState]:
-        codes = self.decode(idx)
-        return [UserState(tuple(int(v) for v in row)) for row in codes]
 
     def perturb_rows(
         self, base: np.ndarray, rng: np.random.Generator, hamming: int = HAMMING
@@ -338,10 +336,7 @@ def _result(ws: _Workspace, members: np.ndarray, valid: np.ndarray,
             costs: Optional[np.ndarray], trace: list[float],
             queries_used: int) -> SearchResult:
     return SearchResult(
-        recourse_set=RecourseSet(
-            members=tuple(ws.to_states(members)),
-            validity=tuple(bool(v) for v in valid),
-        ),
+        recourse_set=RecourseSet(ws.decode(members), valid),
         cost_matrix=costs,
         trace=trace,
         queries_used=queries_used,
@@ -464,7 +459,7 @@ def _set_objective(
         return -INF
     if objective == "emc":
         return -emc_of_matrix(_priced_rows(members, samples, valid))
-    div, prox, spar = set_distance_stats(ws.s_u, ws.to_states(members), ws.schema)
+    div, prox, spar = set_distance_stats(ws.s_u, ws.decode(members), ws.schema)
     return {"diversity": div, "proximity": prox, "sparsity": spar}[objective]
 
 

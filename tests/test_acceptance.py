@@ -168,7 +168,8 @@ def test_criterion_3_exhaustive_optimum(toy2):
     for seed in range(20):
         samples = sample_cost_batch(s_u, schema, table, 3, "mix", seed=seed)
         optima = [
-            min((transition_cost(s_u, s, samples, i) for s in valid), default=INF)
+            min((transition_cost(s_u, s.values, samples, i) for s in valid),
+                default=INF)
             for i in range(samples.m)
         ]
         config = GenerationSettings(budget=3000, set_size=3, seed=seed)
@@ -191,7 +192,7 @@ def test_criterion_3b_whole_set_optimum(toy2):
         for s in all_states:
             ok = clf.prob(np.asarray([s.values], dtype=float))[0] >= 0.5
             costs.append(
-                [transition_cost(s_u, s, samples, i) if ok else INF
+                [transition_cost(s_u, s.values, samples, i) if ok else INF
                  for i in range(samples.m)]
             )
         costs = np.asarray(costs)
@@ -337,7 +338,7 @@ def test_criterion_7_metric_units():
         )
     )
     s_u = UserState((0, 0, 0))
-    rs = RecourseSet(members=(UserState((2, 0, 0)),), validity=(True,))
+    rs = RecourseSet(np.array([(2, 0, 0)]), np.array([True]))
     div, prox, spar, val = distance_metrics(s_u, rs, schema)
     assert spar == pytest.approx(1 - 1 / 3)
     assert val == 1.0

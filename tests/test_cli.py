@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -292,6 +293,66 @@ class TestEvaluate:
         assert code == 2
         assert "no result documents" in capsys.readouterr().err
 
+    @staticmethod
+    def _evaluate(workdir, results, out):
+        return main(
+            [
+                "evaluate",
+                "--schema", str(workdir / "schema.yaml"),
+                "--data", str(workdir / "data.csv"),
+                "--results", results,
+                "--test-seed", "901",
+                "--out", str(out),
+            ]
+        )
+
+    @pytest.mark.parametrize("first", ["all_users", "origin1"])
+    def test_mean_table_keeps_subgroups_absent_from_some_files(
+        self, workdir, generated, tmp_path, first
+    ):
+        """Two files of one method: every user, and only the origin=1 users.
+        The mean table has the origin=0 and disparate-impact rows whichever
+        file comes first, averaged over the files that define them."""
+        origin = load_schema(workdir / "schema.yaml").feature_index("origin")
+        docs = read_results(generated / "results_cols.jsonl")
+        assert {doc.state[origin] for doc in docs} == {0, 1}
+        write_results(docs, tmp_path / "all_users.jsonl")
+        write_results([d for d in docs if d.state[origin] == 1], tmp_path / "origin1.jsonl")
+        order = [first, *({"all_users", "origin1"} - {first})]
+        out = tmp_path / "eval"
+        code = self._evaluate(
+            workdir, ",".join(str(tmp_path / f"{name}.jsonl") for name in order), out
+        )
+        assert code == 0
+
+        def table(name):
+            with open(out / name) as fh:
+                return {metric: value for _, metric, value in list(csv.reader(fh))[1:]}
+
+        mean = table("metrics_mean.csv")
+        full = table("metrics_all_users_seed901.csv")
+        only = {"fs_at_1[origin=0]", "coverage[origin=0]", "dir_fs_at_1[origin]",
+                "dir_coverage[origin]"}
+        assert only <= set(full)
+        assert not only & set(table("metrics_origin1_seed901.csv"))
+        assert set(mean) == set(full)
+        for metric in only:
+            assert mean[metric] == full[metric]
+
+    def test_repeated_file_stems_refused(self, workdir, generated, tmp_path, capsys):
+        """Per-seed tables are named after the file stem: two files with one
+        stem would overwrite each other's table."""
+        other = tmp_path / "again"
+        other.mkdir()
+        first = generated / "results_cols.jsonl"
+        shutil.copy(first, other / "results_cols.jsonl")
+        out = tmp_path / "eval"
+        code = self._evaluate(workdir, f"{generated},{other}", out)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(first) in err and str(other / "results_cols.jsonl") in err
+        assert not out.exists()
+
     def _evaluate_tampered(self, workdir, generated, tmp_path, capsys, tamper):
         """Evaluate the generated documents after `tamper(doc)` edits the
         second one; returns the exit code, stderr and the tampered file."""
@@ -467,6 +528,47 @@ class TestExperimentCommand:
             rows = list(csv.reader(fh))
         assert len(rows) == 1 + 5
         assert sum(int(r[2]) for r in rows[1:]) == 40
+
+
+class TestUserLimit:
+    @pytest.mark.parametrize("limit", [0, -3])
+    def test_limit_below_one_rejected(self, synth6, limit):
+        from recourse.experiments import select_undesired
+
+        schema, rows, _, _, clf = synth6
+        with pytest.raises(ValueError, match=f"got {limit}"):
+            select_undesired(rows, clf, schema, limit=limit)
+
+    def test_limit_caps_users(self, synth6):
+        from recourse.experiments import select_undesired
+
+        schema, rows, _, _, clf = synth6
+        everyone, ids = select_undesired(rows, clf, schema)
+        assert len(everyone) > 2
+        two, two_ids = select_undesired(rows, clf, schema, limit=2)
+        assert two == everyone[:2] and two_ids == ids[:2]
+
+    @pytest.mark.parametrize("command", [
+        ["generate"],
+        ["experiment", "--kind", "main", "--methods", "random", "--seeds", "0"],
+    ])
+    def test_zero_users_exits_2(self, workdir, tmp_path, capsys, command):
+        code = main(
+            [
+                *command,
+                "--schema", str(workdir / "schema.yaml"),
+                "--data", str(workdir / "data.csv"),
+                "--model", str(workdir / "model.json"),
+                "--budget", "20",
+                "--set-size", "2",
+                "--num-samples", "5",
+                "--users", "0",
+                "--out", str(tmp_path / "out"),
+            ]
+        )
+        assert code == 2
+        assert "user limit must be at least 1, got 0" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestExperimentSpecValidation:

@@ -23,13 +23,14 @@ from recourse.schema import (
 
 
 def transition_cost(s_u, s_j, samples, i=0):
-    """Scalar oracle: the cost of moving s_u to s_j under sample i, summed
-    feature by feature; one infinite feature makes the move infinite."""
+    """Scalar oracle: the cost of moving s_u to the code row s_j under
+    sample i, summed feature by feature; one infinite feature makes the move
+    infinite."""
     if samples.state.values != s_u.values:
         raise ValueError("cost function is conditioned on a different state")
     total = 0.0
     for fi, f in enumerate(samples.schema.features):
-        cost = float(samples.costs[fi][i, f.index_of(s_j.values[fi])])
+        cost = float(samples.costs[fi][i, f.index_of(s_j[fi])])
         if cost == INF:
             return INF
         total += cost
@@ -53,10 +54,16 @@ def manual_samples(schema, state, per_sample):
 
 
 def index_rows(schema, members):
+    """Domain-position indices of code rows."""
     return np.array(
-        [[f.index_of(v) for f, v in zip(schema.features, s.values)] for s in members],
+        [[f.index_of(v) for f, v in zip(schema.features, s)] for s in members],
         dtype=np.intp,
     )
+
+
+def codes(*members):
+    """(n, d) int64 code array of the given code rows."""
+    return np.array(members, dtype=np.int64)
 
 
 def one_feature_schema(mutability="increase_only", kind="ordered"):
@@ -355,21 +362,21 @@ class TestTransitionCost:
 
     def test_noop_is_free(self):
         _, state, c = self._setup()
-        assert min_cost(state, [state], c) == 0.0
+        assert min_cost(state, codes(state.values), c) == 0.0
 
     def test_hand_sum(self):
         _, state, c = self._setup()
-        assert min_cost(state, [UserState((1, 1, 0))], c) == pytest.approx(0.5)
-        assert min_cost(state, [UserState((2, 1, 0))], c) == pytest.approx(1.2)
+        assert min_cost(state, codes((1, 1, 0)), c) == pytest.approx(0.5)
+        assert min_cost(state, codes((2, 1, 0)), c) == pytest.approx(1.2)
 
     def test_immutable_edit_is_infinite(self):
         _, state, c = self._setup()
-        assert min_cost(state, [UserState((0, 0, 1))], c) == INF
+        assert min_cost(state, codes((0, 0, 1)), c) == INF
 
     def test_wrong_conditioning_state(self):
         _, state, c = self._setup()
         with pytest.raises(ValueError):
-            min_cost(UserState((1, 0, 0)), [state], c)
+            min_cost(UserState((1, 0, 0)), codes(state.values), c)
 
     def test_cost_rows_match_scalar_oracle_bitwise(self, synth6):
         schema, rows, _, table, _ = synth6
@@ -377,12 +384,12 @@ class TestTransitionCost:
         batch = sample_cost_batch(state, schema, table, 30, "mix", seed=3)
         rng = np.random.default_rng(0)
         members = [
-            UserState(tuple(
+            tuple(
                 sorted(feasible_values(schema, i, v))[
                     rng.integers(len(feasible_values(schema, i, v)))
                 ]
                 for i, v in enumerate(state.values)
-            ))
+            )
             for _ in range(12)
         ]
         got = cost_rows(index_rows(schema, members), batch)
@@ -401,35 +408,35 @@ class TestMinCostAndEmc:
 
     def test_min_of_three(self):
         schema, state, c = self._single_feature([0.0, 0.5, 0.2, 0.9])
-        members = [UserState((1,)), UserState((2,)), UserState((3,))]
+        members = codes((1,), (2,), (3,))
         assert min_cost(state, members, c) == pytest.approx(0.2)
 
     def test_singleton(self):
         schema, state, c = self._single_feature([0.0, 0.5])
-        assert min_cost(state, [UserState((1,))], c) == pytest.approx(0.5)
+        assert min_cost(state, codes((1,)), c) == pytest.approx(0.5)
 
     def test_all_infinite(self):
         schema, state, c = self._single_feature([0.0, INF, INF])
-        members = [UserState((1,)), UserState((2,))]
+        members = codes((1,), (2,))
         assert min_cost(state, members, c) == INF
 
     def test_empty_set_rejected(self):
         schema, state, c = self._single_feature([0.0, 0.5])
         with pytest.raises(ValueError):
-            min_cost(state, [], c)
+            min_cost(state, codes(), c)
 
     def test_several_samples_rejected(self):
         schema = DatasetSchema(features=(FeatureSpec("f", "ordered", (0, 1)),))
         state = UserState((0,))
         c = manual_samples(schema, state, [[[0.0, 0.2]], [[0.0, 0.4]]])
         with pytest.raises(ValueError):
-            min_cost(state, [UserState((1,))], c)
+            min_cost(state, codes((1,)), c)
 
     def test_emc_single_sample_equals_min_cost(self, synth6):
         schema, rows, _, table, _ = synth6
         state = rows[0]
         batch = sample_cost_batch(state, schema, table, 1, "mix", seed=4)
-        members = [state]
+        members = codes(state.values)
         assert emc_of_matrix(cost_rows(index_rows(schema, members), batch)) == (
             min_cost(state, members, batch)
         )
@@ -438,7 +445,7 @@ class TestMinCostAndEmc:
         schema = DatasetSchema(features=(FeatureSpec("f", "ordered", (0, 1)),))
         state = UserState((0,))
         batch = manual_samples(schema, state, [[[0.0, 0.2]], [[0.0, 0.4]]])
-        rows = cost_rows(index_rows(schema, [UserState((1,))]), batch)
+        rows = cost_rows(index_rows(schema, [(1,)]), batch)
         assert emc_of_matrix(rows) == pytest.approx(0.3)
 
     def test_pair_beats_either_singleton(self):
@@ -459,14 +466,14 @@ class TestMinCostAndEmc:
         def emc(members):
             return emc_of_matrix(cost_rows(index_rows(schema, members), batch))
 
-        move_a, move_b = UserState((1, 0)), UserState((0, 1))
+        move_a, move_b = (1, 0), (0, 1)
         pair = emc([move_a, move_b])
         singles = [emc([m]) for m in (move_a, move_b)]
         # exhaustive check over every changed-state singleton in the domain
         for a in (0, 1):
             for b in (0, 1):
                 if (a, b) != state.values:
-                    singles.append(emc([UserState((a, b))]))
+                    singles.append(emc([(a, b)]))
         assert pair < min(singles)
 
     def test_emc_subset_monotone(self, synth6):
@@ -480,7 +487,7 @@ class TestMinCostAndEmc:
             for i, f in enumerate(schema.features):
                 allowed = sorted(feasible_values(schema, i, state.values[i]))
                 vals.append(allowed[rng.integers(len(allowed))])
-            return UserState(tuple(vals))
+            return tuple(vals)
 
         members = [random_member() for _ in range(6)]
         rows_all = cost_rows(index_rows(schema, members), batch)
@@ -493,7 +500,7 @@ class TestCostMatrix:
         schema = DatasetSchema(features=(FeatureSpec("f", "ordered", (0, 1)),))
         state = UserState((0,))
         batch = manual_samples(schema, state, [[[0.0, 0.7]]])
-        cm = cost_rows(index_rows(schema, [UserState((1,))]), batch)
+        cm = cost_rows(index_rows(schema, [(1,)]), batch)
         assert cm.shape == (1, 1)
         assert cm[0, 0] == pytest.approx(0.7)
 
@@ -501,7 +508,7 @@ class TestCostMatrix:
         schema, rows, _, table, _ = synth6
         state = rows[0]
         batch = sample_cost_batch(state, schema, table, 10, "mix", seed=8)
-        members = [state, rows[1]]
+        members = [state.values, rows[1].values]
         cm = cost_rows(index_rows(schema, members), batch)
         mins = [
             min(transition_cost(state, s, batch, i) for s in members)

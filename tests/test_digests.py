@@ -55,27 +55,12 @@ DOC_DIGESTS = {
 SIMULATED_DIGEST = "be4552bdc2bf117bd78c25ff9561a45d63fc96c70a32d2aeb9244f059a4513b5"
 
 
-def _fields(samples):
-    """(per-feature cost arrays, alpha, editable, preferences) of a sample set.
-
-    Reads the array layout when the set has one, and otherwise stacks the
-    per-sample cost functions of the object layout, so that the same
-    digests check both."""
-    if hasattr(samples, "costs"):
-        return (list(samples.costs), samples.alpha, samples.editable,
-                samples.preferences)
-    fns = samples.samples if hasattr(samples, "samples") else [samples]
-    d = len(fns[0].vectors)
-    return (
-        [np.stack([c.vectors[f] for c in fns]) for f in range(d)],
-        [c.alpha for c in fns],
-        [[f in c.editable for f in range(d)] for c in fns],
-        [c.preference_scores for c in fns],
-    )
-
-
 def _update(h, samples) -> None:
-    costs, alpha, editable, prefs = _fields(samples)
+    """Hash a sample set's per-feature cost arrays, alpha, editable mask and
+    preferences, with their shapes."""
+    costs, alpha, editable, prefs = (
+        samples.costs, samples.alpha, samples.editable, samples.preferences
+    )
     arrays = [np.ascontiguousarray(c, dtype=np.float64) for c in costs]
     arrays.append(np.ascontiguousarray(alpha, dtype=np.float64))
     arrays.append(np.ascontiguousarray(editable, dtype=bool))

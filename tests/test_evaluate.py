@@ -42,8 +42,13 @@ def single_feature_user(costs):
     return manual_samples(schema, UserState((0,)), [[costs]])
 
 
+def recourse_set(members, validity):
+    """A RecourseSet from code rows and validity flags."""
+    return RecourseSet(np.array(members, dtype=np.int64), np.array(validity, dtype=bool))
+
+
 def pointing_set(value=1, valid=True):
-    return RecourseSet(members=(UserState((value,)),), validity=(valid,))
+    return recourse_set([(value,)], [valid])
 
 
 class TestRealizedCost:
@@ -76,9 +81,7 @@ class TestFsAtK:
 
     def test_removal_never_helps(self):
         user = single_feature_user([0.0, 0.9, 0.2])
-        both = RecourseSet(
-            members=(UserState((1,)), UserState((2,))), validity=(True, True)
-        )
+        both = recourse_set([(1,), (2,)], [True, True])
         assert realized_cost(user, both) <= realized_cost(user, pointing_set(1))
 
     def test_empty_population_rejected(self):
@@ -134,13 +137,13 @@ class TestCoverage:
                 assert fs_at_k(costs, k) <= coverage(costs)
 
 
-def _pair_distance(a: UserState, b: UserState, schema: DatasetSchema) -> float:
-    """Scalar oracle: mean per-feature normalized distance, range-scaled
-    absolute difference for ordered features, change indicator for
-    unordered ones, accumulated feature by feature."""
+def _pair_distance(a, b, schema: DatasetSchema) -> float:
+    """Scalar oracle on two code rows: mean per-feature normalized distance,
+    range-scaled absolute difference for ordered features, change indicator
+    for unordered ones, accumulated feature by feature."""
     total = 0.0
     for fi, f in enumerate(schema.features):
-        x, y = a.values[fi], b.values[fi]
+        x, y = a[fi], b[fi]
         if f.kind == "ordered":
             span = f.domain[-1] - f.domain[0]
             total += abs(x - y) / span if span else 0.0
@@ -150,11 +153,12 @@ def _pair_distance(a: UserState, b: UserState, schema: DatasetSchema) -> float:
 
 
 def scalar_distance_stats(s_u, members, schema):
-    """(diversity, proximity, sparsity) through the scalar oracle."""
+    """(diversity, proximity, sparsity) of code rows through the scalar
+    oracle."""
     n, d = len(members), schema.n_features
-    prox = 1.0 - sum(_pair_distance(s_u, m, schema) for m in members) / n
+    prox = 1.0 - sum(_pair_distance(s_u.values, m, schema) for m in members) / n
     changed = sum(
-        1 for m in members for fi in range(d) if m.values[fi] != s_u.values[fi]
+        1 for m in members for fi in range(d) if m[fi] != s_u.values[fi]
     )
     spar = 1.0 - changed / (n * d)
     if n < 2:
@@ -177,7 +181,7 @@ class TestDistanceMetrics:
     def test_sparsity_single_change(self):
         schema = self._schema3()
         s_u = UserState((0, 0, 0))
-        rs = RecourseSet(members=(UserState((2, 0, 0)),), validity=(True,))
+        rs = recourse_set([(2, 0, 0)], [True])
         div, prox, spar, val = distance_metrics(s_u, rs, schema)
         assert spar == pytest.approx(1 - 1 / 3)
         assert div == 0.0
@@ -186,7 +190,7 @@ class TestDistanceMetrics:
     def test_noop_member_identity_case(self):
         schema = self._schema3()
         s_u = UserState((1, 1, 0))
-        rs = RecourseSet(members=(s_u,), validity=(True,))
+        rs = recourse_set([s_u.values], [True])
         div, prox, spar, val = distance_metrics(s_u, rs, schema)
         assert prox == 1.0
         assert spar == 1.0
@@ -195,9 +199,9 @@ class TestDistanceMetrics:
     def test_validity_counts_unique_valid(self):
         schema = self._schema3()
         s_u = UserState((0, 0, 0))
-        members = [UserState((1 + i // 3, i % 3, 0)) for i in range(9)]
-        members.append(UserState((1, 0, 0)))  # duplicate of the first
-        rs = RecourseSet(members=tuple(members), validity=(True,) * 10)
+        members = [(1 + i // 3, i % 3, 0) for i in range(9)]
+        members.append((1, 0, 0))  # duplicate of the first
+        rs = recourse_set(members, [True] * 10)
         *_, val = distance_metrics(s_u, rs, schema)
         assert val == pytest.approx(0.9)
 
@@ -206,14 +210,11 @@ class TestDistanceMetrics:
         rng = np.random.default_rng(2)
         s_u = rows[0]
         for _ in range(20):
-            members = tuple(
-                UserState(
-                    tuple(int(rng.choice(f.domain)) for f in schema.features)
-                )
+            members = [
+                tuple(int(rng.choice(f.domain)) for f in schema.features)
                 for _ in range(4)
-            )
-            rs = RecourseSet(members=members,
-                             validity=tuple(rng.random(4) < 0.5))
+            ]
+            rs = recourse_set(members, rng.random(4) < 0.5)
             for v in distance_metrics(s_u, rs, schema):
                 assert 0.0 <= v <= 1.0
 
@@ -226,11 +227,11 @@ class TestDistanceMetrics:
             ws = _Workspace(rows[uid], schema)
             n = int(rng.integers(1, 12))
             moves = ws.perturb_rows(np.tile(ws.user_idx, (n, 1)), rng, 1 + uid % 3)
-            members = ws.to_states(moves)
+            members = ws.decode(moves).astype(np.int64)
             if uid % 4 == 0:  # repeated members and the user's own state
-                members = [members[0], rows[uid], *members, members[0]]
+                members = np.vstack([members[0], rows[uid].values, members, members[0]])
             got = set_distance_stats(rows[uid], members, schema)
-            assert got == scalar_distance_stats(rows[uid], members, schema)
+            assert got == scalar_distance_stats(rows[uid], members.tolist(), schema)
             checked += len(members) > 1
         assert checked > 40
 
@@ -329,9 +330,8 @@ def adult_population():
         users.append(simulate_user(rows[uid], schema, table, 31, uid))
         ws = _Workspace(rows[uid], schema)
         moves = ws.perturb_rows(np.tile(ws.user_idx, (3, 1)), rng)
-        sets.append(RecourseSet(
-            members=tuple(ws.to_states(moves)),
-            validity=(True, *(bool(v) for v in rng.random(2) < 0.5)),
+        sets.append(recourse_set(
+            ws.decode(moves), [True, *(bool(v) for v in rng.random(2) < 0.5)]
         ))
     return schema, users, sets
 
@@ -342,9 +342,7 @@ class TestComputeReport:
         users, sets = [], []
         for uid, state in enumerate(rows[:20]):
             users.append(simulate_user(state, schema, table, 99, uid))
-            sets.append(
-                RecourseSet(members=(state,), validity=(True,))
-            )
+            sets.append(recourse_set([state.values], [True]))
         report = compute_report(users, sets, schema, k=1.0)
         assert report.n_users == 20
         assert 0.0 <= report.fs_at_k <= 1.0
@@ -383,3 +381,56 @@ class TestComputeReport:
                     "coverage": coverage(sub),
                     "n": len(sub),
                 }
+
+
+class TestReportTables:
+    def test_mean_table_skips_none_and_absent_metrics(self):
+        from recourse.experiments import mean_table
+
+        tables = [
+            {"a": 1.0, "b": None, "c": 2.0},
+            {"a": 3.0, "b": 0.5},
+            {"a": 2.0, "d": None},
+        ]
+        mean = mean_table(tables)
+        assert mean == {"a": 2.0, "b": 0.5, "c": 2.0, "d": None}
+        assert list(mean) == ["a", "b", "c", "d"]
+
+    def test_table_rows_formats(self):
+        from recourse.experiments import table_rows
+
+        table = {"fs_at_1": 0.5, "pac": 0.12345, "pac_uncovered": 2.5,
+                 "coverage[origin=0]": 1.0, "dir_fs_at_1[origin]": 1.33333,
+                 "dir_coverage[origin]": None}
+        assert table_rows("cols", table) == [
+            ["cols", "fs_at_1", "50.00"],
+            ["cols", "pac", "0.123"],
+            ["cols", "pac_uncovered", 2],
+            ["cols", "coverage[origin=0]", "100.00"],
+            ["cols", "dir_fs_at_1[origin]", "1.333"],
+            ["cols", "dir_coverage[origin]", "-"],
+        ]
+
+    def test_report_table_names_in_row_order(self, adult_population):
+        from recourse.experiments import report_table
+
+        schema, users, sets = adult_population
+        report = compute_report(users, sets, schema, k=1.0)
+        table = report_table(report)
+        names = list(table)
+        assert names[:8] == ["fs_at_1", "pac", "pac_uncovered", "coverage",
+                             "diversity", "proximity", "sparsity", "validity"]
+        assert table["pac"] == report.pac.value
+        assert table["pac_uncovered"] == report.pac.uncovered
+        subgroup_rows = [
+            name
+            for attr, groups in report.by_subgroup.items()
+            for value in groups
+            for name in (f"fs_at_1[{attr}={value}]", f"coverage[{attr}={value}]")
+        ]
+        dir_rows = [
+            f"dir_{'fs_at_1' if metric == 'fs_at_k' else metric}[{attr}]"
+            for attr, ratios in report.dir_ratios.items()
+            for metric in ratios
+        ]
+        assert names[8:] == subgroup_rows + dir_rows

@@ -321,13 +321,14 @@ def two_mutable_schema():
 
 
 def perturb(base, s_u, schema, rng):
-    """One perturbed candidate per base state, through the search workspace."""
+    """One perturbed candidate (a code row) per base state, through the
+    search workspace."""
     ws = _Workspace(s_u, schema)
     idx = np.array(
         [[f.index_of(v) for f, v in zip(schema.features, s.values)] for s in base],
         dtype=np.intp,
     )
-    return ws.to_states(ws.perturb_rows(idx, rng))
+    return ws.decode(ws.perturb_rows(idx, rng)).astype(np.int64)
 
 
 class TestPerturb:
@@ -340,11 +341,11 @@ class TestPerturb:
             cands = perturb(base, s_u, schema, rng)
             for cand in cands:
                 changed = sum(
-                    a != b for a, b in zip(cand.values, s_u.values)
+                    a != b for a, b in zip(cand, s_u.values)
                 )
                 assert changed <= 2
                 for i in range(schema.n_features):
-                    assert cand.values[i] in feasible_values(
+                    assert cand[i] in feasible_values(
                         schema, i, s_u.values[i]
                     )
 
@@ -355,9 +356,9 @@ class TestPerturb:
         changed_a = changed_b = 0
         for _ in range(200):
             (cand,) = perturb([s_u], s_u, schema, rng)
-            assert cand.values[2] == 1  # immutable never moves
-            changed_a += cand.values[0] != 0
-            changed_b += cand.values[1] != 0
+            assert cand[2] == 1  # immutable never moves
+            changed_a += cand[0] != 0
+            changed_b += cand[1] != 0
         # both features get redrawn every round: each changes ~2/3 or ~3/4
         # of the time, never close to zero
         assert changed_a > 100 and changed_b > 100
@@ -407,9 +408,7 @@ class TestCols:
         samples = sample_cost_batch(s_u, schema, table, 30, "mix", seed=2)
         config = GenerationSettings(budget=300, set_size=5, seed=2)
         res = cols(s_u, clf, samples, schema, config)
-        codes = np.asarray(
-            [m.values for m in res.recourse_set.members], dtype=float
-        )
+        codes = np.asarray(res.recourse_set.members, dtype=float)
         model_says = clf.prob(codes) >= 0.5
         assert list(model_says) == list(res.recourse_set.validity)
 
@@ -420,9 +419,7 @@ class TestCols:
         config = GenerationSettings(budget=300, set_size=5, seed=3)
         a = cols(s_u, clf, samples, schema, config)
         b = cols(s_u, clf, samples, schema, config)
-        assert [m.values for m in a.recourse_set.members] == [
-            m.values for m in b.recourse_set.members
-        ]
+        assert np.array_equal(a.recourse_set.members, b.recourse_set.members)
         assert a.trace == b.trace
 
     def test_budget_smaller_than_set_rejected(self, synth6):
@@ -441,9 +438,7 @@ class TestPcols:
         config = GenerationSettings(budget=400, set_size=5, restarts=1, seed=4)
         a = pcols(s_u, clf, samples, schema, config)
         b = cols(s_u, clf, samples, schema, config)
-        assert [m.values for m in a.recourse_set.members] == [
-            m.values for m in b.recourse_set.members
-        ]
+        assert np.array_equal(a.recourse_set.members, b.recourse_set.members)
         assert a.emc == b.emc
 
     def test_cols_ignores_restarts(self, synth6):
@@ -456,8 +451,8 @@ class TestPcols:
         b = pcols(s_u, clf, samples, schema,
                   GenerationSettings(budget=400, set_size=5, restarts=1, seed=8),
                   user_key=3)
-        assert a.recourse_set.members == b.recourse_set.members
-        assert a.recourse_set.validity == b.recourse_set.validity
+        assert np.array_equal(a.recourse_set.members, b.recourse_set.members)
+        assert np.array_equal(a.recourse_set.validity, b.recourse_set.validity)
         assert np.array_equal(a.cost_matrix, b.cost_matrix)
         assert a.trace == b.trace
         assert a.queries_used == b.queries_used == 400
@@ -530,10 +525,9 @@ class TestLockstep:
             win = res.restart_emcs.index(min(res.restart_emcs))
             winners.append(win)
             members, valid, costs, trace, _ = runs[win]
-            assert res.recourse_set == RecourseSet(
-                members=tuple(ws.to_states(members)),
-                validity=tuple(bool(v) for v in valid),
-            )
+            assert np.array_equal(res.recourse_set.members,
+                                  ws.decode(members).astype(np.int64))
+            assert np.array_equal(res.recourse_set.validity, valid)
             assert res.trace == trace
             assert np.array_equal(res.cost_matrix, costs)
         assert any(winners)
@@ -606,7 +600,9 @@ class TestTracedNames:
             monkeypatch.setattr(search_module, name, fn)
         res = pcols(s_u, clf, samples, schema, config)
 
-        assert res.recourse_set == plain.recourse_set and res.trace == plain.trace
+        assert np.array_equal(res.recourse_set.members, plain.recourse_set.members)
+        assert np.array_equal(res.recourse_set.validity, plain.recourse_set.validity)
+        assert res.trace == plain.trace
         assert seen["queried"] == seen["priced"] == res.queries_used
         assert len(seen["selects"]) == len(seen["benefits"])
         assert all(b is out for b, (out, _) in zip(seen["benefits"], seen["selects"]))
@@ -703,7 +699,6 @@ class TestPairedDirections:
     def test_diversity_objective_yields_more_diverse_sets(self, synth6):
         from recourse.evaluate import distance_metrics
         from recourse.schema import UserState
-        from recourse.search import RecourseSet
 
         schema, rows, *_ = synth6
         gaps = []
@@ -714,10 +709,7 @@ class TestPairedDirections:
             }
             divs = {}
             for obj, doc in docs.items():
-                rs = RecourseSet(
-                    members=tuple(UserState(tuple(m)) for m in doc.members),
-                    validity=tuple(doc.validity),
-                )
+                rs = RecourseSet(np.array(doc.members), np.array(doc.validity))
                 divs[obj] = distance_metrics(
                     UserState(tuple(doc.state)), rs, schema
                 )[0]
@@ -727,7 +719,6 @@ class TestPairedDirections:
     def test_random_search_satisfies_fewer_users(self, synth6):
         from recourse.evaluate import realized_cost, simulate_user
         from recourse.schema import UserState
-        from recourse.search import RecourseSet
 
         schema, rows, _, table, clf = synth6
         hits = {"cols": 0, "random": 0}
@@ -738,10 +729,7 @@ class TestPairedDirections:
                     UserState(tuple(doc.state)), schema, table,
                     test_seed=31337, user_id=seed,
                 )
-                rs = RecourseSet(
-                    members=tuple(UserState(tuple(m)) for m in doc.members),
-                    validity=tuple(doc.validity),
-                )
+                rs = RecourseSet(np.array(doc.members), np.array(doc.validity))
                 hits[method] += realized_cost(user, rs) < 1.0
         assert hits["cols"] > hits["random"]
 
@@ -768,7 +756,7 @@ class TestValidityChanneling:
             for member, ok in zip(res.recourse_set.members,
                                   res.recourse_set.validity):
                 if not ok:
-                    assert member.values in init_rows
+                    assert tuple(member.tolist()) in init_rows
 
 
 class TestMonotonicityUnderSwaps:
