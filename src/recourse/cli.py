@@ -182,8 +182,10 @@ def _cmd_generate(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     out_path = os.path.join(args.out, f"results_{args.method}.jsonl")
     write_results(docs, out_path)
+    # One manifest per result file: runs of other methods into the same
+    # directory keep their own.
     write_manifest(
-        os.path.join(args.out, "manifest.json"),
+        os.path.splitext(out_path)[0] + ".manifest.json",
         vars(args),
         [args.schema, args.data, args.model],
     )
@@ -260,8 +262,9 @@ def _cmd_evaluate(args) -> int:
             )
 
     mean_rows = []
-    for method, tables in by_method.items():
-        mean_rows.extend(xp.table_rows(method, xp.mean_table(tables)))
+    order = xp.table_order(schema, args.k)
+    for method in sorted(by_method):
+        mean_rows.extend(xp.table_rows(method, xp.mean_table(by_method[method], order)))
     xp.write_csv(
         os.path.join(args.out, "metrics_mean.csv"),
         ["method", "metric", "value"],

@@ -7,7 +7,8 @@ seed, and emits plain CSV tables; rendering is left to external tools.
 
 Reports are written as flat tables, metric name -> value (`report_table`);
 the mean of several runs (`mean_table`) averages each metric over the runs
-that define it, so a subgroup present in only some runs keeps its rows.
+that define it, so a subgroup present in only some runs keeps its rows, and
+can list the rows in schema order (`table_order`) whatever the run order.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import numpy as np
 from .cost import random_editable_subset
 from .evaluate import (
     MetricsReport,
+    PacResult,
     compute_report,
     concentration_distance,
     realized_cost,
@@ -159,10 +161,31 @@ def report_table(report: MetricsReport) -> dict[str, Optional[float]]:
     return table
 
 
-def mean_table(tables: Sequence[dict]) -> dict[str, Optional[float]]:
+def table_order(schema: DatasetSchema, k: float) -> list[str]:
+    """Metric names in the order `report_table` lists them for a report
+    that holds every subgroup of every protected attribute."""
+    blank = {"fs_at_k": None, "coverage": None}
+    groups = {
+        attr: dict.fromkeys(schema.features[schema.feature_index(attr)].domain, blank)
+        for attr in schema.protected_attributes
+    }
+    overall = dict.fromkeys(
+        ("fs_at_k", "coverage", "diversity", "proximity", "sparsity", "validity")
+    )
+    report = MetricsReport(k=k, pac=PacResult(None, 0), n_users=0, by_subgroup=groups,
+                           dir_ratios=dict.fromkeys(groups, blank), **overall)
+    return list(report_table(report))
+
+
+def mean_table(
+    tables: Sequence[dict], order: Sequence[str] = ()
+) -> dict[str, Optional[float]]:
     """Per metric, the mean over the tables that define it (a value that is
-    not None); None when none does. Metrics keep their first-seen order."""
-    names = dict.fromkeys(name for table in tables for name in table)
+    not None); None when none does. Metrics named in `order` come in that
+    order, the others after them in first-seen order."""
+    rank = {name: i for i, name in enumerate(order)}
+    names = sorted(dict.fromkeys(name for table in tables for name in table),
+                   key=lambda name: rank.get(name, len(rank)))
     vals = {name: [t[name] for t in tables if t.get(name) is not None] for name in names}
     return {name: float(np.mean(v)) if v else None for name, v in vals.items()}
 

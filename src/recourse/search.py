@@ -30,11 +30,13 @@ that found no positive swap has the same costs and candidates in the next
 round, so later rounds evaluate only the restarts that swapped in the
 round before.
 
-Restart r perturbs from its own (seed, user, r) stream, drawing row by row
-in the order a one-restart run would, so every restart equals `_lockstep`
-run alone on that stream and B // R queries. One vectorized draw for all
-rows has the same distribution but consumes the stream differently, which
-changes every result.
+Perturbation is one draw for all R * N rows. Restart r reads one uniform
+(N, m + 2) block from its own (seed, user, r) stream per call, m being the
+number of movable features: the argsort of the first m columns picks the
+two features to resample, and the last two, scaled by each feature's count
+of feasible values, pick their new positions. Every restart reads the same
+amount on every call, so it equals `_lockstep` run alone on its stream and
+B // R queries.
 
 `random_search` and `local_search` are the baselines used for ablations.
 Both run one whole-set hill climb, `_whole_set`: propose a whole candidate
@@ -64,7 +66,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -163,42 +165,49 @@ class _Workspace:
             [f.index_of(v) for f, v in zip(schema.features, s_u.values)],
             dtype=np.intp,
         )
-        self.movable = [
-            i for i, f in enumerate(schema.features) if f.mutability != "immutable"
-        ]
-        if not self.movable:
+        self.movable = np.array(
+            [i for i, f in enumerate(schema.features) if f.mutability != "immutable"],
+            dtype=np.intp,
+        )
+        if not len(self.movable):
             raise ValueError("schema has no non-immutable features to perturb")
-        self.feasible_idx = []
-        for i, f in enumerate(schema.features):
-            allowed = feasible_values(schema, i, s_u.values[i])
-            self.feasible_idx.append(
-                np.array(sorted(f.index_of(v) for v in allowed), dtype=np.intp)
-            )
+        # (d, max feasible) table of each feature's feasible domain positions,
+        # padded past its n_choices[f] entries.
+        feasible = [
+            sorted(f.index_of(v) for v in feasible_values(schema, i, s_u.values[i]))
+            for i, f in enumerate(schema.features)
+        ]
+        self.n_choices = np.array([len(c) for c in feasible], dtype=np.intp)
+        self.feasible = np.zeros((len(feasible), self.n_choices.max()), dtype=np.intp)
+        for fi, choices in enumerate(feasible):
+            self.feasible[fi, : len(choices)] = choices
 
     def decode(self, idx: np.ndarray) -> np.ndarray:
         """Domain-position indices -> int64 feature codes."""
         return self.domains[np.arange(idx.shape[-1]), idx]
 
     def perturb_rows(
-        self, base: np.ndarray, rng: np.random.Generator, hamming: int = HAMMING
+        self, base: np.ndarray, rngs: Sequence[np.random.Generator]
     ) -> np.ndarray:
-        """Resample up to `hamming` features of each row from the feasible sets."""
-        out = base.copy()
-        k = min(hamming, len(self.movable))
-        for row in out:
-            for fi in rng.choice(len(self.movable), size=k, replace=False):
-                f = self.movable[fi]
-                choices = self.feasible_idx[f]
-                row[f] = choices[rng.integers(len(choices))]
+        """Resample min(HAMMING, m) distinct movable features of every row of
+        the (R, N, d) `base` from their feasible sets, restart r drawing from
+        rngs[r]: one uniform (N, m + k) block per restart, whose first m
+        columns rank the features and whose last k pick the new positions."""
+        m = len(self.movable)
+        k = min(HAMMING, m)
+        u = np.empty((*base.shape[:2], m + k))
+        for block, rng in zip(u, rngs, strict=True):
+            rng.random(out=block)
+        feats = self.movable[np.argsort(u[..., :m], axis=-1)[..., :k]]
+        pos = (u[..., m:] * self.n_choices[feats]).astype(np.intp)
+        out = np.array(base, dtype=np.intp)
+        np.put_along_axis(out, feats, self.feasible[feats, pos], axis=-1)
         return out
 
     def uniform_rows(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """Draw n states uniformly from the feasible product space."""
-        out = np.tile(self.user_idx, (n, 1))
-        for f in range(self.schema.n_features):
-            choices = self.feasible_idx[f]
-            out[:, f] = choices[rng.integers(len(choices), size=n)]
-        return out
+        pos = [rng.integers(c, size=n) for c in self.n_choices.tolist()]
+        return self.feasible[np.arange(len(pos)), np.stack(pos, axis=1)]
 
 
 def _column_minima(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -360,8 +369,8 @@ def _lockstep(
     when `meter` cannot pay for every restart's candidate batch. Returns the
     (R, N, d) members, (R, N) validity, (R, N, M) costs and R traces.
     """
-    start = np.tile(ws.user_idx, (n, 1))
-    members = np.stack([ws.perturb_rows(start, rng) for rng in rngs])
+    start = np.broadcast_to(ws.user_idx, (len(rngs), n, len(ws.user_idx)))
+    members = ws.perturb_rows(start, rngs)
     valid = _classify(ws, classifier, members, meter)
     costs = _priced_rows(members, samples, valid)
     traces = [[emc_of_matrix(c)] for c in costs]
@@ -369,7 +378,7 @@ def _lockstep(
     everyone = np.arange(len(rngs))
 
     while True:
-        cand = np.stack([ws.perturb_rows(m, rng) for m, rng in zip(members, rngs)])
+        cand = ws.perturb_rows(members, rngs)
         try:
             cand_valid = _classify(ws, classifier, cand, meter)
         except BudgetExhausted:
@@ -541,5 +550,5 @@ def local_search(
     """
     return _whole_set(
         s_u, classifier, samples, schema, settings, user_key, settings.objective,
-        _Workspace.perturb_rows,
+        lambda ws, members, rng: ws.perturb_rows(members[None], [rng])[0],
     )

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import shutil
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import pytest
 from recourse.cli import main
 from recourse.cost import INF, sample_cost_batch
 from recourse.datasets import make_synthetic_6f
+from recourse.experiments import table_order
 from recourse.model import load_model
 from recourse.results import (
     GenerationSettings,
@@ -145,8 +147,20 @@ class TestGenerate:
             assert len(doc.members) == 5
             assert doc.queries_used <= 200
             assert len(doc.trace) >= 1
-        manifest = json.loads((out / "manifest.json").read_text())
+        manifest = json.loads((out / "results_cols.manifest.json").read_text())
         assert manifest["args"]["budget"] == 200
+        assert not (out / "manifest.json").exists()
+
+    def test_each_result_file_keeps_its_manifest(self, workdir, tmp_path):
+        """cols then random into one directory: each result file has a
+        manifest recording its own method."""
+        out = tmp_path / "run"
+        assert self._generate(workdir, out) == 0
+        assert self._generate(workdir, out, ["--method", "random"]) == 0
+        for method in ("cols", "random"):
+            manifest = json.loads((out / f"results_{method}.manifest.json").read_text())
+            assert manifest["args"]["method"] == method
+            assert (out / f"results_{method}.jsonl").exists()
 
     def test_deterministic_per_seed(self, workdir, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -338,6 +352,34 @@ class TestEvaluate:
         assert set(mean) == set(full)
         for metric in only:
             assert mean[metric] == full[metric]
+
+    def test_mean_table_row_order_independent_of_file_order(
+        self, workdir, generated, tmp_path
+    ):
+        """Files holding disjoint subgroups (origin=0 users, origin=1 users)
+        and a second method: either file order writes the same bytes, with
+        the rows in schema order and the methods sorted."""
+        schema = load_schema(workdir / "schema.yaml")
+        origin = schema.feature_index("origin")
+        docs = read_results(generated / "results_cols.jsonl")
+        write_results([d for d in docs if d.state[origin] == 0], tmp_path / "origin0.jsonl")
+        write_results([d for d in docs if d.state[origin] == 1], tmp_path / "origin1.jsonl")
+        write_results([replace(d, method="pcols") for d in docs], tmp_path / "other.jsonl")
+        names = ["other", "origin1", "origin0"]
+        written = []
+        for order in (names, names[::-1]):
+            out = tmp_path / f"eval_{order[0]}"
+            results = ",".join(str(tmp_path / f"{name}.jsonl") for name in order)
+            assert self._evaluate(workdir, results, out) == 0
+            written.append((out / "metrics_mean.csv").read_bytes())
+        assert written[0] == written[1]
+        with open(tmp_path / "eval_other" / "metrics_mean.csv") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert [method for method, *_ in rows] == sorted(method for method, *_ in rows)
+        cols_rows = [metric for method, metric, _ in rows if method == "cols"]
+        assert "fs_at_1[origin=0]" in cols_rows and "fs_at_1[origin=1]" in cols_rows
+        order = table_order(schema, 1.0)
+        assert cols_rows == sorted(cols_rows, key=order.index)
 
     def test_repeated_file_stems_refused(self, workdir, generated, tmp_path, capsys):
         """Per-seed tables are named after the file stem: two files with one

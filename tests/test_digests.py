@@ -46,11 +46,11 @@ DOC_SETTINGS = {
                          num_samples=100),
 }
 DOC_DIGESTS = {
-    "cols": "73b75917acb9eac9a1ad1fb799afc52bb771d93cb485e2685d735eb3307c0e2f",
-    "pcols": "1cc40181a8211f72e21dd69e399f31d0d59df780ae12685ccc263e92175a2e99",
+    "cols": "6ac9f65ae25691f7519609d253a59a049f0915f3a8adf11c02a9398613955973",
+    "pcols": "aadbd0a747b33ff6f2241feae7600cf4bf4cc24aad9918370f92d2e5c21c70c7",
     "random": "020ac1d5225ee788ba58de63573428f45abc70ca75281d3487821e11fd465182",
-    "ls:emc": "174e2c800ac229d2d5b489a62eada96df76adf234902b3a21ccca593a0e6e964",
-    "ls:diversity": "64c0313791ad3b9f40330b55dea9f0422c445c207f3d211b5488083c61e1f51f",
+    "ls:emc": "8e8fe4d1ad57f051d182068bba44abbdd1625797918029876126d362c0320028",
+    "ls:diversity": "d60b6f3f6700c282f78704c8528720609b515e41bee31b4bfa35b5e403750201",
 }
 SIMULATED_DIGEST = "be4552bdc2bf117bd78c25ff9561a45d63fc96c70a32d2aeb9244f059a4513b5"
 

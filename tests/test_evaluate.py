@@ -226,7 +226,10 @@ class TestDistanceMetrics:
         for uid in range(60):
             ws = _Workspace(rows[uid], schema)
             n = int(rng.integers(1, 12))
-            moves = ws.perturb_rows(np.tile(ws.user_idx, (n, 1)), rng, 1 + uid % 3)
+            moves = np.tile(ws.user_idx, (1, n, 1))
+            for _ in range(1 + uid % 3):  # up to 2, 4 or 6 features moved
+                moves = ws.perturb_rows(moves, [rng])
+            moves = moves[0]
             members = ws.decode(moves).astype(np.int64)
             if uid % 4 == 0:  # repeated members and the user's own state
                 members = np.vstack([members[0], rows[uid].values, members, members[0]])
@@ -329,7 +332,7 @@ def adult_population():
     for uid in range(80):
         users.append(simulate_user(rows[uid], schema, table, 31, uid))
         ws = _Workspace(rows[uid], schema)
-        moves = ws.perturb_rows(np.tile(ws.user_idx, (3, 1)), rng)
+        moves = ws.perturb_rows(np.tile(ws.user_idx, (1, 3, 1)), [rng])[0]
         sets.append(recourse_set(
             ws.decode(moves), [True, *(bool(v) for v in rng.random(2) < 0.5)]
         ))
@@ -395,6 +398,24 @@ class TestReportTables:
         mean = mean_table(tables)
         assert mean == {"a": 2.0, "b": 0.5, "c": 2.0, "d": None}
         assert list(mean) == ["a", "b", "c", "d"]
+
+    def test_mean_table_follows_order_then_first_seen(self):
+        from recourse.experiments import mean_table
+
+        tables = [{"x": 1.0, "c": 1.0}, {"b": 2.0, "a": 3.0, "y": None}]
+        mean = mean_table(tables, ["a", "b", "c", "z"])
+        assert list(mean) == ["a", "b", "c", "x", "y"]
+        assert mean == {"a": 3.0, "b": 2.0, "c": 1.0, "x": 1.0, "y": None}
+        assert list(mean_table(tables[::-1], ["a", "b", "c"])) == ["a", "b", "c", "y", "x"]
+
+    def test_table_order_lists_a_full_report_in_row_order(self, adult_population):
+        from recourse.experiments import report_table, table_order
+
+        schema, users, sets = adult_population
+        table = report_table(compute_report(users, sets, schema, k=1.0))
+        order = table_order(schema, 1.0)
+        assert set(table) <= set(order)
+        assert [name for name in order if name in table] == list(table)
 
     def test_table_rows_formats(self):
         from recourse.experiments import table_rows

@@ -328,7 +328,7 @@ def perturb(base, s_u, schema, rng):
         [[f.index_of(v) for f, v in zip(schema.features, s.values)] for s in base],
         dtype=np.intp,
     )
-    return ws.decode(ws.perturb_rows(idx, rng)).astype(np.int64)
+    return ws.decode(ws.perturb_rows(idx[None], [rng])[0]).astype(np.int64)
 
 
 class TestPerturb:
@@ -370,6 +370,89 @@ class TestPerturb:
         s_u = UserState((0,))
         with pytest.raises(ValueError):
             perturb([s_u], s_u, schema, np.random.default_rng(0))
+
+
+def chi2_bound(df: int, z: float = 3.719) -> float:
+    """Upper chi-square quantile for `df` degrees of freedom at the normal
+    quantile z (3.719: one-sided 1e-4), by the Wilson-Hilferty cube."""
+    c = 2.0 / (9.0 * df)
+    return df * (1.0 - c + z * np.sqrt(c)) ** 3
+
+
+def chi2_uniform(counts) -> float:
+    """Pearson statistic of observed counts against equal expected counts."""
+    counts = np.asarray(counts, dtype=float)
+    expected = counts.sum() / len(counts)
+    return float(((counts - expected) ** 2 / expected).sum())
+
+
+class TestPerturbDistribution:
+    """Properties of one batched draw of 10^4 rows (4 restarts of 2,500) on
+    a schema with movable features of 4, 3, 4 and 1 feasible positions.
+    A base of -1 everywhere makes the resampled features visible: a feature
+    was chosen exactly when its entry is no longer -1."""
+
+    SCHEMA = DatasetSchema(
+        features=(
+            FeatureSpec("a", "ordered", (0, 1, 2, 3), "mutable"),
+            FeatureSpec("b", "unordered", (0, 1, 2), "mutable"),
+            FeatureSpec("frozen", "ordered", (0, 1), "immutable"),
+            FeatureSpec("c", "ordered", (0, 1, 2, 3, 4, 5), "increase_only"),
+            FeatureSpec("top", "ordered", (0, 1, 2), "increase_only"),
+        )
+    )
+    USER = UserState((1, 0, 1, 2, 2))
+    MOVABLE = (0, 1, 3, 4)
+
+    @pytest.fixture(scope="class")
+    def drawn(self):
+        ws = _Workspace(self.USER, self.SCHEMA)
+        rngs = [np.random.default_rng([40, r]) for r in range(4)]
+        out = ws.perturb_rows(np.full((4, 2500, 5), -1), rngs)
+        return ws, out.reshape(-1, 5)
+
+    def test_unordered_pairs_of_movable_features_equally_likely(self, drawn):
+        _, rows = drawn
+        chosen = rows != -1
+        assert (chosen.sum(axis=1) == 2).all()
+        pairs = [(f, g) for i, f in enumerate(self.MOVABLE) for g in self.MOVABLE[i + 1:]]
+        counts = [int((chosen[:, f] & chosen[:, g]).sum()) for f, g in pairs]
+        assert sum(counts) == len(rows)
+        assert chi2_uniform(counts) < chi2_bound(len(pairs) - 1)
+
+    @pytest.mark.parametrize("feature,positions", [(0, (0, 1, 2, 3)), (1, (0, 1, 2)),
+                                                   (3, (2, 3, 4, 5))])
+    def test_feasible_positions_equally_likely(self, drawn, feature, positions):
+        _, rows = drawn
+        values = rows[rows[:, feature] != -1, feature]
+        counts = [int((values == p).sum()) for p in positions]
+        assert sum(counts) == len(values) > 4000
+        assert chi2_uniform(counts) < chi2_bound(len(positions) - 1)
+
+    def test_immutable_never_moves(self, drawn):
+        _, rows = drawn
+        assert (rows[:, 2] == -1).all()
+
+    def test_single_feasible_position_stays(self, drawn):
+        ws, rows = drawn
+        top = rows[:, 4]
+        assert (top != -1).sum() > 4000
+        assert set(top[top != -1].tolist()) == {2}
+        base = np.tile(ws.user_idx, (2, 500, 1))
+        moved = ws.perturb_rows(base, [np.random.default_rng(s) for s in (1, 2)])
+        assert (moved[..., 4] == 2).all() and (moved[..., 2] == 1).all()
+
+    def test_restart_equals_its_lone_draw(self):
+        ws = _Workspace(self.USER, self.SCHEMA)
+        seeds = (3, 17, 99)
+        together = [np.random.default_rng(s) for s in seeds]
+        alone = [np.random.default_rng(s) for s in seeds]
+        base = np.tile(ws.user_idx, (3, 7, 1))
+        for _ in range(5):  # successive calls read the same amount per restart
+            out = ws.perturb_rows(base, together)
+            for r, rng in enumerate(alone):
+                assert np.array_equal(out[r], ws.perturb_rows(base[r:r + 1], [rng])[0])
+            base = out
 
 
 class TestCols:
@@ -751,7 +834,7 @@ class TestValidityChanneling:
             res = cols(s_u, clf, samples, schema, config)
             ws = _Workspace(s_u, schema)
             rng = search_rng(seed, 0)
-            init = ws.perturb_rows(np.tile(ws.user_idx, (8, 1)), rng, 2)
+            init = ws.perturb_rows(np.tile(ws.user_idx, (1, 8, 1)), [rng])[0]
             init_rows = {tuple(r) for r in ws.decode(init).astype(int)}
             for member, ok in zip(res.recourse_set.members,
                                   res.recourse_set.validity):
