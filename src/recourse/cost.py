@@ -1,21 +1,41 @@
 """User cost functions as arrays: hierarchical sampling, pricing, and the
 expected-minimum-cost objective.
 
-A `CostSampleSet` holds M cost functions for one user state. `costs[f]` is
-an (M, |D_f|) array whose row i prices moving feature f from the user's
-value to each domain position under sample i: a cost in [0, 1], 0 for the
-no-op and infinity when infeasible. `alpha` is (M,); `editable` (bool) and
-`preferences` are (M, d).
+A `CostSampleSet` holds M cost functions for one user state in one
+read-only (W, M) `table`, W = sum of the domain sizes |D_f| (57 on the
+adult-like schema). Feature f owns rows `offsets[f]` to `offsets[f + 1]`,
+one per domain position, and column i is sample i: entry (offsets[f] + j, i)
+prices moving feature f from the user's value to position j under sample
+i, a cost in [0, 1], 0 for the no-op and infinity when infeasible.
+`costs[f]` is the (M, |D_f|) view `table[offsets[f]:offsets[f + 1]].T`.
+`alpha` is (M,); `editable` (bool) and `preferences` are (M, d).
 
 Sampling is hierarchical: an editable feature subset, Dirichlet preference
 scores over it, a mixing weight alpha between step-count (alpha=1) and
 percentile-shift (alpha=0) difficulty, and a Beta draw per transition
 around the blended mean. Sample i of a batch is drawn from
-`stream_rng(stream, seed, i, subkey)` alone, in this order: the subset, the
-preferences, alpha, then per editable feature in index order two
-Uniform(size=|D_f|) draws (unordered features only) and one Beta draw over
-its finite targets. Batches therefore extend without disturbing earlier
-samples, and features outside the editable set draw nothing.
+`stream_rng(stream, seed, i, subkey)` alone, with these calls in this
+order:
+
+- the subset: `random(n)` over the n candidate features, keeping those
+  below 0.5, repeated until one is kept;
+- the preferences: `standard_exponential(k)` over the k chosen features,
+  times the reciprocal of their left-to-right sum;
+- alpha: `random()`;
+- per editable feature in index order: for an unordered feature one
+  `random(2 * |D_f|)`, the step-count means then the percentile means of
+  every position; then one scalar `beta(a, b)` per target whose Beta
+  exists, in position order.
+
+Each call reads the same doubles as the numpy call the sampler was first
+written with, and leaves the generator in the same place:
+`dirichlet(ones(k))` (numpy draws Gamma(1) as a standard exponential and
+scales by the reciprocal of the sequential sum), `uniform(0, 1)` per
+double, two `uniform(0, 1, |D_f|)` rows, and one array `beta` over a
+feature's targets, which draws its cells in order. `TestDrawEquivalence`
+in tests/test_cost.py pins each identity. Batches extend without
+disturbing earlier samples, and features outside the editable set draw
+nothing.
 
 A batch is filled in two passes over its generators. Pass one draws each
 sample's subset, preferences and alpha. An ordered feature's Beta
@@ -25,11 +45,16 @@ each generator, which is exactly where pass one left it, and makes that
 sample's remaining draws in the order above. Every generator therefore
 sees the same calls with the same arguments as when one sample is drawn
 alone, and the arithmetic is the same elementwise steps, so the results
-are bit-identical.
+are bit-identical. The blended means are written straight into the table.
 
-Every price comes from `cost_rows`, which adds the features' costs left to
-right; sums saturate at `math.inf`, so one infeasible feature makes a whole
-transition infeasible.
+Every price comes from `cost_rows`, which gathers each feature's table
+rows for all members and adds them left to right; sums saturate at
+`math.inf`, so one infeasible feature makes a whole transition infeasible.
+The sum is an explicit loop (a running `add.accumulate` for a single cost
+function) and never a numpy reduction: `add.reduce` and `.sum(axis=...)`
+sum 8 or more terms pairwise when the summed axis is contiguous, as it is
+for one cost function, and then disagree with the sequential sum in the
+last bits.
 """
 
 from __future__ import annotations
@@ -62,7 +87,8 @@ class CostSampleSet:
 
     schema: DatasetSchema
     state: UserState
-    costs: tuple[np.ndarray, ...]  # per feature, (M, |D_f|)
+    table: np.ndarray  # (W, M): row offsets[f] + j prices feature f -> position j
+    offsets: np.ndarray  # (d + 1,) first row of each feature in `table`, then W
     alpha: np.ndarray  # (M,)
     editable: np.ndarray  # (M, d) bool
     preferences: np.ndarray  # (M, d)
@@ -70,6 +96,22 @@ class CostSampleSet:
     @property
     def m(self) -> int:
         return len(self.alpha)
+
+    @property
+    def costs(self) -> tuple[np.ndarray, ...]:
+        """Per feature f, the (M, |D_f|) view `table[offsets[f]:offsets[f+1]].T`."""
+        off = self.offsets.tolist()
+        return tuple(self.table[lo:hi].T for lo, hi in zip(off, off[1:]))
+
+
+def _row_offsets(schema: DatasetSchema) -> np.ndarray:
+    """(d + 1,) first cost-table row of each feature, then the row count W."""
+    off = [0]
+    for f in schema.features:
+        off.append(off[-1] + f.size)
+    out = np.array(off, dtype=np.intp)
+    out.setflags(write=False)
+    return out
 
 
 def _targets(
@@ -100,9 +142,21 @@ def random_editable_subset(candidates: list[int], rng: np.random.Generator) -> l
     if not candidates:
         raise ValueError("schema has no mutable features; supply an editable set")
     while True:
-        mask = rng.random(len(candidates)) < 0.5
-        if mask.any():
-            return [c for c, m in zip(candidates, mask) if m]
+        coins = rng.random(len(candidates)).tolist()
+        chosen = [c for c, u in zip(candidates, coins) if u < 0.5]
+        if chosen:
+            return chosen
+
+
+def _flat_dirichlet(rng: np.random.Generator, k: int) -> np.ndarray:
+    """Dirichlet(1, ..., 1) over k >= 1 coordinates, the doubles numpy's
+    `dirichlet(ones(k))` returns: k standard exponentials (its Gamma(1)
+    draws) times the reciprocal of their left-to-right sum."""
+    draws = rng.standard_exponential(k)
+    total = 0.0
+    for v in draws.tolist():
+        total += v
+    return draws * (1.0 / total)
 
 
 def _blend(
@@ -113,33 +167,24 @@ def _blend(
     return np.clip(a * (lin * keep) + (1.0 - a) * (perc * keep), 0.0, 1.0)
 
 
-def _beta_shapes(mu: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Where a Beta around each mean exists, nu = mu(1-mu)/std^2 - 1 > 0,
-    and its parameters (mu * nu, (1 - mu) * nu) there in row-major order.
-    Elsewhere the mean itself is the cost."""
-    nu = mu * (1.0 - mu) / _VAR - 1.0
-    ok = nu > 0.0
-    mu_ok, nu_ok = mu[ok], nu[ok]
-    return ok, mu_ok * nu_ok, (1.0 - mu_ok) * nu_ok
-
-
 def _unordered_costs(
     rng: np.random.Generator, size: int, targets: np.ndarray, a: float, keep: float
 ) -> list[float]:
     """One sample's costs of an unordered feature's targets: fresh
-    Uniform(0,1) step-count and percentile means, blended and Beta-drawn
-    like the ordered features, on Python floats (the same IEEE steps)."""
-    lin = rng.uniform(0.0, 1.0, size=size)[targets].tolist()
-    perc = rng.uniform(0.0, 1.0, size=size)[targets].tolist()
+    Uniform(0,1) step-count and percentile means (one `random(2 * size)`
+    call, step counts first), blended and Beta-drawn like the ordered
+    features, on Python floats (the same IEEE steps)."""
+    means = rng.random(2 * size)
+    lin = means[targets].tolist()
+    perc = means[targets + size].tolist()
     b = 1.0 - a
-    mu = [min(max(a * (x * keep) + b * (y * keep), 0.0), 1.0) for x, y in zip(lin, perc)]
-    nu = [v * (1.0 - v) / _VAR - 1.0 for v in mu]
-    ok = [j for j, n in enumerate(nu) if n > 0.0]
-    if ok:
-        draws = rng.beta([mu[j] * nu[j] for j in ok], [(1.0 - mu[j]) * nu[j] for j in ok])
-        for j, v in zip(ok, draws.tolist()):
-            mu[j] = v
-    return mu
+    costs = []
+    for x, y in zip(lin, perc):
+        mu = a * (x * keep) + b * (y * keep)
+        mu = 0.0 if mu < 0.0 else 1.0 if mu > 1.0 else mu
+        nu = mu * (1.0 - mu) / _VAR - 1.0
+        costs.append(rng.beta(mu * nu, (1.0 - mu) * nu) if nu > 0.0 else mu)
+    return costs
 
 
 def _sample(
@@ -151,8 +196,9 @@ def _sample(
     editable: Optional[frozenset[int]],
     pref: Optional[np.ndarray],
 ) -> CostSampleSet:
-    """Fill row i of every array from `rngs[i]` alone; absent inputs are
-    drawn per sample (see `sample_cost_function`)."""
+    """Fill column i of the cost table and row i of the other arrays from
+    `rngs[i]` alone; absent inputs are drawn per sample (see
+    `sample_cost_function`)."""
     d = schema.n_features
     pinned = None if editable is None else sorted(int(i) for i in editable)
     for i in pinned or []:
@@ -184,9 +230,9 @@ def _sample(
         chosen = pinned if pinned is not None else random_editable_subset(candidates, rng)
         subsets.append(chosen)
         chosen_mask[i, chosen] = True
-        if pref is None:
-            prefs[i, chosen] = rng.dirichlet(np.ones(len(chosen)))
-        alpha_list.append(float(rng.uniform(0.0, 1.0)) if alpha is None else alpha)
+        if pref is None and chosen:
+            prefs[i, chosen] = _flat_dirichlet(rng, len(chosen))
+        alpha_list.append(rng.random() if alpha is None else alpha)
     alphas = np.array(alpha_list, dtype=float)
     if pref is not None:
         prefs[:] = pref
@@ -194,9 +240,9 @@ def _sample(
     # Blended means and Beta parameters of all samples at once, over the
     # targets of the features some sample chose, side by side: feature fi
     # owns columns spans[fi]. Unordered columns hold zero means until pass
-    # two fills them. ok_before[k] counts the Beta draws of the first k
-    # cells in row-major order, so sample i's draws for fi sit in
-    # [ok_before[i * width + lo], ok_before[i * width + hi]).
+    # two fills them, so none of them is `drawn`. The shapes of the drawn
+    # cells are listed in row-major order, and n_drawn[i][col[fi]] counts
+    # sample i's cells of feature fi.
     used = [fi for fi, hit in enumerate(chosen_mask.any(axis=0).tolist()) if hit]
     plan = {fi: _targets(state, schema, table, fi) for fi in used}
     spans, width = {}, 0
@@ -210,41 +256,48 @@ def _sample(
     )
     owner = [fi for fi in used for _ in range(*spans[fi])]
     mu = _blend(alphas[:, None], 1.0 - prefs[:, owner], raw[0], raw[1])
-    ok, shape_a, shape_b = _beta_shapes(mu)
-    ok_before = np.zeros(m * width + 1, dtype=np.intp)
-    np.cumsum(ok, out=ok_before[1:])
-    draws = np.empty(len(shape_a))
+    nu = mu * (1.0 - mu) / _VAR - 1.0
+    drawn = (nu > 0.0) & chosen_mask[:, owner]
+    shape_a = (mu * nu)[drawn].tolist()
+    shape_b = ((1.0 - mu) * nu)[drawn].tolist()
+    before = np.zeros((m, width + 1), dtype=np.intp)
+    np.cumsum(drawn, axis=1, out=before[:, 1:])
+    n_drawn = (
+        before[:, [spans[fi][1] for fi in used]] - before[:, [spans[fi][0] for fi in used]]
+    ).tolist()
+    col = {fi: k for k, fi in enumerate(used)}
+    del nu, before
 
     # Pass two: each sample's remaining draws, per editable feature in index
-    # order: two Uniform rows for an unordered feature, then its Beta draw.
+    # order: the Uniform means of an unordered feature, then its Beta draws.
+    draws, k = [], 0
     for i, rng in enumerate(rngs):
         for fi in subsets[i]:
-            lo, hi = spans[fi]
             _, targets, ordered_raw = plan[fi]
             if ordered_raw is None:
+                lo, hi = spans[fi]
                 keep = 1.0 - float(prefs[i, fi])
                 mu[i, lo:hi] = _unordered_costs(
                     rng, features[fi].size, targets, alpha_list[i], keep
                 )
                 continue
-            start, stop = ok_before[i * width + lo], ok_before[i * width + hi]
-            if stop > start:
-                draws[start:stop] = rng.beta(shape_a[start:stop], shape_b[start:stop])
-    mu[ok] = draws
-    del ok, ok_before, shape_a, shape_b, draws  # freed before the cost arrays
+            n = n_drawn[i][col[fi]]
+            draws += map(rng.beta, shape_a[k:k + n], shape_b[k:k + n])
+            k += n
+    mu[drawn] = draws
+    del drawn, shape_a, shape_b, draws  # freed before the cost table
 
-    costs = []
-    for fi, (f, value) in enumerate(zip(features, state.values)):
-        stack = np.empty((m, f.size))
-        stack.fill(INF)
-        stack[:, f.index_of(value)] = 0.0
-        if fi in spans:
-            lo, hi = spans[fi]
-            stack[:, plan[fi][1]] = np.where(chosen_mask[:, fi, None], mu[:, lo:hi], INF)
-        costs.append(stack)
-    for arr in (*costs, alphas, chosen_mask, prefs):
+    off = _row_offsets(schema)
+    cost_table = np.empty((int(off[-1]), m))
+    cost_table.fill(INF)
+    noop = [o + f.index_of(v) for o, f, v in zip(off.tolist(), features, state.values)]
+    cost_table[noop] = 0.0
+    if used:
+        rows = np.concatenate([off[fi] + plan[fi][1] for fi in used])
+        cost_table[rows] = np.where(chosen_mask[:, owner], mu, INF).T
+    for arr in (cost_table, alphas, chosen_mask, prefs):
         arr.setflags(write=False)
-    return CostSampleSet(schema, state, tuple(costs), alphas, chosen_mask, prefs)
+    return CostSampleSet(schema, state, cost_table, off, alphas, chosen_mask, prefs)
 
 
 def sample_cost_function(
@@ -306,10 +359,19 @@ def sample_cost_batch(
 
 
 def cost_rows(index_matrix: np.ndarray, samples: CostSampleSet) -> np.ndarray:
-    """(N, M) cost table for members given as (N, d) domain-position indices."""
-    out = np.zeros((index_matrix.shape[0], samples.m))
-    for fi, stack in enumerate(samples.costs):
-        out += stack[:, index_matrix[:, fi]].T
+    """(N, M) cost table for members given as (N, d) domain-position indices.
+
+    Each member's feature costs are added left to right: one (N, M) row
+    gather per feature, added in place, or for a single cost function a
+    running sum along each member's d costs (one call in place of d tiny
+    gathers). Never a numpy reduction (see the module docstring)."""
+    rows = index_matrix + samples.offsets[:-1]
+    table = samples.table
+    if samples.m == 1:
+        return np.add.accumulate(table[rows, 0], axis=1)[:, -1:]
+    out = table[rows[:, 0]]
+    for fi in range(1, rows.shape[1]):
+        out += table[rows[:, fi]]
     return out
 
 

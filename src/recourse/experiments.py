@@ -330,6 +330,11 @@ def _concentration_shift(spec, states, user_ids, classifier, schema, table):
     """FS@k binned by how far a user's editable-feature pattern sits from
     the nearest pattern their recourse was optimized against."""
     settings = _method_settings(spec, spec.methods[0], spec.seeds[0])
+    if not settings.prices_samples:
+        raise ValueError(
+            f"concentration_shift needs a method that samples cost functions; "
+            f"{spec.methods[0]!r} samples none"
+        )
     docs: list[ResultDoc] = []
     train_conc: list[np.ndarray] = []
     for uid, state in zip(user_ids, states):

@@ -48,21 +48,24 @@ def run_user(
     schema: DatasetSchema,
     table: PercentileTable,
     settings: GenerationSettings,
-) -> tuple[ResultDoc, CostSampleSet]:
+) -> tuple[ResultDoc, Optional[CostSampleSet]]:
     """Sample this user's cost batch and run the configured method; returns
-    the result document and the samples it was optimized against."""
-    samples = sample_cost_batch(
-        state,
-        schema,
-        table,
-        settings.num_samples,
-        distribution=settings.distribution,
-        seed=settings.seed,
-        alpha=settings.alpha,
-        editable=frozenset(settings.editable) if settings.editable else None,
-        pref=np.asarray(settings.preferences) if settings.preferences else None,
-        subkey=user_id,
-    )
+    the result document and the samples it was optimized against, None for
+    a method that prices none (`ls` with a distance objective)."""
+    samples = None
+    if settings.prices_samples:
+        samples = sample_cost_batch(
+            state,
+            schema,
+            table,
+            settings.num_samples,
+            distribution=settings.distribution,
+            seed=settings.seed,
+            alpha=settings.alpha,
+            editable=frozenset(settings.editable) if settings.editable else None,
+            pref=np.asarray(settings.preferences) if settings.preferences else None,
+            subkey=user_id,
+        )
     # Looked up at call time, so that wrappers installed on this module see
     # every run.
     optimizer = {

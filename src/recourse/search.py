@@ -116,11 +116,17 @@ class GenerationSettings:
             )
         if self.objective not in OBJECTIVES:
             raise ValueError(f"unknown objective {self.objective!r}")
-        for name in ("budget", "set_size", "restarts"):
+        for name in ("budget", "set_size", "restarts", "num_samples"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
         if self.restarts > self.budget:
             raise ValueError("more restarts than budget")
+
+    @property
+    def prices_samples(self) -> bool:
+        """Whether the optimizer prices sampled cost functions: every method
+        but `ls` with a distance objective does."""
+        return self.method != "ls" or self.objective == "emc"
 
 
 @dataclass(frozen=True, eq=False)
@@ -459,7 +465,7 @@ def _set_objective(
     ws: _Workspace,
     members: np.ndarray,
     valid: np.ndarray,
-    samples: CostSampleSet,
+    samples: Optional[CostSampleSet],
 ) -> float:
     """Score to maximize: the negated EMC, or a distance metric. Sets
     without a single valid member score -inf, mirroring the hard validity
@@ -475,7 +481,7 @@ def _set_objective(
 def _whole_set(
     s_u: UserState,
     classifier: Classifier,
-    samples: CostSampleSet,
+    samples: Optional[CostSampleSet],
     schema: DatasetSchema,
     settings: GenerationSettings,
     user_key: int,
@@ -487,7 +493,8 @@ def _whole_set(
     replaces the incumbent only when its objective score is strictly higher.
     The loop ends when the budget cannot pay for a candidate set, and the
     trace holds the incumbent's score after every iteration. Only the emc
-    objective prices the final set."""
+    objective prices sets; the others never read `samples`, which may be
+    None."""
     ws = _Workspace(s_u, schema)
     rng = search_rng(settings.seed, user_key)
     n = settings.set_size
@@ -536,7 +543,7 @@ def random_search(
 def local_search(
     s_u: UserState,
     classifier: Classifier,
-    samples: CostSampleSet,
+    samples: Optional[CostSampleSet],
     schema: DatasetSchema,
     settings: GenerationSettings,
     user_key: int = 0,
@@ -546,7 +553,8 @@ def local_search(
     Same perturbation neighborhood as `cols`, but a candidate set is taken
     only when its objective strictly improves on the incumbent set's; there
     is no per-member swapping. The trace records the maximized score: the
-    negated EMC, or the diversity, proximity or sparsity of the set.
+    negated EMC, or the diversity, proximity or sparsity of the set. Only
+    the emc objective reads `samples`.
     """
     return _whole_set(
         s_u, classifier, samples, schema, settings, user_key, settings.objective,

@@ -170,6 +170,12 @@ class TestGenerate:
             out_b / "results_cols.jsonl"
         ).read_bytes()
 
+    def test_zero_samples_exits_2(self, workdir, tmp_path, capsys):
+        out = tmp_path / "none"
+        assert self._generate(workdir, out, ["--num-samples", "0"]) == 2
+        assert "num_samples must be positive" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_method_lists_choices(self, workdir, tmp_path, capsys):
         with pytest.raises(SystemExit):
             main(
@@ -572,6 +578,29 @@ class TestExperimentCommand:
         assert sum(int(r[2]) for r in rows[1:]) == 40
 
 
+    def test_concentration_shift_refuses_a_method_without_samples(
+        self, workdir, tmp_path, capsys
+    ):
+        code = main(
+            [
+                "experiment",
+                "--kind", "concentration_shift",
+                "--schema", str(workdir / "schema.yaml"),
+                "--data", str(workdir / "data.csv"),
+                "--model", str(workdir / "model.json"),
+                "--methods", "ls:diversity",
+                "--seeds", "0",
+                "--users", "2",
+                "--budget", "20",
+                "--set-size", "2",
+                "--num-samples", "5",
+                "--out", str(tmp_path / "xp4"),
+            ]
+        )
+        assert code == 2
+        assert "'ls:diversity'" in capsys.readouterr().err
+
+
 class TestUserLimit:
     @pytest.mark.parametrize("limit", [0, -3])
     def test_limit_below_one_rejected(self, synth6, limit):
@@ -671,6 +700,31 @@ class TestResultDocs:
         par = run_population(rows[:4], clf, schema, table, settings)
         assert [d.members for d in seq] == [d.members for d in par]
         assert [d.trace for d in seq] == [d.trace for d in par]
+
+    @pytest.mark.parametrize("objective", ["diversity", "proximity", "sparsity"])
+    def test_distance_objectives_draw_no_cost_batch(self, synth6, monkeypatch, objective):
+        import recourse.results as results
+
+        def no_batch(*args, **kwargs):
+            raise AssertionError("a cost batch was drawn")
+
+        schema, rows, _, table, clf = synth6
+        settings = GenerationSettings(
+            method="ls", objective=objective, budget=60, set_size=4, num_samples=10,
+            seed=3,
+        )
+        monkeypatch.setattr(results, "sample_cost_batch", no_batch)
+        doc, samples = run_user(0, rows[0], clf, schema, table, settings)
+        assert samples is None
+        assert doc.queries_used == 60 and math.isinf(doc.final_emc)
+
+    def test_emc_objective_draws_its_cost_batch(self, synth6):
+        schema, rows, _, table, clf = synth6
+        settings = GenerationSettings(
+            method="ls", objective="emc", budget=60, set_size=4, num_samples=10, seed=3
+        )
+        _, samples = run_user(0, rows[0], clf, schema, table, settings)
+        assert samples.m == 10
 
     @pytest.mark.parametrize("value", ["abc", "0", "-3"])
     def test_bad_worker_count_rejected(self, synth6, monkeypatch, value):

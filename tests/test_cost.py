@@ -4,6 +4,8 @@ import pytest
 from recourse.cost import (
     INF,
     CostSampleSet,
+    _flat_dirichlet,
+    _row_offsets,
     _targets,
     cost_rows,
     emc_of_matrix,
@@ -44,9 +46,10 @@ def manual_samples(schema, state, per_sample):
     return CostSampleSet(
         schema=schema,
         state=state,
-        costs=tuple(
-            np.array([s[f] for s in per_sample], dtype=float) for f in range(d)
+        table=np.concatenate(
+            [np.array([s[f] for s in per_sample], dtype=float).T for f in range(d)]
         ),
+        offsets=_row_offsets(schema),
         alpha=np.full(m, 0.5),
         editable=np.ones((m, d), dtype=bool),
         preferences=np.full((m, d), 1.0 / d),
@@ -396,6 +399,97 @@ class TestTransitionCost:
         want = [[transition_cost(state, s, batch, i) for i in range(batch.m)]
                 for s in members]
         assert got.tobytes() == np.asarray(want).tobytes()
+
+
+def moved_members(schema, state, n, seed):
+    """n code rows that move every feature with more than one feasible
+    value to a random other one."""
+    rng = np.random.default_rng(seed)
+    options = []
+    for i, v in enumerate(state.values):
+        other = sorted(feasible_values(schema, i, v) - {v})
+        options.append(other or [v])
+    return [
+        tuple(opts[rng.integers(len(opts))] for opts in options) for _ in range(n)
+    ]
+
+
+class TestTwelveFeaturePricing:
+    """`cost_rows` and `min_cost` against the scalar oracle on the 12-feature
+    adult-like schema, with members that move all nine movable features.
+    From 8 terms on numpy's reductions sum pairwise, so a feature sum by
+    `np.add.reduce` or `.sum(axis=...)` differs from the oracle in the last
+    bits here, while the 6-feature test above cannot tell."""
+
+    @pytest.mark.parametrize("m,n", [(1, 3000), (1000, 12)])
+    def test_cost_rows_match_scalar_oracle_bitwise(self, adult, m, n):
+        schema, rows, _, table, _ = adult
+        assert schema.n_features == 12
+        state = rows[0]
+        batch = sample_cost_batch(state, schema, table, m, "mix", seed=3,
+                                  editable=frozenset(schema.mutable_indices()))
+        members = moved_members(schema, state, n, seed=m)
+        got = cost_rows(index_rows(schema, members), batch)
+        want = [[transition_cost(state, s, batch, i) for i in range(batch.m)]
+                for s in members]
+        assert np.isfinite(want).all()
+        assert got.tobytes() == np.asarray(want).tobytes()
+
+    def test_min_cost_matches_scalar_oracle_bitwise(self, adult):
+        schema, rows, _, table, _ = adult
+        state = rows[0]
+        movable = frozenset(schema.mutable_indices())
+        for k in range(20):
+            one = sample_cost_function(state, schema, table,
+                                       np.random.default_rng(k), editable=movable)
+            members = moved_members(schema, state, 100, seed=k)
+            for lo in range(0, 100, 10):
+                group = members[lo:lo + 10]
+                want = min(transition_cost(state, s, one) for s in group)
+                assert min_cost(state, codes(*group), one).hex() == want.hex()
+
+
+class TestDrawEquivalence:
+    """Each draw the sampler makes reads the same doubles from its generator
+    as the numpy call it stands for, and leaves the generator in the same
+    place; the sampled streams rest on these identities."""
+
+    SEEDS = range(40)
+
+    def _pair(self, seed):
+        return np.random.default_rng(seed), np.random.default_rng(seed)
+
+    def test_one_random_row_is_two_uniform_rows(self):
+        for seed in self.SEEDS:
+            n = seed % 16 + 1
+            old, new = self._pair(seed)
+            want = [old.uniform(0.0, 1.0, size=n), old.uniform(0.0, 1.0, size=n)]
+            assert new.random(2 * n).tobytes() == np.concatenate(want).tobytes()
+            assert new.random() == old.random()
+
+    def test_scalar_random_is_scalar_uniform(self):
+        for seed in self.SEEDS:
+            old, new = self._pair(seed)
+            assert new.random().hex() == float(old.uniform(0.0, 1.0)).hex()
+            assert new.random() == old.random()
+
+    @pytest.mark.parametrize("k", range(1, 10))
+    def test_normalized_exponentials_are_flat_dirichlet(self, k):
+        for seed in self.SEEDS:
+            old, new = self._pair(seed)
+            want = old.dirichlet(np.ones(k))
+            assert _flat_dirichlet(new, k).tobytes() == want.tobytes()
+            assert new.random() == old.random()
+
+    def test_scalar_betas_are_one_array_beta(self):
+        grid = np.geomspace(1e-3, 3e3, 19)
+        shape_a, shape_b = (g.ravel() for g in np.meshgrid(grid, grid))
+        for seed in range(5):
+            old, new = self._pair(seed)
+            want = old.beta(shape_a, shape_b)
+            got = [new.beta(a, b) for a, b in zip(shape_a.tolist(), shape_b.tolist())]
+            assert np.array(got).tobytes() == want.tobytes()
+            assert new.random() == old.random()
 
 
 class TestMinCostAndEmc:

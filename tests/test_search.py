@@ -750,6 +750,7 @@ class TestGenerationSettings:
         (dict(set_size=0), "set_size must be positive"),
         (dict(restarts=0), "restarts must be positive"),
         (dict(budget=4, restarts=5), "more restarts than budget"),
+        (dict(num_samples=0), "num_samples must be positive"),
     ])
     def test_rejected_at_construction(self, fields, message):
         with pytest.raises(ValueError, match=message):
