@@ -1,23 +1,29 @@
-"""Bit-identity guard: pinned sha256 digests of sampled cost functions and
-of generated result documents.
+"""Bit-identity guard: pinned sha256 digests of sampled cost functions, of
+generated result documents and of the CSV tables the command line writes.
 
 The sampler digests cover every cost array, alpha, editable mask and
 preference vector that `sample_cost_batch` and `simulate_user` produce for
 fixed adult-like inputs. Any change to the draw order, the RNG streams or
 the floating-point steps of the sampler changes them. The document digests
 cover the members, validity flags, objective trace and query count of
-`run_user` documents, so they also pin every swap the search makes.
+`run_user` documents, so they also pin every swap the search makes. The
+CSV digests cover every table of a small synthetic `evaluate`, `main` and
+`ablation` run, so they pin each metric's name, row order and printed value.
 """
 
 import hashlib
+import os
 
 import numpy as np
 import pytest
 
+from recourse.cli import main
 from recourse.cost import TRAIN_STREAM, sample_cost_batch, sample_cost_function, stream_rng
 from recourse.evaluate import simulate_user
 from recourse.experiments import select_undesired
+from recourse.model import save_model
 from recourse.results import GenerationSettings, run_user
+from recourse.schema import save_dataset, save_schema
 
 # Fixed editable set and preferences for the pinned batch: three ordered
 # features (age, capital_gain, hours_per_week) and two unordered ones
@@ -53,6 +59,22 @@ DOC_DIGESTS = {
     "ls:diversity": "d60b6f3f6700c282f78704c8528720609b515e41bee31b4bfa35b5e403750201",
 }
 SIMULATED_DIGEST = "be4552bdc2bf117bd78c25ff9561a45d63fc96c70a32d2aeb9244f059a4513b5"
+CSV_DIGESTS = {
+    "evaluate/metrics_mean.csv":
+        "e38eeb8333adb73fc01f1594841714d646a85de532bc8d9364571ed426348d99",
+    "evaluate/metrics_results_cols_seed901.csv":
+        "0572079b52b68a088e88a3ea87bc989c25aafd7b0474ae177539290bc6ea2fe7",
+    "evaluate/metrics_results_cols_seed902.csv":
+        "3748c8df7310609fc257b3d1f9ecf27bbd9379c5efb0d2a61989c2a0a6d2e391",
+    "evaluate/metrics_results_pcols_seed901.csv":
+        "8728a2fd490247e98beca765c20eec627f4c44ee811783fd84e3402ad7fada66",
+    "evaluate/metrics_results_pcols_seed902.csv":
+        "85ca51f93772cefdf193a4bc26372115d5faacaee3c7c88c66b0cbdd26267cc9",
+    "main/main.csv":
+        "adcd1eedcece51dd6c08dea3a4765e2449648ce19350e53b45148dd86292288b",
+    "ablation/ablation.csv":
+        "ff70fe7b3ec23168dd807e6bd2e1a197c5fe49d82d039625fcad6612f39e8720",
+}
 
 
 def _update(h, samples) -> None:
@@ -134,3 +156,36 @@ def test_run_user_document_digest(adult, rejected, method):
         trace = [float(t).hex() for t in doc.trace]
         h.update(repr((doc.members, doc.validity, trace, doc.queries_used)).encode())
     assert h.hexdigest() == DOC_DIGESTS[method]
+
+
+@pytest.fixture(scope="module")
+def synth6_csvs(synth6, tmp_path_factory):
+    """sha256 of every CSV, by `<out dir>/<file>`, of a small synthetic run:
+    `recourse evaluate` over a cols and a pcols result file at two test
+    seeds, and the `main` and `ablation` sweeps over two seeds."""
+    schema, rows, _, _, clf = synth6
+    root = tmp_path_factory.mktemp("csv")
+    save_schema(schema, root / "schema.yaml")
+    save_dataset(rows, schema, root / "data.csv")
+    save_model(clf, root / "model.json")
+    io = ["--schema", str(root / "schema.yaml"), "--data", str(root / "data.csv")]
+    gen = [*io, "--model", str(root / "model.json"), "--budget", "120",
+           "--set-size", "4", "--num-samples", "20", "--users", "10"]
+    for method in ("cols", "pcols"):
+        assert main(["generate", *gen, "--method", method, "--seed", "1",
+                     "--out", str(root / "gen")]) == 0
+    assert main(["evaluate", *io, "--results", str(root / "gen"),
+                 "--test-seed", "901,902", "--out", str(root / "evaluate")]) == 0
+    for kind in ("main", "ablation"):
+        assert main(["experiment", *gen, "--kind", kind, "--seeds", "0,1",
+                     "--out", str(root / kind)]) == 0
+    return {
+        f"{out}/{name}": hashlib.sha256((root / out / name).read_bytes()).hexdigest()
+        for out in ("evaluate", "main", "ablation")
+        for name in sorted(os.listdir(root / out))
+        if name.endswith(".csv")
+    }
+
+
+def test_cli_csv_digests(synth6_csvs):
+    assert synth6_csvs == CSV_DIGESTS
