@@ -14,6 +14,7 @@ import sys
 import numpy as np
 
 from . import experiments as xp
+from .evaluate import metric_names
 from .model import TrainConfig, load_model, save_model, train_classifier
 from .results import (
     GenerationSettings,
@@ -251,18 +252,18 @@ def _cmd_evaluate(args) -> int:
                 raise SchemaError(
                     f"test seed {ts} collides with the generation seed in {path}"
                 )
-            report = xp.evaluate_docs(
-                docs, schema, table, ts, args.k, args.distribution, args.alpha
-            )
-            by_method.setdefault(method, []).append(xp.report_table(report))
+        tables = xp.score_docs(docs, schema, table, test_seeds, args.k,
+                               args.distribution, args.alpha)
+        by_method.setdefault(method, []).extend(tables)
+        for ts, metrics in zip(test_seeds, tables):
             xp.write_csv(
                 os.path.join(args.out, f"metrics_{tag}_seed{ts}.csv"),
                 ["method", "metric", "value"],
-                xp.table_rows(method, by_method[method][-1]),
+                xp.table_rows(method, metrics),
             )
 
     mean_rows = []
-    order = xp.table_order(schema, args.k)
+    order = metric_names(schema, args.k)
     for method in sorted(by_method):
         mean_rows.extend(xp.table_rows(method, xp.mean_table(by_method[method], order)))
     xp.write_csv(

@@ -10,10 +10,13 @@ infinitely expensive. A recourse set is two arrays, (N, d) int64 member
 codes and (N,) bool validity, so a realised cost prices
 `members[validity]` and the distance metrics work on the code rows.
 
-A population is priced once: `compute_report` holds one realised cost per
-user, and FS@k, PAC and coverage, overall and per protected subgroup, are
-reductions over that vector (a subgroup is a boolean mask over it, read
-from the users' states).
+A report is one flat table, metric name -> value, whose names and row
+order come from `metric_names` alone. `compute_report` prices a population
+once, holding one realised cost per user: FS@k, PAC and coverage, overall
+and per protected subgroup, are reductions over that vector (a subgroup is
+a boolean mask over it, read from the users' states). `set_metrics`
+measures what depends on the sets alone, once whatever the number of
+hidden populations.
 """
 
 from __future__ import annotations
@@ -50,17 +53,37 @@ class PacResult:
 
 @dataclass
 class MetricsReport:
+    """Hidden-cost metrics as a flat table in `metric_names` order."""
+
+    table: dict[str, Optional[float]]
+    n_users: int
     fs_at_k: float
-    k: float
     pac: PacResult
     coverage: float
-    diversity: float
-    proximity: float
-    sparsity: float
-    validity: float
-    n_users: int
-    by_subgroup: dict[str, dict[int, dict[str, float]]]
-    dir_ratios: dict[str, dict[str, Optional[float]]]
+
+
+SET_METRICS = ("diversity", "proximity", "sparsity", "validity")
+
+
+def _subgroup_names(fs: str, attr: str, value: int) -> tuple[str, str]:
+    return f"{fs}[{attr}={value}]", f"coverage[{attr}={value}]"
+
+
+def _ratio_names(fs: str, attr: str) -> tuple[str, str]:
+    return f"dir_{fs}[{attr}]", f"dir_coverage[{attr}]"
+
+
+def metric_names(schema: DatasetSchema, k: float) -> list[str]:
+    """Every metric a report table can hold, in row order: overall, then
+    FS@k and coverage per protected subgroup, then disparate impact ratios."""
+    fs = f"fs_at_{k:g}"
+    names = [fs, "pac", "pac_uncovered", "coverage", *SET_METRICS]
+    for attr in schema.protected_attributes:
+        for value in schema.features[schema.feature_index(attr)].domain:
+            names.extend(_subgroup_names(fs, attr, value))
+    for attr in schema.protected_attributes:
+        names.extend(_ratio_names(fs, attr))
+    return names
 
 
 def simulate_user(
@@ -187,51 +210,42 @@ def concentration_distance(
     return np.sqrt((diffs**2).sum(axis=2)).min(axis=1)
 
 
+def set_metrics(
+    states: Sequence[UserState], sets: Sequence[RecourseSet], schema: DatasetSchema
+) -> dict[str, float]:
+    """Mean diversity, proximity, sparsity and validity over users' sets."""
+    per_set = [distance_metrics(s_u, s, schema) for s_u, s in zip(states, sets)]
+    return {name: float(np.mean(col)) for name, col in zip(SET_METRICS, zip(*per_set))}
+
+
 def compute_report(
     users: Sequence[CostSampleSet],
     sets: Sequence[RecourseSet],
     schema: DatasetSchema,
     k: float = 1.0,
 ) -> MetricsReport:
-    """All metrics over a population, with per-subgroup splits and ratios."""
+    """Hidden-cost metrics of a population, with subgroup splits and ratios."""
     if not users or len(users) != len(sets):
         raise ValueError("need one recourse set per user, at least one user")
     costs = np.array([realized_cost(u, s) for u, s in zip(users, sets)])
-    dists = [distance_metrics(u.state, s, schema) for u, s in zip(users, sets)]
-    div, prox, spar, val = (float(np.mean([d[i] for d in dists])) for i in range(4))
-
+    fs = f"fs_at_{k:g}"
+    overall = pac(costs)
+    table = {fs: fs_at_k(costs, k), "pac": overall.value,
+             "pac_uncovered": overall.uncovered, "coverage": coverage(costs)}
     states = np.array([u.state.values for u in users])
-    by_subgroup: dict[str, dict[int, dict[str, float]]] = {}
-    dir_ratios: dict[str, dict[str, Optional[float]]] = {}
+    ratios = {}
     for attr in schema.protected_attributes:
         fi = schema.feature_index(attr)
-        groups: dict[int, dict[str, float]] = {}
+        groups = {}
         for value in schema.features[fi].domain:
             sub = costs[states[:, fi] == value]
             if len(sub):
-                groups[value] = {
-                    "fs_at_k": fs_at_k(sub, k),
-                    "coverage": coverage(sub),
-                    "n": len(sub),
-                }
-        by_subgroup[attr] = groups
+                groups[value] = (fs_at_k(sub, k), coverage(sub))
+                table.update(zip(_subgroup_names(fs, attr, value), groups[value]))
         if len(groups) == 2:
             order = list(groups)
-            dir_ratios[attr] = {
-                metric: dir_ratio({v: g[metric] for v, g in groups.items()}, order)
-                for metric in ("fs_at_k", "coverage")
-            }
-
-    return MetricsReport(
-        fs_at_k=fs_at_k(costs, k),
-        k=k,
-        pac=pac(costs),
-        coverage=coverage(costs),
-        diversity=div,
-        proximity=prox,
-        sparsity=spar,
-        validity=val,
-        n_users=len(users),
-        by_subgroup=by_subgroup,
-        dir_ratios=dir_ratios,
-    )
+            for i, name in enumerate(_ratio_names(fs, attr)):
+                ratios[name] = dir_ratio({v: g[i] for v, g in groups.items()}, order)
+    table.update(ratios)
+    return MetricsReport(table=table, n_users=len(users), fs_at_k=table[fs],
+                         pac=overall, coverage=table["coverage"])

@@ -5,10 +5,11 @@ Every sweep runs the generation machinery in-process on a fixed user
 subset, evaluates against hidden cost functions keyed by a separate test
 seed, and emits plain CSV tables; rendering is left to external tools.
 
-Reports are written as flat tables, metric name -> value (`report_table`);
-the mean of several runs (`mean_table`) averages each metric over the runs
-that define it, so a subgroup present in only some runs keeps its rows, and
-can list the rows in schema order (`table_order`) whatever the run order.
+`score_docs` scores result documents as one flat table per test seed,
+measuring the metrics of the sets alone once. The mean of several runs
+(`mean_table`) averages each metric over the runs that define it, so a
+subgroup present in only some runs keeps its rows, in a given row order
+whatever the run order.
 """
 
 from __future__ import annotations
@@ -22,10 +23,11 @@ import numpy as np
 from .cost import random_editable_subset
 from .evaluate import (
     MetricsReport,
-    PacResult,
     compute_report,
     concentration_distance,
+    metric_names,
     realized_cost,
+    set_metrics,
     simulate_user,
 )
 from .model import BudgetMeter, Classifier, predict_batch
@@ -79,6 +81,9 @@ class ExperimentSpec:
             raise ValueError(f"{self.kind} requires a non-empty grid")
         if not self.seeds:
             raise ValueError("at least one seed required")
+        for name in ("bins", "shift_vectors"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
         if self.kind == "alpha_grid":
             bad = [a for a in self.grid if not 0.0 <= a <= 1.0]
             if bad:
@@ -125,7 +130,7 @@ def evaluate_docs(
     test_distribution: str = "mix",
     test_alpha: Optional[float] = None,
 ) -> MetricsReport:
-    """Score result documents against freshly simulated hidden costs."""
+    """Hidden-cost metrics of result documents under freshly simulated users."""
     users = [
         simulate_user(
             UserState(tuple(doc.state)).validate(schema),
@@ -141,40 +146,20 @@ def evaluate_docs(
     return compute_report(users, recourse_sets_from_docs(docs), schema, k=k)
 
 
-def report_table(report: MetricsReport) -> dict[str, Optional[float]]:
-    """A report as one flat table, metric name -> value (None: undefined):
-    the overall metrics, then per protected subgroup FS@k and coverage, then
-    the disparate impact ratios."""
-    fs = f"fs_at_{report.k:g}"
-    table = {fs: report.fs_at_k, "pac": report.pac.value,
-             "pac_uncovered": report.pac.uncovered}
-    for name in ("coverage", "diversity", "proximity", "sparsity", "validity"):
-        table[name] = getattr(report, name)
-    for attr, groups in report.by_subgroup.items():
-        for value, stats in groups.items():
-            table[f"{fs}[{attr}={value}]"] = stats["fs_at_k"]
-            table[f"coverage[{attr}={value}]"] = stats["coverage"]
-    for attr, ratios in report.dir_ratios.items():
-        for metric, ratio in ratios.items():
-            label = fs if metric == "fs_at_k" else metric
-            table[f"dir_{label}[{attr}]"] = ratio
-    return table
-
-
-def table_order(schema: DatasetSchema, k: float) -> list[str]:
-    """Metric names in the order `report_table` lists them for a report
-    that holds every subgroup of every protected attribute."""
-    blank = {"fs_at_k": None, "coverage": None}
-    groups = {
-        attr: dict.fromkeys(schema.features[schema.feature_index(attr)].domain, blank)
-        for attr in schema.protected_attributes
-    }
-    overall = dict.fromkeys(
-        ("fs_at_k", "coverage", "diversity", "proximity", "sparsity", "validity")
-    )
-    report = MetricsReport(k=k, pac=PacResult(None, 0), n_users=0, by_subgroup=groups,
-                           dir_ratios=dict.fromkeys(groups, blank), **overall)
-    return list(report_table(report))
+def score_docs(docs: Sequence[ResultDoc], schema: DatasetSchema, table: PercentileTable,
+               test_seeds: Sequence[int], k: float, test_distribution: str,
+               test_alpha: Optional[float]) -> list[dict[str, Optional[float]]]:
+    """Per test seed, its hidden-cost metrics and the set metrics, measured
+    once, as a flat table in `metric_names` order (None: undefined)."""
+    reports = [
+        evaluate_docs(docs, schema, table, seed, k, test_distribution, test_alpha)
+        for seed in test_seeds
+    ]
+    states = [UserState(tuple(doc.state)) for doc in docs]
+    shared = set_metrics(states, recourse_sets_from_docs(docs), schema)
+    order = metric_names(schema, k)
+    merged = [{**report.table, **shared} for report in reports]
+    return [{name: m[name] for name in order if name in m} for m in merged]
 
 
 def mean_table(
@@ -260,8 +245,8 @@ def _tabular_comparison(spec, states, user_ids, classifier, schema, table, metho
             settings = _method_settings(spec, method, seed)
             docs = run_population(states, classifier, schema, table, settings,
                                   user_ids=user_ids)
-            report = evaluate_docs(docs, schema, table, spec.test_seed, spec.k)
-            tables[method].append(report_table(report))
+            tables[method] += score_docs(docs, schema, table, [spec.test_seed], spec.k,
+                                         "mix", None)
             rows.extend([seed, *r] for r in table_rows(method, tables[method][-1]))
     for method in methods:
         rows.extend(["mean", *r] for r in table_rows(method, mean_table(tables[method])))

@@ -158,16 +158,26 @@ def write_results(docs: Sequence[ResultDoc], path) -> None:
 
 
 def read_results(path) -> list[ResultDoc]:
+    """The documents of a JSONL file; a line that does not load raises a
+    ValueError naming the file and the line."""
     docs = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for n, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
-            raw = json.loads(line)
-            raw["final_emc"] = _dec_float(raw["final_emc"])
-            raw["trace"] = [_dec_float(v) for v in raw["trace"]]
-            docs.append(ResultDoc(**raw))
+            try:
+                raw = json.loads(line)
+                raw["final_emc"] = _dec_float(raw["final_emc"])
+                raw["trace"] = [_dec_float(v) for v in raw["trace"]]
+                docs.append(ResultDoc(**raw))
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{path} line {n}: malformed JSON: {exc}") from None
+            except KeyError as exc:
+                raise ValueError(f"{path} line {n}: missing field {exc}") from None
+            except (TypeError, ValueError) as exc:
+                problem = exc if isinstance(raw, dict) else "not a JSON object"
+                raise ValueError(f"{path} line {n}: {problem}") from None
     if not docs:
         raise ValueError(f"no result documents in {path}")
     return docs

@@ -116,6 +116,11 @@ class GenerationSettings:
             )
         if self.objective not in OBJECTIVES:
             raise ValueError(f"unknown objective {self.objective!r}")
+        if self.method != "ls" and self.objective != "emc":
+            raise ValueError(
+                f"method {self.method!r} optimizes the emc objective only, "
+                f"not {self.objective!r}"
+            )
         for name in ("budget", "set_size", "restarts", "num_samples"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")

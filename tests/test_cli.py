@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import re
 import shutil
 from dataclasses import replace
 
@@ -11,7 +12,7 @@ import pytest
 from recourse.cli import main
 from recourse.cost import INF, sample_cost_batch
 from recourse.datasets import make_synthetic_6f
-from recourse.experiments import table_order
+from recourse.evaluate import distance_metrics, metric_names
 from recourse.model import load_model
 from recourse.results import (
     GenerationSettings,
@@ -20,7 +21,13 @@ from recourse.results import (
     run_user,
     write_results,
 )
-from recourse.schema import build_percentile_table, load_schema, save_dataset, save_schema
+from recourse.schema import (
+    build_percentile_table,
+    load_dataset,
+    load_schema,
+    save_dataset,
+    save_schema,
+)
 
 
 @pytest.fixture(scope="module")
@@ -174,6 +181,12 @@ class TestGenerate:
         out = tmp_path / "none"
         assert self._generate(workdir, out, ["--num-samples", "0"]) == 2
         assert "num_samples must be positive" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_objective_the_method_ignores_exits_2(self, workdir, tmp_path, capsys):
+        out = tmp_path / "ignored"
+        assert self._generate(workdir, out, ["--objective", "diversity"]) == 2
+        assert "method 'cols'" in capsys.readouterr().err
         assert not out.exists()
 
     def test_unknown_method_lists_choices(self, workdir, tmp_path, capsys):
@@ -384,7 +397,7 @@ class TestEvaluate:
         assert [method for method, *_ in rows] == sorted(method for method, *_ in rows)
         cols_rows = [metric for method, metric, _ in rows if method == "cols"]
         assert "fs_at_1[origin=0]" in cols_rows and "fs_at_1[origin=1]" in cols_rows
-        order = table_order(schema, 1.0)
+        order = metric_names(schema, 1.0)
         assert cols_rows == sorted(cols_rows, key=order.index)
 
     def test_repeated_file_stems_refused(self, workdir, generated, tmp_path, capsys):
@@ -445,6 +458,69 @@ class TestEvaluate:
         )
         assert code == 2
         assert f"{path}: document 2: one validity flag per member required" in err
+
+
+    def test_set_metrics_measured_once_per_document(
+        self, workdir, generated, tmp_path, monkeypatch
+    ):
+        """Three test seeds share one distance measurement per document."""
+        import recourse.evaluate as evaluate
+
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return distance_metrics(*args)
+
+        monkeypatch.setattr(evaluate, "distance_metrics", counting)
+        code = main(
+            [
+                "evaluate",
+                "--schema", str(workdir / "schema.yaml"),
+                "--data", str(workdir / "data.csv"),
+                "--results", str(generated),
+                "--test-seed", "901,902,903",
+                "--out", str(tmp_path / "eval"),
+            ]
+        )
+        assert code == 0
+        assert len(calls) == len(read_results(generated / "results_cols.jsonl"))
+
+    def test_evaluate_docs_measures_no_distances(self, workdir, generated, monkeypatch):
+        import recourse.evaluate as evaluate
+        from recourse.experiments import evaluate_docs
+
+        def refuse(*args):
+            raise AssertionError("distance_metrics called")
+
+        schema = load_schema(workdir / "schema.yaml")
+        table = build_percentile_table(load_dataset(workdir / "data.csv", schema), schema)
+        docs = read_results(generated / "results_cols.jsonl")
+        monkeypatch.setattr(evaluate, "distance_metrics", refuse)
+        report = evaluate_docs(docs, schema, table, test_seed=901)
+        assert report.n_users == len(docs)
+
+    @pytest.mark.parametrize("case, bad_line, message", [
+        ("missing_field",
+         lambda line: json.dumps({k: v for k, v in json.loads(line).items()
+                                  if k != "final_emc"}),
+         "missing field 'final_emc'"),
+        ("unknown_field", lambda line: json.dumps({**json.loads(line), "colour": "red"}),
+         "'colour'"),
+        ("malformed_json", lambda line: line[:-1], "malformed JSON"),
+        ("not_an_object", lambda line: "[1, 2]", "not a JSON object"),
+    ])
+    def test_bad_document_line_names_file_and_line(
+        self, workdir, generated, tmp_path, capsys, case, bad_line, message
+    ):
+        lines = (generated / "results_cols.jsonl").read_text().splitlines()
+        lines[1] = bad_line(lines[1])
+        path = tmp_path / f"{case}.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))} line 2: .*{message}"):
+            read_results(path)
+        assert self._evaluate(workdir, str(path), tmp_path / "eval") == 2
+        assert f"{path} line 2: " in capsys.readouterr().err
 
 
 class TestExperimentCommand:
@@ -601,6 +677,30 @@ class TestExperimentCommand:
         assert "'ls:diversity'" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("flag", ["--bins", "--shift-vectors"])
+    def test_zero_bins_or_shift_vectors_exits_2(self, workdir, tmp_path, capsys, flag):
+        code = main(
+            [
+                "experiment",
+                "--kind", "concentration_shift",
+                "--schema", str(workdir / "schema.yaml"),
+                "--data", str(workdir / "data.csv"),
+                "--model", str(workdir / "model.json"),
+                "--seeds", "0",
+                "--users", "2",
+                "--budget", "20",
+                "--set-size", "2",
+                "--num-samples", "5",
+                flag, "0",
+                "--out", str(tmp_path / "xp5"),
+            ]
+        )
+        assert code == 2
+        name = flag[2:].replace("-", "_")
+        assert f"{name} must be at least 1, got 0" in capsys.readouterr().err
+        assert not (tmp_path / "xp5").exists()
+
+
 class TestUserLimit:
     @pytest.mark.parametrize("limit", [0, -3])
     def test_limit_below_one_rejected(self, synth6, limit):
@@ -672,6 +772,14 @@ class TestExperimentSpecValidation:
 
         with pytest.raises(ValueError):
             ExperimentSpec(kind="main", seeds=())
+
+    @pytest.mark.parametrize("name", ["bins", "shift_vectors"])
+    @pytest.mark.parametrize("value", [0, -2])
+    def test_bins_and_shift_vectors_must_be_positive(self, name, value):
+        from recourse.experiments import ExperimentSpec
+
+        with pytest.raises(ValueError, match=f"{name} must be at least 1, got {value}"):
+            ExperimentSpec(kind="concentration_shift", **{name: value})
 
 
 class TestResultDocs:

@@ -13,9 +13,11 @@ from recourse.evaluate import (
     dir_ratio,
     distance_metrics,
     fs_at_k,
+    metric_names,
     pac,
     realized_cost,
     set_distance_stats,
+    set_metrics,
     simulate_user,
 )
 from recourse.schema import (
@@ -350,8 +352,9 @@ class TestComputeReport:
         assert report.n_users == 20
         assert 0.0 <= report.fs_at_k <= 1.0
         assert report.coverage >= report.fs_at_k
-        assert "origin" in report.by_subgroup
-        assert set(report.dir_ratios.get("origin", {})) <= {"fs_at_k", "coverage"}
+        assert any(name.startswith("fs_at_1[origin=") for name in report.table)
+        assert {name for name in report.table if name.startswith("dir_")} <= {
+            "dir_fs_at_1[origin]", "dir_coverage[origin]"}
 
     def test_prices_each_pair_once(self, adult_population, monkeypatch):
         schema, users, sets = adult_population
@@ -374,16 +377,17 @@ class TestComputeReport:
         assert report.coverage == coverage(costs)
         assert len(schema.protected_attributes) == 2
         for attr in schema.protected_attributes:
-            groups = report.by_subgroup[attr]
-            assert sum(g["n"] for g in groups.values()) == len(users)
             fi = schema.feature_index(attr)
-            for value, stats in groups.items():
+            present = {u.state.values[fi] for u in users}
+            for value in schema.features[fi].domain:
                 sub = costs[[u.state.values[fi] == value for u in users]]
-                assert stats == {
-                    "fs_at_k": fs_at_k(sub, k),
-                    "coverage": coverage(sub),
-                    "n": len(sub),
-                }
+                names = (f"fs_at_1[{attr}={value}]", f"coverage[{attr}={value}]")
+                if value not in present:
+                    assert not set(names) & set(report.table)
+                    continue
+                assert [report.table[name] for name in names] == [
+                    fs_at_k(sub, k), coverage(sub)
+                ]
 
 
 class TestReportTables:
@@ -408,13 +412,12 @@ class TestReportTables:
         assert mean == {"a": 3.0, "b": 2.0, "c": 1.0, "x": 1.0, "y": None}
         assert list(mean_table(tables[::-1], ["a", "b", "c"])) == ["a", "b", "c", "y", "x"]
 
-    def test_table_order_lists_a_full_report_in_row_order(self, adult_population):
-        from recourse.experiments import report_table, table_order
-
+    def test_metric_names_list_a_full_table_in_row_order(self, adult_population):
         schema, users, sets = adult_population
-        table = report_table(compute_report(users, sets, schema, k=1.0))
-        order = table_order(schema, 1.0)
-        assert set(table) <= set(order)
+        table = compute_report(users, sets, schema, k=1.0).table
+        shared = set_metrics([u.state for u in users], sets, schema)
+        order = metric_names(schema, 1.0)
+        assert set(table) | set(shared) <= set(order)
         assert [name for name in order if name in table] == list(table)
 
     def test_table_rows_formats(self):
@@ -432,26 +435,40 @@ class TestReportTables:
             ["cols", "dir_coverage[origin]", "-"],
         ]
 
-    def test_report_table_names_in_row_order(self, adult_population):
-        from recourse.experiments import report_table
-
+    def test_table_names_in_row_order(self, adult_population):
         schema, users, sets = adult_population
         report = compute_report(users, sets, schema, k=1.0)
-        table = report_table(report)
-        names = list(table)
+        table = report.table
+        names = metric_names(schema, 1.0)
         assert names[:8] == ["fs_at_1", "pac", "pac_uncovered", "coverage",
                              "diversity", "proximity", "sparsity", "validity"]
+        assert list(table)[:4] == names[:4]
         assert table["pac"] == report.pac.value
         assert table["pac_uncovered"] == report.pac.uncovered
+        domains = {
+            attr: schema.features[schema.feature_index(attr)].domain
+            for attr in schema.protected_attributes
+        }
         subgroup_rows = [
             name
-            for attr, groups in report.by_subgroup.items()
-            for value in groups
+            for attr, domain in domains.items()
+            for value in domain
             for name in (f"fs_at_1[{attr}={value}]", f"coverage[{attr}={value}]")
         ]
         dir_rows = [
-            f"dir_{'fs_at_1' if metric == 'fs_at_k' else metric}[{attr}]"
-            for attr, ratios in report.dir_ratios.items()
-            for metric in ratios
+            f"dir_{metric}[{attr}]"
+            for attr in domains
+            for metric in ("fs_at_1", "coverage")
         ]
         assert names[8:] == subgroup_rows + dir_rows
+        assert list(table)[4:] == [
+            name for name in subgroup_rows + dir_rows if name in table
+        ]
+
+    def test_set_metrics_are_means_of_distance_metrics(self, adult_population):
+        schema, users, sets = adult_population
+        dists = [distance_metrics(u.state, s, schema) for u, s in zip(users, sets)]
+        shared = set_metrics([u.state for u in users], sets, schema)
+        assert list(shared) == ["diversity", "proximity", "sparsity", "validity"]
+        for i, value in enumerate(shared.values()):
+            assert value == float(np.mean([d[i] for d in dists]))

@@ -751,6 +751,9 @@ class TestGenerationSettings:
         (dict(restarts=0), "restarts must be positive"),
         (dict(budget=4, restarts=5), "more restarts than budget"),
         (dict(num_samples=0), "num_samples must be positive"),
+        (dict(method="cols", objective="diversity"), "method 'cols'.*'diversity'"),
+        (dict(method="pcols", objective="proximity"), "method 'pcols'.*'proximity'"),
+        (dict(method="random", objective="sparsity"), "method 'random'.*'sparsity'"),
     ])
     def test_rejected_at_construction(self, fields, message):
         with pytest.raises(ValueError, match=message):
