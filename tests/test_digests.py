@@ -18,7 +18,13 @@ import numpy as np
 import pytest
 
 from recourse.cli import main
-from recourse.cost import TRAIN_STREAM, sample_cost_batch, sample_cost_function, stream_rng
+from recourse.cost import (
+    TRAIN_STREAM,
+    distribution_alpha,
+    sample_cost_batch,
+    sample_cost_function,
+    stream_rng,
+)
 from recourse.evaluate import simulate_user
 from recourse.experiments import select_undesired
 from recourse.model import save_model
@@ -31,9 +37,22 @@ from recourse.schema import save_dataset, save_schema
 PINNED_EDITABLE = frozenset({0, 1, 4, 8, 10})
 PINNED_PREF = (0.3, 0.1, 0.0, 0.0, 0.2, 0.0, 0.0, 0.0, 0.25, 0.0, 0.15, 0.0)
 
+# Each batch case's distribution and pinned inputs. "mix-editable" pins the
+# editable set alone, so preferences are a flat Dirichlet over that set.
+BATCH_CASES = {
+    "lin": dict(distribution="lin"),
+    "mix": dict(distribution="mix"),
+    "mix-alpha": dict(distribution="mix", alpha=0.3),
+    "mix-editable": dict(distribution="mix", editable=PINNED_EDITABLE),
+    "mix-pinned": dict(distribution="mix", editable=PINNED_EDITABLE,
+                       pref=np.asarray(PINNED_PREF)),
+    "perc": dict(distribution="perc"),
+}
 BATCH_DIGESTS = {
     "lin": "f75b0e83a9550c37e4e3e5c6dc4ad92e9d268c5451c75a3728f2fb3ba43bf3a0",
     "mix": "7e99d553b9c5e6e4bfb3c1824c924eeb27f2e4230bd3ad28a85f5180483cfed2",
+    "mix-alpha": "f4567d1a618d11b2e134acdd308111944595e436500a11dedcbf0ac45adf7ad6",
+    "mix-editable": "c3ec875ae3526b38f2d284b43fb8b17fd8baf667547a6442e7176efd84e89ba2",
     "mix-pinned": "c826a630f05d02fecbf19ba2553188a42bc87c5345de75baa3da00b7dc1f48b1",
     "perc": "133b6144fd20c9bc8484342a11634922636c7822e8d8a9faee8180dd49ddbf0b",
 }
@@ -102,12 +121,8 @@ def rejected(adult):
 @pytest.mark.parametrize("case", sorted(BATCH_DIGESTS))
 def test_sample_cost_batch_digest(rejected, case):
     schema, table, states, ids = rejected
-    distribution, _, pinned = case.partition("-")
-    samples = sample_cost_batch(
-        states[0], schema, table, 50, distribution, seed=3, subkey=ids[0],
-        editable=PINNED_EDITABLE if pinned else None,
-        pref=np.asarray(PINNED_PREF) if pinned else None,
-    )
+    samples = sample_cost_batch(states[0], schema, table, 50, seed=3, subkey=ids[0],
+                                **BATCH_CASES[case])
     h = hashlib.sha256()
     _update(h, samples)
     assert h.hexdigest() == BATCH_DIGESTS[case]
@@ -128,12 +143,11 @@ def test_batch_rows_are_single_draws_on_their_streams(rejected, case):
     """Row i of a batch is the one cost function that stream i of (seed,
     subkey) draws on its own."""
     schema, table, states, ids = rejected
-    distribution, _, pinned = case.partition("-")
-    pins = dict(editable=PINNED_EDITABLE, pref=np.asarray(PINNED_PREF)) if pinned else {}
-    alpha = {"lin": 1.0, "perc": 0.0}.get(distribution)
+    kwargs = BATCH_CASES[case]
+    pins = {key: kwargs[key] for key in ("editable", "pref") if key in kwargs}
+    alpha = distribution_alpha(kwargs["distribution"], kwargs.get("alpha"))
     for state, uid in zip(states[:3], ids[:3]):
-        batch = sample_cost_batch(state, schema, table, 50, distribution, seed=3,
-                                  subkey=uid, **pins)
+        batch = sample_cost_batch(state, schema, table, 50, seed=3, subkey=uid, **kwargs)
         rows = [*batch.costs, batch.alpha, batch.editable, batch.preferences]
         for i in range(batch.m):
             one = sample_cost_function(state, schema, table,
