@@ -215,15 +215,22 @@ def _resolve_result_files(raw: str) -> list[str]:
 
 
 def _check_docs(docs, schema: DatasetSchema, path: str) -> None:
-    """Each document has its state and members in the schema's domains, at
-    least one member and one validity flag per member; errors name the file
-    and the document."""
+    """Each document has its state and members as integer codes in the
+    schema's domains, at least one member and one boolean validity flag per
+    member; errors name the file, the document and the value."""
     for n, doc in enumerate(docs, 1):
         try:
             for values in (doc.state, *doc.members):
+                for f, v in zip(schema.features, values):
+                    if type(v) is not int:
+                        raise ValueError(f"value {v!r} of feature {f.name!r} is not "
+                                         f"an integer code")
                 UserState(tuple(values)).validate(schema)
+            for flag in doc.validity:
+                if type(flag) is not bool:
+                    raise ValueError(f"validity flag {flag!r} is not true or false")
             xp.recourse_sets_from_docs([doc])
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise SchemaError(f"{path}: document {n}: {exc}") from None
 
 

@@ -37,16 +37,6 @@ in tests/test_cost.py pins each identity. Batches extend without
 disturbing earlier samples, and features outside the editable set draw
 nothing.
 
-A batch is filled in two passes over its generators. Pass one draws each
-sample's subset, preferences and alpha. An ordered feature's Beta
-parameters depend on nothing else, so they are then computed for all
-samples at once, for the features some sample chose. Pass two goes back to
-each generator, which is exactly where pass one left it, and makes that
-sample's remaining draws in the order above. Every generator therefore
-sees the same calls with the same arguments as when one sample is drawn
-alone, and the arithmetic is the same elementwise steps, so the results
-are bit-identical. The blended means are written straight into the table.
-
 Every price comes from `cost_rows`, which gathers each feature's table
 rows for all members and adds them left to right; sums saturate at
 `math.inf`, so one infeasible feature makes a whole transition infeasible.
@@ -159,27 +149,27 @@ def _flat_dirichlet(rng: np.random.Generator, k: int) -> np.ndarray:
     return draws * (1.0 / total)
 
 
-def _blend(
-    a: np.ndarray, keep: np.ndarray, lin: np.ndarray, perc: np.ndarray
-) -> np.ndarray:
-    """Transition-cost means: the alpha blend of the preference-scaled
-    step-count and percentile means, clipped to [0, 1]."""
-    return np.clip(a * (lin * keep) + (1.0 - a) * (perc * keep), 0.0, 1.0)
-
-
-def _unordered_costs(
-    rng: np.random.Generator, size: int, targets: np.ndarray, a: float, keep: float
+def _feature_costs(
+    rng: np.random.Generator,
+    size: int,
+    targets: list[int],
+    raw: Optional[list[tuple[float, float]]],
+    a: float,
+    keep: float,
 ) -> list[float]:
-    """One sample's costs of an unordered feature's targets: fresh
-    Uniform(0,1) step-count and percentile means (one `random(2 * size)`
-    call, step counts first), blended and Beta-drawn like the ordered
-    features, on Python floats (the same IEEE steps)."""
-    means = rng.random(2 * size)
-    lin = means[targets].tolist()
-    perc = means[targets + size].tolist()
+    """One sample's costs of moving a feature of `size` domain positions to
+    each of its `targets`: the alpha blend of the step-count and percentile
+    means scaled by `keep` (1 - preference), clipped to [0, 1], and a Beta
+    draw around it where one exists. An ordered feature's raw means are the
+    (step count, percentile) pairs `raw`; an unordered feature (`raw` None)
+    draws fresh Uniform(0,1) means in one `random(2 * size)` call, step
+    counts first."""
+    if raw is None:
+        means = rng.random(2 * size).tolist()
+        raw = [(means[j], means[j + size]) for j in targets]
     b = 1.0 - a
     costs = []
-    for x, y in zip(lin, perc):
+    for x, y in raw:
         mu = a * (x * keep) + b * (y * keep)
         mu = 0.0 if mu < 0.0 else 1.0 if mu > 1.0 else mu
         nu = mu * (1.0 - mu) / _VAR - 1.0
@@ -197,8 +187,8 @@ def _sample(
     pref: Optional[np.ndarray],
 ) -> CostSampleSet:
     """Fill column i of the cost table and row i of the other arrays from
-    `rngs[i]` alone; absent inputs are drawn per sample (see
-    `sample_cost_function`)."""
+    `rngs[i]` alone, start to finish; absent inputs are drawn per sample
+    (see `sample_cost_function`)."""
     d = schema.n_features
     pinned = None if editable is None else sorted(int(i) for i in editable)
     for i in pinned or []:
@@ -221,80 +211,50 @@ def _sample(
 
     features = schema.features
     candidates = schema.mutable_indices()
+    off = _row_offsets(schema)
     m = len(rngs)
-    chosen_mask = np.zeros((m, d), dtype=bool)
-    prefs = np.zeros((m, d))
-    # Pass one: each sample's editable subset, preferences and alpha.
-    subsets, alpha_list = [], []
+    alphas = np.empty(m)
+    keep_of = None if pref is None else (1.0 - pref).tolist()
+    # Per feature some sample chose: its size, targets, raw means and rows.
+    plan = {}
+    chosen_rows, chosen_cols, chosen_prefs = [], [], []
+    rows, cols, vals = [], [], []
     for i, rng in enumerate(rngs):
         chosen = pinned if pinned is not None else random_editable_subset(candidates, rng)
-        subsets.append(chosen)
-        chosen_mask[i, chosen] = True
+        chosen_rows += [i] * len(chosen)
+        chosen_cols += chosen
         if pref is None and chosen:
-            prefs[i, chosen] = _flat_dirichlet(rng, len(chosen))
-        alpha_list.append(rng.random() if alpha is None else alpha)
-    alphas = np.array(alpha_list, dtype=float)
-    if pref is not None:
+            p = _flat_dirichlet(rng, len(chosen))
+            chosen_prefs += p.tolist()
+            keep_of = dict(zip(chosen, (1.0 - p).tolist()))
+        alphas[i] = a = rng.random() if alpha is None else alpha
+        for fi in chosen:
+            if fi not in plan:
+                _, targets, raw = _targets(state, schema, table, fi)
+                plan[fi] = (
+                    features[fi].size,
+                    targets.tolist(),
+                    None if raw is None else list(zip(*raw.tolist())),
+                    (off[fi] + targets).tolist(),
+                )
+            size, targets, raw, target_rows = plan[fi]
+            costs = _feature_costs(rng, size, targets, raw, a, keep_of[fi])
+            rows += target_rows
+            cols += [i] * len(costs)
+            vals += costs
+    chosen_mask = np.zeros((m, d), dtype=bool)
+    chosen_mask[chosen_rows, chosen_cols] = True
+    prefs = np.zeros((m, d))
+    if pref is None:
+        prefs[chosen_rows, chosen_cols] = chosen_prefs
+    else:
         prefs[:] = pref
 
-    # Blended means and Beta parameters of all samples at once, over the
-    # targets of the features some sample chose, side by side: feature fi
-    # owns columns spans[fi]. Unordered columns hold zero means until pass
-    # two fills them, so none of them is `drawn`. The shapes of the drawn
-    # cells are listed in row-major order, and n_drawn[i][col[fi]] counts
-    # sample i's cells of feature fi.
-    used = [fi for fi, hit in enumerate(chosen_mask.any(axis=0).tolist()) if hit]
-    plan = {fi: _targets(state, schema, table, fi) for fi in used}
-    spans, width = {}, 0
-    for fi in used:
-        spans[fi] = (width, width + len(plan[fi][1]))
-        width = spans[fi][1]
-    raw = np.concatenate(
-        [np.zeros((2, 0))]
-        + [r if r is not None else np.zeros((2, len(t))) for _, t, r in plan.values()],
-        axis=1,
-    )
-    owner = [fi for fi in used for _ in range(*spans[fi])]
-    mu = _blend(alphas[:, None], 1.0 - prefs[:, owner], raw[0], raw[1])
-    nu = mu * (1.0 - mu) / _VAR - 1.0
-    drawn = (nu > 0.0) & chosen_mask[:, owner]
-    shape_a = (mu * nu)[drawn].tolist()
-    shape_b = ((1.0 - mu) * nu)[drawn].tolist()
-    before = np.zeros((m, width + 1), dtype=np.intp)
-    np.cumsum(drawn, axis=1, out=before[:, 1:])
-    n_drawn = (
-        before[:, [spans[fi][1] for fi in used]] - before[:, [spans[fi][0] for fi in used]]
-    ).tolist()
-    col = {fi: k for k, fi in enumerate(used)}
-    del nu, before
-
-    # Pass two: each sample's remaining draws, per editable feature in index
-    # order: the Uniform means of an unordered feature, then its Beta draws.
-    draws, k = [], 0
-    for i, rng in enumerate(rngs):
-        for fi in subsets[i]:
-            _, targets, ordered_raw = plan[fi]
-            if ordered_raw is None:
-                lo, hi = spans[fi]
-                keep = 1.0 - float(prefs[i, fi])
-                mu[i, lo:hi] = _unordered_costs(
-                    rng, features[fi].size, targets, alpha_list[i], keep
-                )
-                continue
-            n = n_drawn[i][col[fi]]
-            draws += map(rng.beta, shape_a[k:k + n], shape_b[k:k + n])
-            k += n
-    mu[drawn] = draws
-    del drawn, shape_a, shape_b, draws  # freed before the cost table
-
-    off = _row_offsets(schema)
     cost_table = np.empty((int(off[-1]), m))
     cost_table.fill(INF)
     noop = [o + f.index_of(v) for o, f, v in zip(off.tolist(), features, state.values)]
     cost_table[noop] = 0.0
-    if used:
-        rows = np.concatenate([off[fi] + plan[fi][1] for fi in used])
-        cost_table[rows] = np.where(chosen_mask[:, owner], mu, INF).T
+    cost_table[rows, cols] = vals
     for arr in (cost_table, alphas, chosen_mask, prefs):
         arr.setflags(write=False)
     return CostSampleSet(schema, state, cost_table, off, alphas, chosen_mask, prefs)

@@ -131,34 +131,39 @@ def evaluate_docs(
     test_alpha: Optional[float] = None,
 ) -> MetricsReport:
     """Hidden-cost metrics of result documents under freshly simulated users."""
+    states = [UserState(tuple(doc.state)).validate(schema) for doc in docs]
+    return _hidden_report(docs, states, recourse_sets_from_docs(docs), schema, table,
+                          test_seed, k, test_distribution, test_alpha)
+
+
+def _hidden_report(docs: Sequence[ResultDoc], states: Sequence[UserState],
+                   sets: Sequence[RecourseSet], schema: DatasetSchema,
+                   table: PercentileTable, test_seed: int, k: float,
+                   test_distribution: str, test_alpha: Optional[float]) -> MetricsReport:
+    """`evaluate_docs` on the documents' validated states and sets."""
     users = [
-        simulate_user(
-            UserState(tuple(doc.state)).validate(schema),
-            schema,
-            table,
-            test_seed,
-            doc.user_id,
-            distribution=test_distribution,
-            alpha=test_alpha,
-        )
-        for doc in docs
+        simulate_user(state, schema, table, test_seed, doc.user_id,
+                      distribution=test_distribution, alpha=test_alpha)
+        for doc, state in zip(docs, states)
     ]
-    return compute_report(users, recourse_sets_from_docs(docs), schema, k=k)
+    return compute_report(users, sets, schema, k=k)
 
 
 def score_docs(docs: Sequence[ResultDoc], schema: DatasetSchema, table: PercentileTable,
                test_seeds: Sequence[int], k: float, test_distribution: str,
                test_alpha: Optional[float]) -> list[dict[str, Optional[float]]]:
     """Per test seed, its hidden-cost metrics and the set metrics, measured
-    once, as a flat table in `metric_names` order (None: undefined)."""
-    reports = [
-        evaluate_docs(docs, schema, table, seed, k, test_distribution, test_alpha)
+    once, as a flat table in `metric_names` order (None: undefined). Each
+    document's state and recourse set are built once for all seeds."""
+    states = [UserState(tuple(doc.state)).validate(schema) for doc in docs]
+    sets = recourse_sets_from_docs(docs)
+    shared = set_metrics(states, sets, schema)
+    order = metric_names(schema, k)
+    merged = [
+        {**_hidden_report(docs, states, sets, schema, table, seed, k, test_distribution,
+                          test_alpha).table, **shared}
         for seed in test_seeds
     ]
-    states = [UserState(tuple(doc.state)) for doc in docs]
-    shared = set_metrics(states, recourse_sets_from_docs(docs), schema)
-    order = metric_names(schema, k)
-    merged = [{**report.table, **shared} for report in reports]
     return [{name: m[name] for name in order if name in m} for m in merged]
 
 

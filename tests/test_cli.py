@@ -13,6 +13,7 @@ from recourse.cli import main
 from recourse.cost import INF, sample_cost_batch
 from recourse.datasets import make_synthetic_6f
 from recourse.evaluate import distance_metrics, metric_names
+from recourse.experiments import recourse_sets_from_docs
 from recourse.model import load_model
 from recourse.results import (
     GenerationSettings,
@@ -22,6 +23,7 @@ from recourse.results import (
     write_results,
 )
 from recourse.schema import (
+    UserState,
     build_percentile_table,
     load_dataset,
     load_schema,
@@ -218,8 +220,6 @@ class TestGenerate:
         docs = read_results(out / "results_cols.jsonl")
         doc = docs[0]
         editable = (schema.feature_index("level"), schema.feature_index("band"))
-        from recourse.schema import UserState
-
         state = UserState(tuple(doc.state))
         table = build_percentile_table(rows, schema)
         batch = sample_cost_batch(
@@ -450,6 +450,31 @@ class TestEvaluate:
         assert (f"{path}: document 2: value 999 not in domain of feature 'band'"
                 in err)
 
+    @pytest.mark.parametrize("tamper, message", [
+        (lambda doc, band: doc.members[0].__setitem__(band, 4.7),
+         "value 4.7 of feature 'band' is not an integer code"),
+        (lambda doc, band: doc.state.__setitem__(band, "3"),
+         "value '3' of feature 'band' is not an integer code"),
+        (lambda doc, band: doc.validity.__setitem__(0, "no"),
+         "validity flag 'no' is not true or false"),
+        (lambda doc, band: doc.validity.__setitem__(0, 1),
+         "validity flag 1 is not true or false"),
+        (lambda doc, band: doc.members.__setitem__(0, 5), "'int' object is not iterable"),
+    ], ids=["float_member_code", "string_state_code", "string_flag", "integer_flag",
+            "member_not_a_list"])
+    def test_mistyped_value_names_file_document_and_value(
+        self, workdir, generated, tmp_path, capsys, tamper, message
+    ):
+        """A code that is not an integer, a flag that is not a boolean or a
+        member that is not a list exits 2 instead of being truncated, read
+        as true or raising a traceback."""
+        band = load_schema(workdir / "schema.yaml").feature_index("band")
+        code, err, path = self._evaluate_tampered(
+            workdir, generated, tmp_path, capsys, lambda doc: tamper(doc, band)
+        )
+        assert code == 2
+        assert f"{path}: document 2: {message}" in err
+
     def test_missing_validity_flag_names_file_and_document(
         self, workdir, generated, tmp_path, capsys
     ):
@@ -485,6 +510,33 @@ class TestEvaluate:
         )
         assert code == 0
         assert len(calls) == len(read_results(generated / "results_cols.jsonl"))
+
+    def test_score_docs_builds_each_state_and_set_once(
+        self, workdir, generated, monkeypatch
+    ):
+        """Three test seeds share one validated state and one recourse set
+        per document."""
+        import recourse.experiments as xp
+
+        states, sets = [], []
+
+        class CountingState(UserState):
+            def __post_init__(self):
+                states.append(self)
+                super().__post_init__()
+
+        def counting_sets(docs):
+            sets.extend(docs)
+            return recourse_sets_from_docs(docs)
+
+        schema = load_schema(workdir / "schema.yaml")
+        table = build_percentile_table(load_dataset(workdir / "data.csv", schema), schema)
+        docs = read_results(generated / "results_cols.jsonl")
+        monkeypatch.setattr(xp, "UserState", CountingState)
+        monkeypatch.setattr(xp, "recourse_sets_from_docs", counting_sets)
+        tables = xp.score_docs(docs, schema, table, [901, 902, 903], 1.0, "mix", None)
+        assert len(tables) == 3
+        assert len(states) == len(sets) == len(docs)
 
     def test_evaluate_docs_measures_no_distances(self, workdir, generated, monkeypatch):
         import recourse.evaluate as evaluate

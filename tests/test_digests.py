@@ -38,7 +38,9 @@ PINNED_EDITABLE = frozenset({0, 1, 4, 8, 10})
 PINNED_PREF = (0.3, 0.1, 0.0, 0.0, 0.2, 0.0, 0.0, 0.0, 0.25, 0.0, 0.15, 0.0)
 
 # Each batch case's distribution and pinned inputs. "mix-editable" pins the
-# editable set alone, so preferences are a flat Dirichlet over that set.
+# editable set alone, so preferences are a flat Dirichlet over that set;
+# "mix-zero-pref" pins all-zero preferences alone, so the editable set is
+# drawn and every chosen feature keeps its full means.
 BATCH_CASES = {
     "lin": dict(distribution="lin"),
     "mix": dict(distribution="mix"),
@@ -46,6 +48,7 @@ BATCH_CASES = {
     "mix-editable": dict(distribution="mix", editable=PINNED_EDITABLE),
     "mix-pinned": dict(distribution="mix", editable=PINNED_EDITABLE,
                        pref=np.asarray(PINNED_PREF)),
+    "mix-zero-pref": dict(distribution="mix", pref=np.zeros(len(PINNED_PREF))),
     "perc": dict(distribution="perc"),
 }
 BATCH_DIGESTS = {
@@ -54,6 +57,7 @@ BATCH_DIGESTS = {
     "mix-alpha": "f4567d1a618d11b2e134acdd308111944595e436500a11dedcbf0ac45adf7ad6",
     "mix-editable": "c3ec875ae3526b38f2d284b43fb8b17fd8baf667547a6442e7176efd84e89ba2",
     "mix-pinned": "c826a630f05d02fecbf19ba2553188a42bc87c5345de75baa3da00b7dc1f48b1",
+    "mix-zero-pref": "060a63efc2353352b6735c42bb6fb0bf3e745e29253a51207066b2787d4f0074",
     "perc": "133b6144fd20c9bc8484342a11634922636c7822e8d8a9faee8180dd49ddbf0b",
 }
 # Every non-immutable feature of the adult-like schema. With all of them

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,6 +21,9 @@ from recourse.evaluate import (
     set_metrics,
     simulate_user,
 )
+from recourse.experiments import score_docs, select_undesired
+from recourse.model import TrainConfig, train_classifier
+from recourse.results import GenerationSettings, run_population
 from recourse.schema import (
     DatasetSchema,
     FeatureSpec,
@@ -472,3 +476,55 @@ class TestReportTables:
         assert list(shared) == ["diversity", "proximity", "sparsity", "validity"]
         for i, value in enumerate(shared.values()):
             assert value == float(np.mean([d[i] for d in dists]))
+
+
+def recode(f, v):
+    """synth6's code v of feature f as a code that is not its domain
+    position: 10v + 100 on an ordered feature, 2v - 3 on an unordered one."""
+    return 10 * v + 100 if f.kind == "ordered" else 2 * v - 3
+
+
+def relabel(schema, values):
+    return [recode(f, v) for f, v in zip(schema.features, values)]
+
+
+@pytest.fixture(scope="module")
+def relabelled_synth6(synth6):
+    """synth6 with every code relabelled, its model trained as the original."""
+    schema, rows, labels, _, _ = synth6
+    new_schema = replace(schema, features=tuple(
+        replace(f, domain=tuple(recode(f, v) for v in f.domain)) for f in schema.features
+    ))
+    new_rows = [UserState(tuple(relabel(schema, r.values))) for r in rows]
+    clf = train_classifier(new_rows, labels, new_schema, TrainConfig(epochs=200, seed=0))
+    return new_schema, new_rows, labels, build_percentile_table(new_rows, new_schema), clf
+
+
+@pytest.mark.parametrize("method, objective", [
+    ("cols", "emc"), ("pcols", "emc"), ("random", "emc"), ("ls", "emc"),
+    ("ls", "diversity"),
+])
+def test_relabelled_codes_change_no_document_or_score(
+    synth6, relabelled_synth6, method, objective
+):
+    """Search and scoring work on domain positions: after relabelling,
+    documents map back to the original ones and every metric is equal."""
+    settings = GenerationSettings(
+        method=method, objective=objective, budget=120, set_size=4, num_samples=20,
+        restarts=3, seed=1, editable=tuple(synth6[0].mutable_indices()),
+    )
+    runs = []
+    for schema, rows, _, table, clf in (synth6, relabelled_synth6):
+        states, ids = select_undesired(rows, clf, schema, limit=6)
+        docs = run_population(states, clf, schema, table, settings, ids)
+        runs.append((ids, docs, score_docs(docs, schema, table, [901, 902], 1.0, "mix",
+                                           None)))
+    (ids, docs, scores), (new_ids, new_docs, new_scores) = runs
+    schema = synth6[0]
+    assert new_ids == ids
+    for doc, new in zip(docs, new_docs):
+        assert new.state == relabel(schema, doc.state)
+        assert new.members == [relabel(schema, m) for m in doc.members]
+        assert (new.validity, new.trace, new.queries_used) == (
+            doc.validity, doc.trace, doc.queries_used)
+    assert [list(t.values()) for t in new_scores] == [list(t.values()) for t in scores]
