@@ -35,6 +35,7 @@ from .schema import (
     SchemaError,
     UserState,
     build_percentile_table,
+    feasible_positions,
     feasible_values,
     load_dataset,
     load_schema,

@@ -37,8 +37,9 @@ in tests/test_cost.py pins each identity. Batches extend without
 disturbing earlier samples, and features outside the editable set draw
 nothing.
 
-Every price comes from `cost_rows`, which gathers each feature's table
-rows for all members and adds them left to right; sums saturate at
+Every price comes from `cost_rows`, which takes members as domain
+positions (`DatasetSchema.positions`), gathers each feature's table rows
+for all members and adds them left to right; sums saturate at
 `math.inf`, so one infeasible feature makes a whole transition infeasible.
 The sum is an explicit loop (a running `add.accumulate` for a single cost
 function) and never a numpy reduction: `add.reduce` and `.sum(axis=...)`
@@ -55,7 +56,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .schema import DatasetSchema, PercentileTable, UserState, feasible_values
+from .schema import DatasetSchema, PercentileTable, UserState, feasible_positions
 
 INF = math.inf
 
@@ -105,18 +106,18 @@ def _row_offsets(schema: DatasetSchema) -> np.ndarray:
 
 
 def _targets(
-    state: UserState, schema: DatasetSchema, table: PercentileTable, fi: int
-) -> tuple[int, np.ndarray, Optional[np.ndarray]]:
-    """Feature fi's domain position s of the user's value, its other
-    feasible positions x, and for an ordered feature the (2, |x|) raw means
-    of moving there: step count |{y : s < y <= x}| / |{y : y > s}| (mirrored
-    downward) and CDF shift |cdf(x) - cdf(s)|. Unordered raw means are drawn
-    per sample."""
+    schema: DatasetSchema, table: PercentileTable, at: Sequence[int], fi: int
+) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """For a user at domain positions `at`, feature fi's feasible positions
+    x other than its own s = at[fi], and for an ordered feature the (2, |x|)
+    raw means of moving there: step count |{y : s < y <= x}| / |{y : y > s}|
+    (mirrored downward) and CDF shift |cdf(x) - cdf(s)|. Unordered raw means
+    are drawn per sample."""
     f = schema.features[fi]
-    value = state.values[fi]
-    s_idx = f.index_of(value)
-    allowed = feasible_values(schema, fi, value)
-    targets = [j for j, v in enumerate(f.domain) if j != s_idx and v in allowed]
+    s_idx = at[fi]
+    value = f.domain[s_idx]
+    targets = feasible_positions(schema, fi, value)
+    targets.remove(s_idx)
     raw = None
     if f.kind == "ordered":
         n_up, n_down = f.size - s_idx - 1, s_idx
@@ -124,7 +125,7 @@ def _targets(
         cdf_s = table.percentile(f, value) if targets else 0.0
         perc = [abs(table.percentile(f, f.domain[j]) - cdf_s) for j in targets]
         raw = np.array([lin, perc], dtype=float)
-    return s_idx, np.array(targets, dtype=np.intp), raw
+    return np.array(targets, dtype=np.intp), raw
 
 
 def random_editable_subset(candidates: list[int], rng: np.random.Generator) -> list[int]:
@@ -211,6 +212,7 @@ def _sample(
 
     features = schema.features
     candidates = schema.mutable_indices()
+    at = schema.positions(state.values).tolist()
     off = _row_offsets(schema)
     m = len(rngs)
     alphas = np.empty(m)
@@ -230,7 +232,7 @@ def _sample(
         alphas[i] = a = rng.random() if alpha is None else alpha
         for fi in chosen:
             if fi not in plan:
-                _, targets, raw = _targets(state, schema, table, fi)
+                targets, raw = _targets(schema, table, at, fi)
                 plan[fi] = (
                     features[fi].size,
                     targets.tolist(),
@@ -252,8 +254,7 @@ def _sample(
 
     cost_table = np.empty((int(off[-1]), m))
     cost_table.fill(INF)
-    noop = [o + f.index_of(v) for o, f, v in zip(off.tolist(), features, state.values)]
-    cost_table[noop] = 0.0
+    cost_table[off[:-1] + at] = 0.0
     cost_table[rows, cols] = vals
     for arr in (cost_table, alphas, chosen_mask, prefs):
         arr.setflags(write=False)
@@ -319,7 +320,8 @@ def sample_cost_batch(
 
 
 def cost_rows(index_matrix: np.ndarray, samples: CostSampleSet) -> np.ndarray:
-    """(N, M) cost table for members given as (N, d) domain-position indices.
+    """(N, M) cost table for members given as (N, d) domain positions, as
+    `DatasetSchema.positions` returns them for their codes.
 
     Each member's feature costs are added left to right: one (N, M) row
     gather per feature, added in place, or for a single cost function a
@@ -337,19 +339,14 @@ def cost_rows(index_matrix: np.ndarray, samples: CostSampleSet) -> np.ndarray:
 
 def min_cost(s_u: UserState, members: np.ndarray, samples: CostSampleSet) -> float:
     """Least transition cost over (n, d) member codes under a single cost
-    function (M=1)."""
+    function (M=1); a code outside its feature's domain raises SchemaError."""
     if not len(members):
         raise ValueError("recourse set is empty")
     if samples.state.values != s_u.values:
         raise ValueError("cost function is conditioned on a different state")
     if samples.m != 1:
         raise ValueError(f"expected a single cost function, got {samples.m}")
-    features = samples.schema.features
-    idx = np.array(
-        [[f.index_of(v) for f, v in zip(features, row)] for row in members.tolist()],
-        dtype=np.intp,
-    )
-    return float(cost_rows(idx, samples).min())
+    return float(cost_rows(samples.schema.positions(members), samples).min())
 
 
 def emc_of_matrix(entries: np.ndarray) -> float:

@@ -133,19 +133,9 @@ def run_population(
 
 
 def _enc_float(v: float):
-    if math.isinf(v):
-        return "inf"
-    if isinstance(v, float) and math.isnan(v):
-        return "nan"
-    return v
-
-
-def _dec_float(v) -> float:
-    if v == "inf":
-        return math.inf
-    if v == "nan":
-        return math.nan
-    return float(v)
+    """JSON has no infinities or nan: they are written as the strings
+    "inf", "-inf" and "nan", which `float` reads back."""
+    return str(v) if math.isinf(v) or math.isnan(v) else v
 
 
 def write_results(docs: Sequence[ResultDoc], path) -> None:
@@ -168,8 +158,8 @@ def read_results(path) -> list[ResultDoc]:
                 continue
             try:
                 raw = json.loads(line)
-                raw["final_emc"] = _dec_float(raw["final_emc"])
-                raw["trace"] = [_dec_float(v) for v in raw["trace"]]
+                raw["final_emc"] = float(raw["final_emc"])
+                raw["trace"] = [float(v) for v in raw["trace"]]
                 docs.append(ResultDoc(**raw))
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path} line {n}: malformed JSON: {exc}") from None

@@ -6,6 +6,9 @@ increase_only, decrease_only, immutable). Continuous features must arrive
 pre-discretized to integer codes; optional bin edges in the document are
 documentation only. Feasibility of a transition is always judged against
 the user's original state, never against an intermediate candidate.
+Cost tables, search moves and percentile counts work in domain positions
+(a code's index in its feature's `domain`), mapped to and from codes by
+`DatasetSchema.positions` and `codes` alone.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ import csv
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence
 
+import numpy as np
 import yaml
 
 KINDS = ("ordered", "unordered")
@@ -55,22 +59,14 @@ class FeatureSpec:
             raise SchemaError(
                 f"feature {self.name!r}: {self.mutability} requires an ordered domain"
             )
-        object.__setattr__(self, "_index", {v: i for i, v in enumerate(self.domain)})
+        object.__setattr__(self, "_values", frozenset(self.domain))
 
     @property
     def size(self) -> int:
         return len(self.domain)
 
-    def index_of(self, value: int) -> int:
-        try:
-            return self._index[value]
-        except KeyError:
-            raise SchemaError(
-                f"value {value} not in domain of feature {self.name!r}"
-            ) from None
-
     def __contains__(self, value: int) -> bool:
-        return value in self._index
+        return value in self._values
 
 
 @dataclass(frozen=True)
@@ -92,6 +88,13 @@ class DatasetSchema:
             if attr not in names:
                 raise SchemaError(f"protected attribute {attr!r} is not a feature")
         object.__setattr__(self, "_by_name", {n: i for i, n in enumerate(names)})
+        # Row f lists feature f's domain, padded with its first code: a padded
+        # cell repeats position 0, so a code's first match is its position.
+        width = max((f.size for f in self.features), default=1)
+        pad = [f.domain + f.domain[:1] * (width - f.size) for f in self.features]
+        domains = np.array(pad, dtype=np.int64).reshape(len(names), width)
+        domains.setflags(write=False)
+        object.__setattr__(self, "_domains", domains)
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -106,6 +109,24 @@ class DatasetSchema:
             return self._by_name[name]
         except KeyError:
             raise SchemaError(f"unknown feature {name!r}") from None
+
+    def codes(self, positions) -> np.ndarray:
+        """int64 feature codes of (..., d) domain positions."""
+        return self._domains[np.arange(self.n_features), positions]
+
+    def positions(self, codes) -> np.ndarray:
+        """Domain positions of (..., d) feature codes, the inverse of
+        `codes`. A code outside its feature's domain raises the SchemaError
+        `UserState.validate` gives for it."""
+        codes = np.asarray(codes, dtype=np.int64)
+        if codes.shape[-1:] != (self.n_features,):
+            raise SchemaError(f"codes of shape {codes.shape} are not rows of "
+                              f"{self.n_features} features")
+        hit = codes[..., None] == self._domains
+        found = hit.any(axis=-1)
+        if not found.all():
+            UserState(codes[~found.all(axis=-1)][0]).validate(self)
+        return hit.argmax(axis=-1)
 
     def mutable_indices(self) -> list[int]:
         """Indices of features that may move at all (includes conditional)."""
@@ -176,6 +197,15 @@ def feasible_values(
     return set(f.domain)
 
 
+def feasible_positions(
+    schema: DatasetSchema, feature_index: int, original_value: int
+) -> list[int]:
+    """Domain positions of `feasible_values`, ascending."""
+    allowed = feasible_values(schema, feature_index, original_value)
+    domain = schema.features[feature_index].domain
+    return [j for j, v in enumerate(domain) if v in allowed]
+
+
 def build_percentile_table(
     rows: Sequence[UserState], schema: DatasetSchema
 ) -> PercentileTable:
@@ -183,19 +213,13 @@ def build_percentile_table(
     if not rows:
         raise SchemaError("cannot build percentile table from zero rows")
     n = len(rows)
+    pos = schema.positions([row.values for row in rows])
     tables: dict[str, dict[int, float]] = {}
     for i, f in enumerate(schema.features):
         if f.kind != "ordered":
             continue
-        counts = [0] * f.size
-        for row in rows:
-            counts[f.index_of(row.values[i])] += 1
-        running = 0
-        cdf: dict[int, float] = {}
-        for v, c in zip(f.domain, counts):
-            running += c
-            cdf[v] = running / n
-        tables[f.name] = cdf
+        counts = np.bincount(pos[:, i], minlength=f.size)
+        tables[f.name] = dict(zip(f.domain, (np.cumsum(counts) / n).tolist()))
     return PercentileTable(tables)
 
 
@@ -313,12 +337,10 @@ def load_dataset(path, schema: DatasetSchema, label_column: Optional[str] = None
                         f"{where}: label {label} in column {label_column!r} is not 0/1"
                     )
                 labels.append(label)
-            for v, f in zip(values, schema.features):
-                if v not in f:
-                    raise SchemaError(
-                        f"{where}: value {v} outside domain of feature {f.name!r}"
-                    )
-            rows.append(UserState(tuple(values)))
+            try:
+                rows.append(UserState(tuple(values)).validate(schema))
+            except SchemaError as exc:
+                raise SchemaError(f"{where}: {exc}") from None
     if not rows:
         raise SchemaError(f"dataset {path} has a header but no rows")
     return (rows, labels) if label_column else rows

@@ -12,7 +12,7 @@ positive swaps apply, so the objective never increases across iterations.
 
 `pcols` (PCOLS) splits the query budget over R independent COLS restarts
 and keeps the best run, and `cols` is `pcols` with R = 1. The restarts run
-in lockstep: one loop holds an (R, N, d) tensor of member indices and an
+in lockstep: one loop holds an (R, N, d) tensor of member positions and an
 (R, N, M) cost tensor, and each iteration makes one classifier query and
 one pricing gather of R * N rows, then greedy rounds of one benefit
 computation and one swap selection over all restarts. One meter of
@@ -28,13 +28,13 @@ that swapped are recomputed in full, never patched, so ties on a column's
 minimum keep going to the lowest row. Within one iteration, a restart
 that found no positive swap has the same costs and candidates in the next
 round, so later rounds evaluate only the restarts that swapped in the
-round before.
+round before. The objective trace is read from the held statistics.
 
 Perturbation is one draw for all R * N rows. Restart r reads one uniform
 (N, m + 2) block from its own (seed, user, r) stream per call, m being the
 number of movable features: the argsort of the first m columns picks the
 two features to resample, and the last two, scaled by each feature's count
-of feasible values, pick their new positions. Every restart reads the same
+of feasible positions, pick their new positions. Every restart reads the same
 amount on every call, so it equals `_lockstep` run alone on its stream and
 B // R queries.
 
@@ -50,9 +50,10 @@ itself in its trace, `local_search` the score it maximizes.
 Every optimizer takes the same `GenerationSettings` (budget, set size,
 restarts, seed, objective; the other fields drive cost sampling) and has
 the signature `fn(s_u, classifier, samples, schema, settings, user_key=0)`.
-Its result holds the recourse set as two arrays, the (N, d) int64 feature
-codes of the members and their (N,) bool validity flags, which is also the
-form evaluation scores and result documents store (as lists).
+Members are searched as domain positions (`DatasetSchema.positions`), and
+the result holds the recourse set as two arrays, the (N, d) int64 feature
+codes of the members (`DatasetSchema.codes`) and their (N,) bool validity
+flags, which is also the form evaluation scores and result documents store.
 
 Candidates predicted to the undesired class are not discarded: their cost
 rows are set to infinity, which keeps them out of every column minimum and
@@ -73,7 +74,7 @@ import numpy as np
 from .cost import CostSampleSet, cost_rows, emc_of_matrix
 from .evaluate import set_distance_stats
 from .model import BudgetExhausted, BudgetMeter, Classifier, predict_batch
-from .schema import DatasetSchema, UserState, feasible_values
+from .schema import DatasetSchema, UserState, feasible_positions
 
 INF = math.inf
 
@@ -161,41 +162,21 @@ class SearchResult:
 
 
 class _Workspace:
-    """Per-user precomputation: index coding and feasible moves from s_u."""
+    """Per-user precomputation: the positions of s_u and its feasible moves."""
 
     def __init__(self, s_u: UserState, schema: DatasetSchema):
-        s_u.validate(schema)
         self.schema = schema
         self.s_u = s_u
-        # (d, max |D_f|) domain table, zero-padded past each feature's domain.
-        width = max(len(f.domain) for f in schema.features)
-        self.domains = np.zeros((schema.n_features, width), dtype=np.int64)
-        for fi, f in enumerate(schema.features):
-            self.domains[fi, : len(f.domain)] = f.domain
-        self.user_idx = np.array(
-            [f.index_of(v) for f, v in zip(schema.features, s_u.values)],
-            dtype=np.intp,
-        )
-        self.movable = np.array(
-            [i for i, f in enumerate(schema.features) if f.mutability != "immutable"],
-            dtype=np.intp,
-        )
-        if not len(self.movable):
+        self.user_idx = schema.positions(s_u.values)
+        if not schema.mutable_indices():
             raise ValueError("schema has no non-immutable features to perturb")
         # (d, max feasible) table of each feature's feasible domain positions,
         # padded past its n_choices[f] entries.
-        feasible = [
-            sorted(f.index_of(v) for v in feasible_values(schema, i, s_u.values[i]))
-            for i, f in enumerate(schema.features)
-        ]
+        feasible = [feasible_positions(schema, fi, v) for fi, v in enumerate(s_u.values)]
         self.n_choices = np.array([len(c) for c in feasible], dtype=np.intp)
         self.feasible = np.zeros((len(feasible), self.n_choices.max()), dtype=np.intp)
         for fi, choices in enumerate(feasible):
             self.feasible[fi, : len(choices)] = choices
-
-    def decode(self, idx: np.ndarray) -> np.ndarray:
-        """Domain-position indices -> int64 feature codes."""
-        return self.domains[np.arange(idx.shape[-1]), idx]
 
     def perturb_rows(
         self, base: np.ndarray, rngs: Sequence[np.random.Generator]
@@ -204,12 +185,13 @@ class _Workspace:
         the (R, N, d) `base` from their feasible sets, restart r drawing from
         rngs[r]: one uniform (N, m + k) block per restart, whose first m
         columns rank the features and whose last k pick the new positions."""
-        m = len(self.movable)
+        movable = np.array(self.schema.mutable_indices(), dtype=np.intp)
+        m = len(movable)
         k = min(HAMMING, m)
         u = np.empty((*base.shape[:2], m + k))
         for block, rng in zip(u, rngs, strict=True):
             rng.random(out=block)
-        feats = self.movable[np.argsort(u[..., :m], axis=-1)[..., :k]]
+        feats = movable[np.argsort(u[..., :m], axis=-1)[..., :k]]
         pos = (u[..., m:] * self.n_choices[feats]).astype(np.intp)
         out = np.array(base, dtype=np.intp)
         np.put_along_axis(out, feats, self.feasible[feats, pos], axis=-1)
@@ -230,8 +212,6 @@ def _column_minima(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
     min_idx = entries.argmin(axis=-2)
     at_min = min_idx[..., None, :]
     min_vals = np.take_along_axis(entries, at_min, axis=-2)[..., 0, :]
-    if entries.shape[-2] == 1:
-        return min_vals, min_idx, np.full(min_vals.shape, INF)
     masked = entries.copy()
     np.put_along_axis(masked, at_min, INF, axis=-2)
     return min_vals, min_idx, masked.min(axis=-2)
@@ -339,13 +319,13 @@ def search_rng(seed: int, user_key: int = 0, restart: int = 0) -> np.random.Gene
 
 def _classify(ws: _Workspace, classifier: Classifier, idx: np.ndarray,
               meter: BudgetMeter) -> np.ndarray:
-    """Validity of (..., d) member indices, in one metered model query."""
-    codes = ws.decode(idx).reshape(-1, idx.shape[-1])
+    """Validity of (..., d) member positions, in one metered model query."""
+    codes = ws.schema.codes(idx).reshape(-1, idx.shape[-1])
     return predict_batch(classifier, codes, meter).reshape(idx.shape[:-1]) == 1
 
 
 def _priced_rows(idx: np.ndarray, samples: CostSampleSet, valid: np.ndarray) -> np.ndarray:
-    """(..., M) costs of (..., d) member indices; invalid rows cost inf."""
+    """(..., M) costs of (..., d) member positions; invalid rows cost inf."""
     rows = cost_rows(idx.reshape(-1, idx.shape[-1]), samples)
     rows = rows.reshape(*idx.shape[:-1], samples.m)
     rows[~valid] = INF
@@ -354,14 +334,21 @@ def _priced_rows(idx: np.ndarray, samples: CostSampleSet, valid: np.ndarray) -> 
 
 def _result(ws: _Workspace, members: np.ndarray, valid: np.ndarray,
             costs: Optional[np.ndarray], trace: list[float],
-            queries_used: int) -> SearchResult:
+            queries_used: int, emc: float) -> SearchResult:
     return SearchResult(
-        recourse_set=RecourseSet(ws.decode(members), valid),
+        recourse_set=RecourseSet(ws.schema.codes(members), valid),
         cost_matrix=costs,
         trace=trace,
         queries_used=queries_used,
-        emc=emc_of_matrix(costs) if costs is not None else INF,
+        emc=emc,
     )
+
+
+def _held_emcs(stats: ColumnStats) -> list[float]:
+    """Each restart's `emc_of_matrix` read from its held statistics: inf
+    unless every column is covered, else the mean column minimum."""
+    covered = stats.covered.all(-1).tolist()
+    return [float(m.mean()) if c else INF for m, c in zip(stats.min_vals, covered)]
 
 
 def _lockstep(
@@ -384,8 +371,8 @@ def _lockstep(
     members = ws.perturb_rows(start, rngs)
     valid = _classify(ws, classifier, members, meter)
     costs = _priced_rows(members, samples, valid)
-    traces = [[emc_of_matrix(c)] for c in costs]
     stats = column_stats(costs)
+    traces = [[emc] for emc in _held_emcs(stats)]
     everyone = np.arange(len(rngs))
 
     while True:
@@ -408,8 +395,8 @@ def _lockstep(
             _refresh(stats, costs, r)
             if len(r) < len(everyone):
                 active, sub_stats, sub_cand = r, stats.take(r), cand_costs[r]
-        for trace, c in zip(traces, costs):
-            trace.append(emc_of_matrix(c))
+        for trace, emc in zip(traces, _held_emcs(stats)):
+            trace.append(emc)
     return members, valid, costs, traces
 
 
@@ -459,7 +446,8 @@ def pcols(
     )
     emcs = [trace[-1] for trace in traces]
     win = emcs.index(min(emcs))
-    best = _result(ws, members[win], valid[win], costs[win], traces[win], meter.used)
+    best = _result(ws, members[win], valid[win], costs[win], traces[win],
+                   meter.used, emcs[win])
     best.restart_emcs = emcs
     best.restart_queries = [meter.used // restarts] * restarts
     return best
@@ -479,7 +467,7 @@ def _set_objective(
         return -INF
     if objective == "emc":
         return -emc_of_matrix(_priced_rows(members, samples, valid))
-    div, prox, spar = set_distance_stats(ws.s_u, ws.decode(members), ws.schema)
+    div, prox, spar = set_distance_stats(ws.s_u, ws.schema.codes(members), ws.schema)
     return {"diversity": div, "proximity": prox, "sparsity": spar}[objective]
 
 
@@ -523,7 +511,8 @@ def _whole_set(
         trace.append(score)
 
     costs = _priced_rows(members, samples, valid) if objective == "emc" else None
-    return _result(ws, members, valid, costs, trace, meter.used)
+    emc = emc_of_matrix(costs) if costs is not None else INF
+    return _result(ws, members, valid, costs, trace, meter.used, emc)
 
 
 def random_search(

@@ -224,9 +224,10 @@ def test_criterion_4_sampler_invariants(synth6, adult):
                 c = sample_cost_function(state, schema, table, rng, alpha=alpha)
                 total += c.m
                 editable = c.editable[0]
+                at = schema.positions(state.values)
                 for fi, f in enumerate(schema.features):
                     vec = c.costs[fi][0]
-                    s_idx = f.index_of(state.values[fi])
+                    s_idx = at[fi]
                     assert vec[s_idx] == 0.0
                     finite = vec[np.isfinite(vec)]
                     assert ((finite >= 0.0) & (finite <= 1.0)).all()
@@ -249,10 +250,12 @@ def test_criterion_4_sampler_invariants(synth6, adult):
     # ordered raw means are monotone in the feasible direction
     for schema, rows, table in packs:
         for state in rows[:10]:
+            at = schema.positions(state.values).tolist()
             for fi, f in enumerate(schema.features):
                 if f.kind != "ordered" or f.mutability == "immutable":
                     continue
-                s_idx, targets, raw = _targets(state, schema, table, fi)
+                s_idx = at[fi]
+                targets, raw = _targets(schema, table, at, fi)
                 for means in raw:
                     up = means[targets > s_idx]
                     down = means[targets < s_idx][::-1]

@@ -17,6 +17,7 @@ from recourse.experiments import recourse_sets_from_docs
 from recourse.model import load_model
 from recourse.results import (
     GenerationSettings,
+    ResultDoc,
     read_results,
     run_population,
     run_user,
@@ -230,7 +231,7 @@ class TestGenerate:
             assert batch.editable[:, fi].all() == (fi in editable)
             if fi in editable:
                 continue
-            s_idx = f.index_of(state.values[fi])
+            s_idx = schema.positions(state.values)[fi]
             stack = batch.costs[fi]
             assert all(
                 (stack[:, j] == INF).all() for j in range(f.size) if j != s_idx
@@ -849,6 +850,20 @@ class TestResultDocs:
         )
         assert loaded.members == doc.members
         assert loaded.validity == doc.validity
+
+    def test_roundtrip_keeps_the_sign_of_infinities(self, tmp_path):
+        # A hill climb whose first set has no valid member starts its trace
+        # at -inf.
+        doc = ResultDoc(
+            user_id=3, method="ls", state=[1, 2], members=[[1, 2], [2, 2]],
+            validity=[False, False], final_emc=math.inf,
+            trace=[-math.inf, -math.inf, 0.25, math.inf], queries_used=4, seed=0,
+            settings={"objective": "diversity"},
+        )
+        path = tmp_path / "r.jsonl"
+        write_results([doc], path)
+        assert read_results(path) == [doc]
+        assert '"-inf"' in path.read_text()
 
     def test_worker_pool_matches_sequential(self, synth6, monkeypatch):
         schema, rows, _, table, clf = synth6

@@ -31,8 +31,9 @@ def transition_cost(s_u, s_j, samples, i=0):
     if samples.state.values != s_u.values:
         raise ValueError("cost function is conditioned on a different state")
     total = 0.0
-    for fi, f in enumerate(samples.schema.features):
-        cost = float(samples.costs[fi][i, f.index_of(s_j[fi])])
+    at = samples.schema.positions(s_j)
+    for fi in range(samples.schema.n_features):
+        cost = float(samples.costs[fi][i, at[fi]])
         if cost == INF:
             return INF
         total += cost
@@ -56,14 +57,6 @@ def manual_samples(schema, state, per_sample):
     )
 
 
-def index_rows(schema, members):
-    """Domain-position indices of code rows."""
-    return np.array(
-        [[f.index_of(v) for f, v in zip(schema.features, s)] for s in members],
-        dtype=np.intp,
-    )
-
-
 def codes(*members):
     """(n, d) int64 code array of the given code rows."""
     return np.array(members, dtype=np.int64)
@@ -84,7 +77,9 @@ def flat_table(schema):
 def raw_means(schema, state, table, fi=0):
     """Feature fi's raw (step-count, CDF-shift) means by domain position:
     0 at the user's value, inf where infeasible."""
-    s_idx, targets, (lin, perc) = _targets(state, schema, table, fi)
+    at = schema.positions(state.values).tolist()
+    s_idx = at[fi]
+    targets, (lin, perc) = _targets(schema, table, at, fi)
     out = []
     for raw in (lin, perc):
         full = np.full(schema.features[fi].size, INF)
@@ -270,9 +265,10 @@ class TestSampleCostFunction:
         for _ in range(50):
             c = sample_cost_function(state, schema, table, rng)
             editable = c.editable[0]
+            at = schema.positions(state.values)
             for fi, f in enumerate(schema.features):
                 vec = c.costs[fi][0]
-                s_idx = f.index_of(state.values[fi])
+                s_idx = at[fi]
                 assert vec[s_idx] == 0.0
                 finite = vec[np.isfinite(vec)]
                 assert ((finite >= 0.0) & (finite <= 1.0)).all()
@@ -381,6 +377,11 @@ class TestTransitionCost:
         with pytest.raises(ValueError):
             min_cost(UserState((1, 0, 0)), codes(state.values), c)
 
+    def test_out_of_domain_member_names_value_and_feature(self):
+        _, state, c = self._setup()
+        with pytest.raises(SchemaError, match="value 999 not in domain of feature 'b'"):
+            min_cost(state, codes((1, 1, 0), (0, 999, 0)), c)
+
     def test_cost_rows_match_scalar_oracle_bitwise(self, synth6):
         schema, rows, _, table, _ = synth6
         state = rows[0]
@@ -395,7 +396,7 @@ class TestTransitionCost:
             )
             for _ in range(12)
         ]
-        got = cost_rows(index_rows(schema, members), batch)
+        got = cost_rows(schema.positions(members), batch)
         want = [[transition_cost(state, s, batch, i) for i in range(batch.m)]
                 for s in members]
         assert got.tobytes() == np.asarray(want).tobytes()
@@ -429,7 +430,7 @@ class TestTwelveFeaturePricing:
         batch = sample_cost_batch(state, schema, table, m, "mix", seed=3,
                                   editable=frozenset(schema.mutable_indices()))
         members = moved_members(schema, state, n, seed=m)
-        got = cost_rows(index_rows(schema, members), batch)
+        got = cost_rows(schema.positions(members), batch)
         want = [[transition_cost(state, s, batch, i) for i in range(batch.m)]
                 for s in members]
         assert np.isfinite(want).all()
@@ -531,7 +532,7 @@ class TestMinCostAndEmc:
         state = rows[0]
         batch = sample_cost_batch(state, schema, table, 1, "mix", seed=4)
         members = codes(state.values)
-        assert emc_of_matrix(cost_rows(index_rows(schema, members), batch)) == (
+        assert emc_of_matrix(cost_rows(schema.positions(members), batch)) == (
             min_cost(state, members, batch)
         )
 
@@ -539,7 +540,7 @@ class TestMinCostAndEmc:
         schema = DatasetSchema(features=(FeatureSpec("f", "ordered", (0, 1)),))
         state = UserState((0,))
         batch = manual_samples(schema, state, [[[0.0, 0.2]], [[0.0, 0.4]]])
-        rows = cost_rows(index_rows(schema, [(1,)]), batch)
+        rows = cost_rows(schema.positions([(1,)]), batch)
         assert emc_of_matrix(rows) == pytest.approx(0.3)
 
     def test_pair_beats_either_singleton(self):
@@ -558,7 +559,7 @@ class TestMinCostAndEmc:
         )
 
         def emc(members):
-            return emc_of_matrix(cost_rows(index_rows(schema, members), batch))
+            return emc_of_matrix(cost_rows(schema.positions(members), batch))
 
         move_a, move_b = (1, 0), (0, 1)
         pair = emc([move_a, move_b])
@@ -584,7 +585,7 @@ class TestMinCostAndEmc:
             return tuple(vals)
 
         members = [random_member() for _ in range(6)]
-        rows_all = cost_rows(index_rows(schema, members), batch)
+        rows_all = cost_rows(schema.positions(members), batch)
         for cut in range(1, 6):
             assert emc_of_matrix(rows_all) <= emc_of_matrix(rows_all[:cut])
 
@@ -594,7 +595,7 @@ class TestCostMatrix:
         schema = DatasetSchema(features=(FeatureSpec("f", "ordered", (0, 1)),))
         state = UserState((0,))
         batch = manual_samples(schema, state, [[[0.0, 0.7]]])
-        cm = cost_rows(index_rows(schema, [(1,)]), batch)
+        cm = cost_rows(schema.positions([(1,)]), batch)
         assert cm.shape == (1, 1)
         assert cm[0, 0] == pytest.approx(0.7)
 
@@ -603,7 +604,7 @@ class TestCostMatrix:
         state = rows[0]
         batch = sample_cost_batch(state, schema, table, 10, "mix", seed=8)
         members = [state.values, rows[1].values]
-        cm = cost_rows(index_rows(schema, members), batch)
+        cm = cost_rows(schema.positions(members), batch)
         mins = [
             min(transition_cost(state, s, batch, i) for s in members)
             for i in range(batch.m)

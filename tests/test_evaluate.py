@@ -236,7 +236,7 @@ class TestDistanceMetrics:
             for _ in range(1 + uid % 3):  # up to 2, 4 or 6 features moved
                 moves = ws.perturb_rows(moves, [rng])
             moves = moves[0]
-            members = ws.decode(moves).astype(np.int64)
+            members = schema.codes(moves)
             if uid % 4 == 0:  # repeated members and the user's own state
                 members = np.vstack([members[0], rows[uid].values, members, members[0]])
             got = set_distance_stats(rows[uid], members, schema)
@@ -340,7 +340,7 @@ def adult_population():
         ws = _Workspace(rows[uid], schema)
         moves = ws.perturb_rows(np.tile(ws.user_idx, (1, 3, 1)), [rng])[0]
         sets.append(recourse_set(
-            ws.decode(moves), [True, *(bool(v) for v in rng.random(2) < 0.5)]
+            schema.codes(moves), [True, *(bool(v) for v in rng.random(2) < 0.5)]
         ))
     return schema, users, sets
 

@@ -1,11 +1,14 @@
+import numpy as np
 import pytest
 
+from recourse.datasets import adult_like_schema, synthetic_schema_6f
 from recourse.schema import (
     DatasetSchema,
     FeatureSpec,
     SchemaError,
     UserState,
     build_percentile_table,
+    feasible_positions,
     feasible_values,
     load_dataset,
     load_schema,
@@ -252,3 +255,78 @@ class TestUserState:
         schema = DatasetSchema(features=(FeatureSpec("a", "ordered", (0, 1)),))
         with pytest.raises(SchemaError):
             UserState((0, 0)).validate(schema)
+
+
+def unsorted_schema():
+    """Domains that are not 0..n-1: an unordered domain out of order with
+    gaps, a shifted ordered one, and a one-value feature."""
+    return DatasetSchema(
+        features=(
+            FeatureSpec("tier", "unordered", (5, 2, 9), "mutable"),
+            FeatureSpec("level", "ordered", (-3, 0, 4, 10), "increase_only"),
+            FeatureSpec("flag", "ordered", (7,), "immutable"),
+        )
+    )
+
+
+SCHEMAS = {
+    "adult": adult_like_schema,
+    "synth6": synthetic_schema_6f,
+    "unsorted": unsorted_schema,
+}
+
+
+class TestDomainPositions:
+    @pytest.mark.parametrize("name", sorted(SCHEMAS))
+    def test_round_trip(self, name):
+        schema = SCHEMAS[name]()
+        rng = np.random.default_rng(0)
+        sizes = [f.size for f in schema.features]
+        pos = np.stack([rng.integers(n, size=(7, 40)) for n in sizes], axis=-1)
+        codes = schema.codes(pos)
+        assert codes.dtype == np.int64
+        want = [[f.domain[j] for f, j in zip(schema.features, row)]
+                for row in pos.reshape(-1, len(sizes)).tolist()]
+        assert codes.reshape(-1, len(sizes)).tolist() == want
+        assert np.array_equal(schema.positions(codes), pos)
+        assert np.array_equal(schema.positions(codes[0, 0]), pos[0, 0])
+
+    def test_unsorted_domain_positions(self):
+        schema = unsorted_schema()
+        got = schema.positions([(5, -3, 7), (2, 0, 7), (9, 10, 7)])
+        assert got.tolist() == [[0, 0, 0], [1, 1, 0], [2, 3, 0]]
+
+    @pytest.mark.parametrize("bad", [(999, 0, 7), (5, 1, 7), (5, 0, 0)])
+    def test_out_of_domain_code_names_value_and_feature(self, bad):
+        schema = unsorted_schema()
+        name = next(f.name for f, v in zip(schema.features, bad) if v not in f)
+        value = next(v for f, v in zip(schema.features, bad) if v not in f)
+        with pytest.raises(
+            SchemaError, match=f"value {value} not in domain of feature '{name}'"
+        ):
+            schema.positions([(2, 0, 7), bad])
+
+    def test_wrong_width_rejected(self):
+        with pytest.raises(SchemaError, match="not rows of 3 features"):
+            unsorted_schema().positions([5, -3])
+
+    def test_feasible_positions_match_feasible_values(self):
+        schema = synthetic_schema_6f()
+        assert {f.mutability for f in schema.features} == {
+            "mutable", "increase_only", "decrease_only", "immutable",
+        }
+        for fi, f in enumerate(schema.features):
+            for value in f.domain:
+                got = feasible_positions(schema, fi, value)
+                values = sorted(feasible_values(schema, fi, value))
+                state = [g.domain[0] for g in schema.features]
+                rows = [state[:fi] + [v] + state[fi + 1:] for v in values]
+                assert got == schema.positions(rows)[:, fi].tolist()
+
+    def test_feasible_positions_on_unsorted_domains(self):
+        schema = unsorted_schema()
+        assert feasible_positions(schema, 0, 2) == [0, 1, 2]
+        assert feasible_positions(schema, 1, 4) == [2, 3]
+        assert feasible_positions(schema, 2, 7) == [0]
+        with pytest.raises(SchemaError, match="value 3 not in domain of feature 'tier'"):
+            feasible_positions(schema, 0, 3)

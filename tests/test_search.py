@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from recourse import search as search_module
-from recourse.cost import INF, sample_cost_batch
+from recourse.cost import INF, emc_of_matrix, sample_cost_batch
 from recourse.model import BudgetMeter, Classifier
 from recourse.schema import DatasetSchema, FeatureSpec, UserState, feasible_values
 from recourse.search import (
@@ -324,11 +324,8 @@ def perturb(base, s_u, schema, rng):
     """One perturbed candidate (a code row) per base state, through the
     search workspace."""
     ws = _Workspace(s_u, schema)
-    idx = np.array(
-        [[f.index_of(v) for f, v in zip(schema.features, s.values)] for s in base],
-        dtype=np.intp,
-    )
-    return ws.decode(ws.perturb_rows(idx[None], [rng])[0]).astype(np.int64)
+    idx = schema.positions([s.values for s in base])
+    return schema.codes(ws.perturb_rows(idx[None], [rng])[0])
 
 
 class TestPerturb:
@@ -609,11 +606,27 @@ class TestLockstep:
             winners.append(win)
             members, valid, costs, trace, _ = runs[win]
             assert np.array_equal(res.recourse_set.members,
-                                  ws.decode(members).astype(np.int64))
+                                  schema.codes(members))
             assert np.array_equal(res.recourse_set.validity, valid)
             assert res.trace == trace
             assert np.array_equal(res.cost_matrix, costs)
         assert any(winners)
+
+    def test_objective_read_from_held_statistics(self, synth6):
+        """The trace and result objective that `_lockstep` reads from its
+        held column statistics equal `emc_of_matrix` of the final best set,
+        whether or not every sample is covered."""
+        schema, rows, _, table, clf = synth6
+        movable = frozenset(schema.mutable_indices())
+        finite = []
+        for user, s_u in enumerate(rows[:8]):
+            samples = sample_cost_batch(s_u, schema, table, 20, "mix", seed=user,
+                                        editable=movable if user % 2 else None)
+            config = GenerationSettings(budget=120, set_size=4, restarts=3, seed=user)
+            res = pcols(s_u, clf, samples, schema, config, user_key=user)
+            assert res.emc == res.trace[-1] == emc_of_matrix(res.cost_matrix)
+            finite.append(math.isfinite(res.emc))
+        assert any(finite) and not all(finite)
 
     @pytest.mark.parametrize("budget,restarts", [(330, 3), (5000, 5), (97, 2)])
     def test_one_query_of_all_restarts_per_iteration(self, synth6, monkeypatch,
@@ -839,7 +852,7 @@ class TestValidityChanneling:
             ws = _Workspace(s_u, schema)
             rng = search_rng(seed, 0)
             init = ws.perturb_rows(np.tile(ws.user_idx, (1, 8, 1)), [rng])[0]
-            init_rows = {tuple(r) for r in ws.decode(init).astype(int)}
+            init_rows = {tuple(r) for r in schema.codes(init).tolist()}
             for member, ok in zip(res.recourse_set.members,
                                   res.recourse_set.validity):
                 if not ok:
