@@ -14,6 +14,7 @@ import sys
 import numpy as np
 
 from . import experiments as xp
+from .cost import distribution_alpha
 from .evaluate import metric_names
 from .model import TrainConfig, load_model, save_model, train_classifier
 from .results import (
@@ -235,6 +236,7 @@ def _check_docs(docs, schema: DatasetSchema, path: str) -> None:
 
 
 def _cmd_evaluate(args) -> int:
+    distribution_alpha(args.distribution, args.alpha)
     schema = load_schema(args.schema)
     rows = load_dataset(args.data, schema)
     table = build_percentile_table(rows, schema)
@@ -297,6 +299,9 @@ def _cmd_experiment(args) -> int:
     if args.grid:
         values = [float(v) for v in args.grid.split(",")]
         if args.kind != "alpha_grid":
+            bad = [v for v in values if not v.is_integer()]
+            if bad:
+                raise ValueError(f"--grid values of {args.kind} must be integers, got {bad}")
             values = [int(v) for v in values]
         grid = tuple(values)
     base = _generation_settings(args)

@@ -3,17 +3,19 @@ expected-minimum-cost objective.
 
 A `CostSampleSet` holds M cost functions for one user state in one
 read-only (W, M) `table`, W = sum of the domain sizes |D_f| (57 on the
-adult-like schema). Feature f owns rows `offsets[f]` to `offsets[f + 1]`,
-one per domain position, and column i is sample i: entry (offsets[f] + j, i)
-prices moving feature f from the user's value to position j under sample
-i, a cost in [0, 1], 0 for the no-op and infinity when infeasible.
-`costs[f]` is the (M, |D_f|) view `table[offsets[f]:offsets[f + 1]].T`.
-`alpha` is (M,); `editable` (bool) and `preferences` are (M, d).
+adult-like schema). Feature f owns rows `offsets[f]` to `offsets[f + 1]`
+(`DatasetSchema.offsets`), one per domain position, and column i is sample
+i: entry (offsets[f] + j, i) prices moving feature f from the user's value
+to position j under sample i, a cost in [0, 1], 0 for the no-op and
+infinity when infeasible. `costs[f]` is the (M, |D_f|) view
+`table[offsets[f]:offsets[f + 1]].T`. `alpha` is (M,); `editable` (bool)
+and `preferences` are (M, d).
 
 Sampling is hierarchical: an editable feature subset, Dirichlet preference
 scores over it, a mixing weight alpha between step-count (alpha=1) and
 percentile-shift (alpha=0) difficulty, and a Beta draw per transition
-around the blended mean. Sample i of a batch is drawn from
+around the blended mean. Each feature's targets, table rows and ordered raw
+means come from `PercentileTable.moves`. Sample i of a batch is drawn from
 `stream_rng(stream, seed, i, subkey)` alone, with these calls in this
 order:
 
@@ -56,7 +58,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .schema import DatasetSchema, PercentileTable, UserState, feasible_positions
+from .schema import DatasetSchema, PercentileTable, SchemaError, UserState
 
 INF = math.inf
 
@@ -78,8 +80,7 @@ class CostSampleSet:
 
     schema: DatasetSchema
     state: UserState
-    table: np.ndarray  # (W, M): row offsets[f] + j prices feature f -> position j
-    offsets: np.ndarray  # (d + 1,) first row of each feature in `table`, then W
+    table: np.ndarray  # (W, M): row schema.offsets[f] + j prices feature f -> position j
     alpha: np.ndarray  # (M,)
     editable: np.ndarray  # (M, d) bool
     preferences: np.ndarray  # (M, d)
@@ -91,41 +92,8 @@ class CostSampleSet:
     @property
     def costs(self) -> tuple[np.ndarray, ...]:
         """Per feature f, the (M, |D_f|) view `table[offsets[f]:offsets[f+1]].T`."""
-        off = self.offsets.tolist()
+        off = self.schema.offsets.tolist()
         return tuple(self.table[lo:hi].T for lo, hi in zip(off, off[1:]))
-
-
-def _row_offsets(schema: DatasetSchema) -> np.ndarray:
-    """(d + 1,) first cost-table row of each feature, then the row count W."""
-    off = [0]
-    for f in schema.features:
-        off.append(off[-1] + f.size)
-    out = np.array(off, dtype=np.intp)
-    out.setflags(write=False)
-    return out
-
-
-def _targets(
-    schema: DatasetSchema, table: PercentileTable, at: Sequence[int], fi: int
-) -> tuple[np.ndarray, Optional[np.ndarray]]:
-    """For a user at domain positions `at`, feature fi's feasible positions
-    x other than its own s = at[fi], and for an ordered feature the (2, |x|)
-    raw means of moving there: step count |{y : s < y <= x}| / |{y : y > s}|
-    (mirrored downward) and CDF shift |cdf(x) - cdf(s)|. Unordered raw means
-    are drawn per sample."""
-    f = schema.features[fi]
-    s_idx = at[fi]
-    value = f.domain[s_idx]
-    targets = feasible_positions(schema, fi, value)
-    targets.remove(s_idx)
-    raw = None
-    if f.kind == "ordered":
-        n_up, n_down = f.size - s_idx - 1, s_idx
-        lin = [(j - s_idx) / n_up if j > s_idx else (s_idx - j) / n_down for j in targets]
-        cdf_s = table.percentile(f, value) if targets else 0.0
-        perc = [abs(table.percentile(f, f.domain[j]) - cdf_s) for j in targets]
-        raw = np.array([lin, perc], dtype=float)
-    return np.array(targets, dtype=np.intp), raw
 
 
 def random_editable_subset(candidates: list[int], rng: np.random.Generator) -> list[int]:
@@ -153,8 +121,8 @@ def _flat_dirichlet(rng: np.random.Generator, k: int) -> np.ndarray:
 def _feature_costs(
     rng: np.random.Generator,
     size: int,
-    targets: list[int],
-    raw: Optional[list[tuple[float, float]]],
+    targets: Sequence[int],
+    raw: Optional[Sequence[tuple[float, float]]],
     a: float,
     keep: float,
 ) -> list[float]:
@@ -209,16 +177,16 @@ def _sample(
             raise ValueError("preference scores must sum to 1 over editable features")
     if alpha is not None and not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must lie in [0,1], got {alpha}")
+    if table.schema is not schema and table.schema != schema:
+        raise SchemaError("percentile table was built for a different schema")
 
     features = schema.features
     candidates = schema.mutable_indices()
     at = schema.positions(state.values).tolist()
-    off = _row_offsets(schema)
+    off = schema.offsets
     m = len(rngs)
     alphas = np.empty(m)
     keep_of = None if pref is None else (1.0 - pref).tolist()
-    # Per feature some sample chose: its size, targets, raw means and rows.
-    plan = {}
     chosen_rows, chosen_cols, chosen_prefs = [], [], []
     rows, cols, vals = [], [], []
     for i, rng in enumerate(rngs):
@@ -231,16 +199,8 @@ def _sample(
             keep_of = dict(zip(chosen, (1.0 - p).tolist()))
         alphas[i] = a = rng.random() if alpha is None else alpha
         for fi in chosen:
-            if fi not in plan:
-                targets, raw = _targets(schema, table, at, fi)
-                plan[fi] = (
-                    features[fi].size,
-                    targets.tolist(),
-                    None if raw is None else list(zip(*raw.tolist())),
-                    (off[fi] + targets).tolist(),
-                )
-            size, targets, raw, target_rows = plan[fi]
-            costs = _feature_costs(rng, size, targets, raw, a, keep_of[fi])
+            targets, target_rows, raw = table.moves[fi][at[fi]]
+            costs = _feature_costs(rng, features[fi].size, targets, raw, a, keep_of[fi])
             rows += target_rows
             cols += [i] * len(costs)
             vals += costs
@@ -258,7 +218,7 @@ def _sample(
     cost_table[rows, cols] = vals
     for arr in (cost_table, alphas, chosen_mask, prefs):
         arr.setflags(write=False)
-    return CostSampleSet(schema, state, cost_table, off, alphas, chosen_mask, prefs)
+    return CostSampleSet(schema, state, cost_table, alphas, chosen_mask, prefs)
 
 
 def sample_cost_function(
@@ -288,9 +248,13 @@ def stream_rng(stream: int, seed: int, index: int, subkey: int = 0) -> np.random
 
 def distribution_alpha(distribution: str, alpha: Optional[float]) -> Optional[float]:
     """The alpha a named distribution fixes: "lin" -> 1, "perc" -> 0, "mix"
-    -> `alpha` (None draws it per sample)."""
+    -> `alpha` (None draws it per sample). "lin" and "perc" fix their own
+    alpha, so an explicit one with them is refused, not ignored."""
     if distribution not in DISTRIBUTIONS:
         raise ValueError(f"unknown distribution {distribution!r}")
+    if distribution != "mix" and alpha is not None:
+        raise ValueError(f"alpha {alpha} applies to distribution 'mix' only; "
+                         f"{distribution!r} fixes its own")
     return {"lin": 1.0, "perc": 0.0}.get(distribution, alpha)
 
 
@@ -310,7 +274,8 @@ def sample_cost_batch(
     (seed, state, subkey).
 
     `distribution` fixes alpha: "lin" -> 1, "perc" -> 0, "mix" -> per-sample
-    Uniform(0,1) unless an explicit `alpha` pins it.
+    Uniform(0,1) unless an explicit `alpha` pins it (see
+    `distribution_alpha`).
     """
     if m < 1:
         raise ValueError(f"sample count must be >= 1, got {m}")
@@ -327,7 +292,7 @@ def cost_rows(index_matrix: np.ndarray, samples: CostSampleSet) -> np.ndarray:
     gather per feature, added in place, or for a single cost function a
     running sum along each member's d costs (one call in place of d tiny
     gathers). Never a numpy reduction (see the module docstring)."""
-    rows = index_matrix + samples.offsets[:-1]
+    rows = index_matrix + samples.schema.offsets[:-1]
     table = samples.table
     if samples.m == 1:
         return np.add.accumulate(table[rows, 0], axis=1)[:, -1:]

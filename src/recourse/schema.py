@@ -8,14 +8,15 @@ documentation only. Feasibility of a transition is always judged against
 the user's original state, never against an intermediate candidate.
 Cost tables, search moves and percentile counts work in domain positions
 (a code's index in its feature's `domain`), mapped to and from codes by
-`DatasetSchema.positions` and `codes` alone.
+`DatasetSchema.positions` and `codes` alone. A `PercentileTable` holds the
+per-dataset part of cost sampling: CDFs and every (feature, origin) move.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 import yaml
@@ -76,6 +77,8 @@ class DatasetSchema:
     features: tuple[FeatureSpec, ...]
     desired_class: int = 1
     protected_attributes: tuple[str, ...] = ()
+    # (d + 1,) first cost-table row of each feature, then the row count W.
+    offsets: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         names = [f.name for f in self.features]
@@ -95,6 +98,9 @@ class DatasetSchema:
         domains = np.array(pad, dtype=np.int64).reshape(len(names), width)
         domains.setflags(write=False)
         object.__setattr__(self, "_domains", domains)
+        offsets = np.cumsum([0, *(f.size for f in self.features)]).astype(np.intp)
+        offsets.setflags(write=False)
+        object.__setattr__(self, "offsets", offsets)
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -157,24 +163,24 @@ class UserState:
         return self
 
 
+# (targets, rows, raw) of one feature from one origin position s.
+Moves = tuple[tuple[int, ...], tuple[int, ...], Optional[tuple[tuple[float, float], ...]]]
+
+
 @dataclass(frozen=True)
 class PercentileTable:
-    """Per-feature empirical CDF over the training split.
+    """A dataset's empirical CDFs and the sampler's moves, for one schema.
 
-    Entries exist for every domain value of every ordered feature; unordered
-    features carry no entries because percentile shifts are never queried
-    for them.
+    `cdf[f]` is ordered feature f's inclusive CDF P(X <= domain[j]) by
+    position j, None for an unordered feature. `moves[f][s]`, for every f
+    and every origin position s, holds the feasible positions other than s
+    (ascending), their cost-table rows, and for an ordered feature the
+    (step count, CDF shift) raw mean of each, None for an unordered one.
     """
 
-    tables: Mapping[str, Mapping[int, float]] = field(default_factory=dict)
-
-    def percentile(self, feature: FeatureSpec, value: int) -> float:
-        table = self.tables.get(feature.name)
-        if table is None or value not in table:
-            raise SchemaError(
-                f"no percentile entry for feature {feature.name!r}, value {value}"
-            )
-        return table[value]
+    schema: DatasetSchema
+    cdf: tuple[Optional[tuple[float, ...]], ...]
+    moves: tuple[tuple[Moves, ...], ...]
 
 
 def feasible_values(
@@ -206,21 +212,41 @@ def feasible_positions(
     return [j for j, v in enumerate(domain) if v in allowed]
 
 
+def _moves(schema: DatasetSchema, fi: int, s: int, cdf) -> Moves:
+    """Feature fi's moves from position s: step count |{y : s < y <= x}| /
+    |{y : y > s}| (mirrored downward) and CDF shift |cdf(x) - cdf(s)| to
+    each feasible target x."""
+    f = schema.features[fi]
+    targets = feasible_positions(schema, fi, f.domain[s])
+    targets.remove(s)
+    rows = tuple(int(schema.offsets[fi]) + j for j in targets)
+    if cdf is None:
+        return tuple(targets), rows, None
+    n_up, n_down = f.size - s - 1, s
+    lin = [(j - s) / n_up if j > s else (s - j) / n_down for j in targets]
+    perc = [abs(cdf[j] - cdf[s]) for j in targets]
+    return tuple(targets), rows, tuple(zip(lin, perc))
+
+
 def build_percentile_table(
     rows: Sequence[UserState], schema: DatasetSchema
 ) -> PercentileTable:
-    """Empirical inclusive CDF P(X <= v) per ordered feature, from `rows`."""
+    """Empirical inclusive CDF P(X <= v) per ordered feature, from `rows`,
+    and every feature's moves from every origin position."""
     if not rows:
         raise SchemaError("cannot build percentile table from zero rows")
     n = len(rows)
     pos = schema.positions([row.values for row in rows])
-    tables: dict[str, dict[int, float]] = {}
-    for i, f in enumerate(schema.features):
-        if f.kind != "ordered":
-            continue
-        counts = np.bincount(pos[:, i], minlength=f.size)
-        tables[f.name] = dict(zip(f.domain, (np.cumsum(counts) / n).tolist()))
-    return PercentileTable(tables)
+    cdf = tuple(
+        tuple((np.cumsum(np.bincount(pos[:, i], minlength=f.size)) / n).tolist())
+        if f.kind == "ordered" else None
+        for i, f in enumerate(schema.features)
+    )
+    moves = tuple(
+        tuple(_moves(schema, fi, s, cdf[fi]) for s in range(f.size))
+        for fi, f in enumerate(schema.features)
+    )
+    return PercentileTable(schema, cdf, moves)
 
 
 def _parse_domain(raw, name: str) -> tuple[int, ...]:

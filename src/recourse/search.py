@@ -71,7 +71,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .cost import CostSampleSet, cost_rows, emc_of_matrix
+from .cost import CostSampleSet, cost_rows, distribution_alpha, emc_of_matrix
 from .evaluate import set_distance_stats
 from .model import BudgetExhausted, BudgetMeter, Classifier, predict_batch
 from .schema import DatasetSchema, UserState, feasible_positions
@@ -127,6 +127,7 @@ class GenerationSettings:
                 raise ValueError(f"{name} must be positive")
         if self.restarts > self.budget:
             raise ValueError("more restarts than budget")
+        distribution_alpha(self.distribution, self.alpha)
 
     @property
     def prices_samples(self) -> bool:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from recourse import search as search_module
-from recourse.cost import INF, _targets, sample_cost_batch, sample_cost_function
+from recourse.cost import INF, sample_cost_batch, sample_cost_function
 from recourse.datasets import make_adult_like, make_synthetic_6f
 from recourse.evaluate import (
     coverage,
@@ -255,7 +255,9 @@ def test_criterion_4_sampler_invariants(synth6, adult):
                 if f.kind != "ordered" or f.mutability == "immutable":
                     continue
                 s_idx = at[fi]
-                targets, raw = _targets(schema, table, at, fi)
+                targets, _, pairs = table.moves[fi][s_idx]
+                targets = np.array(targets, dtype=np.intp)
+                raw = np.array(pairs, dtype=float).reshape(-1, 2).T
                 for means in raw:
                     up = means[targets > s_idx]
                     down = means[targets < s_idx][::-1]

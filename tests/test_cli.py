@@ -754,6 +754,62 @@ class TestExperimentCommand:
         assert not (tmp_path / "xp5").exists()
 
 
+class TestFlagConflicts:
+    @pytest.mark.parametrize("command", [
+        ["generate"],
+        ["experiment", "--kind", "main", "--methods", "cols", "--seeds", "0"],
+        ["evaluate", "--test-seed", "901"],
+    ])
+    @pytest.mark.parametrize("distribution", ["lin", "perc"])
+    def test_alpha_with_fixed_distribution_exits_2(
+        self, workdir, tmp_path, capsys, command, distribution
+    ):
+        if command[0] == "evaluate":
+            inputs = ["--results", str(tmp_path / "results")]
+        else:
+            inputs = ["--model", str(workdir / "model.json"), "--users", "2",
+                      "--budget", "20", "--set-size", "2", "--num-samples", "5"]
+        code = main(
+            [
+                *command,
+                "--schema", str(workdir / "schema.yaml"),
+                "--data", str(workdir / "data.csv"),
+                *inputs,
+                "--distribution", distribution,
+                "--alpha", "0.3",
+                "--out", str(tmp_path / "out"),
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "alpha 0.3" in err and f"'{distribution}'" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("kind", ["budget_sweep", "setsize_sweep", "samples_sweep"])
+    def test_fractional_grid_exits_2(self, workdir, tmp_path, capsys, kind):
+        code = main(
+            [
+                "experiment",
+                "--kind", kind,
+                "--schema", str(workdir / "schema.yaml"),
+                "--data", str(workdir / "data.csv"),
+                "--model", str(workdir / "model.json"),
+                "--methods", "cols",
+                "--seeds", "0",
+                "--grid", "5, 1000.7",
+                "--users", "2",
+                "--budget", "20",
+                "--set-size", "2",
+                "--num-samples", "5",
+                "--out", str(tmp_path / "out"),
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"--grid values of {kind} must be integers, got [1000.7]" in err
+        assert not (tmp_path / "out").exists()
+
+
 class TestUserLimit:
     @pytest.mark.parametrize("limit", [0, -3])
     def test_limit_below_one_rejected(self, synth6, limit):

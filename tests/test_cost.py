@@ -5,18 +5,16 @@ from recourse.cost import (
     INF,
     CostSampleSet,
     _flat_dirichlet,
-    _row_offsets,
-    _targets,
     cost_rows,
     emc_of_matrix,
     min_cost,
     sample_cost_batch,
     sample_cost_function,
 )
+from recourse.datasets import make_adult_like
 from recourse.schema import (
     DatasetSchema,
     FeatureSpec,
-    PercentileTable,
     SchemaError,
     UserState,
     build_percentile_table,
@@ -50,7 +48,6 @@ def manual_samples(schema, state, per_sample):
         table=np.concatenate(
             [np.array([s[f] for s in per_sample], dtype=float).T for f in range(d)]
         ),
-        offsets=_row_offsets(schema),
         alpha=np.full(m, 0.5),
         editable=np.ones((m, d), dtype=bool),
         preferences=np.full((m, d), 1.0 / d),
@@ -77,14 +74,13 @@ def flat_table(schema):
 def raw_means(schema, state, table, fi=0):
     """Feature fi's raw (step-count, CDF-shift) means by domain position:
     0 at the user's value, inf where infeasible."""
-    at = schema.positions(state.values).tolist()
-    s_idx = at[fi]
-    targets, (lin, perc) = _targets(schema, table, at, fi)
+    s_idx = schema.positions(state.values)[fi]
+    targets, _, raw = table.moves[fi][s_idx]
     out = []
-    for raw in (lin, perc):
+    for k in range(2):
         full = np.full(schema.features[fi].size, INF)
         full[s_idx] = 0.0
-        full[targets] = raw
+        full[list(targets)] = [pair[k] for pair in raw]
         out.append(full)
     return out
 
@@ -160,12 +156,15 @@ class TestLinearMeans:
 
 
 class TestPercentileMeans:
-    def _table(self):
-        return PercentileTable({"f": {0: 0.2, 1: 0.5, 2: 0.7, 3: 0.9, 4: 1.0}})
+    # Rows of f with CDF (0.2, 0.5, 0.7, 0.9, 1.0) and of g with (0.3, 0.6, 1.0).
+    F_ROWS = (0, 0, 1, 1, 1, 2, 2, 3, 3, 4)
+    G_ROWS = (0, 0, 0, 1, 1, 1, 2, 2, 2, 2)
 
     def test_cdf_shift_example(self):
         schema = one_feature_schema("increase_only")
-        _, means = raw_means(schema, UserState((1,)), self._table())
+        table = build_percentile_table([UserState((v,)) for v in self.F_ROWS], schema)
+        assert table.cdf[0] == (0.2, 0.5, 0.7, 0.9, 1.0)
+        _, means = raw_means(schema, UserState((1,)), table)
         assert means[3] == pytest.approx(0.4)
         assert means[1] == 0.0
         assert means[0] == INF
@@ -174,22 +173,56 @@ class TestPercentileMeans:
         # a quarter of the preference mass on f scales its CDF shift of 0.4
         # by 0.75
         schema = two_feature_schema()
-        table = PercentileTable(
-            {**self._table().tables, "g": {0: 0.3, 1: 0.6, 2: 1.0}}
+        table = build_percentile_table(
+            [UserState(r) for r in zip(self.F_ROWS, self.G_ROWS)], schema
         )
+        assert table.cdf == ((0.2, 0.5, 0.7, 0.9, 1.0), (0.3, 0.6, 1.0))
         batch = sample_cost_batch(
             UserState((1, 0)), schema, table, 200, "perc", seed=0,
             editable=frozenset({0, 1}), pref=np.array([0.25, 0.75]),
         )
         assert batch.costs[0][:, 3].mean() == pytest.approx(0.3, abs=0.005)
 
-    def test_missing_entry_for_ordered_feature(self):
-        schema = one_feature_schema("increase_only")
-        with pytest.raises(SchemaError):
-            sample_cost_function(
-                UserState((1,)), schema, PercentileTable({}),
-                np.random.default_rng(0), editable=frozenset({0}),
-            )
+
+class TestForeignTable:
+    """A percentile table samples only the schema it was built for: any
+    other is refused before the first draw, on every draw."""
+
+    @staticmethod
+    def _draws(state, schema, table):
+        for i in range(20):
+            with pytest.raises(SchemaError, match="built for a different schema"):
+                sample_cost_function(state, schema, table, np.random.default_rng(i))
+        with pytest.raises(SchemaError, match="built for a different schema"):
+            sample_cost_batch(state, schema, table, 50, "mix", seed=0)
+
+    def test_other_feature_set_refused(self, synth6):
+        table = synth6[3]
+        schema, rows, _ = make_adult_like(50, seed=1)
+        self._draws(rows[0], schema, table)
+
+    def test_relabelled_domains_refused(self, synth6):
+        schema, rows, _, table, _ = synth6
+        relabelled = DatasetSchema(
+            features=tuple(
+                FeatureSpec(f.name, f.kind, tuple(v + 100 for v in f.domain), f.mutability)
+                for f in schema.features
+            ),
+            desired_class=schema.desired_class,
+            protected_attributes=schema.protected_attributes,
+        )
+        shifted = [UserState(tuple(v + 100 for v in r.values)) for r in rows]
+        self._draws(rows[0], schema, build_percentile_table(shifted, relabelled))
+        self._draws(shifted[0], relabelled, table)
+
+    def test_equal_schema_accepted(self, synth6):
+        schema, rows, _, table, _ = synth6
+        twin = DatasetSchema(schema.features, schema.desired_class,
+                             schema.protected_attributes)
+        assert twin is not schema and twin == schema
+        a = sample_cost_batch(rows[0], twin, table, 30, "mix", seed=4)
+        b = sample_cost_batch(rows[0], schema, table, 30, "mix", seed=4)
+        assert a.table.tobytes() == b.table.tobytes()
 
 
 class TestMonotoneMeans:
@@ -309,6 +342,12 @@ class TestSampleBatch:
         perc = sample_cost_batch(rows[0], schema, table, 3, "perc", seed=1)
         assert (lin.alpha == 1.0).all()
         assert (perc.alpha == 0.0).all()
+
+    @pytest.mark.parametrize("distribution", ["lin", "perc"])
+    def test_explicit_alpha_refused_with_fixed_distribution(self, synth6, distribution):
+        schema, rows, _, table, _ = synth6
+        with pytest.raises(ValueError, match=f"alpha 0.3 .*'{distribution}'"):
+            sample_cost_batch(rows[0], schema, table, 3, distribution, seed=1, alpha=0.3)
 
     def test_same_seed_byte_identical(self, synth6):
         schema, rows, _, table, _ = synth6

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from recourse.datasets import adult_like_schema, synthetic_schema_6f
+from recourse.datasets import (
+    adult_like_schema,
+    make_adult_like,
+    make_synthetic_6f,
+    synthetic_schema_6f,
+)
 from recourse.schema import (
     DatasetSchema,
     FeatureSpec,
@@ -178,30 +183,29 @@ class TestPercentileTable:
         f = schema.features[0]
         expected = {0: 0.2, 1: 0.6, 2: 0.8, 3: 0.8, 4: 1.0}
         for v, cdf in expected.items():
-            assert table.percentile(f, v) == pytest.approx(cdf)
+            assert table.cdf[0][f.domain.index(v)] == pytest.approx(cdf)
 
     def test_single_row_step(self):
         schema = DatasetSchema(
             features=(FeatureSpec("f", "ordered", (0, 1, 2, 3, 4)),)
         )
         table = build_percentile_table([UserState((3,))], schema)
-        f = schema.features[0]
-        assert table.percentile(f, 2) == 0.0
-        assert table.percentile(f, 3) == 1.0
-        assert table.percentile(f, 4) == 1.0
+        cdf = table.cdf[0]
+        assert cdf[2] == 0.0
+        assert cdf[3] == 1.0
+        assert cdf[4] == 1.0
 
     def test_terminal_value_is_one(self, synth6):
         schema, rows, _, table, _ = synth6
-        for f in schema.features:
+        for f, cdf in zip(schema.features, table.cdf):
             if f.kind == "ordered":
-                assert table.percentile(f, f.domain[-1]) == pytest.approx(1.0)
+                assert cdf[-1] == pytest.approx(1.0)
 
     def test_monotone_and_bounded(self, synth6):
         schema, rows, _, table, _ = synth6
-        for f in schema.features:
+        for f, values in zip(schema.features, table.cdf):
             if f.kind != "ordered":
                 continue
-            values = [table.percentile(f, v) for v in f.domain]
             assert all(0.0 <= v <= 1.0 for v in values)
             assert all(b >= a for a, b in zip(values, values[1:]))
 
@@ -330,3 +334,57 @@ class TestDomainPositions:
         assert feasible_positions(schema, 2, 7) == [0]
         with pytest.raises(SchemaError, match="value 3 not in domain of feature 'tier'"):
             feasible_positions(schema, 0, 3)
+
+
+def unsorted_rows(n=60, seed=0):
+    schema = unsorted_schema()
+    rng = np.random.default_rng(seed)
+    return [UserState(tuple(int(rng.choice(f.domain)) for f in schema.features))
+            for _ in range(n)]
+
+
+MOVE_PACKS = {
+    "synth6": lambda: make_synthetic_6f(300, seed=2)[:2],
+    "adult_like": lambda: make_adult_like(600, seed=5)[:2],
+    "unsorted": lambda: (unsorted_schema(), unsorted_rows()),
+}
+
+
+class TestMoveTable:
+    """`build_percentile_table` against an oracle made from `feasible_values`
+    and CDFs counted by hand, for every feature and every origin position,
+    including origins no user sits at."""
+
+    @pytest.mark.parametrize("name", sorted(MOVE_PACKS))
+    def test_moves_match_oracle(self, name):
+        schema, rows = MOVE_PACKS[name]()
+        table = build_percentile_table(rows, schema)
+        first_row = 0
+        for fi, f in enumerate(schema.features):
+            size = f.size
+            column = [r.values[fi] for r in rows]
+            cdf = None
+            if f.kind == "ordered":
+                cdf = tuple(sum(1 for v in column if v <= x) / len(rows)
+                            for x in f.domain)
+            assert table.cdf[fi] == cdf
+            assert len(table.moves[fi]) == size
+            for s, value in enumerate(f.domain):
+                allowed = feasible_values(schema, fi, value) - {value}
+                targets = tuple(sorted(f.domain.index(v) for v in allowed))
+                raw = None
+                if cdf is not None:
+                    raw = tuple(
+                        (sum(1 for y in range(size) if s < y <= x)
+                         / sum(1 for y in range(size) if y > s), abs(cdf[x] - cdf[s]))
+                        if x > s else
+                        (sum(1 for y in range(size) if x <= y < s)
+                         / sum(1 for y in range(size) if y < s), abs(cdf[x] - cdf[s]))
+                        for x in targets
+                    )
+                rows_of = tuple(first_row + x for x in targets)
+                assert table.moves[fi][s] == (targets, rows_of, raw), (f.name, s)
+            first_row += size
+        assert schema.offsets.tolist() == [
+            sum(f.size for f in schema.features[:fi]) for fi in range(schema.n_features + 1)
+        ]

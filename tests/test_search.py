@@ -767,6 +767,9 @@ class TestGenerationSettings:
         (dict(method="cols", objective="diversity"), "method 'cols'.*'diversity'"),
         (dict(method="pcols", objective="proximity"), "method 'pcols'.*'proximity'"),
         (dict(method="random", objective="sparsity"), "method 'random'.*'sparsity'"),
+        (dict(distribution="lin", alpha=0.3), "alpha 0.3 .*'lin'"),
+        (dict(distribution="perc", alpha=0.0), "alpha 0.0 .*'perc'"),
+        (dict(distribution="uniform"), "unknown distribution 'uniform'"),
     ])
     def test_rejected_at_construction(self, fields, message):
         with pytest.raises(ValueError, match=message):
