@@ -291,14 +291,10 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    schema = load_schema(args.schema)
-    rows = load_dataset(args.data, schema)
-    classifier = load_model(args.model)
-    table = build_percentile_table(rows, schema)
     grid: tuple = ()
     if args.grid:
         values = [float(v) for v in args.grid.split(",")]
-        if args.kind != "alpha_grid":
+        if args.kind in xp.DEFAULT_GRIDS and args.kind != "alpha_grid":
             bad = [v for v in values if not v.is_integer()]
             if bad:
                 raise ValueError(f"--grid values of {args.kind} must be integers, got {bad}")
@@ -316,6 +312,10 @@ def _cmd_experiment(args) -> int:
         shift_vectors=args.shift_vectors,
         bins=args.bins,
     )
+    schema = load_schema(args.schema)
+    rows = load_dataset(args.data, schema)
+    classifier = load_model(args.model)
+    table = build_percentile_table(rows, schema)
     limit = 100 if args.users is None else args.users
     states, ids = xp.select_undesired(rows, classifier, schema, limit=limit)
     header, table_rows = xp.run_experiment(spec, states, ids, classifier, schema, table)

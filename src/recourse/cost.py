@@ -15,29 +15,44 @@ Sampling is hierarchical: an editable feature subset, Dirichlet preference
 scores over it, a mixing weight alpha between step-count (alpha=1) and
 percentile-shift (alpha=0) difficulty, and a Beta draw per transition
 around the blended mean. Each feature's targets, table rows and ordered raw
-means come from `PercentileTable.moves`. Sample i of a batch is drawn from
-`stream_rng(stream, seed, i, subkey)` alone, with these calls in this
-order:
+means come from `PercentileTable.moves`. Features outside the editable set
+cost infinity to move and draw no Beta.
 
-- the subset: `random(n)` over the n candidate features, keeping those
-  below 0.5, repeated until one is kept;
-- the preferences: `standard_exponential(k)` over the k chosen features,
-  times the reciprocal of their left-to-right sum;
-- alpha: `random()`;
-- per editable feature in index order: for an unordered feature one
-  `random(2 * |D_f|)`, the step-count means then the percentile means of
-  every position; then one scalar `beta(a, b)` per target whose Beta
-  exists, in position order.
+`sample_cost_batch` draws in blocks of `BLOCK` = 64 samples: block b is
+rows 64b to 64b + 63, drawn from `stream_rng(stream, seed, b, subkey)`
+alone. A block always draws its full width and the batch is then cut to
+M, so row i never depends on M and a batch is a prefix of any larger one.
+Within a block the n movable features (`DatasetSchema.mutable_indices`)
+are drawn as whole arrays, with these calls in this order and no others:
 
-Each call reads the same doubles as the numpy call the sampler was first
-written with, and leaves the generator in the same place:
-`dirichlet(ones(k))` (numpy draws Gamma(1) as a standard exponential and
-scales by the reciprocal of the sequential sum), `uniform(0, 1)` per
-double, two `uniform(0, 1, |D_f|)` rows, and one array `beta` over a
-feature's targets, which draws its cells in order. `TestDrawEquivalence`
-in tests/test_cost.py pins each identity. Batches extend without
-disturbing earlier samples, and features outside the editable set draw
-nothing.
+1. unless the editable set is pinned, `random((64, n))` coins, keeping
+   those below 0.5; then, in row order, `random(n)` again for each row that
+   kept nothing, until it keeps one;
+2. unless preferences are pinned, one `standard_exponential(K)` over the K
+   chosen (row, feature) cells in row-major order, each row times the
+   reciprocal of its left-to-right sum (numpy's `dirichlet(ones(k))`);
+3. unless alpha is fixed, `random(64)`;
+4. one `random((64, U))`, U the sum of 2 |D_f| over the unordered movable
+   features in index order, each feature's step-count means then its
+   percentile means by position (skipped when U is 0);
+5. one array `beta` over the chosen cells whose Beta exists, row by row,
+   each row's cells by feature and then by target.
+
+The blend, clip and Beta shapes are the scalar formulas of
+`_feature_costs` applied to whole arrays, so a cell without a Beta holds
+exactly the scalar blend. Beta cells use numpy's `beta`, never a ratio of
+gammas: with both shapes small, both gammas underflow and the ratio is NaN.
+
+`sample_cost_function`, the one draw (M=1) from a caller's generator that
+evaluation makes per simulated user, keeps the per-sample path: the subset
+from `random(n)` repeated until one is kept, `standard_exponential(k)`
+over its k features, a scalar `random()` alpha, and per editable feature
+in index order one `random(2 * |D_f|)` for an unordered feature, then one
+scalar `beta` per target with a Beta. On an adult-like user one draw took
+88-151 us on this path and 418-544 us as a cut 64-row block (generator
+construction included; numpy 2.4, 2 CPUs), and single draws are about
+half of scoring one (user, population) pair. Both paths share one input
+check (`_check_inputs`).
 
 Every price comes from `cost_rows`, which takes members as domain
 positions (`DatasetSchema.positions`), gathers each feature's table rows
@@ -72,6 +87,9 @@ TRAIN_STREAM = 0
 TEST_STREAM = 1
 
 DISTRIBUTIONS = ("lin", "perc", "mix")
+
+# Samples drawn per generator by `sample_cost_batch`.
+BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -146,18 +164,16 @@ def _feature_costs(
     return costs
 
 
-def _sample(
-    state: UserState,
+def _check_inputs(
     schema: DatasetSchema,
     table: PercentileTable,
-    rngs: Sequence[np.random.Generator],
     alpha: Optional[float],
     editable: Optional[frozenset[int]],
     pref: Optional[np.ndarray],
-) -> CostSampleSet:
-    """Fill column i of the cost table and row i of the other arrays from
-    `rngs[i]` alone, start to finish; absent inputs are drawn per sample
-    (see `sample_cost_function`)."""
+) -> tuple[Optional[list[int]], Optional[np.ndarray]]:
+    """The sampler's input check, shared by both paths. Returns the pinned
+    editable features ascending and the pinned preferences as floats, each
+    None when drawn per sample."""
     d = schema.n_features
     pinned = None if editable is None else sorted(int(i) for i in editable)
     for i in pinned or []:
@@ -175,50 +191,110 @@ def _sample(
             raise ValueError("preference mass outside the editable set")
         if pinned and abs(pref.sum() - 1.0) > 1e-9:
             raise ValueError("preference scores must sum to 1 over editable features")
-    if alpha is not None and not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0,1], got {alpha}")
+    distribution_alpha("mix", alpha)  # refuses an alpha outside [0, 1]
     if table.schema is not schema and table.schema != schema:
         raise SchemaError("percentile table was built for a different schema")
+    if pinned is None and not schema.mutable_indices():
+        raise ValueError("schema has no mutable features; supply an editable set")
+    return pinned, pref
 
+
+def _sample_set(state, schema, at, rows, vals, alphas, chosen, prefs) -> CostSampleSet:
+    """The read-only sample set whose (W, M) table holds `vals` at `rows`
+    (one row of values per listed table row), 0 at the user's own
+    positions `at` and infinity elsewhere."""
+    cost_table = np.empty((int(schema.offsets[-1]), len(alphas)))
+    cost_table.fill(INF)
+    cost_table[schema.offsets[:-1] + at] = 0.0
+    cost_table[rows] = vals
+    for arr in (cost_table, alphas, chosen, prefs):
+        arr.setflags(write=False)
+    return CostSampleSet(schema, state, cost_table, alphas, chosen, prefs)
+
+
+def _sample_blocks(
+    state: UserState,
+    schema: DatasetSchema,
+    table: PercentileTable,
+    rngs: Sequence[np.random.Generator],
+    m: int,
+    alpha: Optional[float],
+    editable: Optional[frozenset[int]],
+    pref: Optional[np.ndarray],
+) -> CostSampleSet:
+    """Rows `BLOCK * b` to `BLOCK * b + BLOCK - 1` drawn from `rngs[b]` in
+    whole-array calls (see the module docstring), cut to the first m rows;
+    absent inputs are drawn."""
+    pinned, pref = _check_inputs(schema, table, alpha, editable, pref)
+    d = schema.n_features
     features = schema.features
     candidates = schema.mutable_indices()
+    movable = candidates if pinned is None else pinned
     at = schema.positions(state.values).tolist()
-    off = schema.offsets
-    m = len(rngs)
-    alphas = np.empty(m)
-    keep_of = None if pref is None else (1.0 - pref).tolist()
-    chosen_rows, chosen_cols, chosen_prefs = [], [], []
-    rows, cols, vals = [], [], []
-    for i, rng in enumerate(rngs):
-        chosen = pinned if pinned is not None else random_editable_subset(candidates, rng)
-        chosen_rows += [i] * len(chosen)
-        chosen_cols += chosen
-        if pref is None and chosen:
-            p = _flat_dirichlet(rng, len(chosen))
-            chosen_prefs += p.tolist()
-            keep_of = dict(zip(chosen, (1.0 - p).tolist()))
-        alphas[i] = a = rng.random() if alpha is None else alpha
-        for fi in chosen:
-            targets, target_rows, raw = table.moves[fi][at[fi]]
-            costs = _feature_costs(rng, features[fi].size, targets, raw, a, keep_of[fi])
-            rows += target_rows
-            cols += [i] * len(costs)
-            vals += costs
-    chosen_mask = np.zeros((m, d), dtype=bool)
-    chosen_mask[chosen_rows, chosen_cols] = True
-    prefs = np.zeros((m, d))
-    if pref is None:
-        prefs[chosen_rows, chosen_cols] = chosen_prefs
-    else:
-        prefs[:] = pref
+    # Column layout of the unordered means drawn per block, then one column
+    # per ordered raw mean; `xi`/`yi` pick each cost cell's two means.
+    start, u = {}, 0
+    for fi in candidates:
+        if table.cdf[fi] is None:
+            start[fi] = u
+            u += 2 * features[fi].size
+    feat, rows, xi, yi, fixed = [], [], [], [], []
+    for fi in movable:
+        targets, target_rows, raw = table.moves[fi][at[fi]]
+        feat += [fi] * len(targets)
+        rows += target_rows
+        if raw is None and targets:
+            xi += [start[fi] + j for j in targets]
+            yi += [start[fi] + features[fi].size + j for j in targets]
+        for x, y in raw or ():
+            xi.append(u + len(fixed))
+            yi.append(u + len(fixed) + 1)
+            fixed += (x, y)
 
-    cost_table = np.empty((int(off[-1]), m))
-    cost_table.fill(INF)
-    cost_table[off[:-1] + at] = 0.0
-    cost_table[rows, cols] = vals
-    for arr in (cost_table, alphas, chosen_mask, prefs):
-        arr.setflags(write=False)
-    return CostSampleSet(schema, state, cost_table, alphas, chosen_mask, prefs)
+    width = BLOCK * len(rngs)
+    chosen = np.zeros((width, d), dtype=bool)
+    if pinned is not None:
+        chosen[:, pinned] = True
+    prefs = np.zeros((width, d))
+    alphas = np.empty(width)
+    means = np.empty((width, u + len(fixed)))
+    means[:, u:] = fixed
+    for b, rng in enumerate(rngs):
+        blk = slice(BLOCK * b, BLOCK * (b + 1))
+        if pinned is None:
+            kept = rng.random((BLOCK, len(candidates))) < 0.5
+            for r in np.flatnonzero(~kept.any(axis=1)).tolist():
+                while not kept[r].any():
+                    kept[r] = rng.random(len(candidates)) < 0.5
+            chosen[blk, candidates] = kept
+        if pref is None and movable:
+            cells = chosen[blk]
+            prefs[blk][cells] = rng.standard_exponential(int(np.count_nonzero(cells)))
+        if alpha is None:
+            alphas[blk] = rng.random(BLOCK)
+        if u:
+            means[blk, :u] = rng.random((BLOCK, u))
+    if pref is not None:
+        prefs[:] = pref
+    elif movable:
+        prefs *= (1.0 / np.add.accumulate(prefs, axis=1)[:, -1])[:, None]
+    if alpha is not None:
+        alphas.fill(alpha)
+
+    keep = 1.0 - prefs[:, feat]
+    a = alphas[:, None]
+    mu = np.clip(a * (means[:, xi] * keep) + (1.0 - a) * (means[:, yi] * keep), 0.0, 1.0)
+    nu = mu * (1.0 - mu) / _VAR - 1.0
+    live = chosen[:, feat]
+    vals = np.where(live, mu, INF)
+    drawn = live & (nu > 0.0)
+    for b, rng in enumerate(rngs):
+        blk = slice(BLOCK * b, BLOCK * (b + 1))
+        cells = drawn[blk]
+        mu_b, nu_b = mu[blk][cells], nu[blk][cells]
+        vals[blk][cells] = rng.beta(mu_b * nu_b, (1.0 - mu_b) * nu_b)
+    return _sample_set(state, schema, at, np.array(rows, dtype=np.intp), vals[:m].T,
+                       alphas[:m], chosen[:m], prefs[:m])
 
 
 def sample_cost_function(
@@ -237,9 +313,32 @@ def sample_cost_function(
     Dirichlet over the editable set (zero elsewhere), alpha from
     Uniform(0,1). Per feature the step-count and percentile means are
     scaled by (1 - preference), blended with alpha, and each transition
-    cost drawn from a Beta around the blend.
+    cost drawn from a Beta around the blend, with the per-sample draws of
+    the module docstring.
     """
-    return _sample(state, schema, table, [rng], alpha, editable, pref)
+    pinned, pref = _check_inputs(schema, table, alpha, editable, pref)
+    d = schema.n_features
+    chosen = pinned if pinned is not None else random_editable_subset(
+        schema.mutable_indices(), rng)
+    prefs = np.zeros((1, d))
+    if pref is not None:
+        prefs[0] = pref
+    elif chosen:
+        prefs[0, chosen] = _flat_dirichlet(rng, len(chosen))
+    keep = (1.0 - prefs[0]).tolist()
+    a = rng.random() if alpha is None else alpha
+    at = schema.positions(state.values).tolist()
+    rows, vals = [], []
+    for fi in chosen:
+        targets, target_rows, raw = table.moves[fi][at[fi]]
+        rows += target_rows
+        vals += _feature_costs(rng, schema.features[fi].size, targets, raw, a, keep[fi])
+    mask = np.zeros((1, d), dtype=bool)
+    mask[0, chosen] = True
+    return _sample_set(state, schema, at, np.array(rows, dtype=np.intp),
+                       np.array(vals)[:, None], np.array([a], dtype=float), mask, prefs)
+
+
 
 
 def stream_rng(stream: int, seed: int, index: int, subkey: int = 0) -> np.random.Generator:
@@ -249,12 +348,15 @@ def stream_rng(stream: int, seed: int, index: int, subkey: int = 0) -> np.random
 def distribution_alpha(distribution: str, alpha: Optional[float]) -> Optional[float]:
     """The alpha a named distribution fixes: "lin" -> 1, "perc" -> 0, "mix"
     -> `alpha` (None draws it per sample). "lin" and "perc" fix their own
-    alpha, so an explicit one with them is refused, not ignored."""
+    alpha, so an explicit one with them is refused, not ignored, and an
+    explicit alpha outside [0, 1] is refused."""
     if distribution not in DISTRIBUTIONS:
         raise ValueError(f"unknown distribution {distribution!r}")
     if distribution != "mix" and alpha is not None:
         raise ValueError(f"alpha {alpha} applies to distribution 'mix' only; "
                          f"{distribution!r} fixes its own")
+    if alpha is not None and not 0.0 <= alpha <= 1.0:
+        raise ValueError(f"alpha must lie in [0,1], got {alpha}")
     return {"lin": 1.0, "perc": 0.0}.get(distribution, alpha)
 
 
@@ -271,7 +373,7 @@ def sample_cost_batch(
     subkey: int = 0,
 ) -> CostSampleSet:
     """Draw M independent generation-time cost functions; deterministic per
-    (seed, state, subkey).
+    (seed, state, subkey), one generator per block of `BLOCK` samples.
 
     `distribution` fixes alpha: "lin" -> 1, "perc" -> 0, "mix" -> per-sample
     Uniform(0,1) unless an explicit `alpha` pins it (see
@@ -280,8 +382,8 @@ def sample_cost_batch(
     if m < 1:
         raise ValueError(f"sample count must be >= 1, got {m}")
     fixed_alpha = distribution_alpha(distribution, alpha)
-    rngs = [stream_rng(TRAIN_STREAM, seed, i, subkey) for i in range(m)]
-    return _sample(state, schema, table, rngs, fixed_alpha, editable, pref)
+    rngs = [stream_rng(TRAIN_STREAM, seed, b, subkey) for b in range(-(-m // BLOCK))]
+    return _sample_blocks(state, schema, table, rngs, m, fixed_alpha, editable, pref)
 
 
 def cost_rows(index_matrix: np.ndarray, samples: CostSampleSet) -> np.ndarray:

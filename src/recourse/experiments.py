@@ -75,6 +75,9 @@ class ExperimentSpec:
                 f"unknown experiment kind {self.kind!r}; "
                 f"valid kinds: {', '.join(EXPERIMENT_KINDS)}"
             )
+        if self.grid and self.kind not in DEFAULT_GRIDS:
+            raise ValueError(f"experiment kind {self.kind!r} takes no grid; only "
+                             f"{', '.join(DEFAULT_GRIDS)} read one")
         if not self.grid:
             self.grid = DEFAULT_GRIDS.get(self.kind, ())
         if self.kind in DEFAULT_GRIDS and not self.grid:

@@ -810,6 +810,51 @@ class TestFlagConflicts:
         assert not (tmp_path / "out").exists()
 
 
+    @pytest.mark.parametrize("alpha", ["1.5", "-0.2"])
+    def test_alpha_out_of_range_exits_2(self, workdir, tmp_path, capsys, alpha):
+        code = main(
+            [
+                "generate",
+                "--schema", str(workdir / "schema.yaml"),
+                "--data", str(workdir / "data.csv"),
+                "--model", str(workdir / "model.json"),
+                "--method", "ls",
+                "--objective", "diversity",
+                "--alpha", alpha,
+                "--users", "2",
+                "--budget", "20",
+                "--set-size", "2",
+                "--out", str(tmp_path / "out"),
+            ]
+        )
+        assert code == 2
+        assert f"alpha must lie in [0,1], got {alpha}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("kind", ["main", "ablation", "concentration_shift"])
+    def test_grid_for_kind_without_one_exits_2(self, workdir, tmp_path, capsys, kind):
+        code = main(
+            [
+                "experiment",
+                "--kind", kind,
+                "--schema", str(workdir / "schema.yaml"),
+                "--data", str(workdir / "data.csv"),
+                "--model", str(workdir / "model.json"),
+                "--methods", "cols",
+                "--seeds", "0",
+                "--grid", "1,0.5",
+                "--users", "2",
+                "--budget", "20",
+                "--set-size", "2",
+                "--num-samples", "5",
+                "--out", str(tmp_path / "out"),
+            ]
+        )
+        assert code == 2
+        assert f"experiment kind '{kind}' takes no grid" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
 class TestUserLimit:
     @pytest.mark.parametrize("limit", [0, -3])
     def test_limit_below_one_rejected(self, synth6, limit):
@@ -869,6 +914,15 @@ class TestExperimentSpecValidation:
 
         with pytest.raises(ValueError, match="kind"):
             ExperimentSpec(kind="mystery")
+
+    @pytest.mark.parametrize("kind", ["main", "ablation", "concentration_shift"])
+    def test_grid_refused_for_kinds_without_one(self, kind):
+        from recourse.experiments import ExperimentSpec
+
+        with pytest.raises(ValueError,
+                           match=f"experiment kind '{kind}' takes no grid"):
+            ExperimentSpec(kind=kind, grid=(1, 2))
+        assert ExperimentSpec(kind=kind).grid == ()
 
     def test_alpha_grid_values_validated(self):
         from recourse.experiments import ExperimentSpec

@@ -1,15 +1,24 @@
 import numpy as np
 import pytest
 
+from math import sqrt
+from statistics import NormalDist
+
+from recourse import cost
 from recourse.cost import (
+    BLOCK,
+    COST_STD,
     INF,
+    TRAIN_STREAM,
     CostSampleSet,
     _flat_dirichlet,
     cost_rows,
+    distribution_alpha,
     emc_of_matrix,
     min_cost,
     sample_cost_batch,
     sample_cost_function,
+    stream_rng,
 )
 from recourse.datasets import make_adult_like
 from recourse.schema import (
@@ -324,6 +333,48 @@ class TestSampleCostFunction:
             )
 
 
+def _one(state, schema, table, alpha=None, editable=None, pref=None):
+    return sample_cost_function(state, schema, table, np.random.default_rng(0),
+                                alpha=alpha, editable=editable, pref=pref)
+
+
+def _batch(state, schema, table, alpha=None, editable=None, pref=None):
+    return sample_cost_batch(state, schema, table, 70, "mix", seed=0,
+                             alpha=alpha, editable=editable, pref=pref)
+
+
+class TestInputChecks:
+    """The one input check refuses the same inputs on the single-draw path
+    and the block path."""
+
+    @pytest.mark.parametrize("draw", [_one, _batch], ids=["single", "batch"])
+    @pytest.mark.parametrize("inputs,message", [
+        (dict(editable=frozenset({0, 9})), "editable feature index 9 out of range"),
+        (dict(pref=np.full(5, 0.2)), "length must match feature count"),
+        (dict(editable=frozenset({0, 1}), pref=np.array([1.5, -0.5, 0, 0, 0, 0])),
+         "must be non-negative"),
+        (dict(editable=frozenset({0}), pref=np.array([0.5, 0.5, 0, 0, 0, 0])),
+         "preference mass outside the editable set"),
+        (dict(editable=frozenset({0, 1}), pref=np.array([0.5, 0.4, 0, 0, 0, 0])),
+         "must sum to 1 over editable features"),
+        (dict(pref=np.array([0.5, 0.5, 0, 0, 0, 0])), "preference mass outside"),
+        (dict(alpha=1.5), r"alpha must lie in \[0,1\], got 1.5"),
+        (dict(alpha=-0.2), r"alpha must lie in \[0,1\], got -0.2"),
+    ])
+    def test_refused_on_both_paths(self, synth6, draw, inputs, message):
+        schema, rows, _, table, _ = synth6
+        with pytest.raises(ValueError, match=message):
+            draw(rows[0], schema, table, **inputs)
+
+    @pytest.mark.parametrize("draw", [_one, _batch], ids=["single", "batch"])
+    def test_no_mutable_feature_without_editable_set(self, draw):
+        schema = DatasetSchema(
+            features=(FeatureSpec("f", "ordered", (0, 1), "immutable"),)
+        )
+        with pytest.raises(ValueError, match="no mutable features"):
+            draw(UserState((0,)), schema, flat_table(schema))
+
+
 class TestSampleBatch:
     def test_batch_shape_and_tags(self, synth6):
         schema, rows, _, table, _ = synth6
@@ -357,13 +408,28 @@ class TestSampleBatch:
         assert all(x.tobytes() == y.tobytes() for x, y in zip(a.costs, b.costs))
 
     def test_prefix_of_a_larger_batch(self, synth6):
-        # sample i depends only on its own stream, so batches extend
+        # every block draws its full width, so batches extend, also across
+        # block boundaries
         schema, rows, _, table, _ = synth6
-        small = sample_cost_batch(rows[0], schema, table, 3, "mix", seed=9, subkey=2)
-        big = sample_cost_batch(rows[0], schema, table, 8, "mix", seed=9, subkey=2)
-        assert np.array_equal(small.alpha, big.alpha[:3])
-        assert all(np.array_equal(x, y[:3]) for x, y in zip(small.costs, big.costs))
-        assert np.array_equal(small.preferences, big.preferences[:3])
+        big = sample_cost_batch(rows[0], schema, table, 200, "mix", seed=9, subkey=2)
+        for m in (3, 64, 65, 130):
+            small = sample_cost_batch(rows[0], schema, table, m, "mix", seed=9, subkey=2)
+            assert small.alpha.tobytes() == big.alpha[:m].tobytes()
+            assert all(x.tobytes() == y[:m].tobytes() for x, y in zip(small.costs, big.costs))
+            assert small.preferences.tobytes() == big.preferences[:m].tobytes()
+            assert small.editable.tobytes() == big.editable[:m].tobytes()
+
+    def test_one_generator_per_block(self, synth6, monkeypatch):
+        schema, rows, _, table, _ = synth6
+        keys = []
+
+        def counted(stream, seed, index, subkey=0):
+            keys.append((stream, seed, index, subkey))
+            return stream_rng(stream, seed, index, subkey)
+
+        monkeypatch.setattr(cost, "stream_rng", counted)
+        sample_cost_batch(rows[0], schema, table, 130, "mix", seed=9, subkey=2)
+        assert keys == [(TRAIN_STREAM, 9, b, 2) for b in range(3)]
 
     def test_singleton(self, synth6):
         schema, rows, _, table, _ = synth6
@@ -379,6 +445,191 @@ class TestSampleBatch:
         batch = sample_cost_batch(rows[0], schema, table, 2, "mix", seed=0)
         with pytest.raises(ValueError):
             batch.costs[0][0, 0] = 1.0
+
+
+def _homogeneity_chi2(a, b):
+    """Chi-square statistic and degrees of freedom of the 2 x k table of
+    bin counts `a` and `b`, bins empty in both dropped."""
+    counts = np.array([a, b], dtype=float)
+    counts = counts[:, counts.sum(axis=0) > 0]
+    expected = counts.sum(axis=1, keepdims=True) * counts.sum(axis=0) / counts.sum()
+    return float(((counts - expected) ** 2 / expected).sum()), counts.shape[1] - 1
+
+
+def _chi2_quantile(df, p):
+    """Wilson-Hilferty approximation of chi-square's upper p quantile."""
+    h = 2.0 / (9.0 * df)
+    return df * (1.0 - h + NormalDist().inv_cdf(1.0 - p) * sqrt(h)) ** 3
+
+
+def _deciles(a, b):
+    """Bin counts of `a` and `b` over the deciles of both pooled."""
+    edges = np.unique(np.quantile(np.concatenate([a, b]), np.linspace(0.1, 0.9, 9)))
+    return [np.bincount(np.searchsorted(edges, v, side="right"),
+                        minlength=len(edges) + 1) for v in (a, b)]
+
+
+def reference_block(state, schema, table, rng, alpha, editable, pref):
+    """The 64 rows of one block, drawn row by row in the documented order
+    (see the `cost` module docstring), as (costs by feature, alpha,
+    editable mask, preferences) per row."""
+    d, movable = schema.n_features, schema.mutable_indices()
+    at = schema.positions(state.values).tolist()
+    if editable is None:
+        coins = rng.random((BLOCK, len(movable))).tolist()
+        subsets = [[f for f, c in zip(movable, row) if c < 0.5] for row in coins]
+        for r in range(BLOCK):
+            while not subsets[r]:
+                subsets[r] = [f for f, c in zip(movable, rng.random(len(movable))) if c < 0.5]
+    else:
+        subsets = [sorted(editable)] * BLOCK
+    prefs = np.zeros((BLOCK, d))
+    if pref is not None:
+        prefs[:] = pref
+    else:
+        draws = iter(rng.standard_exponential(sum(map(len, subsets))).tolist())
+        for r, subset in enumerate(subsets):
+            row = [next(draws) for _ in subset]
+            total = 0.0
+            for v in row:
+                total += v
+            prefs[r, subset] = [v * (1.0 / total) for v in row]
+    alphas = rng.random(BLOCK).tolist() if alpha is None else [alpha] * BLOCK
+    start, u = {}, 0
+    for f in movable:
+        if table.cdf[f] is None:
+            start[f], u = u, u + 2 * schema.features[f].size
+    means = rng.random((BLOCK, u)).tolist() if u else [[]] * BLOCK
+    var, cells, out = COST_STD * COST_STD, [], []
+    for r, subset in enumerate(subsets):
+        costs = [np.full(f.size, INF) for f in schema.features]
+        for f in range(d):
+            costs[f][at[f]] = 0.0
+        a = alphas[r]
+        for f in subset:
+            targets, _, raw = table.moves[f][at[f]]
+            keep = 1.0 - float(prefs[r, f])
+            size = schema.features[f].size
+            if raw is None:
+                raw = [(means[r][start[f] + j], means[r][start[f] + size + j])
+                       for j in targets]
+            for j, (x, y) in zip(targets, raw):
+                mu = a * (x * keep) + (1.0 - a) * (y * keep)
+                mu = 0.0 if mu < 0.0 else 1.0 if mu > 1.0 else mu
+                nu = mu * (1.0 - mu) / var - 1.0
+                costs[f][j] = mu
+                if nu > 0.0:
+                    cells.append((costs[f], j, mu * nu, (1.0 - mu) * nu))
+        editable_row = np.zeros(d, dtype=bool)
+        editable_row[subset] = True
+        out.append((costs, a, editable_row, prefs[r]))
+    for costs, j, shape_a, shape_b in cells:
+        costs[j] = rng.beta(shape_a, shape_b)
+    return out
+
+
+class TestBlockDraws:
+    @pytest.mark.parametrize("distribution,inputs", [
+        ("mix", {}),
+        ("lin", {}),
+        ("mix", dict(alpha=0.3)),
+        ("mix", dict(editable=frozenset({0, 1, 4, 8, 10}))),
+        ("mix", dict(editable=frozenset({0, 1, 4, 8, 10}),
+                     pref=np.array([0.3, 0.1, 0, 0, 0.2, 0, 0, 0, 0.25, 0, 0.15, 0]))),
+        ("perc", dict(pref=np.zeros(12))),
+    ])
+    def test_blocks_match_the_row_by_row_reference(self, adult, distribution, inputs):
+        """Every row of a 130-sample batch equals the reference's row drawn
+        on its block's stream, to the bit."""
+        schema, rows, _, table, _ = adult
+        inputs = dict(inputs)
+        alpha = distribution_alpha(distribution, inputs.pop("alpha", None))
+        for u, state in enumerate(rows[:3]):
+            batch = sample_cost_batch(state, schema, table, 130, distribution, seed=u,
+                                      alpha=alpha if distribution == "mix" else None,
+                                      subkey=5, **inputs)
+            want = [row for b in range(3) for row in reference_block(
+                state, schema, table, stream_rng(TRAIN_STREAM, u, b, 5), alpha,
+                inputs.get("editable"), inputs.get("pref"))]
+            for i, (costs, a, editable, prefs) in enumerate(want[:batch.m]):
+                assert all(batch.costs[f][i].tobytes() == c.tobytes()
+                           for f, c in enumerate(costs))
+                assert batch.alpha[i] == a
+                assert (batch.editable[i] == editable).all()
+                assert batch.preferences[i].tobytes() == prefs.tobytes()
+
+
+class TestBlockDistribution:
+    """Block rows against single draws: the block sampler changes the
+    stream, not the distribution."""
+
+    N = 10_000
+    LEVEL = 1e-3  # family-wise, split evenly over the binned quantities
+
+    def test_binned_chi_square_against_single_draws(self, adult):
+        """10^4 rows of one batch (seed 11) against 10^4 single draws on
+        their own streams (seed 11, the pre-block batch), for one adult-like
+        user: alpha in 10 equal bins, each movable feature's editable
+        frequency, the editable-set size, and deciles of each chosen
+        feature's preference and of each (feature, target) cost. Each
+        two-sample chi-square must stay below chi-square's upper
+        0.001 / Q quantile, Q the number of quantities (Bonferroni)."""
+        schema, rows, _, table, _ = adult
+        state, movable = rows[3], schema.mutable_indices()
+        block = sample_cost_batch(state, schema, table, self.N, "mix", seed=11, subkey=3)
+        singles = [sample_cost_function(state, schema, table,
+                                        stream_rng(TRAIN_STREAM, 11, i, 3))
+                   for i in range(self.N)]
+        single = CostSampleSet(
+            schema, state, np.concatenate([s.table for s in singles], axis=1),
+            np.concatenate([s.alpha for s in singles]),
+            np.concatenate([s.editable for s in singles]),
+            np.concatenate([s.preferences for s in singles]),
+        )
+        binned = {"alpha": [np.histogram(x.alpha, bins=10, range=(0.0, 1.0))[0]
+                            for x in (block, single)],
+                  "size": [np.bincount(x.editable.sum(axis=1), minlength=10)
+                           for x in (block, single)]}
+        at = schema.positions(state.values)
+        for fi in movable:
+            binned[f"editable {fi}"] = [
+                np.bincount(x.editable[:, fi], minlength=2) for x in (block, single)]
+            binned[f"preference {fi}"] = _deciles(
+                *(x.preferences[x.editable[:, fi], fi] for x in (block, single)))
+            for j in table.moves[fi][at[fi]][0]:
+                binned[f"cost {fi}->{j}"] = _deciles(
+                    *(x.costs[fi][x.editable[:, fi], j] for x in (block, single)))
+        assert len(binned) >= 50
+        p = self.LEVEL / len(binned)
+        for name, (a, b) in binned.items():
+            stat, df = _homogeneity_chi2(a, b)
+            assert stat < _chi2_quantile(df, p), (name, stat, df)
+
+    def test_cells_without_a_beta_hold_the_scalar_blend(self, adult):
+        """Where a cell's Beta does not exist (nu <= 0), its cost is the
+        scalar blend and clip of `_feature_costs`, to the bit, checked on
+        every chosen ordered cell of 130-row batches."""
+        schema, rows, _, table, _ = adult
+        var = COST_STD * COST_STD
+        exact = 0
+        for distribution, pref in (("mix", None), ("lin", np.zeros(schema.n_features)),
+                                   ("perc", None)):
+            for u, state in enumerate(rows[:6]):
+                batch = sample_cost_batch(state, schema, table, 130, distribution,
+                                          seed=u, pref=pref, subkey=u)
+                at = schema.positions(state.values)
+                for i in range(batch.m):
+                    a = float(batch.alpha[i])
+                    for fi in np.flatnonzero(batch.editable[i]).tolist():
+                        targets, _, raw = table.moves[fi][at[fi]]
+                        keep = 1.0 - float(batch.preferences[i, fi])
+                        for j, (x, y) in zip(targets, raw or ()):
+                            mu = a * (x * keep) + (1.0 - a) * (y * keep)
+                            mu = 0.0 if mu < 0.0 else 1.0 if mu > 1.0 else mu
+                            if mu * (1.0 - mu) / var - 1.0 <= 0.0:
+                                assert float(batch.costs[fi][i, j]).hex() == mu.hex()
+                                exact += 1
+        assert exact > 100
 
 
 class TestTransitionCost:

@@ -19,10 +19,11 @@ import pytest
 
 from recourse.cli import main
 from recourse.cost import (
+    BLOCK,
     TRAIN_STREAM,
+    _sample_blocks,
     distribution_alpha,
     sample_cost_batch,
-    sample_cost_function,
     stream_rng,
 )
 from recourse.evaluate import simulate_user
@@ -52,13 +53,13 @@ BATCH_CASES = {
     "perc": dict(distribution="perc"),
 }
 BATCH_DIGESTS = {
-    "lin": "f75b0e83a9550c37e4e3e5c6dc4ad92e9d268c5451c75a3728f2fb3ba43bf3a0",
-    "mix": "7e99d553b9c5e6e4bfb3c1824c924eeb27f2e4230bd3ad28a85f5180483cfed2",
-    "mix-alpha": "f4567d1a618d11b2e134acdd308111944595e436500a11dedcbf0ac45adf7ad6",
-    "mix-editable": "c3ec875ae3526b38f2d284b43fb8b17fd8baf667547a6442e7176efd84e89ba2",
-    "mix-pinned": "c826a630f05d02fecbf19ba2553188a42bc87c5345de75baa3da00b7dc1f48b1",
-    "mix-zero-pref": "060a63efc2353352b6735c42bb6fb0bf3e745e29253a51207066b2787d4f0074",
-    "perc": "133b6144fd20c9bc8484342a11634922636c7822e8d8a9faee8180dd49ddbf0b",
+    "lin": "e622136e468e4e7a9c53a9f515c6a33a803b959b461f853b35b7755f6c6b4dad",
+    "mix": "f2da1d03eb2c898701d2a08a0a97d75f72c184845d787f7a867e9d57c551509d",
+    "mix-alpha": "1333e1565c7e13b27adb2be2f2b1bb642c642ba5c0eb894f2e100dcbd8e7250e",
+    "mix-editable": "8313dd8893b582124ea6a29e0770ab5f21d11eb86816c5e461f7a34f593cffa0",
+    "mix-pinned": "873b82ff492f458ce3cb31cf72285ec9dc92f4fb304c01a0ccf0f311a6f5cf70",
+    "mix-zero-pref": "e93cc209785d3392886c035e8fd6d8fb17ce7984cd44b85f9570da1cb417a065",
+    "perc": "38c4200b511b38e343dd34081c7121bf71a8372d7c3cd88c7c8092fc9f4981f1",
 }
 # Every non-immutable feature of the adult-like schema. With all of them
 # editable every sample prices each valid member finitely, so the EMC
@@ -75,28 +76,28 @@ DOC_SETTINGS = {
                          num_samples=100),
 }
 DOC_DIGESTS = {
-    "cols": "6ac9f65ae25691f7519609d253a59a049f0915f3a8adf11c02a9398613955973",
-    "pcols": "aadbd0a747b33ff6f2241feae7600cf4bf4cc24aad9918370f92d2e5c21c70c7",
-    "random": "020ac1d5225ee788ba58de63573428f45abc70ca75281d3487821e11fd465182",
-    "ls:emc": "8e8fe4d1ad57f051d182068bba44abbdd1625797918029876126d362c0320028",
+    "cols": "e3f03add7470cec8b26d8b5261e193a58955b59bd97250d93ef824be0760cb00",
+    "pcols": "3e2c64b854f59dc369832e218681da4cf6e81fc19ac02b8a153727c500690b1c",
+    "random": "80be8ccb790e67ef22b9f34e5cae78fcfa4977b1584b42e63861237225f6457a",
+    "ls:emc": "0bda80c2152f8af79c61297fc91062b3a539df64276b43258834c4d6ab53daf3",
     "ls:diversity": "d60b6f3f6700c282f78704c8528720609b515e41bee31b4bfa35b5e403750201",
 }
 SIMULATED_DIGEST = "be4552bdc2bf117bd78c25ff9561a45d63fc96c70a32d2aeb9244f059a4513b5"
 CSV_DIGESTS = {
     "evaluate/metrics_mean.csv":
-        "e38eeb8333adb73fc01f1594841714d646a85de532bc8d9364571ed426348d99",
+        "e6077b4e6f9348ca9ebfdffc0e85cc1f2dc4843bca84be1340dcbb07b9e6db81",
     "evaluate/metrics_results_cols_seed901.csv":
-        "0572079b52b68a088e88a3ea87bc989c25aafd7b0474ae177539290bc6ea2fe7",
+        "dfa5474da8537fa374ada1fc827b910bf40bccf56afcb6021fa73f40e41eb407",
     "evaluate/metrics_results_cols_seed902.csv":
-        "3748c8df7310609fc257b3d1f9ecf27bbd9379c5efb0d2a61989c2a0a6d2e391",
+        "aedd74237148fb65f6f30c98c63e4669632a4e1cefc6a365f17238349da17d3a",
     "evaluate/metrics_results_pcols_seed901.csv":
-        "8728a2fd490247e98beca765c20eec627f4c44ee811783fd84e3402ad7fada66",
+        "16f0b3c329f12ba1c3ca6ebac2c04e851ea2c4d43f0994e242c8307719248aa6",
     "evaluate/metrics_results_pcols_seed902.csv":
-        "85ca51f93772cefdf193a4bc26372115d5faacaee3c7c88c66b0cbdd26267cc9",
+        "a167af969ad385d38947193a4776260909611566eb1d9cf4b9ced5dac0fec8b6",
     "main/main.csv":
-        "adcd1eedcece51dd6c08dea3a4765e2449648ce19350e53b45148dd86292288b",
+        "43b8c6f76bb8bb8ca3e0adccbd00f3930f278bedb384f5eceecb252443a5c254",
     "ablation/ablation.csv":
-        "ff70fe7b3ec23168dd807e6bd2e1a197c5fe49d82d039625fcad6612f39e8720",
+        "3e49dff09a43e5c65e7cb37a4c3c2254fdd00628250ae77e36990f761448e8cd",
 }
 
 
@@ -143,23 +144,22 @@ def test_simulate_user_digest(rejected):
 
 
 @pytest.mark.parametrize("case", sorted(BATCH_DIGESTS))
-def test_batch_rows_are_single_draws_on_their_streams(rejected, case):
-    """Row i of a batch is the one cost function that stream i of (seed,
-    subkey) draws on its own."""
+def test_batch_is_its_blocks(rejected, case):
+    """Row i of a 130-sample batch is row i mod 64 of block i // 64, the 64
+    rows that stream i // 64 of (seed, subkey) draws on its own."""
     schema, table, states, ids = rejected
     kwargs = BATCH_CASES[case]
     pins = {key: kwargs[key] for key in ("editable", "pref") if key in kwargs}
     alpha = distribution_alpha(kwargs["distribution"], kwargs.get("alpha"))
     for state, uid in zip(states[:3], ids[:3]):
-        batch = sample_cost_batch(state, schema, table, 50, seed=3, subkey=uid, **kwargs)
+        batch = sample_cost_batch(state, schema, table, 130, seed=3, subkey=uid, **kwargs)
         rows = [*batch.costs, batch.alpha, batch.editable, batch.preferences]
-        for i in range(batch.m):
-            one = sample_cost_function(state, schema, table,
-                                       stream_rng(TRAIN_STREAM, 3, i, uid),
-                                       alpha=alpha, **pins)
-            single = [*one.costs, one.alpha, one.editable, one.preferences]
-            for got, want in zip(rows, single):
-                assert got[i].tobytes() == want[0].tobytes()
+        for b in range(3):
+            one = _sample_blocks(state, schema, table, [stream_rng(TRAIN_STREAM, 3, b, uid)],
+                                 BLOCK, alpha, pins.get("editable"), pins.get("pref"))
+            alone = [*one.costs, one.alpha, one.editable, one.preferences]
+            for got, want in zip(rows, alone):
+                assert got[BLOCK * b:BLOCK * (b + 1)].tobytes() == want[:130 - BLOCK * b].tobytes()
 
 
 @pytest.mark.parametrize("method", sorted(DOC_DIGESTS))
