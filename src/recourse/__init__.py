@@ -17,6 +17,7 @@ from .evaluate import (
     fs_at_k,
     pac,
     simulate_user,
+    simulate_users,
 )
 from .model import (
     BudgetExhausted,

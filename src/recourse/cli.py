@@ -38,7 +38,11 @@ from .search import METHODS, OBJECTIVES
 def _parse_editable(raw: str | None, schema: DatasetSchema):
     if not raw:
         return None
-    return tuple(schema.feature_index(name.strip()) for name in raw.split(","))
+    names = [name.strip() for name in raw.split(",")]
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise SchemaError(f"--editable-features names {name!r} more than once")
+    return tuple(schema.feature_index(name) for name in names)
 
 
 def _parse_preferences(raw: str | None, editable, schema: DatasetSchema):
@@ -58,8 +62,9 @@ def _parse_preferences(raw: str | None, editable, schema: DatasetSchema):
     full = np.zeros(schema.n_features)
     for idx, w in zip(editable, weights):
         full[idx] = w
-    if (full < 0).any() or abs(full.sum() - 1.0) > 1e-9:
-        raise SchemaError("preferences must be non-negative and sum to 1")
+    if not np.isfinite(full).all() or (full < 0).any() or abs(full.sum() - 1.0) > 1e-9:
+        raise SchemaError(f"--preferences {raw!r}: values must be finite, "
+                          "non-negative and sum to 1")
     return tuple(float(v) for v in full)
 
 

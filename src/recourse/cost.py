@@ -14,45 +14,41 @@ and `preferences` are (M, d).
 Sampling is hierarchical: an editable feature subset, Dirichlet preference
 scores over it, a mixing weight alpha between step-count (alpha=1) and
 percentile-shift (alpha=0) difficulty, and a Beta draw per transition
-around the blended mean. Each feature's targets, table rows and ordered raw
-means come from `PercentileTable.moves`. Features outside the editable set
-cost infinity to move and draw no Beta.
+around the blended mean. Each feature's feasible targets and ordered raw
+means are one gather from the `PercentileTable` cell arrays, at the
+user's origin rows. Features outside the editable set cost infinity to
+move and draw no Beta.
 
-`sample_cost_batch` draws in blocks of `BLOCK` = 64 samples: block b is
-rows 64b to 64b + 63, drawn from `stream_rng(stream, seed, b, subkey)`
-alone. A block always draws its full width and the batch is then cut to
-M, so row i never depends on M and a batch is a prefix of any larger one.
-Within a block the n movable features (`DatasetSchema.mutable_indices`)
-are drawn as whole arrays, with these calls in this order and no others:
+Every cost function comes from one block sampler. A block is a user
+state, a generator and a width: `width` samples for that state drawn from
+that generator alone, so a draw never depends on the other blocks of its
+call. `sample_cost_batch` draws ceil(M / 64) blocks of one state at width
+`BLOCK` = 64, block b from `stream_rng(stream, seed, b, subkey)`; every
+block draws its full width and the batch is then cut to M, so a batch is
+a prefix of any larger one. `sample_cost_functions` draws a population,
+one width-1 block per state on its own generator, and evaluation draws
+each hidden population in one such call: a lone width-1 block costs more
+than the per-sample draw it replaced. Within a block the n movable
+features (`DatasetSchema.mutable_indices`) are drawn as whole arrays, with
+these calls in this order and no others:
 
-1. unless the editable set is pinned, `random((64, n))` coins, keeping
+1. unless the editable set is pinned, `random((width, n))` coins, keeping
    those below 0.5; then, in row order, `random(n)` again for each row that
    kept nothing, until it keeps one;
 2. unless preferences are pinned, one `standard_exponential(K)` over the K
    chosen (row, feature) cells in row-major order, each row times the
    reciprocal of its left-to-right sum (numpy's `dirichlet(ones(k))`);
-3. unless alpha is fixed, `random(64)`;
-4. one `random((64, U))`, U the sum of 2 |D_f| over the unordered movable
-   features in index order, each feature's step-count means then its
-   percentile means by position (skipped when U is 0);
+3. unless alpha is fixed, `random(width)`;
+4. one `random((width, U))`, U the sum of 2 |D_f| over the unordered
+   movable features in index order, each feature's step-count means then
+   its percentile means by position (skipped when U is 0);
 5. one array `beta` over the chosen cells whose Beta exists, row by row,
    each row's cells by feature and then by target.
 
-The blend, clip and Beta shapes are the scalar formulas of
-`_feature_costs` applied to whole arrays, so a cell without a Beta holds
-exactly the scalar blend. Beta cells use numpy's `beta`, never a ratio of
-gammas: with both shapes small, both gammas underflow and the ratio is NaN.
-
-`sample_cost_function`, the one draw (M=1) from a caller's generator that
-evaluation makes per simulated user, keeps the per-sample path: the subset
-from `random(n)` repeated until one is kept, `standard_exponential(k)`
-over its k features, a scalar `random()` alpha, and per editable feature
-in index order one `random(2 * |D_f|)` for an unordered feature, then one
-scalar `beta` per target with a Beta. On an adult-like user one draw took
-88-151 us on this path and 418-544 us as a cut 64-row block (generator
-construction included; numpy 2.4, 2 CPUs), and single draws are about
-half of scoring one (user, population) pair. Both paths share one input
-check (`_check_inputs`).
+The blend clip(alpha * (x * keep) + (1 - alpha) * (y * keep), 0, 1), keep
+= 1 - preference, is elementwise, so a cell without a Beta holds exactly
+the scalar blend. Beta cells use numpy's `beta`, never a ratio of gammas:
+with both shapes small, both gammas underflow and the ratio is NaN.
 
 Every price comes from `cost_rows`, which takes members as domain
 positions (`DatasetSchema.positions`), gathers each feature's table rows
@@ -114,56 +110,6 @@ class CostSampleSet:
         return tuple(self.table[lo:hi].T for lo, hi in zip(off, off[1:]))
 
 
-def random_editable_subset(candidates: list[int], rng: np.random.Generator) -> list[int]:
-    """Uniform over non-empty subsets of the candidate features, ascending."""
-    if not candidates:
-        raise ValueError("schema has no mutable features; supply an editable set")
-    while True:
-        coins = rng.random(len(candidates)).tolist()
-        chosen = [c for c, u in zip(candidates, coins) if u < 0.5]
-        if chosen:
-            return chosen
-
-
-def _flat_dirichlet(rng: np.random.Generator, k: int) -> np.ndarray:
-    """Dirichlet(1, ..., 1) over k >= 1 coordinates, the doubles numpy's
-    `dirichlet(ones(k))` returns: k standard exponentials (its Gamma(1)
-    draws) times the reciprocal of their left-to-right sum."""
-    draws = rng.standard_exponential(k)
-    total = 0.0
-    for v in draws.tolist():
-        total += v
-    return draws * (1.0 / total)
-
-
-def _feature_costs(
-    rng: np.random.Generator,
-    size: int,
-    targets: Sequence[int],
-    raw: Optional[Sequence[tuple[float, float]]],
-    a: float,
-    keep: float,
-) -> list[float]:
-    """One sample's costs of moving a feature of `size` domain positions to
-    each of its `targets`: the alpha blend of the step-count and percentile
-    means scaled by `keep` (1 - preference), clipped to [0, 1], and a Beta
-    draw around it where one exists. An ordered feature's raw means are the
-    (step count, percentile) pairs `raw`; an unordered feature (`raw` None)
-    draws fresh Uniform(0,1) means in one `random(2 * size)` call, step
-    counts first."""
-    if raw is None:
-        means = rng.random(2 * size).tolist()
-        raw = [(means[j], means[j + size]) for j in targets]
-    b = 1.0 - a
-    costs = []
-    for x, y in raw:
-        mu = a * (x * keep) + b * (y * keep)
-        mu = 0.0 if mu < 0.0 else 1.0 if mu > 1.0 else mu
-        nu = mu * (1.0 - mu) / _VAR - 1.0
-        costs.append(rng.beta(mu * nu, (1.0 - mu) * nu) if nu > 0.0 else mu)
-    return costs
-
-
 def _check_inputs(
     schema: DatasetSchema,
     table: PercentileTable,
@@ -171,9 +117,9 @@ def _check_inputs(
     editable: Optional[frozenset[int]],
     pref: Optional[np.ndarray],
 ) -> tuple[Optional[list[int]], Optional[np.ndarray]]:
-    """The sampler's input check, shared by both paths. Returns the pinned
-    editable features ascending and the pinned preferences as floats, each
-    None when drawn per sample."""
+    """The sampler's input check. Returns the pinned editable features
+    ascending and the pinned preferences as floats, each None when drawn
+    per sample."""
     d = schema.n_features
     pinned = None if editable is None else sorted(int(i) for i in editable)
     for i in pinned or []:
@@ -183,6 +129,8 @@ def _check_inputs(
         pref = np.asarray(pref, dtype=float)
         if pref.shape != (d,):
             raise ValueError("preference vector length must match feature count")
+        if not np.isfinite(pref).all():
+            raise ValueError(f"preference scores must be finite, got {pref.tolist()}")
         if (pref < 0).any():
             raise ValueError("preference scores must be non-negative")
         inside = np.zeros(d, dtype=bool)
@@ -199,81 +147,74 @@ def _check_inputs(
     return pinned, pref
 
 
-def _sample_set(state, schema, at, rows, vals, alphas, chosen, prefs) -> CostSampleSet:
-    """The read-only sample set whose (W, M) table holds `vals` at `rows`
-    (one row of values per listed table row), 0 at the user's own
-    positions `at` and infinity elsewhere."""
-    cost_table = np.empty((int(schema.offsets[-1]), len(alphas)))
-    cost_table.fill(INF)
-    cost_table[schema.offsets[:-1] + at] = 0.0
-    cost_table[rows] = vals
-    for arr in (cost_table, alphas, chosen, prefs):
-        arr.setflags(write=False)
-    return CostSampleSet(schema, state, cost_table, alphas, chosen, prefs)
-
-
 def _sample_blocks(
-    state: UserState,
+    states: Sequence[UserState],
     schema: DatasetSchema,
     table: PercentileTable,
     rngs: Sequence[np.random.Generator],
+    width: int,
     m: int,
     alpha: Optional[float],
     editable: Optional[frozenset[int]],
     pref: Optional[np.ndarray],
-) -> CostSampleSet:
-    """Rows `BLOCK * b` to `BLOCK * b + BLOCK - 1` drawn from `rngs[b]` in
-    whole-array calls (see the module docstring), cut to the first m rows;
-    absent inputs are drawn."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Samples `width * b` to `width * b + width - 1` drawn for `states[b]`
+    from `rngs[b]` in whole-array calls (see the module docstring), cut to
+    the first m; absent inputs are drawn. Returns the read-only (W, m) cost
+    table, alphas, editable mask and preferences."""
     pinned, pref = _check_inputs(schema, table, alpha, editable, pref)
-    d = schema.n_features
-    features = schema.features
+    d, off = schema.n_features, schema.offsets
+    sizes = off[1:] - off[:-1]
     candidates = schema.mutable_indices()
     movable = candidates if pinned is None else pinned
-    at = schema.positions(state.values).tolist()
-    # Column layout of the unordered means drawn per block, then one column
-    # per ordered raw mean; `xi`/`yi` pick each cost cell's two means.
-    start, u = {}, 0
-    for fi in candidates:
-        if table.cdf[fi] is None:
-            start[fi] = u
-            u += 2 * features[fi].size
-    feat, rows, xi, yi, fixed = [], [], [], [], []
-    for fi in movable:
-        targets, target_rows, raw = table.moves[fi][at[fi]]
-        feat += [fi] * len(targets)
-        rows += target_rows
-        if raw is None and targets:
-            xi += [start[fi] + j for j in targets]
-            yi += [start[fi] + features[fi].size + j for j in targets]
-        for x, y in raw or ():
-            xi.append(u + len(fixed))
-            yi.append(u + len(fixed) + 1)
-            fixed += (x, y)
+    n = width * len(rngs)
+    # Unordered candidates draw their raw means per sample: 2 |D_f| columns
+    # each, step counts first; feature f's end at column `ends[f]`.
+    fresh = np.zeros(d, dtype=bool)
+    fresh[[fi for fi in candidates if table.cdf[fi] is None]] = True
+    ends = np.cumsum(2 * sizes * fresh)
+    u = int(ends[-1])
 
-    width = BLOCK * len(rngs)
-    chosen = np.zeros((width, d), dtype=bool)
+    # Layout, built once when every block shares one state: the cells of
+    # each state's moves, one per cost-table row, kept to the rows (`cols`)
+    # of movable features that some state can move to.
+    if len(set(states)) == 1:
+        states = states[:1]
+    origin = off[:-1] + schema.positions([s.values for s in states])
+    row_feature = np.repeat(np.arange(d), sizes)
+    cells = table.cell[origin][:, row_feature] + np.arange(off[-1])
+    feasible = table.feasible[cells]
+    on = np.zeros(d, dtype=bool)
+    on[movable] = True
+    cols = np.flatnonzero(on[row_feature] & feasible.any(axis=0))
+    feat = row_feature[cols]
+    cells, feasible = cells[:, cols], feasible[:, cols]
+    mixed = np.flatnonzero(fresh[feat])
+    f_mixed = feat[mixed]
+    xi = ends[f_mixed] - 2 * sizes[f_mixed] + cols[mixed] - off[f_mixed]
+    yi = xi + sizes[f_mixed]
+
+    chosen = np.zeros((n, d), dtype=bool)
     if pinned is not None:
         chosen[:, pinned] = True
-    prefs = np.zeros((width, d))
-    alphas = np.empty(width)
-    means = np.empty((width, u + len(fixed)))
-    means[:, u:] = fixed
+    prefs = np.zeros((n, d))
+    alphas = np.empty(n)
+    means = np.empty((n, u))
     for b, rng in enumerate(rngs):
-        blk = slice(BLOCK * b, BLOCK * (b + 1))
+        blk = slice(width * b, width * (b + 1))
         if pinned is None:
-            kept = rng.random((BLOCK, len(candidates))) < 0.5
+            kept = rng.random((width, len(candidates))) < 0.5
             for r in np.flatnonzero(~kept.any(axis=1)).tolist():
                 while not kept[r].any():
                     kept[r] = rng.random(len(candidates)) < 0.5
             chosen[blk, candidates] = kept
         if pref is None and movable:
-            cells = chosen[blk]
-            prefs[blk][cells] = rng.standard_exponential(int(np.count_nonzero(cells)))
+            picked = chosen[blk]
+            prefs[blk][picked] = rng.standard_exponential(int(np.count_nonzero(picked)))
         if alpha is None:
-            alphas[blk] = rng.random(BLOCK)
+            alphas[blk] = rng.random(width)
         if u:
-            means[blk, :u] = rng.random((BLOCK, u))
+            means[blk] = rng.random((width, u))
     if pref is not None:
         prefs[:] = pref
     elif movable:
@@ -281,20 +222,55 @@ def _sample_blocks(
     if alpha is not None:
         alphas.fill(alpha)
 
+    per_state = n // len(origin)
+    x = np.repeat(table.step[cells], per_state, axis=0)
+    y = np.repeat(table.shift[cells], per_state, axis=0)
+    x[:, mixed], y[:, mixed] = means[:, xi], means[:, yi]
     keep = 1.0 - prefs[:, feat]
     a = alphas[:, None]
-    mu = np.clip(a * (means[:, xi] * keep) + (1.0 - a) * (means[:, yi] * keep), 0.0, 1.0)
+    mu = np.clip(a * (x * keep) + (1.0 - a) * (y * keep), 0.0, 1.0)
     nu = mu * (1.0 - mu) / _VAR - 1.0
-    live = chosen[:, feat]
+    live = chosen[:, feat] & np.repeat(feasible, per_state, axis=0)
     vals = np.where(live, mu, INF)
     drawn = live & (nu > 0.0)
-    for b, rng in enumerate(rngs):
-        blk = slice(BLOCK * b, BLOCK * (b + 1))
-        cells = drawn[blk]
-        mu_b, nu_b = mu[blk][cells], nu[blk][cells]
-        vals[blk][cells] = rng.beta(mu_b * nu_b, (1.0 - mu_b) * nu_b)
-    return _sample_set(state, schema, at, np.array(rows, dtype=np.intp), vals[:m].T,
-                       alphas[:m], chosen[:m], prefs[:m])
+    mu, nu = mu[drawn], nu[drawn]
+    shape_a, shape_b = mu * nu, (1.0 - mu) * nu
+    stop = np.cumsum(np.count_nonzero(drawn.reshape(len(rngs), -1), axis=1)).tolist()
+    vals[drawn] = np.concatenate([
+        rng.beta(shape_a[lo:hi], shape_b[lo:hi])
+        for rng, lo, hi in zip(rngs, [0, *stop], stop)
+    ])
+
+    cost_table = np.full((int(off[-1]), m), INF)
+    cost_table[cols] = vals[:m].T
+    if len(origin) == 1:
+        cost_table[origin[0]] = 0.0
+    else:
+        cost_table[np.repeat(origin, per_state, axis=0)[:m].T, np.arange(m)] = 0.0
+    for arr in (cost_table, alphas, chosen, prefs):
+        arr.setflags(write=False)
+    return cost_table, alphas[:m], chosen[:m], prefs[:m]
+
+
+def sample_cost_functions(
+    states: Sequence[UserState],
+    schema: DatasetSchema,
+    table: PercentileTable,
+    rngs: Sequence[np.random.Generator],
+    alpha: Optional[float] = None,
+    editable: Optional[frozenset[int]] = None,
+    pref: Optional[np.ndarray] = None,
+) -> list[CostSampleSet]:
+    """One cost function (a set with M=1) per state, each a block of width
+    1 on its own generator, all in one call; absent inputs are drawn."""
+    if len(states) != len(rngs):
+        raise ValueError(f"{len(states)} states for {len(rngs)} generators")
+    if not states:
+        return []
+    costs, alphas, chosen, prefs = _sample_blocks(states, schema, table, rngs, 1,
+                                                  len(rngs), alpha, editable, pref)
+    return [CostSampleSet(schema, s, costs[:, i:i + 1], alphas[i:i + 1], chosen[i:i + 1],
+                          prefs[i:i + 1]) for i, s in enumerate(states)]
 
 
 def sample_cost_function(
@@ -306,39 +282,9 @@ def sample_cost_function(
     editable: Optional[frozenset[int]] = None,
     pref: Optional[np.ndarray] = None,
 ) -> CostSampleSet:
-    """Draw one cost function conditioned on `state` (a set with M=1).
-
-    Absent inputs are sampled: the editable set uniformly over non-empty
-    subsets of non-immutable features, preference scores from a flat
-    Dirichlet over the editable set (zero elsewhere), alpha from
-    Uniform(0,1). Per feature the step-count and percentile means are
-    scaled by (1 - preference), blended with alpha, and each transition
-    cost drawn from a Beta around the blend, with the per-sample draws of
-    the module docstring.
-    """
-    pinned, pref = _check_inputs(schema, table, alpha, editable, pref)
-    d = schema.n_features
-    chosen = pinned if pinned is not None else random_editable_subset(
-        schema.mutable_indices(), rng)
-    prefs = np.zeros((1, d))
-    if pref is not None:
-        prefs[0] = pref
-    elif chosen:
-        prefs[0, chosen] = _flat_dirichlet(rng, len(chosen))
-    keep = (1.0 - prefs[0]).tolist()
-    a = rng.random() if alpha is None else alpha
-    at = schema.positions(state.values).tolist()
-    rows, vals = [], []
-    for fi in chosen:
-        targets, target_rows, raw = table.moves[fi][at[fi]]
-        rows += target_rows
-        vals += _feature_costs(rng, schema.features[fi].size, targets, raw, a, keep[fi])
-    mask = np.zeros((1, d), dtype=bool)
-    mask[0, chosen] = True
-    return _sample_set(state, schema, at, np.array(rows, dtype=np.intp),
-                       np.array(vals)[:, None], np.array([a], dtype=float), mask, prefs)
-
-
+    """Draw one cost function conditioned on `state` (a set with M=1): a
+    population of one for `sample_cost_functions`."""
+    return sample_cost_functions([state], schema, table, [rng], alpha, editable, pref)[0]
 
 
 def stream_rng(stream: int, seed: int, index: int, subkey: int = 0) -> np.random.Generator:
@@ -383,7 +329,8 @@ def sample_cost_batch(
         raise ValueError(f"sample count must be >= 1, got {m}")
     fixed_alpha = distribution_alpha(distribution, alpha)
     rngs = [stream_rng(TRAIN_STREAM, seed, b, subkey) for b in range(-(-m // BLOCK))]
-    return _sample_blocks(state, schema, table, rngs, m, fixed_alpha, editable, pref)
+    return CostSampleSet(schema, state, *_sample_blocks(
+        [state] * len(rngs), schema, table, rngs, BLOCK, m, fixed_alpha, editable, pref))
 
 
 def cost_rows(index_matrix: np.ndarray, samples: CostSampleSet) -> np.ndarray:

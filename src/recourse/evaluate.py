@@ -4,7 +4,9 @@ fairness metrics.
 A simulated user is a hidden ground-truth cost function: a `CostSampleSet`
 with M=1, conditioned on the user's state (its `state`), drawn from the
 evaluation RNG stream, which is structurally disjoint from the stream that
-produced the generation-time samples. A user's realised cost is the minimum
+produced the generation-time samples. `simulate_users` draws a whole
+population in one call, each user from their own (test seed, user id)
+stream, so a user's draw does not depend on who else is drawn. A user's realised cost is the minimum
 over the *valid* members of their recourse set; invalid members count as
 infinitely expensive. A recourse set is two arrays, (N, d) int64 member
 codes and (N,) bool validity, so a realised cost prices
@@ -33,6 +35,7 @@ from .cost import (
     distribution_alpha,
     min_cost,
     sample_cost_function,
+    sample_cost_functions,
     stream_rng,
 )
 from .schema import DatasetSchema, PercentileTable, UserState
@@ -102,6 +105,21 @@ def simulate_user(
         state, schema, table, rng, alpha=distribution_alpha(distribution, alpha),
         editable=editable,
     )
+
+
+def simulate_users(
+    states: Sequence[UserState],
+    schema: DatasetSchema,
+    table: PercentileTable,
+    test_seed: int,
+    user_ids: Sequence[int],
+    distribution: str = "mix",
+    alpha: Optional[float] = None,
+) -> list[CostSampleSet]:
+    """`simulate_user` for each user, the population drawn in one call."""
+    rngs = [stream_rng(TEST_STREAM, test_seed, uid) for uid in user_ids]
+    return sample_cost_functions(states, schema, table, rngs,
+                                 alpha=distribution_alpha(distribution, alpha))
 
 
 def realized_cost(user: CostSampleSet, recourse: RecourseSet) -> float:

@@ -20,7 +20,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .cost import random_editable_subset
 from .evaluate import (
     MetricsReport,
     compute_report,
@@ -29,6 +28,7 @@ from .evaluate import (
     realized_cost,
     set_metrics,
     simulate_user,
+    simulate_users,
 )
 from .model import BudgetMeter, Classifier, predict_batch
 from .results import GenerationSettings, ResultDoc, run_population, run_user
@@ -144,11 +144,8 @@ def _hidden_report(docs: Sequence[ResultDoc], states: Sequence[UserState],
                    table: PercentileTable, test_seed: int, k: float,
                    test_distribution: str, test_alpha: Optional[float]) -> MetricsReport:
     """`evaluate_docs` on the documents' validated states and sets."""
-    users = [
-        simulate_user(state, schema, table, test_seed, doc.user_id,
-                      distribution=test_distribution, alpha=test_alpha)
-        for doc, state in zip(docs, states)
-    ]
+    users = simulate_users(states, schema, table, test_seed, [doc.user_id for doc in docs],
+                           distribution=test_distribution, alpha=test_alpha)
     return compute_report(users, sets, schema, k=k)
 
 
@@ -317,6 +314,17 @@ def _resource_sweep(spec, states, user_ids, classifier, schema, table):
                 ]
             )
     return header, rows
+
+
+def random_editable_subset(candidates: list[int], rng: np.random.Generator) -> list[int]:
+    """Uniform over non-empty subsets of the candidate features, ascending."""
+    if not candidates:
+        raise ValueError("schema has no mutable features; supply an editable set")
+    while True:
+        coins = rng.random(len(candidates)).tolist()
+        chosen = [c for c, u in zip(candidates, coins) if u < 0.5]
+        if chosen:
+            return chosen
 
 
 def _concentration_shift(spec, states, user_ids, classifier, schema, table):

@@ -9,7 +9,8 @@ the user's original state, never against an intermediate candidate.
 Cost tables, search moves and percentile counts work in domain positions
 (a code's index in its feature's `domain`), mapped to and from codes by
 `DatasetSchema.positions` and `codes` alone. A `PercentileTable` holds the
-per-dataset part of cost sampling: CDFs and every (feature, origin) move.
+per-dataset part of cost sampling: CDFs and every (feature, origin) move,
+as flat arrays indexed by (origin row, target row).
 """
 
 from __future__ import annotations
@@ -163,24 +164,25 @@ class UserState:
         return self
 
 
-# (targets, rows, raw) of one feature from one origin position s.
-Moves = tuple[tuple[int, ...], tuple[int, ...], Optional[tuple[tuple[float, float], ...]]]
-
-
 @dataclass(frozen=True)
 class PercentileTable:
     """A dataset's empirical CDFs and the sampler's moves, for one schema.
 
     `cdf[f]` is ordered feature f's inclusive CDF P(X <= domain[j]) by
-    position j, None for an unordered feature. `moves[f][s]`, for every f
-    and every origin position s, holds the feasible positions other than s
-    (ascending), their cost-table rows, and for an ordered feature the
-    (step count, CDF shift) raw mean of each, None for an unordered one.
+    position j, None for an unordered feature. The moves are arrays over
+    one cell per (origin, target) position pair of each feature, sum
+    |D_f|^2 in all: origin row o to target row t (cost-table rows of one
+    feature) is cell `cell[o] + t`. `feasible` marks the moves allowed,
+    the no-op excluded; `step` and `shift` hold an ordered feature's
+    (step count, CDF shift) raw means, 0 elsewhere.
     """
 
     schema: DatasetSchema
     cdf: tuple[Optional[tuple[float, ...]], ...]
-    moves: tuple[tuple[Moves, ...], ...]
+    cell: np.ndarray = field(compare=False)  # (W,)
+    feasible: np.ndarray = field(compare=False)  # (sum |D_f|^2,) bool
+    step: np.ndarray = field(compare=False)
+    shift: np.ndarray = field(compare=False)
 
 
 def feasible_values(
@@ -212,20 +214,18 @@ def feasible_positions(
     return [j for j, v in enumerate(domain) if v in allowed]
 
 
-def _moves(schema: DatasetSchema, fi: int, s: int, cdf) -> Moves:
-    """Feature fi's moves from position s: step count |{y : s < y <= x}| /
-    |{y : y > s}| (mirrored downward) and CDF shift |cdf(x) - cdf(s)| to
-    each feasible target x."""
+def _moves(schema: DatasetSchema, fi: int, s: int, cdf):
+    """Feature fi's feasible targets from position s (ascending, s left
+    out) and, for an ordered feature, their step counts |{y : s < y <= x}| /
+    |{y : y > s}| (mirrored downward) and CDF shifts |cdf(x) - cdf(s)|."""
     f = schema.features[fi]
     targets = feasible_positions(schema, fi, f.domain[s])
     targets.remove(s)
-    rows = tuple(int(schema.offsets[fi]) + j for j in targets)
     if cdf is None:
-        return tuple(targets), rows, None
+        return targets, 0.0, 0.0
     n_up, n_down = f.size - s - 1, s
-    lin = [(j - s) / n_up if j > s else (s - j) / n_down for j in targets]
-    perc = [abs(cdf[j] - cdf[s]) for j in targets]
-    return tuple(targets), rows, tuple(zip(lin, perc))
+    step = [(j - s) / n_up if j > s else (s - j) / n_down for j in targets]
+    return targets, step, [abs(cdf[j] - cdf[s]) for j in targets]
 
 
 def build_percentile_table(
@@ -242,11 +242,24 @@ def build_percentile_table(
         if f.kind == "ordered" else None
         for i, f in enumerate(schema.features)
     )
-    moves = tuple(
-        tuple(_moves(schema, fi, s, cdf[fi]) for s in range(f.size))
-        for fi, f in enumerate(schema.features)
-    )
-    return PercentileTable(schema, cdf, moves)
+    sizes = np.diff(schema.offsets)
+    first = np.cumsum([0, *(sizes * sizes)])
+    # Origin row offsets[f] + s starts at cell first[f] + s |D_f|, less
+    # offsets[f], so that adding a target row lands on its cell.
+    feat = np.repeat(np.arange(schema.n_features), sizes)
+    off = schema.offsets[feat]
+    cell = first[feat] - off + (np.arange(schema.offsets[-1]) - off) * sizes[feat]
+    feasible = np.zeros(first[-1], dtype=bool)
+    step, shift = np.zeros(first[-1]), np.zeros(first[-1])
+    for fi, f in enumerate(schema.features):
+        for s in range(f.size):
+            targets, lin, perc = _moves(schema, fi, s, cdf[fi])
+            origin = schema.offsets[fi] + s
+            at = cell[origin] + schema.offsets[fi] + np.array(targets, dtype=np.intp)
+            feasible[at], step[at], shift[at] = True, lin, perc
+    for arr in (cell, feasible, step, shift):
+        arr.setflags(write=False)
+    return PercentileTable(schema, cdf, cell, feasible, step, shift)
 
 
 def _parse_domain(raw, name: str) -> tuple[int, ...]:

@@ -34,7 +34,7 @@ from recourse.results import GenerationSettings, run_population
 from recourse.schema import UserState, build_percentile_table, feasible_values
 from recourse.search import BIG, cols, column_stats, compute_benefits
 
-from test_cost import transition_cost
+from test_cost import moves, transition_cost
 from test_search import naive_benefits
 
 
@@ -255,7 +255,7 @@ def test_criterion_4_sampler_invariants(synth6, adult):
                 if f.kind != "ordered" or f.mutability == "immutable":
                     continue
                 s_idx = at[fi]
-                targets, _, pairs = table.moves[fi][s_idx]
+                targets, pairs = moves(table, fi, s_idx)
                 targets = np.array(targets, dtype=np.intp)
                 raw = np.array(pairs, dtype=float).reshape(-1, 2).T
                 for means in raw:

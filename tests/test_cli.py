@@ -251,6 +251,26 @@ class TestGenerate:
         assert code == 2
         assert "editable" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("prefs", ["0.5,nan", "inf,0.5", "1.5,-inf"])
+    def test_non_finite_preferences_exit_2(self, workdir, tmp_path, capsys, prefs):
+        out = tmp_path / "x"
+        code = self._generate(workdir, out, ["--editable-features", "grade,band",
+                                             "--preferences", prefs])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--preferences" in err and "finite" in err
+        assert not out.exists()
+
+    def test_repeated_editable_feature_exits_2(self, workdir, tmp_path, capsys):
+        for extra in (["--preferences", "0.5,0.5"], []):
+            out = tmp_path / "x"
+            code = self._generate(workdir, out, ["--editable-features", "grade, grade",
+                                                 *extra])
+            assert code == 2
+            assert "--editable-features names 'grade' more than once" in (
+                capsys.readouterr().err)
+            assert not out.exists()
+
 
 class TestEvaluate:
     @staticmethod

@@ -11,7 +11,6 @@ from recourse.cost import (
     INF,
     TRAIN_STREAM,
     CostSampleSet,
-    _flat_dirichlet,
     cost_rows,
     distribution_alpha,
     emc_of_matrix,
@@ -80,11 +79,25 @@ def flat_table(schema):
     return build_percentile_table(rows, schema)
 
 
+def moves(table, fi, s):
+    """Feature fi's moves from position s, read from the percentile table's
+    cell arrays: the feasible targets other than s, ascending, and for an
+    ordered feature each one's (step count, CDF shift) raw mean, None for
+    an unordered one."""
+    lo = int(table.schema.offsets[fi])
+    block = table.cell[lo + s] + lo + np.arange(table.schema.features[fi].size)
+    targets = np.flatnonzero(table.feasible[block]).tolist()
+    if table.cdf[fi] is None:
+        return targets, None
+    return targets, list(zip(table.step[block][targets].tolist(),
+                             table.shift[block][targets].tolist()))
+
+
 def raw_means(schema, state, table, fi=0):
     """Feature fi's raw (step-count, CDF-shift) means by domain position:
     0 at the user's value, inf where infeasible."""
     s_idx = schema.positions(state.values)[fi]
-    targets, _, raw = table.moves[fi][s_idx]
+    targets, raw = moves(table, fi, s_idx)
     out = []
     for k in range(2):
         full = np.full(schema.features[fi].size, INF)
@@ -360,6 +373,12 @@ class TestInputChecks:
         (dict(pref=np.array([0.5, 0.5, 0, 0, 0, 0])), "preference mass outside"),
         (dict(alpha=1.5), r"alpha must lie in \[0,1\], got 1.5"),
         (dict(alpha=-0.2), r"alpha must lie in \[0,1\], got -0.2"),
+        (dict(editable=frozenset({1, 2}), pref=np.array([0, 0.5, np.nan, 0, 0, 0])),
+         "must be finite"),
+        (dict(editable=frozenset({1, 2}), pref=np.array([0, np.inf, 0.5, 0, 0, 0])),
+         "must be finite"),
+        (dict(editable=frozenset({1, 2}), pref=np.array([0, 1.0, -np.inf, 0, 0, 0])),
+         "must be finite"),
     ])
     def test_refused_on_both_paths(self, synth6, draw, inputs, message):
         schema, rows, _, table, _ = synth6
@@ -469,6 +488,50 @@ def _deciles(a, b):
                         minlength=len(edges) + 1) for v in (a, b)]
 
 
+def _flat_dirichlet(rng, k):
+    """Dirichlet(1, ..., 1) over k >= 1 coordinates, the doubles numpy's
+    `dirichlet(ones(k))` returns: k standard exponentials (its Gamma(1)
+    draws) times the reciprocal of their left-to-right sum."""
+    draws = rng.standard_exponential(k)
+    total = 0.0
+    for v in draws.tolist():
+        total += v
+    return draws * (1.0 / total)
+
+
+def scalar_cost_function(state, schema, table, rng):
+    """Reference sampler, drawn one sample at a time: a subset from
+    `random(n)` coins repeated until one is kept, a flat Dirichlet over it,
+    a scalar `random()` alpha, then per chosen feature in index order one
+    `random(2 * |D_f|)` for an unordered feature's means and one scalar
+    `beta` per target whose Beta exists. Returns a set with M=1."""
+    d, movable = schema.n_features, schema.mutable_indices()
+    chosen = []
+    while not chosen:
+        chosen = [f for f, c in zip(movable, rng.random(len(movable)).tolist()) if c < 0.5]
+    prefs = np.zeros((1, d))
+    prefs[0, chosen] = _flat_dirichlet(rng, len(chosen))
+    a = rng.random()
+    at = schema.positions(state.values).tolist()
+    costs = np.full((int(schema.offsets[-1]), 1), INF)
+    costs[schema.offsets[:-1] + at] = 0.0
+    var = COST_STD * COST_STD
+    for f in chosen:
+        targets, raw = moves(table, f, at[f])
+        size, keep = schema.features[f].size, 1.0 - float(prefs[0, f])
+        if raw is None:
+            means = rng.random(2 * size).tolist()
+            raw = [(means[j], means[j + size]) for j in targets]
+        for j, (x, y) in zip(targets, raw):
+            mu = a * (x * keep) + (1.0 - a) * (y * keep)
+            mu = 0.0 if mu < 0.0 else 1.0 if mu > 1.0 else mu
+            nu = mu * (1.0 - mu) / var - 1.0
+            costs[schema.offsets[f] + j] = rng.beta(mu * nu, (1.0 - mu) * nu) if nu > 0.0 else mu
+    editable = np.zeros((1, d), dtype=bool)
+    editable[0, chosen] = True
+    return CostSampleSet(schema, state, costs, np.array([a]), editable, prefs)
+
+
 def reference_block(state, schema, table, rng, alpha, editable, pref):
     """The 64 rows of one block, drawn row by row in the documented order
     (see the `cost` module docstring), as (costs by feature, alpha,
@@ -507,7 +570,7 @@ def reference_block(state, schema, table, rng, alpha, editable, pref):
             costs[f][at[f]] = 0.0
         a = alphas[r]
         for f in subset:
-            targets, _, raw = table.moves[f][at[f]]
+            targets, raw = moves(table, f, at[f])
             keep = 1.0 - float(prefs[r, f])
             size = schema.features[f].size
             if raw is None:
@@ -560,16 +623,16 @@ class TestBlockDraws:
 
 
 class TestBlockDistribution:
-    """Block rows against single draws: the block sampler changes the
-    stream, not the distribution."""
+    """Block rows against the sample-by-sample reference sampler: blocks
+    change the stream, not the distribution."""
 
     N = 10_000
     LEVEL = 1e-3  # family-wise, split evenly over the binned quantities
 
     def test_binned_chi_square_against_single_draws(self, adult):
-        """10^4 rows of one batch (seed 11) against 10^4 single draws on
-        their own streams (seed 11, the pre-block batch), for one adult-like
-        user: alpha in 10 equal bins, each movable feature's editable
+        """10^4 rows of one batch (seed 11) against 10^4 draws of
+        `scalar_cost_function` on their own streams (seed 11), for one
+        adult-like user: alpha in 10 equal bins, each movable feature's editable
         frequency, the editable-set size, and deciles of each chosen
         feature's preference and of each (feature, target) cost. Each
         two-sample chi-square must stay below chi-square's upper
@@ -577,7 +640,7 @@ class TestBlockDistribution:
         schema, rows, _, table, _ = adult
         state, movable = rows[3], schema.mutable_indices()
         block = sample_cost_batch(state, schema, table, self.N, "mix", seed=11, subkey=3)
-        singles = [sample_cost_function(state, schema, table,
+        singles = [scalar_cost_function(state, schema, table,
                                         stream_rng(TRAIN_STREAM, 11, i, 3))
                    for i in range(self.N)]
         single = CostSampleSet(
@@ -596,7 +659,7 @@ class TestBlockDistribution:
                 np.bincount(x.editable[:, fi], minlength=2) for x in (block, single)]
             binned[f"preference {fi}"] = _deciles(
                 *(x.preferences[x.editable[:, fi], fi] for x in (block, single)))
-            for j in table.moves[fi][at[fi]][0]:
+            for j in moves(table, fi, at[fi])[0]:
                 binned[f"cost {fi}->{j}"] = _deciles(
                     *(x.costs[fi][x.editable[:, fi], j] for x in (block, single)))
         assert len(binned) >= 50
@@ -607,8 +670,8 @@ class TestBlockDistribution:
 
     def test_cells_without_a_beta_hold_the_scalar_blend(self, adult):
         """Where a cell's Beta does not exist (nu <= 0), its cost is the
-        scalar blend and clip of `_feature_costs`, to the bit, checked on
-        every chosen ordered cell of 130-row batches."""
+        scalar blend and clip of `scalar_cost_function`, to the bit, checked
+        on every chosen ordered cell of 130-row batches."""
         schema, rows, _, table, _ = adult
         var = COST_STD * COST_STD
         exact = 0
@@ -621,7 +684,7 @@ class TestBlockDistribution:
                 for i in range(batch.m):
                     a = float(batch.alpha[i])
                     for fi in np.flatnonzero(batch.editable[i]).tolist():
-                        targets, _, raw = table.moves[fi][at[fi]]
+                        targets, raw = moves(table, fi, at[fi])
                         keep = 1.0 - float(batch.preferences[i, fi])
                         for j, (x, y) in zip(targets, raw or ()):
                             mu = a * (x * keep) + (1.0 - a) * (y * keep)
@@ -766,11 +829,20 @@ class TestDrawEquivalence:
 
     @pytest.mark.parametrize("k", range(1, 10))
     def test_normalized_exponentials_are_flat_dirichlet(self, k):
+        """The block normalization (a pinned k-feature set, so the
+        exponentials are a block's first draw) and the reference's
+        `_flat_dirichlet` both return numpy's `dirichlet(ones(k))`."""
+        schema = DatasetSchema(features=tuple(
+            FeatureSpec(f"f{i}", "ordered", (0, 1)) for i in range(9)))
+        table, state = flat_table(schema), UserState((0,) * 9)
         for seed in self.SEEDS:
             old, new = self._pair(seed)
             want = old.dirichlet(np.ones(k))
             assert _flat_dirichlet(new, k).tobytes() == want.tobytes()
             assert new.random() == old.random()
+            drawn = sample_cost_function(state, schema, table, np.random.default_rng(seed),
+                                         editable=frozenset(range(k)))
+            assert drawn.preferences[0, :k].tobytes() == want.tobytes()
 
     def test_scalar_betas_are_one_array_beta(self):
         grid = np.geomspace(1e-3, 3e3, 19)

@@ -82,22 +82,22 @@ DOC_DIGESTS = {
     "ls:emc": "0bda80c2152f8af79c61297fc91062b3a539df64276b43258834c4d6ab53daf3",
     "ls:diversity": "d60b6f3f6700c282f78704c8528720609b515e41bee31b4bfa35b5e403750201",
 }
-SIMULATED_DIGEST = "be4552bdc2bf117bd78c25ff9561a45d63fc96c70a32d2aeb9244f059a4513b5"
+SIMULATED_DIGEST = "1ab218d3d863b5475dcf5554096a734e7ffccc1e3b391afc9c38bbfb5f22dfe2"
 CSV_DIGESTS = {
     "evaluate/metrics_mean.csv":
-        "e6077b4e6f9348ca9ebfdffc0e85cc1f2dc4843bca84be1340dcbb07b9e6db81",
+        "32fe6951c30e41a46152a6f04ce886e2dc3f81646891a99ec47f42e34fd376b0",
     "evaluate/metrics_results_cols_seed901.csv":
-        "dfa5474da8537fa374ada1fc827b910bf40bccf56afcb6021fa73f40e41eb407",
+        "62d49efab7236dd2ca97ef0c9de539d7a78d964cc909c8cd6630e00634cd8dd6",
     "evaluate/metrics_results_cols_seed902.csv":
-        "aedd74237148fb65f6f30c98c63e4669632a4e1cefc6a365f17238349da17d3a",
+        "957e4b9186fce7e3d3cafbed9c48ed984ad9092881941e06e044b0c1976c9c2f",
     "evaluate/metrics_results_pcols_seed901.csv":
-        "16f0b3c329f12ba1c3ca6ebac2c04e851ea2c4d43f0994e242c8307719248aa6",
+        "7465249e104e9d1c58a8f06be41a243d6b6d9f0f0c721d452925b2dc214653bd",
     "evaluate/metrics_results_pcols_seed902.csv":
-        "a167af969ad385d38947193a4776260909611566eb1d9cf4b9ced5dac0fec8b6",
+        "1b301182dab59d430260fda4e6e898709f330273e62a8cb28b7bd3c37b027044",
     "main/main.csv":
-        "43b8c6f76bb8bb8ca3e0adccbd00f3930f278bedb384f5eceecb252443a5c254",
+        "3b67526aef9c0dcc1c8d416e18afefc90656792f18410d0bf75094261426b3c1",
     "ablation/ablation.csv":
-        "3e49dff09a43e5c65e7cb37a4c3c2254fdd00628250ae77e36990f761448e8cd",
+        "3400bfb2c69fef7bbd49eaf7437da0a33599dd9aacdc0562dd67fbb282a8cf31",
 }
 
 
@@ -153,12 +153,12 @@ def test_batch_is_its_blocks(rejected, case):
     alpha = distribution_alpha(kwargs["distribution"], kwargs.get("alpha"))
     for state, uid in zip(states[:3], ids[:3]):
         batch = sample_cost_batch(state, schema, table, 130, seed=3, subkey=uid, **kwargs)
-        rows = [*batch.costs, batch.alpha, batch.editable, batch.preferences]
+        rows = [batch.table.T, batch.alpha, batch.editable, batch.preferences]
         for b in range(3):
-            one = _sample_blocks(state, schema, table, [stream_rng(TRAIN_STREAM, 3, b, uid)],
-                                 BLOCK, alpha, pins.get("editable"), pins.get("pref"))
-            alone = [*one.costs, one.alpha, one.editable, one.preferences]
-            for got, want in zip(rows, alone):
+            costs, *rest = _sample_blocks([state], schema, table,
+                                          [stream_rng(TRAIN_STREAM, 3, b, uid)], BLOCK, BLOCK,
+                                          alpha, pins.get("editable"), pins.get("pref"))
+            for got, want in zip(rows, [costs.T, *rest]):
                 assert got[BLOCK * b:BLOCK * (b + 1)].tobytes() == want[:130 - BLOCK * b].tobytes()
 
 

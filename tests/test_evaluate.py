@@ -20,6 +20,7 @@ from recourse.evaluate import (
     set_distance_stats,
     set_metrics,
     simulate_user,
+    simulate_users,
 )
 from recourse.experiments import score_docs, select_undesired
 from recourse.model import TrainConfig, train_classifier
@@ -308,6 +309,28 @@ class TestSimulatedUsers:
             for x, y in zip(gen.costs, test.costs)
         )
         assert not same
+
+    @pytest.mark.parametrize("distribution", ["mix", "lin"])
+    def test_draw_does_not_depend_on_the_population(self, adult, distribution):
+        """Each of 100 adult-like users' hidden draws is the same bytes
+        drawn alone, inside one 100-user population and inside that
+        population reversed: scoring a user does not depend on who else is
+        scored."""
+        schema, rows, _, table, _ = adult
+        states, ids = rows[:100], [7 * i + 3 for i in range(100)]
+        together = simulate_users(states, schema, table, 41, ids, distribution)
+        reversed_ = simulate_users(states[::-1], schema, table, 41, ids[::-1],
+                                   distribution)[::-1]
+        assert len({s.values for s in states}) > 50
+        for state, uid, a, b in zip(states, ids, together, reversed_):
+            alone = simulate_user(state, schema, table, 41, uid, distribution)
+            for x in (a, b):
+                assert x.state == state and x.m == 1
+                for got, want in ((x.table, alone.table), (x.alpha, alone.alpha),
+                                  (x.editable, alone.editable),
+                                  (x.preferences, alone.preferences)):
+                    assert got.shape == want.shape
+                    assert got.tobytes() == want.tobytes()
 
     def test_unknown_distribution_rejected(self, synth6):
         from recourse.experiments import evaluate_docs

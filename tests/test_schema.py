@@ -359,7 +359,7 @@ class TestMoveTable:
     def test_moves_match_oracle(self, name):
         schema, rows = MOVE_PACKS[name]()
         table = build_percentile_table(rows, schema)
-        first_row = 0
+        first_row, cells = 0, []
         for fi, f in enumerate(schema.features):
             size = f.size
             column = [r.values[fi] for r in rows]
@@ -368,7 +368,6 @@ class TestMoveTable:
                 cdf = tuple(sum(1 for v in column if v <= x) / len(rows)
                             for x in f.domain)
             assert table.cdf[fi] == cdf
-            assert len(table.moves[fi]) == size
             for s, value in enumerate(f.domain):
                 allowed = feasible_values(schema, fi, value) - {value}
                 targets = tuple(sorted(f.domain.index(v) for v in allowed))
@@ -382,9 +381,18 @@ class TestMoveTable:
                          / sum(1 for y in range(size) if y < s), abs(cdf[x] - cdf[s]))
                         for x in targets
                     )
-                rows_of = tuple(first_row + x for x in targets)
-                assert table.moves[fi][s] == (targets, rows_of, raw), (f.name, s)
+                # The cells of origin row first_row + s, by target position.
+                block = table.cell[first_row + s] + first_row + np.arange(size)
+                got = tuple(np.flatnonzero(table.feasible[block]).tolist())
+                assert got == targets, (f.name, s)
+                means = tuple(zip(table.step[block].tolist(), table.shift[block].tolist()))
+                want = dict(zip(targets, raw or ()))
+                assert means == tuple(want.get(x, (0.0, 0.0)) for x in range(size)), (f.name, s)
+                cells.append(block)
             first_row += size
+        # The blocks tile the cell arrays, each cell once.
+        assert sorted(np.concatenate(cells).tolist()) == list(range(len(table.feasible)))
+        assert len(table.feasible) == sum(f.size ** 2 for f in schema.features)
         assert schema.offsets.tolist() == [
             sum(f.size for f in schema.features[:fi]) for fi in range(schema.n_features + 1)
         ]
