@@ -242,10 +242,15 @@ def _check_docs(docs, schema: DatasetSchema, path: str) -> None:
 
 def _cmd_evaluate(args) -> int:
     distribution_alpha(args.distribution, args.alpha)
+    if not args.k > 0:
+        raise ValueError(f"--k must be positive, got {args.k}")
+    test_seeds = list(dict.fromkeys(int(s) for s in str(args.test_seed).split(",")))
+    for ts in test_seeds:
+        if ts < 0:
+            raise ValueError(f"--test-seed must be non-negative, got {ts}")
     schema = load_schema(args.schema)
     rows = load_dataset(args.data, schema)
     table = build_percentile_table(rows, schema)
-    test_seeds = list(dict.fromkeys(int(s) for s in str(args.test_seed).split(",")))
     files = _resolve_result_files(args.results)
     # Per-seed tables are named after the file stem, so stems must differ.
     tags = [os.path.splitext(os.path.basename(path))[0] for path in files]

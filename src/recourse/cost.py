@@ -1,13 +1,15 @@
 """User cost functions as arrays: hierarchical sampling, pricing, and the
 expected-minimum-cost objective.
 
-A `CostSampleSet` holds M cost functions for one user state in one
-read-only (W, M) `table`, W = sum of the domain sizes |D_f| (57 on the
-adult-like schema). Feature f owns rows `offsets[f]` to `offsets[f + 1]`
-(`DatasetSchema.offsets`), one per domain position, and column i is sample
-i: entry (offsets[f] + j, i) prices moving feature f from the user's value
-to position j under sample i, a cost in [0, 1], 0 for the no-op and
-infinity when infeasible. `costs[f]` is the (M, |D_f|) view
+A `CostSampleSet` holds M cost functions in one read-only (W, M) `table`,
+W = sum of the domain sizes |D_f| (57 on the adult-like schema). Column i
+is sample i, a cost function conditioned on the user state whose codes
+are row i of `states` (M, d): one state throughout for a generation
+batch, user u's state in column u for a hidden population. Feature f owns
+rows `offsets[f]` to `offsets[f + 1]` (`DatasetSchema.offsets`), one per
+domain position: entry (offsets[f] + j, i) prices moving feature f from
+the state's value to position j under sample i, a cost in [0, 1], 0 for
+the no-op and infinity when infeasible. `costs[f]` is the (M, |D_f|) view
 `table[offsets[f]:offsets[f + 1]].T`. `alpha` is (M,); `editable` (bool)
 and `preferences` are (M, d).
 
@@ -26,11 +28,12 @@ call. `sample_cost_batch` draws ceil(M / 64) blocks of one state at width
 `BLOCK` = 64, block b from `stream_rng(stream, seed, b, subkey)`; every
 block draws its full width and the batch is then cut to M, so a batch is
 a prefix of any larger one. `sample_cost_functions` draws a population,
-one width-1 block per state on its own generator, and evaluation draws
-each hidden population in one such call: a lone width-1 block costs more
-than the per-sample draw it replaced. Within a block the n movable
-features (`DatasetSchema.mutable_indices`) are drawn as whole arrays, with
-these calls in this order and no others:
+one width-1 block per state on its own generator, into one set whose
+column u belongs to state u, and evaluation draws each hidden population
+in one such call: a lone width-1 block costs more than the per-sample
+draw it replaced. Within a block the n movable features
+(`DatasetSchema.mutable_indices`) are drawn as whole arrays, with these
+calls in this order and no others:
 
 1. unless the editable set is pinned, `random((width, n))` coins, keeping
    those below 0.5; then, in row order, `random(n)` again for each row that
@@ -54,11 +57,12 @@ Every price comes from `cost_rows`, which takes members as domain
 positions (`DatasetSchema.positions`), gathers each feature's table rows
 for all members and adds them left to right; sums saturate at
 `math.inf`, so one infeasible feature makes a whole transition infeasible.
-The sum is an explicit loop (a running `add.accumulate` for a single cost
-function) and never a numpy reduction: `add.reduce` and `.sum(axis=...)`
-sum 8 or more terms pairwise when the summed axis is contiguous, as it is
-for one cost function, and then disagree with the sequential sum in the
-last bits.
+Search prices every member under every column; `min_cost` prices a hidden
+population, each member under its owner's column alone. The sum is an
+explicit loop and never a numpy reduction: `add.reduce` and
+`.sum(axis=...)` sum 8 or more terms pairwise when the summed axis is
+contiguous, as it is in a (P, d) gather of each member's feature costs,
+and then disagree with the sequential sum in the last bits.
 """
 
 from __future__ import annotations
@@ -90,10 +94,10 @@ BLOCK = 64
 
 @dataclass(frozen=True)
 class CostSampleSet:
-    """M cost functions sampled for one user state, as arrays."""
+    """M cost functions, each conditioned on a user state, as arrays."""
 
     schema: DatasetSchema
-    state: UserState
+    states: np.ndarray  # (M, d) int64: column i is conditioned on the codes states[i]
     table: np.ndarray  # (W, M): row schema.offsets[f] + j prices feature f -> position j
     alpha: np.ndarray  # (M,)
     editable: np.ndarray  # (M, d) bool
@@ -260,17 +264,16 @@ def sample_cost_functions(
     alpha: Optional[float] = None,
     editable: Optional[frozenset[int]] = None,
     pref: Optional[np.ndarray] = None,
-) -> list[CostSampleSet]:
-    """One cost function (a set with M=1) per state, each a block of width
-    1 on its own generator, all in one call; absent inputs are drawn."""
-    if len(states) != len(rngs):
-        raise ValueError(f"{len(states)} states for {len(rngs)} generators")
-    if not states:
-        return []
-    costs, alphas, chosen, prefs = _sample_blocks(states, schema, table, rngs, 1,
-                                                  len(rngs), alpha, editable, pref)
-    return [CostSampleSet(schema, s, costs[:, i:i + 1], alphas[i:i + 1], chosen[i:i + 1],
-                          prefs[i:i + 1]) for i, s in enumerate(states)]
+) -> CostSampleSet:
+    """A population: one set whose column u is a block of width 1 drawn for
+    `states[u]` on `rngs[u]`, all in one call; absent inputs are drawn."""
+    if not states or len(states) != len(rngs):
+        raise ValueError(f"need one generator per state and at least one state, "
+                         f"got {len(states)} states for {len(rngs)} generators")
+    drawn = _sample_blocks(states, schema, table, rngs, 1, len(rngs), alpha, editable, pref)
+    codes = np.array([s.values for s in states], dtype=np.int64)
+    codes.setflags(write=False)
+    return CostSampleSet(schema, codes, *drawn)
 
 
 def sample_cost_function(
@@ -284,7 +287,19 @@ def sample_cost_function(
 ) -> CostSampleSet:
     """Draw one cost function conditioned on `state` (a set with M=1): a
     population of one for `sample_cost_functions`."""
-    return sample_cost_functions([state], schema, table, [rng], alpha, editable, pref)[0]
+    return sample_cost_functions([state], schema, table, [rng], alpha, editable, pref)
+
+
+def join_columns(sets: Sequence[CostSampleSet]) -> CostSampleSet:
+    """One set holding the columns of `sets` in order."""
+    return CostSampleSet(
+        sets[0].schema,
+        np.concatenate([s.states for s in sets]),
+        np.concatenate([s.table for s in sets], axis=1),
+        np.concatenate([s.alpha for s in sets]),
+        np.concatenate([s.editable for s in sets]),
+        np.concatenate([s.preferences for s in sets]),
+    )
 
 
 def stream_rng(stream: int, seed: int, index: int, subkey: int = 0) -> np.random.Generator:
@@ -329,38 +344,40 @@ def sample_cost_batch(
         raise ValueError(f"sample count must be >= 1, got {m}")
     fixed_alpha = distribution_alpha(distribution, alpha)
     rngs = [stream_rng(TRAIN_STREAM, seed, b, subkey) for b in range(-(-m // BLOCK))]
-    return CostSampleSet(schema, state, *_sample_blocks(
-        [state] * len(rngs), schema, table, rngs, BLOCK, m, fixed_alpha, editable, pref))
+    drawn = _sample_blocks([state] * len(rngs), schema, table, rngs, BLOCK, m, fixed_alpha,
+                           editable, pref)
+    codes = np.broadcast_to(np.array(state.values, dtype=np.int64), (m, len(state.values)))
+    return CostSampleSet(schema, codes, *drawn)
 
 
-def cost_rows(index_matrix: np.ndarray, samples: CostSampleSet) -> np.ndarray:
-    """(N, M) cost table for members given as (N, d) domain positions, as
-    `DatasetSchema.positions` returns them for their codes.
+def cost_rows(index_matrix: np.ndarray, samples: CostSampleSet,
+              columns: Optional[np.ndarray] = None) -> np.ndarray:
+    """Costs of members given as (P, d) domain positions, as
+    `DatasetSchema.positions` returns them for their codes: the (P, M)
+    table of every member under every cost function or, given (P,)
+    `columns`, the (P,) cost of member p under column `columns[p]` alone.
 
-    Each member's feature costs are added left to right: one (N, M) row
-    gather per feature, added in place, or for a single cost function a
-    running sum along each member's d costs (one call in place of d tiny
-    gathers). Never a numpy reduction (see the module docstring)."""
+    Each member's feature costs are added left to right: one gather per
+    feature, added in place. Never a numpy reduction (see the module
+    docstring)."""
     rows = index_matrix + samples.schema.offsets[:-1]
     table = samples.table
-    if samples.m == 1:
-        return np.add.accumulate(table[rows, 0], axis=1)[:, -1:]
-    out = table[rows[:, 0]]
+    cols = slice(None) if columns is None else columns
+    out = table[rows[:, 0], cols]
     for fi in range(1, rows.shape[1]):
-        out += table[rows[:, fi]]
+        out += table[rows[:, fi], cols]
     return out
 
 
-def min_cost(s_u: UserState, members: np.ndarray, samples: CostSampleSet) -> float:
-    """Least transition cost over (n, d) member codes under a single cost
-    function (M=1); a code outside its feature's domain raises SchemaError."""
-    if not len(members):
-        raise ValueError("recourse set is empty")
-    if samples.state.values != s_u.values:
-        raise ValueError("cost function is conditioned on a different state")
-    if samples.m != 1:
-        raise ValueError(f"expected a single cost function, got {samples.m}")
-    return float(cost_rows(samples.schema.positions(members), samples).min())
+def min_cost(members: np.ndarray, owners: np.ndarray, population: CostSampleSet) -> np.ndarray:
+    """(M,) least transition cost per column of `population` over the
+    (P, d) member codes it owns, member p priced under column `owners[p]`
+    alone; infinity for a column that owns no member. A code outside its
+    feature's domain raises SchemaError."""
+    prices = cost_rows(population.schema.positions(members), population, owners)
+    best = np.full(population.m, INF)
+    np.minimum.at(best, owners, prices)
+    return best
 
 
 def emc_of_matrix(entries: np.ndarray) -> float:

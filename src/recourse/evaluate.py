@@ -1,22 +1,25 @@
 """Simulated-user evaluation: satisfaction, cost, coverage, distance, and
 fairness metrics.
 
-A simulated user is a hidden ground-truth cost function: a `CostSampleSet`
-with M=1, conditioned on the user's state (its `state`), drawn from the
-evaluation RNG stream, which is structurally disjoint from the stream that
-produced the generation-time samples. `simulate_users` draws a whole
-population in one call, each user from their own (test seed, user id)
-stream, so a user's draw does not depend on who else is drawn. A user's realised cost is the minimum
-over the *valid* members of their recourse set; invalid members count as
-infinitely expensive. A recourse set is two arrays, (N, d) int64 member
-codes and (N,) bool validity, so a realised cost prices
-`members[validity]` and the distance metrics work on the code rows.
+A simulated user is a hidden ground-truth cost function drawn for the
+user's state from the evaluation RNG stream, which is structurally
+disjoint from the stream that produced the generation-time samples.
+`simulate_users` draws a population in one call, as one `CostSampleSet`
+whose column u is user u's cost function, each from the user's own
+(test seed, user id) stream, so a user's draw does not depend on who else
+is drawn.
+
+A user's realised cost is the minimum over the *valid* members of their
+recourse set (two arrays: (N, d) int64 member codes and (N,) bool
+validity); invalid members count as infinitely expensive. One `min_cost`
+call prices a population: `valid_members` stacks the users' valid members,
+each tagged with its user's column.
 
 A report is one flat table, metric name -> value, whose names and row
 order come from `metric_names` alone. `compute_report` prices a population
 once, holding one realised cost per user: FS@k, PAC and coverage, overall
 and per protected subgroup, are reductions over that vector (a subgroup is
-a boolean mask over it, read from the users' states). `set_metrics`
+a boolean mask over it, read from the population's states). `set_metrics`
 measures what depends on the sets alone, once whatever the number of
 hidden populations.
 """
@@ -99,7 +102,8 @@ def simulate_user(
     alpha: Optional[float] = None,
     editable: Optional[frozenset[int]] = None,
 ) -> CostSampleSet:
-    """A user's hidden cost function (M=1), keyed by (test_seed, user_id)."""
+    """A user's hidden cost function (a population of one), keyed by
+    (test_seed, user_id)."""
     rng = stream_rng(TEST_STREAM, test_seed, user_id)
     return sample_cost_function(
         state, schema, table, rng, alpha=distribution_alpha(distribution, alpha),
@@ -115,19 +119,20 @@ def simulate_users(
     user_ids: Sequence[int],
     distribution: str = "mix",
     alpha: Optional[float] = None,
-) -> list[CostSampleSet]:
-    """`simulate_user` for each user, the population drawn in one call."""
+) -> CostSampleSet:
+    """`simulate_user` for each user, the population drawn in one call:
+    column u is user u's hidden cost function."""
     rngs = [stream_rng(TEST_STREAM, test_seed, uid) for uid in user_ids]
     return sample_cost_functions(states, schema, table, rngs,
                                  alpha=distribution_alpha(distribution, alpha))
 
 
-def realized_cost(user: CostSampleSet, recourse: RecourseSet) -> float:
-    """Cheapest valid option under the user's hidden cost function."""
-    valid_members = recourse.members[recourse.validity]
-    if not len(valid_members):
-        return INF
-    return min_cost(user.state, valid_members, user)
+def valid_members(sets: Sequence[RecourseSet]) -> tuple[np.ndarray, np.ndarray]:
+    """The valid members of every set stacked as (P, d) codes, and per
+    member the index of its set, for `min_cost`."""
+    valid = [s.members[s.validity] for s in sets]
+    owners = np.repeat(np.arange(len(valid)), [len(v) for v in valid])
+    return np.concatenate(valid), owners
 
 
 def fs_at_k(costs: np.ndarray, k: float = 1.0) -> float:
@@ -237,26 +242,26 @@ def set_metrics(
 
 
 def compute_report(
-    users: Sequence[CostSampleSet],
+    users: CostSampleSet,
     sets: Sequence[RecourseSet],
     schema: DatasetSchema,
     k: float = 1.0,
 ) -> MetricsReport:
-    """Hidden-cost metrics of a population, with subgroup splits and ratios."""
-    if not users or len(users) != len(sets):
-        raise ValueError("need one recourse set per user, at least one user")
-    costs = np.array([realized_cost(u, s) for u, s in zip(users, sets)])
+    """Hidden-cost metrics of a population (user u is column u of `users`
+    and owns `sets[u]`), with subgroup splits and ratios."""
+    if users.m != len(sets):
+        raise ValueError(f"need one recourse set per user, got {len(sets)} for {users.m}")
+    costs = min_cost(*valid_members(sets), users)
     fs = f"fs_at_{k:g}"
     overall = pac(costs)
     table = {fs: fs_at_k(costs, k), "pac": overall.value,
              "pac_uncovered": overall.uncovered, "coverage": coverage(costs)}
-    states = np.array([u.state.values for u in users])
     ratios = {}
     for attr in schema.protected_attributes:
         fi = schema.feature_index(attr)
         groups = {}
         for value in schema.features[fi].domain:
-            sub = costs[states[:, fi] == value]
+            sub = costs[users.states[:, fi] == value]
             if len(sub):
                 groups[value] = (fs_at_k(sub, k), coverage(sub))
                 table.update(zip(_subgroup_names(fs, attr, value), groups[value]))
@@ -265,5 +270,5 @@ def compute_report(
             for i, name in enumerate(_ratio_names(fs, attr)):
                 ratios[name] = dir_ratio({v: g[i] for v, g in groups.items()}, order)
     table.update(ratios)
-    return MetricsReport(table=table, n_users=len(users), fs_at_k=table[fs],
+    return MetricsReport(table=table, n_users=users.m, fs_at_k=table[fs],
                          pac=overall, coverage=table["coverage"])

@@ -20,15 +20,16 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .cost import join_columns, min_cost
 from .evaluate import (
     MetricsReport,
     compute_report,
     concentration_distance,
     metric_names,
-    realized_cost,
     set_metrics,
     simulate_user,
     simulate_users,
+    valid_members,
 )
 from .model import BudgetMeter, Classifier, predict_batch
 from .results import GenerationSettings, ResultDoc, run_population, run_user
@@ -87,6 +88,10 @@ class ExperimentSpec:
         for name in ("bins", "shift_vectors"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if not self.k > 0:
+            raise ValueError(f"k must be positive, got {self.k}")
+        if self.test_seed < 0:
+            raise ValueError(f"test_seed must be non-negative, got {self.test_seed}")
         if self.kind == "alpha_grid":
             bad = [a for a in self.grid if not 0.0 <= a <= 1.0]
             if bad:
@@ -348,25 +353,21 @@ def _concentration_shift(spec, states, user_ids, classifier, schema, table):
     rng = np.random.default_rng(
         np.random.SeedSequence([SHIFT_STREAM, spec.test_seed])
     )
-    distances, satisfied = [], []
+    # Each shift user pins their own editable set, so is drawn alone.
+    distances, users, owned = [], [], []
     for v in range(spec.shift_vectors):
         editable = frozenset(random_editable_subset(movable, rng))
         conc = np.zeros(schema.n_features)
         conc[sorted(editable)] = 1.0
         i = v % len(docs)
-        user = simulate_user(
-            UserState(tuple(docs[i].state)).validate(schema),
-            schema,
-            table,
-            spec.test_seed,
-            spec.shift_vectors * 7 + v,
-            editable=editable,
-        )
+        users.append(simulate_user(states[i], schema, table, spec.test_seed,
+                                   spec.shift_vectors * 7 + v, editable=editable))
+        owned.append(sets[i])
         distances.append(float(concentration_distance(conc, train_conc[i])[0]))
-        satisfied.append(realized_cost(user, sets[i]) < spec.k)
+    costs = min_cost(*valid_members(owned), join_columns(users))
 
     distances = np.asarray(distances)
-    satisfied = np.asarray(satisfied, dtype=float)
+    satisfied = (costs < spec.k).astype(float)
     top = max(float(distances.max()), 1e-9)
     edges = np.linspace(0.0, top, spec.bins + 1)
     header = ["bin_low", "bin_high", "n", "fs_at_k"]

@@ -127,6 +127,8 @@ class GenerationSettings:
                 raise ValueError(f"{name} must be positive")
         if self.restarts > self.budget:
             raise ValueError("more restarts than budget")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         distribution_alpha(self.distribution, self.alpha)
 
     @property

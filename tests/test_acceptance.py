@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from recourse import search as search_module
-from recourse.cost import INF, sample_cost_batch, sample_cost_function
+from recourse.cost import INF, join_columns, min_cost, sample_cost_batch, sample_cost_function
 from recourse.datasets import make_adult_like, make_synthetic_6f
 from recourse.evaluate import (
     coverage,
@@ -20,8 +20,8 @@ from recourse.evaluate import (
     distance_metrics,
     fs_at_k,
     pac,
-    realized_cost,
     set_metrics,
+    valid_members,
 )
 from recourse.experiments import (
     ExperimentSpec,
@@ -326,10 +326,8 @@ def test_criterion_7_metric_units():
     from test_evaluate import pointing_set, single_feature_user
 
     def realized(*costs):
-        return np.array([
-            realized_cost(single_feature_user([0.0, c]), pointing_set())
-            for c in costs
-        ])
+        users = join_columns([single_feature_user([0.0, c]) for c in costs])
+        return min_cost(*valid_members([pointing_set()] * len(costs)), users)
 
     costs = realized(0.5, 1.2, INF)
     assert fs_at_k(costs, k=1.0) == pytest.approx(1 / 3)

@@ -875,6 +875,62 @@ class TestFlagConflicts:
         assert not (tmp_path / "out").exists()
 
 
+    @pytest.mark.parametrize("command", [
+        ["experiment", "--kind", "main", "--methods", "cols", "--seeds", "0"],
+        ["evaluate", "--test-seed", "901"],
+    ], ids=["experiment", "evaluate"])
+    @pytest.mark.parametrize("k", ["nan", "0", "-1"])
+    def test_bad_k_exits_2(self, workdir, tmp_path, capsys, command, k):
+        """Without the check `--k nan` wrote `fs_at_nan` rows that read 0."""
+        if command[0] == "evaluate":
+            inputs = ["--results", str(tmp_path / "results")]
+        else:
+            inputs = ["--model", str(workdir / "model.json"), "--users", "2",
+                      "--budget", "20", "--set-size", "2", "--num-samples", "5"]
+        code = main(
+            [
+                *command,
+                "--schema", str(workdir / "schema.yaml"),
+                "--data", str(workdir / "data.csv"),
+                *inputs,
+                "--k", k,
+                "--out", str(tmp_path / "out"),
+            ]
+        )
+        assert code == 2
+        assert f"k must be positive, got {float(k)}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, name", [
+        (["generate", "--seed", "-1"], "seed"),
+        (["experiment", "--kind", "main", "--methods", "cols", "--seeds", "0",
+          "--test-seed", "-1"], "test_seed"),
+        (["experiment", "--kind", "main", "--methods", "cols", "--seeds", "0,-3"], "seed"),
+        (["evaluate", "--test-seed", "901,-1"], "--test-seed"),
+    ], ids=["generate", "experiment-test-seed", "experiment-seeds", "evaluate"])
+    def test_negative_seed_exits_2(self, workdir, tmp_path, capsys, command, name):
+        """A negative seed used to reach numpy, which failed with "expected
+        non-negative integer" and named neither the flag nor the value."""
+        if command[0] == "evaluate":
+            inputs = ["--results", str(tmp_path / "results")]
+        else:
+            inputs = ["--model", str(workdir / "model.json"), "--users", "2",
+                      "--budget", "20", "--set-size", "2", "--num-samples", "5"]
+        code = main(
+            [
+                *command,
+                "--schema", str(workdir / "schema.yaml"),
+                "--data", str(workdir / "data.csv"),
+                *inputs,
+                "--out", str(tmp_path / "out"),
+            ]
+        )
+        assert code == 2
+        value = command[-1].split(",")[-1]
+        assert f"{name} must be non-negative, got {value}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
 class TestUserLimit:
     @pytest.mark.parametrize("limit", [0, -3])
     def test_limit_below_one_rejected(self, synth6, limit):
@@ -955,6 +1011,19 @@ class TestExperimentSpecValidation:
 
         with pytest.raises(ValueError):
             ExperimentSpec(kind="main", seeds=())
+
+    @pytest.mark.parametrize("k", [float("nan"), 0.0, -1.0])
+    def test_k_must_be_positive(self, k):
+        from recourse.experiments import ExperimentSpec
+
+        with pytest.raises(ValueError, match=f"k must be positive, got {k}"):
+            ExperimentSpec(kind="main", k=k)
+
+    def test_test_seed_must_be_non_negative(self):
+        from recourse.experiments import ExperimentSpec
+
+        with pytest.raises(ValueError, match="test_seed must be non-negative, got -1"):
+            ExperimentSpec(kind="main", test_seed=-1)
 
     @pytest.mark.parametrize("name", ["bins", "shift_vectors"])
     @pytest.mark.parametrize("value", [0, -2])

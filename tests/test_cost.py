@@ -14,9 +14,11 @@ from recourse.cost import (
     cost_rows,
     distribution_alpha,
     emc_of_matrix,
+    join_columns,
     min_cost,
     sample_cost_batch,
     sample_cost_function,
+    sample_cost_functions,
     stream_rng,
 )
 from recourse.datasets import make_adult_like
@@ -34,7 +36,7 @@ def transition_cost(s_u, s_j, samples, i=0):
     """Scalar oracle: the cost of moving s_u to the code row s_j under
     sample i, summed feature by feature; one infinite feature makes the move
     infinite."""
-    if samples.state.values != s_u.values:
+    if tuple(samples.states[i].tolist()) != s_u.values:
         raise ValueError("cost function is conditioned on a different state")
     total = 0.0
     at = samples.schema.positions(s_j)
@@ -52,7 +54,7 @@ def manual_samples(schema, state, per_sample):
     m, d = len(per_sample), schema.n_features
     return CostSampleSet(
         schema=schema,
-        state=state,
+        states=np.tile(np.array(state.values, dtype=np.int64), (m, 1)),
         table=np.concatenate(
             [np.array([s[f] for s in per_sample], dtype=float).T for f in range(d)]
         ),
@@ -529,7 +531,8 @@ def scalar_cost_function(state, schema, table, rng):
             costs[schema.offsets[f] + j] = rng.beta(mu * nu, (1.0 - mu) * nu) if nu > 0.0 else mu
     editable = np.zeros((1, d), dtype=bool)
     editable[0, chosen] = True
-    return CostSampleSet(schema, state, costs, np.array([a]), editable, prefs)
+    return CostSampleSet(schema, np.array([state.values], dtype=np.int64), costs,
+                         np.array([a]), editable, prefs)
 
 
 def reference_block(state, schema, table, rng, alpha, editable, pref):
@@ -643,12 +646,7 @@ class TestBlockDistribution:
         singles = [scalar_cost_function(state, schema, table,
                                         stream_rng(TRAIN_STREAM, 11, i, 3))
                    for i in range(self.N)]
-        single = CostSampleSet(
-            schema, state, np.concatenate([s.table for s in singles], axis=1),
-            np.concatenate([s.alpha for s in singles]),
-            np.concatenate([s.editable for s in singles]),
-            np.concatenate([s.preferences for s in singles]),
-        )
+        single = join_columns(singles)
         binned = {"alpha": [np.histogram(x.alpha, bins=10, range=(0.0, 1.0))[0]
                             for x in (block, single)],
                   "size": [np.bincount(x.editable.sum(axis=1), minlength=10)
@@ -695,6 +693,11 @@ class TestBlockDistribution:
         assert exact > 100
 
 
+def one_each(*members):
+    """`min_cost` arguments pricing every given code row under column 0."""
+    return codes(*members), np.zeros(len(members), dtype=np.int64)
+
+
 class TestTransitionCost:
     """Prices from `min_cost`/`cost_rows` against hand sums."""
 
@@ -714,26 +717,21 @@ class TestTransitionCost:
 
     def test_noop_is_free(self):
         _, state, c = self._setup()
-        assert min_cost(state, codes(state.values), c) == 0.0
+        assert min_cost(*one_each(state.values), c).tolist() == [0.0]
 
     def test_hand_sum(self):
         _, state, c = self._setup()
-        assert min_cost(state, codes((1, 1, 0)), c) == pytest.approx(0.5)
-        assert min_cost(state, codes((2, 1, 0)), c) == pytest.approx(1.2)
+        assert min_cost(*one_each((1, 1, 0)), c) == pytest.approx([0.5])
+        assert min_cost(*one_each((2, 1, 0)), c) == pytest.approx([1.2])
 
     def test_immutable_edit_is_infinite(self):
         _, state, c = self._setup()
-        assert min_cost(state, codes((0, 0, 1)), c) == INF
-
-    def test_wrong_conditioning_state(self):
-        _, state, c = self._setup()
-        with pytest.raises(ValueError):
-            min_cost(UserState((1, 0, 0)), codes(state.values), c)
+        assert min_cost(*one_each((0, 0, 1)), c).tolist() == [INF]
 
     def test_out_of_domain_member_names_value_and_feature(self):
         _, state, c = self._setup()
         with pytest.raises(SchemaError, match="value 999 not in domain of feature 'b'"):
-            min_cost(state, codes((1, 1, 0), (0, 999, 0)), c)
+            min_cost(*one_each((1, 1, 0), (0, 999, 0)), c)
 
     def test_cost_rows_match_scalar_oracle_bitwise(self, synth6):
         schema, rows, _, table, _ = synth6
@@ -789,18 +787,45 @@ class TestTwelveFeaturePricing:
         assert np.isfinite(want).all()
         assert got.tobytes() == np.asarray(want).tobytes()
 
-    def test_min_cost_matches_scalar_oracle_bitwise(self, adult):
+    def test_owned_columns_are_the_full_table_entries(self, adult):
+        """Pricing member p under column columns[p] alone gives entry
+        (p, columns[p]) of the full table, to the bit."""
         schema, rows, _, table, _ = adult
         state = rows[0]
+        batch = sample_cost_batch(state, schema, table, 40, "mix", seed=5,
+                                  editable=frozenset(schema.mutable_indices()))
+        positions = schema.positions(moved_members(schema, state, 300, seed=5))
+        columns = np.random.default_rng(5).integers(batch.m, size=len(positions))
+        full = cost_rows(positions, batch)
+        got = cost_rows(positions, batch, columns)
+        assert got.shape == (300,)
+        assert got.tobytes() == full[np.arange(300), columns].tobytes()
+
+    def test_min_cost_matches_scalar_oracle_bitwise(self, adult):
+        """20 populations of 100 users, each user but one owning 1 to 19
+        members that move every movable feature, passed in shuffled order:
+        each user's least cost is the oracle's minimum over their members
+        under their own column, to the bit, and infinity for the user who
+        owns none."""
+        schema, rows, _, table, _ = adult
         movable = frozenset(schema.mutable_indices())
+        states = rows[:100]
         for k in range(20):
-            one = sample_cost_function(state, schema, table,
-                                       np.random.default_rng(k), editable=movable)
-            members = moved_members(schema, state, 100, seed=k)
-            for lo in range(0, 100, 10):
-                group = members[lo:lo + 10]
-                want = min(transition_cost(state, s, one) for s in group)
-                assert min_cost(state, codes(*group), one).hex() == want.hex()
+            rngs = [np.random.default_rng([k, u]) for u in range(100)]
+            population = sample_cost_functions(states, schema, table, rngs,
+                                               editable=movable)
+            sizes = np.random.default_rng(k).integers(1, 20, size=100)
+            sizes[k] = 0
+            owned = [moved_members(schema, s, n, seed=100 * k + u)
+                     for u, (s, n) in enumerate(zip(states, sizes.tolist()))]
+            members = codes(*(m for group in owned for m in group))
+            owners = np.repeat(np.arange(100), sizes)
+            shuffled = np.random.default_rng(k).permutation(len(owners))
+            got = min_cost(members[shuffled], owners[shuffled], population)
+            want = [min((transition_cost(s, m, population, u) for m in group),
+                        default=INF) for u, (s, group) in enumerate(zip(states, owned))]
+            assert got[k] == INF and np.isfinite(np.delete(got, k)).all()
+            assert [x.hex() for x in got.tolist()] == [float(x).hex() for x in want]
 
 
 class TestDrawEquivalence:
@@ -865,37 +890,37 @@ class TestMinCostAndEmc:
 
     def test_min_of_three(self):
         schema, state, c = self._single_feature([0.0, 0.5, 0.2, 0.9])
-        members = codes((1,), (2,), (3,))
-        assert min_cost(state, members, c) == pytest.approx(0.2)
+        assert min_cost(*one_each((1,), (2,), (3,)), c) == pytest.approx([0.2])
 
     def test_singleton(self):
         schema, state, c = self._single_feature([0.0, 0.5])
-        assert min_cost(state, codes((1,)), c) == pytest.approx(0.5)
+        assert min_cost(*one_each((1,)), c) == pytest.approx([0.5])
 
     def test_all_infinite(self):
         schema, state, c = self._single_feature([0.0, INF, INF])
-        members = codes((1,), (2,))
-        assert min_cost(state, members, c) == INF
+        assert min_cost(*one_each((1,), (2,)), c).tolist() == [INF]
 
-    def test_empty_set_rejected(self):
+    def test_no_member_is_infinite(self):
         schema, state, c = self._single_feature([0.0, 0.5])
-        with pytest.raises(ValueError):
-            min_cost(state, codes(), c)
+        none = np.empty((0, 1), dtype=np.int64), np.empty(0, dtype=np.int64)
+        assert min_cost(*none, c).tolist() == [INF]
 
-    def test_several_samples_rejected(self):
-        schema = DatasetSchema(features=(FeatureSpec("f", "ordered", (0, 1)),))
+    def test_members_priced_under_their_owner_only(self):
+        schema = DatasetSchema(features=(FeatureSpec("f", "ordered", (0, 1, 2)),))
         state = UserState((0,))
-        c = manual_samples(schema, state, [[[0.0, 0.2]], [[0.0, 0.4]]])
-        with pytest.raises(ValueError):
-            min_cost(state, codes((1,)), c)
+        c = manual_samples(schema, state, [[[0.0, 0.2, 0.1]], [[0.0, 0.4, 0.7]]])
+        members = codes((1,), (2,))
+        assert min_cost(members, np.array([1, 1]), c) == pytest.approx([INF, 0.4])
+        assert min_cost(members, np.array([0, 1]), c) == pytest.approx([0.2, 0.7])
+        assert min_cost(members, np.array([1, 0]), c) == pytest.approx([0.1, 0.4])
 
     def test_emc_single_sample_equals_min_cost(self, synth6):
         schema, rows, _, table, _ = synth6
         state = rows[0]
         batch = sample_cost_batch(state, schema, table, 1, "mix", seed=4)
         members = codes(state.values)
-        assert emc_of_matrix(cost_rows(schema.positions(members), batch)) == (
-            min_cost(state, members, batch)
+        assert [emc_of_matrix(cost_rows(schema.positions(members), batch))] == (
+            min_cost(*one_each(state.values), batch).tolist()
         )
 
     def test_emc_hand_average(self):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from recourse import evaluate
-from recourse.cost import INF, min_cost
+from recourse.cost import INF, join_columns, min_cost
 from recourse.datasets import make_adult_like
 from recourse.evaluate import (
     compute_report,
@@ -16,11 +16,11 @@ from recourse.evaluate import (
     fs_at_k,
     metric_names,
     pac,
-    realized_cost,
     set_distance_stats,
     set_metrics,
     simulate_user,
     simulate_users,
+    valid_members,
 )
 from recourse.experiments import score_docs, select_undesired
 from recourse.model import TrainConfig, train_classifier
@@ -33,12 +33,12 @@ from recourse.schema import (
 )
 from recourse.search import RecourseSet, _Workspace
 
-from test_cost import manual_samples
+from test_cost import manual_samples, transition_cost
 
 
 def single_feature_user(costs):
     """A user on a one-feature domain with hand-set transition costs: a
-    hidden cost function (M=1) conditioned on the state (0,).
+    hidden cost function (a population of one) conditioned on the state (0,).
 
     costs[j] is the cost of moving from value 0 to value j; a recourse set
     pointing at value 1 realises costs[1].
@@ -58,10 +58,18 @@ def pointing_set(value=1, valid=True):
     return recourse_set([(value,)], [valid])
 
 
+def realised(user, recourse):
+    """The realised cost of a population of one owning `recourse`."""
+    (cost,) = min_cost(*valid_members([recourse]), user)
+    return cost
+
+
 class TestRealizedCost:
     def test_reads_the_pointed_transition(self):
-        for c in (0.0, 0.5, 1.2, INF):
-            assert realized_cost(single_feature_user([0.0, c]), pointing_set()) == c
+        costs = [0.0, 0.5, 1.2, INF]
+        users = join_columns([single_feature_user([0.0, c]) for c in costs])
+        got = min_cost(*valid_members([pointing_set()] * len(costs)), users)
+        assert got.tolist() == costs
 
 
 class TestFsAtK:
@@ -81,7 +89,7 @@ class TestFsAtK:
 
     def test_invalid_members_cost_infinity(self):
         user = single_feature_user([0.0, 0.1])
-        costs = np.array([realized_cost(user, pointing_set(valid=False))])
+        costs = np.array([realised(user, pointing_set(valid=False))])
         assert costs[0] == INF
         assert fs_at_k(costs, k=1.0) == 0.0
         assert coverage(costs) == 0.0
@@ -89,14 +97,17 @@ class TestFsAtK:
     def test_removal_never_helps(self):
         user = single_feature_user([0.0, 0.9, 0.2])
         both = recourse_set([(1,), (2,)], [True, True])
-        assert realized_cost(user, both) <= realized_cost(user, pointing_set(1))
+        assert realised(user, both) <= realised(user, pointing_set(1))
 
-    def test_empty_population_rejected(self):
-        schema = DatasetSchema(features=(FeatureSpec("f", "ordered", (0, 1)),))
-        with pytest.raises(ValueError):
-            compute_report([], [], schema, k=1.0)
-        with pytest.raises(ValueError):
-            compute_report([single_feature_user([0.0, 0.5])], [], schema, k=1.0)
+    def test_empty_population_rejected(self, synth6):
+        schema, _, _, table, _ = synth6
+        with pytest.raises(ValueError, match="at least one state"):
+            simulate_users([], schema, table, 5, [])
+        user = single_feature_user([0.0, 0.5])
+        with pytest.raises(ValueError, match="got 0 for 1"):
+            compute_report(user, [], user.schema, k=1.0)
+        with pytest.raises(ValueError, match="got 2 for 1"):
+            compute_report(user, [pointing_set()] * 2, user.schema, k=1.0)
 
 
 class TestPac:
@@ -313,22 +324,26 @@ class TestSimulatedUsers:
     @pytest.mark.parametrize("distribution", ["mix", "lin"])
     def test_draw_does_not_depend_on_the_population(self, adult, distribution):
         """Each of 100 adult-like users' hidden draws is the same bytes
-        drawn alone, inside one 100-user population and inside that
-        population reversed: scoring a user does not depend on who else is
-        scored."""
+        drawn alone as column u of one 100-user population and as column
+        99 - u of that population reversed: scoring a user does not depend
+        on who else is scored."""
         schema, rows, _, table, _ = adult
         states, ids = rows[:100], [7 * i + 3 for i in range(100)]
         together = simulate_users(states, schema, table, 41, ids, distribution)
         reversed_ = simulate_users(states[::-1], schema, table, 41, ids[::-1],
-                                   distribution)[::-1]
+                                   distribution)
         assert len({s.values for s in states}) > 50
-        for state, uid, a, b in zip(states, ids, together, reversed_):
+        assert together.m == reversed_.m == 100
+        for u, (state, uid) in enumerate(zip(states, ids)):
             alone = simulate_user(state, schema, table, 41, uid, distribution)
-            for x in (a, b):
-                assert x.state == state and x.m == 1
-                for got, want in ((x.table, alone.table), (x.alpha, alone.alpha),
-                                  (x.editable, alone.editable),
-                                  (x.preferences, alone.preferences)):
+            assert alone.m == 1
+            assert alone.states.tolist() == [list(state.values)]
+            for x, i in ((together, u), (reversed_, 99 - u)):
+                for got, want in ((x.states[i], alone.states[0]),
+                                  (x.table[:, i], alone.table[:, 0]),
+                                  (x.alpha[i], alone.alpha[0]),
+                                  (x.editable[i], alone.editable[0]),
+                                  (x.preferences[i], alone.preferences[0])):
                     assert got.shape == want.shape
                     assert got.tobytes() == want.tobytes()
 
@@ -357,24 +372,23 @@ def adult_population():
     schema, rows, _ = make_adult_like(400, seed=7)
     table = build_percentile_table(rows, schema)
     rng = np.random.default_rng(4)
-    users, sets = [], []
-    for uid in range(80):
-        users.append(simulate_user(rows[uid], schema, table, 31, uid))
-        ws = _Workspace(rows[uid], schema)
+    states = rows[:80]
+    users = simulate_users(states, schema, table, 31, range(80))
+    sets = []
+    for state in states:
+        ws = _Workspace(state, schema)
         moves = ws.perturb_rows(np.tile(ws.user_idx, (1, 3, 1)), [rng])[0]
         sets.append(recourse_set(
             schema.codes(moves), [True, *(bool(v) for v in rng.random(2) < 0.5)]
         ))
-    return schema, users, sets
+    return schema, states, users, sets
 
 
 class TestComputeReport:
     def test_report_fields_and_subgroups(self, synth6):
         schema, rows, _, table, _ = synth6
-        users, sets = [], []
-        for uid, state in enumerate(rows[:20]):
-            users.append(simulate_user(state, schema, table, 99, uid))
-            sets.append(recourse_set([state.values], [True]))
+        users = simulate_users(rows[:20], schema, table, 99, range(20))
+        sets = [recourse_set([state.values], [True]) for state in rows[:20]]
         report = compute_report(users, sets, schema, k=1.0)
         assert report.n_users == 20
         assert 0.0 <= report.fs_at_k <= 1.0
@@ -384,30 +398,43 @@ class TestComputeReport:
             "dir_fs_at_1[origin]", "dir_coverage[origin]"}
 
     def test_prices_each_pair_once(self, adult_population, monkeypatch):
-        schema, users, sets = adult_population
+        """One `min_cost` call per population, pricing every valid member
+        once, under its own user's column."""
+        schema, _, users, sets = adult_population
         calls = []
 
-        def counting_min_cost(s_u, members, samples):
-            calls.append(len(members))
-            return min_cost(s_u, members, samples)
+        def counting_min_cost(members, owners, population):
+            calls.append((members, owners, population))
+            return min_cost(members, owners, population)
 
         monkeypatch.setattr(evaluate, "min_cost", counting_min_cost)
         compute_report(users, sets, schema, k=1.0)
-        assert len(calls) == len(users)
+        assert len(calls) == 1
+        members, owners, population = calls[0]
+        assert population is users
+        want = [(u, tuple(m)) for u, s in enumerate(sets)
+                for m in s.members[s.validity].tolist()]
+        assert list(zip(owners.tolist(), map(tuple, members.tolist()))) == want
+        assert len(want) > len(sets)
 
     def test_subgroups_are_slices_of_the_cost_vector(self, adult_population):
-        schema, users, sets = adult_population
+        schema, states, users, sets = adult_population
         k = 1.0
         report = compute_report(users, sets, schema, k=k)
-        costs = np.array([realized_cost(u, s) for u, s in zip(users, sets)])
+        costs = np.array([
+            min((transition_cost(state, tuple(m), users, u)
+                 for m in s.members[s.validity].tolist()), default=INF)
+            for u, (state, s) in enumerate(zip(states, sets))
+        ])
+        assert INF in costs and (costs < k).any() and (costs >= k).any()
         assert report.fs_at_k == fs_at_k(costs, k)
         assert report.coverage == coverage(costs)
         assert len(schema.protected_attributes) == 2
         for attr in schema.protected_attributes:
             fi = schema.feature_index(attr)
-            present = {u.state.values[fi] for u in users}
+            present = {state.values[fi] for state in states}
             for value in schema.features[fi].domain:
-                sub = costs[[u.state.values[fi] == value for u in users]]
+                sub = costs[[state.values[fi] == value for state in states]]
                 names = (f"fs_at_1[{attr}={value}]", f"coverage[{attr}={value}]")
                 if value not in present:
                     assert not set(names) & set(report.table)
@@ -440,9 +467,9 @@ class TestReportTables:
         assert list(mean_table(tables[::-1], ["a", "b", "c"])) == ["a", "b", "c", "y", "x"]
 
     def test_metric_names_list_a_full_table_in_row_order(self, adult_population):
-        schema, users, sets = adult_population
+        schema, states, users, sets = adult_population
         table = compute_report(users, sets, schema, k=1.0).table
-        shared = set_metrics([u.state for u in users], sets, schema)
+        shared = set_metrics(states, sets, schema)
         order = metric_names(schema, 1.0)
         assert set(table) | set(shared) <= set(order)
         assert [name for name in order if name in table] == list(table)
@@ -463,7 +490,7 @@ class TestReportTables:
         ]
 
     def test_table_names_in_row_order(self, adult_population):
-        schema, users, sets = adult_population
+        schema, _, users, sets = adult_population
         report = compute_report(users, sets, schema, k=1.0)
         table = report.table
         names = metric_names(schema, 1.0)
@@ -493,9 +520,9 @@ class TestReportTables:
         ]
 
     def test_set_metrics_are_means_of_distance_metrics(self, adult_population):
-        schema, users, sets = adult_population
-        dists = [distance_metrics(u.state, s, schema) for u, s in zip(users, sets)]
-        shared = set_metrics([u.state for u in users], sets, schema)
+        schema, states, _, sets = adult_population
+        dists = [distance_metrics(state, s, schema) for state, s in zip(states, sets)]
+        shared = set_metrics(states, sets, schema)
         assert list(shared) == ["diversity", "proximity", "sparsity", "validity"]
         for i, value in enumerate(shared.values()):
             assert value == float(np.mean([d[i] for d in dists]))
