@@ -85,6 +85,9 @@ class ExperimentSpec:
             raise ValueError(f"{self.kind} requires a non-empty grid")
         if not self.seeds:
             raise ValueError("at least one seed required")
+        for seed in self.seeds:
+            if seed < 0:
+                raise ValueError(f"seed must be non-negative, got {seed} in seeds")
         for name in ("bins", "shift_vectors"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")

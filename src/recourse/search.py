@@ -25,10 +25,18 @@ column statistics (`column_stats`: minimum, second minimum, coverage,
 one-hot ownership and idle rows) and `compute_benefits` does only the
 candidate-dependent work. After a swap the statistics of the restarts
 that swapped are recomputed in full, never patched, so ties on a column's
-minimum keep going to the lowest row. Within one iteration, a restart
-that found no positive swap has the same costs and candidates in the next
-round, so later rounds evaluate only the restarts that swapped in the
-round before. The objective trace is read from the held statistics.
+minimum keep going to the lowest row. Before every greedy round a screen
+(`can_swap`) keeps only the restarts with some candidate cost, clamped
+to BIG, strictly below a held column minimum, and the rounds end when it
+keeps none. The screen is exact: a candidate at or above the minimum in
+every column has min(candidate, second best) >= minimum there, so each of
+its deltas is a difference x - y with x <= y, which IEEE arithmetic keeps
+<= 0, its idle-row gains are 0, and the sums over those terms stay <= 0;
+no entry is strictly positive. It drops whole restarts only, so the
+benefit tables keep their shape and their last bits. Within one
+iteration a restart that did not swap keeps its costs and candidates, so
+later rounds also skip it. The objective trace is read from the held
+statistics, and an iteration without a swap repeats the previous values.
 
 Perturbation is one draw for all R * N rows. Restart r reads one uniform
 (N, m + 2) block from its own (seed, user, r) stream per call, m being the
@@ -171,7 +179,8 @@ class _Workspace:
         self.schema = schema
         self.s_u = s_u
         self.user_idx = schema.positions(s_u.values)
-        if not schema.mutable_indices():
+        self.movable = np.array(schema.mutable_indices(), dtype=np.intp)
+        if not len(self.movable):
             raise ValueError("schema has no non-immutable features to perturb")
         # (d, max feasible) table of each feature's feasible domain positions,
         # padded past its n_choices[f] entries.
@@ -188,16 +197,18 @@ class _Workspace:
         the (R, N, d) `base` from their feasible sets, restart r drawing from
         rngs[r]: one uniform (N, m + k) block per restart, whose first m
         columns rank the features and whose last k pick the new positions."""
-        movable = np.array(self.schema.mutable_indices(), dtype=np.intp)
-        m = len(movable)
+        m = len(self.movable)
         k = min(HAMMING, m)
-        u = np.empty((*base.shape[:2], m + k))
+        n_restarts, n = base.shape[:2]
+        u = np.empty((n_restarts, n, m + k))
         for block, rng in zip(u, rngs, strict=True):
             rng.random(out=block)
-        feats = movable[np.argsort(u[..., :m], axis=-1)[..., :k]]
+        feats = self.movable[np.argsort(u[..., :m], axis=-1)[..., :k]]
         pos = (u[..., m:] * self.n_choices[feats]).astype(np.intp)
         out = np.array(base, dtype=np.intp)
-        np.put_along_axis(out, feats, self.feasible[feats, pos], axis=-1)
+        out[np.arange(n_restarts)[:, None, None], np.arange(n)[:, None], feats] = (
+            self.feasible[feats, pos]
+        )
         return out
 
     def uniform_rows(self, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -300,6 +311,14 @@ def compute_benefits(stats: ColumnStats, cand_costs: np.ndarray) -> np.ndarray:
     return benefits
 
 
+def can_swap(stats: ColumnStats, clamped: np.ndarray) -> np.ndarray:
+    """(R,) screen for `compute_benefits` over R restarts: whether some
+    entry of restart r's (Nc, M) candidate table, clamped to BIG, is strictly
+    below its column's held minimum. A restart it rejects has no strictly
+    positive benefit entry (see `_lockstep`)."""
+    return (clamped < stats.min_vals[..., None, :]).any(axis=(-2, -1))
+
+
 def select_swaps(benefits: np.ndarray) -> list[tuple[int, int, int]]:
     """At most one swap (r, p, q) per restart r of (R, N, Nc) benefits: that
     restart's largest strictly positive entry, ties to the smallest (p, q).
@@ -366,8 +385,11 @@ def _lockstep(
 
     Each iteration perturbs every restart, classifies and prices all R * N
     candidates at once, then applies greedy rounds of the single best
-    positive swap per restart until no restart has one left. The loop ends
-    when `meter` cannot pay for every restart's candidate batch. Returns the
+    positive swap per restart until no restart has one left. Each round
+    first drops the restarts `can_swap` rejects, since none of their
+    candidates beats a held column minimum and so none has a positive
+    benefit; a round with no restart left is not run. The loop ends when
+    `meter` cannot pay for every restart's candidate batch. Returns the
     (R, N, d) members, (R, N) validity, (R, N, M) costs and R traces.
     """
     start = np.broadcast_to(ws.user_idx, (len(rngs), n, len(ws.user_idx)))
@@ -375,7 +397,8 @@ def _lockstep(
     valid = _classify(ws, classifier, members, meter)
     costs = _priced_rows(members, samples, valid)
     stats = column_stats(costs)
-    traces = [[emc] for emc in _held_emcs(stats)]
+    emcs = _held_emcs(stats)
+    traces = [[emc] for emc in emcs]
     everyone = np.arange(len(rngs))
 
     while True:
@@ -385,20 +408,35 @@ def _lockstep(
         except BudgetExhausted:
             break
         cand_costs = _priced_rows(cand, samples, cand_valid)
-        # Greedy rounds. A restart that swapped nothing keeps its costs and
-        # candidates, so later rounds of this iteration skip it; while every
-        # restart is active the held statistics are used as they are.
-        active, sub_stats, sub_cand = everyone, stats, cand_costs
-        while swaps := select_swaps(compute_benefits(sub_stats, sub_cand)):
+        clamped = np.minimum(cand_costs, BIG)
+        # Greedy rounds. Each starts by screening out the restarts with no
+        # candidate below a held column minimum, which cannot swap; after a
+        # swap only the restarts that swapped stay. While every restart is
+        # active the held statistics are used as they are.
+        active, sub_stats, sub_cand = everyone, stats, clamped
+        swapped = False
+        while True:
+            beats = can_swap(sub_stats, sub_cand)
+            if not beats.all():
+                active = active[beats]
+                if not len(active):
+                    break
+                sub_stats, sub_cand = stats.take(active), clamped[active]
+            swaps = select_swaps(compute_benefits(sub_stats, sub_cand))
+            if not swaps:
+                break
             local, p, q = np.array(swaps).T
             r = active[local]
             members[r, p] = cand[r, q]
             valid[r, p] = cand_valid[r, q]
             costs[r, p] = cand_costs[r, q]
             _refresh(stats, costs, r)
+            swapped = True
             if len(r) < len(everyone):
-                active, sub_stats, sub_cand = r, stats.take(r), cand_costs[r]
-        for trace, emc in zip(traces, _held_emcs(stats)):
+                active, sub_stats, sub_cand = r, stats.take(r), clamped[r]
+        if swapped:
+            emcs = _held_emcs(stats)
+        for trace, emc in zip(traces, emcs):
             trace.append(emc)
     return members, valid, costs, traces
 

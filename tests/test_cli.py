@@ -930,6 +930,31 @@ class TestFlagConflicts:
         assert f"{name} must be non-negative, got {value}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_negative_generation_seed_refused_before_any_run(self, workdir, tmp_path,
+                                                             capsys, monkeypatch):
+        """`--seeds 0,-3` used to run every method for seed 0 before the
+        settings of seed -3 refused it."""
+        from recourse import experiments
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a user was searched")
+
+        monkeypatch.setattr(experiments, "run_population", refuse)
+        code = main(
+            [
+                "experiment", "--kind", "main", "--seeds", "0,-3",
+                "--schema", str(workdir / "schema.yaml"),
+                "--data", str(workdir / "data.csv"),
+                "--model", str(workdir / "model.json"),
+                "--users", "2", "--budget", "20", "--set-size", "2",
+                "--num-samples", "5",
+                "--out", str(tmp_path / "out"),
+            ]
+        )
+        assert code == 2
+        assert "seed must be non-negative, got -3 in seeds" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestUserLimit:
     @pytest.mark.parametrize("limit", [0, -3])
@@ -1024,6 +1049,12 @@ class TestExperimentSpecValidation:
 
         with pytest.raises(ValueError, match="test_seed must be non-negative, got -1"):
             ExperimentSpec(kind="main", test_seed=-1)
+
+    def test_generation_seeds_must_be_non_negative(self):
+        from recourse.experiments import ExperimentSpec
+
+        with pytest.raises(ValueError, match="seed must be non-negative, got -3 in seeds"):
+            ExperimentSpec(kind="main", seeds=(0, -3))
 
     @pytest.mark.parametrize("name", ["bins", "shift_vectors"])
     @pytest.mark.parametrize("value", [0, -2])

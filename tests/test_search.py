@@ -15,6 +15,7 @@ from recourse.search import (
     _lockstep,
     _refresh,
     _Workspace,
+    can_swap,
     cols,
     column_stats,
     compute_benefits,
@@ -308,6 +309,107 @@ class TestHeldColumnStats:
         stack[1, 2] = [0.1, INF, 0.3, INF]
         _refresh(held, stack, np.array([1]))
         self.check(held, stack, np.random.default_rng(1), 3)
+
+
+class TestScreen:
+    """`_lockstep` skips every restart `can_swap` rejects; no such restart
+    may hold a strictly positive benefit entry."""
+
+    def test_rejected_restarts_have_no_positive_benefit(self):
+        rng = np.random.default_rng(31)
+        grid = np.array([0.0, 0.5, 1.0, INF])
+        dropped = kept = 0
+        for _ in range(200):
+            r, n, m = (int(v) for v in rng.integers((2, 1, 1), (6, 6, 9)))
+            nc = int(rng.integers(1, 6))
+            stack = rng.choice(grid, size=(r, n, m))
+            off_grid = rng.random(stack.shape) < 0.3
+            stack[off_grid] = rng.uniform(0, 1, size=int(off_grid.sum()))
+            # ties on the grid, rows that own nothing, columns no member covers
+            stack[rng.random((r, n)) < 0.3] = 1.0
+            stack[:, :, rng.random(m) < 0.2] = INF
+            stats = column_stats(stack)
+            cand = np.where(rng.random((r, nc, m)) < 0.5,
+                            rng.choice(grid, size=(r, nc, m)),
+                            rng.uniform(0, 1, size=(r, nc, m)))
+            # restarts whose candidates sit at or above every held minimum:
+            # ties with the minimum, the second minimum, above both, or inf
+            held = np.where(stats.covered, stats.min_vals, INF)[:, None, :]
+            above = np.stack([np.broadcast_to(held, cand.shape),
+                              np.broadcast_to(stats.second_vals[:, None, :], cand.shape),
+                              held + rng.choice([0.25, 0.5], size=cand.shape),
+                              np.full(cand.shape, INF)])
+            pick = rng.integers(len(above), size=cand.shape)
+            at_or_above = np.take_along_axis(above, pick[None], axis=0)[0]
+            blocked = rng.random(r) < 0.5
+            cand[blocked] = at_or_above[blocked]
+            screen = can_swap(stats, np.minimum(cand, BIG))
+            assert not screen[blocked].any()
+            benefits = compute_benefits(stats, cand)
+            assert not (benefits[~screen] > 0.0).any()
+            rejected = np.flatnonzero(~screen)
+            alone = compute_benefits(stats.take(rejected), cand[rejected])
+            assert not (alone > 0.0).any()
+            assert not any(k in rejected for k, _, _ in select_swaps(benefits))
+            dropped += len(rejected)
+            kept += int(screen.sum())
+        assert dropped and kept
+
+    def test_replay_finds_no_positive_benefit_the_screen_skipped(self, synth6,
+                                                                  monkeypatch):
+        """Evaluate `compute_benefits` on every restart at every round of a
+        pcols run, including the rounds and restarts the screen skipped:
+        exactly the restarts that swapped hold a positive entry."""
+        schema, rows, _, table, clf = synth6
+        s_u = rows[4]
+        movable = frozenset(schema.mutable_indices())
+        samples = sample_cost_batch(s_u, schema, table, 25, "mix", seed=4,
+                                    editable=movable)
+        config = GenerationSettings(budget=600, set_size=5, restarts=3, seed=4)
+        plain = pcols(s_u, clf, samples, schema, config)
+        real = {name: getattr(search_module, name) for name in
+                ("column_stats", "_priced_rows", "_refresh", "compute_benefits")}
+        held, rounds = {}, []
+
+        def open_round():
+            full = real["compute_benefits"](held["stats"], held["cand"])
+            positive = np.flatnonzero((full > 0.0).any(axis=(1, 2))).tolist()
+            rounds.append({"positive": positive, "evaluated": 0, "swapped": []})
+
+        def column_stats(costs):
+            out = real["column_stats"](costs)
+            held.setdefault("stats", out)  # the loop's held statistics
+            return out
+
+        def _priced_rows(idx, s, valid):
+            out = real["_priced_rows"](idx, s, valid)
+            if "stats" in held:  # an iteration's candidates
+                held["cand"] = out
+                open_round()
+            return out
+
+        def _refresh(stats, costs, restarts):
+            real["_refresh"](stats, costs, restarts)
+            rounds[-1]["swapped"] = restarts.tolist()
+            open_round()
+
+        def compute_benefits(stats, cand):
+            rounds[-1]["evaluated"] = len(cand)
+            return real["compute_benefits"](stats, cand)
+
+        for name, fn in [("column_stats", column_stats), ("_priced_rows", _priced_rows),
+                         ("_refresh", _refresh), ("compute_benefits", compute_benefits)]:
+            monkeypatch.setattr(search_module, name, fn)
+        res = pcols(s_u, clf, samples, schema, config)
+
+        assert res.trace == plain.trace
+        assert np.array_equal(res.recourse_set.members, plain.recourse_set.members)
+        for round_ in rounds:
+            assert round_["positive"] == round_["swapped"]
+            assert round_["evaluated"] >= len(round_["swapped"])
+        skipped = [rd for rd in rounds if not rd["evaluated"]]
+        partial = [rd for rd in rounds if 0 < rd["evaluated"] < config.restarts]
+        assert skipped and partial and any(rd["swapped"] for rd in rounds)
 
 
 def two_mutable_schema():
@@ -672,13 +774,15 @@ class TestTracedNames:
         config = GenerationSettings(budget=300, set_size=5, restarts=3, seed=4)
         plain = pcols(s_u, clf, samples, schema, config)
 
-        seen = {"queried": 0, "priced": 0, "benefits": [], "selects": []}
+        seen = {"queried": 0, "priced": 0, "benefits": [], "selects": [],
+                "iterations": []}
         real = {name: getattr(search_module, name) for name in
                 ("predict_batch", "cost_rows", "compute_benefits", "select_swaps")}
 
         def predict_batch(classifier, codes, meter):
             out = real["predict_batch"](classifier, codes, meter)
             seen["queried"] += len(codes)
+            seen["iterations"].append([])
             return out
 
         def cost_rows(idx, s):
@@ -693,6 +797,7 @@ class TestTracedNames:
         def select_swaps(benefits):
             out = real["select_swaps"](benefits)
             seen["selects"].append((benefits, out))
+            seen["iterations"][-1].append(out)
             return out
 
         for name, fn in [("predict_batch", predict_batch), ("cost_rows", cost_rows),
@@ -707,9 +812,15 @@ class TestTracedNames:
         assert seen["queried"] == seen["priced"] == res.queries_used
         assert len(seen["selects"]) == len(seen["benefits"])
         assert all(b is out for b, (out, _) in zip(seen["benefits"], seen["selects"]))
-        # every iteration's greedy rounds end on a select that finds nothing
-        empty = sum(1 for _, swaps in seen["selects"] if not swaps)
-        assert empty == len(res.trace) - 1
+        # each iteration's greedy rounds end either on a select that finds
+        # nothing or on a round the screen emptied: no select follows an
+        # empty one, and some iterations end with no empty select at all
+        _, *iterations = seen["iterations"]
+        assert len(iterations) == len(res.trace) - 1
+        assert all(all(rounds[:-1]) for rounds in iterations)
+        assert any(not rounds or rounds[-1] for rounds in iterations)
+        # the screen skips whole iterations' benefit computations
+        assert len(seen["benefits"]) < len(iterations)
 
 
 class TestRandomSearch:
