@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from . import experiments as xp
-from .cost import distribution_alpha
+from .cost import check_alpha
 from .evaluate import metric_names
 from .model import TrainConfig, load_model, save_model, train_classifier
 from .results import (
@@ -87,14 +87,22 @@ def _add_generation_flags(p: argparse.ArgumentParser):
                    help="cap on how many rejected users to process")
 
 
+def _mixing_alpha(args):
+    """The cost-mixing alpha that --distribution and --alpha name: lin fixes
+    1, perc fixes 0, mix takes --alpha (None: drawn per sample)."""
+    if args.distribution != "mix" and args.alpha is not None:
+        raise ValueError(f"alpha {args.alpha} applies to distribution 'mix' only; "
+                         f"{args.distribution!r} fixes its own")
+    return {"lin": 1.0, "perc": 0.0}.get(args.distribution, args.alpha)
+
+
 def _generation_settings(args, **fields) -> GenerationSettings:
     """Settings from the shared generation flags, plus the given fields."""
     return GenerationSettings(
         budget=args.budget,
         set_size=args.set_size,
         num_samples=args.num_samples,
-        distribution=args.distribution,
-        alpha=args.alpha,
+        alpha=_mixing_alpha(args),
         restarts=args.restarts,
         seed=args.seed,
         **fields,
@@ -241,7 +249,8 @@ def _check_docs(docs, schema: DatasetSchema, path: str) -> None:
 
 
 def _cmd_evaluate(args) -> int:
-    distribution_alpha(args.distribution, args.alpha)
+    alpha = _mixing_alpha(args)
+    check_alpha(alpha)
     if not args.k > 0:
         raise ValueError(f"--k must be positive, got {args.k}")
     test_seeds = list(dict.fromkeys(int(s) for s in str(args.test_seed).split(",")))
@@ -271,8 +280,7 @@ def _cmd_evaluate(args) -> int:
                 raise SchemaError(
                     f"test seed {ts} collides with the generation seed in {path}"
                 )
-        tables = xp.score_docs(docs, schema, table, test_seeds, args.k,
-                               args.distribution, args.alpha)
+        tables = xp.score_docs(docs, schema, table, test_seeds, args.k, alpha)
         by_method.setdefault(method, []).extend(tables)
         for ts, metrics in zip(test_seeds, tables):
             xp.write_csv(
@@ -301,15 +309,7 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    grid: tuple = ()
-    if args.grid:
-        values = [float(v) for v in args.grid.split(",")]
-        if args.kind in xp.DEFAULT_GRIDS and args.kind != "alpha_grid":
-            bad = [v for v in values if not v.is_integer()]
-            if bad:
-                raise ValueError(f"--grid values of {args.kind} must be integers, got {bad}")
-            values = [int(v) for v in values]
-        grid = tuple(values)
+    grid = tuple(float(v) for v in args.grid.split(",")) if args.grid else ()
     base = _generation_settings(args)
     spec = xp.ExperimentSpec(
         kind=args.kind,

@@ -16,10 +16,12 @@ and `preferences` are (M, d).
 Sampling is hierarchical: an editable feature subset, Dirichlet preference
 scores over it, a mixing weight alpha between step-count (alpha=1) and
 percentile-shift (alpha=0) difficulty, and a Beta draw per transition
-around the blended mean. Each feature's feasible targets and ordered raw
-means are one gather from the `PercentileTable` cell arrays, at the
-user's origin rows. Features outside the editable set cost infinity to
-move and draw no Beta.
+around the blended mean. Alpha is the one mixing input: a fixed value, or
+None to draw it per sample from Uniform(0,1). The paper's linear,
+percentile and mixture distributions are alpha = 1, alpha = 0 and None.
+Each feature's feasible targets and ordered raw means are one gather from
+the `PercentileTable` cell arrays, at the user's origin rows. Features
+outside the editable set cost infinity to move and draw no Beta.
 
 Every cost function comes from one block sampler. A block is a user
 state, a generator and a width: `width` samples for that state drawn from
@@ -86,8 +88,6 @@ _VAR = COST_STD * COST_STD
 TRAIN_STREAM = 0
 TEST_STREAM = 1
 
-DISTRIBUTIONS = ("lin", "perc", "mix")
-
 # Samples drawn per generator by `sample_cost_batch`.
 BLOCK = 64
 
@@ -143,7 +143,7 @@ def _check_inputs(
             raise ValueError("preference mass outside the editable set")
         if pinned and abs(pref.sum() - 1.0) > 1e-9:
             raise ValueError("preference scores must sum to 1 over editable features")
-    distribution_alpha("mix", alpha)  # refuses an alpha outside [0, 1]
+    check_alpha(alpha)
     if table.schema is not schema and table.schema != schema:
         raise SchemaError("percentile table was built for a different schema")
     if pinned is None and not schema.mutable_indices():
@@ -306,19 +306,10 @@ def stream_rng(stream: int, seed: int, index: int, subkey: int = 0) -> np.random
     return np.random.default_rng(np.random.SeedSequence([stream, seed, subkey, index]))
 
 
-def distribution_alpha(distribution: str, alpha: Optional[float]) -> Optional[float]:
-    """The alpha a named distribution fixes: "lin" -> 1, "perc" -> 0, "mix"
-    -> `alpha` (None draws it per sample). "lin" and "perc" fix their own
-    alpha, so an explicit one with them is refused, not ignored, and an
-    explicit alpha outside [0, 1] is refused."""
-    if distribution not in DISTRIBUTIONS:
-        raise ValueError(f"unknown distribution {distribution!r}")
-    if distribution != "mix" and alpha is not None:
-        raise ValueError(f"alpha {alpha} applies to distribution 'mix' only; "
-                         f"{distribution!r} fixes its own")
+def check_alpha(alpha: Optional[float]) -> None:
+    """Refuse a mixing weight outside [0, 1]; None (drawn per sample) passes."""
     if alpha is not None and not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must lie in [0,1], got {alpha}")
-    return {"lin": 1.0, "perc": 0.0}.get(distribution, alpha)
 
 
 def sample_cost_batch(
@@ -326,7 +317,7 @@ def sample_cost_batch(
     schema: DatasetSchema,
     table: PercentileTable,
     m: int,
-    distribution: str = "mix",
+    *,
     seed: int = 0,
     alpha: Optional[float] = None,
     editable: Optional[frozenset[int]] = None,
@@ -336,16 +327,15 @@ def sample_cost_batch(
     """Draw M independent generation-time cost functions; deterministic per
     (seed, state, subkey), one generator per block of `BLOCK` samples.
 
-    `distribution` fixes alpha: "lin" -> 1, "perc" -> 0, "mix" -> per-sample
-    Uniform(0,1) unless an explicit `alpha` pins it (see
-    `distribution_alpha`).
+    `alpha` fixes every sample's mixing weight (1: step counts alone, 0:
+    percentile shifts alone); None draws it per sample from Uniform(0,1).
+    The options after `m` are keyword-only.
     """
     if m < 1:
         raise ValueError(f"sample count must be >= 1, got {m}")
-    fixed_alpha = distribution_alpha(distribution, alpha)
     rngs = [stream_rng(TRAIN_STREAM, seed, b, subkey) for b in range(-(-m // BLOCK))]
-    drawn = _sample_blocks([state] * len(rngs), schema, table, rngs, BLOCK, m, fixed_alpha,
-                           editable, pref)
+    drawn = _sample_blocks([state] * len(rngs), schema, table, rngs, BLOCK, m, alpha, editable,
+                           pref)
     codes = np.broadcast_to(np.array(state.values, dtype=np.int64), (m, len(state.values)))
     return CostSampleSet(schema, codes, *drawn)
 

@@ -4,8 +4,6 @@
 whose feature semantics (ordered/unordered, conditionally mutable,
 protected) mirror a census-income problem; the label comes from a noisy
 nonlinear score so a small MLP tops out in the low 80s of accuracy.
-`make_toy_*` build the small fully enumerable domains the oracle tests
-brute-force over.
 """
 
 from __future__ import annotations
@@ -89,25 +87,6 @@ def make_adult_like(
     )
     rows = [UserState(tuple(int(v) for v in row)) for row in cols]
     return schema, rows, labels.tolist()
-
-
-def toy_schema_2f(size: int = 5) -> DatasetSchema:
-    """Two ordered mutable features, fully enumerable (size x size states)."""
-    return DatasetSchema(
-        features=(
-            FeatureSpec("x0", "ordered", tuple(range(size)), "mutable"),
-            FeatureSpec("x1", "ordered", tuple(range(size)), "mutable"),
-        ),
-        desired_class=1,
-    )
-
-
-def toy_rows_2f(schema: DatasetSchema, n: int = 60, seed: int = 3) -> list[UserState]:
-    rng = np.random.default_rng(seed)
-    sizes = [f.size for f in schema.features]
-    return [
-        UserState(tuple(int(rng.integers(s)) for s in sizes)) for _ in range(n)
-    ]
 
 
 def synthetic_schema_6f() -> DatasetSchema:

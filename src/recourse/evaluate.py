@@ -35,7 +35,6 @@ import numpy as np
 from .cost import (
     TEST_STREAM,
     CostSampleSet,
-    distribution_alpha,
     min_cost,
     sample_cost_function,
     sample_cost_functions,
@@ -98,17 +97,13 @@ def simulate_user(
     table: PercentileTable,
     test_seed: int,
     user_id: int,
-    distribution: str = "mix",
     alpha: Optional[float] = None,
     editable: Optional[frozenset[int]] = None,
 ) -> CostSampleSet:
     """A user's hidden cost function (a population of one), keyed by
-    (test_seed, user_id)."""
+    (test_seed, user_id); `alpha` as in `sample_cost_batch`."""
     rng = stream_rng(TEST_STREAM, test_seed, user_id)
-    return sample_cost_function(
-        state, schema, table, rng, alpha=distribution_alpha(distribution, alpha),
-        editable=editable,
-    )
+    return sample_cost_function(state, schema, table, rng, alpha=alpha, editable=editable)
 
 
 def simulate_users(
@@ -117,14 +112,12 @@ def simulate_users(
     table: PercentileTable,
     test_seed: int,
     user_ids: Sequence[int],
-    distribution: str = "mix",
     alpha: Optional[float] = None,
 ) -> CostSampleSet:
     """`simulate_user` for each user, the population drawn in one call:
     column u is user u's hidden cost function."""
     rngs = [stream_rng(TEST_STREAM, test_seed, uid) for uid in user_ids]
-    return sample_cost_functions(states, schema, table, rngs,
-                                 alpha=distribution_alpha(distribution, alpha))
+    return sample_cost_functions(states, schema, table, rngs, alpha=alpha)
 
 
 def valid_members(sets: Sequence[RecourseSet]) -> tuple[np.ndarray, np.ndarray]:

@@ -53,6 +53,14 @@ DEFAULT_GRIDS: dict[str, tuple] = {
     "alpha_grid": (0.0, 0.2, 0.4, 0.6, 0.8, 1.0),
 }
 
+# The generation setting each grid value sets.
+GRID_FIELDS = {
+    "budget_sweep": "budget",
+    "setsize_sweep": "set_size",
+    "samples_sweep": "num_samples",
+    "alpha_grid": "alpha",
+}
+
 # Stream namespace for test-time concentration vectors (cost uses 0/1,
 # search perturbations 2).
 SHIFT_STREAM = 3
@@ -95,10 +103,20 @@ class ExperimentSpec:
             raise ValueError(f"k must be positive, got {self.k}")
         if self.test_seed < 0:
             raise ValueError(f"test_seed must be non-negative, got {self.test_seed}")
-        if self.kind == "alpha_grid":
-            bad = [a for a in self.grid if not 0.0 <= a <= 1.0]
+        if self.kind in DEFAULT_GRIDS and self.kind != "alpha_grid":
+            bad = [v for v in self.grid if not float(v).is_integer()]
             if bad:
-                raise ValueError(f"alpha grid values outside [0,1]: {bad}")
+                raise ValueError(f"grid values of {self.kind} must be integers, got {bad}")
+            self.grid = tuple(int(v) for v in self.grid)
+        if not self.methods:
+            raise ValueError("at least one method required")
+        # Every run's settings, built once here, so that a bad method or grid
+        # value is refused before any user is searched.
+        name = GRID_FIELDS.get(self.kind)
+        overrides = [{name: value} for value in self.grid] if name else [{}]
+        for method in self.methods:
+            for fields in overrides:
+                _method_settings(self, method, self.seeds[0], **fields)
 
 
 def select_undesired(
@@ -138,27 +156,27 @@ def evaluate_docs(
     table: PercentileTable,
     test_seed: int,
     k: float = 1.0,
-    test_distribution: str = "mix",
     test_alpha: Optional[float] = None,
 ) -> MetricsReport:
-    """Hidden-cost metrics of result documents under freshly simulated users."""
+    """Hidden-cost metrics of result documents under freshly simulated users,
+    their mixing weight `test_alpha` (None: drawn per user)."""
     states = [UserState(tuple(doc.state)).validate(schema) for doc in docs]
     return _hidden_report(docs, states, recourse_sets_from_docs(docs), schema, table,
-                          test_seed, k, test_distribution, test_alpha)
+                          test_seed, k, test_alpha)
 
 
 def _hidden_report(docs: Sequence[ResultDoc], states: Sequence[UserState],
                    sets: Sequence[RecourseSet], schema: DatasetSchema,
                    table: PercentileTable, test_seed: int, k: float,
-                   test_distribution: str, test_alpha: Optional[float]) -> MetricsReport:
+                   test_alpha: Optional[float]) -> MetricsReport:
     """`evaluate_docs` on the documents' validated states and sets."""
     users = simulate_users(states, schema, table, test_seed, [doc.user_id for doc in docs],
-                           distribution=test_distribution, alpha=test_alpha)
+                           alpha=test_alpha)
     return compute_report(users, sets, schema, k=k)
 
 
 def score_docs(docs: Sequence[ResultDoc], schema: DatasetSchema, table: PercentileTable,
-               test_seeds: Sequence[int], k: float, test_distribution: str,
+               test_seeds: Sequence[int], k: float,
                test_alpha: Optional[float]) -> list[dict[str, Optional[float]]]:
     """Per test seed, its hidden-cost metrics and the set metrics, measured
     once, as a flat table in `metric_names` order (None: undefined). Each
@@ -168,8 +186,8 @@ def score_docs(docs: Sequence[ResultDoc], schema: DatasetSchema, table: Percenti
     shared = set_metrics(states, sets, schema)
     order = metric_names(schema, k)
     merged = [
-        {**_hidden_report(docs, states, sets, schema, table, seed, k, test_distribution,
-                          test_alpha).table, **shared}
+        {**_hidden_report(docs, states, sets, schema, table, seed, k, test_alpha).table,
+         **shared}
         for seed in test_seeds
     ]
     return [{name: m[name] for name in order if name in m} for m in merged]
@@ -258,8 +276,7 @@ def _tabular_comparison(spec, states, user_ids, classifier, schema, table, metho
             settings = _method_settings(spec, method, seed)
             docs = run_population(states, classifier, schema, table, settings,
                                   user_ids=user_ids)
-            tables[method] += score_docs(docs, schema, table, [spec.test_seed], spec.k,
-                                         "mix", None)
+            tables[method] += score_docs(docs, schema, table, [spec.test_seed], spec.k, None)
             rows.extend([seed, *r] for r in table_rows(method, tables[method][-1]))
     for method in methods:
         rows.extend(["mean", *r] for r in table_rows(method, mean_table(tables[method])))
@@ -275,9 +292,7 @@ def _alpha_grid(spec, states, user_ids, classifier, schema, table):
     }
     for seed in spec.seeds:
         for a_train in grid:
-            settings = _method_settings(
-                spec, spec.methods[0], seed, distribution="mix", alpha=a_train
-            )
+            settings = _method_settings(spec, spec.methods[0], seed, alpha=a_train)
             docs = run_population(states, classifier, schema, table, settings,
                                   user_ids=user_ids)
             for a_test in grid:
@@ -293,20 +308,14 @@ def _alpha_grid(spec, states, user_ids, classifier, schema, table):
 
 def _resource_sweep(spec, states, user_ids, classifier, schema, table):
     """budget_sweep / setsize_sweep / samples_sweep share one shape."""
-    field_name = {
-        "budget_sweep": "budget",
-        "setsize_sweep": "set_size",
-        "samples_sweep": "num_samples",
-    }[spec.kind]
+    field_name = GRID_FIELDS[spec.kind]
     header = [field_name, "method", "fs_at_k_mean", "fs_at_k_std", "n_seeds"]
     rows = []
     for value in spec.grid:
         for method in spec.methods:
             scores = []
             for seed in spec.seeds:
-                settings = _method_settings(
-                    spec, method, seed, **{field_name: int(value)}
-                )
+                settings = _method_settings(spec, method, seed, **{field_name: value})
                 docs = run_population(states, classifier, schema, table, settings,
                                       user_ids=user_ids)
                 scores.append(

@@ -59,7 +59,6 @@ def run_user(
             schema,
             table,
             settings.num_samples,
-            distribution=settings.distribution,
             seed=settings.seed,
             alpha=settings.alpha,
             editable=frozenset(settings.editable) if settings.editable else None,
@@ -87,7 +86,6 @@ def run_user(
             "budget": settings.budget,
             "set_size": settings.set_size,
             "num_samples": settings.num_samples,
-            "distribution": settings.distribution,
             "alpha": settings.alpha,
             "restarts": settings.restarts,
         },

@@ -79,7 +79,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .cost import CostSampleSet, cost_rows, distribution_alpha, emc_of_matrix
+from .cost import CostSampleSet, check_alpha, cost_rows, emc_of_matrix
 from .evaluate import set_distance_stats
 from .model import BudgetExhausted, BudgetMeter, Classifier, predict_batch
 from .schema import DatasetSchema, UserState, feasible_positions
@@ -111,7 +111,6 @@ class GenerationSettings:
     budget: int = 5000
     set_size: int = 10
     num_samples: int = 1000
-    distribution: str = "mix"
     alpha: Optional[float] = None
     restarts: int = 5
     seed: int = 0
@@ -137,7 +136,7 @@ class GenerationSettings:
             raise ValueError("more restarts than budget")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
-        distribution_alpha(self.distribution, self.alpha)
+        check_alpha(self.alpha)
 
     @property
     def prices_samples(self) -> bool:

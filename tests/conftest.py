@@ -1,14 +1,28 @@
 import numpy as np
 import pytest
 
-from recourse.datasets import (
-    make_adult_like,
-    make_synthetic_6f,
-    toy_rows_2f,
-    toy_schema_2f,
-)
+from recourse.datasets import make_adult_like, make_synthetic_6f
 from recourse.model import Classifier, TrainConfig, train_classifier
-from recourse.schema import UserState, build_percentile_table
+from recourse.schema import DatasetSchema, FeatureSpec, UserState, build_percentile_table
+
+
+def toy_schema_2f(size: int = 5) -> DatasetSchema:
+    """Two ordered mutable features, fully enumerable (size x size states)."""
+    return DatasetSchema(
+        features=(
+            FeatureSpec("x0", "ordered", tuple(range(size)), "mutable"),
+            FeatureSpec("x1", "ordered", tuple(range(size)), "mutable"),
+        ),
+        desired_class=1,
+    )
+
+
+def toy_rows_2f(schema: DatasetSchema, n: int = 60, seed: int = 3) -> list[UserState]:
+    rng = np.random.default_rng(seed)
+    sizes = [f.size for f in schema.features]
+    return [
+        UserState(tuple(int(rng.integers(s)) for s in sizes)) for _ in range(n)
+    ]
 
 
 @pytest.fixture(scope="session")

@@ -100,7 +100,7 @@ def test_criterion_1_monotonicity_suite(synth6):
     for seed in range(5):
         for uid, s_u in zip(ids, states):
             samples = sample_cost_batch(
-                s_u, schema, table, 100, "mix", seed=seed, subkey=uid
+                s_u, schema, table, 100, seed=seed, subkey=uid
             )
             config = GenerationSettings(budget=2000, set_size=10, seed=seed)
             res = cols(s_u, clf, samples, schema, config)
@@ -168,7 +168,7 @@ def test_criterion_3_exhaustive_optimum(toy2):
     ]
     s_u = UserState((1, 1))
     for seed in range(20):
-        samples = sample_cost_batch(s_u, schema, table, 3, "mix", seed=seed)
+        samples = sample_cost_batch(s_u, schema, table, 3, seed=seed)
         optima = [
             min((transition_cost(s_u, s.values, samples, i) for s in valid),
                 default=INF)
@@ -189,7 +189,7 @@ def test_criterion_3b_whole_set_optimum(toy2):
     all_states = [UserState((a, b)) for a in range(5) for b in range(5)]
     s_u = UserState((1, 1))
     for seed in range(5):
-        samples = sample_cost_batch(s_u, schema, table, 3, "mix", seed=seed)
+        samples = sample_cost_batch(s_u, schema, table, 3, seed=seed)
         costs = []
         for s in all_states:
             ok = clf.prob(np.asarray([s.values], dtype=float))[0] >= 0.5
@@ -457,7 +457,7 @@ def test_criterion_9_budget_exactness(synth6, monkeypatch):
     # direct check of real classifier traffic: the rows of every query the
     # model answered (a refused last query raises and charges nothing)
     s_u = states[0]
-    samples = sample_cost_batch(s_u, schema, table, 20, "mix", seed=0)
+    samples = sample_cost_batch(s_u, schema, table, 20, seed=0)
     answered = []
     real = search_module.predict_batch
 

@@ -180,6 +180,17 @@ class TestGenerate:
             out_b / "results_cols.jsonl"
         ).read_bytes()
 
+    @pytest.mark.parametrize("distribution,alpha", [("lin", "1"), ("perc", "0")])
+    def test_fixed_distribution_writes_its_alpha(self, workdir, tmp_path, distribution,
+                                                 alpha):
+        """--distribution lin and perc write the documents of --alpha 1 and 0."""
+        named, numeric = tmp_path / "named", tmp_path / "numeric"
+        assert self._generate(workdir, named, ["--distribution", distribution]) == 0
+        assert self._generate(workdir, numeric, ["--alpha", alpha]) == 0
+        assert (named / "results_cols.jsonl").read_bytes() == (
+            numeric / "results_cols.jsonl"
+        ).read_bytes()
+
     def test_zero_samples_exits_2(self, workdir, tmp_path, capsys):
         out = tmp_path / "none"
         assert self._generate(workdir, out, ["--num-samples", "0"]) == 2
@@ -224,7 +235,7 @@ class TestGenerate:
         state = UserState(tuple(doc.state))
         table = build_percentile_table(rows, schema)
         batch = sample_cost_batch(
-            state, schema, table, 20, "mix", seed=1,
+            state, schema, table, 20, seed=1,
             editable=frozenset(editable), subkey=doc.user_id,
         )
         for fi, f in enumerate(schema.features):
@@ -316,6 +327,28 @@ class TestEvaluate:
             rows = list(csv.reader(fh))
         metrics = {r[1] for r in rows[1:]}
         assert {"fs_at_1", "pac", "coverage", "validity"} <= metrics
+
+    def test_lin_scores_as_alpha_one(self, workdir, generated, tmp_path):
+        """evaluate --distribution lin writes the tables of --alpha 1."""
+        tables = []
+        for flags in (["--distribution", "lin"], ["--alpha", "1"]):
+            out = tmp_path / flags[0][2:]
+            code = main(
+                [
+                    "evaluate",
+                    "--schema", str(workdir / "schema.yaml"),
+                    "--data", str(workdir / "data.csv"),
+                    "--results", str(generated),
+                    "--test-seed", "901,902",
+                    *flags,
+                    "--out", str(out),
+                ]
+            )
+            assert code == 0
+            tables.append({name: (out / name).read_bytes()
+                           for name in sorted(os.listdir(out)) if name.endswith(".csv")})
+        assert len(tables[0]) == 3
+        assert tables[0] == tables[1]
 
     def test_generation_seed_collision_refused(self, workdir, generated, tmp_path, capsys):
         code = main(
@@ -555,7 +588,7 @@ class TestEvaluate:
         docs = read_results(generated / "results_cols.jsonl")
         monkeypatch.setattr(xp, "UserState", CountingState)
         monkeypatch.setattr(xp, "recourse_sets_from_docs", counting_sets)
-        tables = xp.score_docs(docs, schema, table, [901, 902, 903], 1.0, "mix", None)
+        tables = xp.score_docs(docs, schema, table, [901, 902, 903], 1.0, None)
         assert len(tables) == 3
         assert len(states) == len(sets) == len(docs)
 
@@ -826,7 +859,7 @@ class TestFlagConflicts:
         )
         assert code == 2
         err = capsys.readouterr().err
-        assert f"--grid values of {kind} must be integers, got [1000.7]" in err
+        assert f"grid values of {kind} must be integers, got [1000.7]" in err
         assert not (tmp_path / "out").exists()
 
 
@@ -955,6 +988,35 @@ class TestFlagConflicts:
         assert "seed must be non-negative, got -3 in seeds" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("methods,message", [
+        ("cols,colz", "unknown method 'colz'"),
+        ("cols,ls:novelty", "unknown objective 'novelty'"),
+    ])
+    def test_unknown_method_refused_before_any_run(self, workdir, tmp_path, capsys,
+                                                   monkeypatch, methods, message):
+        """`--methods cols,colz` used to search every user with cols before
+        the settings of colz refused it."""
+        from recourse import experiments
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a user was searched")
+
+        monkeypatch.setattr(experiments, "run_population", refuse)
+        code = main(
+            [
+                "experiment", "--kind", "main", "--methods", methods, "--seeds", "0",
+                "--schema", str(workdir / "schema.yaml"),
+                "--data", str(workdir / "data.csv"),
+                "--model", str(workdir / "model.json"),
+                "--users", "2", "--budget", "20", "--set-size", "2",
+                "--num-samples", "5",
+                "--out", str(tmp_path / "out"),
+            ]
+        )
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestUserLimit:
     @pytest.mark.parametrize("limit", [0, -3])
@@ -1030,6 +1092,38 @@ class TestExperimentSpecValidation:
 
         with pytest.raises(ValueError):
             ExperimentSpec(kind="alpha_grid", grid=(0.0, 1.5))
+
+    def test_fractional_sweep_values_refused(self):
+        from recourse.experiments import ExperimentSpec
+
+        with pytest.raises(ValueError,
+                           match=r"grid values of budget_sweep must be integers, got \[60.9\]"):
+            ExperimentSpec(kind="budget_sweep", grid=(60.9,))
+
+    def test_integral_sweep_values_become_integers(self):
+        """So that the sweep runs the value its CSV prints."""
+        from recourse.experiments import ExperimentSpec
+
+        spec = ExperimentSpec(kind="budget_sweep", grid=(500.0, 1000))
+        assert spec.grid == (500, 1000)
+        assert all(type(v) is int for v in spec.grid)
+
+    @pytest.mark.parametrize("kind,grid,message", [
+        ("setsize_sweep", (2, 0), "set_size must be positive"),
+        ("budget_sweep", (500, 3), "more restarts than budget"),
+    ])
+    def test_grid_values_checked_at_construction(self, kind, grid, message):
+        """Refused before the sweep runs the values ahead of the bad one."""
+        from recourse.experiments import ExperimentSpec
+
+        with pytest.raises(ValueError, match=message):
+            ExperimentSpec(kind=kind, grid=grid)
+
+    def test_methods_required(self):
+        from recourse.experiments import ExperimentSpec
+
+        with pytest.raises(ValueError, match="at least one method required"):
+            ExperimentSpec(kind="main", methods=())
 
     def test_seeds_required(self):
         from recourse.experiments import ExperimentSpec

@@ -12,7 +12,6 @@ from recourse.cost import (
     TRAIN_STREAM,
     CostSampleSet,
     cost_rows,
-    distribution_alpha,
     emc_of_matrix,
     join_columns,
     min_cost,
@@ -131,7 +130,7 @@ class TestLinearMeans:
         # the raw mean of 2/3
         schema = two_feature_schema()
         batch = sample_cost_batch(
-            UserState((1, 0)), schema, flat_table(schema), 200, "lin", seed=0,
+            UserState((1, 0)), schema, flat_table(schema), 200, alpha=1.0, seed=0,
             editable=frozenset({0, 1}), pref=np.array([0.5, 0.5]),
         )
         assert batch.costs[0][:, 3].mean() == pytest.approx(1 / 3, abs=0.005)
@@ -152,7 +151,7 @@ class TestLinearMeans:
     def test_not_editable_is_all_infinite(self):
         schema = two_feature_schema()
         batch = sample_cost_batch(
-            UserState((1, 2)), schema, flat_table(schema), 20, "lin", seed=0,
+            UserState((1, 2)), schema, flat_table(schema), 20, alpha=1.0, seed=0,
             editable=frozenset({0}),
         )
         g = batch.costs[1]
@@ -169,7 +168,7 @@ class TestLinearMeans:
             )
         )
         batch = sample_cost_batch(
-            UserState((2, 0)), schema, flat_table(schema), 50, "lin", seed=0,
+            UserState((2, 0)), schema, flat_table(schema), 50, alpha=1.0, seed=0,
             editable=frozenset({0, 1}), pref=np.array([0.0, 1.0]),
         )
         finite = batch.costs[0][:, [0, 1, 3, 4]]
@@ -202,7 +201,7 @@ class TestPercentileMeans:
         )
         assert table.cdf == ((0.2, 0.5, 0.7, 0.9, 1.0), (0.3, 0.6, 1.0))
         batch = sample_cost_batch(
-            UserState((1, 0)), schema, table, 200, "perc", seed=0,
+            UserState((1, 0)), schema, table, 200, alpha=0.0, seed=0,
             editable=frozenset({0, 1}), pref=np.array([0.25, 0.75]),
         )
         assert batch.costs[0][:, 3].mean() == pytest.approx(0.3, abs=0.005)
@@ -218,7 +217,7 @@ class TestForeignTable:
             with pytest.raises(SchemaError, match="built for a different schema"):
                 sample_cost_function(state, schema, table, np.random.default_rng(i))
         with pytest.raises(SchemaError, match="built for a different schema"):
-            sample_cost_batch(state, schema, table, 50, "mix", seed=0)
+            sample_cost_batch(state, schema, table, 50, seed=0)
 
     def test_other_feature_set_refused(self, synth6):
         table = synth6[3]
@@ -244,8 +243,8 @@ class TestForeignTable:
         twin = DatasetSchema(schema.features, schema.desired_class,
                              schema.protected_attributes)
         assert twin is not schema and twin == schema
-        a = sample_cost_batch(rows[0], twin, table, 30, "mix", seed=4)
-        b = sample_cost_batch(rows[0], schema, table, 30, "mix", seed=4)
+        a = sample_cost_batch(rows[0], twin, table, 30, seed=4)
+        b = sample_cost_batch(rows[0], schema, table, 30, seed=4)
         assert a.table.tobytes() == b.table.tobytes()
 
 
@@ -354,7 +353,7 @@ def _one(state, schema, table, alpha=None, editable=None, pref=None):
 
 
 def _batch(state, schema, table, alpha=None, editable=None, pref=None):
-    return sample_cost_batch(state, schema, table, 70, "mix", seed=0,
+    return sample_cost_batch(state, schema, table, 70, seed=0,
                              alpha=alpha, editable=editable, pref=pref)
 
 
@@ -399,7 +398,7 @@ class TestInputChecks:
 class TestSampleBatch:
     def test_batch_shape_and_tags(self, synth6):
         schema, rows, _, table, _ = synth6
-        batch = sample_cost_batch(rows[0], schema, table, 5, "mix", seed=1)
+        batch = sample_cost_batch(rows[0], schema, table, 5, seed=1)
         d = schema.n_features
         assert batch.m == 5
         assert [c.shape for c in batch.costs] == [(5, f.size) for f in schema.features]
@@ -410,21 +409,20 @@ class TestSampleBatch:
 
     def test_lin_and_perc_pin_alpha(self, synth6):
         schema, rows, _, table, _ = synth6
-        lin = sample_cost_batch(rows[0], schema, table, 3, "lin", seed=1)
-        perc = sample_cost_batch(rows[0], schema, table, 3, "perc", seed=1)
+        lin = sample_cost_batch(rows[0], schema, table, 3, alpha=1.0, seed=1)
+        perc = sample_cost_batch(rows[0], schema, table, 3, alpha=0.0, seed=1)
         assert (lin.alpha == 1.0).all()
         assert (perc.alpha == 0.0).all()
 
-    @pytest.mark.parametrize("distribution", ["lin", "perc"])
-    def test_explicit_alpha_refused_with_fixed_distribution(self, synth6, distribution):
+    def test_options_after_m_are_keyword_only(self, synth6):
         schema, rows, _, table, _ = synth6
-        with pytest.raises(ValueError, match=f"alpha 0.3 .*'{distribution}'"):
-            sample_cost_batch(rows[0], schema, table, 3, distribution, seed=1, alpha=0.3)
+        with pytest.raises(TypeError):
+            sample_cost_batch(rows[0], schema, table, 3, "lin")
 
     def test_same_seed_byte_identical(self, synth6):
         schema, rows, _, table, _ = synth6
-        a = sample_cost_batch(rows[0], schema, table, 4, "mix", seed=9)
-        b = sample_cost_batch(rows[0], schema, table, 4, "mix", seed=9)
+        a = sample_cost_batch(rows[0], schema, table, 4, seed=9)
+        b = sample_cost_batch(rows[0], schema, table, 4, seed=9)
         assert a.alpha.tobytes() == b.alpha.tobytes()
         assert all(x.tobytes() == y.tobytes() for x, y in zip(a.costs, b.costs))
 
@@ -432,9 +430,9 @@ class TestSampleBatch:
         # every block draws its full width, so batches extend, also across
         # block boundaries
         schema, rows, _, table, _ = synth6
-        big = sample_cost_batch(rows[0], schema, table, 200, "mix", seed=9, subkey=2)
+        big = sample_cost_batch(rows[0], schema, table, 200, seed=9, subkey=2)
         for m in (3, 64, 65, 130):
-            small = sample_cost_batch(rows[0], schema, table, m, "mix", seed=9, subkey=2)
+            small = sample_cost_batch(rows[0], schema, table, m, seed=9, subkey=2)
             assert small.alpha.tobytes() == big.alpha[:m].tobytes()
             assert all(x.tobytes() == y[:m].tobytes() for x, y in zip(small.costs, big.costs))
             assert small.preferences.tobytes() == big.preferences[:m].tobytes()
@@ -449,21 +447,21 @@ class TestSampleBatch:
             return stream_rng(stream, seed, index, subkey)
 
         monkeypatch.setattr(cost, "stream_rng", counted)
-        sample_cost_batch(rows[0], schema, table, 130, "mix", seed=9, subkey=2)
+        sample_cost_batch(rows[0], schema, table, 130, seed=9, subkey=2)
         assert keys == [(TRAIN_STREAM, 9, b, 2) for b in range(3)]
 
     def test_singleton(self, synth6):
         schema, rows, _, table, _ = synth6
-        assert sample_cost_batch(rows[0], schema, table, 1, "mix", seed=0).m == 1
+        assert sample_cost_batch(rows[0], schema, table, 1, seed=0).m == 1
 
     def test_m_zero_rejected(self, synth6):
         schema, rows, _, table, _ = synth6
         with pytest.raises(ValueError):
-            sample_cost_batch(rows[0], schema, table, 0, "mix", seed=0)
+            sample_cost_batch(rows[0], schema, table, 0, seed=0)
 
     def test_arrays_are_read_only(self, synth6):
         schema, rows, _, table, _ = synth6
-        batch = sample_cost_batch(rows[0], schema, table, 2, "mix", seed=0)
+        batch = sample_cost_batch(rows[0], schema, table, 2, seed=0)
         with pytest.raises(ValueError):
             batch.costs[0][0, 0] = 1.0
 
@@ -609,10 +607,9 @@ class TestBlockDraws:
         on its block's stream, to the bit."""
         schema, rows, _, table, _ = adult
         inputs = dict(inputs)
-        alpha = distribution_alpha(distribution, inputs.pop("alpha", None))
+        alpha = inputs.pop("alpha", {"lin": 1.0, "perc": 0.0}.get(distribution))
         for u, state in enumerate(rows[:3]):
-            batch = sample_cost_batch(state, schema, table, 130, distribution, seed=u,
-                                      alpha=alpha if distribution == "mix" else None,
+            batch = sample_cost_batch(state, schema, table, 130, seed=u, alpha=alpha,
                                       subkey=5, **inputs)
             want = [row for b in range(3) for row in reference_block(
                 state, schema, table, stream_rng(TRAIN_STREAM, u, b, 5), alpha,
@@ -642,7 +639,7 @@ class TestBlockDistribution:
         0.001 / Q quantile, Q the number of quantities (Bonferroni)."""
         schema, rows, _, table, _ = adult
         state, movable = rows[3], schema.mutable_indices()
-        block = sample_cost_batch(state, schema, table, self.N, "mix", seed=11, subkey=3)
+        block = sample_cost_batch(state, schema, table, self.N, seed=11, subkey=3)
         singles = [scalar_cost_function(state, schema, table,
                                         stream_rng(TRAIN_STREAM, 11, i, 3))
                    for i in range(self.N)]
@@ -673,10 +670,9 @@ class TestBlockDistribution:
         schema, rows, _, table, _ = adult
         var = COST_STD * COST_STD
         exact = 0
-        for distribution, pref in (("mix", None), ("lin", np.zeros(schema.n_features)),
-                                   ("perc", None)):
+        for alpha, pref in ((None, None), (1.0, np.zeros(schema.n_features)), (0.0, None)):
             for u, state in enumerate(rows[:6]):
-                batch = sample_cost_batch(state, schema, table, 130, distribution,
+                batch = sample_cost_batch(state, schema, table, 130, alpha=alpha,
                                           seed=u, pref=pref, subkey=u)
                 at = schema.positions(state.values)
                 for i in range(batch.m):
@@ -736,7 +732,7 @@ class TestTransitionCost:
     def test_cost_rows_match_scalar_oracle_bitwise(self, synth6):
         schema, rows, _, table, _ = synth6
         state = rows[0]
-        batch = sample_cost_batch(state, schema, table, 30, "mix", seed=3)
+        batch = sample_cost_batch(state, schema, table, 30, seed=3)
         rng = np.random.default_rng(0)
         members = [
             tuple(
@@ -778,7 +774,7 @@ class TestTwelveFeaturePricing:
         schema, rows, _, table, _ = adult
         assert schema.n_features == 12
         state = rows[0]
-        batch = sample_cost_batch(state, schema, table, m, "mix", seed=3,
+        batch = sample_cost_batch(state, schema, table, m, seed=3,
                                   editable=frozenset(schema.mutable_indices()))
         members = moved_members(schema, state, n, seed=m)
         got = cost_rows(schema.positions(members), batch)
@@ -792,7 +788,7 @@ class TestTwelveFeaturePricing:
         (p, columns[p]) of the full table, to the bit."""
         schema, rows, _, table, _ = adult
         state = rows[0]
-        batch = sample_cost_batch(state, schema, table, 40, "mix", seed=5,
+        batch = sample_cost_batch(state, schema, table, 40, seed=5,
                                   editable=frozenset(schema.mutable_indices()))
         positions = schema.positions(moved_members(schema, state, 300, seed=5))
         columns = np.random.default_rng(5).integers(batch.m, size=len(positions))
@@ -917,7 +913,7 @@ class TestMinCostAndEmc:
     def test_emc_single_sample_equals_min_cost(self, synth6):
         schema, rows, _, table, _ = synth6
         state = rows[0]
-        batch = sample_cost_batch(state, schema, table, 1, "mix", seed=4)
+        batch = sample_cost_batch(state, schema, table, 1, seed=4)
         members = codes(state.values)
         assert [emc_of_matrix(cost_rows(schema.positions(members), batch))] == (
             min_cost(*one_each(state.values), batch).tolist()
@@ -961,7 +957,7 @@ class TestMinCostAndEmc:
     def test_emc_subset_monotone(self, synth6):
         schema, rows, _, table, _ = synth6
         state = rows[0]
-        batch = sample_cost_batch(state, schema, table, 20, "mix", seed=6)
+        batch = sample_cost_batch(state, schema, table, 20, seed=6)
         rng = np.random.default_rng(0)
 
         def random_member():
@@ -989,7 +985,7 @@ class TestCostMatrix:
     def test_column_minima_mean_equals_emc(self, synth6):
         schema, rows, _, table, _ = synth6
         state = rows[0]
-        batch = sample_cost_batch(state, schema, table, 10, "mix", seed=8)
+        batch = sample_cost_batch(state, schema, table, 10, seed=8)
         members = [state.values, rows[1].values]
         cm = cost_rows(schema.positions(members), batch)
         mins = [

@@ -22,7 +22,6 @@ from recourse.cost import (
     BLOCK,
     TRAIN_STREAM,
     _sample_blocks,
-    distribution_alpha,
     sample_cost_batch,
     stream_rng,
 )
@@ -38,19 +37,20 @@ from recourse.schema import save_dataset, save_schema
 PINNED_EDITABLE = frozenset({0, 1, 4, 8, 10})
 PINNED_PREF = (0.3, 0.1, 0.0, 0.0, 0.2, 0.0, 0.0, 0.0, 0.25, 0.0, 0.15, 0.0)
 
-# Each batch case's distribution and pinned inputs. "mix-editable" pins the
+# Each batch case's alpha and pinned inputs, named after the command line's
+# distribution ("lin" fixes alpha 1, "perc" 0, "mix" draws it per sample
+# unless "mix-alpha" pins it). "mix-editable" pins the
 # editable set alone, so preferences are a flat Dirichlet over that set;
 # "mix-zero-pref" pins all-zero preferences alone, so the editable set is
 # drawn and every chosen feature keeps its full means.
 BATCH_CASES = {
-    "lin": dict(distribution="lin"),
-    "mix": dict(distribution="mix"),
-    "mix-alpha": dict(distribution="mix", alpha=0.3),
-    "mix-editable": dict(distribution="mix", editable=PINNED_EDITABLE),
-    "mix-pinned": dict(distribution="mix", editable=PINNED_EDITABLE,
-                       pref=np.asarray(PINNED_PREF)),
-    "mix-zero-pref": dict(distribution="mix", pref=np.zeros(len(PINNED_PREF))),
-    "perc": dict(distribution="perc"),
+    "lin": dict(alpha=1.0),
+    "mix": dict(),
+    "mix-alpha": dict(alpha=0.3),
+    "mix-editable": dict(editable=PINNED_EDITABLE),
+    "mix-pinned": dict(editable=PINNED_EDITABLE, pref=np.asarray(PINNED_PREF)),
+    "mix-zero-pref": dict(pref=np.zeros(len(PINNED_PREF))),
+    "perc": dict(alpha=0.0),
 }
 BATCH_DIGESTS = {
     "lin": "e622136e468e4e7a9c53a9f515c6a33a803b959b461f853b35b7755f6c6b4dad",
@@ -138,7 +138,7 @@ def test_simulate_user_digest(rejected):
     h = hashlib.sha256()
     for k in range(20):
         user = simulate_user(states[k], schema, table, test_seed=k % 4,
-                             user_id=ids[k], distribution=("mix", "lin", "perc")[k % 3])
+                             user_id=ids[k], alpha=(None, 1.0, 0.0)[k % 3])
         _update(h, user)
     assert h.hexdigest() == SIMULATED_DIGEST
 
@@ -149,15 +149,14 @@ def test_batch_is_its_blocks(rejected, case):
     rows that stream i // 64 of (seed, subkey) draws on its own."""
     schema, table, states, ids = rejected
     kwargs = BATCH_CASES[case]
-    pins = {key: kwargs[key] for key in ("editable", "pref") if key in kwargs}
-    alpha = distribution_alpha(kwargs["distribution"], kwargs.get("alpha"))
     for state, uid in zip(states[:3], ids[:3]):
         batch = sample_cost_batch(state, schema, table, 130, seed=3, subkey=uid, **kwargs)
         rows = [batch.table.T, batch.alpha, batch.editable, batch.preferences]
         for b in range(3):
+            inputs = [kwargs.get(key) for key in ("alpha", "editable", "pref")]
             costs, *rest = _sample_blocks([state], schema, table,
                                           [stream_rng(TRAIN_STREAM, 3, b, uid)], BLOCK, BLOCK,
-                                          alpha, pins.get("editable"), pins.get("pref"))
+                                          *inputs)
             for got, want in zip(rows, [costs.T, *rest]):
                 assert got[BLOCK * b:BLOCK * (b + 1)].tobytes() == want[:130 - BLOCK * b].tobytes()
 

@@ -313,7 +313,7 @@ class TestSimulatedUsers:
         from recourse.cost import sample_cost_batch
 
         schema, rows, _, table, _ = synth6
-        gen = sample_cost_batch(rows[0], schema, table, 1, "mix", seed=5, subkey=3)
+        gen = sample_cost_batch(rows[0], schema, table, 1, seed=5, subkey=3)
         test = simulate_user(rows[0], schema, table, test_seed=5, user_id=3)
         same = all(
             np.array_equal(x, y)
@@ -321,21 +321,21 @@ class TestSimulatedUsers:
         )
         assert not same
 
-    @pytest.mark.parametrize("distribution", ["mix", "lin"])
-    def test_draw_does_not_depend_on_the_population(self, adult, distribution):
+    @pytest.mark.parametrize("alpha", [pytest.param(None, id="mix"),
+                                       pytest.param(1.0, id="lin")])
+    def test_draw_does_not_depend_on_the_population(self, adult, alpha):
         """Each of 100 adult-like users' hidden draws is the same bytes
         drawn alone as column u of one 100-user population and as column
         99 - u of that population reversed: scoring a user does not depend
         on who else is scored."""
         schema, rows, _, table, _ = adult
         states, ids = rows[:100], [7 * i + 3 for i in range(100)]
-        together = simulate_users(states, schema, table, 41, ids, distribution)
-        reversed_ = simulate_users(states[::-1], schema, table, 41, ids[::-1],
-                                   distribution)
+        together = simulate_users(states, schema, table, 41, ids, alpha)
+        reversed_ = simulate_users(states[::-1], schema, table, 41, ids[::-1], alpha)
         assert len({s.values for s in states}) > 50
         assert together.m == reversed_.m == 100
         for u, (state, uid) in enumerate(zip(states, ids)):
-            alone = simulate_user(state, schema, table, 41, uid, distribution)
+            alone = simulate_user(state, schema, table, 41, uid, alpha)
             assert alone.m == 1
             assert alone.states.tolist() == [list(state.values)]
             for x, i in ((together, u), (reversed_, 99 - u)):
@@ -346,23 +346,6 @@ class TestSimulatedUsers:
                                   (x.preferences[i], alone.preferences[0])):
                     assert got.shape == want.shape
                     assert got.tobytes() == want.tobytes()
-
-    def test_unknown_distribution_rejected(self, synth6):
-        from recourse.experiments import evaluate_docs
-        from recourse.results import ResultDoc
-
-        schema, rows, _, table, _ = synth6
-        with pytest.raises(ValueError, match="unknown distribution 'linear'"):
-            simulate_user(rows[0], schema, table, test_seed=5, user_id=3,
-                          distribution="linear")
-        doc = ResultDoc(
-            user_id=3, method="cols", state=list(rows[0].values),
-            members=[list(rows[0].values)], validity=[False], final_emc=INF,
-            trace=[INF], queries_used=1, seed=0,
-        )
-        with pytest.raises(ValueError, match="unknown distribution 'linear'"):
-            evaluate_docs([doc], schema, table, test_seed=5,
-                          test_distribution="linear")
 
 
 @pytest.fixture(scope="module")
@@ -567,8 +550,7 @@ def test_relabelled_codes_change_no_document_or_score(
     for schema, rows, _, table, clf in (synth6, relabelled_synth6):
         states, ids = select_undesired(rows, clf, schema, limit=6)
         docs = run_population(states, clf, schema, table, settings, ids)
-        runs.append((ids, docs, score_docs(docs, schema, table, [901, 902], 1.0, "mix",
-                                           None)))
+        runs.append((ids, docs, score_docs(docs, schema, table, [901, 902], 1.0, None)))
     (ids, docs, scores), (new_ids, new_docs, new_scores) = runs
     schema = synth6[0]
     assert new_ids == ids

@@ -363,7 +363,7 @@ class TestScreen:
         schema, rows, _, table, clf = synth6
         s_u = rows[4]
         movable = frozenset(schema.mutable_indices())
-        samples = sample_cost_batch(s_u, schema, table, 25, "mix", seed=4,
+        samples = sample_cost_batch(s_u, schema, table, 25, seed=4,
                                     editable=movable)
         config = GenerationSettings(budget=600, set_size=5, restarts=3, seed=4)
         plain = pcols(s_u, clf, samples, schema, config)
@@ -558,7 +558,7 @@ class TestCols:
     def test_budget_equals_set_size_returns_initial(self, synth6):
         schema, rows, _, table, clf = synth6
         s_u = rows[0]
-        samples = sample_cost_batch(s_u, schema, table, 20, "mix", seed=0)
+        samples = sample_cost_batch(s_u, schema, table, 20, seed=0)
         config = GenerationSettings(budget=10, set_size=10, seed=0)
         res = cols(s_u, clf, samples, schema, config)
         assert res.queries_used == 10
@@ -567,7 +567,7 @@ class TestCols:
     def test_trace_non_increasing(self, synth6):
         schema, rows, _, table, clf = synth6
         for seed, s_u in enumerate(rows[:5]):
-            samples = sample_cost_batch(s_u, schema, table, 50, "mix", seed=seed)
+            samples = sample_cost_batch(s_u, schema, table, 50, seed=seed)
             config = GenerationSettings(budget=600, set_size=6, seed=seed)
             res = cols(s_u, clf, samples, schema, config)
             tr = res.trace
@@ -576,7 +576,7 @@ class TestCols:
     def test_budget_never_exceeded(self, synth6):
         schema, rows, _, table, clf = synth6
         s_u = rows[1]
-        samples = sample_cost_batch(s_u, schema, table, 30, "mix", seed=1)
+        samples = sample_cost_batch(s_u, schema, table, 30, seed=1)
         for budget in (6, 13, 47, 100):
             config = GenerationSettings(budget=budget, set_size=6, seed=1)
             res = cols(s_u, clf, samples, schema, config)
@@ -587,7 +587,7 @@ class TestCols:
     def test_validity_flags_match_model(self, synth6):
         schema, rows, _, table, clf = synth6
         s_u = rows[2]
-        samples = sample_cost_batch(s_u, schema, table, 30, "mix", seed=2)
+        samples = sample_cost_batch(s_u, schema, table, 30, seed=2)
         config = GenerationSettings(budget=300, set_size=5, seed=2)
         res = cols(s_u, clf, samples, schema, config)
         codes = np.asarray(res.recourse_set.members, dtype=float)
@@ -597,7 +597,7 @@ class TestCols:
     def test_deterministic(self, synth6):
         schema, rows, _, table, clf = synth6
         s_u = rows[3]
-        samples = sample_cost_batch(s_u, schema, table, 30, "mix", seed=3)
+        samples = sample_cost_batch(s_u, schema, table, 30, seed=3)
         config = GenerationSettings(budget=300, set_size=5, seed=3)
         a = cols(s_u, clf, samples, schema, config)
         b = cols(s_u, clf, samples, schema, config)
@@ -606,7 +606,7 @@ class TestCols:
 
     def test_budget_smaller_than_set_rejected(self, synth6):
         schema, rows, _, table, clf = synth6
-        samples = sample_cost_batch(rows[0], schema, table, 10, "mix", seed=0)
+        samples = sample_cost_batch(rows[0], schema, table, 10, seed=0)
         config = GenerationSettings(budget=5, set_size=10, seed=0)
         with pytest.raises(ValueError):
             cols(rows[0], clf, samples, schema, config)
@@ -616,7 +616,7 @@ class TestPcols:
     def test_single_restart_equals_cols(self, synth6):
         schema, rows, _, table, clf = synth6
         s_u = rows[0]
-        samples = sample_cost_batch(s_u, schema, table, 30, "mix", seed=4)
+        samples = sample_cost_batch(s_u, schema, table, 30, seed=4)
         config = GenerationSettings(budget=400, set_size=5, restarts=1, seed=4)
         a = pcols(s_u, clf, samples, schema, config)
         b = cols(s_u, clf, samples, schema, config)
@@ -627,7 +627,7 @@ class TestPcols:
         """`cols` is a one-restart `pcols`, whatever `settings.restarts` says."""
         schema, rows, _, table, clf = synth6
         s_u = rows[1]
-        samples = sample_cost_batch(s_u, schema, table, 30, "mix", seed=8)
+        samples = sample_cost_batch(s_u, schema, table, 30, seed=8)
         config = GenerationSettings(budget=400, set_size=5, restarts=5, seed=8)
         a = cols(s_u, clf, samples, schema, config, user_key=3)
         b = pcols(s_u, clf, samples, schema,
@@ -645,7 +645,7 @@ class TestPcols:
     def test_budget_split_exact(self, synth6):
         schema, rows, _, table, clf = synth6
         s_u = rows[1]
-        samples = sample_cost_batch(s_u, schema, table, 20, "mix", seed=5)
+        samples = sample_cost_batch(s_u, schema, table, 20, seed=5)
         config = GenerationSettings(budget=5000, set_size=10, restarts=5, seed=5)
         res = pcols(s_u, clf, samples, schema, config)
         assert res.restart_queries == [1000] * 5
@@ -654,7 +654,7 @@ class TestPcols:
     def test_winner_is_argmin(self, synth6):
         schema, rows, _, table, clf = synth6
         s_u = rows[2]
-        samples = sample_cost_batch(s_u, schema, table, 20, "mix", seed=6)
+        samples = sample_cost_batch(s_u, schema, table, 20, seed=6)
         config = GenerationSettings(budget=600, set_size=5, restarts=3, seed=6)
         res = pcols(s_u, clf, samples, schema, config)
         assert len(res.restart_emcs) == 3
@@ -662,7 +662,7 @@ class TestPcols:
 
     def test_insufficient_per_restart_budget(self, synth6):
         schema, rows, _, table, clf = synth6
-        samples = sample_cost_batch(rows[0], schema, table, 10, "mix", seed=0)
+        samples = sample_cost_batch(rows[0], schema, table, 10, seed=0)
         config = GenerationSettings(budget=20, set_size=10, restarts=5, seed=0)
         with pytest.raises(ValueError):
             pcols(rows[0], clf, samples, schema, config)
@@ -689,7 +689,7 @@ class TestLockstep:
         )
         winners = []
         for user, s_u in enumerate(states):
-            samples = sample_cost_batch(s_u, schema, table, 30, "mix", seed=user,
+            samples = sample_cost_batch(s_u, schema, table, 30, seed=user,
                                         editable=movable)
             config = GenerationSettings(budget=330, set_size=6, restarts=restarts,
                                         seed=21 + user)
@@ -727,7 +727,7 @@ class TestLockstep:
         movable = frozenset(schema.mutable_indices())
         finite = []
         for user, s_u in enumerate(rows[:8]):
-            samples = sample_cost_batch(s_u, schema, table, 20, "mix", seed=user,
+            samples = sample_cost_batch(s_u, schema, table, 20, seed=user,
                                         editable=movable if user % 2 else None)
             config = GenerationSettings(budget=120, set_size=4, restarts=3, seed=user)
             res = pcols(s_u, clf, samples, schema, config, user_key=user)
@@ -740,7 +740,7 @@ class TestLockstep:
                                                      budget, restarts):
         schema, rows, _, table, clf = synth6
         s_u = rows[3]
-        samples = sample_cost_batch(s_u, schema, table, 20, "mix", seed=3)
+        samples = sample_cost_batch(s_u, schema, table, 20, seed=3)
         n = 6
         config = GenerationSettings(budget=budget, set_size=n, restarts=restarts, seed=3)
         sizes, answered = [], []
@@ -770,7 +770,7 @@ class TestTracedNames:
         search must look each one up at call time."""
         schema, rows, _, table, clf = synth6
         s_u = rows[4]
-        samples = sample_cost_batch(s_u, schema, table, 25, "mix", seed=4)
+        samples = sample_cost_batch(s_u, schema, table, 25, seed=4)
         config = GenerationSettings(budget=300, set_size=5, restarts=3, seed=4)
         plain = pcols(s_u, clf, samples, schema, config)
 
@@ -827,7 +827,7 @@ class TestRandomSearch:
     def test_trace_non_increasing_and_budget(self, synth6):
         schema, rows, _, table, clf = synth6
         s_u = rows[0]
-        samples = sample_cost_batch(s_u, schema, table, 30, "mix", seed=7)
+        samples = sample_cost_batch(s_u, schema, table, 30, seed=7)
         config = GenerationSettings(budget=300, set_size=5, seed=7)
         res = random_search(s_u, clf, samples, schema, config)
         tr = res.trace
@@ -837,7 +837,7 @@ class TestRandomSearch:
     def test_zero_iterations_returns_initial(self, synth6):
         schema, rows, _, table, clf = synth6
         s_u = rows[1]
-        samples = sample_cost_batch(s_u, schema, table, 10, "mix", seed=8)
+        samples = sample_cost_batch(s_u, schema, table, 10, seed=8)
         config = GenerationSettings(budget=5, set_size=5, seed=8)
         res = random_search(s_u, clf, samples, schema, config)
         assert res.queries_used == 5
@@ -853,7 +853,7 @@ class TestLocalSearch:
     def test_accept_if_better_trace(self, synth6):
         schema, rows, _, table, clf = synth6
         s_u = rows[0]
-        samples = sample_cost_batch(s_u, schema, table, 30, "mix", seed=9)
+        samples = sample_cost_batch(s_u, schema, table, 30, seed=9)
         for objective in ("emc", "diversity", "proximity", "sparsity"):
             settings = GenerationSettings(method="ls", objective=objective,
                                           budget=400, set_size=5, seed=9)
@@ -865,7 +865,7 @@ class TestLocalSearch:
     def test_objective_scores_require_valid_member(self, synth6):
         schema, rows, _, table, clf = synth6
         s_u = rows[0]
-        samples = sample_cost_batch(s_u, schema, table, 10, "mix", seed=10)
+        samples = sample_cost_batch(s_u, schema, table, 10, seed=10)
         settings = GenerationSettings(method="ls", objective="diversity", budget=300,
                                       set_size=5, seed=10)
         res = local_search(s_u, clf, samples, schema, settings)
@@ -883,9 +883,9 @@ class TestGenerationSettings:
         (dict(method="cols", objective="diversity"), "method 'cols'.*'diversity'"),
         (dict(method="pcols", objective="proximity"), "method 'pcols'.*'proximity'"),
         (dict(method="random", objective="sparsity"), "method 'random'.*'sparsity'"),
-        (dict(distribution="lin", alpha=0.3), "alpha 0.3 .*'lin'"),
-        (dict(distribution="perc", alpha=0.0), "alpha 0.0 .*'perc'"),
-        (dict(distribution="uniform"), "unknown distribution 'uniform'"),
+        (dict(method="colz"), "unknown method 'colz'; valid methods: cols, pcols, random, ls"),
+        (dict(objective="novelty"), "unknown objective 'novelty'"),
+        (dict(alpha=float("inf")), r"alpha must lie in \[0,1\], got inf"),
         (dict(method="ls", objective="diversity", alpha=1.5),
          r"alpha must lie in \[0,1\], got 1.5"),
         (dict(method="ls", objective="diversity", alpha=-0.2),
@@ -971,7 +971,7 @@ class TestValidityChanneling:
         schema, rows, _, table, clf = synth6
         for seed in range(5):
             s_u = rows[seed]
-            samples = sample_cost_batch(s_u, schema, table, 30, "mix",
+            samples = sample_cost_batch(s_u, schema, table, 30,
                                         seed=seed)
             config = GenerationSettings(budget=600, set_size=8, seed=seed)
             res = cols(s_u, clf, samples, schema, config)
