@@ -7,8 +7,9 @@ fixed adult-like inputs. Any change to the draw order, the RNG streams or
 the floating-point steps of the sampler changes them. The document digests
 cover the members, validity flags, objective trace and query count of
 `run_user` documents, so they also pin every swap the search makes. The
-CSV digests cover every table of a small synthetic `evaluate`, `main` and
-`ablation` run, so they pin each metric's name, row order and printed value.
+CSV digests cover every table of a small synthetic `evaluate`, `main`,
+`ablation` and `concentration_shift` run, so they pin each metric's name,
+row order and printed value.
 """
 
 import hashlib
@@ -98,6 +99,8 @@ CSV_DIGESTS = {
         "3b67526aef9c0dcc1c8d416e18afefc90656792f18410d0bf75094261426b3c1",
     "ablation/ablation.csv":
         "3400bfb2c69fef7bbd49eaf7437da0a33599dd9aacdc0562dd67fbb282a8cf31",
+    "concentration_shift/concentration_shift.csv":
+        "7c6695fdb96adc5589a5bbf0d815aa93f9f0b2d754b952746713ddaa85c25184",
 }
 
 
@@ -179,7 +182,8 @@ def test_run_user_document_digest(adult, rejected, method):
 def synth6_csvs(synth6, tmp_path_factory):
     """sha256 of every CSV, by `<out dir>/<file>`, of a small synthetic run:
     `recourse evaluate` over a cols and a pcols result file at two test
-    seeds, and the `main` and `ablation` sweeps over two seeds."""
+    seeds, the `main` and `ablation` sweeps over two seeds, and a
+    `concentration_shift` sweep of 40 hidden users."""
     schema, rows, _, _, clf = synth6
     root = tmp_path_factory.mktemp("csv")
     save_schema(schema, root / "schema.yaml")
@@ -196,9 +200,12 @@ def synth6_csvs(synth6, tmp_path_factory):
     for kind in ("main", "ablation"):
         assert main(["experiment", *gen, "--kind", kind, "--seeds", "0,1",
                      "--out", str(root / kind)]) == 0
+    assert main(["experiment", *gen, "--kind", "concentration_shift", "--seeds", "0",
+                 "--methods", "cols", "--shift-vectors", "40", "--bins", "5",
+                 "--out", str(root / "concentration_shift")]) == 0
     return {
         f"{out}/{name}": hashlib.sha256((root / out / name).read_bytes()).hexdigest()
-        for out in ("evaluate", "main", "ablation")
+        for out in ("evaluate", "main", "ablation", "concentration_shift")
         for name in sorted(os.listdir(root / out))
         if name.endswith(".csv")
     }
