@@ -68,6 +68,19 @@ def _parse_preferences(raw: str | None, editable, schema: DatasetSchema):
     return tuple(float(v) for v in full)
 
 
+def _comma_list(flag: str, raw: str, kind: type) -> tuple:
+    """The items of a comma-list flag as ints or floats (`kind`); a bad item
+    is refused naming the flag and the item."""
+    items = []
+    for item in raw.split(","):
+        try:
+            items.append(kind(item))
+        except ValueError:
+            noun = "an integer" if kind is int else "a number"
+            raise ValueError(f"{flag}: {item!r} is not {noun}") from None
+    return tuple(items)
+
+
 def _add_common_io(p: argparse.ArgumentParser):
     p.add_argument("--schema", required=True, help="schema document (YAML)")
     p.add_argument("--data", required=True, help="coded dataset (CSV)")
@@ -164,8 +177,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_train(args) -> int:
-    schema = load_schema(args.schema)
-    rows, labels = load_dataset(args.data, schema, args.label_column)
     config = TrainConfig(
         architecture=args.arch,
         hidden_width=args.hidden_width,
@@ -173,6 +184,8 @@ def _cmd_train(args) -> int:
         lr=args.lr,
         seed=args.seed,
     )
+    schema = load_schema(args.schema)
+    rows, labels = load_dataset(args.data, schema, args.label_column)
     clf = train_classifier(rows, labels, schema, config)
     save_model(clf, args.out)
     write_manifest(args.out + ".manifest.json", vars(args), [args.schema, args.data])
@@ -253,7 +266,7 @@ def _cmd_evaluate(args) -> int:
     check_alpha(alpha)
     if not args.k > 0:
         raise ValueError(f"--k must be positive, got {args.k}")
-    test_seeds = list(dict.fromkeys(int(s) for s in str(args.test_seed).split(",")))
+    test_seeds = list(dict.fromkeys(_comma_list("--test-seed", args.test_seed, int)))
     for ts in test_seeds:
         if ts < 0:
             raise ValueError(f"--test-seed must be non-negative, got {ts}")
@@ -309,11 +322,11 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    grid = tuple(float(v) for v in args.grid.split(",")) if args.grid else ()
+    grid = _comma_list("--grid", args.grid, float) if args.grid else ()
     base = _generation_settings(args)
     spec = xp.ExperimentSpec(
         kind=args.kind,
-        seeds=tuple(int(s) for s in args.seeds.split(",")),
+        seeds=_comma_list("--seeds", args.seeds, int),
         methods=tuple(m.strip() for m in args.methods.split(",")),
         grid=grid,
         test_seed=args.test_seed,

@@ -24,25 +24,28 @@ the `PercentileTable` cell arrays, at the user's origin rows. Features
 outside the editable set cost infinity to move and draw no Beta.
 
 Every cost function comes from one block sampler. A block is a user
-state, a generator and a width: `width` samples for that state drawn from
-that generator alone, so a draw never depends on the other blocks of its
-call. `sample_cost_batch` draws ceil(M / 64) blocks of one state at width
-`BLOCK` = 64, block b from `stream_rng(stream, seed, b, subkey)`; every
-block draws its full width and the batch is then cut to M, so a batch is
-a prefix of any larger one. `sample_cost_functions` draws a population,
-one width-1 block per state on its own generator, into one set whose
+state, a generator, a width and an optional pinned editable set: `width`
+samples for that state drawn from that generator alone, so a draw never
+depends on the other blocks of its call. `sample_cost_batch` draws
+ceil(M / 64) blocks of one state and one pin at width `BLOCK` = 64, block
+b from `stream_rng(stream, seed, b, subkey)`; every block draws its full
+width and the batch is then cut to M, so a batch is a prefix of any
+larger one. `sample_cost_functions` draws a population, one width-1 block
+per state on its own generator with its own pin, into one set whose
 column u belongs to state u, and evaluation draws each hidden population
 in one such call: a lone width-1 block costs more than the per-sample
 draw it replaced. Within a block the n movable features
 (`DatasetSchema.mutable_indices`) are drawn as whole arrays, with these
 calls in this order and no others:
 
-1. unless the editable set is pinned, `random((width, n))` coins, keeping
-   those below 0.5; then, in row order, `random(n)` again for each row that
-   kept nothing, until it keeps one;
+1. unless the block's editable set is pinned, `random((width, n))` coins,
+   keeping those below 0.5; then, in row order, `random(n)` again for each
+   row that kept nothing, until it keeps one;
 2. unless preferences are pinned, one `standard_exponential(K)` over the K
    chosen (row, feature) cells in row-major order, each row times the
-   reciprocal of its left-to-right sum (numpy's `dirichlet(ones(k))`);
+   reciprocal of its left-to-right sum (numpy's `dirichlet(ones(k))`); a
+   row with no chosen feature (an empty pin) keeps zero preferences, and
+   a zero-size draw leaves its generator where it was;
 3. unless alpha is fixed, `random(width)`;
 4. one `random((width, U))`, U the sum of 2 |D_f| over the unordered
    movable features in index order, each feature's step-count means then
@@ -83,10 +86,14 @@ INF = math.inf
 COST_STD = 0.01
 _VAR = COST_STD * COST_STD
 
-# Seed-stream namespaces: generation-time samples and hidden evaluation-time
-# samples must never share an RNG stream, even for equal integer seeds.
+# Seed-stream namespaces, so that no two uses share an RNG stream even for
+# equal integer seeds: generation-time samples, hidden evaluation-time
+# samples, search perturbations and the concentration-shift sweep's
+# editable sets.
 TRAIN_STREAM = 0
 TEST_STREAM = 1
+SEARCH_STREAM = 2
+SHIFT_STREAM = 3
 
 # Samples drawn per generator by `sample_cost_batch`.
 BLOCK = 64
@@ -118,17 +125,17 @@ def _check_inputs(
     schema: DatasetSchema,
     table: PercentileTable,
     alpha: Optional[float],
-    editable: Optional[frozenset[int]],
+    editables: Sequence[Optional[frozenset[int]]],
     pref: Optional[np.ndarray],
-) -> tuple[Optional[list[int]], Optional[np.ndarray]]:
-    """The sampler's input check. Returns the pinned editable features
-    ascending and the pinned preferences as floats, each None when drawn
-    per sample."""
+) -> tuple[list[Optional[list[int]]], Optional[np.ndarray]]:
+    """The sampler's input check. Returns per block its pinned editable
+    features ascending, and the pinned preferences as floats, each None
+    when drawn per sample."""
     d = schema.n_features
-    pinned = None if editable is None else sorted(int(i) for i in editable)
-    for i in pinned or []:
-        if not 0 <= i < d:
-            raise ValueError(f"editable feature index {i} out of range")
+    pins = [None if e is None else sorted(int(i) for i in e) for e in editables]
+    bad = [i for pin in pins for i in pin or [] if not 0 <= i < d]
+    if bad:
+        raise ValueError(f"editable feature index {bad[0]} out of range")
     if pref is not None:
         pref = np.asarray(pref, dtype=float)
         if pref.shape != (d,):
@@ -137,18 +144,16 @@ def _check_inputs(
             raise ValueError(f"preference scores must be finite, got {pref.tolist()}")
         if (pref < 0).any():
             raise ValueError("preference scores must be non-negative")
-        inside = np.zeros(d, dtype=bool)
-        inside[pinned or []] = True
-        if (pref[~inside] != 0.0).any():
+        if any((np.delete(pref, pin or []) != 0.0).any() for pin in pins):
             raise ValueError("preference mass outside the editable set")
-        if pinned and abs(pref.sum() - 1.0) > 1e-9:
+        if any(pins) and abs(pref.sum() - 1.0) > 1e-9:
             raise ValueError("preference scores must sum to 1 over editable features")
     check_alpha(alpha)
     if table.schema is not schema and table.schema != schema:
         raise SchemaError("percentile table was built for a different schema")
-    if pinned is None and not schema.mutable_indices():
+    if None in pins and not schema.mutable_indices():
         raise ValueError("schema has no mutable features; supply an editable set")
-    return pinned, pref
+    return pins, pref
 
 
 def _sample_blocks(
@@ -159,18 +164,18 @@ def _sample_blocks(
     width: int,
     m: int,
     alpha: Optional[float],
-    editable: Optional[frozenset[int]],
+    editables: Sequence[Optional[frozenset[int]]],
     pref: Optional[np.ndarray],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Samples `width * b` to `width * b + width - 1` drawn for `states[b]`
-    from `rngs[b]` in whole-array calls (see the module docstring), cut to
-    the first m; absent inputs are drawn. Returns the read-only (W, m) cost
-    table, alphas, editable mask and preferences."""
-    pinned, pref = _check_inputs(schema, table, alpha, editable, pref)
+    from `rngs[b]` in whole-array calls (see the module docstring), their
+    editable set `editables[b]` (None: drawn), cut to the first m; absent
+    inputs are drawn. Returns the read-only (W, m) cost table, alphas,
+    editable mask and preferences."""
+    pins, pref = _check_inputs(schema, table, alpha, editables, pref)
     d, off = schema.n_features, schema.offsets
     sizes = off[1:] - off[:-1]
     candidates = schema.mutable_indices()
-    movable = candidates if pinned is None else pinned
     n = width * len(rngs)
     # Unordered candidates draw their raw means per sample: 2 |D_f| columns
     # each, step counts first; feature f's end at column `ends[f]`.
@@ -179,40 +184,21 @@ def _sample_blocks(
     ends = np.cumsum(2 * sizes * fresh)
     u = int(ends[-1])
 
-    # Layout, built once when every block shares one state: the cells of
-    # each state's moves, one per cost-table row, kept to the rows (`cols`)
-    # of movable features that some state can move to.
-    if len(set(states)) == 1:
-        states = states[:1]
-    origin = off[:-1] + schema.positions([s.values for s in states])
-    row_feature = np.repeat(np.arange(d), sizes)
-    cells = table.cell[origin][:, row_feature] + np.arange(off[-1])
-    feasible = table.feasible[cells]
-    on = np.zeros(d, dtype=bool)
-    on[movable] = True
-    cols = np.flatnonzero(on[row_feature] & feasible.any(axis=0))
-    feat = row_feature[cols]
-    cells, feasible = cells[:, cols], feasible[:, cols]
-    mixed = np.flatnonzero(fresh[feat])
-    f_mixed = feat[mixed]
-    xi = ends[f_mixed] - 2 * sizes[f_mixed] + cols[mixed] - off[f_mixed]
-    yi = xi + sizes[f_mixed]
-
     chosen = np.zeros((n, d), dtype=bool)
-    if pinned is not None:
-        chosen[:, pinned] = True
     prefs = np.zeros((n, d))
     alphas = np.empty(n)
     means = np.empty((n, u))
-    for b, rng in enumerate(rngs):
+    for b, (rng, pin) in enumerate(zip(rngs, pins)):
         blk = slice(width * b, width * (b + 1))
-        if pinned is None:
+        if pin is None:
             kept = rng.random((width, len(candidates))) < 0.5
             for r in np.flatnonzero(~kept.any(axis=1)).tolist():
                 while not kept[r].any():
                     kept[r] = rng.random(len(candidates)) < 0.5
             chosen[blk, candidates] = kept
-        if pref is None and movable:
+        else:
+            chosen[blk, pin] = True
+        if pref is None:
             picked = chosen[blk]
             prefs[blk][picked] = rng.standard_exponential(int(np.count_nonzero(picked)))
         if alpha is None:
@@ -221,20 +207,35 @@ def _sample_blocks(
             means[blk] = rng.random((width, u))
     if pref is not None:
         prefs[:] = pref
-    elif movable:
-        prefs *= (1.0 / np.add.accumulate(prefs, axis=1)[:, -1])[:, None]
+    else:
+        some = chosen.any(axis=1)
+        prefs[some] *= (1.0 / np.add.accumulate(prefs[some], axis=1)[:, -1])[:, None]
     if alpha is not None:
         alphas.fill(alpha)
 
-    per_state = n // len(origin)
-    x = np.repeat(table.step[cells], per_state, axis=0)
-    y = np.repeat(table.shift[cells], per_state, axis=0)
+    # Layout: per block, the cells of its state's moves, one per cost-table
+    # row, kept to the rows (`cols`) of features that some sample chose and
+    # some state can move to.
+    origin = off[:-1] + schema.positions([s.values for s in states])
+    row_feature = np.repeat(np.arange(d), sizes)
+    cells = table.cell[origin][:, row_feature] + np.arange(off[-1])
+    feasible = table.feasible[cells]
+    cols = np.flatnonzero(chosen.any(axis=0)[row_feature] & feasible.any(axis=0))
+    feat = row_feature[cols]
+    cells, feasible = cells[:, cols], feasible[:, cols]
+    mixed = np.flatnonzero(fresh[feat])
+    f_mixed = feat[mixed]
+    xi = ends[f_mixed] - 2 * sizes[f_mixed] + cols[mixed] - off[f_mixed]
+    yi = xi + sizes[f_mixed]
+
+    x = np.repeat(table.step[cells], width, axis=0)
+    y = np.repeat(table.shift[cells], width, axis=0)
     x[:, mixed], y[:, mixed] = means[:, xi], means[:, yi]
     keep = 1.0 - prefs[:, feat]
     a = alphas[:, None]
     mu = np.clip(a * (x * keep) + (1.0 - a) * (y * keep), 0.0, 1.0)
     nu = mu * (1.0 - mu) / _VAR - 1.0
-    live = chosen[:, feat] & np.repeat(feasible, per_state, axis=0)
+    live = chosen[:, feat] & np.repeat(feasible, width, axis=0)
     vals = np.where(live, mu, INF)
     drawn = live & (nu > 0.0)
     mu, nu = mu[drawn], nu[drawn]
@@ -247,10 +248,7 @@ def _sample_blocks(
 
     cost_table = np.full((int(off[-1]), m), INF)
     cost_table[cols] = vals[:m].T
-    if len(origin) == 1:
-        cost_table[origin[0]] = 0.0
-    else:
-        cost_table[np.repeat(origin, per_state, axis=0)[:m].T, np.arange(m)] = 0.0
+    cost_table[np.repeat(origin, width, axis=0)[:m].T, np.arange(m)] = 0.0
     for arr in (cost_table, alphas, chosen, prefs):
         arr.setflags(write=False)
     return cost_table, alphas[:m], chosen[:m], prefs[:m]
@@ -262,14 +260,17 @@ def sample_cost_functions(
     table: PercentileTable,
     rngs: Sequence[np.random.Generator],
     alpha: Optional[float] = None,
-    editable: Optional[frozenset[int]] = None,
+    editable: Optional[Sequence[Optional[frozenset[int]]]] = None,
     pref: Optional[np.ndarray] = None,
 ) -> CostSampleSet:
     """A population: one set whose column u is a block of width 1 drawn for
-    `states[u]` on `rngs[u]`, all in one call; absent inputs are drawn."""
-    if not states or len(states) != len(rngs):
-        raise ValueError(f"need one generator per state and at least one state, "
-                         f"got {len(states)} states for {len(rngs)} generators")
+    `states[u]` on `rngs[u]` with editable set `editable[u]` (None, or no
+    `editable` at all: drawn), all in one call; absent inputs are drawn."""
+    editable = [None] * len(states) if editable is None else editable
+    if not states or not len(states) == len(rngs) == len(editable):
+        raise ValueError(f"need one generator and one editable set per state and at least "
+                         f"one state, got {len(states)} states for {len(rngs)} generators "
+                         f"and {len(editable)} editable sets")
     drawn = _sample_blocks(states, schema, table, rngs, 1, len(rngs), alpha, editable, pref)
     codes = np.array([s.values for s in states], dtype=np.int64)
     codes.setflags(write=False)
@@ -287,19 +288,7 @@ def sample_cost_function(
 ) -> CostSampleSet:
     """Draw one cost function conditioned on `state` (a set with M=1): a
     population of one for `sample_cost_functions`."""
-    return sample_cost_functions([state], schema, table, [rng], alpha, editable, pref)
-
-
-def join_columns(sets: Sequence[CostSampleSet]) -> CostSampleSet:
-    """One set holding the columns of `sets` in order."""
-    return CostSampleSet(
-        sets[0].schema,
-        np.concatenate([s.states for s in sets]),
-        np.concatenate([s.table for s in sets], axis=1),
-        np.concatenate([s.alpha for s in sets]),
-        np.concatenate([s.editable for s in sets]),
-        np.concatenate([s.preferences for s in sets]),
-    )
+    return sample_cost_functions([state], schema, table, [rng], alpha, [editable], pref)
 
 
 def stream_rng(stream: int, seed: int, index: int, subkey: int = 0) -> np.random.Generator:
@@ -334,8 +323,8 @@ def sample_cost_batch(
     if m < 1:
         raise ValueError(f"sample count must be >= 1, got {m}")
     rngs = [stream_rng(TRAIN_STREAM, seed, b, subkey) for b in range(-(-m // BLOCK))]
-    drawn = _sample_blocks([state] * len(rngs), schema, table, rngs, BLOCK, m, alpha, editable,
-                           pref)
+    drawn = _sample_blocks([state] * len(rngs), schema, table, rngs, BLOCK, m, alpha,
+                           [editable] * len(rngs), pref)
     codes = np.broadcast_to(np.array(state.values, dtype=np.int64), (m, len(state.values)))
     return CostSampleSet(schema, codes, *drawn)
 

@@ -113,11 +113,13 @@ def simulate_users(
     test_seed: int,
     user_ids: Sequence[int],
     alpha: Optional[float] = None,
+    editable: Optional[Sequence[Optional[frozenset[int]]]] = None,
 ) -> CostSampleSet:
     """`simulate_user` for each user, the population drawn in one call:
-    column u is user u's hidden cost function."""
+    column u is user u's hidden cost function, pinned to the editable set
+    `editable[u]` when one is given."""
     rngs = [stream_rng(TEST_STREAM, test_seed, uid) for uid in user_ids]
-    return sample_cost_functions(states, schema, table, rngs, alpha=alpha)
+    return sample_cost_functions(states, schema, table, rngs, alpha=alpha, editable=editable)
 
 
 def valid_members(sets: Sequence[RecourseSet]) -> tuple[np.ndarray, np.ndarray]:

@@ -20,13 +20,14 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .cost import join_columns, min_cost
+from .cost import SHIFT_STREAM, min_cost
 from .evaluate import (
     MetricsReport,
     compute_report,
     concentration_distance,
     metric_names,
     set_metrics,
+    # Unused here; perfbench/run.py traces evaluation through experiments.simulate_user.
     simulate_user,
     simulate_users,
     valid_members,
@@ -60,11 +61,6 @@ GRID_FIELDS = {
     "samples_sweep": "num_samples",
     "alpha_grid": "alpha",
 }
-
-# Stream namespace for test-time concentration vectors (cost uses 0/1,
-# search perturbations 2).
-SHIFT_STREAM = 3
-
 
 @dataclass
 class ExperimentSpec:
@@ -362,23 +358,15 @@ def _concentration_shift(spec, states, user_ids, classifier, schema, table):
     sets = recourse_sets_from_docs(docs)
 
     movable = schema.mutable_indices()
-    rng = np.random.default_rng(
-        np.random.SeedSequence([SHIFT_STREAM, spec.test_seed])
-    )
-    # Each shift user pins their own editable set, so is drawn alone.
-    distances, users, owned = [], [], []
-    for v in range(spec.shift_vectors):
-        editable = frozenset(random_editable_subset(movable, rng))
-        conc = np.zeros(schema.n_features)
-        conc[sorted(editable)] = 1.0
-        i = v % len(docs)
-        users.append(simulate_user(states[i], schema, table, spec.test_seed,
-                                   spec.shift_vectors * 7 + v, editable=editable))
-        owned.append(sets[i])
-        distances.append(float(concentration_distance(conc, train_conc[i])[0]))
-    costs = min_cost(*valid_members(owned), join_columns(users))
-
-    distances = np.asarray(distances)
+    rng = np.random.default_rng(np.random.SeedSequence([SHIFT_STREAM, spec.test_seed]))
+    pins = [frozenset(random_editable_subset(movable, rng)) for _ in range(spec.shift_vectors)]
+    owner = [v % len(docs) for v in range(spec.shift_vectors)]
+    users = simulate_users([states[i] for i in owner], schema, table, spec.test_seed,
+                           [spec.shift_vectors * 7 + v for v in range(spec.shift_vectors)],
+                           editable=pins)
+    costs = min_cost(*valid_members([sets[i] for i in owner]), users)
+    distances = np.array([concentration_distance(conc, train_conc[i])[0]
+                          for conc, i in zip(users.editable, owner)])
     satisfied = (costs < spec.k).astype(float)
     top = max(float(distances.max()), 1e-9)
     edges = np.linspace(0.0, top, spec.bins + 1)

@@ -55,6 +55,16 @@ class TrainConfig:
     lr: float = 0.01
     seed: int = 0
 
+    def __post_init__(self):
+        if self.architecture not in ARCHITECTURES:
+            raise ValueError(f"unknown architecture {self.architecture!r}; "
+                             f"valid architectures: {', '.join(ARCHITECTURES)}")
+        for name in ("hidden_width", "epochs"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"lr must be finite and positive, got {self.lr}")
+
 
 @dataclass
 class Classifier:

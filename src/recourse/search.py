@@ -79,7 +79,8 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .cost import CostSampleSet, check_alpha, cost_rows, emc_of_matrix
+from .cost import (SEARCH_STREAM, CostSampleSet, check_alpha, cost_rows, emc_of_matrix,
+                   stream_rng)
 from .evaluate import set_distance_stats
 from .model import BudgetExhausted, BudgetMeter, Classifier, predict_batch
 from .schema import DatasetSchema, UserState, feasible_positions
@@ -90,9 +91,6 @@ INF = math.inf
 # the largest possible finite transition cost (= feature count) works; a
 # power of two keeps the cancellation (x - BIG) + (BIG - y) near-exact.
 BIG = float(2**20)
-
-# RNG stream namespace for search perturbations (cost sampling owns 0 and 1).
-SEARCH_STREAM = 2
 
 # Features each perturbation resamples per member.
 HAMMING = 2
@@ -331,13 +329,6 @@ def select_swaps(benefits: np.ndarray) -> list[tuple[int, int, int]]:
     ]
 
 
-def search_rng(seed: int, user_key: int = 0, restart: int = 0) -> np.random.Generator:
-    """Perturbation stream for one (seed, user, restart) triple."""
-    return np.random.default_rng(
-        np.random.SeedSequence([SEARCH_STREAM, seed, user_key, restart])
-    )
-
-
 def _classify(ws: _Workspace, classifier: Classifier, idx: np.ndarray,
               meter: BudgetMeter) -> np.ndarray:
     """Validity of (..., d) member positions, in one metered model query."""
@@ -480,7 +471,7 @@ def pcols(
         )
     ws = _Workspace(s_u, schema)
     meter = BudgetMeter(restarts * sub_budget)
-    rngs = [search_rng(settings.seed, user_key, r) for r in range(restarts)]
+    rngs = [stream_rng(SEARCH_STREAM, settings.seed, r, user_key) for r in range(restarts)]
     members, valid, costs, traces = _lockstep(
         ws, classifier, samples, settings.set_size, meter, rngs
     )
@@ -529,7 +520,7 @@ def _whole_set(
     objective prices sets; the others never read `samples`, which may be
     None."""
     ws = _Workspace(s_u, schema)
-    rng = search_rng(settings.seed, user_key)
+    rng = stream_rng(SEARCH_STREAM, settings.seed, 0, user_key)
     n = settings.set_size
     if settings.budget < n:
         raise ValueError("budget cannot cover the initial set")

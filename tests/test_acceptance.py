@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from recourse import search as search_module
-from recourse.cost import INF, join_columns, min_cost, sample_cost_batch, sample_cost_function
+from recourse.cost import INF, min_cost, sample_cost_batch, sample_cost_function
 from recourse.datasets import make_adult_like, make_synthetic_6f
 from recourse.evaluate import (
     coverage,
@@ -323,10 +323,10 @@ def test_criterion_6_ablation_direction(adult_users, adult_benchmark):
 def test_criterion_7_metric_units():
     """Hand-computed metric examples, including the published fairness
     ratio to three decimals."""
-    from test_evaluate import pointing_set, single_feature_user
+    from test_evaluate import pointing_set, single_feature_users
 
     def realized(*costs):
-        users = join_columns([single_feature_user([0.0, c]) for c in costs])
+        users = single_feature_users(*([0.0, c] for c in costs))
         return min_cost(*valid_members([pointing_set()] * len(costs)), users)
 
     costs = realized(0.5, 1.2, INF)

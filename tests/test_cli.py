@@ -127,6 +127,35 @@ class TestTrain(object):
         assert f"dataset {tmp_path / 'bad.csv'} row 3" in err
         assert "label 7" in err and "column 'label'" in err
 
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--hidden-width", "0", "hidden_width must be at least 1, got 0"),
+        ("--epochs", "0", "epochs must be at least 1, got 0"),
+        ("--lr", "-1", "lr must be finite and positive, got -1.0"),
+    ])
+    def test_bad_training_value_exits_2(self, workdir, tmp_path, capsys, monkeypatch,
+                                        flag, value, message):
+        """`--hidden-width 0` used to die dividing by zero; `--epochs 0` and
+        `--lr -1` trained a model without complaint."""
+        from recourse import cli
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a model was trained")
+
+        monkeypatch.setattr(cli, "train_classifier", refuse)
+        code = main(
+            [
+                "train",
+                "--schema", str(workdir / "schema.yaml"),
+                "--data", str(workdir / "labeled.csv"),
+                "--label-column", "label",
+                flag, value,
+                "--out", str(tmp_path / "model.json"),
+            ]
+        )
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "model.json").exists()
+
 
 class TestGenerate:
     def _generate(self, workdir, out, extra=()):
@@ -961,6 +990,34 @@ class TestFlagConflicts:
         assert code == 2
         value = command[-1].split(",")[-1]
         assert f"{name} must be non-negative, got {value}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, message", [
+        (["experiment", "--kind", "main", "--methods", "cols", "--seeds", "0,x"],
+         "--seeds: 'x' is not an integer"),
+        (["experiment", "--kind", "budget_sweep", "--methods", "cols", "--seeds", "0",
+          "--grid", "60,abc"], "--grid: 'abc' is not a number"),
+        (["evaluate", "--test-seed", "5,y"], "--test-seed: 'y' is not an integer"),
+    ], ids=["seeds", "grid", "test-seed"])
+    def test_bad_comma_list_item_exits_2(self, workdir, tmp_path, capsys, command, message):
+        """A bad item used to print int()'s or float()'s own message, which
+        named neither the flag nor the list."""
+        if command[0] == "evaluate":
+            inputs = ["--results", str(tmp_path / "results")]
+        else:
+            inputs = ["--model", str(workdir / "model.json"), "--users", "2",
+                      "--budget", "20", "--set-size", "2", "--num-samples", "5"]
+        code = main(
+            [
+                *command,
+                "--schema", str(workdir / "schema.yaml"),
+                "--data", str(workdir / "data.csv"),
+                *inputs,
+                "--out", str(tmp_path / "out"),
+            ]
+        )
+        assert code == 2
+        assert f"error: {message}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_negative_generation_seed_refused_before_any_run(self, workdir, tmp_path,

@@ -13,7 +13,6 @@ from recourse.cost import (
     CostSampleSet,
     cost_rows,
     emc_of_matrix,
-    join_columns,
     min_cost,
     sample_cost_batch,
     sample_cost_function,
@@ -499,38 +498,40 @@ def _flat_dirichlet(rng, k):
     return draws * (1.0 / total)
 
 
-def scalar_cost_function(state, schema, table, rng):
-    """Reference sampler, drawn one sample at a time: a subset from
-    `random(n)` coins repeated until one is kept, a flat Dirichlet over it,
-    a scalar `random()` alpha, then per chosen feature in index order one
-    `random(2 * |D_f|)` for an unordered feature's means and one scalar
-    `beta` per target whose Beta exists. Returns a set with M=1."""
-    d, movable = schema.n_features, schema.mutable_indices()
-    chosen = []
-    while not chosen:
-        chosen = [f for f, c in zip(movable, rng.random(len(movable)).tolist()) if c < 0.5]
-    prefs = np.zeros((1, d))
-    prefs[0, chosen] = _flat_dirichlet(rng, len(chosen))
-    a = rng.random()
+def scalar_cost_functions(state, schema, table, rngs):
+    """Reference sampler, drawn one sample at a time, sample i on rngs[i]:
+    a subset from `random(n)` coins repeated until one is kept, a flat
+    Dirichlet over it, a scalar `random()` alpha, then per chosen feature in
+    index order one `random(2 * |D_f|)` for an unordered feature's means and
+    one scalar `beta` per target whose Beta exists. Returns a set with
+    M = len(rngs)."""
+    d, movable, m = schema.n_features, schema.mutable_indices(), len(rngs)
     at = schema.positions(state.values).tolist()
-    costs = np.full((int(schema.offsets[-1]), 1), INF)
+    costs = np.full((int(schema.offsets[-1]), m), INF)
     costs[schema.offsets[:-1] + at] = 0.0
+    alphas, editable, prefs = np.empty(m), np.zeros((m, d), dtype=bool), np.zeros((m, d))
     var = COST_STD * COST_STD
-    for f in chosen:
-        targets, raw = moves(table, f, at[f])
-        size, keep = schema.features[f].size, 1.0 - float(prefs[0, f])
-        if raw is None:
-            means = rng.random(2 * size).tolist()
-            raw = [(means[j], means[j + size]) for j in targets]
-        for j, (x, y) in zip(targets, raw):
-            mu = a * (x * keep) + (1.0 - a) * (y * keep)
-            mu = 0.0 if mu < 0.0 else 1.0 if mu > 1.0 else mu
-            nu = mu * (1.0 - mu) / var - 1.0
-            costs[schema.offsets[f] + j] = rng.beta(mu * nu, (1.0 - mu) * nu) if nu > 0.0 else mu
-    editable = np.zeros((1, d), dtype=bool)
-    editable[0, chosen] = True
-    return CostSampleSet(schema, np.array([state.values], dtype=np.int64), costs,
-                         np.array([a]), editable, prefs)
+    for i, rng in enumerate(rngs):
+        chosen = []
+        while not chosen:
+            chosen = [f for f, c in zip(movable, rng.random(len(movable)).tolist()) if c < 0.5]
+        prefs[i, chosen] = _flat_dirichlet(rng, len(chosen))
+        a = alphas[i] = rng.random()
+        for f in chosen:
+            targets, raw = moves(table, f, at[f])
+            size, keep = schema.features[f].size, 1.0 - float(prefs[i, f])
+            if raw is None:
+                means = rng.random(2 * size).tolist()
+                raw = [(means[j], means[j + size]) for j in targets]
+            for j, (x, y) in zip(targets, raw):
+                mu = a * (x * keep) + (1.0 - a) * (y * keep)
+                mu = 0.0 if mu < 0.0 else 1.0 if mu > 1.0 else mu
+                nu = mu * (1.0 - mu) / var - 1.0
+                costs[schema.offsets[f] + j, i] = (rng.beta(mu * nu, (1.0 - mu) * nu)
+                                                   if nu > 0.0 else mu)
+        editable[i, chosen] = True
+    return CostSampleSet(schema, np.tile(np.array(state.values, dtype=np.int64), (m, 1)),
+                         costs, alphas, editable, prefs)
 
 
 def reference_block(state, schema, table, rng, alpha, editable, pref):
@@ -631,7 +632,7 @@ class TestBlockDistribution:
 
     def test_binned_chi_square_against_single_draws(self, adult):
         """10^4 rows of one batch (seed 11) against 10^4 draws of
-        `scalar_cost_function` on their own streams (seed 11), for one
+        `scalar_cost_functions` on their own streams (seed 11), for one
         adult-like user: alpha in 10 equal bins, each movable feature's editable
         frequency, the editable-set size, and deciles of each chosen
         feature's preference and of each (feature, target) cost. Each
@@ -640,10 +641,9 @@ class TestBlockDistribution:
         schema, rows, _, table, _ = adult
         state, movable = rows[3], schema.mutable_indices()
         block = sample_cost_batch(state, schema, table, self.N, seed=11, subkey=3)
-        singles = [scalar_cost_function(state, schema, table,
-                                        stream_rng(TRAIN_STREAM, 11, i, 3))
-                   for i in range(self.N)]
-        single = join_columns(singles)
+        single = scalar_cost_functions(state, schema, table,
+                                       [stream_rng(TRAIN_STREAM, 11, i, 3)
+                                        for i in range(self.N)])
         binned = {"alpha": [np.histogram(x.alpha, bins=10, range=(0.0, 1.0))[0]
                             for x in (block, single)],
                   "size": [np.bincount(x.editable.sum(axis=1), minlength=10)
@@ -665,7 +665,7 @@ class TestBlockDistribution:
 
     def test_cells_without_a_beta_hold_the_scalar_blend(self, adult):
         """Where a cell's Beta does not exist (nu <= 0), its cost is the
-        scalar blend and clip of `scalar_cost_function`, to the bit, checked
+        scalar blend and clip of `scalar_cost_functions`, to the bit, checked
         on every chosen ordered cell of 130-row batches."""
         schema, rows, _, table, _ = adult
         var = COST_STD * COST_STD
@@ -809,7 +809,7 @@ class TestTwelveFeaturePricing:
         for k in range(20):
             rngs = [np.random.default_rng([k, u]) for u in range(100)]
             population = sample_cost_functions(states, schema, table, rngs,
-                                               editable=movable)
+                                               editable=[movable] * 100)
             sizes = np.random.default_rng(k).integers(1, 20, size=100)
             sizes[k] = 0
             owned = [moved_members(schema, s, n, seed=100 * k + u)

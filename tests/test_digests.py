@@ -156,10 +156,10 @@ def test_batch_is_its_blocks(rejected, case):
         batch = sample_cost_batch(state, schema, table, 130, seed=3, subkey=uid, **kwargs)
         rows = [batch.table.T, batch.alpha, batch.editable, batch.preferences]
         for b in range(3):
-            inputs = [kwargs.get(key) for key in ("alpha", "editable", "pref")]
             costs, *rest = _sample_blocks([state], schema, table,
                                           [stream_rng(TRAIN_STREAM, 3, b, uid)], BLOCK, BLOCK,
-                                          *inputs)
+                                          kwargs.get("alpha"), [kwargs.get("editable")],
+                                          kwargs.get("pref"))
             for got, want in zip(rows, [costs.T, *rest]):
                 assert got[BLOCK * b:BLOCK * (b + 1)].tobytes() == want[:130 - BLOCK * b].tobytes()
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from recourse import evaluate
-from recourse.cost import INF, join_columns, min_cost
+from recourse.cost import INF, min_cost
 from recourse.datasets import make_adult_like
 from recourse.evaluate import (
     compute_report,
@@ -36,17 +36,17 @@ from recourse.search import RecourseSet, _Workspace
 from test_cost import manual_samples, transition_cost
 
 
-def single_feature_user(costs):
-    """A user on a one-feature domain with hand-set transition costs: a
-    hidden cost function (a population of one) conditioned on the state (0,).
+def single_feature_users(*costs):
+    """Users on a one-feature domain with hand-set transition costs: a
+    hidden population whose column u is conditioned on the state (0,).
 
-    costs[j] is the cost of moving from value 0 to value j; a recourse set
-    pointing at value 1 realises costs[1].
+    costs[u][j] is user u's cost of moving from value 0 to value j; a
+    recourse set pointing at value 1 realises costs[u][1].
     """
     schema = DatasetSchema(
-        features=(FeatureSpec("f", "ordered", tuple(range(len(costs)))),)
+        features=(FeatureSpec("f", "ordered", tuple(range(len(costs[0])))),)
     )
-    return manual_samples(schema, UserState((0,)), [[costs]])
+    return manual_samples(schema, UserState((0,)), [[c] for c in costs])
 
 
 def recourse_set(members, validity):
@@ -67,7 +67,7 @@ def realised(user, recourse):
 class TestRealizedCost:
     def test_reads_the_pointed_transition(self):
         costs = [0.0, 0.5, 1.2, INF]
-        users = join_columns([single_feature_user([0.0, c]) for c in costs])
+        users = single_feature_users(*([0.0, c] for c in costs))
         got = min_cost(*valid_members([pointing_set()] * len(costs)), users)
         assert got.tolist() == costs
 
@@ -88,14 +88,14 @@ class TestFsAtK:
         assert values == sorted(values)
 
     def test_invalid_members_cost_infinity(self):
-        user = single_feature_user([0.0, 0.1])
+        user = single_feature_users([0.0, 0.1])
         costs = np.array([realised(user, pointing_set(valid=False))])
         assert costs[0] == INF
         assert fs_at_k(costs, k=1.0) == 0.0
         assert coverage(costs) == 0.0
 
     def test_removal_never_helps(self):
-        user = single_feature_user([0.0, 0.9, 0.2])
+        user = single_feature_users([0.0, 0.9, 0.2])
         both = recourse_set([(1,), (2,)], [True, True])
         assert realised(user, both) <= realised(user, pointing_set(1))
 
@@ -103,11 +103,16 @@ class TestFsAtK:
         schema, _, _, table, _ = synth6
         with pytest.raises(ValueError, match="at least one state"):
             simulate_users([], schema, table, 5, [])
-        user = single_feature_user([0.0, 0.5])
+        user = single_feature_users([0.0, 0.5])
         with pytest.raises(ValueError, match="got 0 for 1"):
             compute_report(user, [], user.schema, k=1.0)
         with pytest.raises(ValueError, match="got 2 for 1"):
             compute_report(user, [pointing_set()] * 2, user.schema, k=1.0)
+
+    def test_one_pin_per_user(self, synth6):
+        schema, rows, _, table, _ = synth6
+        with pytest.raises(ValueError, match="for 2 generators and 1 editable sets"):
+            simulate_users(rows[:2], schema, table, 5, [0, 1], editable=[None])
 
 
 class TestPac:
@@ -321,23 +326,36 @@ class TestSimulatedUsers:
         )
         assert not same
 
-    @pytest.mark.parametrize("alpha", [pytest.param(None, id="mix"),
-                                       pytest.param(1.0, id="lin")])
-    def test_draw_does_not_depend_on_the_population(self, adult, alpha):
+    @pytest.mark.parametrize("alpha,pinned", [pytest.param(None, False, id="mix"),
+                                              pytest.param(1.0, False, id="lin"),
+                                              pytest.param(None, True, id="mix-pins")])
+    def test_draw_does_not_depend_on_the_population(self, adult, alpha, pinned):
         """Each of 100 adult-like users' hidden draws is the same bytes
         drawn alone as column u of one 100-user population and as column
         99 - u of that population reversed: scoring a user does not depend
-        on who else is scored."""
+        on who else is scored. With `pinned`, each user but every third one
+        pins an editable set of their own (user 1 an empty one), alone as in
+        the population."""
         schema, rows, _, table, _ = adult
         states, ids = rows[:100], [7 * i + 3 for i in range(100)]
-        together = simulate_users(states, schema, table, 41, ids, alpha)
-        reversed_ = simulate_users(states[::-1], schema, table, 41, ids[::-1], alpha)
+        pins = [None] * 100
+        if pinned:
+            rng = np.random.default_rng(8)
+            pins = [None if u % 3 == 0 else
+                    frozenset(f for f in schema.mutable_indices() if rng.random() < 0.5)
+                    for u in range(100)]
+            pins[1] = frozenset()
+        together = simulate_users(states, schema, table, 41, ids, alpha, pins)
+        reversed_ = simulate_users(states[::-1], schema, table, 41, ids[::-1], alpha,
+                                   pins[::-1])
         assert len({s.values for s in states}) > 50
         assert together.m == reversed_.m == 100
-        for u, (state, uid) in enumerate(zip(states, ids)):
-            alone = simulate_user(state, schema, table, 41, uid, alpha)
+        for u, (state, uid, pin) in enumerate(zip(states, ids, pins)):
+            alone = simulate_user(state, schema, table, 41, uid, alpha, pin)
             assert alone.m == 1
             assert alone.states.tolist() == [list(state.values)]
+            if pin is not None:
+                assert np.flatnonzero(alone.editable[0]).tolist() == sorted(pin)
             for x, i in ((together, u), (reversed_, 99 - u)):
                 for got, want in ((x.states[i], alone.states[0]),
                                   (x.table[:, i], alone.table[:, 0]),

@@ -1,4 +1,6 @@
 import json
+import math
+import re
 
 import numpy as np
 import pytest
@@ -55,6 +57,21 @@ class TestTraining:
         for (wa, ba), (wb, bb) in zip(a.layers, b.layers):
             assert np.array_equal(wa, wb)
             assert np.array_equal(ba, bb)
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("architecture", "cnn", "unknown architecture 'cnn'"),
+        ("hidden_width", 0, "hidden_width must be at least 1, got 0"),
+        ("epochs", 0, "epochs must be at least 1, got 0"),
+        ("lr", -1.0, "lr must be finite and positive, got -1.0"),
+        ("lr", 0.0, "lr must be finite and positive, got 0.0"),
+        ("lr", math.nan, "lr must be finite and positive, got nan"),
+        ("lr", math.inf, "lr must be finite and positive, got inf"),
+    ])
+    def test_config_refuses_bad_values(self, field, value, message):
+        """`--hidden-width 0` used to die dividing by zero; `--epochs 0` and
+        `--lr -1` trained without complaint."""
+        with pytest.raises(ValueError, match=re.escape(message)):
+            TrainConfig(**{field: value})
 
     def test_single_class_rejected(self):
         schema, rows, _ = separable_toy()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from recourse import search as search_module
-from recourse.cost import INF, emc_of_matrix, sample_cost_batch
+from recourse.cost import INF, SEARCH_STREAM, emc_of_matrix, sample_cost_batch, stream_rng
 from recourse.model import BudgetMeter, Classifier
 from recourse.schema import DatasetSchema, FeatureSpec, UserState, feasible_values
 from recourse.search import (
@@ -22,7 +22,6 @@ from recourse.search import (
     local_search,
     pcols,
     random_search,
-    search_rng,
     select_swaps,
 )
 
@@ -701,7 +700,7 @@ class TestLockstep:
                 meter = BudgetMeter(sub)
                 members, valid, costs, traces = _lockstep(
                     ws, clf, samples, config.set_size, meter,
-                    [search_rng(config.seed, user, r)],
+                    [stream_rng(SEARCH_STREAM, config.seed, r, user)],
                 )
                 runs.append((members[0], valid[0], costs[0], traces[0], meter.used))
             assert res.restart_emcs == [trace[-1] for _, _, _, trace, _ in runs]
@@ -966,7 +965,7 @@ class TestValidityChanneling:
         leftovers: no undesired-class candidate is ever swapped in."""
         import numpy as np
 
-        from recourse.search import _Workspace, search_rng
+        from recourse.search import _Workspace
 
         schema, rows, _, table, clf = synth6
         for seed in range(5):
@@ -976,7 +975,7 @@ class TestValidityChanneling:
             config = GenerationSettings(budget=600, set_size=8, seed=seed)
             res = cols(s_u, clf, samples, schema, config)
             ws = _Workspace(s_u, schema)
-            rng = search_rng(seed, 0)
+            rng = stream_rng(SEARCH_STREAM, seed, 0, 0)
             init = ws.perturb_rows(np.tile(ws.user_idx, (1, 8, 1)), [rng])[0]
             init_rows = {tuple(r) for r in schema.codes(init).tolist()}
             for member, ok in zip(res.recourse_set.members,
