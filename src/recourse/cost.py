@@ -64,16 +64,28 @@ for all members and adds them left to right; sums saturate at
 `math.inf`, so one infeasible feature makes a whole transition infeasible.
 Search prices every member under every column; `min_cost` prices a hidden
 population, each member under its owner's column alone. The sum is an
-explicit loop and never a numpy reduction: `add.reduce` and
-`.sum(axis=...)` sum 8 or more terms pairwise when the summed axis is
-contiguous, as it is in a (P, d) gather of each member's feature costs,
-and then disagree with the sequential sum in the last bits.
+explicit loop, one gather per term, and never a numpy reduction:
+`add.reduce` and `.sum(axis=...)` sum 8 or more terms pairwise when the
+summed axis is contiguous, as it is in a (P, d) gather of each member's
+feature costs, and then disagree with the sequential sum in the last bits.
+
+The sampler writes exactly +0.0 into every column of a feature's origin
+row, and a searched member moves only a few of its features, so most of
+the rows a full (P, M) pricing gathers add nothing. It skips them: each
+member adds only its rows that are not all +0.0 (`CostSampleSet.zero_rows`),
+still in feature order, and a member with fewer such rows than the widest
+adds an all-+0.0 row in their place. That is bit for bit the full sum: a
+sum of doubles is -0.0 only when both terms are, so in a table without a
+-0.0 no partial sum is -0.0, and adding +0.0 returns every other double
+unchanged. A table holding a -0.0 anywhere has no zero rows and is
+priced in full.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -119,6 +131,16 @@ class CostSampleSet:
         """Per feature f, the (M, |D_f|) view `table[offsets[f]:offsets[f+1]].T`."""
         off = self.schema.offsets.tolist()
         return tuple(self.table[lo:hi].T for lo, hi in zip(off, off[1:]))
+
+    @cached_property
+    def zero_rows(self) -> np.ndarray:
+        """(W,) bool: the table rows whose entries are all +0.0, which
+        `cost_rows` leaves out of its sums; none when the table holds a
+        -0.0 (see the module docstring)."""
+        zero = self.table == 0.0
+        if np.signbit(self.table[zero]).any():
+            return np.zeros(len(self.table), dtype=bool)
+        return zero.all(axis=1)
 
 
 def _check_inputs(
@@ -261,7 +283,6 @@ def sample_cost_functions(
     rngs: Sequence[np.random.Generator],
     alpha: Optional[float] = None,
     editable: Optional[Sequence[Optional[frozenset[int]]]] = None,
-    pref: Optional[np.ndarray] = None,
 ) -> CostSampleSet:
     """A population: one set whose column u is a block of width 1 drawn for
     `states[u]` on `rngs[u]` with editable set `editable[u]` (None, or no
@@ -271,7 +292,7 @@ def sample_cost_functions(
         raise ValueError(f"need one generator and one editable set per state and at least "
                          f"one state, got {len(states)} states for {len(rngs)} generators "
                          f"and {len(editable)} editable sets")
-    drawn = _sample_blocks(states, schema, table, rngs, 1, len(rngs), alpha, editable, pref)
+    drawn = _sample_blocks(states, schema, table, rngs, 1, len(rngs), alpha, editable, None)
     codes = np.array([s.values for s in states], dtype=np.int64)
     codes.setflags(write=False)
     return CostSampleSet(schema, codes, *drawn)
@@ -284,11 +305,10 @@ def sample_cost_function(
     rng: np.random.Generator,
     alpha: Optional[float] = None,
     editable: Optional[frozenset[int]] = None,
-    pref: Optional[np.ndarray] = None,
 ) -> CostSampleSet:
     """Draw one cost function conditioned on `state` (a set with M=1): a
     population of one for `sample_cost_functions`."""
-    return sample_cost_functions([state], schema, table, [rng], alpha, [editable], pref)
+    return sample_cost_functions([state], schema, table, [rng], alpha, [editable])
 
 
 def stream_rng(stream: int, seed: int, index: int, subkey: int = 0) -> np.random.Generator:
@@ -337,15 +357,33 @@ def cost_rows(index_matrix: np.ndarray, samples: CostSampleSet,
     `columns`, the (P,) cost of member p under column `columns[p]` alone.
 
     Each member's feature costs are added left to right: one gather per
-    feature, added in place. Never a numpy reduction (see the module
-    docstring)."""
+    term, added in place, never a numpy reduction. The (P, M) table skips
+    each member's all-+0.0 rows, bit for bit (see the module docstring)."""
     rows = index_matrix + samples.schema.offsets[:-1]
     table = samples.table
-    cols = slice(None) if columns is None else columns
-    out = table[rows[:, 0], cols]
+    if columns is None:
+        rows, columns = _moved_rows(rows, samples.zero_rows), slice(None)
+    out = table[rows[:, 0], columns]
     for fi in range(1, rows.shape[1]):
-        out += table[rows[:, fi], cols]
+        out += table[rows[:, fi], columns]
     return out
+
+
+def _moved_rows(rows: np.ndarray, zero_rows: np.ndarray) -> np.ndarray:
+    """The (P, k) table rows that member p adds: its rows outside
+    `zero_rows` in feature order, then an all-+0.0 row up to k, the widest
+    member's count (at least 1); `rows` itself when no row is all +0.0."""
+    pad = int(zero_rows.argmax())
+    if not zero_rows[pad]:
+        return rows
+    live = ~zero_rows[rows]
+    count = live.sum(axis=1)
+    k = count.max(initial=1)
+    plan = np.full((len(rows), k), pad)
+    # Both boolean indexings run in row-major order, so member p's live rows
+    # fill its first count[p] slots in feature order.
+    plan[np.arange(k) < count[:, None]] = rows[live]
+    return plan
 
 
 def min_cost(members: np.ndarray, owners: np.ndarray, population: CostSampleSet) -> np.ndarray:

@@ -102,13 +102,24 @@ class Classifier:
         return (codes - self.scale_min) / span
 
     def prob(self, codes: np.ndarray) -> np.ndarray:
-        """P(class 1) for an (n, d) matrix of raw feature codes. Pure; unmetered."""
+        """P(class 1) for an (n, d) matrix of raw feature codes. Pure; unmetered.
+
+        A row's probability does not depend on the batch it is in, to the
+        bit: `@` lets BLAS pick its kernel by shape, so the products use
+        unoptimized einsum, which sums each row the same way at every batch
+        size and offset. numpy does not document that; `tests/test_model.py`
+        checks it."""
         x = self._scale(np.asarray(codes, dtype=float))
         for w, b in self.layers[:-1]:
-            x = np.maximum(x @ w + b, 0.0)
+            x = np.maximum(_rows_times(x, w) + b, 0.0)
         w, b = self.layers[-1]
-        z = (x @ w + b).ravel()
+        z = (_rows_times(x, w) + b).ravel()
         return 1.0 / (1.0 + np.exp(-np.clip(z, -60.0, 60.0)))
+
+
+def _rows_times(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """x @ w, each output row a function of its input row alone."""
+    return np.einsum("nk,kw->nw", x, w, optimize=False)
 
 
 def predict_batch(

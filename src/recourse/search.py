@@ -26,17 +26,20 @@ one-hot ownership and idle rows) and `compute_benefits` does only the
 candidate-dependent work. After a swap the statistics of the restarts
 that swapped are recomputed in full, never patched, so ties on a column's
 minimum keep going to the lowest row. Before every greedy round a screen
-(`can_swap`) keeps only the restarts with some candidate cost, clamped
-to BIG, strictly below a held column minimum, and the rounds end when it
-keeps none. The screen is exact: a candidate at or above the minimum in
-every column has min(candidate, second best) >= minimum there, so each of
-its deltas is a difference x - y with x <= y, which IEEE arithmetic keeps
-<= 0, its idle-row gains are 0, and the sums over those terms stay <= 0;
-no entry is strictly positive. It drops whole restarts only, so the
-benefit tables keep their shape and their last bits. Within one
-iteration a restart that did not swap keeps its costs and candidates, so
-later rounds also skip it. The objective trace is read from the held
-statistics, and an iteration without a swap repeats the previous values.
+(`can_swap`) keeps only the restarts with some candidate cost strictly
+below a held column minimum, and the rounds end when it keeps none. It
+reads the raw candidate costs and `compute_benefits` clamps them once:
+every held minimum is at most BIG, so a cost beats it exactly when the
+cost clamped to BIG does. The screen is exact: a candidate at or above
+the minimum in every column has min(candidate, second best) >= minimum
+there, so each of its deltas is a difference x - y with x <= y, which
+IEEE arithmetic keeps <= 0, its idle-row gains are 0, and the sums over
+those terms stay <= 0; no entry is strictly positive. It drops whole
+restarts only, so the benefit tables keep their shape and their last
+bits. Within one iteration a restart that did not swap keeps its costs
+and candidates, so later rounds also skip it. The objective trace is
+read from the held statistics, and an iteration without a swap repeats
+the previous values.
 
 Perturbation is one draw for all R * N rows. Restart r reads one uniform
 (N, m + 2) block from its own (seed, user, r) stream per call, m being the
@@ -214,20 +217,6 @@ class _Workspace:
         return self.feasible[np.arange(len(pos)), np.stack(pos, axis=1)]
 
 
-def _column_minima(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per column of each (N, M) table in (..., N, M): (min value, min row
-    index, second-min value), each of shape (..., M).
-
-    Ties go to the lowest row index; with a single row the second-min is inf.
-    """
-    min_idx = entries.argmin(axis=-2)
-    at_min = min_idx[..., None, :]
-    min_vals = np.take_along_axis(entries, at_min, axis=-2)[..., 0, :]
-    masked = entries.copy()
-    np.put_along_axis(masked, at_min, INF, axis=-2)
-    return min_vals, min_idx, masked.min(axis=-2)
-
-
 class ColumnStats(NamedTuple):
     """What `compute_benefits` needs of (..., N, M) best-set cost tables,
     with infinite costs clamped to BIG."""
@@ -249,12 +238,14 @@ def column_stats(best_costs: np.ndarray) -> ColumnStats:
     cb = np.minimum(np.asarray(best_costs, dtype=float), BIG)
     if cb.ndim < 2:
         raise ValueError(f"expected (..., N, M) cost tables, got shape {cb.shape}")
-    min_vals, min_idx, second_vals = _column_minima(cb)
+    # The lowest row at each column's minimum; the second minimum is the
+    # least entry with that row read as BIG, which no clamped entry exceeds.
+    first = cb.argmin(axis=-2)[..., None, :] == np.arange(cb.shape[-2])[:, None]
+    min_vals = cb.min(axis=-2)
     covered = min_vals < BIG
-    rows = np.arange(cb.shape[-2])[:, None]
-    own = (min_idx[..., None, :] == rows) & covered[..., None, :]
+    own = first & covered[..., None, :]
     return ColumnStats(
-        min_vals, np.minimum(second_vals, BIG), covered, own.astype(float),
+        min_vals, np.where(first, BIG, cb).min(axis=-2), covered, own.astype(float),
         ~own.any(axis=-1),
     )
 
@@ -308,12 +299,13 @@ def compute_benefits(stats: ColumnStats, cand_costs: np.ndarray) -> np.ndarray:
     return benefits
 
 
-def can_swap(stats: ColumnStats, clamped: np.ndarray) -> np.ndarray:
+def can_swap(stats: ColumnStats, cand_costs: np.ndarray) -> np.ndarray:
     """(R,) screen for `compute_benefits` over R restarts: whether some
-    entry of restart r's (Nc, M) candidate table, clamped to BIG, is strictly
-    below its column's held minimum. A restart it rejects has no strictly
-    positive benefit entry (see `_lockstep`)."""
-    return (clamped < stats.min_vals[..., None, :]).any(axis=(-2, -1))
+    entry of restart r's (Nc, M) candidate table is strictly below its
+    column's held minimum. The held minima are at most BIG, so clamping the
+    candidates to BIG first gives the same screen. A restart it rejects
+    has no strictly positive benefit entry (see `_lockstep`)."""
+    return (cand_costs < stats.min_vals[..., None, :]).any(axis=(-2, -1))
 
 
 def select_swaps(benefits: np.ndarray) -> list[tuple[int, int, int]]:
@@ -398,12 +390,11 @@ def _lockstep(
         except BudgetExhausted:
             break
         cand_costs = _priced_rows(cand, samples, cand_valid)
-        clamped = np.minimum(cand_costs, BIG)
         # Greedy rounds. Each starts by screening out the restarts with no
         # candidate below a held column minimum, which cannot swap; after a
         # swap only the restarts that swapped stay. While every restart is
         # active the held statistics are used as they are.
-        active, sub_stats, sub_cand = everyone, stats, clamped
+        active, sub_stats, sub_cand = everyone, stats, cand_costs
         swapped = False
         while True:
             beats = can_swap(sub_stats, sub_cand)
@@ -411,7 +402,7 @@ def _lockstep(
                 active = active[beats]
                 if not len(active):
                     break
-                sub_stats, sub_cand = stats.take(active), clamped[active]
+                sub_stats, sub_cand = stats.take(active), cand_costs[active]
             swaps = select_swaps(compute_benefits(sub_stats, sub_cand))
             if not swaps:
                 break
@@ -423,7 +414,7 @@ def _lockstep(
             _refresh(stats, costs, r)
             swapped = True
             if len(r) < len(everyone):
-                active, sub_stats, sub_cand = r, stats.take(r), clamped[r]
+                active, sub_stats, sub_cand = r, stats.take(r), cand_costs[r]
         if swapped:
             emcs = _held_emcs(stats)
         for trace, emc in zip(traces, emcs):

@@ -269,10 +269,9 @@ class TestSampleCostFunction:
         # one editable feature holding all preference mass: scaled means are 0
         schema = one_feature_schema("increase_only")
         table = flat_table(schema)
-        rng = np.random.default_rng(1)
         pref = np.array([1.0])
-        c = sample_cost_function(
-            UserState((1,)), schema, table, rng, alpha=1.0,
+        c = sample_cost_batch(
+            UserState((1,)), schema, table, 1, seed=1, alpha=1.0,
             editable=frozenset({0}), pref=pref,
         )
         assert c.m == 1
@@ -285,9 +284,8 @@ class TestSampleCostFunction:
         # all preference mass on the second feature leaves the first unscaled
         schema = two_feature_schema()
         table = flat_table(schema)
-        rng = np.random.default_rng(1)
-        c = sample_cost_function(
-            UserState((1, 0)), schema, table, rng, alpha=1.0,
+        c = sample_cost_batch(
+            UserState((1, 0)), schema, table, 1, seed=1, alpha=1.0,
             editable=frozenset({0, 1}), pref=np.array([0.0, 1.0]),
         )
         for j, expected in ((2, 1 / 3), (3, 2 / 3), (4, 1.0)):
@@ -338,17 +336,21 @@ class TestSampleCostFunction:
 
     def test_malformed_preferences_rejected(self, synth6):
         schema, rows, _, table, _ = synth6
-        rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
-            sample_cost_function(
-                rows[0], schema, table, rng,
+            sample_cost_batch(
+                rows[0], schema, table, 1, seed=0,
                 editable=frozenset({0}), pref=np.full(schema.n_features, 0.5),
             )
 
 
 def _one(state, schema, table, alpha=None, editable=None, pref=None):
+    """One cost function: a population of one or, since only the batch path
+    pins preferences, a batch of one when `pref` is given."""
+    if pref is not None:
+        return sample_cost_batch(state, schema, table, 1, seed=0,
+                                 alpha=alpha, editable=editable, pref=pref)
     return sample_cost_function(state, schema, table, np.random.default_rng(0),
-                                alpha=alpha, editable=editable, pref=pref)
+                                alpha=alpha, editable=editable)
 
 
 def _batch(state, schema, table, alpha=None, editable=None, pref=None):
@@ -822,6 +824,114 @@ class TestTwelveFeaturePricing:
                         default=INF) for u, (s, group) in enumerate(zip(states, owned))]
             assert got[k] == INF and np.isfinite(np.delete(got, k)).all()
             assert [x.hex() for x in got.tolist()] == [float(x).hex() for x in want]
+
+
+def dense_rows(positions, samples):
+    """Reference (P, M) pricing that skips nothing: every feature's table
+    row gathered and added left to right."""
+    rows = positions + samples.schema.offsets[:-1]
+    out = samples.table[rows[:, 0]].copy()
+    for fi in range(1, rows.shape[1]):
+        out = out + samples.table[rows[:, fi]]
+    return out
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def partly_moved(schema, state, counts, rng):
+    """(len(counts), d) positions: the state's, with member p's `counts[p]`
+    features, chosen at random, moved to another domain position, feasible
+    or not."""
+    at = schema.positions(state.values)
+    sizes = [f.size for f in schema.features]
+    out = np.tile(at, (len(counts), 1))
+    for p, k in enumerate(counts):
+        for fi in rng.choice([f for f in range(len(at)) if sizes[f] > 1], k, replace=False):
+            out[p, fi] = (at[fi] + rng.integers(1, sizes[fi])) % sizes[fi]
+    return out
+
+
+class TestSkippedZeroRows:
+    """The (P, M) `cost_rows` adds only each member's rows that are not all
+    +0.0 (`CostSampleSet.zero_rows`) and still returns the dense
+    left-to-right sum, to the bit."""
+
+    @staticmethod
+    def batches(adult):
+        schema, rows, _, table, _ = adult
+        movable = frozenset(schema.mutable_indices())
+        for k, (m, editable) in enumerate([(1, None), (1, movable), (7, None),
+                                           (100, movable), (1000, None)]):
+            yield rows[k], sample_cost_batch(rows[k], schema, table, m, seed=k,
+                                             editable=editable)
+
+    def test_sampler_tables_hold_no_negative_zero(self, adult):
+        """Skipping relies on the sampler writing +0.0, never -0.0; every
+        origin row is then a zero row."""
+        schema, rows, _, table, _ = adult
+        population = sample_cost_functions(
+            rows[:50], schema, table, [np.random.default_rng(u) for u in range(50)])
+        sets = [(s, b) for s, b in self.batches(adult)] + [(rows[0], population)]
+        for state, samples in sets:
+            zero = samples.table == 0.0
+            assert zero.any() and not np.signbit(samples.table[zero]).any()
+        for state, batch in self.batches(adult):
+            origin = schema.offsets[:-1] + schema.positions(state.values)
+            assert batch.zero_rows[origin].all()
+            assert batch.zero_rows.sum() < len(batch.table)
+
+    def test_mixed_live_counts_match_dense_sum(self, adult):
+        schema = adult[0]
+        d = schema.n_features
+        rng = np.random.default_rng(3)
+        for state, batch in self.batches(adult):
+            calls = [
+                [0] * 5,  # every member at the origin
+                [d] * 4,  # every feature moved
+                rng.integers(0, d + 1, size=40),  # mixed counts in one call
+                *([k] for k in range(d + 1)),  # P=1
+            ]
+            infinite = 0
+            for counts in calls:
+                positions = partly_moved(schema, state, counts, rng)
+                want = dense_rows(positions, batch)
+                assert_same_bits(cost_rows(positions, batch), want)
+                infinite += int(np.isinf(want).sum())
+            assert infinite
+
+    def test_origin_members_cost_plus_zero(self, adult):
+        schema = adult[0]
+        for state, batch in self.batches(adult):
+            positions = partly_moved(schema, state, [0, 0, 0], np.random.default_rng(0))
+            got = cost_rows(positions, batch)
+            assert_same_bits(got, np.zeros((3, batch.m)))
+
+    def test_table_without_zero_rows_is_priced_in_full(self, adult):
+        """A hand-built table with no all-+0.0 row, and one whose zero rows
+        sit beside a -0.0: neither skips, and both match the dense sum."""
+        schema, rows, _, table, _ = adult
+        state = rows[0]
+        batch = sample_cost_batch(state, schema, table, 30, seed=9)
+        rng = np.random.default_rng(9)
+        dense = rng.uniform(0.0, 1.0, size=batch.table.shape)
+        dense[rng.random(dense.shape) < 0.1] = INF
+        signed = np.array(batch.table)
+        origin = schema.offsets[:-1] + schema.positions(state.values)
+        signed[origin[0]] = -0.0
+        for hand in (dense, signed):
+            samples = CostSampleSet(schema, batch.states, hand, batch.alpha,
+                                    batch.editable, batch.preferences)
+            assert not samples.zero_rows.any()
+            positions = partly_moved(schema, state, rng.integers(0, 12, size=30), rng)
+            positions[:4] = schema.positions(state.values)
+            want = dense_rows(positions, samples)
+            assert_same_bits(cost_rows(positions, samples), want)
+        # -0.0 plus the other features' +0.0 is +0.0: skipping them would
+        # leave the sign.
+        assert not np.signbit(want[:4]).any()
 
 
 class TestDrawEquivalence:

@@ -153,6 +153,40 @@ class TestPredictAndBudget:
         assert clf.prob(codes) == clf.prob(codes)
 
 
+def unaligned_copy(block: np.ndarray) -> np.ndarray:
+    """`block` copied into a float buffer that starts one byte past an
+    allocation, so no element is 8-byte aligned."""
+    out = np.frombuffer(bytearray(block.nbytes + 1), dtype=float,
+                        count=block.size, offset=1).reshape(block.shape)
+    out[...] = block
+    return out
+
+
+class TestBatchInvariance:
+    """A row's probability is the same to the bit in every batch it can be
+    scored in: a population of users or restarts scored together must give
+    each row the verdict of its own query."""
+
+    @pytest.mark.parametrize("batch", [1, 7, 10, 64, 257, 4000])
+    def test_row_probability_is_bit_equal_in_every_batch(self, adult, batch):
+        _, rows, _, _, clf = adult
+        codes = np.array([r.values for r in rows], dtype=float)
+        want = clf.prob(codes)
+        order = np.random.default_rng(batch).permutation(len(codes))
+        # Batches of the permuted rows whose boundaries start `shift` rows in,
+        # each scored from an unaligned copy.
+        for shift in (0, 1, 3):
+            got = np.empty_like(want)
+            bounds = sorted({0, len(order), *range(shift, len(order), batch)})
+            for lo, hi in zip(bounds, bounds[1:]):
+                got[order[lo:hi]] = clf.prob(unaligned_copy(codes[order[lo:hi]]))
+            differ = np.flatnonzero(got.view(np.uint64) != want.view(np.uint64))
+            assert not len(differ), (
+                f"batch {batch}, shift {shift}: {len(differ)} rows differ from the "
+                f"one {len(codes)}-row batch, first row {differ[0]}: "
+                f"{got[differ[0]].hex()} vs {want[differ[0]].hex()}")
+
+
 class TestSerialization:
     def test_roundtrip_bit_exact(self, tmp_path, synth6):
         schema, rows, labels, _, clf = synth6

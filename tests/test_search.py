@@ -11,7 +11,6 @@ from recourse.search import (
     BIG,
     GenerationSettings,
     RecourseSet,
-    _column_minima,
     _lockstep,
     _refresh,
     _Workspace,
@@ -179,15 +178,20 @@ def naive_minima(entries: np.ndarray):
 
 
 class TestColumnMinima:
+    """`column_stats`' minima, owners and second minima against a per-column
+    scan; every table here is already at most BIG, and a second minimum
+    the scan finds infinite is BIG."""
+
     def test_batched_matches_per_table_scan_after_swaps(self):
         def check(stack):
-            mv, mi, sv = _column_minima(stack)
+            held = column_stats(stack)
             for r, entries in enumerate(stack):
                 nv, ni, ns = naive_minima(entries)
-                assert np.array_equal(mv[r], nv)
-                assert np.array_equal(mi[r], ni)
-                assert np.array_equal(sv[r], ns)
-            return mi
+                owner = (ni == np.arange(len(entries))[:, None]) & (nv < BIG)
+                assert np.array_equal(held.min_vals[r], nv)
+                assert np.array_equal(held.own[r], owner)
+                assert np.array_equal(held.second_vals[r], np.minimum(ns, BIG))
+            return held.own.argmax(axis=-2)
 
         # A new row joining a tied minimum takes it: ties go to the lowest row.
         stack = np.array([[[0.9], [0.5], [0.5]], [[0.5], [0.5], [0.9]]])
@@ -217,10 +221,10 @@ class TestColumnMinima:
                 check(stack)
 
     def test_single_row_second_min_is_inf(self):
-        mv, mi, sv = _column_minima(np.array([[[0.3, INF]], [[0.1, 0.2]]]))
-        assert mv.tolist() == [[0.3, INF], [0.1, 0.2]]
-        assert mi.tolist() == [[0, 0], [0, 0]]
-        assert np.isinf(sv).all()
+        held = column_stats(np.array([[[0.3, INF]], [[0.1, 0.2]]]))
+        assert held.min_vals.tolist() == [[0.3, BIG], [0.1, 0.2]]
+        assert held.own.tolist() == [[[1.0, 0.0]], [[1.0, 1.0]]]
+        assert (held.second_vals == BIG).all()
 
 
 class TestHeldColumnStats:
@@ -342,7 +346,8 @@ class TestScreen:
             at_or_above = np.take_along_axis(above, pick[None], axis=0)[0]
             blocked = rng.random(r) < 0.5
             cand[blocked] = at_or_above[blocked]
-            screen = can_swap(stats, np.minimum(cand, BIG))
+            screen = can_swap(stats, cand)
+            assert np.array_equal(screen, can_swap(stats, np.minimum(cand, BIG)))
             assert not screen[blocked].any()
             benefits = compute_benefits(stats, cand)
             assert not (benefits[~screen] > 0.0).any()
