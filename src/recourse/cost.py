@@ -397,11 +397,9 @@ def min_cost(members: np.ndarray, owners: np.ndarray, population: CostSampleSet)
     return best
 
 
-def emc_of_matrix(entries: np.ndarray) -> float:
-    """Mean over samples of the per-sample minimum of an (N, M) cost table."""
-    if entries.size == 0:
-        raise ValueError("cost table is empty")
-    mins = entries.min(axis=0)
-    if np.isinf(mins).any():
-        return INF
-    return float(mins.mean())
+def emc(minima: np.ndarray):
+    """The expected minimum cost of (..., M) per-sample minimum costs: their
+    mean over the M samples, which is inf where some sample is uncovered
+    (its minimum is inf). This is the one objective every optimizer
+    minimizes; one (M,) vector gives a numpy float."""
+    return np.mean(minima, axis=-1)

@@ -217,13 +217,12 @@ def dir_ratio(
 def concentration_distance(
     test_concentrations: np.ndarray, train_concentrations: np.ndarray
 ) -> np.ndarray:
-    """Per test vector, the Euclidean distance to its nearest train vector."""
+    """(V,) Euclidean distance from each row of the (V, d) test vectors to
+    its nearest row of the (T, d) train vectors."""
     test = np.asarray(test_concentrations, dtype=float)
     train = np.asarray(train_concentrations, dtype=float)
     if train.size == 0:
         raise ValueError("no train concentration vectors")
-    if test.ndim == 1:
-        test = test[None, :]
     diffs = test[:, None, :] - train[None, :, :]
     return np.sqrt((diffs**2).sum(axis=2)).min(axis=1)
 

@@ -360,13 +360,14 @@ def _concentration_shift(spec, states, user_ids, classifier, schema, table):
     movable = schema.mutable_indices()
     rng = np.random.default_rng(np.random.SeedSequence([SHIFT_STREAM, spec.test_seed]))
     pins = [frozenset(random_editable_subset(movable, rng)) for _ in range(spec.shift_vectors)]
-    owner = [v % len(docs) for v in range(spec.shift_vectors)]
+    owner = np.arange(spec.shift_vectors) % len(docs)
     users = simulate_users([states[i] for i in owner], schema, table, spec.test_seed,
                            [spec.shift_vectors * 7 + v for v in range(spec.shift_vectors)],
                            editable=pins)
     costs = min_cost(*valid_members([sets[i] for i in owner]), users)
-    distances = np.array([concentration_distance(conc, train_conc[i])[0]
-                          for conc, i in zip(users.editable, owner)])
+    distances = np.empty(spec.shift_vectors)
+    for i, train in enumerate(train_conc):
+        distances[owner == i] = concentration_distance(users.editable[owner == i], train)
     satisfied = (costs < spec.k).astype(float)
     top = max(float(distances.max()), 1e-9)
     edges = np.linspace(0.0, top, spec.bins + 1)

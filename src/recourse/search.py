@@ -51,12 +51,16 @@ B // R queries.
 
 `random_search` and `local_search` are the baselines used for ablations.
 Both run one whole-set hill climb, `_whole_set`: propose a whole candidate
-set, classify it in one query, score it, and keep it only when its score
-strictly beats the incumbent's. They differ in the proposal alone:
+set, classify it in one query, and keep it only when its loss is strictly
+below the incumbent's. They differ in the proposal alone:
 `random_search` draws N states uniformly from the feasible product space,
-`local_search` perturbs every member like `cols` does. The EMC score is
-the negated objective (higher is better); `random_search` reports the EMC
-itself in its trace, `local_search` the score it maximizes.
+`local_search` perturbs every member like `cols` does.
+
+Every optimizer minimizes, and every trace holds the value minimized. For
+the emc objective that is `cost.emc`, the one definition of the objective:
+`_lockstep` reads it from the held column statistics and `_whole_set`
+from the priced set. `local_search`'s distance objectives are minimized
+as losses, the negated diversity, proximity or sparsity.
 
 Every optimizer takes the same `GenerationSettings` (budget, set size,
 restarts, seed, objective; the other fields drive cost sampling) and has
@@ -77,13 +81,12 @@ costs without producing inf - inf artifacts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .cost import (SEARCH_STREAM, CostSampleSet, check_alpha, cost_rows, emc_of_matrix,
-                   stream_rng)
+from .cost import SEARCH_STREAM, CostSampleSet, check_alpha, cost_rows, emc, stream_rng
 from .evaluate import set_distance_stats
 from .model import BudgetExhausted, BudgetMeter, Classifier, predict_batch
 from .schema import DatasetSchema, UserState, feasible_positions
@@ -168,8 +171,6 @@ class SearchResult:
     trace: list[float]
     queries_used: int
     emc: float
-    restart_emcs: list[float] = field(default_factory=list)
-    restart_queries: list[int] = field(default_factory=list)
 
 
 class _Workspace:
@@ -348,13 +349,6 @@ def _result(ws: _Workspace, members: np.ndarray, valid: np.ndarray,
     )
 
 
-def _held_emcs(stats: ColumnStats) -> list[float]:
-    """Each restart's `emc_of_matrix` read from its held statistics: inf
-    unless every column is covered, else the mean column minimum."""
-    covered = stats.covered.all(-1).tolist()
-    return [float(m.mean()) if c else INF for m, c in zip(stats.min_vals, covered)]
-
-
 def _lockstep(
     ws: _Workspace,
     classifier: Classifier,
@@ -372,18 +366,24 @@ def _lockstep(
     candidates beats a held column minimum and so none has a positive
     benefit; a round with no restart left is not run. The loop ends when
     `meter` cannot pay for every restart's candidate batch. Returns the
-    (R, N, d) members, (R, N) validity, (R, N, M) costs and R traces.
+    (R, N, d) members, (R, N) validity, (R, N, M) costs and R traces, each
+    restart's `emc` after every iteration, read from its held statistics
+    with the uncovered columns' minima restored to inf.
     """
     start = np.broadcast_to(ws.user_idx, (len(rngs), n, len(ws.user_idx)))
     members = ws.perturb_rows(start, rngs)
     valid = _classify(ws, classifier, members, meter)
     costs = _priced_rows(members, samples, valid)
     stats = column_stats(costs)
-    emcs = _held_emcs(stats)
-    traces = [[emc] for emc in emcs]
+    traces = [[] for _ in rngs]
     everyone = np.arange(len(rngs))
+    swapped = True
 
     while True:
+        if swapped:
+            values = emc(np.where(stats.covered, stats.min_vals, INF)).tolist()
+        for trace, value in zip(traces, values):
+            trace.append(value)
         cand = ws.perturb_rows(members, rngs)
         try:
             cand_valid = _classify(ws, classifier, cand, meter)
@@ -415,10 +415,6 @@ def _lockstep(
             swapped = True
             if len(r) < len(everyone):
                 active, sub_stats, sub_cand = r, stats.take(r), cand_costs[r]
-        if swapped:
-            emcs = _held_emcs(stats)
-        for trace, emc in zip(traces, emcs):
-            trace.append(emc)
     return members, valid, costs, traces
 
 
@@ -466,31 +462,31 @@ def pcols(
     members, valid, costs, traces = _lockstep(
         ws, classifier, samples, settings.set_size, meter, rngs
     )
-    emcs = [trace[-1] for trace in traces]
-    win = emcs.index(min(emcs))
-    best = _result(ws, members[win], valid[win], costs[win], traces[win],
-                   meter.used, emcs[win])
-    best.restart_emcs = emcs
-    best.restart_queries = [meter.used // restarts] * restarts
-    return best
+    finals = [trace[-1] for trace in traces]
+    win = finals.index(min(finals))
+    return _result(ws, members[win], valid[win], costs[win], traces[win],
+                   meter.used, finals[win])
 
 
-def _set_objective(
+def _set_loss(
     objective: str,
     ws: _Workspace,
     members: np.ndarray,
     valid: np.ndarray,
     samples: Optional[CostSampleSet],
-) -> float:
-    """Score to maximize: the negated EMC, or a distance metric. Sets
-    without a single valid member score -inf, mirroring the hard validity
-    constraint on recourse."""
-    if not valid.any():
-        return -INF
+) -> tuple[float, Optional[np.ndarray]]:
+    """The loss `_whole_set` minimizes, with the set's (N, M) priced rows
+    under the emc objective (None under the others): the `emc` of those
+    rows, invalid members costing inf, or the negated diversity, proximity
+    or sparsity. A set without a single valid member has loss inf,
+    mirroring the hard validity constraint on recourse."""
     if objective == "emc":
-        return -emc_of_matrix(_priced_rows(members, samples, valid))
+        rows = _priced_rows(members, samples, valid)
+        return float(emc(rows.min(axis=0))), rows
+    if not valid.any():
+        return INF, None
     div, prox, spar = set_distance_stats(ws.s_u, ws.schema.codes(members), ws.schema)
-    return {"diversity": div, "proximity": prox, "sparsity": spar}[objective]
+    return -{"diversity": div, "proximity": prox, "sparsity": spar}[objective], None
 
 
 def _whole_set(
@@ -505,11 +501,12 @@ def _whole_set(
 ) -> SearchResult:
     """Hill climbing on whole sets. `propose(ws, members, rng)` draws a
     candidate set (the first from N copies of the user state); the candidate
-    replaces the incumbent only when its objective score is strictly higher.
-    The loop ends when the budget cannot pay for a candidate set, and the
-    trace holds the incumbent's score after every iteration. Only the emc
-    objective prices sets; the others never read `samples`, which may be
-    None."""
+    replaces the incumbent only when its loss (`_set_loss`) is strictly
+    lower. The loop ends when the budget cannot pay for a candidate set, and
+    the trace holds the incumbent's loss after every iteration. Only the emc
+    objective prices sets, and the result keeps the incumbent's rows and its
+    final loss as its emc; the others never read `samples`, which may be
+    None, and report an emc of inf."""
     ws = _Workspace(s_u, schema)
     rng = stream_rng(SEARCH_STREAM, settings.seed, 0, user_key)
     n = settings.set_size
@@ -518,8 +515,8 @@ def _whole_set(
     meter = BudgetMeter(settings.budget)
     members = propose(ws, np.tile(ws.user_idx, (n, 1)), rng)
     valid = _classify(ws, classifier, members, meter)
-    score = _set_objective(objective, ws, members, valid, samples)
-    trace = [score]
+    loss, costs = _set_loss(objective, ws, members, valid, samples)
+    trace = [loss]
 
     while True:
         cand_members = propose(ws, members, rng)
@@ -527,14 +524,13 @@ def _whole_set(
             cand_valid = _classify(ws, classifier, cand_members, meter)
         except BudgetExhausted:
             break
-        cand_score = _set_objective(objective, ws, cand_members, cand_valid, samples)
-        if cand_score > score:
-            members, valid, score = cand_members, cand_valid, cand_score
-        trace.append(score)
+        cand_loss, cand_costs = _set_loss(objective, ws, cand_members, cand_valid, samples)
+        if cand_loss < loss:
+            members, valid, loss, costs = cand_members, cand_valid, cand_loss, cand_costs
+        trace.append(loss)
 
-    costs = _priced_rows(members, samples, valid) if objective == "emc" else None
-    emc = emc_of_matrix(costs) if costs is not None else INF
-    return _result(ws, members, valid, costs, trace, meter.used, emc)
+    final = loss if objective == "emc" else INF
+    return _result(ws, members, valid, costs, trace, meter.used, final)
 
 
 def random_search(
@@ -547,13 +543,11 @@ def random_search(
 ) -> SearchResult:
     """Whole-set baseline: draw N states uniformly from the feasible product
     space each iteration and keep the candidate set only if its EMC beats
-    the incumbent's. The trace records the EMC itself."""
-    result = _whole_set(
+    the incumbent's. The trace records the incumbent's EMC."""
+    return _whole_set(
         s_u, classifier, samples, schema, settings, user_key, "emc",
         lambda ws, members, rng: ws.uniform_rows(len(members), rng),
     )
-    result.trace = [-score for score in result.trace]
-    return result
 
 
 def local_search(
@@ -568,8 +562,8 @@ def local_search(
 
     Same perturbation neighborhood as `cols`, but a candidate set is taken
     only when its objective strictly improves on the incumbent set's; there
-    is no per-member swapping. The trace records the maximized score: the
-    negated EMC, or the diversity, proximity or sparsity of the set. Only
+    is no per-member swapping. The trace records the minimized loss: the
+    EMC, or the negated diversity, proximity or sparsity of the set. Only
     the emc objective reads `samples`.
     """
     return _whole_set(

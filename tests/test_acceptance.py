@@ -4,7 +4,6 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines; the whole suite is deterministic and sized for a desktop run.
 """
 
-import math
 import time
 from itertools import combinations
 
@@ -12,7 +11,7 @@ import numpy as np
 import pytest
 
 from recourse import search as search_module
-from recourse.cost import INF, min_cost, sample_cost_batch, sample_cost_function
+from recourse.cost import INF, emc, min_cost, sample_cost_batch, sample_cost_function
 from recourse.datasets import make_adult_like, make_synthetic_6f
 from recourse.evaluate import (
     coverage,
@@ -40,13 +39,6 @@ from test_search import naive_benefits
 
 def _pass(n: int, msg: str) -> None:
     print(f"\nACCEPTANCE {n}: PASS - {msg}")
-
-
-def _inf_aware_mean(values) -> float:
-    values = list(values)
-    if any(math.isinf(v) for v in values):
-        return INF
-    return float(np.mean(values))
 
 
 @pytest.fixture(scope="module")
@@ -275,11 +267,11 @@ def test_criterion_5_directional_reproduction(adult_benchmark):
     gap = (fs_cols - fs_random) * 100.0
     assert gap >= 30.0
 
-    emc_cols = _inf_aware_mean(
-        d.final_emc for docs, _ in adult_benchmark["cols"] for d in docs
+    emc_cols = emc(
+        [d.final_emc for docs, _ in adult_benchmark["cols"] for d in docs]
     )
-    emc_pcols = _inf_aware_mean(
-        d.final_emc for docs, _ in adult_benchmark["pcols"] for d in docs
+    emc_pcols = emc(
+        [d.final_emc for docs, _ in adult_benchmark["pcols"] for d in docs]
     )
     assert emc_pcols <= emc_cols
     capped_cols = np.mean(

@@ -1233,8 +1233,8 @@ class TestResultDocs:
         assert loaded.validity == doc.validity
 
     def test_roundtrip_keeps_the_sign_of_infinities(self, tmp_path):
-        # A hill climb whose first set has no valid member starts its trace
-        # at -inf.
+        # A document's floats are written as strings, and both infinities
+        # must read back with their sign.
         doc = ResultDoc(
             user_id=3, method="ls", state=[1, 2], members=[[1, 2], [2, 2]],
             validity=[False, False], final_emc=math.inf,

@@ -12,7 +12,7 @@ from recourse.cost import (
     TRAIN_STREAM,
     CostSampleSet,
     cost_rows,
-    emc_of_matrix,
+    emc,
     min_cost,
     sample_cost_batch,
     sample_cost_function,
@@ -1025,7 +1025,7 @@ class TestMinCostAndEmc:
         state = rows[0]
         batch = sample_cost_batch(state, schema, table, 1, seed=4)
         members = codes(state.values)
-        assert [emc_of_matrix(cost_rows(schema.positions(members), batch))] == (
+        assert [emc(cost_rows(schema.positions(members), batch).min(axis=0))] == (
             min_cost(*one_each(state.values), batch).tolist()
         )
 
@@ -1034,7 +1034,7 @@ class TestMinCostAndEmc:
         state = UserState((0,))
         batch = manual_samples(schema, state, [[[0.0, 0.2]], [[0.0, 0.4]]])
         rows = cost_rows(schema.positions([(1,)]), batch)
-        assert emc_of_matrix(rows) == pytest.approx(0.3)
+        assert emc(rows.min(axis=0)) == pytest.approx(0.3)
 
     def test_pair_beats_either_singleton(self):
         # two samples preferring different moves: the pair set is strictly
@@ -1051,17 +1051,17 @@ class TestMinCostAndEmc:
             [[[0.0, 0.1], [0.0, 0.9]], [[0.0, 0.9], [0.0, 0.1]]],
         )
 
-        def emc(members):
-            return emc_of_matrix(cost_rows(schema.positions(members), batch))
+        def set_emc(members):
+            return emc(cost_rows(schema.positions(members), batch).min(axis=0))
 
         move_a, move_b = (1, 0), (0, 1)
-        pair = emc([move_a, move_b])
-        singles = [emc([m]) for m in (move_a, move_b)]
+        pair = set_emc([move_a, move_b])
+        singles = [set_emc([m]) for m in (move_a, move_b)]
         # exhaustive check over every changed-state singleton in the domain
         for a in (0, 1):
             for b in (0, 1):
                 if (a, b) != state.values:
-                    singles.append(emc([(a, b)]))
+                    singles.append(set_emc([(a, b)]))
         assert pair < min(singles)
 
     def test_emc_subset_monotone(self, synth6):
@@ -1080,7 +1080,7 @@ class TestMinCostAndEmc:
         members = [random_member() for _ in range(6)]
         rows_all = cost_rows(schema.positions(members), batch)
         for cut in range(1, 6):
-            assert emc_of_matrix(rows_all) <= emc_of_matrix(rows_all[:cut])
+            assert emc(rows_all.min(axis=0)) <= emc(rows_all[:cut].min(axis=0))
 
 
 class TestCostMatrix:
@@ -1103,4 +1103,4 @@ class TestCostMatrix:
             for i in range(batch.m)
         ]
         expected = INF if np.isinf(mins).any() else float(np.mean(mins))
-        assert emc_of_matrix(cm) == expected
+        assert emc(cm.min(axis=0)) == expected

@@ -80,8 +80,8 @@ DOC_DIGESTS = {
     "cols": "e3f03add7470cec8b26d8b5261e193a58955b59bd97250d93ef824be0760cb00",
     "pcols": "3e2c64b854f59dc369832e218681da4cf6e81fc19ac02b8a153727c500690b1c",
     "random": "80be8ccb790e67ef22b9f34e5cae78fcfa4977b1584b42e63861237225f6457a",
-    "ls:emc": "0bda80c2152f8af79c61297fc91062b3a539df64276b43258834c4d6ab53daf3",
-    "ls:diversity": "d60b6f3f6700c282f78704c8528720609b515e41bee31b4bfa35b5e403750201",
+    "ls:emc": "3ed1404344eb090a0cddcf4465a207c45fcc1456e9684b523e099a8f07732207",
+    "ls:diversity": "929878ab82760b4a8064f510841c1d86bdabe260f4f12982f3df06a6c2a7719d",
 }
 SIMULATED_DIGEST = "1ab218d3d863b5475dcf5554096a734e7ffccc1e3b391afc9c38bbfb5f22dfe2"
 CSV_DIGESTS = {
@@ -164,18 +164,38 @@ def test_batch_is_its_blocks(rejected, case):
                 assert got[BLOCK * b:BLOCK * (b + 1)].tobytes() == want[:130 - BLOCK * b].tobytes()
 
 
-@pytest.mark.parametrize("method", sorted(DOC_DIGESTS))
-def test_run_user_document_digest(adult, rejected, method):
+@pytest.fixture(scope="module")
+def documents(adult, rejected):
+    """The `run_user` documents of the first three rejected users, by
+    `DOC_SETTINGS` key."""
     schema, _, _, table, clf = adult
     _, _, states, ids = rejected
     assert ADULT_MOVABLE == tuple(schema.mutable_indices())
-    settings = GenerationSettings(seed=5, **DOC_SETTINGS[method])
+    return {
+        method: [run_user(uid, state, clf, schema, table,
+                          GenerationSettings(seed=5, **kwargs))[0]
+                 for state, uid in zip(states[:3], ids[:3])]
+        for method, kwargs in DOC_SETTINGS.items()
+    }
+
+
+@pytest.mark.parametrize("method", sorted(DOC_DIGESTS))
+def test_run_user_document_digest(documents, method):
     h = hashlib.sha256()
-    for state, uid in zip(states[:3], ids[:3]):
-        doc, _ = run_user(uid, state, clf, schema, table, settings)
+    for doc in documents[method]:
         trace = [float(t).hex() for t in doc.trace]
         h.update(repr((doc.members, doc.validity, trace, doc.queries_used)).encode())
     assert h.hexdigest() == DOC_DIGESTS[method]
+
+
+@pytest.mark.parametrize("method", sorted(DOC_SETTINGS))
+def test_every_trace_is_minimized(documents, method):
+    """Every optimizer minimizes, so every trace is non-increasing; under
+    the emc objective it ends at the document's `final_emc`."""
+    for doc in documents[method]:
+        assert all(b <= a for a, b in zip(doc.trace, doc.trace[1:]))
+        if DOC_SETTINGS[method].get("objective", "emc") == "emc":
+            assert doc.final_emc == doc.trace[-1]
 
 
 @pytest.fixture(scope="module")

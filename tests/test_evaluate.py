@@ -288,11 +288,11 @@ class TestDirRatio:
 class TestConcentrationDistance:
     def test_present_vector_is_zero(self):
         train = np.array([[1, 0, 1], [0, 1, 1]])
-        assert concentration_distance(np.array([1, 0, 1]), train)[0] == 0.0
+        assert concentration_distance(np.array([[1, 0, 1]]), train)[0] == 0.0
 
     def test_one_bit_is_one(self):
         train = np.array([[1, 0, 1]])
-        assert concentration_distance(np.array([1, 1, 1]), train)[0] == 1.0
+        assert concentration_distance(np.array([[1, 1, 1]]), train)[0] == 1.0
 
     def test_four_bits_is_two(self):
         train = np.array([[0, 0, 0, 0, 0]])

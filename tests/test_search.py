@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from recourse import search as search_module
-from recourse.cost import INF, SEARCH_STREAM, emc_of_matrix, sample_cost_batch, stream_rng
+from recourse.cost import INF, SEARCH_STREAM, emc, sample_cost_batch, stream_rng
 from recourse.model import BudgetMeter, Classifier
 from recourse.schema import DatasetSchema, FeatureSpec, UserState, feasible_values
 from recourse.search import (
@@ -642,9 +642,7 @@ class TestPcols:
         assert np.array_equal(a.cost_matrix, b.cost_matrix)
         assert a.trace == b.trace
         assert a.queries_used == b.queries_used == 400
-        assert a.emc == b.emc
-        assert a.restart_emcs == b.restart_emcs == [b.emc]
-        assert a.restart_queries == b.restart_queries == [400]
+        assert a.emc == b.emc == b.trace[-1]
 
     def test_budget_split_exact(self, synth6):
         schema, rows, _, table, clf = synth6
@@ -652,8 +650,14 @@ class TestPcols:
         samples = sample_cost_batch(s_u, schema, table, 20, seed=5)
         config = GenerationSettings(budget=5000, set_size=10, restarts=5, seed=5)
         res = pcols(s_u, clf, samples, schema, config)
-        assert res.restart_queries == [1000] * 5
         assert res.queries_used == 5000
+        # each restart spends N queries per trace entry: its initial set and
+        # one candidate batch per iteration
+        meter = BudgetMeter(5000)
+        rngs = [stream_rng(SEARCH_STREAM, 5, r, 0) for r in range(5)]
+        *_, traces = _lockstep(_Workspace(s_u, schema), clf, samples, 10, meter, rngs)
+        assert [10 * len(trace) for trace in traces] == [1000] * 5
+        assert meter.used == res.queries_used
 
     def test_winner_is_argmin(self, synth6):
         schema, rows, _, table, clf = synth6
@@ -661,8 +665,13 @@ class TestPcols:
         samples = sample_cost_batch(s_u, schema, table, 20, seed=6)
         config = GenerationSettings(budget=600, set_size=5, restarts=3, seed=6)
         res = pcols(s_u, clf, samples, schema, config)
-        assert len(res.restart_emcs) == 3
-        assert all(res.emc <= e for e in res.restart_emcs)
+        rngs = [stream_rng(SEARCH_STREAM, 6, r, 0) for r in range(3)]
+        *_, traces = _lockstep(_Workspace(s_u, schema), clf, samples, 5,
+                               BudgetMeter(600), rngs)
+        finals = [trace[-1] for trace in traces]
+        assert len(finals) == 3
+        assert all(res.emc <= e for e in finals)
+        assert res.trace == traces[finals.index(min(finals))]
 
     def test_insufficient_per_restart_budget(self, synth6):
         schema, rows, _, table, clf = synth6
@@ -700,18 +709,30 @@ class TestLockstep:
             res = pcols(s_u, clf, samples, schema, config, user_key=user)
             sub = config.budget // restarts
             ws = _Workspace(s_u, schema)
+            meter = BudgetMeter(restarts * sub)
+            together = _lockstep(
+                ws, clf, samples, config.set_size, meter,
+                [stream_rng(SEARCH_STREAM, config.seed, r, user) for r in range(restarts)],
+            )
             runs = []
             for r in range(restarts):
-                meter = BudgetMeter(sub)
+                lone = BudgetMeter(sub)
                 members, valid, costs, traces = _lockstep(
-                    ws, clf, samples, config.set_size, meter,
+                    ws, clf, samples, config.set_size, lone,
                     [stream_rng(SEARCH_STREAM, config.seed, r, user)],
                 )
-                runs.append((members[0], valid[0], costs[0], traces[0], meter.used))
-            assert res.restart_emcs == [trace[-1] for _, _, _, trace, _ in runs]
-            assert res.restart_queries == [used for *_, used in runs]
-            assert all(math.isfinite(e) for e in res.restart_emcs)
-            win = res.restart_emcs.index(min(res.restart_emcs))
+                runs.append((members[0], valid[0], costs[0], traces[0], lone.used))
+                # restart r of the lockstep run is its lone run, and every
+                # restart is charged the same share of the shared meter
+                for held, alone in zip(together, (members, valid, costs)):
+                    assert np.array_equal(held[r], alone[0])
+                assert together[3][r] == traces[0]
+                assert meter.used == restarts * lone.used
+            finals = [trace[-1] for _, _, _, trace, _ in runs]
+            assert all(math.isfinite(e) for e in finals)
+            win = finals.index(min(finals))
+            assert res.emc == finals[win]
+            assert res.queries_used == meter.used
             winners.append(win)
             members, valid, costs, trace, _ = runs[win]
             assert np.array_equal(res.recourse_set.members,
@@ -725,8 +746,8 @@ class TestLockstep:
 
     def test_objective_read_from_held_statistics(self, synth6):
         """The trace and result objective that `_lockstep` reads from its
-        held column statistics equal `emc_of_matrix` of the final best set,
-        whether or not every sample is covered."""
+        held column statistics equal `emc` of the final best set's column
+        minima, whether or not every sample is covered."""
         schema, rows, _, table, clf = synth6
         movable = frozenset(schema.mutable_indices())
         finite = []
@@ -735,7 +756,7 @@ class TestLockstep:
                                         editable=movable if user % 2 else None)
             config = GenerationSettings(budget=120, set_size=4, restarts=3, seed=user)
             res = pcols(s_u, clf, samples, schema, config, user_key=user)
-            assert res.emc == res.trace[-1] == emc_of_matrix(res.cost_matrix)
+            assert res.emc == res.trace[-1] == emc(res.cost_matrix.min(axis=0))
             finite.append(math.isfinite(res.emc))
         assert any(finite) and not all(finite)
 
@@ -764,8 +785,7 @@ class TestLockstep:
         assert set(sizes) == {restarts * n}
         assert len(answered) == 1 + iterations
         assert len(sizes) == len(answered) + 1  # the refused last call
-        assert res.restart_queries == [sub - sub % n] * restarts
-        assert res.queries_used == sum(answered)
+        assert res.queries_used == sum(answered) == restarts * (sub - sub % n)
 
 
 class TestTracedNames:
@@ -863,7 +883,7 @@ class TestLocalSearch:
                                           budget=400, set_size=5, seed=9)
             res = local_search(s_u, clf, samples, schema, settings)
             tr = res.trace
-            assert all(b >= a - 1e-12 for a, b in zip(tr, tr[1:]))
+            assert all(b <= a + 1e-12 for a, b in zip(tr, tr[1:]))
             assert res.queries_used <= 400
 
     def test_objective_scores_require_valid_member(self, synth6):
@@ -873,7 +893,7 @@ class TestLocalSearch:
         settings = GenerationSettings(method="ls", objective="diversity", budget=300,
                                       set_size=5, seed=10)
         res = local_search(s_u, clf, samples, schema, settings)
-        if res.trace[-1] > -math.inf:
+        if res.trace[-1] < math.inf:
             assert any(res.recourse_set.validity)
 
 
