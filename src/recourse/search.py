@@ -41,13 +41,21 @@ and candidates, so later rounds also skip it. The objective trace is
 read from the held statistics, and an iteration without a swap repeats
 the previous values.
 
-Perturbation is one draw for all R * N rows. Restart r reads one uniform
-(N, m + 2) block from its own (seed, user, r) stream per call, m being the
-number of movable features: the argsort of the first m columns picks the
-two features to resample, and the last two, scaled by each feature's count
-of feasible positions, pick their new positions. Every restart reads the same
-amount on every call, so it equals `_lockstep` run alone on its stream and
-B // R queries.
+Perturbation is planned a chunk of calls at a time (`_Workspace.plan`).
+A call resamples two features of each of the R * N rows, and restart r
+pays for it with one uniform (N, m + 2) block from its own (seed, user, r)
+stream, m being the number of movable features: the argsort of the first
+m columns picks the two features, and the last two, scaled by each
+feature's count of feasible positions, pick their new positions. The
+blocks never depend on the rows, only the rows they overwrite do. So
+restart r draws the blocks of CHUNK calls as one (CHUNK, N, m + 2) array,
+which reads its stream exactly as CHUNK successive blocks do, and one
+argsort and one scaling per chunk give every call's flat indices and new
+positions; an iteration only copies its rows and writes 2 * R * N entries.
+A chunk covers no more calls than the meter can still pay for, plus the
+one call that finds it exhausted, so every stream ends where per-call
+draws leave it. Every restart reads the same amount on every call, so it
+equals `_lockstep` run alone on its stream and B // R queries.
 
 `random_search` and `local_search` are the baselines used for ablations.
 Both run one whole-set hill climb, `_whole_set`: propose a whole candidate
@@ -101,6 +109,9 @@ BIG = float(2**20)
 # Features each perturbation resamples per member.
 HAMMING = 2
 
+# Perturbation calls a run draws at once (see `_Workspace.plan`).
+CHUNK = 64
+
 METHODS = ("cols", "pcols", "random", "ls")
 OBJECTIVES = ("emc", "diversity", "proximity", "sparsity")
 
@@ -136,8 +147,13 @@ class GenerationSettings:
         for name in ("budget", "set_size", "restarts", "num_samples"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
-        if self.restarts > self.budget:
-            raise ValueError("more restarts than budget")
+        # Only pcols splits the budget; every run must pay for its first set.
+        split = self.restarts if self.method == "pcols" else 1
+        if self.budget // split < self.set_size:
+            over = f" over {split} restarts" if split > 1 else ""
+            raise ValueError(
+                f"budget {self.budget}{over} cannot cover set size {self.set_size}"
+            )
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         check_alpha(self.alpha)
@@ -191,26 +207,59 @@ class _Workspace:
         for fi, choices in enumerate(feasible):
             self.feasible[fi, : len(choices)] = choices
 
+    def _draw(
+        self, rngs: Sequence[np.random.Generator], n: int, calls: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """(calls, R * n * k) flat indices into (R, n, d) rows and the
+        positions to write there, for `calls` successive perturbations that
+        each resample k = min(HAMMING, m) distinct movable features of every
+        row from their feasible sets. Restart r draws the uniform (n, m + k)
+        blocks of all calls from rngs[r] at once: the first m columns of a
+        block rank the features, its last k pick the new positions."""
+        m = len(self.movable)
+        k = min(HAMMING, m)
+        u = np.empty((len(rngs), calls, n, m + k))
+        for blocks, rng in zip(u, rngs, strict=True):
+            rng.random(out=blocks)
+        feats = self.movable[np.argsort(u[..., :m], axis=-1)[..., :k]]
+        pos = (u[..., m:] * self.n_choices[feats]).astype(np.intp)
+        rows = np.arange(len(rngs))[:, None, None, None] * n + np.arange(n)[:, None]
+        where = rows * len(self.user_idx) + feats
+        return (where.swapaxes(0, 1).reshape(calls, -1),
+                self.feasible[feats, pos].swapaxes(0, 1).reshape(calls, -1))
+
+    def plan(
+        self, rngs: Sequence[np.random.Generator], n: int, meter: BudgetMeter
+    ) -> Callable[[np.ndarray], np.ndarray]:
+        """A run's perturbation: each call of the returned function perturbs
+        (R, n, d) rows (or (n, d) rows when R = 1) from the next call's
+        draws. The draws come CHUNK calls at a time, but never more calls
+        than `meter` can still pay for (R * n queries each) plus the one
+        that finds it exhausted, so every stream ends where per-call draws
+        leave it."""
+        per_call = len(rngs) * n
+
+        def chunks():
+            while True:
+                calls = min(CHUNK, meter.remaining // per_call + 1)
+                yield from zip(*self._draw(rngs, n, calls))
+
+        moves = chunks()
+
+        def perturb(base: np.ndarray) -> np.ndarray:
+            where, vals = next(moves)
+            out = np.array(base, dtype=np.intp, order="C")
+            out.reshape(-1)[where] = vals
+            return out
+
+        return perturb
+
     def perturb_rows(
         self, base: np.ndarray, rngs: Sequence[np.random.Generator]
     ) -> np.ndarray:
-        """Resample min(HAMMING, m) distinct movable features of every row of
-        the (R, N, d) `base` from their feasible sets, restart r drawing from
-        rngs[r]: one uniform (N, m + k) block per restart, whose first m
-        columns rank the features and whose last k pick the new positions."""
-        m = len(self.movable)
-        k = min(HAMMING, m)
-        n_restarts, n = base.shape[:2]
-        u = np.empty((n_restarts, n, m + k))
-        for block, rng in zip(u, rngs, strict=True):
-            rng.random(out=block)
-        feats = self.movable[np.argsort(u[..., :m], axis=-1)[..., :k]]
-        pos = (u[..., m:] * self.n_choices[feats]).astype(np.intp)
-        out = np.array(base, dtype=np.intp)
-        out[np.arange(n_restarts)[:, None, None], np.arange(n)[:, None], feats] = (
-            self.feasible[feats, pos]
-        )
-        return out
+        """One perturbation of the (R, N, d) `base`, restart r drawing from
+        rngs[r]: the plan's one-call case, a meter that pays for nothing."""
+        return self.plan(rngs, base.shape[1], BudgetMeter(0))(base)
 
     def uniform_rows(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """Draw n states uniformly from the feasible product space."""
@@ -370,8 +419,8 @@ def _lockstep(
     restart's `emc` after every iteration, read from its held statistics
     with the uncovered columns' minima restored to inf.
     """
-    start = np.broadcast_to(ws.user_idx, (len(rngs), n, len(ws.user_idx)))
-    members = ws.perturb_rows(start, rngs)
+    perturb = ws.plan(rngs, n, meter)
+    members = perturb(np.broadcast_to(ws.user_idx, (len(rngs), n, len(ws.user_idx))))
     valid = _classify(ws, classifier, members, meter)
     costs = _priced_rows(members, samples, valid)
     stats = column_stats(costs)
@@ -384,7 +433,7 @@ def _lockstep(
             values = emc(np.where(stats.covered, stats.min_vals, INF)).tolist()
         for trace, value in zip(traces, values):
             trace.append(value)
-        cand = ws.perturb_rows(members, rngs)
+        cand = perturb(members)
         try:
             cand_valid = _classify(ws, classifier, cand, meter)
         except BudgetExhausted:
@@ -449,15 +498,12 @@ def pcols(
     """Independent COLS restarts, each on budget // restarts queries and its
     own RNG sub-stream, run in lockstep; the run with the least objective
     wins (ties to the lowest restart index)."""
+    # Validated as pcols whatever method it names: the split budget must
+    # cover the set.
+    settings = replace(settings, method="pcols")
     restarts = settings.restarts
-    sub_budget = settings.budget // restarts
-    if sub_budget < settings.set_size:
-        raise ValueError(
-            f"budget {settings.budget} over {restarts} restarts cannot "
-            f"cover set size {settings.set_size}"
-        )
     ws = _Workspace(s_u, schema)
-    meter = BudgetMeter(restarts * sub_budget)
+    meter = BudgetMeter(restarts * (settings.budget // restarts))
     rngs = [stream_rng(SEARCH_STREAM, settings.seed, r, user_key) for r in range(restarts)]
     members, valid, costs, traces = _lockstep(
         ws, classifier, samples, settings.set_size, meter, rngs
@@ -497,29 +543,33 @@ def _whole_set(
     settings: GenerationSettings,
     user_key: int,
     objective: str,
-    propose: Callable[[_Workspace, np.ndarray, np.random.Generator], np.ndarray],
+    uniform: bool,
 ) -> SearchResult:
-    """Hill climbing on whole sets. `propose(ws, members, rng)` draws a
-    candidate set (the first from N copies of the user state); the candidate
-    replaces the incumbent only when its loss (`_set_loss`) is strictly
-    lower. The loop ends when the budget cannot pay for a candidate set, and
-    the trace holds the incumbent's loss after every iteration. Only the emc
-    objective prices sets, and the result keeps the incumbent's rows and its
-    final loss as its emc; the others never read `samples`, which may be
-    None, and report an emc of inf."""
+    """Hill climbing on whole sets. Each candidate set is drawn uniformly
+    from the feasible product space (`uniform`) or perturbed from the
+    incumbent through the workspace's plan (the first from N copies of the
+    user state); it replaces the incumbent only when its loss (`_set_loss`)
+    is strictly lower. The loop ends when the budget cannot pay for a
+    candidate set, and the trace holds the incumbent's loss after every
+    iteration. Only the emc objective prices sets, and the result keeps the
+    incumbent's rows and its final loss as its emc; the others never read
+    `samples`, which may be None, and report an emc of inf."""
     ws = _Workspace(s_u, schema)
     rng = stream_rng(SEARCH_STREAM, settings.seed, 0, user_key)
     n = settings.set_size
-    if settings.budget < n:
-        raise ValueError("budget cannot cover the initial set")
     meter = BudgetMeter(settings.budget)
-    members = propose(ws, np.tile(ws.user_idx, (n, 1)), rng)
+    perturb = ws.plan([rng], n, meter)
+
+    def propose(members: np.ndarray) -> np.ndarray:
+        return ws.uniform_rows(n, rng) if uniform else perturb(members)
+
+    members = propose(np.tile(ws.user_idx, (n, 1)))
     valid = _classify(ws, classifier, members, meter)
     loss, costs = _set_loss(objective, ws, members, valid, samples)
     trace = [loss]
 
     while True:
-        cand_members = propose(ws, members, rng)
+        cand_members = propose(members)
         try:
             cand_valid = _classify(ws, classifier, cand_members, meter)
         except BudgetExhausted:
@@ -545,8 +595,7 @@ def random_search(
     space each iteration and keep the candidate set only if its EMC beats
     the incumbent's. The trace records the incumbent's EMC."""
     return _whole_set(
-        s_u, classifier, samples, schema, settings, user_key, "emc",
-        lambda ws, members, rng: ws.uniform_rows(len(members), rng),
+        s_u, classifier, samples, schema, settings, user_key, "emc", uniform=True
     )
 
 
@@ -568,5 +617,5 @@ def local_search(
     """
     return _whole_set(
         s_u, classifier, samples, schema, settings, user_key, settings.objective,
-        lambda ws, members, rng: ws.perturb_rows(members[None], [rng])[0],
+        uniform=False,
     )

@@ -226,6 +226,17 @@ class TestGenerate:
         assert "num_samples must be positive" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_budget_below_default_restarts_runs_cols(self, workdir, tmp_path):
+        """cols runs one restart, so the default --restarts 5 does not refuse
+        a budget of 4; pcols, which splits it, does."""
+        out = tmp_path / "small"
+        small = ["--budget", "4", "--set-size", "2"]
+        assert self._generate(workdir, out, small) == 0
+        docs = read_results(out / "results_cols.jsonl")
+        assert {doc.queries_used for doc in docs} == {4}
+        split = tmp_path / "split"
+        assert self._generate(workdir, split, [*small, "--method", "pcols"]) == 2
+
     def test_objective_the_method_ignores_exits_2(self, workdir, tmp_path, capsys):
         out = tmp_path / "ignored"
         assert self._generate(workdir, out, ["--objective", "diversity"]) == 2
@@ -1167,7 +1178,8 @@ class TestExperimentSpecValidation:
 
     @pytest.mark.parametrize("kind,grid,message", [
         ("setsize_sweep", (2, 0), "set_size must be positive"),
-        ("budget_sweep", (500, 3), "more restarts than budget"),
+        ("budget_sweep", (500, 3), "budget 3 cannot cover set size 10"),
+        ("budget_sweep", (500, 30), "budget 30 over 5 restarts cannot cover set size 10"),
     ])
     def test_grid_values_checked_at_construction(self, kind, grid, message):
         """Refused before the sweep runs the values ahead of the bad one."""

@@ -5,10 +5,12 @@ import pytest
 
 from recourse import search as search_module
 from recourse.cost import INF, SEARCH_STREAM, emc, sample_cost_batch, stream_rng
-from recourse.model import BudgetMeter, Classifier
+from recourse.model import BudgetExhausted, BudgetMeter, Classifier
 from recourse.schema import DatasetSchema, FeatureSpec, UserState, feasible_values
 from recourse.search import (
     BIG,
+    CHUNK,
+    HAMMING,
     GenerationSettings,
     RecourseSet,
     _lockstep,
@@ -558,6 +560,98 @@ class TestPerturbDistribution:
             base = out
 
 
+def per_call_perturb(ws, base, rngs):
+    """The per-call reference for `_Workspace.plan`: one uniform (N, m + k)
+    block per restart and call, ranked and scaled on its own."""
+    m = len(ws.movable)
+    k = min(HAMMING, m)
+    n_restarts, n = base.shape[:2]
+    u = np.empty((n_restarts, n, m + k))
+    for block, rng in zip(u, rngs, strict=True):
+        rng.random(out=block)
+    feats = ws.movable[np.argsort(u[..., :m], axis=-1)[..., :k]]
+    pos = (u[..., m:] * ws.n_choices[feats]).astype(np.intp)
+    out = np.array(base, dtype=np.intp)
+    out[np.arange(n_restarts)[:, None, None], np.arange(n)[:, None], feats] = (
+        ws.feasible[feats, pos]
+    )
+    return out
+
+
+class TestPlan:
+    """A run's perturbation plan, drawn CHUNK calls at a time, against the
+    per-call draws: bit for bit, across chunk boundaries, with the rows
+    replaced between calls as swaps replace them."""
+
+    WIDE = (TestPerturbDistribution.SCHEMA, TestPerturbDistribution.USER)
+    WIDE_WS = _Workspace(WIDE[1], WIDE[0])
+    ONE_MOVABLE = (
+        DatasetSchema(features=(
+            FeatureSpec("frozen", "ordered", (0, 1), "immutable"),
+            FeatureSpec("a", "ordered", (0, 1, 2, 3, 4), "mutable"),
+        )),
+        UserState((1, 2)),
+    )
+
+    @staticmethod
+    def _streams(restarts, seed=5):
+        return [np.random.default_rng([seed, r]) for r in range(restarts)]
+
+    @pytest.mark.parametrize("restarts", [1, 3])
+    @pytest.mark.parametrize("n", [1, 7])
+    @pytest.mark.parametrize("case", ["wide", "one_movable"])
+    def test_plan_equals_per_call_draws(self, restarts, n, case):
+        schema, user = {"wide": self.WIDE, "one_movable": self.ONE_MOVABLE}[case]
+        ws = _Workspace(user, schema)
+        assert len(ws.movable) == (1 if case == "one_movable" else 4)
+        paid = 2 * CHUNK + 5  # calls the meter pays for: three chunks
+        meter = BudgetMeter(restarts * n * paid)
+        planned, alone = self._streams(restarts), self._streams(restarts)
+        perturb = ws.plan(planned, n, meter)
+        swaps = np.random.default_rng(0)
+        # the first rows are a broadcast view of the user, as in `_lockstep`
+        base = np.broadcast_to(ws.user_idx, (restarts, n, len(ws.user_idx)))
+        calls = 0
+        while True:
+            out = perturb(base)
+            calls += 1
+            assert out.dtype == np.intp
+            assert np.array_equal(out, per_call_perturb(ws, base, alone))
+            try:
+                meter.charge(restarts * n)
+            except BudgetExhausted:
+                break
+            replaced = swaps.random((restarts, n)) < 0.3
+            base = np.where(replaced[..., None], out, base)
+        # the one extra call that finds the meter empty, and no draw beyond it
+        assert calls == paid + 1
+        for a, b in zip(planned, alone):
+            assert a.bit_generator.state == b.bit_generator.state
+
+    def test_restarts_do_not_depend_on_each_other(self):
+        ws = self.WIDE_WS
+        n = 4
+        together = ws.plan(self._streams(3), n, BudgetMeter(10**6))
+        alone = [ws.plan([rng], n, BudgetMeter(10**6)) for rng in self._streams(3)]
+        base = np.tile(ws.user_idx, (3, n, 1))
+        for _ in range(CHUNK + 3):
+            out = together(base)
+            for r, lone in enumerate(alone):
+                assert np.array_equal(out[r], lone(base[r:r + 1])[0])
+            base = out
+
+    def test_one_restart_takes_set_rows(self):
+        """`local_search` perturbs (N, d) sets: the same rows as (1, N, d)."""
+        ws = self.WIDE_WS
+        flat = ws.plan(self._streams(1), 6, BudgetMeter(10**6))
+        nested = ws.plan(self._streams(1), 6, BudgetMeter(10**6))
+        base = np.tile(ws.user_idx, (6, 1))
+        for _ in range(CHUNK + 3):
+            out = flat(base)
+            assert np.array_equal(out, nested(base[None])[0])
+            base = out
+
+
 class TestCols:
     def test_budget_equals_set_size_returns_initial(self, synth6):
         schema, rows, _, table, clf = synth6
@@ -611,9 +705,9 @@ class TestCols:
     def test_budget_smaller_than_set_rejected(self, synth6):
         schema, rows, _, table, clf = synth6
         samples = sample_cost_batch(rows[0], schema, table, 10, seed=0)
-        config = GenerationSettings(budget=5, set_size=10, seed=0)
-        with pytest.raises(ValueError):
-            cols(rows[0], clf, samples, schema, config)
+        with pytest.raises(ValueError, match="budget 5 cannot cover set size 10"):
+            cols(rows[0], clf, samples, schema,
+                 GenerationSettings(budget=5, set_size=10, seed=0))
 
 
 class TestPcols:
@@ -902,7 +996,8 @@ class TestGenerationSettings:
         (dict(budget=0), "budget must be positive"),
         (dict(set_size=0), "set_size must be positive"),
         (dict(restarts=0), "restarts must be positive"),
-        (dict(budget=4, restarts=5), "more restarts than budget"),
+        (dict(method="pcols", budget=4, restarts=5),
+         "budget 4 over 5 restarts cannot cover set size 10"),
         (dict(num_samples=0), "num_samples must be positive"),
         (dict(method="cols", objective="diversity"), "method 'cols'.*'diversity'"),
         (dict(method="pcols", objective="proximity"), "method 'pcols'.*'proximity'"),
@@ -916,10 +1011,27 @@ class TestGenerationSettings:
          r"alpha must lie in \[0,1\], got -0.2"),
         (dict(alpha=float("nan")), r"alpha must lie in \[0,1\], got nan"),
         (dict(seed=-1), "seed must be non-negative, got -1"),
+        (dict(method="ls", budget=4, set_size=5), "budget 4 cannot cover set size 5"),
+        (dict(method="pcols", budget=30, restarts=3, set_size=11),
+         "budget 30 over 3 restarts cannot cover set size 11"),
     ])
     def test_rejected_at_construction(self, fields, message):
         with pytest.raises(ValueError, match=message):
             GenerationSettings(**fields)
+
+    @pytest.mark.parametrize("method", ["cols", "random", "ls"])
+    def test_restarts_read_by_pcols_only(self, synth6, method):
+        """Only pcols splits its budget over `restarts`: the other methods
+        construct and run with more restarts than budget."""
+        from recourse.results import run_user
+
+        schema, rows, _, table, clf = synth6
+        settings = GenerationSettings(method=method, budget=4, set_size=2,
+                                      num_samples=5, restarts=5)
+        doc, _ = run_user(0, rows[0], clf, schema, table, settings)
+        assert len(doc.members) == 2
+        assert doc.queries_used == 4
+        assert len(doc.trace) == 2
 
 
 class TestPairedDirections:
