@@ -9,9 +9,9 @@ batch, user u's state in column u for a hidden population. Feature f owns
 rows `offsets[f]` to `offsets[f + 1]` (`DatasetSchema.offsets`), one per
 domain position: entry (offsets[f] + j, i) prices moving feature f from
 the state's value to position j under sample i, a cost in [0, 1], 0 for
-the no-op and infinity when infeasible. `costs[f]` is the (M, |D_f|) view
-`table[offsets[f]:offsets[f + 1]].T`. `alpha` is (M,); `editable` (bool)
-and `preferences` are (M, d).
+the no-op and infinity when infeasible, so feature f's (M, |D_f|) costs
+are the view `table[offsets[f]:offsets[f + 1]].T`. `alpha` is (M,);
+`editable` (bool) and `preferences` are (M, d).
 
 Sampling is hierarchical: an editable feature subset, Dirichlet preference
 scores over it, a mixing weight alpha between step-count (alpha=1) and
@@ -125,12 +125,6 @@ class CostSampleSet:
     @property
     def m(self) -> int:
         return len(self.alpha)
-
-    @property
-    def costs(self) -> tuple[np.ndarray, ...]:
-        """Per feature f, the (M, |D_f|) view `table[offsets[f]:offsets[f+1]].T`."""
-        off = self.schema.offsets.tolist()
-        return tuple(self.table[lo:hi].T for lo, hi in zip(off, off[1:]))
 
     @cached_property
     def zero_rows(self) -> np.ndarray:
@@ -372,10 +366,9 @@ def cost_rows(index_matrix: np.ndarray, samples: CostSampleSet,
 def _moved_rows(rows: np.ndarray, zero_rows: np.ndarray) -> np.ndarray:
     """The (P, k) table rows that member p adds: its rows outside
     `zero_rows` in feature order, then an all-+0.0 row up to k, the widest
-    member's count (at least 1); `rows` itself when no row is all +0.0."""
+    member's count (at least 1). When no row is all +0.0 every member adds
+    all d of its rows, and the plan equals `rows`."""
     pad = int(zero_rows.argmax())
-    if not zero_rows[pad]:
-        return rows
     live = ~zero_rows[rows]
     count = live.sum(axis=1)
     k = count.max(initial=1)

@@ -106,6 +106,11 @@ class ExperimentSpec:
             self.grid = tuple(int(v) for v in self.grid)
         if not self.methods:
             raise ValueError("at least one method required")
+        for name in ("seeds", "methods", "grid"):
+            values = getattr(self, name)
+            repeated = [v for i, v in enumerate(values) if v in values[:i]]
+            if repeated:
+                raise ValueError(f"{name} names {repeated[0]!r} more than once")
         # Every run's settings, built once here, so that a bad method or grid
         # value is refused before any user is searched.
         name = GRID_FIELDS.get(self.kind)

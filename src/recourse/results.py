@@ -120,6 +120,9 @@ def run_population(
     if workers < 1:
         raise ValueError(f"{WORKERS_ENV} must be a positive integer, got {raw!r}")
     ids = list(user_ids) if user_ids is not None else list(range(len(states)))
+    if len(ids) != len(states):
+        raise ValueError(f"need one user id per state, got {len(ids)} ids "
+                         f"for {len(states)} states")
     tasks = [
         (uid, state, classifier, schema, table, settings)
         for uid, state in zip(ids, states)

@@ -77,6 +77,8 @@ Members are searched as domain positions (`DatasetSchema.positions`), and
 the result holds the recourse set as two arrays, the (N, d) int64 feature
 codes of the members (`DatasetSchema.codes`) and their (N,) bool validity
 flags, which is also the form evaluation scores and result documents store.
+Beside the set a result keeps only its trace, the queries it used and its
+final objective; the members' costs are one `cost_rows` call away.
 
 Candidates predicted to the undesired class are not discarded: their cost
 rows are set to infinity, which keeps them out of every column minimum and
@@ -183,7 +185,6 @@ class RecourseSet:
 @dataclass
 class SearchResult:
     recourse_set: RecourseSet
-    cost_matrix: Optional[np.ndarray]  # (N, M) final member costs
     trace: list[float]
     queries_used: int
     emc: float
@@ -236,7 +237,7 @@ class _Workspace:
         draws. The draws come CHUNK calls at a time, but never more calls
         than `meter` can still pay for (R * n queries each) plus the one
         that finds it exhausted, so every stream ends where per-call draws
-        leave it."""
+        leave it. On a meter that pays for nothing every chunk is one call."""
         per_call = len(rngs) * n
 
         def chunks():
@@ -253,13 +254,6 @@ class _Workspace:
             return out
 
         return perturb
-
-    def perturb_rows(
-        self, base: np.ndarray, rngs: Sequence[np.random.Generator]
-    ) -> np.ndarray:
-        """One perturbation of the (R, N, d) `base`, restart r drawing from
-        rngs[r]: the plan's one-call case, a meter that pays for nothing."""
-        return self.plan(rngs, base.shape[1], BudgetMeter(0))(base)
 
     def uniform_rows(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """Draw n states uniformly from the feasible product space."""
@@ -386,18 +380,6 @@ def _priced_rows(idx: np.ndarray, samples: CostSampleSet, valid: np.ndarray) -> 
     return rows
 
 
-def _result(ws: _Workspace, members: np.ndarray, valid: np.ndarray,
-            costs: Optional[np.ndarray], trace: list[float],
-            queries_used: int, emc: float) -> SearchResult:
-    return SearchResult(
-        recourse_set=RecourseSet(ws.schema.codes(members), valid),
-        cost_matrix=costs,
-        trace=trace,
-        queries_used=queries_used,
-        emc=emc,
-    )
-
-
 def _lockstep(
     ws: _Workspace,
     classifier: Classifier,
@@ -405,7 +387,7 @@ def _lockstep(
     n: int,
     meter: BudgetMeter,
     rngs: list[np.random.Generator],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[list[float]]]:
+) -> tuple[np.ndarray, np.ndarray, list[list[float]]]:
     """COLS restarts run side by side, restart r perturbing from rngs[r].
 
     Each iteration perturbs every restart, classifies and prices all R * N
@@ -415,9 +397,9 @@ def _lockstep(
     candidates beats a held column minimum and so none has a positive
     benefit; a round with no restart left is not run. The loop ends when
     `meter` cannot pay for every restart's candidate batch. Returns the
-    (R, N, d) members, (R, N) validity, (R, N, M) costs and R traces, each
-    restart's `emc` after every iteration, read from its held statistics
-    with the uncovered columns' minima restored to inf.
+    (R, N, d) members, (R, N) validity and R traces, each restart's `emc`
+    after every iteration, read from its held statistics with the
+    uncovered columns' minima restored to inf.
     """
     perturb = ws.plan(rngs, n, meter)
     members = perturb(np.broadcast_to(ws.user_idx, (len(rngs), n, len(ws.user_idx))))
@@ -464,7 +446,7 @@ def _lockstep(
             swapped = True
             if len(r) < len(everyone):
                 active, sub_stats, sub_cand = r, stats.take(r), cand_costs[r]
-    return members, valid, costs, traces
+    return members, valid, traces
 
 
 def cols(
@@ -505,13 +487,13 @@ def pcols(
     ws = _Workspace(s_u, schema)
     meter = BudgetMeter(restarts * (settings.budget // restarts))
     rngs = [stream_rng(SEARCH_STREAM, settings.seed, r, user_key) for r in range(restarts)]
-    members, valid, costs, traces = _lockstep(
+    members, valid, traces = _lockstep(
         ws, classifier, samples, settings.set_size, meter, rngs
     )
     finals = [trace[-1] for trace in traces]
     win = finals.index(min(finals))
-    return _result(ws, members[win], valid[win], costs[win], traces[win],
-                   meter.used, finals[win])
+    return SearchResult(RecourseSet(schema.codes(members[win]), valid[win]),
+                        traces[win], meter.used, finals[win])
 
 
 def _set_loss(
@@ -520,19 +502,17 @@ def _set_loss(
     members: np.ndarray,
     valid: np.ndarray,
     samples: Optional[CostSampleSet],
-) -> tuple[float, Optional[np.ndarray]]:
-    """The loss `_whole_set` minimizes, with the set's (N, M) priced rows
-    under the emc objective (None under the others): the `emc` of those
-    rows, invalid members costing inf, or the negated diversity, proximity
-    or sparsity. A set without a single valid member has loss inf,
-    mirroring the hard validity constraint on recourse."""
+) -> float:
+    """The loss `_whole_set` minimizes: the `emc` of the set's priced rows,
+    invalid members costing inf, or the negated diversity, proximity or
+    sparsity. A set without a single valid member has loss inf, mirroring
+    the hard validity constraint on recourse."""
     if objective == "emc":
-        rows = _priced_rows(members, samples, valid)
-        return float(emc(rows.min(axis=0))), rows
+        return float(emc(_priced_rows(members, samples, valid).min(axis=0)))
     if not valid.any():
-        return INF, None
+        return INF
     div, prox, spar = set_distance_stats(ws.s_u, ws.schema.codes(members), ws.schema)
-    return -{"diversity": div, "proximity": prox, "sparsity": spar}[objective], None
+    return -{"diversity": div, "proximity": prox, "sparsity": spar}[objective]
 
 
 def _whole_set(
@@ -542,21 +522,20 @@ def _whole_set(
     schema: DatasetSchema,
     settings: GenerationSettings,
     user_key: int,
-    objective: str,
     uniform: bool,
 ) -> SearchResult:
-    """Hill climbing on whole sets. Each candidate set is drawn uniformly
-    from the feasible product space (`uniform`) or perturbed from the
-    incumbent through the workspace's plan (the first from N copies of the
-    user state); it replaces the incumbent only when its loss (`_set_loss`)
-    is strictly lower. The loop ends when the budget cannot pay for a
-    candidate set, and the trace holds the incumbent's loss after every
-    iteration. Only the emc objective prices sets, and the result keeps the
-    incumbent's rows and its final loss as its emc; the others never read
-    `samples`, which may be None, and report an emc of inf."""
+    """Hill climbing on whole sets for `settings.objective`. Each candidate
+    set is drawn uniformly from the feasible product space (`uniform`) or
+    perturbed from the incumbent through the workspace's plan (the first
+    from N copies of the user state); it replaces the incumbent only when
+    its loss (`_set_loss`) is strictly lower. The loop ends when the budget
+    cannot pay for a candidate set, and the trace holds the incumbent's
+    loss after every iteration. Only the emc objective prices sets, and
+    its final loss is the result's emc; the others never read `samples`,
+    which may be None, and report an emc of inf."""
     ws = _Workspace(s_u, schema)
     rng = stream_rng(SEARCH_STREAM, settings.seed, 0, user_key)
-    n = settings.set_size
+    n, objective = settings.set_size, settings.objective
     meter = BudgetMeter(settings.budget)
     perturb = ws.plan([rng], n, meter)
 
@@ -565,7 +544,7 @@ def _whole_set(
 
     members = propose(np.tile(ws.user_idx, (n, 1)))
     valid = _classify(ws, classifier, members, meter)
-    loss, costs = _set_loss(objective, ws, members, valid, samples)
+    loss = _set_loss(objective, ws, members, valid, samples)
     trace = [loss]
 
     while True:
@@ -574,13 +553,13 @@ def _whole_set(
             cand_valid = _classify(ws, classifier, cand_members, meter)
         except BudgetExhausted:
             break
-        cand_loss, cand_costs = _set_loss(objective, ws, cand_members, cand_valid, samples)
+        cand_loss = _set_loss(objective, ws, cand_members, cand_valid, samples)
         if cand_loss < loss:
-            members, valid, loss, costs = cand_members, cand_valid, cand_loss, cand_costs
+            members, valid, loss = cand_members, cand_valid, cand_loss
         trace.append(loss)
 
     final = loss if objective == "emc" else INF
-    return _result(ws, members, valid, costs, trace, meter.used, final)
+    return SearchResult(RecourseSet(schema.codes(members), valid), trace, meter.used, final)
 
 
 def random_search(
@@ -593,10 +572,9 @@ def random_search(
 ) -> SearchResult:
     """Whole-set baseline: draw N states uniformly from the feasible product
     space each iteration and keep the candidate set only if its EMC beats
-    the incumbent's. The trace records the incumbent's EMC."""
-    return _whole_set(
-        s_u, classifier, samples, schema, settings, user_key, "emc", uniform=True
-    )
+    the incumbent's: `GenerationSettings` names the emc objective for every
+    method but `ls`. The trace records the incumbent's EMC."""
+    return _whole_set(s_u, classifier, samples, schema, settings, user_key, uniform=True)
 
 
 def local_search(
@@ -615,7 +593,4 @@ def local_search(
     EMC, or the negated diversity, proximity or sparsity of the set. Only
     the emc objective reads `samples`.
     """
-    return _whole_set(
-        s_u, classifier, samples, schema, settings, user_key, settings.objective,
-        uniform=False,
-    )
+    return _whole_set(s_u, classifier, samples, schema, settings, user_key, uniform=False)

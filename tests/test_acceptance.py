@@ -33,8 +33,8 @@ from recourse.results import GenerationSettings, run_population
 from recourse.schema import UserState, build_percentile_table, feasible_values
 from recourse.search import BIG, cols, column_stats, compute_benefits
 
-from test_cost import moves, transition_cost
-from test_search import naive_benefits
+from test_cost import feature_costs, moves, transition_cost
+from test_search import naive_benefits, result_costs
 
 
 def _pass(n: int, msg: str) -> None:
@@ -168,7 +168,7 @@ def test_criterion_3_exhaustive_optimum(toy2):
         ]
         config = GenerationSettings(budget=3000, set_size=3, seed=seed)
         res = cols(s_u, clf, samples, schema, config)
-        got = res.cost_matrix.min(axis=0)
+        got = result_costs(res, samples).min(axis=0)
         for g, o in zip(got, optima):
             assert g == o or abs(g - o) < 1e-12
     _pass(3, "20/20 seeds reach the exhaustive per-sample optima exactly")
@@ -218,7 +218,7 @@ def test_criterion_4_sampler_invariants(synth6, adult):
                 editable = c.editable[0]
                 at = schema.positions(state.values)
                 for fi, f in enumerate(schema.features):
-                    vec = c.costs[fi][0]
+                    vec = feature_costs(c)[fi][0]
                     s_idx = at[fi]
                     assert vec[s_idx] == 0.0
                     finite = vec[np.isfinite(vec)]

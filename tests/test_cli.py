@@ -32,6 +32,8 @@ from recourse.schema import (
     save_schema,
 )
 
+from test_cost import feature_costs
+
 
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
@@ -283,7 +285,7 @@ class TestGenerate:
             if fi in editable:
                 continue
             s_idx = schema.positions(state.values)[fi]
-            stack = batch.costs[fi]
+            stack = feature_costs(batch)[fi]
             assert all(
                 (stack[:, j] == INF).all() for j in range(f.size) if j != s_idx
             )
@@ -1219,6 +1221,20 @@ class TestExperimentSpecValidation:
         with pytest.raises(ValueError, match="seed must be non-negative, got -3 in seeds"):
             ExperimentSpec(kind="main", seeds=(0, -3))
 
+    @pytest.mark.parametrize("kind,field,values,shown", [
+        ("main", "seeds", (0, 1, 0), "0"),
+        ("main", "methods", ("cols", "cols"), "'cols'"),
+        ("alpha_grid", "grid", (0.2, 0.4, 0.2), "0.2"),
+        ("budget_sweep", "grid", (500, 500.0), "500"),
+    ])
+    def test_repeated_values_refused(self, kind, field, values, shown):
+        """A repeated method wrote its rows twice, and a repeated grid value
+        counted each cell several times per seed."""
+        from recourse.experiments import ExperimentSpec
+
+        with pytest.raises(ValueError, match=f"^{field} names {shown} more than once$"):
+            ExperimentSpec(kind=kind, **{field: values})
+
     @pytest.mark.parametrize("name", ["bins", "shift_vectors"])
     @pytest.mark.parametrize("value", [0, -2])
     def test_bins_and_shift_vectors_must_be_positive(self, name, value):
@@ -1293,6 +1309,18 @@ class TestResultDocs:
         )
         _, samples = run_user(0, rows[0], clf, schema, table, settings)
         assert samples.m == 10
+
+    @pytest.mark.parametrize("n_states,n_ids", [(5, 2), (2, 5)])
+    def test_one_user_id_per_state(self, synth6, n_states, n_ids):
+        """Unequal lengths used to drop the users past the shorter one."""
+        schema, rows, _, table, clf = synth6
+        settings = GenerationSettings(
+            method="cols", budget=60, set_size=4, num_samples=10, seed=3
+        )
+        with pytest.raises(ValueError, match=f"need one user id per state, "
+                                             f"got {n_ids} ids for {n_states} states"):
+            run_population(rows[:n_states], clf, schema, table, settings,
+                           user_ids=list(range(n_ids)))
 
     @pytest.mark.parametrize("value", ["abc", "0", "-3"])
     def test_bad_worker_count_rejected(self, synth6, monkeypatch, value):

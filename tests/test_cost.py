@@ -30,6 +30,13 @@ from recourse.schema import (
 )
 
 
+def feature_costs(samples):
+    """Per feature f, the (M, |D_f|) view `table[offsets[f]:offsets[f + 1]].T`
+    of a sample set's cost table."""
+    off = samples.schema.offsets.tolist()
+    return tuple(samples.table[lo:hi].T for lo, hi in zip(off, off[1:]))
+
+
 def transition_cost(s_u, s_j, samples, i=0):
     """Scalar oracle: the cost of moving s_u to the code row s_j under
     sample i, summed feature by feature; one infinite feature makes the move
@@ -39,7 +46,7 @@ def transition_cost(s_u, s_j, samples, i=0):
     total = 0.0
     at = samples.schema.positions(s_j)
     for fi in range(samples.schema.n_features):
-        cost = float(samples.costs[fi][i, at[fi]])
+        cost = float(feature_costs(samples)[fi][i, at[fi]])
         if cost == INF:
             return INF
         total += cost
@@ -132,7 +139,7 @@ class TestLinearMeans:
             UserState((1, 0)), schema, flat_table(schema), 200, alpha=1.0, seed=0,
             editable=frozenset({0, 1}), pref=np.array([0.5, 0.5]),
         )
-        assert batch.costs[0][:, 3].mean() == pytest.approx(1 / 3, abs=0.005)
+        assert feature_costs(batch)[0][:, 3].mean() == pytest.approx(1 / 3, abs=0.005)
 
     def test_case_split(self):
         schema = one_feature_schema("increase_only")
@@ -153,7 +160,7 @@ class TestLinearMeans:
             UserState((1, 2)), schema, flat_table(schema), 20, alpha=1.0, seed=0,
             editable=frozenset({0}),
         )
-        g = batch.costs[1]
+        g = feature_costs(batch)[1]
         assert (g[:, 2] == 0.0).all()
         assert (g[:, :2] == INF).all()
         assert not batch.editable[:, 1].any()
@@ -170,9 +177,9 @@ class TestLinearMeans:
             UserState((2, 0)), schema, flat_table(schema), 50, alpha=1.0, seed=0,
             editable=frozenset({0, 1}), pref=np.array([0.0, 1.0]),
         )
-        finite = batch.costs[0][:, [0, 1, 3, 4]]
+        finite = feature_costs(batch)[0][:, [0, 1, 3, 4]]
         assert ((finite >= 0.0) & (finite <= 1.0)).all()
-        assert (batch.costs[0][:, 2] == 0.0).all()
+        assert (feature_costs(batch)[0][:, 2] == 0.0).all()
         # raw means are fresh Uniform(0,1) draws per sample and target
         assert len(np.unique(finite)) == finite.size
 
@@ -203,7 +210,7 @@ class TestPercentileMeans:
             UserState((1, 0)), schema, table, 200, alpha=0.0, seed=0,
             editable=frozenset({0, 1}), pref=np.array([0.25, 0.75]),
         )
-        assert batch.costs[0][:, 3].mean() == pytest.approx(0.3, abs=0.005)
+        assert feature_costs(batch)[0][:, 3].mean() == pytest.approx(0.3, abs=0.005)
 
 
 class TestForeignTable:
@@ -275,10 +282,10 @@ class TestSampleCostFunction:
             editable=frozenset({0}), pref=pref,
         )
         assert c.m == 1
-        assert c.costs[0][0, 0] == INF
-        assert c.costs[0][0, 1] == 0.0
+        assert feature_costs(c)[0][0, 0] == INF
+        assert feature_costs(c)[0][0, 1] == 0.0
         for j in (2, 3, 4):
-            assert abs(c.costs[0][0, j] - 0.0) < 0.05
+            assert abs(feature_costs(c)[0][0, j] - 0.0) < 0.05
 
     def test_lin_alpha_tracks_linear_means(self):
         # all preference mass on the second feature leaves the first unscaled
@@ -289,7 +296,7 @@ class TestSampleCostFunction:
             editable=frozenset({0, 1}), pref=np.array([0.0, 1.0]),
         )
         for j, expected in ((2, 1 / 3), (3, 2 / 3), (4, 1.0)):
-            assert abs(c.costs[0][0, j] - expected) < 0.05
+            assert abs(feature_costs(c)[0][0, j] - expected) < 0.05
 
     def test_all_immutable_without_editable_set(self):
         schema = DatasetSchema(
@@ -309,7 +316,7 @@ class TestSampleCostFunction:
         a, b = draws
         assert np.array_equal(a.alpha, b.alpha)
         assert np.array_equal(a.editable, b.editable)
-        assert all(np.array_equal(x, y) for x, y in zip(a.costs, b.costs))
+        assert all(np.array_equal(x, y) for x, y in zip(feature_costs(a), feature_costs(b)))
 
     def test_invariants_on_samples(self, synth6):
         schema, rows, _, table, _ = synth6
@@ -320,7 +327,7 @@ class TestSampleCostFunction:
             editable = c.editable[0]
             at = schema.positions(state.values)
             for fi, f in enumerate(schema.features):
-                vec = c.costs[fi][0]
+                vec = feature_costs(c)[fi][0]
                 s_idx = at[fi]
                 assert vec[s_idx] == 0.0
                 finite = vec[np.isfinite(vec)]
@@ -402,7 +409,7 @@ class TestSampleBatch:
         batch = sample_cost_batch(rows[0], schema, table, 5, seed=1)
         d = schema.n_features
         assert batch.m == 5
-        assert [c.shape for c in batch.costs] == [(5, f.size) for f in schema.features]
+        assert [c.shape for c in feature_costs(batch)] == [(5, f.size) for f in schema.features]
         assert batch.alpha.shape == (5,)
         assert batch.editable.shape == batch.preferences.shape == (5, d)
         assert batch.editable.dtype == bool
@@ -425,7 +432,7 @@ class TestSampleBatch:
         a = sample_cost_batch(rows[0], schema, table, 4, seed=9)
         b = sample_cost_batch(rows[0], schema, table, 4, seed=9)
         assert a.alpha.tobytes() == b.alpha.tobytes()
-        assert all(x.tobytes() == y.tobytes() for x, y in zip(a.costs, b.costs))
+        assert all(x.tobytes() == y.tobytes() for x, y in zip(feature_costs(a), feature_costs(b)))
 
     def test_prefix_of_a_larger_batch(self, synth6):
         # every block draws its full width, so batches extend, also across
@@ -435,7 +442,8 @@ class TestSampleBatch:
         for m in (3, 64, 65, 130):
             small = sample_cost_batch(rows[0], schema, table, m, seed=9, subkey=2)
             assert small.alpha.tobytes() == big.alpha[:m].tobytes()
-            assert all(x.tobytes() == y[:m].tobytes() for x, y in zip(small.costs, big.costs))
+            assert all(x.tobytes() == y[:m].tobytes()
+                       for x, y in zip(feature_costs(small), feature_costs(big)))
             assert small.preferences.tobytes() == big.preferences[:m].tobytes()
             assert small.editable.tobytes() == big.editable[:m].tobytes()
 
@@ -464,7 +472,7 @@ class TestSampleBatch:
         schema, rows, _, table, _ = synth6
         batch = sample_cost_batch(rows[0], schema, table, 2, seed=0)
         with pytest.raises(ValueError):
-            batch.costs[0][0, 0] = 1.0
+            feature_costs(batch)[0][0, 0] = 1.0
 
 
 def _homogeneity_chi2(a, b):
@@ -618,7 +626,7 @@ class TestBlockDraws:
                 state, schema, table, stream_rng(TRAIN_STREAM, u, b, 5), alpha,
                 inputs.get("editable"), inputs.get("pref"))]
             for i, (costs, a, editable, prefs) in enumerate(want[:batch.m]):
-                assert all(batch.costs[f][i].tobytes() == c.tobytes()
+                assert all(feature_costs(batch)[f][i].tobytes() == c.tobytes()
                            for f, c in enumerate(costs))
                 assert batch.alpha[i] == a
                 assert (batch.editable[i] == editable).all()
@@ -658,7 +666,7 @@ class TestBlockDistribution:
                 *(x.preferences[x.editable[:, fi], fi] for x in (block, single)))
             for j in moves(table, fi, at[fi])[0]:
                 binned[f"cost {fi}->{j}"] = _deciles(
-                    *(x.costs[fi][x.editable[:, fi], j] for x in (block, single)))
+                    *(feature_costs(x)[fi][x.editable[:, fi], j] for x in (block, single)))
         assert len(binned) >= 50
         p = self.LEVEL / len(binned)
         for name, (a, b) in binned.items():
@@ -686,7 +694,7 @@ class TestBlockDistribution:
                             mu = a * (x * keep) + (1.0 - a) * (y * keep)
                             mu = 0.0 if mu < 0.0 else 1.0 if mu > 1.0 else mu
                             if mu * (1.0 - mu) / var - 1.0 <= 0.0:
-                                assert float(batch.costs[fi][i, j]).hex() == mu.hex()
+                                assert float(feature_costs(batch)[fi][i, j]).hex() == mu.hex()
                                 exact += 1
         assert exact > 100
 

@@ -32,6 +32,8 @@ from recourse.model import save_model
 from recourse.results import GenerationSettings, run_user
 from recourse.schema import save_dataset, save_schema
 
+from test_cost import feature_costs
+
 # Fixed editable set and preferences for the pinned batch: three ordered
 # features (age, capital_gain, hours_per_week) and two unordered ones
 # (workclass, occupation).
@@ -108,7 +110,7 @@ def _update(h, samples) -> None:
     """Hash a sample set's per-feature cost arrays, alpha, editable mask and
     preferences, with their shapes."""
     costs, alpha, editable, prefs = (
-        samples.costs, samples.alpha, samples.editable, samples.preferences
+        feature_costs(samples), samples.alpha, samples.editable, samples.preferences
     )
     arrays = [np.ascontiguousarray(c, dtype=np.float64) for c in costs]
     arrays.append(np.ascontiguousarray(alpha, dtype=np.float64))

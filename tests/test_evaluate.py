@@ -33,7 +33,8 @@ from recourse.schema import (
 )
 from recourse.search import RecourseSet, _Workspace
 
-from test_cost import manual_samples, transition_cost
+from test_cost import feature_costs, manual_samples, transition_cost
+from test_search import perturb_once
 
 
 def single_feature_users(*costs):
@@ -251,7 +252,7 @@ class TestDistanceMetrics:
             n = int(rng.integers(1, 12))
             moves = np.tile(ws.user_idx, (1, n, 1))
             for _ in range(1 + uid % 3):  # up to 2, 4 or 6 features moved
-                moves = ws.perturb_rows(moves, [rng])
+                moves = perturb_once(ws, moves, [rng])
             moves = moves[0]
             members = schema.codes(moves)
             if uid % 4 == 0:  # repeated members and the user's own state
@@ -311,7 +312,7 @@ class TestSimulatedUsers:
         b = simulate_user(rows[0], schema, table, test_seed=5, user_id=3)
         assert all(
             np.array_equal(x, y)
-            for x, y in zip(a.costs, b.costs)
+            for x, y in zip(feature_costs(a), feature_costs(b))
         )
 
     def test_different_from_generation_stream(self, synth6):
@@ -322,7 +323,7 @@ class TestSimulatedUsers:
         test = simulate_user(rows[0], schema, table, test_seed=5, user_id=3)
         same = all(
             np.array_equal(x, y)
-            for x, y in zip(gen.costs, test.costs)
+            for x, y in zip(feature_costs(gen), feature_costs(test))
         )
         assert not same
 
@@ -378,7 +379,7 @@ def adult_population():
     sets = []
     for state in states:
         ws = _Workspace(state, schema)
-        moves = ws.perturb_rows(np.tile(ws.user_idx, (1, 3, 1)), [rng])[0]
+        moves = perturb_once(ws, np.tile(ws.user_idx, (1, 3, 1)), [rng])[0]
         sets.append(recourse_set(
             schema.codes(moves), [True, *(bool(v) for v in rng.random(2) < 0.5)]
         ))

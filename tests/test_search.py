@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from recourse import search as search_module
-from recourse.cost import INF, SEARCH_STREAM, emc, sample_cost_batch, stream_rng
+from recourse.cost import INF, SEARCH_STREAM, cost_rows, emc, sample_cost_batch, stream_rng
 from recourse.model import BudgetExhausted, BudgetMeter, Classifier
 from recourse.schema import DatasetSchema, FeatureSpec, UserState, feasible_values
 from recourse.search import (
@@ -418,6 +418,20 @@ class TestScreen:
         assert skipped and partial and any(rd["swapped"] for rd in rounds)
 
 
+def priced(positions, valid, samples):
+    """(N, M) costs of (N, d) member positions re-priced with `cost_rows`,
+    an invalid member costing inf under every sample."""
+    rows = np.full((len(valid), samples.m), INF)
+    rows[valid] = cost_rows(positions[valid], samples)
+    return rows
+
+
+def result_costs(res, samples):
+    """The re-priced (N, M) costs of a search result's members."""
+    rs = res.recourse_set
+    return priced(samples.schema.positions(rs.members), rs.validity, samples)
+
+
 def two_mutable_schema():
     return DatasetSchema(
         features=(
@@ -428,12 +442,18 @@ def two_mutable_schema():
     )
 
 
+def perturb_once(ws, base, rngs):
+    """One perturbation of the (R, n, d) `base`, restart r drawing from
+    rngs[r]: a plan on a meter that pays for nothing draws one call."""
+    return ws.plan(rngs, base.shape[-2], BudgetMeter(0))(base)
+
+
 def perturb(base, s_u, schema, rng):
     """One perturbed candidate (a code row) per base state, through the
     search workspace."""
     ws = _Workspace(s_u, schema)
     idx = schema.positions([s.values for s in base])
-    return schema.codes(ws.perturb_rows(idx[None], [rng])[0])
+    return schema.codes(perturb_once(ws, idx[None], [rng])[0])
 
 
 class TestPerturb:
@@ -513,7 +533,7 @@ class TestPerturbDistribution:
     def drawn(self):
         ws = _Workspace(self.USER, self.SCHEMA)
         rngs = [np.random.default_rng([40, r]) for r in range(4)]
-        out = ws.perturb_rows(np.full((4, 2500, 5), -1), rngs)
+        out = perturb_once(ws, np.full((4, 2500, 5), -1), rngs)
         return ws, out.reshape(-1, 5)
 
     def test_unordered_pairs_of_movable_features_equally_likely(self, drawn):
@@ -544,7 +564,7 @@ class TestPerturbDistribution:
         assert (top != -1).sum() > 4000
         assert set(top[top != -1].tolist()) == {2}
         base = np.tile(ws.user_idx, (2, 500, 1))
-        moved = ws.perturb_rows(base, [np.random.default_rng(s) for s in (1, 2)])
+        moved = perturb_once(ws, base, [np.random.default_rng(s) for s in (1, 2)])
         assert (moved[..., 4] == 2).all() and (moved[..., 2] == 1).all()
 
     def test_restart_equals_its_lone_draw(self):
@@ -554,9 +574,9 @@ class TestPerturbDistribution:
         alone = [np.random.default_rng(s) for s in seeds]
         base = np.tile(ws.user_idx, (3, 7, 1))
         for _ in range(5):  # successive calls read the same amount per restart
-            out = ws.perturb_rows(base, together)
+            out = perturb_once(ws, base, together)
             for r, rng in enumerate(alone):
-                assert np.array_equal(out[r], ws.perturb_rows(base[r:r + 1], [rng])[0])
+                assert np.array_equal(out[r], perturb_once(ws, base[r:r + 1], [rng])[0])
             base = out
 
 
@@ -733,7 +753,7 @@ class TestPcols:
                   user_key=3)
         assert np.array_equal(a.recourse_set.members, b.recourse_set.members)
         assert np.array_equal(a.recourse_set.validity, b.recourse_set.validity)
-        assert np.array_equal(a.cost_matrix, b.cost_matrix)
+        assert np.array_equal(result_costs(a, samples), result_costs(b, samples))
         assert a.trace == b.trace
         assert a.queries_used == b.queries_used == 400
         assert a.emc == b.emc == b.trace[-1]
@@ -811,16 +831,18 @@ class TestLockstep:
             runs = []
             for r in range(restarts):
                 lone = BudgetMeter(sub)
-                members, valid, costs, traces = _lockstep(
+                members, valid, traces = _lockstep(
                     ws, clf, samples, config.set_size, lone,
                     [stream_rng(SEARCH_STREAM, config.seed, r, user)],
                 )
-                runs.append((members[0], valid[0], costs[0], traces[0], lone.used))
+                costs = priced(members[0], valid[0], samples)
+                runs.append((members[0], valid[0], costs, traces[0], lone.used))
                 # restart r of the lockstep run is its lone run, and every
                 # restart is charged the same share of the shared meter
-                for held, alone in zip(together, (members, valid, costs)):
+                for held, alone in zip(together, (members, valid)):
                     assert np.array_equal(held[r], alone[0])
-                assert together[3][r] == traces[0]
+                assert np.array_equal(priced(together[0][r], together[1][r], samples), costs)
+                assert together[2][r] == traces[0]
                 assert meter.used == restarts * lone.used
             finals = [trace[-1] for _, _, _, trace, _ in runs]
             assert all(math.isfinite(e) for e in finals)
@@ -833,7 +855,7 @@ class TestLockstep:
                                   schema.codes(members))
             assert np.array_equal(res.recourse_set.validity, valid)
             assert res.trace == trace
-            assert np.array_equal(res.cost_matrix, costs)
+            assert np.array_equal(result_costs(res, samples), costs)
             if any(winners) and user >= 3:
                 break
         assert any(winners)
@@ -850,7 +872,7 @@ class TestLockstep:
                                         editable=movable if user % 2 else None)
             config = GenerationSettings(budget=120, set_size=4, restarts=3, seed=user)
             res = pcols(s_u, clf, samples, schema, config, user_key=user)
-            assert res.emc == res.trace[-1] == emc(res.cost_matrix.min(axis=0))
+            assert res.emc == res.trace[-1] == emc(result_costs(res, samples).min(axis=0))
             finite.append(math.isfinite(res.emc))
         assert any(finite) and not all(finite)
 
@@ -1113,7 +1135,7 @@ class TestValidityChanneling:
             res = cols(s_u, clf, samples, schema, config)
             ws = _Workspace(s_u, schema)
             rng = stream_rng(SEARCH_STREAM, seed, 0, 0)
-            init = ws.perturb_rows(np.tile(ws.user_idx, (1, 8, 1)), [rng])[0]
+            init = perturb_once(ws, np.tile(ws.user_idx, (1, 8, 1)), [rng])[0]
             init_rows = {tuple(r) for r in schema.codes(init).tolist()}
             for member, ok in zip(res.recourse_set.members,
                                   res.recourse_set.validity):
