@@ -2,8 +2,8 @@
 generated result documents and of the CSV tables the command line writes.
 
 The sampler digests cover every cost array, alpha, editable mask and
-preference vector that `sample_cost_batch` and `simulate_user` produce for
-fixed adult-like inputs. Any change to the draw order, the RNG streams or
+preference vector that `sample_cost_batch`, `simulate_user` and
+`simulate_users` produce for fixed adult-like inputs. Any change to the draw order, the RNG streams or
 the floating-point steps of the sampler changes them. The document digests
 cover the members, validity flags, objective trace and query count of
 `run_user` documents, so they also pin every swap the search makes. The
@@ -26,7 +26,7 @@ from recourse.cost import (
     sample_cost_batch,
     stream_rng,
 )
-from recourse.evaluate import simulate_user
+from recourse.evaluate import simulate_user, simulate_users
 from recourse.experiments import select_undesired
 from recourse.model import save_model
 from recourse.results import GenerationSettings, run_user
@@ -86,6 +86,7 @@ DOC_DIGESTS = {
     "ls:diversity": "929878ab82760b4a8064f510841c1d86bdabe260f4f12982f3df06a6c2a7719d",
 }
 SIMULATED_DIGEST = "1ab218d3d863b5475dcf5554096a734e7ffccc1e3b391afc9c38bbfb5f22dfe2"
+POPULATION_DIGEST = "2650e83a3cb4d13c205b32cc30129525d21c63ccc6d8fe746b8843a9380d8559"
 CSV_DIGESTS = {
     "evaluate/metrics_mean.csv":
         "32fe6951c30e41a46152a6f04ce886e2dc3f81646891a99ec47f42e34fd376b0",
@@ -146,6 +147,21 @@ def test_simulate_user_digest(rejected):
                              user_id=ids[k], alpha=(None, 1.0, 0.0)[k % 3])
         _update(h, user)
     assert h.hexdigest() == SIMULATED_DIGEST
+
+
+def test_simulate_users_digest(adult):
+    """300 adult-like users per population, at two test seeds, with alpha
+    drawn and fixed; user ids alternate below 2**32 and above it (two
+    32-bit entropy words), and editable sets cycle drawn, pinned, empty."""
+    schema, rows, _, table, _ = adult
+    states = rows[:300]
+    ids = [k if k % 2 else 2**32 + 11 * k for k in range(300)]
+    editable = [(None, PINNED_EDITABLE, frozenset())[k % 3] for k in range(300)]
+    h = hashlib.sha256()
+    for test_seed in (5, 9_137_000_004):
+        for alpha in (None, 0.3):
+            _update(h, simulate_users(states, schema, table, test_seed, ids, alpha, editable))
+    assert h.hexdigest() == POPULATION_DIGEST
 
 
 @pytest.mark.parametrize("case", sorted(BATCH_DIGESTS))
