@@ -242,11 +242,14 @@ def _resolve_result_files(raw: str) -> list[str]:
 
 
 def _check_docs(docs, schema: DatasetSchema, path: str) -> None:
-    """Each document has its state and members as integer codes in the
-    schema's domains, at least one member and one boolean validity flag per
-    member; errors name the file, the document and the value."""
+    """Each document has a non-negative integer user id, its state and
+    members as integer codes in the schema's domains, at least one member
+    and one boolean validity flag per member; errors name the file, the
+    document and the value."""
     for n, doc in enumerate(docs, 1):
         try:
+            if type(doc.user_id) is not int or doc.user_id < 0:
+                raise ValueError(f"user_id {doc.user_id!r} is not a non-negative integer")
             for values in (doc.state, *doc.members):
                 for f, v in zip(schema.features, values):
                     if type(v) is not int:

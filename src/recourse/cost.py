@@ -34,7 +34,10 @@ larger one. `sample_cost_functions` draws a population, one width-1 block
 per state on its own generator with its own pin, into one set whose
 column u belongs to state u, and evaluation draws each hidden population
 in one such call: a lone width-1 block costs more than the per-sample
-draw it replaced. Within a block the n movable features
+draw it replaced. A population's generators are seeded in one pass by
+`stream_rngs`, which runs numpy's SeedSequence hash (a stable algorithm,
+NEP 19) over every user's key at once; generator u has the state that
+`stream_rng` gives user u's key. Within a block the n movable features
 (`DatasetSchema.mutable_indices`) are drawn as whole arrays, with these
 calls in this order and no others:
 
@@ -52,6 +55,13 @@ calls in this order and no others:
    its percentile means by position (skipped when U is 0);
 5. one array `beta` over the chosen cells whose Beta exists, row by row,
    each row's cells by feature and then by target.
+
+A call runs these steps phase by phase over all its blocks: every
+unpinned block's coins into one array, the redraws in (block, row) order,
+then per block its exponential, alpha and means draws, then per block its
+Betas. Each generator still makes exactly the calls above in that order,
+so the phases change no draw; that needs a generator per block, and a
+population refuses a generator shared by two states.
 
 The blend clip(alpha * (x * keep) + (1 - alpha) * (y * keep), 0, 1), keep
 = 1 - preference, is elementwise, so a cell without a Beta holds exactly
@@ -84,11 +94,13 @@ priced in full.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .schema import DatasetSchema, PercentileTable, SchemaError, UserState
 
@@ -200,30 +212,38 @@ def _sample_blocks(
     ends = np.cumsum(2 * sizes * fresh)
     u = int(ends[-1])
 
-    chosen = np.zeros((n, d), dtype=bool)
-    prefs = np.zeros((n, d))
-    alphas = np.empty(n)
-    means = np.empty((n, u))
-    for b, (rng, pin) in enumerate(zip(rngs, pins)):
-        blk = slice(width * b, width * (b + 1))
-        if pin is None:
-            kept = rng.random((width, len(candidates))) < 0.5
-            for r in np.flatnonzero(~kept.any(axis=1)).tolist():
-                while not kept[r].any():
-                    kept[r] = rng.random(len(candidates)) < 0.5
-            chosen[blk, candidates] = kept
-        else:
-            chosen[blk, pin] = True
+    # Phase by phase over all blocks (see the module docstring).
+    free = [b for b, pin in enumerate(pins) if pin is None]
+    coins = np.empty((len(free), width, len(candidates)))
+    for j, b in enumerate(free):
+        rngs[b].random(out=coins[j])
+    kept = coins < 0.5
+    for j, r in np.argwhere(~kept.any(axis=2)).tolist():
+        while not kept[j, r].any():
+            kept[j, r] = rngs[free[j]].random(len(candidates)) < 0.5
+    chosen = np.zeros((len(rngs), width, d), dtype=bool)
+    chosen[np.ix_(free, np.arange(width), candidates)] = kept
+    pinned = [(b, i) for b, pin in enumerate(pins) for i in pin or []]
+    if pinned:
+        at_block, at_feature = zip(*pinned)
+        chosen[at_block, :, at_feature] = True
+    counts = np.count_nonzero(chosen, axis=(1, 2)).tolist()
+    exponentials = []
+    alphas = np.empty((len(rngs), width))
+    means = np.empty((len(rngs), width, u))
+    for b, rng in enumerate(rngs):
         if pref is None:
-            picked = chosen[blk]
-            prefs[blk][picked] = rng.standard_exponential(int(np.count_nonzero(picked)))
+            exponentials.append(rng.standard_exponential(counts[b]))
         if alpha is None:
-            alphas[blk] = rng.random(width)
+            rng.random(out=alphas[b])
         if u:
-            means[blk] = rng.random((width, u))
+            rng.random(out=means[b])
+    chosen, alphas, means = chosen.reshape(n, d), alphas.reshape(n), means.reshape(n, u)
+    prefs = np.zeros((n, d))
     if pref is not None:
         prefs[:] = pref
     else:
+        prefs[chosen] = np.concatenate(exponentials)
         some = chosen.any(axis=1)
         prefs[some] *= (1.0 / np.add.accumulate(prefs[some], axis=1)[:, -1])[:, None]
     if alpha is not None:
@@ -286,6 +306,8 @@ def sample_cost_functions(
         raise ValueError(f"need one generator and one editable set per state and at least "
                          f"one state, got {len(states)} states for {len(rngs)} generators "
                          f"and {len(editable)} editable sets")
+    if len(set(map(id, rngs))) < len(rngs):
+        raise ValueError("each state needs a generator of its own")
     drawn = _sample_blocks(states, schema, table, rngs, 1, len(rngs), alpha, editable, None)
     codes = np.array([s.values for s in states], dtype=np.int64)
     codes.setflags(write=False)
@@ -307,6 +329,102 @@ def sample_cost_function(
 
 def stream_rng(stream: int, seed: int, index: int, subkey: int = 0) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([stream, seed, subkey, index]))
+
+
+# numpy's SeedSequence constants (NEP 19 keeps the algorithm stable): the
+# hash multipliers of the entropy mix (A) and of the state output (B), and
+# the two multipliers of `mix`.
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+class _SeedWords(ISeedSequence):
+    """A seed sequence whose state is already generated: the (4,) uint64
+    words of the one `generate_state(4, np.uint64)` call that `PCG64`
+    makes."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words: int, dtype=np.uint64) -> np.ndarray:
+        return self.words
+
+
+def _words(key) -> list[int]:
+    """A non-negative int as SeedSequence reads it: little-endian 32-bit
+    words, at least one."""
+    key = operator.index(key)
+    if key < 0:
+        raise ValueError(f"expected non-negative integer, got {key}")
+    words = [key & _MASK32]
+    while key := key >> 32:
+        words.append(key & _MASK32)
+    return words
+
+
+def _consts(init: int, mult: int, n: int) -> np.ndarray:
+    """The first n + 1 values of SeedSequence's running hash constant."""
+    out = [init]
+    for _ in range(n):
+        out.append(out[-1] * mult & _MASK32)
+    return np.array(out, dtype=np.uint32)
+
+
+def _hashmix(value: np.ndarray, const: np.ndarray) -> np.ndarray:
+    """SeedSequence's `hashmix` of uint32 `value` at successive hash
+    constants `const[:-1]`, each multiplied by its successor."""
+    value = (value ^ const[:-1]) * const[1:]
+    return value ^ (value >> 16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """SeedSequence's `mix` of uint32 `x` and `y`."""
+    out = _MIX_L * x - _MIX_R * y
+    return out ^ (out >> 16)
+
+
+def _seed_states(entropy: np.ndarray) -> np.ndarray:
+    """(R, 4) uint64: per row of the (R, L) uint32 `entropy`, L >= 4,
+    `SeedSequence(row).generate_state(4, np.uint64)`. Each of SeedSequence's
+    hashmix calls runs for all rows at once, and the calls that read one
+    source word run together: their hash constants follow the call order."""
+    L = entropy.shape[1]
+    a = _consts(_INIT_A, _MULT_A, 4 * (L - 4) + 16)
+    pool = _hashmix(entropy[:, :4], a[:5])
+    k = 4
+    for src in range(4):
+        dst = [i for i in range(4) if i != src]
+        pool[:, dst] = _mix(pool[:, dst], _hashmix(pool[:, src, None], a[k:k + 4]))
+        k += 3
+    for src in range(4, L):
+        pool = _mix(pool, _hashmix(entropy[:, src, None], a[k:k + 5]))
+        k += 4
+    out = _hashmix(np.tile(pool, 2), _consts(_INIT_B, _MULT_B, 8))
+    # Word pairs (2t, 2t + 1) are uint64 t's low and high halves.
+    return np.ascontiguousarray(out, dtype="<u4").view("<u8").astype(np.uint64, copy=False)
+
+
+def stream_rngs(stream: int, seed: int, indices: Sequence[int],
+                subkey: int = 0) -> list[np.random.Generator]:
+    """`stream_rng(stream, seed, index, subkey)` for every index, seeded in
+    one pass: generator i has the state of the i-th reference generator.
+    SeedSequence's mixing runs once per key length over all keys of that
+    length (an int of 2**32 or more takes two words). The pass has a fixed
+    cost of a few dozen numpy calls, so a lone stream is cheaper through
+    `stream_rng`; on a 2-CPU x86 host the pass wins from about 8 streams."""
+    head = _words(stream) + _words(seed) + _words(subkey)
+    keys = [head + _words(i) for i in indices]
+    by_length: dict[int, list[int]] = {}
+    for i, key in enumerate(keys):
+        by_length.setdefault(len(key), []).append(i)
+    rngs = [None] * len(keys)
+    for rows in by_length.values():
+        states = _seed_states(np.array([keys[i] for i in rows], dtype=np.uint32))
+        for i, words in zip(rows, states):
+            rngs[i] = np.random.Generator(np.random.PCG64(_SeedWords(words)))
+    return rngs
 
 
 def check_alpha(alpha: Optional[float]) -> None:

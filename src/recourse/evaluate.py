@@ -7,7 +7,10 @@ disjoint from the stream that produced the generation-time samples.
 `simulate_users` draws a population in one call, as one `CostSampleSet`
 whose column u is user u's cost function, each from the user's own
 (test seed, user id) stream, so a user's draw does not depend on who else
-is drawn.
+is drawn. Every user's stream is seeded in one vectorized pass
+(`cost.stream_rngs`, each generator in the state `stream_rng` gives it),
+and the sampler runs its per-user draws phase by phase over the whole
+population, each generator making the same calls in the same order.
 
 A user's realised cost is the minimum over the *valid* members of their
 recourse set (two arrays: (N, d) int64 member codes and (N,) bool
@@ -39,6 +42,7 @@ from .cost import (
     sample_cost_function,
     sample_cost_functions,
     stream_rng,
+    stream_rngs,
 )
 from .schema import DatasetSchema, PercentileTable, UserState
 
@@ -118,7 +122,7 @@ def simulate_users(
     """`simulate_user` for each user, the population drawn in one call:
     column u is user u's hidden cost function, pinned to the editable set
     `editable[u]` when one is given."""
-    rngs = [stream_rng(TEST_STREAM, test_seed, uid) for uid in user_ids]
+    rngs = stream_rngs(TEST_STREAM, test_seed, user_ids)
     return sample_cost_functions(states, schema, table, rngs, alpha=alpha, editable=editable)
 
 

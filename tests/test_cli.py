@@ -556,14 +556,24 @@ class TestEvaluate:
         (lambda doc, band: doc.validity.__setitem__(0, 1),
          "validity flag 1 is not true or false"),
         (lambda doc, band: doc.members.__setitem__(0, 5), "'int' object is not iterable"),
+        (lambda doc, band: setattr(doc, "user_id", 3.5),
+         "user_id 3.5 is not a non-negative integer"),
+        (lambda doc, band: setattr(doc, "user_id", -1),
+         "user_id -1 is not a non-negative integer"),
+        (lambda doc, band: setattr(doc, "user_id", "7"),
+         "user_id '7' is not a non-negative integer"),
+        (lambda doc, band: setattr(doc, "user_id", True),
+         "user_id True is not a non-negative integer"),
     ], ids=["float_member_code", "string_state_code", "string_flag", "integer_flag",
-            "member_not_a_list"])
+            "member_not_a_list", "float_user_id", "negative_user_id", "string_user_id",
+            "boolean_user_id"])
     def test_mistyped_value_names_file_document_and_value(
         self, workdir, generated, tmp_path, capsys, tamper, message
     ):
-        """A code that is not an integer, a flag that is not a boolean or a
-        member that is not a list exits 2 instead of being truncated, read
-        as true or raising a traceback."""
+        """A code that is not an integer, a flag that is not a boolean, a
+        member that is not a list or a user id that is not a non-negative
+        integer exits 2 instead of being truncated, read as true or as
+        another user, or raising a traceback."""
         band = load_schema(workdir / "schema.yaml").feature_index("band")
         code, err, path = self._evaluate_tampered(
             workdir, generated, tmp_path, capsys, lambda doc: tamper(doc, band)

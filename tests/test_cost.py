@@ -18,6 +18,7 @@ from recourse.cost import (
     sample_cost_function,
     sample_cost_functions,
     stream_rng,
+    stream_rngs,
 )
 from recourse.datasets import make_adult_like
 from recourse.schema import (
@@ -318,6 +319,14 @@ class TestSampleCostFunction:
         assert np.array_equal(a.editable, b.editable)
         assert all(np.array_equal(x, y) for x, y in zip(feature_costs(a), feature_costs(b)))
 
+    def test_population_refuses_a_shared_generator(self, synth6):
+        """Blocks draw phase by phase, so a generator shared by two states
+        would interleave their draws."""
+        schema, rows, _, table, _ = synth6
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match="generator of its own"):
+            sample_cost_functions(rows[:2], schema, table, [rng, rng])
+
     def test_invariants_on_samples(self, synth6):
         schema, rows, _, table, _ = synth6
         rng = np.random.default_rng(5)
@@ -401,6 +410,44 @@ class TestInputChecks:
         )
         with pytest.raises(ValueError, match="no mutable features"):
             draw(UserState((0,)), schema, flat_table(schema))
+
+
+class TestStreamRngs:
+    """`stream_rngs` seeds many streams in one pass, each generator in the
+    state `stream_rng` gives its key."""
+
+    INDICES = [0, 1, 2**31, 2**32, 2**64 + 9, 2**70]
+
+    @pytest.mark.parametrize("stream", range(4))
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 9_137_000_004, 2**70])
+    @pytest.mark.parametrize("subkey", [0, 5])
+    def test_states_equal_the_reference(self, stream, seed, subkey):
+        """Indices of one, two, three and four 32-bit words in one call."""
+        rngs = stream_rngs(stream, seed, self.INDICES, subkey)
+        assert len(rngs) == len(self.INDICES)
+        for index, rng in zip(self.INDICES, rngs):
+            want = stream_rng(stream, seed, index, subkey)
+            assert rng.bit_generator.state == want.bit_generator.state
+            assert rng.random(10).tobytes() == want.random(10).tobytes()
+
+    @pytest.mark.parametrize("key, error", [
+        (dict(index=-1), ValueError),
+        (dict(seed=-2**40), ValueError),
+        (dict(subkey=-1), ValueError),
+        (dict(index=3.5), TypeError),
+        (dict(seed=2.0), TypeError),
+    ], ids=["negative_index", "negative_seed", "negative_subkey", "float_index",
+            "float_seed"])
+    def test_refuses_what_seed_sequence_refuses(self, key, error):
+        args = dict(stream=1, seed=5, index=7, subkey=0) | key
+        with pytest.raises(error):
+            stream_rng(**args)
+        index = args.pop("index")
+        with pytest.raises(error):
+            stream_rngs(indices=[3, index], **args)
+
+    def test_no_indices_no_generators(self):
+        assert stream_rngs(1, 5, []) == []
 
 
 class TestSampleBatch:
