@@ -413,7 +413,7 @@ def stream_rngs(stream: int, seed: int, indices: Sequence[int],
     SeedSequence's mixing runs once per key length over all keys of that
     length (an int of 2**32 or more takes two words). The pass has a fixed
     cost of a few dozen numpy calls, so a lone stream is cheaper through
-    `stream_rng`; on a 2-CPU x86 host the pass wins from about 8 streams."""
+    `stream_rng`; on a 2-CPU x86 host the pass wins from about 6 streams."""
     head = _words(stream) + _words(seed) + _words(subkey)
     keys = [head + _words(i) for i in indices]
     by_length: dict[int, list[int]] = {}

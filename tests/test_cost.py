@@ -422,7 +422,7 @@ class TestStreamRngs:
     @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 9_137_000_004, 2**70])
     @pytest.mark.parametrize("subkey", [0, 5])
     def test_states_equal_the_reference(self, stream, seed, subkey):
-        """Indices of one, two, three and four 32-bit words in one call."""
+        """Indices of one, two and three 32-bit words in one call."""
         rngs = stream_rngs(stream, seed, self.INDICES, subkey)
         assert len(rngs) == len(self.INDICES)
         for index, rng in zip(self.INDICES, rngs):
