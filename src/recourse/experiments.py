@@ -136,7 +136,7 @@ def select_undesired(
     codes = np.asarray([r.values for r in rows], dtype=float)
     meter = BudgetMeter(limit=len(rows))
     classes = predict_batch(classifier, codes, meter)
-    picked = np.flatnonzero(classes != 1)[:limit].tolist()
+    picked = np.flatnonzero(~classes)[:limit].tolist()
     if not picked:
         raise ValueError("no rows are classified to the undesired class")
     return [rows[i] for i in picked], picked

@@ -4,9 +4,16 @@ strict query meter.
 Two architectures are supported, a logistic regression and a 2-hidden-layer
 MLP. Inputs are the integer feature codes min-max scaled to [0, 1] with
 bounds taken from the training split and stored inside the weights file, so
-a loaded model predicts with no outside context. All optimizer access to
-the model goes through `predict_batch`, which charges a `BudgetMeter` one
-unit per forward-passed state.
+a loaded model predicts with no outside context. `Classifier.encode` does
+that scaling and `Classifier.forward` scores encoded rows; `prob` on codes
+is the two in turn.
+
+All optimizer access to the model goes through `predict_batch`, which
+charges a `BudgetMeter` one unit per forward-passed row and returns bool
+verdicts. The optimizers query an `EncodedView`: every domain position of
+every feature encoded once per run, so a batch of (n, d) domain positions
+is one gather and one `forward`, and gets the probabilities `prob` gives
+the same rows' codes, bit for bit.
 """
 
 from __future__ import annotations
@@ -34,12 +41,18 @@ class BudgetMeter:
     limit: int
     used: int = 0
 
+    def __post_init__(self):
+        if self.limit < 0:
+            raise ValueError(f"budget limit must be non-negative, got {self.limit}")
+
     @property
     def remaining(self) -> int:
         return self.limit - self.used
 
     def charge(self, n: int = 1) -> None:
         """Consume n units, or raise without consuming if they are not there."""
+        if n < 0:
+            raise ValueError(f"cannot charge a negative count, got {n}")
         if n > self.remaining:
             raise BudgetExhausted(
                 f"budget {self.limit} exhausted ({self.used} used, {n} requested)"
@@ -72,7 +85,8 @@ class Classifier:
 
     `layers` chains (weights, bias) pairs; hidden activations are ReLU and
     the final scalar goes through a sigmoid. A logistic model is the
-    degenerate single-layer case.
+    degenerate single-layer case. `scale_min` and `scale_max` hold one
+    finite bound per input of the first layer.
     """
 
     architecture: str
@@ -84,7 +98,16 @@ class Classifier:
     def __post_init__(self):
         if self.architecture not in ARCHITECTURES:
             raise ValueError(f"unknown architecture {self.architecture!r}")
-        d = len(self.scale_min)
+        if not self.layers:
+            raise ValueError("a classifier needs at least one layer")
+        d = self.layers[0][0].shape[0]
+        for name in ("scale_min", "scale_max"):
+            bound = getattr(self, name)
+            if np.shape(bound) != (d,):
+                raise ValueError(f"{name} has shape {np.shape(bound)}, but the "
+                                 f"first layer takes {d} inputs")
+            if not np.isfinite(bound).all():
+                raise ValueError(f"{name} holds a non-finite value")
         expect = d
         for w, b in self.layers:
             if w.shape[0] != expect or w.shape[1] != len(b):
@@ -94,27 +117,43 @@ class Classifier:
             expect = w.shape[1]
         if expect != 1:
             raise ValueError("final layer must output a single logit")
-
-    def _scale(self, codes: np.ndarray) -> np.ndarray:
-        span = np.where(
+        self._span = np.where(
             self.scale_max > self.scale_min, self.scale_max - self.scale_min, 1.0
         )
-        return (codes - self.scale_min) / span
 
-    def prob(self, codes: np.ndarray) -> np.ndarray:
-        """P(class 1) for an (n, d) matrix of raw feature codes. Pure; unmetered.
+    def encode(self, codes) -> np.ndarray:
+        """The model inputs of (..., d) raw feature codes: each code min-max
+        scaled with the training split's bounds, elementwise."""
+        return (np.asarray(codes, dtype=float) - self.scale_min) / self._span
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        """P(class 1) for an (n, d) matrix of encoded rows (`encode`). Pure;
+        unmetered; `x` is never written.
 
         A row's probability does not depend on the batch it is in, to the
         bit: `@` lets BLAS pick its kernel by shape, so the products use
         unoptimized einsum, which sums each row the same way at every batch
         size and offset. numpy does not document that; `tests/test_model.py`
-        checks it."""
-        x = self._scale(np.asarray(codes, dtype=float))
+        checks it. Every later step works in place on a product's fresh
+        array."""
         for w, b in self.layers[:-1]:
-            x = np.maximum(_rows_times(x, w) + b, 0.0)
+            x = _rows_times(x, w)
+            x += b
+            np.maximum(x, 0.0, out=x)
         w, b = self.layers[-1]
-        z = (_rows_times(x, w) + b).ravel()
-        return 1.0 / (1.0 + np.exp(-np.clip(z, -60.0, 60.0)))
+        z = _rows_times(x, w).ravel()
+        z += b
+        np.minimum(z, 60.0, out=z)
+        np.maximum(z, -60.0, out=z)
+        np.negative(z, out=z)
+        np.exp(z, out=z)
+        z += 1.0
+        return np.reciprocal(z, out=z)
+
+    def prob(self, codes) -> np.ndarray:
+        """P(class 1) for an (n, d) matrix of raw feature codes,
+        `forward(encode(codes))`. Pure; unmetered."""
+        return self.forward(self.encode(codes))
 
 
 def _rows_times(x: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -122,17 +161,41 @@ def _rows_times(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.einsum("nk,kw->nw", x, w, optimize=False)
 
 
+class EncodedView:
+    """A classifier read on (n, d) domain positions instead of codes.
+
+    Every domain position of every feature of `schema` is encoded once, into
+    a (d, max domain size) table; a row's encoded inputs are one gather from
+    it, the same floats `Classifier.encode` gives the row's codes, so `prob`
+    equals `classifier.prob` of those codes, bit for bit."""
+
+    def __init__(self, classifier: Classifier, schema: DatasetSchema):
+        sizes = np.array([f.size for f in schema.features])
+        # Position j of every feature, the last one repeated past its domain.
+        pos = np.minimum(np.arange(sizes.max())[:, None], sizes - 1)
+        table = classifier.encode(schema.codes(pos)).T
+        self._flat = table.ravel()
+        self._offsets = np.arange(len(sizes)) * table.shape[1]
+        self._forward = classifier.forward
+
+    def prob(self, rows: np.ndarray) -> np.ndarray:
+        """P(class 1) for an (n, d) matrix of domain positions. Pure;
+        unmetered."""
+        return self._forward(self._flat[rows + self._offsets])
+
+
 def predict_batch(
-    classifier: Classifier, codes: np.ndarray, meter: BudgetMeter
+    model: Classifier | EncodedView, rows, meter: BudgetMeter
 ) -> np.ndarray:
-    """Classify an (n, d) batch, charging n units atomically.
+    """Bool verdicts, True for the desired class, for an (n, d) batch:
+    raw feature codes for a `Classifier`, domain positions for an
+    `EncodedView`. Charges n units atomically.
 
     Raises BudgetExhausted without charging when fewer than n units remain;
     a partially evaluated batch would be unusable to the caller anyway.
     """
-    codes = np.asarray(codes, dtype=float)
-    meter.charge(codes.shape[0])
-    return (classifier.prob(codes) >= 0.5).astype(int)
+    meter.charge(len(rows))
+    return model.prob(rows) >= 0.5
 
 
 def _init_layers(
@@ -184,12 +247,15 @@ def train_classifier(
         raise ValueError("not enough rows to split off a validation set")
     x_train, y_train = x[train_idx], y[train_idx]
 
-    scale_min = x_train.min(axis=0)
-    scale_max = x_train.max(axis=0)
-    span = np.where(scale_max > scale_min, scale_max - scale_min, 1.0)
-    xs = (x_train - scale_min) / span
-
     layers = _init_layers(config.architecture, x.shape[1], config.hidden_width, rng)
+    # Training updates the layers in place, so `clf` holds the trained model.
+    clf = Classifier(
+        architecture=config.architecture,
+        layers=layers,
+        scale_min=x_train.min(axis=0),
+        scale_max=x_train.max(axis=0),
+    )
+    xs = clf.encode(x_train)
     params = [p for pair in layers for p in pair]
     m_t = [np.zeros_like(p) for p in params]
     v_t = [np.zeros_like(p) for p in params]
@@ -220,12 +286,6 @@ def train_classifier(
             v_hat = v_t[i] / (1 - beta2**step)
             pm -= config.lr * m_hat / (np.sqrt(v_hat) + eps)
 
-    clf = Classifier(
-        architecture=config.architecture,
-        layers=layers,
-        scale_min=scale_min,
-        scale_max=scale_max,
-    )
     val_pred = (clf.prob(x[val_idx]) >= 0.5).astype(float)
     clf.val_accuracy = float((val_pred == y[val_idx]).mean())
     return clf
@@ -262,7 +322,7 @@ def load_model(path) -> Classifier:
             w = np.asarray(entry["w"], dtype=float).reshape(rows_, cols)
             b = np.asarray(entry["b"], dtype=float)
             if not (np.isfinite(w).all() and np.isfinite(b).all()):
-                raise ValueError(f"non-finite weights in {path}")
+                raise ValueError("non-finite weights")
             layers.append((w, b))
         clf = Classifier(
             architecture=doc["architecture"],
@@ -271,11 +331,11 @@ def load_model(path) -> Classifier:
             scale_max=np.asarray(doc["scale_max"], dtype=float),
             val_accuracy=float(doc.get("val_accuracy", math.nan)),
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed weights file {path}: {exc}") from exc
     n_hidden = len(clf.layers) - 1
     if clf.architecture == "logistic" and n_hidden != 0:
-        raise ValueError("logistic weights must be a single layer")
+        raise ValueError(f"logistic weights must be a single layer in {path}")
     if clf.architecture == "mlp" and n_hidden != 2:
-        raise ValueError("mlp weights must have exactly two hidden layers")
+        raise ValueError(f"mlp weights must have exactly two hidden layers in {path}")
     return clf

@@ -80,12 +80,17 @@ flags, which is also the form evaluation scores and result documents store.
 Beside the set a result keeps only its trace, the queries it used and its
 final objective; the members' costs are one `cost_rows` call away.
 
-Candidates predicted to the undesired class are not discarded: their cost
-rows are set to infinity, which keeps them out of every column minimum and
-therefore out of every positive-benefit swap. Infinite costs are clamped to
-a large finite sentinel inside the benefit bookkeeping only, so that
-uncovered samples (all-infinite columns) trade off sanely against finite
-costs without producing inf - inf artifacts.
+Each batch of members or candidates is classified in one metered
+`predict_batch` call on its domain positions. A run encodes every domain
+position of every feature once (`model.EncodedView`), so a batch's model
+inputs are one gather, and each row gets the verdict `Classifier.prob`
+gives its codes, bit for bit. Candidates predicted to the undesired class
+are not discarded: their cost rows are set to infinity, which keeps them
+out of every column minimum and therefore out of every positive-benefit
+swap. Infinite costs are clamped to a large finite sentinel inside the
+benefit bookkeeping only, so that uncovered samples (all-infinite
+columns) trade off sanely against finite costs without producing
+inf - inf artifacts.
 """
 
 from __future__ import annotations
@@ -98,7 +103,7 @@ import numpy as np
 
 from .cost import SEARCH_STREAM, CostSampleSet, check_alpha, cost_rows, emc, stream_rng
 from .evaluate import set_distance_stats
-from .model import BudgetExhausted, BudgetMeter, Classifier, predict_batch
+from .model import BudgetExhausted, BudgetMeter, Classifier, EncodedView, predict_batch
 from .schema import DatasetSchema, UserState, feasible_positions
 
 INF = math.inf
@@ -365,11 +370,10 @@ def select_swaps(benefits: np.ndarray) -> list[tuple[int, int, int]]:
     ]
 
 
-def _classify(ws: _Workspace, classifier: Classifier, idx: np.ndarray,
-              meter: BudgetMeter) -> np.ndarray:
+def _classify(model: EncodedView, idx: np.ndarray, meter: BudgetMeter) -> np.ndarray:
     """Validity of (..., d) member positions, in one metered model query."""
-    codes = ws.schema.codes(idx).reshape(-1, idx.shape[-1])
-    return predict_batch(classifier, codes, meter).reshape(idx.shape[:-1]) == 1
+    rows = idx.reshape(-1, idx.shape[-1])
+    return predict_batch(model, rows, meter).reshape(idx.shape[:-1])
 
 
 def _priced_rows(idx: np.ndarray, samples: CostSampleSet, valid: np.ndarray) -> np.ndarray:
@@ -401,9 +405,10 @@ def _lockstep(
     after every iteration, read from its held statistics with the
     uncovered columns' minima restored to inf.
     """
+    model = EncodedView(classifier, ws.schema)
     perturb = ws.plan(rngs, n, meter)
     members = perturb(np.broadcast_to(ws.user_idx, (len(rngs), n, len(ws.user_idx))))
-    valid = _classify(ws, classifier, members, meter)
+    valid = _classify(model, members, meter)
     costs = _priced_rows(members, samples, valid)
     stats = column_stats(costs)
     traces = [[] for _ in rngs]
@@ -417,7 +422,7 @@ def _lockstep(
             trace.append(value)
         cand = perturb(members)
         try:
-            cand_valid = _classify(ws, classifier, cand, meter)
+            cand_valid = _classify(model, cand, meter)
         except BudgetExhausted:
             break
         cand_costs = _priced_rows(cand, samples, cand_valid)
@@ -534,6 +539,7 @@ def _whole_set(
     its final loss is the result's emc; the others never read `samples`,
     which may be None, and report an emc of inf."""
     ws = _Workspace(s_u, schema)
+    model = EncodedView(classifier, schema)
     rng = stream_rng(SEARCH_STREAM, settings.seed, 0, user_key)
     n, objective = settings.set_size, settings.objective
     meter = BudgetMeter(settings.budget)
@@ -543,14 +549,14 @@ def _whole_set(
         return ws.uniform_rows(n, rng) if uniform else perturb(members)
 
     members = propose(np.tile(ws.user_idx, (n, 1)))
-    valid = _classify(ws, classifier, members, meter)
+    valid = _classify(model, members, meter)
     loss = _set_loss(objective, ws, members, valid, samples)
     trace = [loss]
 
     while True:
         cand_members = propose(members)
         try:
-            cand_valid = _classify(ws, classifier, cand_members, meter)
+            cand_valid = _classify(model, cand_members, meter)
         except BudgetExhausted:
             break
         cand_loss = _set_loss(objective, ws, cand_members, cand_valid, samples)

@@ -9,13 +9,14 @@ from recourse.model import (
     BudgetExhausted,
     BudgetMeter,
     Classifier,
+    EncodedView,
     TrainConfig,
     load_model,
     predict_batch,
     save_model,
     train_classifier,
 )
-from recourse.schema import DatasetSchema, FeatureSpec, UserState
+from recourse.schema import DatasetSchema, FeatureSpec, UserState, feasible_positions
 
 
 def separable_toy(n=200, seed=0):
@@ -152,6 +153,18 @@ class TestPredictAndBudget:
         codes = np.asarray([[3.0]])
         assert clf.prob(codes) == clf.prob(codes)
 
+    def test_negative_charge_and_limit_refused(self):
+        meter = BudgetMeter(limit=10)
+        with pytest.raises(ValueError, match="negative"):
+            meter.charge(-5)
+        assert meter.used == 0 and meter.remaining == 10
+        with pytest.raises(ValueError, match="non-negative"):
+            BudgetMeter(limit=-1)
+        empty = BudgetMeter(limit=0)
+        empty.charge(0)
+        with pytest.raises(BudgetExhausted):
+            empty.charge(1)
+
 
 def unaligned_copy(block: np.ndarray) -> np.ndarray:
     """`block` copied into a float buffer that starts one byte past an
@@ -167,24 +180,72 @@ class TestBatchInvariance:
     scored in: a population of users or restarts scored together must give
     each row the verdict of its own query."""
 
-    @pytest.mark.parametrize("batch", [1, 7, 10, 64, 257, 4000])
-    def test_row_probability_is_bit_equal_in_every_batch(self, adult, batch):
-        _, rows, _, _, clf = adult
-        codes = np.array([r.values for r in rows], dtype=float)
-        want = clf.prob(codes)
-        order = np.random.default_rng(batch).permutation(len(codes))
-        # Batches of the permuted rows whose boundaries start `shift` rows in,
-        # each scored from an unaligned copy.
+    @staticmethod
+    def _assert_batch_invariant(score, inputs, want, batch):
+        """`score` of the permuted `inputs` in batches whose boundaries start
+        `shift` rows in gives every row its probability in `want`."""
+        order = np.random.default_rng(batch).permutation(len(inputs))
         for shift in (0, 1, 3):
             got = np.empty_like(want)
             bounds = sorted({0, len(order), *range(shift, len(order), batch)})
             for lo, hi in zip(bounds, bounds[1:]):
-                got[order[lo:hi]] = clf.prob(unaligned_copy(codes[order[lo:hi]]))
+                got[order[lo:hi]] = score(inputs[order[lo:hi]])
             differ = np.flatnonzero(got.view(np.uint64) != want.view(np.uint64))
             assert not len(differ), (
                 f"batch {batch}, shift {shift}: {len(differ)} rows differ from the "
-                f"one {len(codes)}-row batch, first row {differ[0]}: "
+                f"one {len(inputs)}-row batch, first row {differ[0]}: "
                 f"{got[differ[0]].hex()} vs {want[differ[0]].hex()}")
+
+    @pytest.mark.parametrize("batch", [1, 7, 10, 64, 257, 4000])
+    def test_row_probability_is_bit_equal_in_every_batch(self, adult, batch):
+        _, rows, _, _, clf = adult
+        codes = np.array([r.values for r in rows], dtype=float)
+        # Each batch scored from an unaligned copy.
+        self._assert_batch_invariant(lambda block: clf.prob(unaligned_copy(block)),
+                                     codes, clf.prob(codes), batch)
+
+    @pytest.mark.parametrize("batch", [1, 7, 10, 257])
+    def test_encoded_row_probability_is_bit_equal_in_every_batch(self, adult, batch):
+        """Rows scored as encoded inputs (`forward`, from unaligned copies) and
+        as domain positions (`EncodedView`) get the probabilities of the one
+        batch of their codes."""
+        schema, rows, _, _, clf = adult
+        codes = np.array([r.values for r in rows])
+        want = clf.prob(codes)
+        self._assert_batch_invariant(lambda block: clf.forward(unaligned_copy(block)),
+                                     clf.encode(codes), want, batch)
+        self._assert_batch_invariant(EncodedView(clf, schema).prob,
+                                     schema.positions(codes), want, batch)
+
+
+class TestEncodedView:
+    @pytest.mark.parametrize("architecture", ["mlp", "logistic"])
+    @pytest.mark.parametrize("data", ["adult", "synth6"])
+    def test_probabilities_equal_prob_of_codes(self, request, data, architecture):
+        """For 4,000 random feasible rows of each of three users, the view's
+        probability of a row's positions is `prob` of its codes, to the bit."""
+        schema, rows, labels, _, clf = request.getfixturevalue(data)
+        if clf.architecture != architecture:
+            clf = train_classifier(rows, labels, schema,
+                                   TrainConfig(architecture, epochs=50, seed=1))
+        view = EncodedView(clf, schema)
+        rng = np.random.default_rng(11)
+        for s_u in rows[:3]:
+            pos = np.column_stack([
+                rng.choice(feasible_positions(schema, fi, v), size=4000)
+                for fi, v in enumerate(s_u.values)
+            ])
+            want = clf.prob(schema.codes(pos))
+            assert np.array_equal(view.prob(pos).view(np.uint64), want.view(np.uint64))
+
+    def test_predict_batch_on_positions(self, synth6):
+        schema, rows, _, _, clf = synth6
+        codes = np.array([r.values for r in rows[:40]])
+        meter = BudgetMeter(limit=100)
+        out = predict_batch(EncodedView(clf, schema), schema.positions(codes), meter)
+        assert meter.used == 40
+        assert out.dtype == bool
+        assert np.array_equal(out, clf.prob(codes) >= 0.5)
 
 
 class TestSerialization:
@@ -218,7 +279,22 @@ class TestSerialization:
         assert doc["architecture"] == "mlp"
         doc["architecture"] = "logistic"
         path.write_text(json.dumps(doc))
-        with pytest.raises(ValueError, match="single layer"):
+        with pytest.raises(ValueError, match=f"single layer in {re.escape(str(path))}"):
+            load_model(path)
+
+    @pytest.mark.parametrize("name,edit", [
+        ("scale_max", lambda v: v[:1]),
+        ("scale_min", lambda v: [math.nan, *v[1:]]),
+        ("scale_max", lambda v: [1e999, *v[1:]]),  # json parses to inf
+    ], ids=["one-entry-scale-max", "nan-scale-min", "1e999-scale-max"])
+    def test_malformed_scale_vectors_rejected(self, tmp_path, synth6, name, edit):
+        *_, clf = synth6
+        path = tmp_path / "model.json"
+        save_model(clf, path)
+        doc = json.loads(path.read_text())
+        doc[name] = edit(doc[name])
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=f"{re.escape(str(path))}.*{name}"):
             load_model(path)
 
     def test_non_finite_weights_rejected(self, tmp_path, synth6):
