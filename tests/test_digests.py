@@ -8,8 +8,8 @@ the floating-point steps of the sampler changes them. The document digests
 cover the members, validity flags, objective trace and query count of
 `run_user` documents, so they also pin every swap the search makes. The
 CSV digests cover every table of a small synthetic `evaluate`, `main`,
-`ablation` and `concentration_shift` run, so they pin each metric's name,
-row order and printed value.
+`ablation`, `concentration_shift`, `alpha_grid` and `budget_sweep` run, so
+they pin each metric's name, row order and printed value.
 """
 
 import hashlib
@@ -104,6 +104,10 @@ CSV_DIGESTS = {
         "3400bfb2c69fef7bbd49eaf7437da0a33599dd9aacdc0562dd67fbb282a8cf31",
     "concentration_shift/concentration_shift.csv":
         "7c6695fdb96adc5589a5bbf0d815aa93f9f0b2d754b952746713ddaa85c25184",
+    "alpha_grid/alpha_grid.csv":
+        "7e1ef309567ad3d40bfc8c3bcdbf0eee97169c456bcc2cc92b1a388589724b04",
+    "budget_sweep/budget_sweep.csv":
+        "2f7b1cb49fda225c193a13c7f2015547aec3836412f335d9763ed683e40ad9d8",
 }
 
 
@@ -220,8 +224,10 @@ def test_every_trace_is_minimized(documents, method):
 def synth6_csvs(synth6, tmp_path_factory):
     """sha256 of every CSV, by `<out dir>/<file>`, of a small synthetic run:
     `recourse evaluate` over a cols and a pcols result file at two test
-    seeds, the `main` and `ablation` sweeps over two seeds, and a
-    `concentration_shift` sweep of 40 hidden users."""
+    seeds, the `main` and `ablation` sweeps over two seeds, a
+    `concentration_shift` sweep of 40 hidden users, an `alpha_grid` over
+    alphas 0 and 1, and a `budget_sweep` of cols and ls:emc at budgets 40
+    and 80."""
     schema, rows, _, _, clf = synth6
     root = tmp_path_factory.mktemp("csv")
     save_schema(schema, root / "schema.yaml")
@@ -241,9 +247,15 @@ def synth6_csvs(synth6, tmp_path_factory):
     assert main(["experiment", *gen, "--kind", "concentration_shift", "--seeds", "0",
                  "--methods", "cols", "--shift-vectors", "40", "--bins", "5",
                  "--out", str(root / "concentration_shift")]) == 0
+    assert main(["experiment", *gen, "--kind", "alpha_grid", "--seeds", "0",
+                 "--grid", "0,1", "--out", str(root / "alpha_grid")]) == 0
+    assert main(["experiment", *gen, "--kind", "budget_sweep", "--seeds", "0",
+                 "--grid", "40,80", "--methods", "cols,ls:emc",
+                 "--out", str(root / "budget_sweep")]) == 0
     return {
         f"{out}/{name}": hashlib.sha256((root / out / name).read_bytes()).hexdigest()
-        for out in ("evaluate", "main", "ablation", "concentration_shift")
+        for out in ("evaluate", "main", "ablation", "concentration_shift", "alpha_grid",
+                    "budget_sweep")
         for name in sorted(os.listdir(root / out))
         if name.endswith(".csv")
     }
