@@ -32,7 +32,7 @@ from .schema import (
     load_dataset,
     load_schema,
 )
-from .search import METHODS, OBJECTIVES
+from .search import METHODS
 
 
 def _parse_editable(raw: str | None, schema: DatasetSchema):
@@ -145,7 +145,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_io(p)
     _add_generation_flags(p)
     p.add_argument("--method", choices=list(METHODS), default="cols")
-    p.add_argument("--objective", choices=list(OBJECTIVES), default="emc")
     p.add_argument("--editable-features", default=None,
                    help="comma list of feature names every sample must respect")
     p.add_argument("--preferences", default=None,
@@ -202,13 +201,13 @@ def _cmd_generate(args) -> int:
     editable = _parse_editable(args.editable_features, schema)
     preferences = _parse_preferences(args.preferences, editable, schema)
     settings = _generation_settings(
-        args, method=args.method, objective=args.objective, editable=editable,
-        preferences=preferences,
+        args, method=args.method, editable=editable, preferences=preferences
     )
     states, ids = xp.select_undesired(rows, classifier, schema, limit=args.users)
     docs = run_population(states, classifier, schema, table, settings, user_ids=ids)
     os.makedirs(args.out, exist_ok=True)
-    out_path = os.path.join(args.out, f"results_{args.method}.jsonl")
+    # Named after the method, ':' spelled '-': results_ls-diversity.jsonl.
+    out_path = os.path.join(args.out, f"results_{args.method.replace(':', '-')}.jsonl")
     write_results(docs, out_path)
     # One manifest per result file: runs of other methods into the same
     # directory keep their own.
@@ -242,14 +241,19 @@ def _resolve_result_files(raw: str) -> list[str]:
 
 
 def _check_docs(docs, schema: DatasetSchema, path: str) -> None:
-    """Each document has a non-negative integer user id, its state and
-    members as integer codes in the schema's domains, at least one member
-    and one boolean validity flag per member; errors name the file, the
-    document and the value."""
+    """Each document has a non-negative integer user id and seed, a method
+    named by a non-empty string (only a label: names of older versions
+    pass), its state and members as integer codes in the schema's domains,
+    at least one member and one boolean validity flag per member; errors
+    name the file, the document and the value."""
     for n, doc in enumerate(docs, 1):
         try:
-            if type(doc.user_id) is not int or doc.user_id < 0:
-                raise ValueError(f"user_id {doc.user_id!r} is not a non-negative integer")
+            for name in ("user_id", "seed"):
+                value = getattr(doc, name)
+                if type(value) is not int or value < 0:
+                    raise ValueError(f"{name} {value!r} is not a non-negative integer")
+            if type(doc.method) is not str or not doc.method:
+                raise ValueError(f"method {doc.method!r} is not a non-empty string")
             for values in (doc.state, *doc.members):
                 for f, v in zip(schema.features, values):
                     if type(v) is not int:

@@ -117,7 +117,7 @@ class ExperimentSpec:
         overrides = [{name: value} for value in self.grid] if name else [{}]
         for method in self.methods:
             for fields in overrides:
-                _method_settings(self, method, self.seeds[0], **fields)
+                replace(self.base, method=method, seed=self.seeds[0], **fields)
 
 
 def select_undesired(
@@ -235,16 +235,6 @@ def write_csv(path, header: Sequence[str], rows: Sequence[Sequence]) -> None:
         writer.writerows(rows)
 
 
-def _method_settings(spec: ExperimentSpec, method: str, seed: int, **overrides):
-    objective = "emc"
-    if method.startswith("ls"):
-        method, _, objective = method.partition(":")
-        objective = objective or "emc"
-    return replace(
-        spec.base, method=method, objective=objective, seed=seed, **overrides
-    )
-
-
 def run_experiment(
     spec: ExperimentSpec,
     states: Sequence[UserState],
@@ -274,7 +264,7 @@ def _tabular_comparison(spec, states, user_ids, classifier, schema, table, metho
     tables: dict[str, list[dict]] = {m: [] for m in methods}
     for seed in spec.seeds:
         for method in methods:
-            settings = _method_settings(spec, method, seed)
+            settings = replace(spec.base, method=method, seed=seed)
             docs = run_population(states, classifier, schema, table, settings,
                                   user_ids=user_ids)
             tables[method] += score_docs(docs, schema, table, [spec.test_seed], spec.k, None)
@@ -293,7 +283,7 @@ def _alpha_grid(spec, states, user_ids, classifier, schema, table):
     }
     for seed in spec.seeds:
         for a_train in grid:
-            settings = _method_settings(spec, spec.methods[0], seed, alpha=a_train)
+            settings = replace(spec.base, method=spec.methods[0], seed=seed, alpha=a_train)
             docs = run_population(states, classifier, schema, table, settings,
                                   user_ids=user_ids)
             for a_test in grid:
@@ -316,7 +306,7 @@ def _resource_sweep(spec, states, user_ids, classifier, schema, table):
         for method in spec.methods:
             scores = []
             for seed in spec.seeds:
-                settings = _method_settings(spec, method, seed, **{field_name: value})
+                settings = replace(spec.base, method=method, seed=seed, **{field_name: value})
                 docs = run_population(states, classifier, schema, table, settings,
                                       user_ids=user_ids)
                 scores.append(
@@ -348,7 +338,7 @@ def random_editable_subset(candidates: list[int], rng: np.random.Generator) -> l
 def _concentration_shift(spec, states, user_ids, classifier, schema, table):
     """FS@k binned by how far a user's editable-feature pattern sits from
     the nearest pattern their recourse was optimized against."""
-    settings = _method_settings(spec, spec.methods[0], spec.seeds[0])
+    settings = replace(spec.base, method=spec.methods[0], seed=spec.seeds[0])
     if not settings.prices_samples:
         raise ValueError(
             f"concentration_shift needs a method that samples cost functions; "

@@ -66,10 +66,9 @@ def run_user(
             subkey=user_id,
         )
     # Looked up at call time, so that wrappers installed on this module see
-    # every run.
-    optimizer = {
-        "cols": cols, "pcols": pcols, "random": random_search, "ls": local_search,
-    }[settings.method]
+    # every run; every other method is an `ls:` one.
+    optimizer = {"cols": cols, "pcols": pcols, "random": random_search}.get(
+        settings.method, local_search)
     result = optimizer(state, classifier, samples, schema, settings, user_key=user_id)
     doc = ResultDoc(
         user_id=user_id,

@@ -86,8 +86,8 @@ class DatasetSchema:
         if len(set(names)) != len(names):
             dupes = sorted({n for n in names if names.count(n) > 1})
             raise SchemaError(f"duplicate feature names: {dupes}")
-        if self.desired_class not in (0, 1):
-            raise SchemaError(f"desired_class must be 0 or 1, got {self.desired_class}")
+        if type(self.desired_class) is not int or self.desired_class not in (0, 1):
+            raise SchemaError(f"desired_class must be 0 or 1, got {self.desired_class!r}")
         for attr in self.protected_attributes:
             if attr not in names:
                 raise SchemaError(f"protected attribute {attr!r} is not a feature")
@@ -282,32 +282,35 @@ def load_schema(path) -> DatasetSchema:
 
     Expected keys: `features` (list of {name, kind, domain, mutability}),
     `desired_class`, `protected_attributes`. A feature may carry a `bins`
-    key documenting discretization edges; it is ignored here.
+    key documenting discretization edges; it is ignored here. Every error
+    names the file.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = yaml.safe_load(fh)
         except yaml.YAMLError as exc:
             raise SchemaError(f"cannot parse schema document {path}: {exc}") from exc
-    if not isinstance(doc, dict) or "features" not in doc:
-        raise SchemaError(f"schema document {path} lacks a 'features' list")
-    features = []
-    for entry in doc["features"]:
-        if "name" not in entry or "domain" not in entry:
-            raise SchemaError(f"feature entry missing name or domain: {entry}")
-        features.append(
-            FeatureSpec(
-                name=str(entry["name"]),
-                kind=str(entry.get("kind", "ordered")),
-                domain=_parse_domain(entry["domain"], str(entry["name"])),
-                mutability=str(entry.get("mutability", "mutable")),
+    try:
+        if not isinstance(doc, dict) or not isinstance(doc.get("features"), list):
+            raise SchemaError("no 'features' list")
+        features = []
+        for entry in doc["features"]:
+            if not isinstance(entry, dict) or not {"name", "domain"} <= entry.keys():
+                raise SchemaError(f"feature entry {entry!r} lacks a name or a domain")
+            features.append(
+                FeatureSpec(
+                    name=str(entry["name"]),
+                    kind=str(entry.get("kind", "ordered")),
+                    domain=_parse_domain(entry["domain"], str(entry["name"])),
+                    mutability=str(entry.get("mutability", "mutable")),
+                )
             )
-        )
-    return DatasetSchema(
-        features=tuple(features),
-        desired_class=int(doc.get("desired_class", 1)),
-        protected_attributes=tuple(doc.get("protected_attributes", []) or ()),
-    )
+        protected = doc.get("protected_attributes") or []
+        if not isinstance(protected, list):
+            raise SchemaError(f"protected_attributes {protected!r} is not a list")
+        return DatasetSchema(tuple(features), doc.get("desired_class", 1), tuple(protected))
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"schema document {path}: {exc}") from None
 
 
 def save_schema(schema: DatasetSchema, path) -> None:
@@ -331,10 +334,10 @@ def save_schema(schema: DatasetSchema, path) -> None:
 def load_dataset(path, schema: DatasetSchema, label_column: Optional[str] = None):
     """Read a comma-delimited table of integer codes as UserStates.
 
-    The header must list exactly the schema's feature names (any order),
-    plus `label_column` when one is given; the result is then the pair
-    (rows, labels) with one 0/1 label per row. Bad cells are rejected with
-    the file, their 1-based row index and their column name.
+    The header must list exactly the schema's feature names (any order,
+    each once), plus `label_column` when one is given; the result is then
+    the pair (rows, labels) with one 0/1 label per row. Bad cells are
+    rejected with the file, their 1-based row index and their column name.
     """
     columns = [*schema.names, *([label_column] if label_column else [])]
     with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -344,6 +347,9 @@ def load_dataset(path, schema: DatasetSchema, label_column: Optional[str] = None
         except StopIteration:
             raise SchemaError(f"dataset {path} is empty") from None
         header = [h.strip() for h in header]
+        twice = [h for i, h in enumerate(header) if h in header[:i]]
+        if twice:
+            raise SchemaError(f"dataset {path}: column {twice[0]!r} named twice")
         missing = set(columns) - set(header)
         extra = set(header) - set(columns)
         if missing:

@@ -70,8 +70,8 @@ the emc objective that is `cost.emc`, the one definition of the objective:
 from the priced set. `local_search`'s distance objectives are minimized
 as losses, the negated diversity, proximity or sparsity.
 
-Every optimizer takes the same `GenerationSettings` (budget, set size,
-restarts, seed, objective; the other fields drive cost sampling) and has
+Every optimizer takes the same `GenerationSettings` (method, budget, set
+size, restarts, seed; the other fields drive cost sampling) and has
 the signature `fn(s_u, classifier, samples, schema, settings, user_key=0)`.
 Members are searched as domain positions (`DatasetSchema.positions`), and
 the result holds the recourse set as two arrays, the (N, d) int64 feature
@@ -119,8 +119,7 @@ HAMMING = 2
 # Perturbation calls a run draws at once (see `_Workspace.plan`).
 CHUNK = 64
 
-METHODS = ("cols", "pcols", "random", "ls")
-OBJECTIVES = ("emc", "diversity", "proximity", "sparsity")
+METHODS = ("cols", "pcols", "random", "ls:emc", "ls:diversity", "ls:proximity", "ls:sparsity")
 
 
 @dataclass
@@ -129,7 +128,6 @@ class GenerationSettings:
     user's cost functions."""
 
     method: str = "cols"
-    objective: str = "emc"
     budget: int = 5000
     set_size: int = 10
     num_samples: int = 1000
@@ -143,13 +141,6 @@ class GenerationSettings:
         if self.method not in METHODS:
             raise ValueError(
                 f"unknown method {self.method!r}; valid methods: {', '.join(METHODS)}"
-            )
-        if self.objective not in OBJECTIVES:
-            raise ValueError(f"unknown objective {self.objective!r}")
-        if self.method != "ls" and self.objective != "emc":
-            raise ValueError(
-                f"method {self.method!r} optimizes the emc objective only, "
-                f"not {self.objective!r}"
             )
         for name in ("budget", "set_size", "restarts", "num_samples"):
             if getattr(self, name) < 1:
@@ -166,10 +157,14 @@ class GenerationSettings:
         check_alpha(self.alpha)
 
     @property
+    def objective(self) -> str:
+        """The objective the method minimizes: an `ls:` name's suffix, else emc."""
+        return self.method.partition(":")[2] or "emc"
+
+    @property
     def prices_samples(self) -> bool:
-        """Whether the optimizer prices sampled cost functions: every method
-        but `ls` with a distance objective does."""
-        return self.method != "ls" or self.objective == "emc"
+        """Whether the optimizer prices sampled cost functions, as emc does."""
+        return self.objective == "emc"
 
 
 @dataclass(frozen=True, eq=False)
@@ -578,8 +573,7 @@ def random_search(
 ) -> SearchResult:
     """Whole-set baseline: draw N states uniformly from the feasible product
     space each iteration and keep the candidate set only if its EMC beats
-    the incumbent's: `GenerationSettings` names the emc objective for every
-    method but `ls`. The trace records the incumbent's EMC."""
+    the incumbent's. The trace records the incumbent's EMC."""
     return _whole_set(s_u, classifier, samples, schema, settings, user_key, uniform=True)
 
 
@@ -591,12 +585,13 @@ def local_search(
     settings: GenerationSettings,
     user_key: int = 0,
 ) -> SearchResult:
-    """Plain hill climbing on whole sets for `settings.objective`.
+    """Plain hill climbing on whole sets for the objective `settings.method`
+    names: `ls:emc`, `ls:diversity`, `ls:proximity` or `ls:sparsity`.
 
     Same perturbation neighborhood as `cols`, but a candidate set is taken
     only when its objective strictly improves on the incumbent set's; there
     is no per-member swapping. The trace records the minimized loss: the
     EMC, or the negated diversity, proximity or sparsity of the set. Only
-    the emc objective reads `samples`.
+    `ls:emc` reads `samples`.
     """
     return _whole_set(s_u, classifier, samples, schema, settings, user_key, uniform=False)

@@ -55,18 +55,11 @@ def adult_benchmark(adult_users):
     schema, table, clf, states, ids = adult_users
     seeds = (0, 1, 2, 3, 4)
     out = {}
-    for method, objective in (
-        ("cols", "emc"),
-        ("pcols", "emc"),
-        ("random", "emc"),
-        ("ls", "diversity"),
-    ):
-        tag = method if objective == "emc" else f"{method}:{objective}"
+    for method in ("cols", "pcols", "random", "ls:diversity"):
         per_seed = []
         for seed in seeds:
             settings = GenerationSettings(
                 method=method,
-                objective=objective,
                 budget=1000,
                 set_size=10,
                 num_samples=100,
@@ -76,7 +69,7 @@ def adult_benchmark(adult_users):
                                   user_ids=ids)
             report = evaluate_docs(docs, schema, table, test_seed=4242, k=1.0)
             per_seed.append((docs, report))
-        out[tag] = per_seed
+        out[method] = per_seed
     return out
 
 
@@ -429,15 +422,12 @@ def test_criterion_9_budget_exactness(synth6, monkeypatch):
     schema, rows, _, table, clf = synth6
     states, ids = select_undesired(rows, clf, schema, limit=4)
     checked = 0
-    for method, objective in (
-        ("cols", "emc"), ("pcols", "emc"), ("random", "emc"),
-        ("ls", "emc"), ("ls", "diversity"),
-    ):
+    for method in ("cols", "pcols", "random", "ls:emc", "ls:diversity"):
         for seed in range(3):
             for budget in (37, 120, 450):
                 settings = GenerationSettings(
-                    method=method, objective=objective, budget=budget,
-                    set_size=6, num_samples=20, restarts=3, seed=seed,
+                    method=method, budget=budget, set_size=6, num_samples=20,
+                    restarts=3, seed=seed,
                 )
                 docs = run_population(states, clf, schema, table, settings,
                                       user_ids=ids)

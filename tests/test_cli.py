@@ -31,6 +31,7 @@ from recourse.schema import (
     save_dataset,
     save_schema,
 )
+from recourse.search import METHODS
 
 from test_cost import feature_costs
 
@@ -203,6 +204,32 @@ class TestGenerate:
             assert manifest["args"]["method"] == method
             assert (out / f"results_{method}.jsonl").exists()
 
+    def test_ls_objectives_keep_separate_files_and_mean_rows(self, workdir, tmp_path):
+        """ls:emc then ls:diversity into one directory: each writes its own
+        result file, named with '-' for ':', and evaluating both gives each
+        method its own rows in the mean table."""
+        out = tmp_path / "run"
+        methods = {"ls:emc": "ls-emc", "ls:diversity": "ls-diversity"}
+        for method, tag in methods.items():
+            assert self._generate(workdir, out, ["--method", method]) == 0
+            docs = read_results(out / f"results_{tag}.jsonl")
+            assert {(doc.method, doc.settings["objective"]) for doc in docs} == {
+                (method, method[3:])
+            }
+        assert sorted(os.listdir(out)) == sorted(
+            f"results_{tag}{ext}" for tag in methods.values()
+            for ext in (".jsonl", ".manifest.json")
+        )
+        evaluated = tmp_path / "eval"
+        assert main(["evaluate", "--schema", str(workdir / "schema.yaml"),
+                     "--data", str(workdir / "data.csv"), "--results", str(out),
+                     "--test-seed", "901", "--out", str(evaluated)]) == 0
+        with open(evaluated / "metrics_mean.csv") as fh:
+            rows = list(csv.reader(fh))[1:]
+        names = [r[1] for r in rows if r[0] == "ls:emc"]
+        assert names and names == [r[1] for r in rows if r[0] == "ls:diversity"]
+        assert len(rows) == 2 * len(names)
+
     def test_deterministic_per_seed(self, workdir, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         self._generate(workdir, out_a)
@@ -240,9 +267,15 @@ class TestGenerate:
         assert self._generate(workdir, split, [*small, "--method", "pcols"]) == 2
 
     def test_objective_the_method_ignores_exits_2(self, workdir, tmp_path, capsys):
+        """Only `ls` names an objective; there is no --objective flag."""
         out = tmp_path / "ignored"
-        assert self._generate(workdir, out, ["--objective", "diversity"]) == 2
-        assert "method 'cols'" in capsys.readouterr().err
+        for extra in (["--method", "cols:diversity"], ["--objective", "diversity"]):
+            with pytest.raises(SystemExit) as info:
+                self._generate(workdir, out, extra)
+            assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'cols:diversity'" in err
+        assert "unrecognized arguments: --objective diversity" in err
         assert not out.exists()
 
     def test_unknown_method_lists_choices(self, workdir, tmp_path, capsys):
@@ -258,7 +291,7 @@ class TestGenerate:
                 ]
             )
         err = capsys.readouterr().err
-        assert "cols" in err and "pcols" in err and "random" in err and "ls" in err
+        assert all(f"'{method}'" in err for method in METHODS)
 
     def test_editable_features_pin_every_sample(self, workdir, tmp_path):
         out = tmp_path / "pinned"
@@ -564,22 +597,38 @@ class TestEvaluate:
          "user_id '7' is not a non-negative integer"),
         (lambda doc, band: setattr(doc, "user_id", True),
          "user_id True is not a non-negative integer"),
+        (lambda doc, band: setattr(doc, "seed", [1]),
+         "seed [1] is not a non-negative integer"),
+        (lambda doc, band: setattr(doc, "seed", "x"),
+         "seed 'x' is not a non-negative integer"),
+        (lambda doc, band: setattr(doc, "method", ["cols"]),
+         "method ['cols'] is not a non-empty string"),
     ], ids=["float_member_code", "string_state_code", "string_flag", "integer_flag",
             "member_not_a_list", "float_user_id", "negative_user_id", "string_user_id",
-            "boolean_user_id"])
+            "boolean_user_id", "list_seed", "string_seed", "list_method"])
     def test_mistyped_value_names_file_document_and_value(
         self, workdir, generated, tmp_path, capsys, tamper, message
     ):
         """A code that is not an integer, a flag that is not a boolean, a
-        member that is not a list or a user id that is not a non-negative
-        integer exits 2 instead of being truncated, read as true or as
-        another user, or raising a traceback."""
+        member that is not a list, a user id or seed that is not a
+        non-negative integer or a method that is not a non-empty string
+        exits 2 instead of being truncated, read as true or as another user
+        or seed, or raising a traceback."""
         band = load_schema(workdir / "schema.yaml").feature_index("band")
         code, err, path = self._evaluate_tampered(
             workdir, generated, tmp_path, capsys, lambda doc: tamper(doc, band)
         )
         assert code == 2
         assert f"{path}: document 2: {message}" in err
+
+    def test_method_of_an_older_version_accepted(self, workdir, generated, tmp_path,
+                                                 capsys):
+        """The method is only a label: `ls`, which older versions wrote for
+        every objective, is no longer runnable but is still read."""
+        code, err, _ = self._evaluate_tampered(
+            workdir, generated, tmp_path, capsys, lambda doc: setattr(doc, "method", "ls")
+        )
+        assert code == 0, err
 
     def test_missing_validity_flag_names_file_and_document(
         self, workdir, generated, tmp_path, capsys
@@ -923,8 +972,7 @@ class TestFlagConflicts:
                 "--schema", str(workdir / "schema.yaml"),
                 "--data", str(workdir / "data.csv"),
                 "--model", str(workdir / "model.json"),
-                "--method", "ls",
-                "--objective", "diversity",
+                "--method", "ls:diversity",
                 "--alpha", alpha,
                 "--users", "2",
                 "--budget", "20",
@@ -1070,7 +1118,7 @@ class TestFlagConflicts:
 
     @pytest.mark.parametrize("methods,message", [
         ("cols,colz", "unknown method 'colz'"),
-        ("cols,ls:novelty", "unknown objective 'novelty'"),
+        ("cols,ls:novelty", "unknown method 'ls:novelty'"),
     ])
     def test_unknown_method_refused_before_any_run(self, workdir, tmp_path, capsys,
                                                    monkeypatch, methods, message):
@@ -1304,8 +1352,7 @@ class TestResultDocs:
 
         schema, rows, _, table, clf = synth6
         settings = GenerationSettings(
-            method="ls", objective=objective, budget=60, set_size=4, num_samples=10,
-            seed=3,
+            method=f"ls:{objective}", budget=60, set_size=4, num_samples=10, seed=3
         )
         monkeypatch.setattr(results, "sample_cost_batch", no_batch)
         doc, samples = run_user(0, rows[0], clf, schema, table, settings)
@@ -1315,7 +1362,7 @@ class TestResultDocs:
     def test_emc_objective_draws_its_cost_batch(self, synth6):
         schema, rows, _, table, clf = synth6
         settings = GenerationSettings(
-            method="ls", objective="emc", budget=60, set_size=4, num_samples=10, seed=3
+            method="ls:emc", budget=60, set_size=4, num_samples=10, seed=3
         )
         _, samples = run_user(0, rows[0], clf, schema, table, settings)
         assert samples.m == 10

@@ -73,9 +73,9 @@ DOC_SETTINGS = {
     "pcols": dict(method="pcols", budget=500, set_size=10, num_samples=100, restarts=5),
     "random": dict(method="random", budget=500, set_size=10, num_samples=100,
                    editable=ADULT_MOVABLE),
-    "ls:emc": dict(method="ls", objective="emc", budget=500, set_size=10,
-                   num_samples=100, editable=ADULT_MOVABLE),
-    "ls:diversity": dict(method="ls", objective="diversity", budget=500, set_size=10,
+    "ls:emc": dict(method="ls:emc", budget=500, set_size=10, num_samples=100,
+                   editable=ADULT_MOVABLE),
+    "ls:diversity": dict(method="ls:diversity", budget=500, set_size=10,
                          num_samples=100),
 }
 DOC_DIGESTS = {
@@ -216,7 +216,7 @@ def test_every_trace_is_minimized(documents, method):
     the emc objective it ends at the document's `final_emc`."""
     for doc in documents[method]:
         assert all(b <= a for a, b in zip(doc.trace, doc.trace[1:]))
-        if DOC_SETTINGS[method].get("objective", "emc") == "emc":
+        if GenerationSettings(**DOC_SETTINGS[method]).objective == "emc":
             assert doc.final_emc == doc.trace[-1]
 
 

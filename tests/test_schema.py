@@ -77,6 +77,26 @@ class TestLoadSchema:
         with pytest.raises(SchemaError, match="duplicate"):
             load_schema(path)
 
+    @pytest.mark.parametrize("body, message", [
+        ("features:\n", "no 'features' list"),
+        ("features:\n  - 1\n", "feature entry 1 lacks a name or a domain"),
+        ("features:\n  - {name: a, domain: [0, 1]}\ndesired_class: one\n",
+         "desired_class must be 0 or 1, got 'one'"),
+        ("features:\n  - {name: a, domain: [0, 1]}\ndesired_class: 1.5\n",
+         "desired_class must be 0 or 1, got 1.5"),
+        ("features:\n  - {name: gender, domain: [0, 1]}\nprotected_attributes: gender\n",
+         "protected_attributes 'gender' is not a list"),
+    ], ids=["null_features", "entry_not_a_mapping", "string_desired_class",
+            "float_desired_class", "protected_attributes_not_a_list"])
+    def test_malformed_structure_names_file(self, tmp_path, body, message):
+        """Malformed structure is refused with a SchemaError naming the file,
+        never a TypeError, a bare ValueError or a misread value."""
+        path = tmp_path / "schema.yaml"
+        path.write_text(body)
+        with pytest.raises(SchemaError) as info:
+            load_schema(path)
+        assert str(info.value) == f"schema document {path}: {message}"
+
     def test_parse_error(self, tmp_path):
         path = tmp_path / "schema.yaml"
         path.write_text("features: [\n")
@@ -133,6 +153,14 @@ class TestDataset:
         path.write_text("a,b\n0,1\n9,0\n")
         with pytest.raises(SchemaError, match=r"row 2.*'a'"):
             load_dataset(path, self._schema())
+
+    def test_column_named_twice_refused(self, tmp_path):
+        """A repeated column would have its second copy's values dropped."""
+        path = tmp_path / "d.csv"
+        path.write_text("a,b,a\n0,1,2\n")
+        with pytest.raises(SchemaError) as info:
+            load_dataset(path, self._schema())
+        assert str(info.value) == f"dataset {path}: column 'a' named twice"
 
     def test_label_column(self, tmp_path):
         path = tmp_path / "d.csv"

@@ -11,6 +11,7 @@ from recourse.search import (
     BIG,
     CHUNK,
     HAMMING,
+    METHODS,
     GenerationSettings,
     RecourseSet,
     _lockstep,
@@ -986,17 +987,16 @@ class TestRandomSearch:
 
 class TestLocalSearch:
     def test_unknown_objective(self):
-        with pytest.raises(ValueError, match="unknown objective 'novelty'"):
-            GenerationSettings(method="ls", objective="novelty", budget=100,
-                               set_size=5, seed=0)
+        with pytest.raises(ValueError, match="unknown method 'ls:novelty'"):
+            GenerationSettings(method="ls:novelty", budget=100, set_size=5, seed=0)
 
     def test_accept_if_better_trace(self, synth6):
         schema, rows, _, table, clf = synth6
         s_u = rows[0]
         samples = sample_cost_batch(s_u, schema, table, 30, seed=9)
         for objective in ("emc", "diversity", "proximity", "sparsity"):
-            settings = GenerationSettings(method="ls", objective=objective,
-                                          budget=400, set_size=5, seed=9)
+            settings = GenerationSettings(method=f"ls:{objective}", budget=400,
+                                          set_size=5, seed=9)
             res = local_search(s_u, clf, samples, schema, settings)
             tr = res.trace
             assert all(b <= a + 1e-12 for a, b in zip(tr, tr[1:]))
@@ -1006,8 +1006,8 @@ class TestLocalSearch:
         schema, rows, _, table, clf = synth6
         s_u = rows[0]
         samples = sample_cost_batch(s_u, schema, table, 10, seed=10)
-        settings = GenerationSettings(method="ls", objective="diversity", budget=300,
-                                      set_size=5, seed=10)
+        settings = GenerationSettings(method="ls:diversity", budget=300, set_size=5,
+                                      seed=10)
         res = local_search(s_u, clf, samples, schema, settings)
         if res.trace[-1] < math.inf:
             assert any(res.recourse_set.validity)
@@ -1021,27 +1021,59 @@ class TestGenerationSettings:
         (dict(method="pcols", budget=4, restarts=5),
          "budget 4 over 5 restarts cannot cover set size 10"),
         (dict(num_samples=0), "num_samples must be positive"),
-        (dict(method="cols", objective="diversity"), "method 'cols'.*'diversity'"),
-        (dict(method="pcols", objective="proximity"), "method 'pcols'.*'proximity'"),
-        (dict(method="random", objective="sparsity"), "method 'random'.*'sparsity'"),
+        (dict(method="cols:diversity"), "unknown method 'cols:diversity'; valid methods: "
+         "cols, pcols, random, ls:emc, ls:diversity, ls:proximity, ls:sparsity"),
+        (dict(method="pcols:proximity"), "unknown method 'pcols:proximity'"),
+        (dict(method="random:sparsity"), "unknown method 'random:sparsity'"),
         (dict(method="colz"), "unknown method 'colz'; valid methods: cols, pcols, random, ls"),
-        (dict(objective="novelty"), "unknown objective 'novelty'"),
+        (dict(method="ls:novelty"), "unknown method 'ls:novelty'"),
         (dict(alpha=float("inf")), r"alpha must lie in \[0,1\], got inf"),
-        (dict(method="ls", objective="diversity", alpha=1.5),
-         r"alpha must lie in \[0,1\], got 1.5"),
-        (dict(method="ls", objective="diversity", alpha=-0.2),
-         r"alpha must lie in \[0,1\], got -0.2"),
+        (dict(method="ls:diversity", alpha=1.5), r"alpha must lie in \[0,1\], got 1.5"),
+        (dict(method="ls:diversity", alpha=-0.2), r"alpha must lie in \[0,1\], got -0.2"),
         (dict(alpha=float("nan")), r"alpha must lie in \[0,1\], got nan"),
         (dict(seed=-1), "seed must be non-negative, got -1"),
-        (dict(method="ls", budget=4, set_size=5), "budget 4 cannot cover set size 5"),
+        (dict(method="ls:emc", budget=4, set_size=5), "budget 4 cannot cover set size 5"),
         (dict(method="pcols", budget=30, restarts=3, set_size=11),
          "budget 30 over 3 restarts cannot cover set size 11"),
+        (dict(method="ls"), "unknown method 'ls'; valid methods: cols, pcols, random, "
+         "ls:emc, ls:diversity, ls:proximity, ls:sparsity"),
     ])
     def test_rejected_at_construction(self, fields, message):
         with pytest.raises(ValueError, match=message):
             GenerationSettings(**fields)
 
-    @pytest.mark.parametrize("method", ["cols", "random", "ls"])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_every_method_runs_through_run_user(self, synth6, monkeypatch, method):
+        """Every listed method runs its optimizer, every `ls:` one
+        `local_search`, and its document records the full method name and
+        the objective; only the emc objective samples cost functions."""
+        from recourse import results
+
+        calls = []
+
+        def recording(name):
+            fn = getattr(results, name)
+
+            def run(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return run
+
+        for name in ("cols", "pcols", "random_search", "local_search"):
+            monkeypatch.setattr(results, name, recording(name))
+        schema, rows, _, table, clf = synth6
+        settings = GenerationSettings(method=method, budget=40, set_size=4,
+                                      num_samples=10)
+        doc, samples = results.run_user(0, rows[0], clf, schema, table, settings)
+        objective = method[3:] if method.startswith("ls:") else "emc"
+        assert calls == [{"cols": "cols", "pcols": "pcols",
+                          "random": "random_search"}.get(method, "local_search")]
+        assert (doc.method, doc.settings["objective"]) == (method, objective)
+        assert settings.objective == objective
+        assert (samples is None) == (objective != "emc")
+        assert doc.queries_used == 40
+
+    @pytest.mark.parametrize("method", ["cols", "random", pytest.param("ls:emc", id="ls")])
     def test_restarts_read_by_pcols_only(self, synth6, method):
         """Only pcols splits its budget over `restarts`: the other methods
         construct and run with more restarts than budget."""
@@ -1060,13 +1092,12 @@ class TestPairedDirections:
     """Seed-paired comparisons on the small synthetic problem; directions
     must match the large-scale benchmark."""
 
-    def _run(self, synth6, method, seed, objective="emc"):
+    def _run(self, synth6, method, seed):
         from recourse.results import GenerationSettings, run_user
 
         schema, rows, _, table, clf = synth6
         settings = GenerationSettings(
-            method=method, objective=objective, budget=300, set_size=6,
-            num_samples=30, seed=seed,
+            method=method, budget=300, set_size=6, num_samples=30, seed=seed
         )
         doc, _ = run_user(seed % 5, rows[seed % 5], clf, schema, table, settings)
         return doc
@@ -1075,7 +1106,7 @@ class TestPairedDirections:
         wins = 0
         for seed in range(20):
             emc_cols = self._run(synth6, "cols", seed).final_emc
-            emc_ls = self._run(synth6, "ls", seed).final_emc
+            emc_ls = self._run(synth6, "ls:emc", seed).final_emc
             wins += emc_cols <= emc_ls
         assert wins >= 18  # >= 90% of 20 paired seeds
 
@@ -1087,7 +1118,7 @@ class TestPairedDirections:
         gaps = []
         for seed in range(10):
             docs = {
-                obj: self._run(synth6, "ls", seed, objective=obj)
+                obj: self._run(synth6, f"ls:{obj}", seed)
                 for obj in ("diversity", "emc")
             }
             divs = {}
