@@ -45,7 +45,6 @@ from .schema import (
 )
 from .search import (
     GenerationSettings,
-    RecourseSet,
     SearchResult,
     cols,
     column_stats,

@@ -263,7 +263,7 @@ def _check_docs(docs, schema: DatasetSchema, path: str) -> None:
             for flag in doc.validity:
                 if type(flag) is not bool:
                     raise ValueError(f"validity flag {flag!r} is not true or false")
-            xp.recourse_sets_from_docs([doc])
+            xp.doc_arrays([doc], schema)
         except (TypeError, ValueError) as exc:
             raise SchemaError(f"{path}: document {n}: {exc}") from None
 
@@ -293,20 +293,24 @@ def _cmd_evaluate(args) -> int:
     for tag, path in zip(tags, files):
         docs = read_results(path)
         _check_docs(docs, schema, path)
-        method = docs[0].method
         gen_seeds = {doc.seed for doc in docs}
         for ts in test_seeds:
             if ts in gen_seeds:
                 raise SchemaError(
                     f"test seed {ts} collides with the generation seed in {path}"
                 )
-        tables = xp.score_docs(docs, schema, table, test_seeds, args.k, alpha)
-        by_method.setdefault(method, []).extend(tables)
-        for ts, metrics in zip(test_seeds, tables):
+        per_seed: list[list] = [[] for _ in test_seeds]
+        for method in dict.fromkeys(doc.method for doc in docs):
+            group = [doc for doc in docs if doc.method == method]
+            tables = xp.score_docs(group, schema, table, test_seeds, args.k, alpha)
+            by_method.setdefault(method, []).extend(tables)
+            for rows_of_seed, metrics in zip(per_seed, tables):
+                rows_of_seed.extend(xp.table_rows(method, metrics))
+        for ts, rows_of_seed in zip(test_seeds, per_seed):
             xp.write_csv(
                 os.path.join(args.out, f"metrics_{tag}_seed{ts}.csv"),
                 ["method", "metric", "value"],
-                xp.table_rows(method, metrics),
+                rows_of_seed,
             )
 
     mean_rows = []
@@ -371,7 +375,7 @@ def main(argv=None) -> int:
         if args.command == "evaluate":
             return _cmd_evaluate(args)
         return _cmd_experiment(args)
-    except (SchemaError, ValueError) as exc:
+    except (SchemaError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -185,7 +185,7 @@ def _check_inputs(
 
 
 def _sample_blocks(
-    states: Sequence[UserState],
+    states: np.ndarray,
     schema: DatasetSchema,
     table: PercentileTable,
     rngs: Sequence[np.random.Generator],
@@ -195,11 +195,11 @@ def _sample_blocks(
     editables: Sequence[Optional[frozenset[int]]],
     pref: Optional[np.ndarray],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Samples `width * b` to `width * b + width - 1` drawn for `states[b]`
-    from `rngs[b]` in whole-array calls (see the module docstring), their
-    editable set `editables[b]` (None: drawn), cut to the first m; absent
-    inputs are drawn. Returns the read-only (W, m) cost table, alphas,
-    editable mask and preferences."""
+    """Samples `width * b` to `width * b + width - 1` drawn for the state
+    codes `states[b]`, a row of (B, d), from `rngs[b]` in whole-array calls
+    (see the module docstring), their editable set `editables[b]` (None:
+    drawn), cut to the first m; absent inputs are drawn. Returns the
+    read-only (W, m) cost table, alphas, editable mask and preferences."""
     pins, pref = _check_inputs(schema, table, alpha, editables, pref)
     d, off = schema.n_features, schema.offsets
     sizes = off[1:] - off[:-1]
@@ -252,7 +252,7 @@ def _sample_blocks(
     # Layout: per block, the cells of its state's moves, one per cost-table
     # row, kept to the rows (`cols`) of features that some sample chose and
     # some state can move to.
-    origin = off[:-1] + schema.positions([s.values for s in states])
+    origin = off[:-1] + schema.positions(states)
     row_feature = np.repeat(np.arange(d), sizes)
     cells = table.cell[origin][:, row_feature] + np.arange(off[-1])
     feasible = table.feasible[cells]
@@ -291,7 +291,7 @@ def _sample_blocks(
 
 
 def sample_cost_functions(
-    states: Sequence[UserState],
+    states: np.ndarray,
     schema: DatasetSchema,
     table: PercentileTable,
     rngs: Sequence[np.random.Generator],
@@ -299,17 +299,18 @@ def sample_cost_functions(
     editable: Optional[Sequence[Optional[frozenset[int]]]] = None,
 ) -> CostSampleSet:
     """A population: one set whose column u is a block of width 1 drawn for
-    `states[u]` on `rngs[u]` with editable set `editable[u]` (None, or no
-    `editable` at all: drawn), all in one call; absent inputs are drawn."""
-    editable = [None] * len(states) if editable is None else editable
-    if not states or not len(states) == len(rngs) == len(editable):
+    the state codes `states[u]`, a row of (U, d), on `rngs[u]` with editable
+    set `editable[u]` (None, or no `editable` at all: drawn), all in one
+    call; absent inputs are drawn."""
+    codes = np.array(states, dtype=np.int64)
+    editable = [None] * len(codes) if editable is None else editable
+    if not len(codes) or not len(codes) == len(rngs) == len(editable):
         raise ValueError(f"need one generator and one editable set per state and at least "
-                         f"one state, got {len(states)} states for {len(rngs)} generators "
+                         f"one state, got {len(codes)} states for {len(rngs)} generators "
                          f"and {len(editable)} editable sets")
     if len(set(map(id, rngs))) < len(rngs):
         raise ValueError("each state needs a generator of its own")
-    drawn = _sample_blocks(states, schema, table, rngs, 1, len(rngs), alpha, editable, None)
-    codes = np.array([s.values for s in states], dtype=np.int64)
+    drawn = _sample_blocks(codes, schema, table, rngs, 1, len(rngs), alpha, editable, None)
     codes.setflags(write=False)
     return CostSampleSet(schema, codes, *drawn)
 
@@ -324,7 +325,7 @@ def sample_cost_function(
 ) -> CostSampleSet:
     """Draw one cost function conditioned on `state` (a set with M=1): a
     population of one for `sample_cost_functions`."""
-    return sample_cost_functions([state], schema, table, [rng], alpha, [editable])
+    return sample_cost_functions([state.values], schema, table, [rng], alpha, [editable])
 
 
 def stream_rng(stream: int, seed: int, index: int, subkey: int = 0) -> np.random.Generator:
@@ -455,10 +456,10 @@ def sample_cost_batch(
     if m < 1:
         raise ValueError(f"sample count must be >= 1, got {m}")
     rngs = [stream_rng(TRAIN_STREAM, seed, b, subkey) for b in range(-(-m // BLOCK))]
-    drawn = _sample_blocks([state] * len(rngs), schema, table, rngs, BLOCK, m, alpha,
-                           [editable] * len(rngs), pref)
-    codes = np.broadcast_to(np.array(state.values, dtype=np.int64), (m, len(state.values)))
-    return CostSampleSet(schema, codes, *drawn)
+    codes = np.array(state.values, dtype=np.int64)
+    drawn = _sample_blocks(np.broadcast_to(codes, (len(rngs), len(codes))), schema, table,
+                           rngs, BLOCK, m, alpha, [editable] * len(rngs), pref)
+    return CostSampleSet(schema, np.broadcast_to(codes, (m, len(codes))), *drawn)
 
 
 def cost_rows(index_matrix: np.ndarray, samples: CostSampleSet,

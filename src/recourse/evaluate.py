@@ -12,11 +12,11 @@ is drawn. Every user's stream is seeded in one vectorized pass
 and the sampler runs its per-user draws phase by phase over the whole
 population, each generator making the same calls in the same order.
 
-A user's realised cost is the minimum over the *valid* members of their
-recourse set (two arrays: (N, d) int64 member codes and (N,) bool
-validity); invalid members count as infinitely expensive. One `min_cost`
-call prices a population: `valid_members` stacks the users' valid members,
-each tagged with its user's column.
+A population's recourse sets are arrays: (P, d) int64 member codes and,
+per member, its owner (its user's index) and validity flag. A user's
+realised cost is the minimum over the *valid* members they own, infinity
+when they own none. One `min_cost` call prices a population, each valid
+member under its owner's column alone.
 
 A report is one flat table, metric name -> value, whose names and row
 order come from `metric_names` alone. `compute_report` prices a population
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -45,9 +45,6 @@ from .cost import (
     stream_rngs,
 )
 from .schema import DatasetSchema, PercentileTable, UserState
-
-if TYPE_CHECKING:
-    from .search import RecourseSet
 
 INF = math.inf
 
@@ -111,7 +108,7 @@ def simulate_user(
 
 
 def simulate_users(
-    states: Sequence[UserState],
+    states: np.ndarray,
     schema: DatasetSchema,
     table: PercentileTable,
     test_seed: int,
@@ -120,18 +117,10 @@ def simulate_users(
     editable: Optional[Sequence[Optional[frozenset[int]]]] = None,
 ) -> CostSampleSet:
     """`simulate_user` for each user, the population drawn in one call:
-    column u is user u's hidden cost function, pinned to the editable set
-    `editable[u]` when one is given."""
+    column u is the hidden cost function of the state codes `states[u]`,
+    pinned to the editable set `editable[u]` when one is given."""
     rngs = stream_rngs(TEST_STREAM, test_seed, user_ids)
     return sample_cost_functions(states, schema, table, rngs, alpha=alpha, editable=editable)
-
-
-def valid_members(sets: Sequence[RecourseSet]) -> tuple[np.ndarray, np.ndarray]:
-    """The valid members of every set stacked as (P, d) codes, and per
-    member the index of its set, for `min_cost`."""
-    valid = [s.members[s.validity] for s in sets]
-    owners = np.repeat(np.arange(len(valid)), [len(v) for v in valid])
-    return np.concatenate(valid), owners
 
 
 def fs_at_k(costs: np.ndarray, k: float = 1.0) -> float:
@@ -172,15 +161,16 @@ def _pair_distances(a: np.ndarray, b: np.ndarray, schema: DatasetSchema) -> np.n
 
 
 def set_distance_stats(
-    s_u: UserState, members: np.ndarray, schema: DatasetSchema
+    state: np.ndarray, members: np.ndarray, schema: DatasetSchema
 ) -> tuple[float, float, float]:
-    """(diversity, proximity, sparsity) of (n, d) member codes, validity aside.
+    """(diversity, proximity, sparsity) of (n, d) member codes for the
+    state codes `state`, validity aside.
 
     Pair distances are summed left to right, member pairs in (i, j) order."""
     n = len(members)
     d = schema.n_features
     # Rows 0..n-1 are the members and row n is the user.
-    codes = np.vstack([members, s_u.values], dtype=np.int64)
+    codes = np.vstack([members, state], dtype=np.int64)
     i, j = np.nonzero(np.less.outer(np.arange(n), np.arange(n)))
     left = np.concatenate([np.full(n, n), i])
     right = np.concatenate([np.arange(n), j])
@@ -192,12 +182,12 @@ def set_distance_stats(
 
 
 def distance_metrics(
-    s_u: UserState, recourse: RecourseSet, schema: DatasetSchema
+    state: np.ndarray, members: np.ndarray, validity: np.ndarray, schema: DatasetSchema
 ) -> tuple[float, float, float, float]:
-    """(diversity, proximity, sparsity, validity) of one recourse set."""
-    members = recourse.members
-    div, prox, spar = set_distance_stats(s_u, members, schema)
-    unique_valid = set(map(tuple, members[recourse.validity].tolist()))
+    """(diversity, proximity, sparsity, validity) of one recourse set, (n, d)
+    member codes with (n,) validity flags, for the state codes `state`."""
+    div, prox, spar = set_distance_stats(state, members, schema)
+    unique_valid = set(map(tuple, members[validity].tolist()))
     return div, prox, spar, len(unique_valid) / len(members)
 
 
@@ -231,25 +221,30 @@ def concentration_distance(
     return np.sqrt((diffs**2).sum(axis=2)).min(axis=1)
 
 
-def set_metrics(
-    states: Sequence[UserState], sets: Sequence[RecourseSet], schema: DatasetSchema
-) -> dict[str, float]:
-    """Mean diversity, proximity, sparsity and validity over users' sets."""
-    per_set = [distance_metrics(s_u, s, schema) for s_u, s in zip(states, sets)]
+def set_metrics(states: np.ndarray, members: np.ndarray, owners: np.ndarray,
+                validity: np.ndarray, schema: DatasetSchema) -> dict[str, float]:
+    """Mean diversity, proximity, sparsity and validity over users' sets:
+    user u (state codes `states[u]`) owns the members where `owners` is u."""
+    order = np.argsort(owners, kind="stable")
+    ends = np.cumsum(np.bincount(owners, minlength=len(states))).tolist()
+    per_set = [distance_metrics(state, members[order[lo:hi]], validity[order[lo:hi]], schema)
+               for state, lo, hi in zip(states, [0, *ends], ends)]
     return {name: float(np.mean(col)) for name, col in zip(SET_METRICS, zip(*per_set))}
 
 
 def compute_report(
     users: CostSampleSet,
-    sets: Sequence[RecourseSet],
+    members: np.ndarray,
+    owners: np.ndarray,
     schema: DatasetSchema,
     k: float = 1.0,
 ) -> MetricsReport:
-    """Hidden-cost metrics of a population (user u is column u of `users`
-    and owns `sets[u]`), with subgroup splits and ratios."""
-    if users.m != len(sets):
-        raise ValueError(f"need one recourse set per user, got {len(sets)} for {users.m}")
-    costs = min_cost(*valid_members(sets), users)
+    """Hidden-cost metrics, with subgroup splits and ratios, of a population
+    (user u is column u of `users`) from its valid members' (P, d) codes,
+    member p owned by column `owners[p]`."""
+    if len(owners) != len(members) or not ((owners >= 0) & (owners < users.m)).all():
+        raise ValueError(f"need one owner column in 0..{users.m - 1} per member")
+    costs = min_cost(members, owners, users)
     fs = f"fs_at_{k:g}"
     overall = pac(costs)
     table = {fs: fs_at_k(costs, k), "pac": overall.value,

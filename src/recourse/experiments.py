@@ -5,6 +5,7 @@ Every sweep runs the generation machinery in-process on a fixed user
 subset, evaluates against hidden cost functions keyed by a separate test
 seed, and emits plain CSV tables; rendering is left to external tools.
 
+Result documents become the arrays evaluation takes in `doc_arrays` alone.
 `score_docs` scores result documents as one flat table per test seed,
 measuring the metrics of the sets alone once. The mean of several runs
 (`mean_table`) averages each metric over the runs that define it, so a
@@ -30,12 +31,10 @@ from .evaluate import (
     # Unused here; perfbench/run.py traces evaluation through experiments.simulate_user.
     simulate_user,
     simulate_users,
-    valid_members,
 )
 from .model import BudgetMeter, Classifier, predict_batch
 from .results import GenerationSettings, ResultDoc, run_population, run_user
 from .schema import DatasetSchema, PercentileTable, UserState
-from .search import RecourseSet
 
 EXPERIMENT_KINDS = (
     "main",
@@ -142,13 +141,25 @@ def select_undesired(
     return [rows[i] for i in picked], picked
 
 
-def recourse_sets_from_docs(docs: Sequence[ResultDoc]) -> list[RecourseSet]:
-    return [
-        RecourseSet(
-            np.array(doc.members, dtype=np.int64), np.array(doc.validity, dtype=bool)
-        )
-        for doc in docs
-    ]
+def doc_arrays(
+    docs: Sequence[ResultDoc], schema: DatasetSchema
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The documents as arrays: their (U, d) state codes, every member's
+    codes stacked as (P, d) in document order, and per member the index of
+    its document and its validity flag. A document with no member, or
+    without one flag per member, is refused, and so is a state outside the
+    schema, with the SchemaError of `DatasetSchema.positions`."""
+    for doc in docs:
+        if not doc.members:
+            raise ValueError("recourse set must have at least one member")
+        if len(doc.members) != len(doc.validity):
+            raise ValueError("one validity flag per member required")
+    states = np.array([doc.state for doc in docs], dtype=np.int64)
+    schema.positions(states)
+    members = np.array([m for doc in docs for m in doc.members], dtype=np.int64)
+    owners = np.repeat(np.arange(len(docs)), [len(doc.members) for doc in docs])
+    validity = np.array([flag for doc in docs for flag in doc.validity], dtype=bool)
+    return states, members, owners, validity
 
 
 def evaluate_docs(
@@ -161,33 +172,25 @@ def evaluate_docs(
 ) -> MetricsReport:
     """Hidden-cost metrics of result documents under freshly simulated users,
     their mixing weight `test_alpha` (None: drawn per user)."""
-    states = [UserState(tuple(doc.state)).validate(schema) for doc in docs]
-    return _hidden_report(docs, states, recourse_sets_from_docs(docs), schema, table,
-                          test_seed, k, test_alpha)
-
-
-def _hidden_report(docs: Sequence[ResultDoc], states: Sequence[UserState],
-                   sets: Sequence[RecourseSet], schema: DatasetSchema,
-                   table: PercentileTable, test_seed: int, k: float,
-                   test_alpha: Optional[float]) -> MetricsReport:
-    """`evaluate_docs` on the documents' validated states and sets."""
+    states, members, owners, validity = doc_arrays(docs, schema)
     users = simulate_users(states, schema, table, test_seed, [doc.user_id for doc in docs],
                            alpha=test_alpha)
-    return compute_report(users, sets, schema, k=k)
+    return compute_report(users, members[validity], owners[validity], schema, k=k)
 
 
 def score_docs(docs: Sequence[ResultDoc], schema: DatasetSchema, table: PercentileTable,
                test_seeds: Sequence[int], k: float,
                test_alpha: Optional[float]) -> list[dict[str, Optional[float]]]:
     """Per test seed, its hidden-cost metrics and the set metrics, measured
-    once, as a flat table in `metric_names` order (None: undefined). Each
-    document's state and recourse set are built once for all seeds."""
-    states = [UserState(tuple(doc.state)).validate(schema) for doc in docs]
-    sets = recourse_sets_from_docs(docs)
-    shared = set_metrics(states, sets, schema)
+    once, as a flat table in `metric_names` order (None: undefined). The
+    documents become arrays once for all seeds."""
+    states, members, owners, validity = doc_arrays(docs, schema)
+    shared = set_metrics(states, members, owners, validity, schema)
+    ids = [doc.user_id for doc in docs]
     order = metric_names(schema, k)
     merged = [
-        {**_hidden_report(docs, states, sets, schema, table, seed, k, test_alpha).table,
+        {**compute_report(simulate_users(states, schema, table, seed, ids, alpha=test_alpha),
+                          members[validity], owners[validity], schema, k=k).table,
          **shared}
         for seed in test_seeds
     ]
@@ -350,16 +353,16 @@ def _concentration_shift(spec, states, user_ids, classifier, schema, table):
         doc, samples = run_user(uid, state, classifier, schema, table, settings)
         docs.append(doc)
         train_conc.append(samples.editable)
-    sets = recourse_sets_from_docs(docs)
 
     movable = schema.mutable_indices()
     rng = np.random.default_rng(np.random.SeedSequence([SHIFT_STREAM, spec.test_seed]))
     pins = [frozenset(random_editable_subset(movable, rng)) for _ in range(spec.shift_vectors)]
     owner = np.arange(spec.shift_vectors) % len(docs)
-    users = simulate_users([states[i] for i in owner], schema, table, spec.test_seed,
+    codes, members, owners, validity = doc_arrays([docs[i] for i in owner], schema)
+    users = simulate_users(codes, schema, table, spec.test_seed,
                            [spec.shift_vectors * 7 + v for v in range(spec.shift_vectors)],
                            editable=pins)
-    costs = min_cost(*valid_members([sets[i] for i in owner]), users)
+    costs = min_cost(members[validity], owners[validity], users)
     distances = np.empty(spec.shift_vectors)
     for i, train in enumerate(train_conc):
         distances[owner == i] = concentration_distance(users.editable[owner == i], train)

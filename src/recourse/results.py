@@ -74,8 +74,8 @@ def run_user(
         user_id=user_id,
         method=settings.method,
         state=list(state.values),
-        members=result.recourse_set.members.tolist(),
-        validity=result.recourse_set.validity.tolist(),
+        members=result.members.tolist(),
+        validity=result.validity.tolist(),
         final_emc=result.emc,
         trace=result.trace,
         queries_used=result.queries_used,

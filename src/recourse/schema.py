@@ -262,18 +262,25 @@ def build_percentile_table(
     return PercentileTable(schema, cdf, cell, feasible, step, shift)
 
 
+def _domain_value(v, name: str) -> int:
+    """A domain value or range end: a YAML integer, never a float or a bool."""
+    if type(v) is not int:
+        raise SchemaError(f"feature {name!r}: domain value {v!r} is not an integer")
+    return v
+
+
 def _parse_domain(raw, name: str) -> tuple[int, ...]:
     if isinstance(raw, dict):
         if set(raw) != {"min", "max"}:
             raise SchemaError(
                 f"feature {name!r}: range domain needs exactly min and max"
             )
-        lo, hi = int(raw["min"]), int(raw["max"])
+        lo, hi = _domain_value(raw["min"], name), _domain_value(raw["max"], name)
         if hi < lo:
             raise SchemaError(f"feature {name!r}: empty range {lo}..{hi}")
         return tuple(range(lo, hi + 1))
     if isinstance(raw, (list, tuple)):
-        return tuple(int(v) for v in raw)
+        return tuple(_domain_value(v, name) for v in raw)
     raise SchemaError(f"feature {name!r}: domain must be a list or a min/max range")
 
 

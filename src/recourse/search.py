@@ -167,24 +167,14 @@ class GenerationSettings:
         return self.objective == "emc"
 
 
-@dataclass(frozen=True, eq=False)
-class RecourseSet:
-    """N options as arrays: (N, d) int64 feature codes, and per member
-    whether the model predicts it to the desired class."""
+@dataclass
+class SearchResult:
+    """A recourse set of N options as arrays, (N, d) int64 feature codes and
+    per member whether the model predicts it to the desired class, with the
+    search's trace, the queries it used and its final objective."""
 
     members: np.ndarray  # (N, d) int64
     validity: np.ndarray  # (N,) bool
-
-    def __post_init__(self):
-        if len(self.members) == 0:
-            raise ValueError("recourse set must have at least one member")
-        if len(self.members) != len(self.validity):
-            raise ValueError("one validity flag per member required")
-
-
-@dataclass
-class SearchResult:
-    recourse_set: RecourseSet
     trace: list[float]
     queries_used: int
     emc: float
@@ -492,8 +482,8 @@ def pcols(
     )
     finals = [trace[-1] for trace in traces]
     win = finals.index(min(finals))
-    return SearchResult(RecourseSet(schema.codes(members[win]), valid[win]),
-                        traces[win], meter.used, finals[win])
+    return SearchResult(schema.codes(members[win]), valid[win], traces[win], meter.used,
+                        finals[win])
 
 
 def _set_loss(
@@ -511,7 +501,7 @@ def _set_loss(
         return float(emc(_priced_rows(members, samples, valid).min(axis=0)))
     if not valid.any():
         return INF
-    div, prox, spar = set_distance_stats(ws.s_u, ws.schema.codes(members), ws.schema)
+    div, prox, spar = set_distance_stats(ws.s_u.values, ws.schema.codes(members), ws.schema)
     return -{"diversity": div, "proximity": prox, "sparsity": spar}[objective]
 
 
@@ -560,7 +550,7 @@ def _whole_set(
         trace.append(loss)
 
     final = loss if objective == "emc" else INF
-    return SearchResult(RecourseSet(schema.codes(members), valid), trace, meter.used, final)
+    return SearchResult(schema.codes(members), valid, trace, meter.used, final)
 
 
 def random_search(

@@ -20,12 +20,11 @@ from recourse.evaluate import (
     fs_at_k,
     pac,
     set_metrics,
-    valid_members,
 )
 from recourse.experiments import (
     ExperimentSpec,
+    doc_arrays,
     evaluate_docs,
-    recourse_sets_from_docs,
     run_experiment,
     select_undesired,
 )
@@ -289,8 +288,7 @@ def test_criterion_6_ablation_direction(adult_users, adult_benchmark):
     schema = adult_users[0]
 
     def diversity(docs):
-        states = [UserState(tuple(doc.state)) for doc in docs]
-        return set_metrics(states, recourse_sets_from_docs(docs), schema)["diversity"]
+        return set_metrics(*doc_arrays(docs, schema), schema)["diversity"]
 
     div_ls = np.mean([diversity(docs) for docs, _ in adult_benchmark["ls:diversity"]])
     div_cols = np.mean([diversity(docs) for docs, _ in adult_benchmark["cols"]])
@@ -308,11 +306,11 @@ def test_criterion_6_ablation_direction(adult_users, adult_benchmark):
 def test_criterion_7_metric_units():
     """Hand-computed metric examples, including the published fairness
     ratio to three decimals."""
-    from test_evaluate import pointing_set, single_feature_users
+    from test_evaluate import pointing_set, single_feature_users, valid_of
 
     def realized(*costs):
         users = single_feature_users(*([0.0, c] for c in costs))
-        return min_cost(*valid_members([pointing_set()] * len(costs)), users)
+        return min_cost(*valid_of([pointing_set()] * len(costs)), users)
 
     costs = realized(0.5, 1.2, INF)
     assert fs_at_k(costs, k=1.0) == pytest.approx(1 / 3)
@@ -324,7 +322,6 @@ def test_criterion_7_metric_units():
     assert result.uncovered == 1
 
     from recourse.schema import DatasetSchema, FeatureSpec
-    from recourse.search import RecourseSet
 
     schema = DatasetSchema(
         features=(
@@ -333,9 +330,8 @@ def test_criterion_7_metric_units():
             FeatureSpec("c", "unordered", (0, 1)),
         )
     )
-    s_u = UserState((0, 0, 0))
-    rs = RecourseSet(np.array([(2, 0, 0)]), np.array([True]))
-    div, prox, spar, val = distance_metrics(s_u, rs, schema)
+    div, prox, spar, val = distance_metrics(np.array([0, 0, 0]), np.array([(2, 0, 0)]),
+                                            np.array([True]), schema)
     assert spar == pytest.approx(1 - 1 / 3)
     assert val == 1.0
 

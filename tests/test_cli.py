@@ -13,7 +13,7 @@ from recourse.cli import main
 from recourse.cost import INF, sample_cost_batch
 from recourse.datasets import make_synthetic_6f
 from recourse.evaluate import distance_metrics, metric_names
-from recourse.experiments import recourse_sets_from_docs
+from recourse.experiments import doc_arrays
 from recourse.model import load_model
 from recourse.results import (
     GenerationSettings,
@@ -639,6 +639,55 @@ class TestEvaluate:
         assert code == 2
         assert f"{path}: document 2: one validity flag per member required" in err
 
+    def test_document_without_member_names_file_and_document(
+        self, workdir, generated, tmp_path, capsys
+    ):
+        def tamper(doc):
+            doc.members.clear()
+            doc.validity.clear()
+
+        code, err, path = self._evaluate_tampered(
+            workdir, generated, tmp_path, capsys, tamper
+        )
+        assert code == 2
+        assert f"{path}: document 2: recourse set must have at least one member" in err
+
+    def test_state_outside_domain_names_file_document_and_feature(
+        self, workdir, generated, tmp_path, capsys
+    ):
+        band = load_schema(workdir / "schema.yaml").feature_index("band")
+        code, err, path = self._evaluate_tampered(
+            workdir, generated, tmp_path, capsys,
+            lambda doc: doc.state.__setitem__(band, 999)
+        )
+        assert code == 2
+        assert f"{path}: document 2: value 999 not in domain of feature 'band'" in err
+
+    def test_file_of_two_methods_scores_each_method(self, workdir, generated, tmp_path):
+        """A file holding two methods' documents, interleaved, is scored as
+        two groups in first-seen order: its per-seed table holds each
+        method's rows, and its mean table equals that of one file per
+        method."""
+        docs = read_results(generated / "results_cols.jsonl")[:4]
+        docs[1::2] = [replace(doc, method="random") for doc in docs[1::2]]
+        write_results(docs, tmp_path / "mixed.jsonl")
+        write_results(docs[0::2], tmp_path / "cols.jsonl")
+        write_results(docs[1::2], tmp_path / "random.jsonl")
+        assert self._evaluate(workdir, str(tmp_path / "mixed.jsonl"), tmp_path / "one") == 0
+        apart = ",".join(str(tmp_path / f"{m}.jsonl") for m in ("cols", "random"))
+        assert self._evaluate(workdir, apart, tmp_path / "two") == 0
+
+        def rows(path):
+            with open(path) as fh:
+                return list(csv.reader(fh))
+
+        mean = rows(tmp_path / "one" / "metrics_mean.csv")
+        assert {method for method, *_ in mean[1:]} == {"cols", "random"}
+        assert mean == rows(tmp_path / "two" / "metrics_mean.csv")
+        assert rows(tmp_path / "one" / "metrics_mixed_seed901.csv") == (
+            rows(tmp_path / "two" / "metrics_cols_seed901.csv")
+            + rows(tmp_path / "two" / "metrics_random_seed901.csv")[1:])
+
 
     def test_set_metrics_measured_once_per_document(
         self, workdir, generated, tmp_path, monkeypatch
@@ -669,29 +718,29 @@ class TestEvaluate:
     def test_score_docs_builds_each_state_and_set_once(
         self, workdir, generated, monkeypatch
     ):
-        """Three test seeds share one validated state and one recourse set
-        per document."""
+        """Three test seeds share one `doc_arrays` call, which turns each
+        document's state and recourse set into arrays once; no `UserState`
+        is built."""
         import recourse.experiments as xp
 
-        states, sets = [], []
+        calls, states = [], []
 
-        class CountingState(UserState):
-            def __post_init__(self):
-                states.append(self)
-                super().__post_init__()
+        def counting_arrays(docs, schema):
+            calls.append(docs)
+            return doc_arrays(docs, schema)
 
-        def counting_sets(docs):
-            sets.extend(docs)
-            return recourse_sets_from_docs(docs)
+        def counting_state(state):
+            states.append(state)
 
         schema = load_schema(workdir / "schema.yaml")
         table = build_percentile_table(load_dataset(workdir / "data.csv", schema), schema)
         docs = read_results(generated / "results_cols.jsonl")
-        monkeypatch.setattr(xp, "UserState", CountingState)
-        monkeypatch.setattr(xp, "recourse_sets_from_docs", counting_sets)
+        monkeypatch.setattr(xp, "doc_arrays", counting_arrays)
+        monkeypatch.setattr(UserState, "__post_init__", counting_state)
         tables = xp.score_docs(docs, schema, table, [901, 902, 903], 1.0, None)
         assert len(tables) == 3
-        assert len(states) == len(sets) == len(docs)
+        assert calls == [docs]
+        assert states == []
 
     def test_evaluate_docs_measures_no_distances(self, workdir, generated, monkeypatch):
         import recourse.evaluate as evaluate
@@ -1185,6 +1234,27 @@ class TestUserLimit:
         assert code == 2
         assert "user limit must be at least 1, got 0" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, missing", [
+    (["train", "--schema", "{root}/schema.yaml", "--data", "{root}/nothere.csv",
+      "--out", "{tmp}/model.json"], "nothere.csv"),
+    (["generate", "--schema", "{root}/schema.yaml", "--data", "{root}/data.csv",
+      "--model", "{root}/nothere.json", "--out", "{tmp}/gen"], "nothere.json"),
+    (["evaluate", "--schema", "{root}/schema.yaml", "--data", "{root}/data.csv",
+      "--results", "{tmp}/nothere.jsonl", "--test-seed", "901", "--out", "{tmp}/eval"],
+     "nothere.jsonl"),
+    (["experiment", "--kind", "main", "--schema", "{root}/nothere.yaml",
+      "--data", "{root}/data.csv", "--model", "{root}/model.json", "--out", "{tmp}/xp"],
+     "nothere.yaml"),
+], ids=["train", "generate", "evaluate", "experiment"])
+def test_missing_input_file_exits_2_naming_it(workdir, tmp_path, capsys, command, missing):
+    """A missing input file is an input error like any other: `error: ...`
+    naming the path and exit status 2, not a traceback."""
+    argv = [arg.format(root=workdir, tmp=tmp_path) for arg in command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and missing in err
 
 
 class TestExperimentSpecValidation:

@@ -75,6 +75,11 @@ def codes(*members):
     return np.array(members, dtype=np.int64)
 
 
+def state_codes(states):
+    """(U, d) int64 codes of `UserState`s."""
+    return codes(*(s.values for s in states))
+
+
 def one_feature_schema(mutability="increase_only", kind="ordered"):
     return DatasetSchema(
         features=(FeatureSpec("f", kind, (0, 1, 2, 3, 4), mutability),)
@@ -325,7 +330,7 @@ class TestSampleCostFunction:
         schema, rows, _, table, _ = synth6
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError, match="generator of its own"):
-            sample_cost_functions(rows[:2], schema, table, [rng, rng])
+            sample_cost_functions(state_codes(rows[:2]), schema, table, [rng, rng])
 
     def test_invariants_on_samples(self, synth6):
         schema, rows, _, table, _ = synth6
@@ -865,7 +870,7 @@ class TestTwelveFeaturePricing:
         states = rows[:100]
         for k in range(20):
             rngs = [np.random.default_rng([k, u]) for u in range(100)]
-            population = sample_cost_functions(states, schema, table, rngs,
+            population = sample_cost_functions(state_codes(states), schema, table, rngs,
                                                editable=[movable] * 100)
             sizes = np.random.default_rng(k).integers(1, 20, size=100)
             sizes[k] = 0
@@ -928,7 +933,7 @@ class TestSkippedZeroRows:
         origin row is then a zero row."""
         schema, rows, _, table, _ = adult
         population = sample_cost_functions(
-            rows[:50], schema, table, [np.random.default_rng(u) for u in range(50)])
+            state_codes(rows[:50]), schema, table, [np.random.default_rng(u) for u in range(50)])
         sets = [(s, b) for s, b in self.batches(adult)] + [(rows[0], population)]
         for state, samples in sets:
             zero = samples.table == 0.0

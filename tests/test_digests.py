@@ -32,7 +32,7 @@ from recourse.model import save_model
 from recourse.results import GenerationSettings, run_user
 from recourse.schema import save_dataset, save_schema
 
-from test_cost import feature_costs
+from test_cost import feature_costs, state_codes
 
 # Fixed editable set and preferences for the pinned batch: three ordered
 # features (age, capital_gain, hours_per_week) and two unordered ones
@@ -164,7 +164,8 @@ def test_simulate_users_digest(adult):
     h = hashlib.sha256()
     for test_seed in (5, 9_137_000_004):
         for alpha in (None, 0.3):
-            _update(h, simulate_users(states, schema, table, test_seed, ids, alpha, editable))
+            _update(h, simulate_users(state_codes(states), schema, table, test_seed, ids, alpha,
+                                      editable))
     assert h.hexdigest() == POPULATION_DIGEST
 
 
@@ -178,7 +179,7 @@ def test_batch_is_its_blocks(rejected, case):
         batch = sample_cost_batch(state, schema, table, 130, seed=3, subkey=uid, **kwargs)
         rows = [batch.table.T, batch.alpha, batch.editable, batch.preferences]
         for b in range(3):
-            costs, *rest = _sample_blocks([state], schema, table,
+            costs, *rest = _sample_blocks(state_codes([state]), schema, table,
                                           [stream_rng(TRAIN_STREAM, 3, b, uid)], BLOCK, BLOCK,
                                           kwargs.get("alpha"), [kwargs.get("editable")],
                                           kwargs.get("pref"))

@@ -20,20 +20,20 @@ from recourse.evaluate import (
     set_metrics,
     simulate_user,
     simulate_users,
-    valid_members,
 )
-from recourse.experiments import score_docs, select_undesired
+from recourse.experiments import doc_arrays, score_docs, select_undesired
 from recourse.model import TrainConfig, train_classifier
-from recourse.results import GenerationSettings, run_population
+from recourse.results import GenerationSettings, ResultDoc, run_population
 from recourse.schema import (
     DatasetSchema,
     FeatureSpec,
+    SchemaError,
     UserState,
     build_percentile_table,
 )
-from recourse.search import RecourseSet, _Workspace
+from recourse.search import _Workspace
 
-from test_cost import feature_costs, manual_samples, transition_cost
+from test_cost import feature_costs, manual_samples, state_codes, transition_cost
 from test_search import perturb_once
 
 
@@ -51,25 +51,74 @@ def single_feature_users(*costs):
 
 
 def recourse_set(members, validity):
-    """A RecourseSet from code rows and validity flags."""
-    return RecourseSet(np.array(members, dtype=np.int64), np.array(validity, dtype=bool))
+    """A recourse set as arrays: (N, d) int64 codes and (N,) bool validity."""
+    return np.array(members, dtype=np.int64), np.array(validity, dtype=bool)
 
 
 def pointing_set(value=1, valid=True):
     return recourse_set([(value,)], [valid])
 
 
+def stacked(sets):
+    """Recourse sets stacked as `doc_arrays` stacks documents: (P, d)
+    members, and per member the index of its set and its validity flag."""
+    owners = np.repeat(np.arange(len(sets)), [len(m) for m, _ in sets])
+    return (np.concatenate([m for m, _ in sets]), owners,
+            np.concatenate([v for _, v in sets]))
+
+
+def valid_of(sets):
+    """The valid members of `sets` and the index of each one's set."""
+    members, owners, validity = stacked(sets)
+    return members[validity], owners[validity]
+
+
 def realised(user, recourse):
     """The realised cost of a population of one owning `recourse`."""
-    (cost,) = min_cost(*valid_members([recourse]), user)
+    (cost,) = min_cost(*valid_of([recourse]), user)
     return cost
+
+
+def result_doc(state, members, validity):
+    """A result document holding only what evaluation reads."""
+    return ResultDoc(user_id=0, method="cols", state=list(state),
+                     members=[list(m) for m in members], validity=list(validity),
+                     final_emc=0.0, trace=[0.0], queries_used=0, seed=0)
+
+
+class TestDocArrays:
+    SCHEMA = DatasetSchema(features=(FeatureSpec("a", "ordered", (0, 1, 2)),
+                                     FeatureSpec("b", "unordered", (5, 7))))
+
+    def test_stacks_members_in_document_order(self):
+        docs = [result_doc((0, 5), [(1, 5), (2, 7)], [True, False]),
+                result_doc((2, 7), [(0, 5)], [True])]
+        states, members, owners, validity = doc_arrays(docs, self.SCHEMA)
+        assert states.tolist() == [[0, 5], [2, 7]]
+        assert members.tolist() == [[1, 5], [2, 7], [0, 5]]
+        assert owners.tolist() == [0, 0, 1]
+        assert validity.tolist() == [True, False, True]
+        assert [a.dtype for a in (states, members, validity)] == [np.int64, np.int64, bool]
+
+    @pytest.mark.parametrize("doc, error, message", [
+        (result_doc((0, 5), [], []), ValueError,
+         "recourse set must have at least one member"),
+        (result_doc((0, 5), [(1, 5)], [True, False]), ValueError,
+         "one validity flag per member required"),
+        (result_doc((0, 6), [(1, 5)], [True]), SchemaError,
+         "value 6 not in domain of feature 'b'"),
+    ], ids=["no_member", "flag_count", "state_outside_domain"])
+    def test_refuses_a_malformed_document(self, doc, error, message):
+        good = result_doc((1, 7), [(2, 7)], [True])
+        with pytest.raises(error, match=message):
+            doc_arrays([good, doc], self.SCHEMA)
 
 
 class TestRealizedCost:
     def test_reads_the_pointed_transition(self):
         costs = [0.0, 0.5, 1.2, INF]
         users = single_feature_users(*([0.0, c] for c in costs))
-        got = min_cost(*valid_members([pointing_set()] * len(costs)), users)
+        got = min_cost(*valid_of([pointing_set()] * len(costs)), users)
         assert got.tolist() == costs
 
 
@@ -105,15 +154,21 @@ class TestFsAtK:
         with pytest.raises(ValueError, match="at least one state"):
             simulate_users([], schema, table, 5, [])
         user = single_feature_users([0.0, 0.5])
-        with pytest.raises(ValueError, match="got 0 for 1"):
-            compute_report(user, [], user.schema, k=1.0)
-        with pytest.raises(ValueError, match="got 2 for 1"):
-            compute_report(user, [pointing_set()] * 2, user.schema, k=1.0)
+        # A user who owns no valid member is uncovered.
+        nobody = compute_report(user, *valid_of([pointing_set(valid=False)]), user.schema)
+        assert (nobody.n_users, nobody.coverage, nobody.pac.uncovered) == (1, 0.0, 1)
+        with pytest.raises(ValueError, match=r"owner column in 0\.\.0 per member"):
+            compute_report(user, *valid_of([pointing_set()] * 2), user.schema, k=1.0)
+        with pytest.raises(ValueError, match="per member"):
+            compute_report(user, np.zeros((2, 1), np.int64), np.zeros(1, np.intp),
+                           user.schema)
+        with pytest.raises(ValueError, match="per member"):
+            compute_report(user, np.zeros((1, 1), np.int64), np.array([-1]), user.schema)
 
     def test_one_pin_per_user(self, synth6):
         schema, rows, _, table, _ = synth6
         with pytest.raises(ValueError, match="for 2 generators and 1 editable sets"):
-            simulate_users(rows[:2], schema, table, 5, [0, 1], editable=[None])
+            simulate_users(state_codes(rows[:2]), schema, table, 5, [0, 1], editable=[None])
 
 
 class TestPac:
@@ -206,7 +261,7 @@ class TestDistanceMetrics:
         schema = self._schema3()
         s_u = UserState((0, 0, 0))
         rs = recourse_set([(2, 0, 0)], [True])
-        div, prox, spar, val = distance_metrics(s_u, rs, schema)
+        div, prox, spar, val = distance_metrics(s_u.values, *rs, schema)
         assert spar == pytest.approx(1 - 1 / 3)
         assert div == 0.0
         assert val == 1.0
@@ -215,7 +270,7 @@ class TestDistanceMetrics:
         schema = self._schema3()
         s_u = UserState((1, 1, 0))
         rs = recourse_set([s_u.values], [True])
-        div, prox, spar, val = distance_metrics(s_u, rs, schema)
+        div, prox, spar, val = distance_metrics(s_u.values, *rs, schema)
         assert prox == 1.0
         assert spar == 1.0
         assert div == 0.0
@@ -226,7 +281,7 @@ class TestDistanceMetrics:
         members = [(1 + i // 3, i % 3, 0) for i in range(9)]
         members.append((1, 0, 0))  # duplicate of the first
         rs = recourse_set(members, [True] * 10)
-        *_, val = distance_metrics(s_u, rs, schema)
+        *_, val = distance_metrics(s_u.values, *rs, schema)
         assert val == pytest.approx(0.9)
 
     def test_metrics_bounded(self, synth6):
@@ -239,7 +294,7 @@ class TestDistanceMetrics:
                 for _ in range(4)
             ]
             rs = recourse_set(members, rng.random(4) < 0.5)
-            for v in distance_metrics(s_u, rs, schema):
+            for v in distance_metrics(s_u.values, *rs, schema):
                 assert 0.0 <= v <= 1.0
 
 
@@ -257,7 +312,7 @@ class TestDistanceMetrics:
             members = schema.codes(moves)
             if uid % 4 == 0:  # repeated members and the user's own state
                 members = np.vstack([members[0], rows[uid].values, members, members[0]])
-            got = set_distance_stats(rows[uid], members, schema)
+            got = set_distance_stats(rows[uid].values, members, schema)
             assert got == scalar_distance_stats(rows[uid], members.tolist(), schema)
             checked += len(members) > 1
         assert checked > 40
@@ -346,8 +401,9 @@ class TestSimulatedUsers:
                     frozenset(f for f in schema.mutable_indices() if rng.random() < 0.5)
                     for u in range(100)]
             pins[1] = frozenset()
-        together = simulate_users(states, schema, table, 41, ids, alpha, pins)
-        reversed_ = simulate_users(states[::-1], schema, table, 41, ids[::-1], alpha,
+        codes = state_codes(states)
+        together = simulate_users(codes, schema, table, 41, ids, alpha, pins)
+        reversed_ = simulate_users(codes[::-1], schema, table, 41, ids[::-1], alpha,
                                    pins[::-1])
         assert len({s.values for s in states}) > 50
         assert together.m == reversed_.m == 100
@@ -375,7 +431,7 @@ def adult_population():
     table = build_percentile_table(rows, schema)
     rng = np.random.default_rng(4)
     states = rows[:80]
-    users = simulate_users(states, schema, table, 31, range(80))
+    users = simulate_users(state_codes(states), schema, table, 31, range(80))
     sets = []
     for state in states:
         ws = _Workspace(state, schema)
@@ -389,9 +445,9 @@ def adult_population():
 class TestComputeReport:
     def test_report_fields_and_subgroups(self, synth6):
         schema, rows, _, table, _ = synth6
-        users = simulate_users(rows[:20], schema, table, 99, range(20))
+        users = simulate_users(state_codes(rows[:20]), schema, table, 99, range(20))
         sets = [recourse_set([state.values], [True]) for state in rows[:20]]
-        report = compute_report(users, sets, schema, k=1.0)
+        report = compute_report(users, *valid_of(sets), schema, k=1.0)
         assert report.n_users == 20
         assert 0.0 <= report.fs_at_k <= 1.0
         assert report.coverage >= report.fs_at_k
@@ -410,23 +466,23 @@ class TestComputeReport:
             return min_cost(members, owners, population)
 
         monkeypatch.setattr(evaluate, "min_cost", counting_min_cost)
-        compute_report(users, sets, schema, k=1.0)
+        compute_report(users, *valid_of(sets), schema, k=1.0)
         assert len(calls) == 1
         members, owners, population = calls[0]
         assert population is users
-        want = [(u, tuple(m)) for u, s in enumerate(sets)
-                for m in s.members[s.validity].tolist()]
+        want = [(u, tuple(m)) for u, (members, validity) in enumerate(sets)
+                for m in members[validity].tolist()]
         assert list(zip(owners.tolist(), map(tuple, members.tolist()))) == want
         assert len(want) > len(sets)
 
     def test_subgroups_are_slices_of_the_cost_vector(self, adult_population):
         schema, states, users, sets = adult_population
         k = 1.0
-        report = compute_report(users, sets, schema, k=k)
+        report = compute_report(users, *valid_of(sets), schema, k=k)
         costs = np.array([
             min((transition_cost(state, tuple(m), users, u)
-                 for m in s.members[s.validity].tolist()), default=INF)
-            for u, (state, s) in enumerate(zip(states, sets))
+                 for m in members[validity].tolist()), default=INF)
+            for u, (state, (members, validity)) in enumerate(zip(states, sets))
         ])
         assert INF in costs and (costs < k).any() and (costs >= k).any()
         assert report.fs_at_k == fs_at_k(costs, k)
@@ -470,8 +526,8 @@ class TestReportTables:
 
     def test_metric_names_list_a_full_table_in_row_order(self, adult_population):
         schema, states, users, sets = adult_population
-        table = compute_report(users, sets, schema, k=1.0).table
-        shared = set_metrics(states, sets, schema)
+        table = compute_report(users, *valid_of(sets), schema, k=1.0).table
+        shared = set_metrics(state_codes(states), *stacked(sets), schema)
         order = metric_names(schema, 1.0)
         assert set(table) | set(shared) <= set(order)
         assert [name for name in order if name in table] == list(table)
@@ -493,7 +549,7 @@ class TestReportTables:
 
     def test_table_names_in_row_order(self, adult_population):
         schema, _, users, sets = adult_population
-        report = compute_report(users, sets, schema, k=1.0)
+        report = compute_report(users, *valid_of(sets), schema, k=1.0)
         table = report.table
         names = metric_names(schema, 1.0)
         assert names[:8] == ["fs_at_1", "pac", "pac_uncovered", "coverage",
@@ -523,11 +579,16 @@ class TestReportTables:
 
     def test_set_metrics_are_means_of_distance_metrics(self, adult_population):
         schema, states, _, sets = adult_population
-        dists = [distance_metrics(state, s, schema) for state, s in zip(states, sets)]
-        shared = set_metrics(states, sets, schema)
+        dists = [distance_metrics(state.values, *s, schema) for state, s in zip(states, sets)]
+        shared = set_metrics(state_codes(states), *stacked(sets), schema)
         assert list(shared) == ["diversity", "proximity", "sparsity", "validity"]
         for i, value in enumerate(shared.values()):
             assert value == float(np.mean([d[i] for d in dists]))
+        # Owners need not come in order: users last to first, each set kept in order.
+        members, owners, validity = stacked(sets)
+        back = np.argsort(-owners, kind="stable")
+        assert set_metrics(state_codes(states), members[back], owners[back], validity[back],
+                           schema) == shared
 
 
 def recode(f, v):

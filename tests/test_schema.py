@@ -97,6 +97,25 @@ class TestLoadSchema:
             load_schema(path)
         assert str(info.value) == f"schema document {path}: {message}"
 
+    @pytest.mark.parametrize("domain, shown", [
+        ("[0, 1.7, 3]", "1.7"),
+        ("{min: 0, max: 2.9}", "2.9"),
+        ("{min: 0.0, max: 2}", "0.0"),
+        ("[true, false]", "True"),
+        ("{min: false, max: 2}", "False"),
+        ("[0, '1']", "'1'"),
+    ], ids=["float_value", "float_range_end", "float_range_start", "bool_values",
+            "bool_range_end", "string_value"])
+    def test_non_integer_domain_names_file_and_feature(self, tmp_path, domain, shown):
+        """A domain value or range end that is not a YAML integer is refused,
+        never truncated to one."""
+        path = tmp_path / "schema.yaml"
+        path.write_text(f"features:\n  - {{name: tier, domain: {domain}}}\n")
+        with pytest.raises(SchemaError) as info:
+            load_schema(path)
+        assert str(info.value) == (f"schema document {path}: feature 'tier': "
+                                   f"domain value {shown} is not an integer")
+
     def test_parse_error(self, tmp_path):
         path = tmp_path / "schema.yaml"
         path.write_text("features: [\n")

@@ -13,7 +13,6 @@ from recourse.search import (
     HAMMING,
     METHODS,
     GenerationSettings,
-    RecourseSet,
     _lockstep,
     _refresh,
     _Workspace,
@@ -410,7 +409,7 @@ class TestScreen:
         res = pcols(s_u, clf, samples, schema, config)
 
         assert res.trace == plain.trace
-        assert np.array_equal(res.recourse_set.members, plain.recourse_set.members)
+        assert np.array_equal(res.members, plain.members)
         for round_ in rounds:
             assert round_["positive"] == round_["swapped"]
             assert round_["evaluated"] >= len(round_["swapped"])
@@ -429,8 +428,7 @@ def priced(positions, valid, samples):
 
 def result_costs(res, samples):
     """The re-priced (N, M) costs of a search result's members."""
-    rs = res.recourse_set
-    return priced(samples.schema.positions(rs.members), rs.validity, samples)
+    return priced(samples.schema.positions(res.members), res.validity, samples)
 
 
 def two_mutable_schema():
@@ -709,9 +707,9 @@ class TestCols:
         samples = sample_cost_batch(s_u, schema, table, 30, seed=2)
         config = GenerationSettings(budget=300, set_size=5, seed=2)
         res = cols(s_u, clf, samples, schema, config)
-        codes = np.asarray(res.recourse_set.members, dtype=float)
+        codes = np.asarray(res.members, dtype=float)
         model_says = clf.prob(codes) >= 0.5
-        assert list(model_says) == list(res.recourse_set.validity)
+        assert list(model_says) == list(res.validity)
 
     def test_deterministic(self, synth6):
         schema, rows, _, table, clf = synth6
@@ -720,7 +718,7 @@ class TestCols:
         config = GenerationSettings(budget=300, set_size=5, seed=3)
         a = cols(s_u, clf, samples, schema, config)
         b = cols(s_u, clf, samples, schema, config)
-        assert np.array_equal(a.recourse_set.members, b.recourse_set.members)
+        assert np.array_equal(a.members, b.members)
         assert a.trace == b.trace
 
     def test_budget_smaller_than_set_rejected(self, synth6):
@@ -739,7 +737,7 @@ class TestPcols:
         config = GenerationSettings(budget=400, set_size=5, restarts=1, seed=4)
         a = pcols(s_u, clf, samples, schema, config)
         b = cols(s_u, clf, samples, schema, config)
-        assert np.array_equal(a.recourse_set.members, b.recourse_set.members)
+        assert np.array_equal(a.members, b.members)
         assert a.emc == b.emc
 
     def test_cols_ignores_restarts(self, synth6):
@@ -752,8 +750,8 @@ class TestPcols:
         b = pcols(s_u, clf, samples, schema,
                   GenerationSettings(budget=400, set_size=5, restarts=1, seed=8),
                   user_key=3)
-        assert np.array_equal(a.recourse_set.members, b.recourse_set.members)
-        assert np.array_equal(a.recourse_set.validity, b.recourse_set.validity)
+        assert np.array_equal(a.members, b.members)
+        assert np.array_equal(a.validity, b.validity)
         assert np.array_equal(result_costs(a, samples), result_costs(b, samples))
         assert a.trace == b.trace
         assert a.queries_used == b.queries_used == 400
@@ -852,9 +850,9 @@ class TestLockstep:
             assert res.queries_used == meter.used
             winners.append(win)
             members, valid, costs, trace, _ = runs[win]
-            assert np.array_equal(res.recourse_set.members,
+            assert np.array_equal(res.members,
                                   schema.codes(members))
-            assert np.array_equal(res.recourse_set.validity, valid)
+            assert np.array_equal(res.validity, valid)
             assert res.trace == trace
             assert np.array_equal(result_costs(res, samples), costs)
             if any(winners) and user >= 3:
@@ -947,8 +945,8 @@ class TestTracedNames:
             monkeypatch.setattr(search_module, name, fn)
         res = pcols(s_u, clf, samples, schema, config)
 
-        assert np.array_equal(res.recourse_set.members, plain.recourse_set.members)
-        assert np.array_equal(res.recourse_set.validity, plain.recourse_set.validity)
+        assert np.array_equal(res.members, plain.members)
+        assert np.array_equal(res.validity, plain.validity)
         assert res.trace == plain.trace
         assert seen["queried"] == seen["priced"] == res.queries_used
         assert len(seen["selects"]) == len(seen["benefits"])
@@ -1010,7 +1008,7 @@ class TestLocalSearch:
                                       seed=10)
         res = local_search(s_u, clf, samples, schema, settings)
         if res.trace[-1] < math.inf:
-            assert any(res.recourse_set.validity)
+            assert any(res.validity)
 
 
 class TestGenerationSettings:
@@ -1112,7 +1110,6 @@ class TestPairedDirections:
 
     def test_diversity_objective_yields_more_diverse_sets(self, synth6):
         from recourse.evaluate import distance_metrics
-        from recourse.schema import UserState
 
         schema, rows, *_ = synth6
         gaps = []
@@ -1123,16 +1120,16 @@ class TestPairedDirections:
             }
             divs = {}
             for obj, doc in docs.items():
-                rs = RecourseSet(np.array(doc.members), np.array(doc.validity))
                 divs[obj] = distance_metrics(
-                    UserState(tuple(doc.state)), rs, schema
+                    np.array(doc.state), np.array(doc.members), np.array(doc.validity),
+                    schema,
                 )[0]
             gaps.append(divs["diversity"] - divs["emc"])
         assert np.mean(gaps) > 0
 
     def test_random_search_satisfies_fewer_users(self, synth6):
         from recourse.cost import min_cost
-        from recourse.evaluate import simulate_user, valid_members
+        from recourse.evaluate import simulate_user
         from recourse.schema import UserState
 
         schema, rows, _, table, clf = synth6
@@ -1144,8 +1141,10 @@ class TestPairedDirections:
                     UserState(tuple(doc.state)), schema, table,
                     test_seed=31337, user_id=seed,
                 )
-                rs = RecourseSet(np.array(doc.members), np.array(doc.validity))
-                hits[method] += min_cost(*valid_members([rs]), user)[0] < 1.0
+                valid = np.array(doc.validity)
+                members = np.array(doc.members)[valid]
+                hits[method] += min_cost(members, np.zeros(len(members), np.intp),
+                                         user)[0] < 1.0
         assert hits["cols"] > hits["random"]
 
 
@@ -1168,10 +1167,32 @@ class TestValidityChanneling:
             rng = stream_rng(SEARCH_STREAM, seed, 0, 0)
             init = perturb_once(ws, np.tile(ws.user_idx, (1, 8, 1)), [rng])[0]
             init_rows = {tuple(r) for r in schema.codes(init).tolist()}
-            for member, ok in zip(res.recourse_set.members,
-                                  res.recourse_set.validity):
+            for member, ok in zip(res.members, res.validity):
                 if not ok:
                     assert tuple(member.tolist()) in init_rows
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_every_method_returns_its_set_as_two_arrays(synth6, monkeypatch, method):
+    """Through `run_user`, every method's result holds (N, d) int64 member
+    codes and (N,) bool validity flags, which its document lists."""
+    from recourse import results
+
+    schema, rows, _, table, clf = synth6
+    seen = []
+    for name in ("cols", "pcols", "random_search", "local_search"):
+        def recording(*args, _search=getattr(results, name), **kwargs):
+            seen.append(_search(*args, **kwargs))
+            return seen[-1]
+
+        monkeypatch.setattr(results, name, recording)
+    settings = GenerationSettings(method=method, budget=60, set_size=4, num_samples=10,
+                                  restarts=2, seed=1)
+    doc, _ = results.run_user(3, rows[0], clf, schema, table, settings)
+    (res,) = seen
+    assert res.members.dtype == np.int64 and res.members.shape == (4, schema.n_features)
+    assert res.validity.dtype == bool and res.validity.shape == (4,)
+    assert (doc.members, doc.validity) == (res.members.tolist(), res.validity.tolist())
 
 
 class TestMonotonicityUnderSwaps:
