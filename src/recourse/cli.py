@@ -263,7 +263,10 @@ def _check_docs(docs, schema: DatasetSchema, path: str) -> None:
             for flag in doc.validity:
                 if type(flag) is not bool:
                     raise ValueError(f"validity flag {flag!r} is not true or false")
-            xp.doc_arrays([doc], schema)
+            if not doc.members:
+                raise ValueError("recourse set must have at least one member")
+            if len(doc.members) != len(doc.validity):
+                raise ValueError("one validity flag per member required")
         except (TypeError, ValueError) as exc:
             raise SchemaError(f"{path}: document {n}: {exc}") from None
 

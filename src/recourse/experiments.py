@@ -34,7 +34,7 @@ from .evaluate import (
 )
 from .model import BudgetMeter, Classifier, predict_batch
 from .results import GenerationSettings, ResultDoc, run_population, run_user
-from .schema import DatasetSchema, PercentileTable, UserState
+from .schema import DatasetSchema, PercentileTable, SchemaError, UserState
 
 EXPERIMENT_KINDS = (
     "main",
@@ -147,13 +147,21 @@ def doc_arrays(
     """The documents as arrays: their (U, d) state codes, every member's
     codes stacked as (P, d) in document order, and per member the index of
     its document and its validity flag. A document with no member, or
-    without one flag per member, is refused, and so is a state outside the
-    schema, with the SchemaError of `DatasetSchema.positions`."""
-    for doc in docs:
+    without one flag per member, is refused. So is a state or member of
+    the wrong width, with a SchemaError naming the document, and a state
+    outside the schema, with the SchemaError of `DatasetSchema.positions`."""
+    d = schema.n_features
+    for i, doc in enumerate(docs):
         if not doc.members:
             raise ValueError("recourse set must have at least one member")
         if len(doc.members) != len(doc.validity):
             raise ValueError("one validity flag per member required")
+        widths = [len(doc.state), *map(len, doc.members)]
+        if widths.count(d) != len(widths):
+            j = next(j for j, n in enumerate(widths) if n != d)
+            what = f"member {j - 1}" if j else "state"
+            raise SchemaError(f"document {i} (user_id {doc.user_id}): {what} has "
+                              f"{widths[j]} values, schema has {d}")
     states = np.array([doc.state for doc in docs], dtype=np.int64)
     schema.positions(states)
     members = np.array([m for doc in docs for m in doc.members], dtype=np.int64)

@@ -8,9 +8,12 @@ documentation only. Feasibility of a transition is always judged against
 the user's original state, never against an intermediate candidate.
 Cost tables, search moves and percentile counts work in domain positions
 (a code's index in its feature's `domain`), mapped to and from codes by
-`DatasetSchema.positions` and `codes` alone. A `PercentileTable` holds the
-per-dataset part of cost sampling: CDFs and every (feature, origin) move,
-as flat arrays indexed by (origin row, target row).
+`DatasetSchema.positions` and `codes` alone. `positions` reads one lookup
+table laid over every feature's code range min(D)..max(D), -1 marking a
+code in the range but not the domain, so a schema refuses a feature
+whose range holds more than `MAX_GAPS` such codes. A `PercentileTable`
+holds the per-dataset part of cost sampling: CDFs and every (feature,
+origin) move, as flat arrays indexed by (origin row, target row).
 """
 
 from __future__ import annotations
@@ -24,6 +27,8 @@ import yaml
 
 KINDS = ("ordered", "unordered")
 MUTABILITIES = ("mutable", "increase_only", "decrease_only", "immutable")
+# The most codes a feature's range min(D)..max(D) may hold outside its domain.
+MAX_GAPS = 2**16
 
 
 class SchemaError(ValueError):
@@ -92,16 +97,28 @@ class DatasetSchema:
             if attr not in names:
                 raise SchemaError(f"protected attribute {attr!r} is not a feature")
         object.__setattr__(self, "_by_name", {n: i for i, n in enumerate(names)})
-        # Row f lists feature f's domain, padded with its first code: a padded
-        # cell repeats position 0, so a code's first match is its position.
-        width = max((f.size for f in self.features), default=1)
-        pad = [f.domain + f.domain[:1] * (width - f.size) for f in self.features]
-        domains = np.array(pad, dtype=np.int64).reshape(len(names), width)
-        domains.setflags(write=False)
-        object.__setattr__(self, "_domains", domains)
+        # Cost-table row offsets[f] + j holds feature f's code at position j.
+        values = np.array([v for f in self.features for v in f.domain], dtype=np.int64)
+        # Feature f's codes min(D_f)..max(D_f) own table entries base[f] on,
+        # each holding the code's position, -1 for a code outside D_f; the
+        # last entry is a -1 that every code outside its range reads.
+        low = [min(f.domain) for f in self.features]
+        span = [max(f.domain) - lo + 1 for f, lo in zip(self.features, low)]
+        for f, lo, n in zip(self.features, low, span):
+            if n - f.size > MAX_GAPS:
+                raise SchemaError(f"feature {f.name!r}: code range {lo}..{lo + n - 1} "
+                                  f"holds {n - f.size} codes outside its domain, "
+                                  f"more than {MAX_GAPS}")
+        base = np.cumsum([0, *span]).astype(np.intp)
+        lookup = np.full(base[-1] + 1, -1, dtype=np.intp)
+        for f, lo, b in zip(self.features, low, base):
+            lookup[b + np.array(f.domain, dtype=np.int64) - lo] = np.arange(f.size)
         offsets = np.cumsum([0, *(f.size for f in self.features)]).astype(np.intp)
-        offsets.setflags(write=False)
-        object.__setattr__(self, "offsets", offsets)
+        for name, arr in (("_values", values), ("_low", np.array(low, dtype=np.int64)),
+                          ("_span", np.array(span, dtype=np.uint64)), ("_base", base[:-1]),
+                          ("_lookup", lookup), ("offsets", offsets)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -119,21 +136,30 @@ class DatasetSchema:
 
     def codes(self, positions) -> np.ndarray:
         """int64 feature codes of (..., d) domain positions."""
-        return self._domains[np.arange(self.n_features), positions]
+        return self._values.take(self.offsets[:-1] + positions)
 
     def positions(self, codes) -> np.ndarray:
         """Domain positions of (..., d) feature codes, the inverse of
-        `codes`. A code outside its feature's domain raises the SchemaError
-        `UserState.validate` gives for it."""
+        `codes`, by one gather from the lookup table: a code inside its
+        feature's range reads its position there, or -1 for a gap, and a
+        code outside the range reads the table's final -1. The table stays
+        small because a range with more than `MAX_GAPS` gaps is refused
+        when the schema is built. A code outside its feature's domain
+        raises the SchemaError `UserState.validate` gives for it."""
         codes = np.asarray(codes, dtype=np.int64)
         if codes.shape[-1:] != (self.n_features,):
             raise SchemaError(f"codes of shape {codes.shape} are not rows of "
                               f"{self.n_features} features")
-        hit = codes[..., None] == self._domains
-        found = hit.any(axis=-1)
+        at = codes - self._low
+        # 0 <= at < span in one compare: a negative `at` is huge as uint64.
+        outside = at.view(np.uint64) >= self._span
+        at += self._base
+        at[outside] = -1
+        pos = self._lookup.take(at)
+        found = pos >= 0
         if not found.all():
             UserState(codes[~found.all(axis=-1)][0]).validate(self)
-        return hit.argmax(axis=-1)
+        return pos
 
     def mutable_indices(self) -> list[int]:
         """Indices of features that may move at all (includes conditional)."""

@@ -688,6 +688,28 @@ class TestEvaluate:
             rows(tmp_path / "two" / "metrics_cols_seed901.csv")
             + rows(tmp_path / "two" / "metrics_random_seed901.csv")[1:])
 
+    def test_each_method_group_becomes_arrays_once(
+        self, workdir, generated, tmp_path, monkeypatch
+    ):
+        """Checking a file's documents builds no arrays: `recourse evaluate`
+        on a file of two methods calls `doc_arrays` once per method group,
+        on exactly that group's documents."""
+        import recourse.experiments as xp
+
+        calls = []
+
+        def counting_arrays(docs, schema):
+            calls.append([(doc.method, doc.user_id) for doc in docs])
+            return doc_arrays(docs, schema)
+
+        docs = read_results(generated / "results_cols.jsonl")[:4]
+        docs[1::2] = [replace(doc, method="random") for doc in docs[1::2]]
+        write_results(docs, tmp_path / "mixed.jsonl")
+        monkeypatch.setattr(xp, "doc_arrays", counting_arrays)
+        assert self._evaluate(workdir, str(tmp_path / "mixed.jsonl"), tmp_path / "out") == 0
+        assert calls == [[(doc.method, doc.user_id) for doc in docs[0::2]],
+                         [(doc.method, doc.user_id) for doc in docs[1::2]]]
+
 
     def test_set_metrics_measured_once_per_document(
         self, workdir, generated, tmp_path, monkeypatch

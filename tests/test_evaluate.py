@@ -113,6 +113,20 @@ class TestDocArrays:
         with pytest.raises(error, match=message):
             doc_arrays([good, doc], self.SCHEMA)
 
+    @pytest.mark.parametrize("state, members, what", [
+        ((0, 5), [(1, 5), (2,)], "member 1 has 1 values"),
+        ((0, 5), [(1, 5, 7)], "member 0 has 3 values"),
+        ((0,), [(1, 5)], "state has 1 values"),
+    ], ids=["short_member", "long_member", "short_state"])
+    def test_refuses_a_row_of_the_wrong_width(self, state, members, what):
+        """A state or member of the wrong width is refused before numpy
+        sees it, naming the document by its index and user id."""
+        good = result_doc((1, 7), [(2, 7)], [True])
+        bad = replace(result_doc(state, members, [True] * len(members)), user_id=7)
+        with pytest.raises(SchemaError) as info:
+            doc_arrays([good, bad], self.SCHEMA)
+        assert str(info.value) == f"document 1 (user_id 7): {what}, schema has 2"
+
 
 class TestRealizedCost:
     def test_reads_the_pointed_transition(self):

@@ -116,6 +116,24 @@ class TestLoadSchema:
         assert str(info.value) == (f"schema document {path}: feature 'tier': "
                                    f"domain value {shown} is not an integer")
 
+    def test_sparse_code_range_names_file_feature_and_range(self, tmp_path):
+        """A domain whose code range holds more than 2**16 codes outside it
+        is refused: positions are looked up in a table over the range."""
+        path = tmp_path / "schema.yaml"
+        path.write_text("features:\n  - {name: a, domain: [0, 1]}\n"
+                        "  - {name: income, domain: [0, 1000000000000]}\n")
+        with pytest.raises(SchemaError) as info:
+            load_schema(path)
+        assert str(info.value) == (
+            f"schema document {path}: feature 'income': code range 0..1000000000000 "
+            f"holds 999999999999 codes outside its domain, more than 65536")
+
+    def test_dense_range_of_any_size_loads(self, tmp_path):
+        path = tmp_path / "schema.yaml"
+        path.write_text("features:\n  - {name: id, domain: {min: -5, max: 199994}}\n")
+        schema = load_schema(path)
+        assert schema.positions([[-5], [199994]]).tolist() == [[0], [199999]]
+
     def test_parse_error(self, tmp_path):
         path = tmp_path / "schema.yaml"
         path.write_text("features: [\n")
@@ -150,6 +168,18 @@ class TestFeatureSpecInvariants:
                 features=(FeatureSpec("a", "ordered", (0, 1)),),
                 protected_attributes=("ghost",),
             )
+
+    def test_code_range_with_too_many_gaps_refused(self):
+        """At most 2**16 codes of a feature's range may lie outside its
+        domain, however they are spread."""
+        at_limit = FeatureSpec("f", "unordered", (0, 2**16 + 1))
+        assert DatasetSchema(features=(at_limit,)).positions([[2**16 + 1]]).tolist() == [[1]]
+        for domain in ((0, 2**16 + 2), (-(2**16), 2, 3)):
+            with pytest.raises(SchemaError, match=(
+                    f"feature 'f': code range {min(domain)}..{max(domain)} holds "
+                    f"{max(domain) - min(domain) + 1 - len(domain)} codes outside its "
+                    f"domain, more than 65536")):
+                DatasetSchema(features=(FeatureSpec("f", "unordered", domain),))
 
 
 class TestDataset:
@@ -326,6 +356,29 @@ SCHEMAS = {
     "unsorted": unsorted_schema,
 }
 
+def sparse_schema():
+    """Domains with negative codes and gaps inside their ranges."""
+    return DatasetSchema(
+        features=(
+            FeatureSpec("gappy", "unordered", (-7, 0, 40)),
+            FeatureSpec("far", "ordered", (3, 1000)),
+        )
+    )
+
+
+def cube_positions(schema, codes):
+    """The compare-cube definition of `positions`: each code against every
+    value of its feature's domain, padded with the first value; a code's
+    position is its first match. Also returns which codes match at all."""
+    width = max(f.size for f in schema.features)
+    domains = np.array([f.domain + f.domain[:1] * (width - f.size)
+                        for f in schema.features], dtype=np.int64)
+    hit = codes[..., None] == domains
+    return hit.argmax(axis=-1), hit.any(axis=-1)
+
+
+I64 = 2**63 - 1
+
 
 class TestDomainPositions:
     @pytest.mark.parametrize("name", sorted(SCHEMAS))
@@ -341,6 +394,40 @@ class TestDomainPositions:
         assert codes.reshape(-1, len(sizes)).tolist() == want
         assert np.array_equal(schema.positions(codes), pos)
         assert np.array_equal(schema.positions(codes[0, 0]), pos[0, 0])
+
+    @pytest.mark.parametrize("name", sorted({**SCHEMAS, "sparse": sparse_schema}))
+    def test_lookup_matches_compare_cube(self, name):
+        """Random codes, some replaced by codes in a gap, just below or
+        above the range, or at +-(2**63 - 1): found codes read the cube's
+        positions as intp, and a row with a code outside its domain raises
+        what `UserState.validate` raises on the first such row."""
+        schema = {**SCHEMAS, "sparse": sparse_schema}[name]()
+        d = schema.n_features
+        bad = [[min(f.domain) - 1, max(f.domain) + 1, I64, -I64,
+                *sorted(set(range(min(f.domain), max(f.domain))) - set(f.domain))[:3]]
+               for f in schema.features]
+        assert any(len(b) > 4 for b in bad) == (name in ("unsorted", "sparse"))
+        rng = np.random.default_rng(3)
+        for shape in ((7, 40), ()):
+            pos = np.stack([rng.integers(f.size, size=shape) for f in schema.features], -1)
+            codes = schema.codes(pos)
+            got = schema.positions(codes)
+            want, found = cube_positions(schema, codes)
+            assert found.all() and got.dtype == np.intp
+            assert np.array_equal(got, want)
+            for _ in range(20):
+                mixed = codes.copy()
+                flat = mixed.reshape(-1, d)
+                for _ in range(rng.integers(1, 4)):
+                    r, f = rng.integers(len(flat)), rng.integers(d)
+                    flat[r, f] = rng.choice(bad[f])
+                _, found = cube_positions(schema, mixed)
+                first = flat[~found.reshape(-1, d).all(axis=-1)][0]
+                with pytest.raises(SchemaError) as want_error:
+                    UserState(tuple(first)).validate(schema)
+                with pytest.raises(SchemaError) as got_error:
+                    schema.positions(mixed)
+                assert str(got_error.value) == str(want_error.value)
 
     def test_unsorted_domain_positions(self):
         schema = unsorted_schema()
