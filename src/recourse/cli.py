@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from itertools import chain
 
 import numpy as np
 
@@ -240,12 +241,35 @@ def _resolve_result_files(raw: str) -> list[str]:
     return files
 
 
+def _well_formed(docs, schema: DatasetSchema) -> bool:
+    """Whether every document passes `_check_docs`: the types of its ids,
+    method, codes and flags, its row widths and counts, and every code's
+    domain in one `positions` call over the file's rows stacked."""
+    d = schema.n_features
+    try:
+        rows = [row for doc in docs for row in (doc.state, *doc.members)]
+        flags = chain.from_iterable(doc.validity for doc in docs)
+        if (set(map(len, rows)) - {d} or set(map(type, chain.from_iterable(rows))) - {int}
+                or set(map(type, flags)) - {bool}):
+            return False
+        schema.positions(np.fromiter(chain.from_iterable(rows), np.int64, len(rows) * d)
+                         .reshape(len(rows), d))
+    except (TypeError, ValueError, OverflowError):
+        return False
+    return all(type(doc.user_id) is int and doc.user_id >= 0 and type(doc.seed) is int
+               and doc.seed >= 0 and type(doc.method) is str and doc.method and doc.members
+               and len(doc.members) == len(doc.validity) for doc in docs)
+
+
 def _check_docs(docs, schema: DatasetSchema, path: str) -> None:
     """Each document has a non-negative integer user id and seed, a method
     named by a non-empty string (only a label: names of older versions
     pass), its state and members as integer codes in the schema's domains,
     at least one member and one boolean validity flag per member; errors
-    name the file, the document and the value."""
+    name the file, the document and the value. The whole file is checked
+    at once; the scan document by document only words the first error."""
+    if _well_formed(docs, schema):
+        return
     for n, doc in enumerate(docs, 1):
         try:
             for name in ("user_id", "seed"):

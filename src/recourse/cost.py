@@ -49,24 +49,30 @@ calls in this order and no others:
    reciprocal of its left-to-right sum (numpy's `dirichlet(ones(k))`); a
    row with no chosen feature (an empty pin) keeps zero preferences, and
    a zero-size draw leaves its generator where it was;
-3. unless alpha is fixed, `random(width)`;
-4. one `random((width, U))`, U the sum of 2 |D_f| over the unordered
-   movable features in index order, each feature's step-count means then
-   its percentile means by position (skipped when U is 0);
-5. one array `beta` over the chosen cells whose Beta exists, row by row,
-   each row's cells by feature and then by target.
+3. one `random(width * (1 + U))`, U the sum of 2 |D_f| over the
+   unordered movable features in index order: the row alphas, then per
+   row each such feature's step-count means and its percentile means by
+   position; without the alphas (`random(width * U)`) when alpha is fixed,
+   and skipped when nothing is left to draw. It reads the stream as
+   `random(width)` then `random((width, U))` do;
+4. the Betas of the chosen cells whose Beta exists, row by row, each
+   row's cells by feature and then by target: one `standard_gamma` over
+   their interleaved (a, b) shapes, each Beta the ratio Ga / (Ga + Gb),
+   or one array `beta` when a cell has both shapes at most 1.
 
 A call runs these steps phase by phase over all its blocks: every
 unpinned block's coins into one array, the redraws in (block, row) order,
-then per block its exponential, alpha and means draws, then per block its
+then per block its exponential and uniform draws, then per block its
 Betas. Each generator still makes exactly the calls above in that order,
 so the phases change no draw; that needs a generator per block, and a
 population refuses a generator shared by two states.
 
 The blend clip(alpha * (x * keep) + (1 - alpha) * (y * keep), 0, 1), keep
 = 1 - preference, is elementwise, so a cell without a Beta holds exactly
-the scalar blend. Beta cells use numpy's `beta`, never a ratio of gammas:
-with both shapes small, both gammas underflow and the ratio is NaN.
+the scalar blend. Each Beta holds exactly numpy's `beta` of its shapes,
+which draws Ga then Gb by `standard_gamma` and returns their ratio unless
+both shapes are at most 1. There numpy takes Johnk's algorithm, since both
+gammas can underflow and the ratio be NaN, so such a block keeps `beta`.
 
 Every price comes from `cost_rows`, which takes members as domain
 positions (`DatasetSchema.positions`), gathers each feature's table rows
@@ -184,6 +190,34 @@ def _check_inputs(
     return pins, pref
 
 
+def _betas(rngs: Sequence[np.random.Generator], shape_a: np.ndarray, shape_b: np.ndarray,
+           stop: np.ndarray) -> np.ndarray:
+    """Per block b, `rngs[b].beta(shape_a[lo:hi], shape_b[lo:hi])` over its
+    cells lo = stop[b - 1] (0 for the first block) to hi = stop[b], laid end
+    to end, bit for bit and with every generator left where `beta` leaves
+    it. Where a shape exceeds 1, numpy's `beta` draws Ga = standard_gamma(a)
+    then Gb = standard_gamma(b) and returns Ga / (Ga + Gb); so a block is
+    one `standard_gamma` call over its interleaved (a, b) shapes, and the
+    ratio one division over every block. A block holding a cell with both
+    shapes at most 1 (numpy's Johnk branch) keeps `beta`."""
+    shapes = np.stack((shape_a, shape_b), axis=1)
+    gammas = np.ones_like(shapes)  # a Johnk block's placeholder ratio stays finite
+    starts = np.concatenate(([0], stop[:-1]))
+    johnk = np.concatenate(([0], np.cumsum((shape_a <= 1.0) & (shape_b <= 1.0))))
+    blocks = zip(rngs, starts.tolist(), stop.tolist(), (johnk[stop] - johnk[starts]).tolist())
+    johnk_blocks = []
+    for rng, lo, hi, n_johnk in blocks:
+        if n_johnk:
+            johnk_blocks.append((rng, lo, hi))
+        elif lo < hi:
+            rng.standard_gamma(shapes[lo:hi], out=gammas[lo:hi])
+    ga, gb = gammas.T
+    out = ga / (ga + gb)
+    for rng, lo, hi in johnk_blocks:
+        out[lo:hi] = rng.beta(shape_a[lo:hi], shape_b[lo:hi])
+    return out
+
+
 def _sample_blocks(
     states: np.ndarray,
     schema: DatasetSchema,
@@ -229,16 +263,17 @@ def _sample_blocks(
         chosen[at_block, :, at_feature] = True
     counts = np.count_nonzero(chosen, axis=(1, 2)).tolist()
     exponentials = []
-    alphas = np.empty((len(rngs), width))
-    means = np.empty((len(rngs), width, u))
+    # Per block its alphas, unless fixed, then its means: one row of uniforms.
+    n_alpha = width if alpha is None else 0
+    uniforms = np.empty((len(rngs), n_alpha + width * u))
     for b, rng in enumerate(rngs):
         if pref is None:
             exponentials.append(rng.standard_exponential(counts[b]))
-        if alpha is None:
-            rng.random(out=alphas[b])
-        if u:
-            rng.random(out=means[b])
-    chosen, alphas, means = chosen.reshape(n, d), alphas.reshape(n), means.reshape(n, u)
+        if uniforms.shape[1]:
+            rng.random(out=uniforms[b])
+    chosen = chosen.reshape(n, d)
+    alphas = uniforms[:, :n_alpha].ravel() if alpha is None else np.full(n, alpha, dtype=float)
+    means = uniforms[:, n_alpha:].reshape(n, u)
     prefs = np.zeros((n, d))
     if pref is not None:
         prefs[:] = pref
@@ -246,8 +281,6 @@ def _sample_blocks(
         prefs[chosen] = np.concatenate(exponentials)
         some = chosen.any(axis=1)
         prefs[some] *= (1.0 / np.add.accumulate(prefs[some], axis=1)[:, -1])[:, None]
-    if alpha is not None:
-        alphas.fill(alpha)
 
     # Layout: per block, the cells of its state's moves, one per cost-table
     # row, kept to the rows (`cols`) of features that some sample chose and
@@ -275,12 +308,8 @@ def _sample_blocks(
     vals = np.where(live, mu, INF)
     drawn = live & (nu > 0.0)
     mu, nu = mu[drawn], nu[drawn]
-    shape_a, shape_b = mu * nu, (1.0 - mu) * nu
-    stop = np.cumsum(np.count_nonzero(drawn.reshape(len(rngs), -1), axis=1)).tolist()
-    vals[drawn] = np.concatenate([
-        rng.beta(shape_a[lo:hi], shape_b[lo:hi])
-        for rng, lo, hi in zip(rngs, [0, *stop], stop)
-    ])
+    stop = np.cumsum(np.count_nonzero(drawn.reshape(len(rngs), -1), axis=1))
+    vals[drawn] = _betas(rngs, mu * nu, (1.0 - mu) * nu, stop)
 
     cost_table = np.full((int(off[-1]), m), INF)
     cost_table[cols] = vals[:m].T

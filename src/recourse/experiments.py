@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field, replace
+from itertools import chain
 from typing import Optional, Sequence
 
 import numpy as np
@@ -141,6 +142,11 @@ def select_undesired(
     return [rows[i] for i in picked], picked
 
 
+def _stack(rows, n: int, d: int) -> np.ndarray:
+    """(n, d) int64 codes of n rows of d values each."""
+    return np.fromiter(chain.from_iterable(rows), np.int64, n * d).reshape(n, d)
+
+
 def doc_arrays(
     docs: Sequence[ResultDoc], schema: DatasetSchema
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -148,8 +154,8 @@ def doc_arrays(
     codes stacked as (P, d) in document order, and per member the index of
     its document and its validity flag. A document with no member, or
     without one flag per member, is refused. So is a state or member of
-    the wrong width, with a SchemaError naming the document, and a state
-    outside the schema, with the SchemaError of `DatasetSchema.positions`."""
+    the wrong width, or a state outside the schema, with a SchemaError
+    naming the document."""
     d = schema.n_features
     for i, doc in enumerate(docs):
         if not doc.members:
@@ -162,10 +168,18 @@ def doc_arrays(
             what = f"member {j - 1}" if j else "state"
             raise SchemaError(f"document {i} (user_id {doc.user_id}): {what} has "
                               f"{widths[j]} values, schema has {d}")
-    states = np.array([doc.state for doc in docs], dtype=np.int64)
-    schema.positions(states)
-    members = np.array([m for doc in docs for m in doc.members], dtype=np.int64)
-    owners = np.repeat(np.arange(len(docs)), [len(doc.members) for doc in docs])
+    states = _stack((doc.state for doc in docs), len(docs), d)
+    try:
+        schema.positions(states)
+    except SchemaError:
+        for i, (doc, state) in enumerate(zip(docs, states)):
+            try:
+                schema.positions(state)
+            except SchemaError as exc:
+                raise SchemaError(f"document {i} (user_id {doc.user_id}): {exc}") from None
+    sizes = [len(doc.members) for doc in docs]
+    members = _stack(chain.from_iterable(doc.members for doc in docs), sum(sizes), d)
+    owners = np.repeat(np.arange(len(docs)), sizes)
     validity = np.array([flag for doc in docs for flag in doc.validity], dtype=bool)
     return states, members, owners, validity
 

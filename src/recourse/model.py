@@ -261,11 +261,18 @@ def train_classifier(
     v_t = [np.zeros_like(p) for p in params]
     beta1, beta2, eps = 0.9, 0.999, 1e-8
 
+    # The hidden activations, and below the top layer the backward products
+    # and ReLU masks, live in buffers made once and rewritten every step.
+    acts = [xs, *(np.empty((len(xs), w.shape[1])) for w, _ in layers[:-1])]
+    back = [np.empty_like(h) for h in acts[1:]]
+    masks = [np.empty(h.shape, dtype=bool) for h in acts[1:]]
+
     for step in range(1, config.epochs + 1):
-        # Forward pass, keeping pre-activations for the backward sweep.
-        acts = [xs]
-        for w, b in layers[:-1]:
-            acts.append(np.maximum(acts[-1] @ w + b, 0.0))
+        # Forward pass, keeping the activations for the backward sweep.
+        for li, (w, b) in enumerate(layers[:-1]):
+            h = np.matmul(acts[li], w, out=acts[li + 1])
+            h += b
+            np.maximum(h, 0.0, out=h)
         w, b = layers[-1]
         z = (acts[-1] @ w + b).ravel()
         p = 1.0 / (1.0 + np.exp(-np.clip(z, -60.0, 60.0)))
@@ -277,7 +284,8 @@ def train_classifier(
             grads.insert(0, acts[li].T @ delta)
             grads.insert(1, delta.sum(axis=0))
             if li > 0:
-                delta = (delta @ w.T) * (acts[li] > 0.0)
+                delta = np.matmul(delta, w.T, out=back[li - 1])
+                delta *= np.greater(acts[li], 0.0, out=masks[li - 1])
 
         for i, (pm, g) in enumerate(zip(params, grads)):
             m_t[i] = beta1 * m_t[i] + (1 - beta1) * g

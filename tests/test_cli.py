@@ -584,6 +584,10 @@ class TestEvaluate:
          "value 4.7 of feature 'band' is not an integer code"),
         (lambda doc, band: doc.state.__setitem__(band, "3"),
          "value '3' of feature 'band' is not an integer code"),
+        (lambda doc, band: doc.members[1].__setitem__(band, True),
+         "value True of feature 'band' is not an integer code"),
+        (lambda doc, band: doc.state.__setitem__(band, 2**70),
+         f"value {2**70} not in domain of feature 'band'"),
         (lambda doc, band: doc.validity.__setitem__(0, "no"),
          "validity flag 'no' is not true or false"),
         (lambda doc, band: doc.validity.__setitem__(0, 1),
@@ -603,14 +607,15 @@ class TestEvaluate:
          "seed 'x' is not a non-negative integer"),
         (lambda doc, band: setattr(doc, "method", ["cols"]),
          "method ['cols'] is not a non-empty string"),
-    ], ids=["float_member_code", "string_state_code", "string_flag", "integer_flag",
+    ], ids=["float_member_code", "string_state_code", "boolean_member_code",
+            "state_code_beyond_int64", "string_flag", "integer_flag",
             "member_not_a_list", "float_user_id", "negative_user_id", "string_user_id",
             "boolean_user_id", "list_seed", "string_seed", "list_method"])
     def test_mistyped_value_names_file_document_and_value(
         self, workdir, generated, tmp_path, capsys, tamper, message
     ):
-        """A code that is not an integer, a flag that is not a boolean, a
-        member that is not a list, a user id or seed that is not a
+        """A code that is not an integer or lies beyond int64, a flag that
+        is not a boolean, a member that is not a list, a user id or seed that is not a
         non-negative integer or a method that is not a non-empty string
         exits 2 instead of being truncated, read as true or as another user
         or seed, or raising a traceback."""

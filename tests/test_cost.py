@@ -1045,6 +1045,40 @@ class TestDrawEquivalence:
             assert np.array(got).tobytes() == want.tobytes()
             assert new.random() == old.random()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_block_betas_are_one_beta_per_block(self):
+        """`_betas` equals one `beta` call per block, byte for byte, and
+        leaves each generator where that call leaves it: over blocks of
+        gamma cells alone, of Johnk cells (both shapes at most 1) alone and
+        of both, the (1, 1) Johnk cell and its gamma neighbours just above
+        1, and empty blocks first, between and last."""
+        grid = np.geomspace(1e-3, 3e3, 19)
+        shape_a, shape_b = (g.ravel() for g in np.meshgrid(grid, grid))
+        johnk = (shape_a <= 1.0) & (shape_b <= 1.0)
+        a_j, b_j, a_g, b_g = shape_a[johnk], shape_b[johnk], shape_a[~johnk], shape_b[~johnk]
+        above = np.nextafter(1.0, 2.0)
+        blocks = [
+            ([], []),
+            (a_g[:140], b_g[:140]),
+            (np.r_[a_g[140:200], a_j[:40]], np.r_[b_g[140:200], b_j[:40]]),
+            ([1.0], [1.0]),
+            ([1.0, above], [above, 1.0]),
+            ([], []),
+            (a_j[40:], b_j[40:]),
+            (a_g[200:], b_g[200:]),
+            ([], []),
+            ([], []),
+        ]
+        shape_a = np.concatenate([a for a, _ in blocks])
+        shape_b = np.concatenate([b for _, b in blocks])
+        stop = np.cumsum([len(a) for a, _ in blocks])
+        for seed in range(5):
+            old = [np.random.default_rng([seed, i]) for i in range(len(blocks))]
+            new = [np.random.default_rng([seed, i]) for i in range(len(blocks))]
+            want = np.concatenate([rng.beta(a, b) for rng, (a, b) in zip(old, blocks)])
+            assert cost._betas(new, shape_a, shape_b, stop).tobytes() == want.tobytes()
+            assert [rng.random() for rng in new] == [rng.random() for rng in old]
+
 
 class TestMinCostAndEmc:
     def _single_feature(self, costs):

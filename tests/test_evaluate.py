@@ -127,6 +127,13 @@ class TestDocArrays:
             doc_arrays([good, bad], self.SCHEMA)
         assert str(info.value) == f"document 1 (user_id 7): {what}, schema has 2"
 
+    def test_refuses_a_state_outside_the_schema_naming_the_document(self):
+        good = result_doc((1, 7), [(2, 7)], [True])
+        bad = replace(result_doc((0, 6), [(1, 5)], [True]), user_id=7)
+        with pytest.raises(SchemaError) as info:
+            doc_arrays([good, good, bad, bad], self.SCHEMA)
+        assert str(info.value) == "document 2 (user_id 7): value 6 not in domain of feature 'b'"
+
 
 class TestRealizedCost:
     def test_reads_the_pointed_transition(self):
