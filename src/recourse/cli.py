@@ -3,6 +3,10 @@
 Every run writes a manifest (flags, seeds, input-file hashes) next to its
 outputs so it can be reproduced byte for byte. Worker-pool size for
 per-user generation comes from the RECOURSE_WORKERS environment variable.
+`recourse evaluate` checks only the types in a result file (ids, seed,
+method, codes and flags); `experiments.doc_arrays` turns the file into
+arrays once and checks every document's shape and codes, and each method's
+documents are scored from slices of those arrays.
 """
 
 from __future__ import annotations
@@ -28,7 +32,6 @@ from .results import (
 from .schema import (
     DatasetSchema,
     SchemaError,
-    UserState,
     build_percentile_table,
     load_dataset,
     load_schema,
@@ -165,8 +168,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_io(p)
     _add_generation_flags(p)
     p.add_argument("--kind", choices=list(xp.EXPERIMENT_KINDS), required=True)
-    p.add_argument("--methods", default="cols,pcols,random")
-    p.add_argument("--seeds", default="0,1,2,3,4")
+    p.add_argument("--methods", default=None,
+                   help="comma list of methods (default per kind; ablation takes none)")
+    p.add_argument("--seeds", default=None, help="comma list of seeds (default per kind)")
     p.add_argument("--grid", default=None,
                    help="comma list overriding the sweep's default grid")
     p.add_argument("--test-seed", type=int, default=9001)
@@ -241,35 +245,13 @@ def _resolve_result_files(raw: str) -> list[str]:
     return files
 
 
-def _well_formed(docs, schema: DatasetSchema) -> bool:
-    """Whether every document passes `_check_docs`: the types of its ids,
-    method, codes and flags, its row widths and counts, and every code's
-    domain in one `positions` call over the file's rows stacked."""
-    d = schema.n_features
-    try:
-        rows = [row for doc in docs for row in (doc.state, *doc.members)]
-        flags = chain.from_iterable(doc.validity for doc in docs)
-        if (set(map(len, rows)) - {d} or set(map(type, chain.from_iterable(rows))) - {int}
-                or set(map(type, flags)) - {bool}):
-            return False
-        schema.positions(np.fromiter(chain.from_iterable(rows), np.int64, len(rows) * d)
-                         .reshape(len(rows), d))
-    except (TypeError, ValueError, OverflowError):
-        return False
-    return all(type(doc.user_id) is int and doc.user_id >= 0 and type(doc.seed) is int
-               and doc.seed >= 0 and type(doc.method) is str and doc.method and doc.members
-               and len(doc.members) == len(doc.validity) for doc in docs)
-
-
-def _check_docs(docs, schema: DatasetSchema, path: str) -> None:
+def _check_types(docs, schema: DatasetSchema, path: str) -> None:
     """Each document has a non-negative integer user id and seed, a method
     named by a non-empty string (only a label: names of older versions
-    pass), its state and members as integer codes in the schema's domains,
-    at least one member and one boolean validity flag per member; errors
-    name the file, the document and the value. The whole file is checked
-    at once; the scan document by document only words the first error."""
-    if _well_formed(docs, schema):
-        return
+    pass), integer codes and boolean validity flags; errors name the file,
+    the document and the value. Shapes and domains are left to
+    `doc_arrays`. A document's codes are checked as one set of types and
+    scanned one by one only when that fails."""
     for n, doc in enumerate(docs, 1):
         try:
             for name in ("user_id", "seed"):
@@ -278,19 +260,16 @@ def _check_docs(docs, schema: DatasetSchema, path: str) -> None:
                     raise ValueError(f"{name} {value!r} is not a non-negative integer")
             if type(doc.method) is not str or not doc.method:
                 raise ValueError(f"method {doc.method!r} is not a non-empty string")
-            for values in (doc.state, *doc.members):
-                for f, v in zip(schema.features, values):
-                    if type(v) is not int:
-                        raise ValueError(f"value {v!r} of feature {f.name!r} is not "
-                                         f"an integer code")
-                UserState(tuple(values)).validate(schema)
+            rows = (doc.state, *doc.members)
+            if set(map(type, chain.from_iterable(rows))) - {int}:
+                for values in rows:
+                    for f, v in zip(schema.features, values):
+                        if type(v) is not int:
+                            raise ValueError(f"value {v!r} of feature {f.name!r} is not "
+                                             f"an integer code")
             for flag in doc.validity:
                 if type(flag) is not bool:
                     raise ValueError(f"validity flag {flag!r} is not true or false")
-            if not doc.members:
-                raise ValueError("recourse set must have at least one member")
-            if len(doc.members) != len(doc.validity):
-                raise ValueError("one validity flag per member required")
         except (TypeError, ValueError) as exc:
             raise SchemaError(f"{path}: document {n}: {exc}") from None
 
@@ -319,7 +298,11 @@ def _cmd_evaluate(args) -> int:
     by_method: dict[str, list[dict]] = {}
     for tag, path in zip(tags, files):
         docs = read_results(path)
-        _check_docs(docs, schema, path)
+        _check_types(docs, schema, path)
+        try:
+            arrays = xp.doc_arrays(docs, schema)
+        except SchemaError as exc:
+            raise SchemaError(f"{path}: {exc}") from None
         gen_seeds = {doc.seed for doc in docs}
         for ts in test_seeds:
             if ts in gen_seeds:
@@ -328,8 +311,10 @@ def _cmd_evaluate(args) -> int:
                 )
         per_seed: list[list] = [[] for _ in test_seeds]
         for method in dict.fromkeys(doc.method for doc in docs):
-            group = [doc for doc in docs if doc.method == method]
-            tables = xp.score_docs(group, schema, table, test_seeds, args.k, alpha)
+            keep = np.array([doc.method == method for doc in docs])
+            ids = [doc.user_id for doc in docs if doc.method == method]
+            tables = xp.score_arrays(arrays.take(keep), ids, schema, table, test_seeds,
+                                     args.k, alpha)
             by_method.setdefault(method, []).extend(tables)
             for rows_of_seed, metrics in zip(per_seed, tables):
                 rows_of_seed.extend(xp.table_rows(method, metrics))
@@ -364,8 +349,9 @@ def _cmd_experiment(args) -> int:
     base = _generation_settings(args)
     spec = xp.ExperimentSpec(
         kind=args.kind,
-        seeds=_comma_list("--seeds", args.seeds, int),
-        methods=tuple(m.strip() for m in args.methods.split(",")),
+        seeds=None if args.seeds is None else _comma_list("--seeds", args.seeds, int),
+        methods=None if args.methods is None else tuple(
+            m.strip() for m in args.methods.split(",")),
         grid=grid,
         test_seed=args.test_seed,
         k=args.k,

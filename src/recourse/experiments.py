@@ -5,12 +5,13 @@ Every sweep runs the generation machinery in-process on a fixed user
 subset, evaluates against hidden cost functions keyed by a separate test
 seed, and emits plain CSV tables; rendering is left to external tools.
 
-Result documents become the arrays evaluation takes in `doc_arrays` alone.
-`score_docs` scores result documents as one flat table per test seed,
-measuring the metrics of the sets alone once. The mean of several runs
-(`mean_table`) averages each metric over the runs that define it, so a
-subgroup present in only some runs keeps its rows, in a given row order
-whatever the run order.
+Result documents become the arrays evaluation takes in `doc_arrays` alone,
+which is also the one check of their shape and codes; `DocArrays.take`
+slices out some documents' arrays. `score_arrays` scores documents as one
+flat table per test seed, measuring the metrics of the sets alone once.
+The mean of several runs (`mean_table`) averages each metric over the
+runs that define it, so a subgroup present in only some runs keeps its
+rows, in a given row order whatever the run order.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field, replace
 from itertools import chain
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -62,11 +63,22 @@ GRID_FIELDS = {
     "alpha_grid": "alpha",
 }
 
+# The methods a kind runs when given none (others: cols, pcols, random);
+# `ablation` runs its own and takes none.
+DEFAULT_METHODS = {
+    "ablation": ("ls:sparsity", "ls:proximity", "ls:diversity", "ls:emc", "cols"),
+    "alpha_grid": ("cols",),
+    "concentration_shift": ("cols",),
+}
+# What a kind reads only one of; seeds then default to 0 alone.
+READS_ONE = {"alpha_grid": ("methods",), "concentration_shift": ("methods", "seeds")}
+
+
 @dataclass
 class ExperimentSpec:
     kind: str
-    seeds: tuple[int, ...] = (0, 1, 2, 3, 4)
-    methods: tuple[str, ...] = ("cols", "pcols", "random")
+    seeds: Optional[tuple[int, ...]] = None  # None: the kind's default
+    methods: Optional[tuple[str, ...]] = None  # None: the kind's default
     grid: tuple = ()
     test_seed: int = 9001
     k: float = 1.0
@@ -87,6 +99,18 @@ class ExperimentSpec:
             self.grid = DEFAULT_GRIDS.get(self.kind, ())
         if self.kind in DEFAULT_GRIDS and not self.grid:
             raise ValueError(f"{self.kind} requires a non-empty grid")
+        if self.kind == "ablation" and self.methods is not None:
+            raise ValueError(f"experiment kind 'ablation' takes no methods; it runs "
+                             f"{', '.join(DEFAULT_METHODS['ablation'])}")
+        one = READS_ONE.get(self.kind, ())
+        if self.methods is None:
+            self.methods = DEFAULT_METHODS.get(self.kind, ("cols", "pcols", "random"))
+        if self.seeds is None:
+            self.seeds = (0,) if "seeds" in one else (0, 1, 2, 3, 4)
+        for name in one:
+            if len(getattr(self, name)) > 1:
+                raise ValueError(f"experiment kind {self.kind!r} reads one {name[:-1]}, "
+                                 f"got {len(getattr(self, name))}")
         if not self.seeds:
             raise ValueError("at least one seed required")
         for seed in self.seeds:
@@ -147,41 +171,65 @@ def _stack(rows, n: int, d: int) -> np.ndarray:
     return np.fromiter(chain.from_iterable(rows), np.int64, n * d).reshape(n, d)
 
 
-def doc_arrays(
-    docs: Sequence[ResultDoc], schema: DatasetSchema
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The documents as arrays: their (U, d) state codes, every member's
-    codes stacked as (P, d) in document order, and per member the index of
-    its document and its validity flag. A document with no member, or
-    without one flag per member, is refused. So is a state or member of
-    the wrong width, or a state outside the schema, with a SchemaError
-    naming the document."""
+class DocArrays(NamedTuple):
+    """Result documents as the arrays evaluation takes."""
+
+    states: np.ndarray  # (U, d) int64 state codes
+    members: np.ndarray  # (P, d) int64 member codes, stacked in document order
+    owners: np.ndarray  # (P,) the index of each member's document
+    validity: np.ndarray  # (P,) bool
+
+    def take(self, keep: np.ndarray) -> "DocArrays":
+        """The arrays of the documents a (U,) bool mask keeps, as
+        `doc_arrays` makes them of those documents alone."""
+        rows = keep[self.owners]
+        return DocArrays(self.states[keep], self.members[rows],
+                         (np.cumsum(keep) - 1)[self.owners[rows]], self.validity[rows])
+
+
+def doc_arrays(docs: Sequence[ResultDoc], schema: DatasetSchema) -> DocArrays:
+    """The documents as arrays, and the one check of a document's shape
+    and codes: each has at least one member and one validity flag per
+    member, and its state and members are rows of the schema's width
+    whose every code lies in its feature's domain, whatever the member's
+    flag. The whole batch is checked at once, by one `positions` call
+    over the states and one over the members; only when that fails are
+    the documents scanned one by one, to refuse the first bad one with a
+    SchemaError naming it by its 1-based position in `docs`."""
     d = schema.n_features
-    for i, doc in enumerate(docs):
-        if not doc.members:
-            raise ValueError("recourse set must have at least one member")
-        if len(doc.members) != len(doc.validity):
-            raise ValueError("one validity flag per member required")
-        widths = [len(doc.state), *map(len, doc.members)]
-        if widths.count(d) != len(widths):
-            j = next(j for j, n in enumerate(widths) if n != d)
-            what = f"member {j - 1}" if j else "state"
-            raise SchemaError(f"document {i} (user_id {doc.user_id}): {what} has "
-                              f"{widths[j]} values, schema has {d}")
-    states = _stack((doc.state for doc in docs), len(docs), d)
-    try:
-        schema.positions(states)
-    except SchemaError:
-        for i, (doc, state) in enumerate(zip(docs, states)):
-            try:
-                schema.positions(state)
-            except SchemaError as exc:
-                raise SchemaError(f"document {i} (user_id {doc.user_id}): {exc}") from None
     sizes = [len(doc.members) for doc in docs]
-    members = _stack(chain.from_iterable(doc.members for doc in docs), sum(sizes), d)
-    owners = np.repeat(np.arange(len(docs)), sizes)
-    validity = np.array([flag for doc in docs for flag in doc.validity], dtype=bool)
-    return states, members, owners, validity
+    states = [doc.state for doc in docs]
+    members = [m for doc in docs for m in doc.members]
+    try:
+        if (0 in sizes or sizes != [len(doc.validity) for doc in docs]
+                or {*map(len, states), *map(len, members)} - {d}):
+            raise SchemaError("a document is malformed")
+        arrays = DocArrays(
+            _stack(states, len(docs), d),
+            _stack(members, len(members), d),
+            np.repeat(np.arange(len(docs)), sizes),
+            np.fromiter(chain.from_iterable(doc.validity for doc in docs), bool,
+                        len(members)),
+        )
+        schema.positions(arrays.states)
+        schema.positions(arrays.members)
+    except (SchemaError, OverflowError):
+        for n, doc in enumerate(docs, 1):
+            rows = [doc.state, *doc.members]
+            try:
+                if not doc.members:
+                    raise SchemaError("recourse set must have at least one member")
+                if len(doc.members) != len(doc.validity):
+                    raise SchemaError("one validity flag per member required")
+                for j, row in enumerate(rows):
+                    if len(row) != d:
+                        what = f"member {j - 1}" if j else "state"
+                        raise SchemaError(f"{what} has {len(row)} values, schema has {d}")
+                schema.positions(rows)
+            except SchemaError as exc:
+                raise SchemaError(f"document {n}: {exc}") from None
+        raise
+    return arrays
 
 
 def evaluate_docs(
@@ -200,23 +248,32 @@ def evaluate_docs(
     return compute_report(users, members[validity], owners[validity], schema, k=k)
 
 
-def score_docs(docs: Sequence[ResultDoc], schema: DatasetSchema, table: PercentileTable,
-               test_seeds: Sequence[int], k: float,
-               test_alpha: Optional[float]) -> list[dict[str, Optional[float]]]:
-    """Per test seed, its hidden-cost metrics and the set metrics, measured
-    once, as a flat table in `metric_names` order (None: undefined). The
-    documents become arrays once for all seeds."""
-    states, members, owners, validity = doc_arrays(docs, schema)
+def score_arrays(arrays: DocArrays, user_ids: Sequence[int], schema: DatasetSchema,
+                 table: PercentileTable, test_seeds: Sequence[int], k: float,
+                 test_alpha: Optional[float]) -> list[dict[str, Optional[float]]]:
+    """Per test seed, the hidden-cost metrics of the documents `arrays`
+    holds, owned by `user_ids`, and their set metrics, measured once, as a
+    flat table in `metric_names` order (None: undefined)."""
+    states, members, owners, validity = arrays
     shared = set_metrics(states, members, owners, validity, schema)
-    ids = [doc.user_id for doc in docs]
     order = metric_names(schema, k)
     merged = [
-        {**compute_report(simulate_users(states, schema, table, seed, ids, alpha=test_alpha),
+        {**compute_report(simulate_users(states, schema, table, seed, user_ids,
+                                         alpha=test_alpha),
                           members[validity], owners[validity], schema, k=k).table,
          **shared}
         for seed in test_seeds
     ]
     return [{name: m[name] for name in order if name in m} for m in merged]
+
+
+def score_docs(docs: Sequence[ResultDoc], schema: DatasetSchema, table: PercentileTable,
+               test_seeds: Sequence[int], k: float,
+               test_alpha: Optional[float]) -> list[dict[str, Optional[float]]]:
+    """`score_arrays` of result documents, which become arrays once for
+    all seeds."""
+    return score_arrays(doc_arrays(docs, schema), [doc.user_id for doc in docs], schema,
+                        table, test_seeds, k, test_alpha)
 
 
 def mean_table(
@@ -269,13 +326,8 @@ def run_experiment(
     table: PercentileTable,
 ) -> tuple[list[str], list[list]]:
     """Dispatch one experiment; returns (csv header, csv rows)."""
-    if spec.kind == "main":
-        return _tabular_comparison(spec, states, user_ids, classifier, schema, table,
-                                   spec.methods)
-    if spec.kind == "ablation":
-        methods = ("ls:sparsity", "ls:proximity", "ls:diversity", "ls:emc", "cols")
-        return _tabular_comparison(spec, states, user_ids, classifier, schema, table,
-                                   methods)
+    if spec.kind in ("main", "ablation"):
+        return _tabular_comparison(spec, states, user_ids, classifier, schema, table)
     if spec.kind == "alpha_grid":
         return _alpha_grid(spec, states, user_ids, classifier, schema, table)
     if spec.kind == "concentration_shift":
@@ -283,18 +335,18 @@ def run_experiment(
     return _resource_sweep(spec, states, user_ids, classifier, schema, table)
 
 
-def _tabular_comparison(spec, states, user_ids, classifier, schema, table, methods):
+def _tabular_comparison(spec, states, user_ids, classifier, schema, table):
     header = ["seed", "method", "metric", "value"]
     rows: list[list] = []
-    tables: dict[str, list[dict]] = {m: [] for m in methods}
+    tables: dict[str, list[dict]] = {m: [] for m in spec.methods}
     for seed in spec.seeds:
-        for method in methods:
+        for method in spec.methods:
             settings = replace(spec.base, method=method, seed=seed)
             docs = run_population(states, classifier, schema, table, settings,
                                   user_ids=user_ids)
             tables[method] += score_docs(docs, schema, table, [spec.test_seed], spec.k, None)
             rows.extend([seed, *r] for r in table_rows(method, tables[method][-1]))
-    for method in methods:
+    for method in spec.methods:
         rows.extend(["mean", *r] for r in table_rows(method, mean_table(tables[method])))
     return header, rows
 

@@ -144,21 +144,30 @@ class DatasetSchema:
         feature's range reads its position there, or -1 for a gap, and a
         code outside the range reads the table's final -1. The table stays
         small because a range with more than `MAX_GAPS` gaps is refused
-        when the schema is built. A code outside its feature's domain
-        raises the SchemaError `UserState.validate` gives for it."""
-        codes = np.asarray(codes, dtype=np.int64)
-        if codes.shape[-1:] != (self.n_features,):
-            raise SchemaError(f"codes of shape {codes.shape} are not rows of "
+        when the schema is built. The first code outside its feature's
+        domain, in row-major order, raises a SchemaError naming it and the
+        feature; a Python int beyond int64 is outside every domain."""
+        try:
+            shown = codes = np.asarray(codes, dtype=np.int64)
+        except OverflowError:
+            shown, codes = np.asarray(codes, dtype=object), None
+        if shown.shape[-1:] != (self.n_features,):
+            raise SchemaError(f"codes of shape {shown.shape} are not rows of "
                               f"{self.n_features} features")
+        if codes is None:
+            fits = (shown >= -(2**63)) & (shown < 2**63)
+            codes = np.where(fits, shown, self._low - 1).astype(np.int64)
         at = codes - self._low
         # 0 <= at < span in one compare: a negative `at` is huge as uint64.
         outside = at.view(np.uint64) >= self._span
         at += self._base
         at[outside] = -1
         pos = self._lookup.take(at)
-        found = pos >= 0
-        if not found.all():
-            UserState(codes[~found.all(axis=-1)][0]).validate(self)
+        missing = pos.reshape(-1) < 0
+        if missing.any():
+            i = int(missing.argmax())
+            raise SchemaError(f"value {shown.reshape(-1)[i]} not in domain of feature "
+                              f"{self.features[i % self.n_features].name!r}")
         return pos
 
     def mutable_indices(self) -> list[int]:
@@ -176,18 +185,6 @@ class UserState:
 
     def __post_init__(self):
         object.__setattr__(self, "values", tuple(int(v) for v in self.values))
-
-    def validate(self, schema: DatasetSchema) -> "UserState":
-        if len(self.values) != schema.n_features:
-            raise SchemaError(
-                f"state has {len(self.values)} values, schema has {schema.n_features}"
-            )
-        for v, f in zip(self.values, schema.features):
-            if v not in f:
-                raise SchemaError(
-                    f"value {v} not in domain of feature {f.name!r}"
-                )
-        return self
 
 
 @dataclass(frozen=True)
@@ -370,7 +367,9 @@ def load_dataset(path, schema: DatasetSchema, label_column: Optional[str] = None
     The header must list exactly the schema's feature names (any order,
     each once), plus `label_column` when one is given; the result is then
     the pair (rows, labels) with one 0/1 label per row. Bad cells are
-    rejected with the file, their 1-based row index and their column name.
+    rejected with the file, their 1-based row index and their column name;
+    codes outside their domains are found by one `positions` call over
+    every row, after the cells are read.
     """
     columns = [*schema.names, *([label_column] if label_column else [])]
     with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -391,6 +390,7 @@ def load_dataset(path, schema: DatasetSchema, label_column: Optional[str] = None
             raise SchemaError(f"dataset {path}: unknown columns {sorted(extra)}")
         order = [header.index(n) for n in columns]
         rows: list[UserState] = []
+        linenos: list[int] = []
         labels: list[int] = []
         for lineno, cells in enumerate(reader, start=1):
             if not cells:
@@ -415,12 +415,18 @@ def load_dataset(path, schema: DatasetSchema, label_column: Optional[str] = None
                         f"{where}: label {label} in column {label_column!r} is not 0/1"
                     )
                 labels.append(label)
-            try:
-                rows.append(UserState(tuple(values)).validate(schema))
-            except SchemaError as exc:
-                raise SchemaError(f"{where}: {exc}") from None
+            rows.append(UserState(tuple(values)))
+            linenos.append(lineno)
     if not rows:
         raise SchemaError(f"dataset {path} has a header but no rows")
+    try:
+        schema.positions([row.values for row in rows])
+    except SchemaError:
+        for lineno, row in zip(linenos, rows):
+            try:
+                schema.positions(row.values)
+            except SchemaError as exc:
+                raise SchemaError(f"dataset {path} row {lineno}: {exc}") from None
     return (rows, labels) if label_column else rows
 
 

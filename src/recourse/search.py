@@ -284,11 +284,13 @@ def column_stats(best_costs: np.ndarray) -> ColumnStats:
     )
 
 
-def _refresh(stats: ColumnStats, costs: np.ndarray, restarts: np.ndarray) -> None:
+def _refresh(stats: ColumnStats, costs: np.ndarray, restarts: np.ndarray) -> ColumnStats:
     """Recompute in full, in place, the held statistics of the restarts
-    whose (N, M) tables in `costs` changed."""
-    for held, fresh in zip(stats, column_stats(costs[restarts])):
-        held[restarts] = fresh
+    whose (N, M) tables in `costs` changed; returns theirs alone."""
+    fresh = column_stats(costs[restarts])
+    for held, new in zip(stats, fresh):
+        held[restarts] = new
+    return fresh
 
 
 def compute_benefits(stats: ColumnStats, cand_costs: np.ndarray) -> np.ndarray:
@@ -413,8 +415,9 @@ def _lockstep(
         cand_costs = _priced_rows(cand, samples, cand_valid)
         # Greedy rounds. Each starts by screening out the restarts with no
         # candidate below a held column minimum, which cannot swap; after a
-        # swap only the restarts that swapped stay. While every restart is
-        # active the held statistics are used as they are.
+        # swap only the restarts that swapped stay, with the statistics
+        # `_refresh` computed for them. While every restart is active the
+        # held statistics are used as they are.
         active, sub_stats, sub_cand = everyone, stats, cand_costs
         swapped = False
         while True:
@@ -432,10 +435,10 @@ def _lockstep(
             members[r, p] = cand[r, q]
             valid[r, p] = cand_valid[r, q]
             costs[r, p] = cand_costs[r, q]
-            _refresh(stats, costs, r)
+            fresh = _refresh(stats, costs, r)
             swapped = True
             if len(r) < len(everyone):
-                active, sub_stats, sub_cand = r, stats.take(r), cand_costs[r]
+                active, sub_stats, sub_cand = r, fresh, cand_costs[r]
     return members, valid, traces
 
 

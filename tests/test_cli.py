@@ -693,28 +693,38 @@ class TestEvaluate:
             rows(tmp_path / "two" / "metrics_cols_seed901.csv")
             + rows(tmp_path / "two" / "metrics_random_seed901.csv")[1:])
 
-    def test_each_method_group_becomes_arrays_once(
+    def test_a_file_of_two_methods_becomes_arrays_once(
         self, workdir, generated, tmp_path, monkeypatch
     ):
-        """Checking a file's documents builds no arrays: `recourse evaluate`
-        on a file of two methods calls `doc_arrays` once per method group,
-        on exactly that group's documents."""
+        """`recourse evaluate` on a file of two methods calls `doc_arrays`
+        once, on the whole file, and scores each method group from slices
+        of those arrays equal to the group's own `doc_arrays`."""
         import recourse.experiments as xp
 
-        calls = []
+        calls, scored = [], []
+        real_score = xp.score_arrays
 
         def counting_arrays(docs, schema):
             calls.append([(doc.method, doc.user_id) for doc in docs])
             return doc_arrays(docs, schema)
 
-        docs = read_results(generated / "results_cols.jsonl")[:4]
+        def recording_score(arrays, ids, *args):
+            scored.append((arrays, ids))
+            return real_score(arrays, ids, *args)
+
+        schema = load_schema(workdir / "schema.yaml")
+        docs = read_results(generated / "results_cols.jsonl")[:5]
         docs[1::2] = [replace(doc, method="random") for doc in docs[1::2]]
         write_results(docs, tmp_path / "mixed.jsonl")
         monkeypatch.setattr(xp, "doc_arrays", counting_arrays)
+        monkeypatch.setattr(xp, "score_arrays", recording_score)
         assert self._evaluate(workdir, str(tmp_path / "mixed.jsonl"), tmp_path / "out") == 0
-        assert calls == [[(doc.method, doc.user_id) for doc in docs[0::2]],
-                         [(doc.method, doc.user_id) for doc in docs[1::2]]]
-
+        assert calls == [[(doc.method, doc.user_id) for doc in docs]]
+        assert len(scored) == 2
+        for (arrays, ids), group in zip(scored, (docs[0::2], docs[1::2])):
+            assert ids == [doc.user_id for doc in group]
+            for got, want in zip(arrays, doc_arrays(group, schema)):
+                assert got.dtype == want.dtype and np.array_equal(got, want)
 
     def test_set_metrics_measured_once_per_document(
         self, workdir, generated, tmp_path, monkeypatch
@@ -1140,6 +1150,33 @@ class TestFlagConflicts:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command, message", [
+        (["--kind", "ablation", "--methods", "cols", "--seeds", "0"],
+         "experiment kind 'ablation' takes no methods"),
+        (["--kind", "alpha_grid", "--methods", "cols,pcols", "--seeds", "0"],
+         "experiment kind 'alpha_grid' reads one method, got 2"),
+        (["--kind", "concentration_shift", "--methods", "cols,random", "--seeds", "0"],
+         "experiment kind 'concentration_shift' reads one method, got 2"),
+        (["--kind", "concentration_shift", "--seeds", "0,1"],
+         "experiment kind 'concentration_shift' reads one seed, got 2"),
+    ], ids=["ablation_methods", "alpha_grid_methods", "concentration_shift_methods",
+            "concentration_shift_seeds"])
+    def test_input_the_kind_ignores_exits_2(self, workdir, tmp_path, capsys, command,
+                                            message):
+        code = main(
+            [
+                "experiment", *command,
+                "--schema", str(workdir / "schema.yaml"),
+                "--data", str(workdir / "data.csv"),
+                "--model", str(workdir / "model.json"), "--users", "2",
+                "--budget", "20", "--set-size", "2", "--num-samples", "5",
+                "--out", str(tmp_path / "out"),
+            ]
+        )
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, message", [
         (["experiment", "--kind", "main", "--methods", "cols", "--seeds", "0,x"],
          "--seeds: 'x' is not an integer"),
         (["experiment", "--kind", "budget_sweep", "--methods", "cols", "--seeds", "0",
@@ -1311,6 +1348,41 @@ class TestExperimentSpecValidation:
                            match=f"experiment kind '{kind}' takes no grid"):
             ExperimentSpec(kind=kind, grid=(1, 2))
         assert ExperimentSpec(kind=kind).grid == ()
+
+    @pytest.mark.parametrize("kind, methods, seeds", [
+        ("main", ("cols", "pcols", "random"), (0, 1, 2, 3, 4)),
+        ("budget_sweep", ("cols", "pcols", "random"), (0, 1, 2, 3, 4)),
+        ("ablation", ("ls:sparsity", "ls:proximity", "ls:diversity", "ls:emc", "cols"),
+         (0, 1, 2, 3, 4)),
+        ("alpha_grid", ("cols",), (0, 1, 2, 3, 4)),
+        ("concentration_shift", ("cols",), (0,)),
+    ])
+    def test_methods_and_seeds_default_per_kind(self, kind, methods, seeds):
+        from recourse.experiments import ExperimentSpec
+
+        spec = ExperimentSpec(kind=kind)
+        assert (spec.methods, spec.seeds) == (methods, seeds)
+
+    @pytest.mark.parametrize("kind, field, values, message", [
+        ("ablation", "methods", ("cols",),
+         "experiment kind 'ablation' takes no methods; it runs ls:sparsity, "
+         "ls:proximity, ls:diversity, ls:emc, cols"),
+        ("alpha_grid", "methods", ("cols", "pcols"),
+         "experiment kind 'alpha_grid' reads one method, got 2"),
+        ("concentration_shift", "methods", ("cols", "pcols", "random"),
+         "experiment kind 'concentration_shift' reads one method, got 3"),
+        ("concentration_shift", "seeds", (0, 1),
+         "experiment kind 'concentration_shift' reads one seed, got 2"),
+    ])
+    def test_inputs_a_kind_ignores_refused(self, kind, field, values, message):
+        """`ablation` ran its own methods whatever it was given, and
+        `alpha_grid` and `concentration_shift` read only the first method,
+        `concentration_shift` only the first seed."""
+        from recourse.experiments import ExperimentSpec
+
+        with pytest.raises(ValueError) as info:
+            ExperimentSpec(kind=kind, **{field: values})
+        assert str(info.value) == message
 
     def test_alpha_grid_values_validated(self):
         from recourse.experiments import ExperimentSpec

@@ -21,7 +21,7 @@ from recourse.evaluate import (
     simulate_user,
     simulate_users,
 )
-from recourse.experiments import doc_arrays, score_docs, select_undesired
+from recourse.experiments import doc_arrays, evaluate_docs, score_docs, select_undesired
 from recourse.model import TrainConfig, train_classifier
 from recourse.results import GenerationSettings, ResultDoc, run_population
 from recourse.schema import (
@@ -120,19 +120,64 @@ class TestDocArrays:
     ], ids=["short_member", "long_member", "short_state"])
     def test_refuses_a_row_of_the_wrong_width(self, state, members, what):
         """A state or member of the wrong width is refused before numpy
-        sees it, naming the document by its index and user id."""
+        sees it, naming the document by its 1-based position."""
         good = result_doc((1, 7), [(2, 7)], [True])
         bad = replace(result_doc(state, members, [True] * len(members)), user_id=7)
         with pytest.raises(SchemaError) as info:
             doc_arrays([good, bad], self.SCHEMA)
-        assert str(info.value) == f"document 1 (user_id 7): {what}, schema has 2"
+        assert str(info.value) == f"document 2: {what}, schema has 2"
 
     def test_refuses_a_state_outside_the_schema_naming_the_document(self):
         good = result_doc((1, 7), [(2, 7)], [True])
         bad = replace(result_doc((0, 6), [(1, 5)], [True]), user_id=7)
         with pytest.raises(SchemaError) as info:
             doc_arrays([good, good, bad, bad], self.SCHEMA)
-        assert str(info.value) == "document 2 (user_id 7): value 6 not in domain of feature 'b'"
+        assert str(info.value) == "document 3: value 6 not in domain of feature 'b'"
+
+    @pytest.mark.parametrize("code, shown", [(6, 6), (2**70, 2**70), (-(2**64), -(2**64))],
+                             ids=["in_int64", "beyond_int64", "below_int64"])
+    @pytest.mark.parametrize("valid", [False, True], ids=["invalid", "valid"])
+    def test_refuses_a_member_outside_the_schema_whatever_its_flag(self, valid, code,
+                                                                   shown):
+        good = result_doc((1, 7), [(2, 7)], [True])
+        bad = result_doc((0, 5), [(1, 5), (2, code)], [True, valid])
+        with pytest.raises(SchemaError) as info:
+            doc_arrays([good, bad, good], self.SCHEMA)
+        assert str(info.value) == f"document 2: value {shown} not in domain of feature 'b'"
+
+    @pytest.mark.parametrize("valid", [False, True], ids=["invalid", "valid"])
+    @pytest.mark.parametrize("scoring", ["evaluate_docs", "score_docs"])
+    def test_scoring_refuses_a_member_outside_the_schema(self, scoring, valid):
+        """In-process scoring refuses an out-of-domain member naming its
+        document: a valid one would be priced, and an invalid one's
+        distances would enter the diversity."""
+        table = build_percentile_table([UserState((0, 5)), UserState((2, 7))], self.SCHEMA)
+        score = {
+            "evaluate_docs": lambda docs: evaluate_docs(docs, self.SCHEMA, table, 901),
+            "score_docs": lambda docs: score_docs(docs, self.SCHEMA, table, [901], 1.0, None),
+        }[scoring]
+        good = result_doc((1, 7), [(2, 7)], [True])
+        score([good, good])
+        bad = result_doc((0, 5), [(1, 5), (2, 99)], [True, valid])
+        with pytest.raises(SchemaError) as info:
+            score([good, bad, good])
+        assert str(info.value) == "document 2: value 99 not in domain of feature 'b'"
+
+    def test_take_slices_out_the_arrays_of_some_documents(self):
+        """`DocArrays.take` gives what `doc_arrays` makes of the kept
+        documents alone, bit for bit."""
+        rng = np.random.default_rng(5)
+        docs = []
+        for _ in range(9):
+            n = int(rng.integers(1, 4))
+            docs.append(result_doc((int(rng.integers(3)), 5),
+                                   [(int(rng.integers(3)), 7)] * n,
+                                   (rng.random(n) < 0.5).tolist()))
+        arrays = doc_arrays(docs, self.SCHEMA)
+        for keep in (rng.random(9) < 0.5, np.ones(9, bool), np.zeros(9, bool)):
+            want = doc_arrays([doc for doc, k in zip(docs, keep) if k], self.SCHEMA)
+            for got, ref in zip(arrays.take(keep), want):
+                assert got.dtype == ref.dtype and np.array_equal(got, ref)
 
 
 class TestRealizedCost:

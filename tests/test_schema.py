@@ -327,15 +327,17 @@ class TestFeasibleValues:
 
 
 class TestUserState:
+    """A state's codes are checked by `positions`, the one domain check."""
+
     def test_validate_rejects_out_of_domain(self):
         schema = DatasetSchema(features=(FeatureSpec("a", "ordered", (0, 1)),))
-        with pytest.raises(SchemaError):
-            UserState((5,)).validate(schema)
+        with pytest.raises(SchemaError, match="^value 5 not in domain of feature 'a'$"):
+            schema.positions(UserState((5,)).values)
 
     def test_validate_rejects_wrong_length(self):
         schema = DatasetSchema(features=(FeatureSpec("a", "ordered", (0, 1)),))
-        with pytest.raises(SchemaError):
-            UserState((0, 0)).validate(schema)
+        with pytest.raises(SchemaError, match="not rows of 1 features"):
+            schema.positions(UserState((0, 0)).values)
 
 
 def unsorted_schema():
@@ -399,8 +401,8 @@ class TestDomainPositions:
     def test_lookup_matches_compare_cube(self, name):
         """Random codes, some replaced by codes in a gap, just below or
         above the range, or at +-(2**63 - 1): found codes read the cube's
-        positions as intp, and a row with a code outside its domain raises
-        what `UserState.validate` raises on the first such row."""
+        positions as intp, and codes outside their domains raise an error
+        naming the first such code in row-major order and its feature."""
         schema = {**SCHEMAS, "sparse": sparse_schema}[name]()
         d = schema.n_features
         bad = [[min(f.domain) - 1, max(f.domain) + 1, I64, -I64,
@@ -422,12 +424,11 @@ class TestDomainPositions:
                     r, f = rng.integers(len(flat)), rng.integers(d)
                     flat[r, f] = rng.choice(bad[f])
                 _, found = cube_positions(schema, mixed)
-                first = flat[~found.reshape(-1, d).all(axis=-1)][0]
-                with pytest.raises(SchemaError) as want_error:
-                    UserState(tuple(first)).validate(schema)
+                r, f = np.argwhere(~found.reshape(-1, d))[0]
                 with pytest.raises(SchemaError) as got_error:
                     schema.positions(mixed)
-                assert str(got_error.value) == str(want_error.value)
+                assert str(got_error.value) == (f"value {flat[r, f]} not in domain of "
+                                                f"feature {schema.features[f].name!r}")
 
     def test_unsorted_domain_positions(self):
         schema = unsorted_schema()
@@ -444,7 +445,22 @@ class TestDomainPositions:
         ):
             schema.positions([(2, 0, 7), bad])
 
+    @pytest.mark.parametrize("rows, value, name", [
+        ([(5, 2**70, 7)], 2**70, "level"),
+        ([(5, 0, 7), (-(2**64), 0, 7)], -(2**64), "tier"),
+        ([(5, 1, 2**63)], 1, "level"),
+        ([(5, 0, 7), (3, 2**63, 7)], 3, "tier"),
+    ], ids=["beyond_int64", "below_int64", "earlier_code_first", "earlier_feature_first"])
+    def test_code_beyond_int64_is_outside_every_domain(self, rows, value, name):
+        """A Python int that int64 cannot hold is named as given, in the
+        same row-major order as any other code outside its domain."""
+        with pytest.raises(SchemaError) as info:
+            unsorted_schema().positions(rows)
+        assert str(info.value) == f"value {value} not in domain of feature '{name}'"
+
     def test_wrong_width_rejected(self):
+        with pytest.raises(SchemaError, match="not rows of 3 features"):
+            unsorted_schema().positions([5, 2**70])
         with pytest.raises(SchemaError, match="not rows of 3 features"):
             unsorted_schema().positions([5, -3])
 

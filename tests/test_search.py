@@ -252,7 +252,9 @@ class TestHeldColumnStats:
         r = np.flatnonzero(rng.random(stack.shape[0]) < 0.6)
         for k in r:
             stack[k, rng.integers(stack.shape[1])] = draw_row()
-        _refresh(held, stack, r)
+        fresh = _refresh(held, stack, r)
+        for f, h in zip(fresh, held.take(r)):
+            assert f.dtype == h.dtype and np.array_equal(f, h)
 
     def test_tie_repro(self):
         # Row 0 joins a tied minimum and must take the column from row 1.
@@ -395,9 +397,10 @@ class TestScreen:
             return out
 
         def _refresh(stats, costs, restarts):
-            real["_refresh"](stats, costs, restarts)
+            out = real["_refresh"](stats, costs, restarts)
             rounds[-1]["swapped"] = restarts.tolist()
             open_round()
+            return out
 
         def compute_benefits(stats, cand):
             rounds[-1]["evaluated"] = len(cand)
