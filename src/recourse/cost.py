@@ -69,21 +69,34 @@ population refuses a generator shared by two states.
 
 The blend clip(alpha * (x * keep) + (1 - alpha) * (y * keep), 0, 1), keep
 = 1 - preference, is elementwise, so a cell without a Beta holds exactly
-the scalar blend. Each Beta holds exactly numpy's `beta` of its shapes,
-which draws Ga then Gb by `standard_gamma` and returns their ratio unless
-both shapes are at most 1. There numpy takes Johnk's algorithm, since both
-gammas can underflow and the ratio be NaN, so such a block keeps `beta`.
+the scalar blend before rounding (below). Each Beta is exactly numpy's
+`beta` of its shapes, which draws Ga then Gb by `standard_gamma` and
+returns their ratio unless both shapes are at most 1. There numpy takes
+Johnk's algorithm, since both gammas can underflow and the ratio be NaN,
+so such a block keeps `beta`.
 
-Every price comes from `cost_rows`, which takes members as domain
-positions (`DatasetSchema.positions`), gathers each feature's table rows
-for all members and adds them left to right; sums saturate at
+Every sampled cost is then rounded up to a multiple of the quantum
+`QUANTUM` = 2**-20 (`ceil(x * 2**20) / 2**20`, exact for a cost in
+[0, 1]). It rounds up, never to nearest, so an infeasible entry stays
+infinite, the no-op stays +0.0 and a positive cost, however small, stays
+positive: no move becomes free. With quanta every sum the package forms
+of table entries is exact, whatever its order, batch shape or BLAS
+kernel. A priced row adds d terms of at most 1. A benefit entry of
+`search.compute_benefits` adds at most one term per sample column, each a
+multiple of the quantum no larger than `search.BIG` = 2**20, so for M <=
+`MAX_SAMPLES` = 4096 columns it stays within 2**52 quanta, inside a
+double's 53-bit significand. Generation settings therefore refuse more
+than `MAX_SAMPLES` samples; a hidden population prices each column alone
+and has no such bound.
+
+Every price of a whole member comes from `cost_rows`, which takes members
+as domain positions (`DatasetSchema.positions`), gathers each feature's
+table rows for all members and adds them left to right; sums saturate at
 `math.inf`, so one infeasible feature makes a whole transition infeasible.
-Search prices every member under every column; `min_cost` prices a hidden
-population, each member under its owner's column alone. The sum is an
-explicit loop, one gather per term, and never a numpy reduction:
-`add.reduce` and `.sum(axis=...)` sum 8 or more terms pairwise when the
-summed axis is contiguous, as it is in a (P, d) gather of each member's
-feature costs, and then disagree with the sequential sum in the last bits.
+Search prices whole new sets under every column; `min_cost` prices a
+hidden population, each member under its owner's column alone. A
+perturbed member is priced from its parent's row instead
+(`search._price_moves`), which the quanta make exact too.
 
 The sampler writes exactly +0.0 into every column of a feature's origin
 row, and a searched member moves only a few of its features, so most of
@@ -127,6 +140,11 @@ SHIFT_STREAM = 3
 
 # Samples drawn per generator by `sample_cost_batch`.
 BLOCK = 64
+
+# Every sampled cost is a multiple of QUANTUM, rounded up (see the module
+# docstring); with at most MAX_SAMPLES samples every sum over them is exact.
+QUANTUM = 2.0**-20
+MAX_SAMPLES = 4096
 
 
 @dataclass(frozen=True)
@@ -310,6 +328,7 @@ def _sample_blocks(
     mu, nu = mu[drawn], nu[drawn]
     stop = np.cumsum(np.count_nonzero(drawn.reshape(len(rngs), -1), axis=1))
     vals[drawn] = _betas(rngs, mu * nu, (1.0 - mu) * nu, stop)
+    vals = np.ceil(vals * (1.0 / QUANTUM)) * QUANTUM
 
     cost_table = np.full((int(off[-1]), m), INF)
     cost_table[cols] = vals[:m].T
@@ -498,9 +517,9 @@ def cost_rows(index_matrix: np.ndarray, samples: CostSampleSet,
     table of every member under every cost function or, given (P,)
     `columns`, the (P,) cost of member p under column `columns[p]` alone.
 
-    Each member's feature costs are added left to right: one gather per
-    term, added in place, never a numpy reduction. The (P, M) table skips
-    each member's all-+0.0 rows, bit for bit (see the module docstring)."""
+    Each member's feature costs are added left to right, one gather per
+    term added in place. The (P, M) table skips each member's all-+0.0
+    rows, bit for bit (see the module docstring)."""
     rows = index_matrix + samples.schema.offsets[:-1]
     table = samples.table
     if columns is None:
@@ -527,12 +546,12 @@ def _moved_rows(rows: np.ndarray, zero_rows: np.ndarray) -> np.ndarray:
     return plan
 
 
-def min_cost(members: np.ndarray, owners: np.ndarray, population: CostSampleSet) -> np.ndarray:
+def min_cost(positions: np.ndarray, owners: np.ndarray, population: CostSampleSet) -> np.ndarray:
     """(M,) least transition cost per column of `population` over the
-    (P, d) member codes it owns, member p priced under column `owners[p]`
-    alone; infinity for a column that owns no member. A code outside its
-    feature's domain raises SchemaError."""
-    prices = cost_rows(population.schema.positions(members), population, owners)
+    members it owns, given as (P, d) domain positions
+    (`DatasetSchema.positions`), member p priced under column `owners[p]`
+    alone; infinity for a column that owns no member."""
+    prices = cost_rows(positions, population, owners)
     best = np.full(population.m, INF)
     np.minimum.at(best, owners, prices)
     return best

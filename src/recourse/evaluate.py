@@ -16,7 +16,7 @@ A population's recourse sets are arrays: (P, d) int64 member codes and,
 per member, its owner (its user's index) and validity flag. A user's
 realised cost is the minimum over the *valid* members they own, infinity
 when they own none. One `min_cost` call prices a population, each valid
-member under its owner's column alone.
+member, given as domain positions, under its owner's column alone.
 
 A report is one flat table, metric name -> value, whose names and row
 order come from `metric_names` alone. `compute_report` prices a population
@@ -234,17 +234,17 @@ def set_metrics(states: np.ndarray, members: np.ndarray, owners: np.ndarray,
 
 def compute_report(
     users: CostSampleSet,
-    members: np.ndarray,
+    positions: np.ndarray,
     owners: np.ndarray,
     schema: DatasetSchema,
     k: float = 1.0,
 ) -> MetricsReport:
     """Hidden-cost metrics, with subgroup splits and ratios, of a population
-    (user u is column u of `users`) from its valid members' (P, d) codes,
-    member p owned by column `owners[p]`."""
-    if len(owners) != len(members) or not ((owners >= 0) & (owners < users.m)).all():
+    (user u is column u of `users`) from its valid members' (P, d) domain
+    positions, member p owned by column `owners[p]`."""
+    if len(owners) != len(positions) or not ((owners >= 0) & (owners < users.m)).all():
         raise ValueError(f"need one owner column in 0..{users.m - 1} per member")
-    costs = min_cost(members, owners, users)
+    costs = min_cost(positions, owners, users)
     fs = f"fs_at_{k:g}"
     overall = pac(costs)
     table = {fs: fs_at_k(costs, k), "pac": overall.value,

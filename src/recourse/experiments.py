@@ -178,13 +178,15 @@ class DocArrays(NamedTuple):
     members: np.ndarray  # (P, d) int64 member codes, stacked in document order
     owners: np.ndarray  # (P,) the index of each member's document
     validity: np.ndarray  # (P,) bool
+    positions: np.ndarray  # (P, d) the members' domain positions, which pricing takes
 
     def take(self, keep: np.ndarray) -> "DocArrays":
         """The arrays of the documents a (U,) bool mask keeps, as
         `doc_arrays` makes them of those documents alone."""
         rows = keep[self.owners]
         return DocArrays(self.states[keep], self.members[rows],
-                         (np.cumsum(keep) - 1)[self.owners[rows]], self.validity[rows])
+                         (np.cumsum(keep) - 1)[self.owners[rows]], self.validity[rows],
+                         self.positions[rows])
 
 
 def doc_arrays(docs: Sequence[ResultDoc], schema: DatasetSchema) -> DocArrays:
@@ -193,9 +195,10 @@ def doc_arrays(docs: Sequence[ResultDoc], schema: DatasetSchema) -> DocArrays:
     member, and its state and members are rows of the schema's width
     whose every code lies in its feature's domain, whatever the member's
     flag. The whole batch is checked at once, by one `positions` call
-    over the states and one over the members; only when that fails are
-    the documents scanned one by one, to refuse the first bad one with a
-    SchemaError naming it by its 1-based position in `docs`."""
+    over the states and one over the members, whose positions pricing
+    then takes; only when that fails are the documents scanned one by
+    one, to refuse the first bad one with a SchemaError naming it by its
+    1-based position in `docs`."""
     d = schema.n_features
     sizes = [len(doc.members) for doc in docs]
     states = [doc.state for doc in docs]
@@ -204,15 +207,17 @@ def doc_arrays(docs: Sequence[ResultDoc], schema: DatasetSchema) -> DocArrays:
         if (0 in sizes or sizes != [len(doc.validity) for doc in docs]
                 or {*map(len, states), *map(len, members)} - {d}):
             raise SchemaError("a document is malformed")
+        states = _stack(states, len(docs), d)
+        members = _stack(members, len(members), d)
+        schema.positions(states)
         arrays = DocArrays(
-            _stack(states, len(docs), d),
-            _stack(members, len(members), d),
+            states,
+            members,
             np.repeat(np.arange(len(docs)), sizes),
             np.fromiter(chain.from_iterable(doc.validity for doc in docs), bool,
                         len(members)),
+            schema.positions(members),
         )
-        schema.positions(arrays.states)
-        schema.positions(arrays.members)
     except (SchemaError, OverflowError):
         for n, doc in enumerate(docs, 1):
             rows = [doc.state, *doc.members]
@@ -242,10 +247,10 @@ def evaluate_docs(
 ) -> MetricsReport:
     """Hidden-cost metrics of result documents under freshly simulated users,
     their mixing weight `test_alpha` (None: drawn per user)."""
-    states, members, owners, validity = doc_arrays(docs, schema)
+    states, _, owners, validity, positions = doc_arrays(docs, schema)
     users = simulate_users(states, schema, table, test_seed, [doc.user_id for doc in docs],
                            alpha=test_alpha)
-    return compute_report(users, members[validity], owners[validity], schema, k=k)
+    return compute_report(users, positions[validity], owners[validity], schema, k=k)
 
 
 def score_arrays(arrays: DocArrays, user_ids: Sequence[int], schema: DatasetSchema,
@@ -254,13 +259,13 @@ def score_arrays(arrays: DocArrays, user_ids: Sequence[int], schema: DatasetSche
     """Per test seed, the hidden-cost metrics of the documents `arrays`
     holds, owned by `user_ids`, and their set metrics, measured once, as a
     flat table in `metric_names` order (None: undefined)."""
-    states, members, owners, validity = arrays
+    states, members, owners, validity, positions = arrays
     shared = set_metrics(states, members, owners, validity, schema)
     order = metric_names(schema, k)
     merged = [
         {**compute_report(simulate_users(states, schema, table, seed, user_ids,
                                          alpha=test_alpha),
-                          members[validity], owners[validity], schema, k=k).table,
+                          positions[validity], owners[validity], schema, k=k).table,
          **shared}
         for seed in test_seeds
     ]
@@ -432,11 +437,11 @@ def _concentration_shift(spec, states, user_ids, classifier, schema, table):
     rng = np.random.default_rng(np.random.SeedSequence([SHIFT_STREAM, spec.test_seed]))
     pins = [frozenset(random_editable_subset(movable, rng)) for _ in range(spec.shift_vectors)]
     owner = np.arange(spec.shift_vectors) % len(docs)
-    codes, members, owners, validity = doc_arrays([docs[i] for i in owner], schema)
+    codes, _, owners, validity, positions = doc_arrays([docs[i] for i in owner], schema)
     users = simulate_users(codes, schema, table, spec.test_seed,
                            [spec.shift_vectors * 7 + v for v in range(spec.shift_vectors)],
                            editable=pins)
-    costs = min_cost(members[validity], owners[validity], users)
+    costs = min_cost(positions[validity], owners[validity], users)
     distances = np.empty(spec.shift_vectors)
     for i, train in enumerate(train_conc):
         distances[owner == i] = concentration_distance(users.editable[owner == i], train)

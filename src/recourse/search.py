@@ -12,10 +12,11 @@ positive swaps apply, so the objective never increases across iterations.
 
 `pcols` (PCOLS) splits the query budget over R independent COLS restarts
 and keeps the best run, and `cols` is `pcols` with R = 1. The restarts run
-in lockstep: one loop holds an (R, N, d) tensor of member positions and an
-(R, N, M) cost tensor, and each iteration makes one classifier query and
-one pricing gather of R * N rows, then greedy rounds of one benefit
-computation and one swap selection over all restarts. One meter of
+in lockstep: one loop holds an (R, N, d) tensor of member positions and
+(R, N, M) tensors of their raw rows and costs, and each iteration makes
+one classifier query and one pricing of R * N candidates, then greedy
+rounds of one benefit computation and one swap selection over all
+restarts. One meter of
 R * (B // R) queries serves all restarts: each spends N queries per
 iteration, so the shared meter runs out on the same iteration as R meters
 of B // R would.
@@ -26,11 +27,13 @@ one-hot ownership and idle rows) and `compute_benefits` does only the
 candidate-dependent work. After a swap the statistics of the restarts
 that swapped are recomputed in full, never patched, so ties on a column's
 minimum keep going to the lowest row. Before every greedy round a screen
-(`can_swap`) keeps only the restarts with some candidate cost strictly
-below a held column minimum, and the rounds end when it keeps none. It
-reads the raw candidate costs and `compute_benefits` clamps them once:
-every held minimum is at most BIG, so a cost beats it exactly when the
-cost clamped to BIG does. The screen is exact: a candidate at or above
+(`can_swap`) keeps only the restarts with some valid candidate's cost
+strictly below a held column minimum, and the rounds end when it keeps
+none. It reads the candidates' raw rows with their validity as a mask,
+and only the rounds that compute benefits build the priced candidate
+table, which `compute_benefits` clamps once: every held minimum is at
+most BIG, so a raw entry beats it exactly when the cost clamped to BIG
+does. The screen is exact: a candidate at or above
 the minimum in every column has min(candidate, second best) >= minimum
 there, so each of its deltas is a difference x - y with x <= y, which
 IEEE arithmetic keeps <= 0, its idle-row gains are 0, and the sums over
@@ -40,6 +43,23 @@ bits. Within one iteration a restart that did not swap keeps its costs
 and candidates, so later rounds also skip it. The objective trace is
 read from the held statistics, and an iteration without a swap repeats
 the previous values.
+
+A candidate is its parent member with k = HAMMING features moved, so it
+is priced from the parent's raw row (`_price_moves`): the row plus, per
+move, the new position's table entry minus the old one's: four gathers
+and four adds of R * N rows, however many features the members have
+moved. A raw row sums a table in which CAP = 2**21 stands in for an
+infeasible move; CAP exceeds BIG, so a raw sum of CAP or more clamps to
+BIG exactly as inf does, and `_costs` turns it back into inf. Every cost
+is a multiple of `cost.QUANTUM` and every raw row a multiple no larger
+than d * CAP, far inside a double's exact range, so each add and
+subtract is exact and the candidate's raw row is bit for bit the
+`cost_rows` sum of its positions, with CAP or more where that sum is
+inf. The user state's raw row is all zeros, so the first set is priced
+by the same rule, and a swap copies the candidate's raw row with its
+position, validity and cost. `local_search` prices a perturbed set from
+the incumbent's raw rows the same way; only whole new sets (`random`)
+are priced by `cost_rows`.
 
 Perturbation is planned a chunk of calls at a time (`_Workspace.plan`).
 A call resamples two features of each of the R * N rows, and restart r
@@ -101,7 +121,15 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .cost import SEARCH_STREAM, CostSampleSet, check_alpha, cost_rows, emc, stream_rng
+from .cost import (
+    MAX_SAMPLES,
+    SEARCH_STREAM,
+    CostSampleSet,
+    check_alpha,
+    cost_rows,
+    emc,
+    stream_rng,
+)
 from .evaluate import set_distance_stats
 from .model import BudgetExhausted, BudgetMeter, Classifier, EncodedView, predict_batch
 from .schema import DatasetSchema, UserState, feasible_positions
@@ -110,8 +138,12 @@ INF = math.inf
 
 # Finite stand-in for infinite costs inside benefit sums. Any value far above
 # the largest possible finite transition cost (= feature count) works; a
-# power of two keeps the cancellation (x - BIG) + (BIG - y) near-exact.
+# power of two keeps every benefit sum of cost quanta exact (see `cost`).
 BIG = float(2**20)
+
+# Finite stand-in for an infeasible move in raw rows (`_price_moves`): above
+# BIG, so a raw sum of CAP or more clamps to BIG exactly as inf does.
+CAP = float(2**21)
 
 # Features each perturbation resamples per member.
 HAMMING = 2
@@ -145,6 +177,11 @@ class GenerationSettings:
         for name in ("budget", "set_size", "restarts", "num_samples"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
+        if self.num_samples > MAX_SAMPLES:
+            raise ValueError(
+                f"num_samples must be at most {MAX_SAMPLES}, got {self.num_samples}: "
+                f"benefit sums over more samples are no longer exact"
+            )
         # Only pcols splits the budget; every run must pay for its first set.
         split = self.restarts if self.method == "pcols" else 1
         if self.budget // split < self.set_size:
@@ -200,13 +237,14 @@ class _Workspace:
 
     def _draw(
         self, rngs: Sequence[np.random.Generator], n: int, calls: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """(calls, R * n * k) flat indices into (R, n, d) rows and the
-        positions to write there, for `calls` successive perturbations that
-        each resample k = min(HAMMING, m) distinct movable features of every
-        row from their feasible sets. Restart r draws the uniform (n, m + k)
-        blocks of all calls from rngs[r] at once: the first m columns of a
-        block rank the features, its last k pick the new positions."""
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(calls, R * n * k) flat indices into (R, n, d) rows, the
+        positions to write there and the cost-table row offsets of their
+        features, for `calls` successive perturbations that each resample
+        k = min(HAMMING, m) distinct movable features of every row from
+        their feasible sets. Restart r draws the uniform (n, m + k) blocks
+        of all calls from rngs[r] at once: the first m columns of a block
+        rank the features, its last k pick the new positions."""
         m = len(self.movable)
         k = min(HAMMING, m)
         u = np.empty((len(rngs), calls, n, m + k))
@@ -216,18 +254,21 @@ class _Workspace:
         pos = (u[..., m:] * self.n_choices[feats]).astype(np.intp)
         rows = np.arange(len(rngs))[:, None, None, None] * n + np.arange(n)[:, None]
         where = rows * len(self.user_idx) + feats
-        return (where.swapaxes(0, 1).reshape(calls, -1),
-                self.feasible[feats, pos].swapaxes(0, 1).reshape(calls, -1))
+        return tuple(a.swapaxes(0, 1).reshape(calls, -1) for a in
+                     (where, self.feasible[feats, pos], self.schema.offsets[feats]))
 
     def plan(
         self, rngs: Sequence[np.random.Generator], n: int, meter: BudgetMeter
-    ) -> Callable[[np.ndarray], np.ndarray]:
+    ) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """A run's perturbation: each call of the returned function perturbs
         (R, n, d) rows (or (n, d) rows when R = 1) from the next call's
-        draws. The draws come CHUNK calls at a time, but never more calls
-        than `meter` can still pay for (R * n queries each) plus the one
-        that finds it exhausted, so every stream ends where per-call draws
-        leave it. On a meter that pays for nothing every chunk is one call."""
+        draws, and returns the perturbed rows with the cost-table rows
+        each row's k moves leave and enter, both (R, n, k) (or (n, k)), as
+        `_price_moves` takes them. The draws come CHUNK calls at a time,
+        but never more calls than `meter` can still pay for (R * n queries
+        each) plus the one that finds it exhausted, so every stream ends
+        where per-call draws leave it. On a meter that pays for nothing
+        every chunk is one call."""
         per_call = len(rngs) * n
 
         def chunks():
@@ -237,11 +278,14 @@ class _Workspace:
 
         moves = chunks()
 
-        def perturb(base: np.ndarray) -> np.ndarray:
-            where, vals = next(moves)
+        def perturb(base: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+            where, vals, offsets = next(moves)
             out = np.array(base, dtype=np.intp, order="C")
-            out.reshape(-1)[where] = vals
-            return out
+            flat = out.reshape(-1)
+            moved = (*out.shape[:-1], -1)
+            left = (flat[where] + offsets).reshape(moved)
+            flat[where] = vals
+            return out, left, (vals + offsets).reshape(moved)
 
         return perturb
 
@@ -335,13 +379,16 @@ def compute_benefits(stats: ColumnStats, cand_costs: np.ndarray) -> np.ndarray:
     return benefits
 
 
-def can_swap(stats: ColumnStats, cand_costs: np.ndarray) -> np.ndarray:
+def can_swap(stats: ColumnStats, cand_raw: np.ndarray, cand_valid: np.ndarray) -> np.ndarray:
     """(R,) screen for `compute_benefits` over R restarts: whether some
-    entry of restart r's (Nc, M) candidate table is strictly below its
-    column's held minimum. The held minima are at most BIG, so clamping the
-    candidates to BIG first gives the same screen. A restart it rejects
-    has no strictly positive benefit entry (see `_lockstep`)."""
-    return (cand_costs < stats.min_vals[..., None, :]).any(axis=(-2, -1))
+    valid candidate of restart r, its (Nc, M) raw rows (`_price_moves`)
+    masked by its (Nc,) validity, costs strictly less than its column's
+    held minimum somewhere. The held minima are at most BIG, so a raw
+    entry beats one exactly when the priced cost, inf where a raw row is
+    CAP or more, does. A restart it rejects has no strictly positive
+    benefit entry (see `_lockstep`)."""
+    beats = (cand_raw < stats.min_vals[..., None, :]).any(axis=-1)
+    return (beats & cand_valid).any(axis=-1)
 
 
 def select_swaps(benefits: np.ndarray) -> list[tuple[int, int, int]]:
@@ -363,12 +410,33 @@ def _classify(model: EncodedView, idx: np.ndarray, meter: BudgetMeter) -> np.nda
     return predict_batch(model, rows, meter).reshape(idx.shape[:-1])
 
 
-def _priced_rows(idx: np.ndarray, samples: CostSampleSet, valid: np.ndarray) -> np.ndarray:
-    """(..., M) costs of (..., d) member positions; invalid rows cost inf."""
-    rows = cost_rows(idx.reshape(-1, idx.shape[-1]), samples)
-    rows = rows.reshape(*idx.shape[:-1], samples.m)
-    rows[~valid] = INF
-    return rows
+def _raw_table(samples: CostSampleSet) -> np.ndarray:
+    """The (W, M) table raw rows add: each cost, with CAP for inf."""
+    return np.minimum(samples.table, CAP)
+
+
+def _price_moves(parent: np.ndarray, table: np.ndarray, left: np.ndarray,
+                 entered: np.ndarray) -> np.ndarray:
+    """(..., M) raw rows of perturbed members: each member's parent raw row
+    (broadcast against (..., M); the user state's is 0.0) plus, per move j,
+    `table[entered[..., j]] - table[left[..., j]]`, for (..., k) table rows
+    of the `_raw_table` (W, M) `table`. A raw row is its member's sum of
+    table entries, CAP for an infeasible one, so it is CAP or more exactly
+    where `cost_rows` gives inf and equals the `cost_rows` sum elsewhere:
+    the entries are multiples of `cost.QUANTUM` no larger than CAP, so
+    every partial sum of a row's few dozen terms is exact."""
+    out = parent + table.take(entered[..., 0], axis=0)
+    out -= table.take(left[..., 0], axis=0)
+    for j in range(1, entered.shape[-1]):
+        out += table.take(entered[..., j], axis=0)
+        out -= table.take(left[..., j], axis=0)
+    return out
+
+
+def _costs(raw: np.ndarray, valid: np.ndarray) -> np.ndarray:
+    """(..., M) costs of raw rows: inf where the member is invalid or some
+    move infeasible (the raw row CAP or more), the raw row elsewhere."""
+    return np.where(valid[..., None] & (raw < CAP), raw, INF)
 
 
 def _lockstep(
@@ -381,8 +449,9 @@ def _lockstep(
 ) -> tuple[np.ndarray, np.ndarray, list[list[float]]]:
     """COLS restarts run side by side, restart r perturbing from rngs[r].
 
-    Each iteration perturbs every restart, classifies and prices all R * N
-    candidates at once, then applies greedy rounds of the single best
+    Each iteration perturbs every restart, classifies all R * N candidates
+    in one query and prices each from its parent member's raw row
+    (`_price_moves`), then applies greedy rounds of the single best
     positive swap per restart until no restart has one left. Each round
     first drops the restarts `can_swap` rejects, since none of their
     candidates beats a held column minimum and so none has a positive
@@ -393,10 +462,13 @@ def _lockstep(
     uncovered columns' minima restored to inf.
     """
     model = EncodedView(classifier, ws.schema)
+    table = _raw_table(samples)
     perturb = ws.plan(rngs, n, meter)
-    members = perturb(np.broadcast_to(ws.user_idx, (len(rngs), n, len(ws.user_idx))))
+    members, left, entered = perturb(
+        np.broadcast_to(ws.user_idx, (len(rngs), n, len(ws.user_idx))))
     valid = _classify(model, members, meter)
-    costs = _priced_rows(members, samples, valid)
+    raw = _price_moves(0.0, table, left, entered)
+    costs = _costs(raw, valid)
     stats = column_stats(costs)
     traces = [[] for _ in rngs]
     everyone = np.arange(len(rngs))
@@ -407,38 +479,42 @@ def _lockstep(
             values = emc(np.where(stats.covered, stats.min_vals, INF)).tolist()
         for trace, value in zip(traces, values):
             trace.append(value)
-        cand = perturb(members)
+        cand, left, entered = perturb(members)
         try:
             cand_valid = _classify(model, cand, meter)
         except BudgetExhausted:
             break
-        cand_costs = _priced_rows(cand, samples, cand_valid)
+        cand_raw = _price_moves(raw, table, left, entered)
         # Greedy rounds. Each starts by screening out the restarts with no
-        # candidate below a held column minimum, which cannot swap; after a
-        # swap only the restarts that swapped stay, with the statistics
-        # `_refresh` computed for them. While every restart is active the
-        # held statistics are used as they are.
-        active, sub_stats, sub_cand = everyone, stats, cand_costs
+        # valid candidate below a held column minimum, which cannot swap;
+        # after a swap only the restarts that swapped stay, with the
+        # statistics `_refresh` computed for them. While every restart is
+        # active the held statistics are used as they are.
+        active, sub_stats, sub_raw, sub_valid = everyone, stats, cand_raw, cand_valid
         swapped = False
         while True:
-            beats = can_swap(sub_stats, sub_cand)
+            beats = can_swap(sub_stats, sub_raw, sub_valid)
             if not beats.all():
                 active = active[beats]
                 if not len(active):
                     break
-                sub_stats, sub_cand = stats.take(active), cand_costs[active]
-            swaps = select_swaps(compute_benefits(sub_stats, sub_cand))
+                sub_stats = stats.take(active)
+                sub_raw, sub_valid = cand_raw[active], cand_valid[active]
+            sub_costs = _costs(sub_raw, sub_valid)
+            swaps = select_swaps(compute_benefits(sub_stats, sub_costs))
             if not swaps:
                 break
             local, p, q = np.array(swaps).T
             r = active[local]
             members[r, p] = cand[r, q]
             valid[r, p] = cand_valid[r, q]
-            costs[r, p] = cand_costs[r, q]
+            raw[r, p] = cand_raw[r, q]
+            costs[r, p] = sub_costs[local, q]
             fresh = _refresh(stats, costs, r)
             swapped = True
             if len(r) < len(everyone):
-                active, sub_stats, sub_cand = r, fresh, cand_costs[r]
+                active, sub_stats = r, fresh
+                sub_raw, sub_valid = cand_raw[r], cand_valid[r]
     return members, valid, traces
 
 
@@ -494,14 +570,15 @@ def _set_loss(
     ws: _Workspace,
     members: np.ndarray,
     valid: np.ndarray,
-    samples: Optional[CostSampleSet],
+    raw: Optional[np.ndarray],
 ) -> float:
-    """The loss `_whole_set` minimizes: the `emc` of the set's priced rows,
-    invalid members costing inf, or the negated diversity, proximity or
-    sparsity. A set without a single valid member has loss inf, mirroring
-    the hard validity constraint on recourse."""
+    """The loss `_whole_set` minimizes: the `emc` of the set's (N, M) raw
+    rows (or `cost_rows` table) priced by `_costs`, invalid members costing
+    inf, or the negated
+    diversity, proximity or sparsity. A set without a single valid member
+    has loss inf, mirroring the hard validity constraint on recourse."""
     if objective == "emc":
-        return float(emc(_priced_rows(members, samples, valid).min(axis=0)))
+        return float(emc(_costs(raw, valid).min(axis=0)))
     if not valid.any():
         return INF
     div, prox, spar = set_distance_stats(ws.s_u.values, ws.schema.codes(members), ws.schema)
@@ -523,33 +600,45 @@ def _whole_set(
     from N copies of the user state); it replaces the incumbent only when
     its loss (`_set_loss`) is strictly lower. The loop ends when the budget
     cannot pay for a candidate set, and the trace holds the incumbent's
-    loss after every iteration. Only the emc objective prices sets, and
-    its final loss is the result's emc; the others never read `samples`,
-    which may be None, and report an emc of inf."""
+    loss after every iteration. Only the emc objective prices sets: a
+    uniform set with `cost_rows`, a perturbed one from the incumbent's raw
+    rows (`_price_moves`). Its final loss is the result's emc; the other
+    objectives never read `samples`, which may be None, and report an emc
+    of inf."""
     ws = _Workspace(s_u, schema)
     model = EncodedView(classifier, schema)
     rng = stream_rng(SEARCH_STREAM, settings.seed, 0, user_key)
     n, objective = settings.set_size, settings.objective
     meter = BudgetMeter(settings.budget)
     perturb = ws.plan([rng], n, meter)
+    table = _raw_table(samples) if objective == "emc" and not uniform else None
 
-    def propose(members: np.ndarray) -> np.ndarray:
-        return ws.uniform_rows(n, rng) if uniform else perturb(members)
+    def propose(members: np.ndarray, raw) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+        """A candidate set, its validity from one metered query, and its raw
+        rows when the objective prices them."""
+        if uniform:
+            cand = ws.uniform_rows(n, rng)
+        else:
+            cand, left, entered = perturb(members)
+        cand_valid = _classify(model, cand, meter)
+        if objective != "emc":
+            return cand, cand_valid, None
+        if uniform:
+            return cand, cand_valid, cost_rows(cand, samples)
+        return cand, cand_valid, _price_moves(raw, table, left, entered)
 
-    members = propose(np.tile(ws.user_idx, (n, 1)))
-    valid = _classify(model, members, meter)
-    loss = _set_loss(objective, ws, members, valid, samples)
+    members, valid, raw = propose(np.tile(ws.user_idx, (n, 1)), 0.0)
+    loss = _set_loss(objective, ws, members, valid, raw)
     trace = [loss]
 
     while True:
-        cand_members = propose(members)
         try:
-            cand_valid = _classify(model, cand_members, meter)
+            cand, cand_valid, cand_raw = propose(members, raw)
         except BudgetExhausted:
             break
-        cand_loss = _set_loss(objective, ws, cand_members, cand_valid, samples)
+        cand_loss = _set_loss(objective, ws, cand, cand_valid, cand_raw)
         if cand_loss < loss:
-            members, valid, loss = cand_members, cand_valid, cand_loss
+            members, valid, raw, loss = cand, cand_valid, cand_raw, cand_loss
         trace.append(loss)
 
     final = loss if objective == "emc" else INF

@@ -288,7 +288,8 @@ def test_criterion_6_ablation_direction(adult_users, adult_benchmark):
     schema = adult_users[0]
 
     def diversity(docs):
-        return set_metrics(*doc_arrays(docs, schema), schema)["diversity"]
+        states, members, owners, validity, _ = doc_arrays(docs, schema)
+        return set_metrics(states, members, owners, validity, schema)["diversity"]
 
     div_ls = np.mean([diversity(docs) for docs, _ in adult_benchmark["ls:diversity"]])
     div_cols = np.mean([diversity(docs) for docs, _ in adult_benchmark["cols"]])
@@ -310,7 +311,7 @@ def test_criterion_7_metric_units():
 
     def realized(*costs):
         users = single_feature_users(*([0.0, c] for c in costs))
-        return min_cost(*valid_of([pointing_set()] * len(costs)), users)
+        return min_cost(*valid_of([pointing_set()] * len(costs), users.schema), users)
 
     costs = realized(0.5, 1.2, INF)
     assert fs_at_k(costs, k=1.0) == pytest.approx(1 / 3)

@@ -238,6 +238,33 @@ class TestGenerate:
             out_b / "results_cols.jsonl"
         ).read_bytes()
 
+    def test_documents_do_not_depend_on_blas_threads(self, workdir, tmp_path):
+        """A pcols run writes the same bytes on one OpenBLAS thread and on
+        two: with cost quanta every benefit sum is exact, whichever kernel
+        forms it."""
+        import subprocess
+        import sys
+
+        import recourse
+
+        src = os.path.dirname(os.path.dirname(os.path.abspath(recourse.__file__)))
+        written = []
+        for threads in ("1", "2"):
+            env = {k: v for k, v in os.environ.items() if k != "RECOURSE_WORKERS"}
+            env.update(OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")])))
+            out = tmp_path / f"threads{threads}"
+            subprocess.run(
+                [sys.executable, "-m", "recourse.cli", "generate",
+                 "--schema", str(workdir / "schema.yaml"), "--data", str(workdir / "data.csv"),
+                 "--model", str(workdir / "model.json"), "--method", "pcols",
+                 "--budget", "1000", "--set-size", "10", "--num-samples", "1000",
+                 "--seed", "1", "--users", "6", "--out", str(out)],
+                env=env, check=True, capture_output=True)
+            written.append((out / "results_pcols.jsonl").read_bytes())
+        assert written[0] == written[1]
+        assert len(written[0].splitlines()) == 6
+
     @pytest.mark.parametrize("distribution,alpha", [("lin", "1"), ("perc", "0")])
     def test_fixed_distribution_writes_its_alpha(self, workdir, tmp_path, distribution,
                                                  alpha):
@@ -253,6 +280,12 @@ class TestGenerate:
         out = tmp_path / "none"
         assert self._generate(workdir, out, ["--num-samples", "0"]) == 2
         assert "num_samples must be positive" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_samples_above_the_exact_bound_exit_2(self, workdir, tmp_path, capsys):
+        out = tmp_path / "none"
+        assert self._generate(workdir, out, ["--num-samples", "5000"]) == 2
+        assert "num_samples must be at most 4096, got 5000" in capsys.readouterr().err
         assert not out.exists()
 
     def test_budget_below_default_restarts_runs_cols(self, workdir, tmp_path):
@@ -1409,6 +1442,7 @@ class TestExperimentSpecValidation:
         ("setsize_sweep", (2, 0), "set_size must be positive"),
         ("budget_sweep", (500, 3), "budget 3 cannot cover set size 10"),
         ("budget_sweep", (500, 30), "budget 30 over 5 restarts cannot cover set size 10"),
+        ("samples_sweep", (1000, 4097), "num_samples must be at most 4096, got 4097"),
     ])
     def test_grid_values_checked_at_construction(self, kind, grid, message):
         """Refused before the sweep runs the values ahead of the bad one."""

@@ -596,10 +596,16 @@ def scalar_cost_functions(state, schema, table, rngs):
                          costs, alphas, editable, prefs)
 
 
-def reference_block(state, schema, table, rng, alpha, editable, pref):
+def quantized(costs):
+    """Costs rounded up to multiples of 2**-20, the sampler's last step."""
+    return np.ceil(np.asarray(costs) * 2.0**20) / 2.0**20
+
+
+def reference_block(state, schema, table, rng, alpha, editable, pref, rounded=True):
     """The 64 rows of one block, drawn row by row in the documented order
     (see the `cost` module docstring), as (costs by feature, alpha,
-    editable mask, preferences) per row."""
+    editable mask, preferences) per row, each cost rounded up to a
+    multiple of 2**-20 unless not `rounded`."""
     d, movable = schema.n_features, schema.mutable_indices()
     at = schema.positions(state.values).tolist()
     if editable is None:
@@ -652,7 +658,9 @@ def reference_block(state, schema, table, rng, alpha, editable, pref):
         out.append((costs, a, editable_row, prefs[r]))
     for costs, j, shape_a, shape_b in cells:
         costs[j] = rng.beta(shape_a, shape_b)
-    return out
+    if not rounded:
+        return out
+    return [([quantized(c) for c in costs], *rest) for costs, *rest in out]
 
 
 class TestBlockDraws:
@@ -683,6 +691,105 @@ class TestBlockDraws:
                 assert batch.alpha[i] == a
                 assert (batch.editable[i] == editable).all()
                 assert batch.preferences[i].tobytes() == prefs.tobytes()
+
+
+class TestQuanta:
+    """Every sampled cost is rounded up to a multiple of 2**-20, so every sum
+    of table entries is exact in any order (see the `cost` module
+    docstring): priced rows, benefit tables and objectives do not depend on
+    the order of features, of samples or of stacked restarts."""
+
+    CASES = ({}, dict(alpha=1.0), dict(alpha=0.0),
+             dict(editable=frozenset({0, 1, 4, 8, 10})))
+
+    @staticmethod
+    def batches(adult):
+        """Six adult-like users at M=1000, half with every movable feature
+        editable, so that most sums have many finite terms."""
+        schema, rows, _, table, _ = adult
+        movable = frozenset(schema.mutable_indices())
+        for u, state in enumerate(rows[:6]):
+            yield state, sample_cost_batch(state, schema, table, 1000, seed=u, subkey=7,
+                                           editable=movable if u % 2 else None)
+
+    @pytest.mark.parametrize("inputs", CASES)
+    def test_entries_round_up_to_quanta(self, adult, inputs):
+        """Against the unrounded row-by-row reference, each entry of a
+        130-sample batch is the least multiple of 2**-20 at or above it:
+        infeasible entries stay inf, zeros stay +0.0 and positive entries
+        stay positive."""
+        schema, rows, _, table, _ = adult
+        inputs = dict(inputs)
+        alpha = inputs.pop("alpha", None)
+        moved = 0
+        for u, state in enumerate(rows[:3]):
+            batch = sample_cost_batch(state, schema, table, 130, seed=u, alpha=alpha,
+                                      subkey=5, **inputs)
+            raw = np.stack([np.concatenate(costs) for b in range(3) for costs, *_ in
+                            reference_block(state, schema, table,
+                                            stream_rng(TRAIN_STREAM, u, b, 5), alpha,
+                                            inputs.get("editable"), None, rounded=False)])
+            got = batch.table.T
+            assert raw[:batch.m].shape == got.shape
+            raw = raw[:batch.m]
+            finite = np.isfinite(raw)
+            assert np.array_equal(np.isfinite(got), finite)
+            assert np.array_equal(got > 0.0, raw > 0.0)
+            assert not np.signbit(got).any()
+            up, down = got[finite], raw[finite]
+            assert ((up >= down) & (up - cost.QUANTUM < down)).all()
+            assert (up * 2**20 % 1.0 == 0.0).all()
+            moved += int((up > down).sum())
+        assert moved
+
+    def test_rows_summed_in_any_order_equal_cost_rows(self, adult):
+        """A member's feature costs summed right to left, or by
+        `.sum(axis=1)` (pairwise from 8 terms on), equal `cost_rows`' left
+        to right sum bit for bit, infeasible members included."""
+        schema = adult[0]
+        rng = np.random.default_rng(12)
+        finite = 0
+        for state, batch in self.batches(adult):
+            positions = np.concatenate([
+                schema.positions(moved_members(schema, state, 40, seed=int(rng.integers(99)))),
+                partly_moved(schema, state, rng.integers(0, 13, size=40), rng)])
+            terms = batch.table[positions + schema.offsets[:-1]]  # (P, d, M)
+            want = cost_rows(positions, batch)
+            backwards = terms[:, -1].copy()
+            for fi in range(schema.n_features - 2, -1, -1):
+                backwards += terms[:, fi]
+            assert_same_bits(backwards, want)
+            assert_same_bits(terms.sum(axis=1), want)
+            finite += int(np.isfinite(want).sum())
+        assert finite
+
+    def test_benefits_ignore_sample_order_and_stacking(self, adult):
+        """`compute_benefits` of 40 random (10, 10) best/candidate pairs per
+        user is the same table, bit for bit, when the sample columns are
+        permuted and when the pairs are stacked as restarts."""
+        from recourse.search import column_stats, compute_benefits
+
+        schema = adult[0]
+        rng = np.random.default_rng(40)
+        positive = 0
+        for state, batch in self.batches(adult):
+            tables = []
+            for k in range(40):
+                pair = [schema.positions(moved_members(schema, state, 10, seed=100 * k + j))
+                        for j in range(2)]
+                best, cand = (np.where(rng.random((10, 1)) < 0.8, cost_rows(p, batch), INF)
+                              for p in pair)
+                tables.append((best, cand))
+            alone = [compute_benefits(column_stats(best), cand) for best, cand in tables]
+            best, cand = (np.stack(t) for t in zip(*tables))
+            stacked = compute_benefits(column_stats(best), cand)
+            perm = rng.permutation(batch.m)
+            permuted = compute_benefits(column_stats(best[..., perm]), cand[..., perm])
+            for k, want in enumerate(alone):
+                assert_same_bits(stacked[k], want)
+                assert_same_bits(permuted[k], want)
+                positive += int((want > 0.0).sum())
+        assert positive
 
 
 class TestBlockDistribution:
@@ -727,7 +834,8 @@ class TestBlockDistribution:
 
     def test_cells_without_a_beta_hold_the_scalar_blend(self, adult):
         """Where a cell's Beta does not exist (nu <= 0), its cost is the
-        scalar blend and clip of `scalar_cost_functions`, to the bit, checked
+        scalar blend and clip of `scalar_cost_functions`, rounded up to a
+        multiple of 2**-20, to the bit, checked
         on every chosen ordered cell of 130-row batches."""
         schema, rows, _, table, _ = adult
         var = COST_STD * COST_STD
@@ -746,14 +854,16 @@ class TestBlockDistribution:
                             mu = a * (x * keep) + (1.0 - a) * (y * keep)
                             mu = 0.0 if mu < 0.0 else 1.0 if mu > 1.0 else mu
                             if mu * (1.0 - mu) / var - 1.0 <= 0.0:
-                                assert float(feature_costs(batch)[fi][i, j]).hex() == mu.hex()
+                                got = float(feature_costs(batch)[fi][i, j])
+                                assert got.hex() == float(quantized(mu)).hex()
                                 exact += 1
         assert exact > 100
 
 
-def one_each(*members):
-    """`min_cost` arguments pricing every given code row under column 0."""
-    return codes(*members), np.zeros(len(members), dtype=np.int64)
+def one_each(samples, *members):
+    """`min_cost` arguments pricing every given code row under column 0 of
+    `samples`: the rows' domain positions and their owners."""
+    return samples.schema.positions(codes(*members)), np.zeros(len(members), dtype=np.int64)
 
 
 class TestTransitionCost:
@@ -775,21 +885,22 @@ class TestTransitionCost:
 
     def test_noop_is_free(self):
         _, state, c = self._setup()
-        assert min_cost(*one_each(state.values), c).tolist() == [0.0]
+        assert min_cost(*one_each(c, state.values), c).tolist() == [0.0]
 
     def test_hand_sum(self):
         _, state, c = self._setup()
-        assert min_cost(*one_each((1, 1, 0)), c) == pytest.approx([0.5])
-        assert min_cost(*one_each((2, 1, 0)), c) == pytest.approx([1.2])
+        assert min_cost(*one_each(c, (1, 1, 0)), c) == pytest.approx([0.5])
+        assert min_cost(*one_each(c, (2, 1, 0)), c) == pytest.approx([1.2])
 
     def test_immutable_edit_is_infinite(self):
         _, state, c = self._setup()
-        assert min_cost(*one_each((0, 0, 1)), c).tolist() == [INF]
+        assert min_cost(*one_each(c, (0, 0, 1)), c).tolist() == [INF]
 
     def test_out_of_domain_member_names_value_and_feature(self):
         _, state, c = self._setup()
+        # pricing takes domain positions; codes are checked on the way there
         with pytest.raises(SchemaError, match="value 999 not in domain of feature 'b'"):
-            min_cost(*one_each((1, 1, 0), (0, 999, 0)), c)
+            c.schema.positions(codes((1, 1, 0), (0, 999, 0)))
 
     def test_cost_rows_match_scalar_oracle_bitwise(self, synth6):
         schema, rows, _, table, _ = synth6
@@ -826,10 +937,7 @@ def moved_members(schema, state, n, seed):
 
 class TestTwelveFeaturePricing:
     """`cost_rows` and `min_cost` against the scalar oracle on the 12-feature
-    adult-like schema, with members that move all nine movable features.
-    From 8 terms on numpy's reductions sum pairwise, so a feature sum by
-    `np.add.reduce` or `.sum(axis=...)` differs from the oracle in the last
-    bits here, while the 6-feature test above cannot tell."""
+    adult-like schema, with members that move all nine movable features."""
 
     @pytest.mark.parametrize("m,n", [(1, 3000), (1000, 12)])
     def test_cost_rows_match_scalar_oracle_bitwise(self, adult, m, n):
@@ -879,7 +987,7 @@ class TestTwelveFeaturePricing:
             members = codes(*(m for group in owned for m in group))
             owners = np.repeat(np.arange(100), sizes)
             shuffled = np.random.default_rng(k).permutation(len(owners))
-            got = min_cost(members[shuffled], owners[shuffled], population)
+            got = min_cost(schema.positions(members)[shuffled], owners[shuffled], population)
             want = [min((transition_cost(s, m, population, u) for m in group),
                         default=INF) for u, (s, group) in enumerate(zip(states, owned))]
             assert got[k] == INF and np.isfinite(np.delete(got, k)).all()
@@ -1090,15 +1198,15 @@ class TestMinCostAndEmc:
 
     def test_min_of_three(self):
         schema, state, c = self._single_feature([0.0, 0.5, 0.2, 0.9])
-        assert min_cost(*one_each((1,), (2,), (3,)), c) == pytest.approx([0.2])
+        assert min_cost(*one_each(c, (1,), (2,), (3,)), c) == pytest.approx([0.2])
 
     def test_singleton(self):
         schema, state, c = self._single_feature([0.0, 0.5])
-        assert min_cost(*one_each((1,)), c) == pytest.approx([0.5])
+        assert min_cost(*one_each(c, (1,)), c) == pytest.approx([0.5])
 
     def test_all_infinite(self):
         schema, state, c = self._single_feature([0.0, INF, INF])
-        assert min_cost(*one_each((1,), (2,)), c).tolist() == [INF]
+        assert min_cost(*one_each(c, (1,), (2,)), c).tolist() == [INF]
 
     def test_no_member_is_infinite(self):
         schema, state, c = self._single_feature([0.0, 0.5])
@@ -1109,7 +1217,7 @@ class TestMinCostAndEmc:
         schema = DatasetSchema(features=(FeatureSpec("f", "ordered", (0, 1, 2)),))
         state = UserState((0,))
         c = manual_samples(schema, state, [[[0.0, 0.2, 0.1]], [[0.0, 0.4, 0.7]]])
-        members = codes((1,), (2,))
+        members = schema.positions(codes((1,), (2,)))
         assert min_cost(members, np.array([1, 1]), c) == pytest.approx([INF, 0.4])
         assert min_cost(members, np.array([0, 1]), c) == pytest.approx([0.2, 0.7])
         assert min_cost(members, np.array([1, 0]), c) == pytest.approx([0.1, 0.4])
@@ -1120,7 +1228,7 @@ class TestMinCostAndEmc:
         batch = sample_cost_batch(state, schema, table, 1, seed=4)
         members = codes(state.values)
         assert [emc(cost_rows(schema.positions(members), batch).min(axis=0))] == (
-            min_cost(*one_each(state.values), batch).tolist()
+            min_cost(*one_each(batch, state.values), batch).tolist()
         )
 
     def test_emc_hand_average(self):

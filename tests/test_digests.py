@@ -56,13 +56,13 @@ BATCH_CASES = {
     "perc": dict(alpha=0.0),
 }
 BATCH_DIGESTS = {
-    "lin": "e622136e468e4e7a9c53a9f515c6a33a803b959b461f853b35b7755f6c6b4dad",
-    "mix": "f2da1d03eb2c898701d2a08a0a97d75f72c184845d787f7a867e9d57c551509d",
-    "mix-alpha": "1333e1565c7e13b27adb2be2f2b1bb642c642ba5c0eb894f2e100dcbd8e7250e",
-    "mix-editable": "8313dd8893b582124ea6a29e0770ab5f21d11eb86816c5e461f7a34f593cffa0",
-    "mix-pinned": "873b82ff492f458ce3cb31cf72285ec9dc92f4fb304c01a0ccf0f311a6f5cf70",
-    "mix-zero-pref": "e93cc209785d3392886c035e8fd6d8fb17ce7984cd44b85f9570da1cb417a065",
-    "perc": "38c4200b511b38e343dd34081c7121bf71a8372d7c3cd88c7c8092fc9f4981f1",
+    "lin": "61f07abe0943bede4c51a38b09aefa8559f68ac38d0bf850d68102e07f556193",
+    "mix": "f3ee6f0a796c6b67f146b460323d30980608b14c1db1a8f250d176009e86ecca",
+    "mix-alpha": "a2c59d65f4446c60849215f51fab4ee5d16b27fa42e8d8eaaa613e5a40c70096",
+    "mix-editable": "b57354a848a903c5d2b638a7d770d3214f253756d7d4b11ee1dba98ba8b520f6",
+    "mix-pinned": "c3177a673102937ae3e26edb45399da1ee86d12db1dfb778baf7555a702516f2",
+    "mix-zero-pref": "3f62e4c7baf2cd8db42b6ff86ede5c1cfea54952cb13d259fb4eb93094c1dc97",
+    "perc": "b1f744f019e95bfa9c58c544897e3aadea8cfc730ab64961922869ac55e82f01",
 }
 # Every non-immutable feature of the adult-like schema. With all of them
 # editable every sample prices each valid member finitely, so the EMC
@@ -81,12 +81,12 @@ DOC_SETTINGS = {
 DOC_DIGESTS = {
     "cols": "e3f03add7470cec8b26d8b5261e193a58955b59bd97250d93ef824be0760cb00",
     "pcols": "3e2c64b854f59dc369832e218681da4cf6e81fc19ac02b8a153727c500690b1c",
-    "random": "80be8ccb790e67ef22b9f34e5cae78fcfa4977b1584b42e63861237225f6457a",
-    "ls:emc": "3ed1404344eb090a0cddcf4465a207c45fcc1456e9684b523e099a8f07732207",
+    "random": "f4c3864b9bb5fb04a2bbf2661df0864b44ee35a642b2edde2c77bafd6a0d1069",
+    "ls:emc": "bb5b08fd936cdbd64aec6c50b4bf9b4cb9dcdd506493d70a52db98af60a96830",
     "ls:diversity": "929878ab82760b4a8064f510841c1d86bdabe260f4f12982f3df06a6c2a7719d",
 }
-SIMULATED_DIGEST = "1ab218d3d863b5475dcf5554096a734e7ffccc1e3b391afc9c38bbfb5f22dfe2"
-POPULATION_DIGEST = "2650e83a3cb4d13c205b32cc30129525d21c63ccc6d8fe746b8843a9380d8559"
+SIMULATED_DIGEST = "fb2733235396b5fe6e2018c51c2dac2cf8206ffc1d209e1d8a7e1b7957fbe848"
+POPULATION_DIGEST = "224881fd9c47b5d15110dc77c8cf626191ac817c092f4c8f1db42e72fdd46844"
 CSV_DIGESTS = {
     "evaluate/metrics_mean.csv":
         "32fe6951c30e41a46152a6f04ce886e2dc3f81646891a99ec47f42e34fd376b0",

@@ -67,15 +67,16 @@ def stacked(sets):
             np.concatenate([v for _, v in sets]))
 
 
-def valid_of(sets):
-    """The valid members of `sets` and the index of each one's set."""
+def valid_of(sets, schema):
+    """The valid members of `sets` as domain positions, which pricing
+    takes, and the index of each one's set."""
     members, owners, validity = stacked(sets)
-    return members[validity], owners[validity]
+    return schema.positions(members[validity]), owners[validity]
 
 
 def realised(user, recourse):
     """The realised cost of a population of one owning `recourse`."""
-    (cost,) = min_cost(*valid_of([recourse]), user)
+    (cost,) = min_cost(*valid_of([recourse], user.schema), user)
     return cost
 
 
@@ -93,9 +94,10 @@ class TestDocArrays:
     def test_stacks_members_in_document_order(self):
         docs = [result_doc((0, 5), [(1, 5), (2, 7)], [True, False]),
                 result_doc((2, 7), [(0, 5)], [True])]
-        states, members, owners, validity = doc_arrays(docs, self.SCHEMA)
+        states, members, owners, validity, positions = doc_arrays(docs, self.SCHEMA)
         assert states.tolist() == [[0, 5], [2, 7]]
         assert members.tolist() == [[1, 5], [2, 7], [0, 5]]
+        assert positions.tolist() == [[1, 0], [2, 1], [0, 0]]
         assert owners.tolist() == [0, 0, 1]
         assert validity.tolist() == [True, False, True]
         assert [a.dtype for a in (states, members, validity)] == [np.int64, np.int64, bool]
@@ -184,7 +186,7 @@ class TestRealizedCost:
     def test_reads_the_pointed_transition(self):
         costs = [0.0, 0.5, 1.2, INF]
         users = single_feature_users(*([0.0, c] for c in costs))
-        got = min_cost(*valid_of([pointing_set()] * len(costs)), users)
+        got = min_cost(*valid_of([pointing_set()] * len(costs), users.schema), users)
         assert got.tolist() == costs
 
 
@@ -221,10 +223,12 @@ class TestFsAtK:
             simulate_users([], schema, table, 5, [])
         user = single_feature_users([0.0, 0.5])
         # A user who owns no valid member is uncovered.
-        nobody = compute_report(user, *valid_of([pointing_set(valid=False)]), user.schema)
+        nobody = compute_report(user, *valid_of([pointing_set(valid=False)], user.schema),
+                                user.schema)
         assert (nobody.n_users, nobody.coverage, nobody.pac.uncovered) == (1, 0.0, 1)
         with pytest.raises(ValueError, match=r"owner column in 0\.\.0 per member"):
-            compute_report(user, *valid_of([pointing_set()] * 2), user.schema, k=1.0)
+            compute_report(user, *valid_of([pointing_set()] * 2, user.schema), user.schema,
+                           k=1.0)
         with pytest.raises(ValueError, match="per member"):
             compute_report(user, np.zeros((2, 1), np.int64), np.zeros(1, np.intp),
                            user.schema)
@@ -513,7 +517,7 @@ class TestComputeReport:
         schema, rows, _, table, _ = synth6
         users = simulate_users(state_codes(rows[:20]), schema, table, 99, range(20))
         sets = [recourse_set([state.values], [True]) for state in rows[:20]]
-        report = compute_report(users, *valid_of(sets), schema, k=1.0)
+        report = compute_report(users, *valid_of(sets, schema), schema, k=1.0)
         assert report.n_users == 20
         assert 0.0 <= report.fs_at_k <= 1.0
         assert report.coverage >= report.fs_at_k
@@ -532,7 +536,7 @@ class TestComputeReport:
             return min_cost(members, owners, population)
 
         monkeypatch.setattr(evaluate, "min_cost", counting_min_cost)
-        compute_report(users, *valid_of(sets), schema, k=1.0)
+        compute_report(users, *valid_of(sets, schema), schema, k=1.0)
         assert len(calls) == 1
         members, owners, population = calls[0]
         assert population is users
@@ -544,7 +548,7 @@ class TestComputeReport:
     def test_subgroups_are_slices_of_the_cost_vector(self, adult_population):
         schema, states, users, sets = adult_population
         k = 1.0
-        report = compute_report(users, *valid_of(sets), schema, k=k)
+        report = compute_report(users, *valid_of(sets, schema), schema, k=k)
         costs = np.array([
             min((transition_cost(state, tuple(m), users, u)
                  for m in members[validity].tolist()), default=INF)
@@ -592,7 +596,7 @@ class TestReportTables:
 
     def test_metric_names_list_a_full_table_in_row_order(self, adult_population):
         schema, states, users, sets = adult_population
-        table = compute_report(users, *valid_of(sets), schema, k=1.0).table
+        table = compute_report(users, *valid_of(sets, schema), schema, k=1.0).table
         shared = set_metrics(state_codes(states), *stacked(sets), schema)
         order = metric_names(schema, 1.0)
         assert set(table) | set(shared) <= set(order)
@@ -615,7 +619,7 @@ class TestReportTables:
 
     def test_table_names_in_row_order(self, adult_population):
         schema, _, users, sets = adult_population
-        report = compute_report(users, *valid_of(sets), schema, k=1.0)
+        report = compute_report(users, *valid_of(sets, schema), schema, k=1.0)
         table = report.table
         names = metric_names(schema, 1.0)
         assert names[:8] == ["fs_at_1", "pac", "pac_uncovered", "coverage",

@@ -9,6 +9,7 @@ from recourse.model import BudgetExhausted, BudgetMeter, Classifier
 from recourse.schema import DatasetSchema, FeatureSpec, UserState, feasible_values
 from recourse.search import (
     BIG,
+    CAP,
     CHUNK,
     HAMMING,
     METHODS,
@@ -350,13 +351,18 @@ class TestScreen:
             at_or_above = np.take_along_axis(above, pick[None], axis=0)[0]
             blocked = rng.random(r) < 0.5
             cand[blocked] = at_or_above[blocked]
-            screen = can_swap(stats, cand)
-            assert np.array_equal(screen, can_swap(stats, np.minimum(cand, BIG)))
+            # validity masks candidates as the priced table does with inf
+            valid = rng.random((r, nc)) < 0.8
+            screen = can_swap(stats, cand, valid)
+            for raw in (np.minimum(cand, BIG), np.minimum(cand, CAP)):
+                assert np.array_equal(screen, can_swap(stats, raw, valid))
+            costs = np.where(valid[..., None], cand, INF)
+            assert np.array_equal(screen, can_swap(stats, costs, np.ones_like(valid)))
             assert not screen[blocked].any()
-            benefits = compute_benefits(stats, cand)
+            benefits = compute_benefits(stats, costs)
             assert not (benefits[~screen] > 0.0).any()
             rejected = np.flatnonzero(~screen)
-            alone = compute_benefits(stats.take(rejected), cand[rejected])
+            alone = compute_benefits(stats.take(rejected), costs[rejected])
             assert not (alone > 0.0).any()
             assert not any(k in rejected for k, _, _ in select_swaps(benefits))
             dropped += len(rejected)
@@ -376,7 +382,8 @@ class TestScreen:
         config = GenerationSettings(budget=600, set_size=5, restarts=3, seed=4)
         plain = pcols(s_u, clf, samples, schema, config)
         real = {name: getattr(search_module, name) for name in
-                ("column_stats", "_priced_rows", "_refresh", "compute_benefits")}
+                ("column_stats", "_classify", "_price_moves", "_refresh",
+                 "compute_benefits")}
         held, rounds = {}, []
 
         def open_round():
@@ -389,10 +396,14 @@ class TestScreen:
             held.setdefault("stats", out)  # the loop's held statistics
             return out
 
-        def _priced_rows(idx, s, valid):
-            out = real["_priced_rows"](idx, s, valid)
+        def _classify(model, idx, meter):
+            held["valid"] = real["_classify"](model, idx, meter)
+            return held["valid"]
+
+        def _price_moves(parent, table, left, entered):
+            out = real["_price_moves"](parent, table, left, entered)
             if "stats" in held:  # an iteration's candidates
-                held["cand"] = out
+                held["cand"] = np.where(held["valid"][..., None], out, INF)
                 open_round()
             return out
 
@@ -406,8 +417,9 @@ class TestScreen:
             rounds[-1]["evaluated"] = len(cand)
             return real["compute_benefits"](stats, cand)
 
-        for name, fn in [("column_stats", column_stats), ("_priced_rows", _priced_rows),
-                         ("_refresh", _refresh), ("compute_benefits", compute_benefits)]:
+        for name, fn in [("column_stats", column_stats), ("_classify", _classify),
+                         ("_price_moves", _price_moves), ("_refresh", _refresh),
+                         ("compute_benefits", compute_benefits)]:
             monkeypatch.setattr(search_module, name, fn)
         res = pcols(s_u, clf, samples, schema, config)
 
@@ -447,7 +459,7 @@ def two_mutable_schema():
 def perturb_once(ws, base, rngs):
     """One perturbation of the (R, n, d) `base`, restart r drawing from
     rngs[r]: a plan on a meter that pays for nothing draws one call."""
-    return ws.plan(rngs, base.shape[-2], BudgetMeter(0))(base)
+    return ws.plan(rngs, base.shape[-2], BudgetMeter(0))(base)[0]
 
 
 def perturb(base, s_u, schema, rng):
@@ -584,7 +596,9 @@ class TestPerturbDistribution:
 
 def per_call_perturb(ws, base, rngs):
     """The per-call reference for `_Workspace.plan`: one uniform (N, m + k)
-    block per restart and call, ranked and scaled on its own."""
+    block per restart and call, ranked and scaled on its own. Returns the
+    perturbed rows and the (R, N, k) cost-table rows each row's moves leave
+    and enter."""
     m = len(ws.movable)
     k = min(HAMMING, m)
     n_restarts, n = base.shape[:2]
@@ -594,10 +608,11 @@ def per_call_perturb(ws, base, rngs):
     feats = ws.movable[np.argsort(u[..., :m], axis=-1)[..., :k]]
     pos = (u[..., m:] * ws.n_choices[feats]).astype(np.intp)
     out = np.array(base, dtype=np.intp)
-    out[np.arange(n_restarts)[:, None, None], np.arange(n)[:, None], feats] = (
-        ws.feasible[feats, pos]
-    )
-    return out
+    at = np.arange(n_restarts)[:, None, None], np.arange(n)[:, None], feats
+    offsets = ws.schema.offsets[feats]
+    left = offsets + out[at]
+    out[at] = ws.feasible[feats, pos]
+    return out, left, offsets + out[at]
 
 
 class TestPlan:
@@ -635,10 +650,13 @@ class TestPlan:
         base = np.broadcast_to(ws.user_idx, (restarts, n, len(ws.user_idx)))
         calls = 0
         while True:
-            out = perturb(base)
+            out, *moves = perturb(base)
             calls += 1
             assert out.dtype == np.intp
-            assert np.array_equal(out, per_call_perturb(ws, base, alone))
+            want, *want_moves = per_call_perturb(ws, base, alone)
+            assert np.array_equal(out, want)
+            for got, ref in zip(moves, want_moves, strict=True):
+                assert np.array_equal(got, ref)
             try:
                 meter.charge(restarts * n)
             except BudgetExhausted:
@@ -657,9 +675,9 @@ class TestPlan:
         alone = [ws.plan([rng], n, BudgetMeter(10**6)) for rng in self._streams(3)]
         base = np.tile(ws.user_idx, (3, n, 1))
         for _ in range(CHUNK + 3):
-            out = together(base)
+            out = together(base)[0]
             for r, lone in enumerate(alone):
-                assert np.array_equal(out[r], lone(base[r:r + 1])[0])
+                assert np.array_equal(out[r], lone(base[r:r + 1])[0][0])
             base = out
 
     def test_one_restart_takes_set_rows(self):
@@ -670,8 +688,9 @@ class TestPlan:
         base = np.tile(ws.user_idx, (6, 1))
         for _ in range(CHUNK + 3):
             out = flat(base)
-            assert np.array_equal(out, nested(base[None])[0])
-            base = out
+            for got, ref in zip(out, nested(base[None]), strict=True):
+                assert np.array_equal(got, ref[0])
+            base = out[0]
 
 
 class TestCols:
@@ -909,7 +928,8 @@ class TestLockstep:
 class TestTracedNames:
     def test_patched_names_see_every_call_of_a_pcols_run(self, synth6, monkeypatch):
         """The benchmark's traced pass wraps these module-level names; the
-        search must look each one up at call time."""
+        search must look each one up at call time. pcols calls `cost_rows`
+        never."""
         schema, rows, _, table, clf = synth6
         s_u = rows[4]
         samples = sample_cost_batch(s_u, schema, table, 25, seed=4)
@@ -951,7 +971,8 @@ class TestTracedNames:
         assert np.array_equal(res.members, plain.members)
         assert np.array_equal(res.validity, plain.validity)
         assert res.trace == plain.trace
-        assert seen["queried"] == seen["priced"] == res.queries_used
+        # candidates are priced from their parents' raw rows (`_price_moves`)
+        assert seen["queried"] == res.queries_used and seen["priced"] == 0
         assert len(seen["selects"]) == len(seen["benefits"])
         assert all(b is out for b, (out, _) in zip(seen["benefits"], seen["selects"]))
         # each iteration's greedy rounds end either on a select that finds
@@ -1038,10 +1059,16 @@ class TestGenerationSettings:
          "budget 30 over 3 restarts cannot cover set size 11"),
         (dict(method="ls"), "unknown method 'ls'; valid methods: cols, pcols, random, "
          "ls:emc, ls:diversity, ls:proximity, ls:sparsity"),
+        (dict(num_samples=4097), "num_samples must be at most 4096, got 4097: benefit "
+         "sums over more samples are no longer exact"),
+        (dict(method="ls:diversity", num_samples=10**6), "num_samples must be at most 4096"),
     ])
     def test_rejected_at_construction(self, fields, message):
         with pytest.raises(ValueError, match=message):
             GenerationSettings(**fields)
+
+    def test_exact_sample_bound_accepted(self):
+        assert GenerationSettings(num_samples=4096).num_samples == 4096
 
     @pytest.mark.parametrize("method", METHODS)
     def test_every_method_runs_through_run_user(self, synth6, monkeypatch, method):
@@ -1146,9 +1173,69 @@ class TestPairedDirections:
                 )
                 valid = np.array(doc.validity)
                 members = np.array(doc.members)[valid]
-                hits[method] += min_cost(members, np.zeros(len(members), np.intp),
+                hits[method] += min_cost(schema.positions(members),
+                                         np.zeros(len(members), np.intp),
                                          user)[0] < 1.0
         assert hits["cols"] > hits["random"]
+
+
+class TestParentRowPricing:
+    """Every searched candidate is priced from its parent's raw row
+    (`_price_moves`); each table it returns, clamped to BIG, is the
+    `cost_rows` table of the same positions clamped to BIG, bit for bit,
+    and priced by `_costs` it is the `cost_rows` table with invalid rows
+    inf."""
+
+    RUNS = (dict(method="cols", budget=300, set_size=5),
+            dict(method="pcols", budget=600, set_size=5, restarts=3),
+            dict(method="ls:emc", budget=300, set_size=5))
+
+    @pytest.mark.parametrize("data", ["adult", "synth6"])
+    def test_every_priced_table_equals_cost_rows(self, request, monkeypatch, data):
+        from recourse.experiments import select_undesired
+
+        schema, rows, _, table, clf = request.getfixturevalue(data)
+        states, ids = select_undesired(rows, clf, schema, limit=4)
+        real = {name: getattr(search_module, name) for name in ("_classify", "_price_moves")}
+        seen = {"calls": 0, "stays": 0, "infeasible": 0, "finite": 0}
+
+        def _classify(model, idx, meter):
+            seen["idx"] = idx
+            seen["valid"] = real["_classify"](model, idx, meter)
+            return seen["valid"]
+
+        def _price_moves(parent, raw_table, left, entered):
+            out = real["_price_moves"](parent, raw_table, left, entered)
+            idx, valid = seen["idx"], seen["valid"]
+            want = cost_rows(idx.reshape(-1, idx.shape[-1]), seen["samples"])
+            want = want.reshape(out.shape)
+            assert_bits(np.minimum(out, BIG), np.minimum(want, BIG))
+            assert_bits(search_module._costs(out, valid),
+                        np.where(valid[..., None], want, INF))
+            seen["calls"] += 1
+            seen["stays"] += int((left == entered).sum())  # moves to the current position
+            # rows with a move infeasible under some samples but not all
+            some = (out >= CAP).any(axis=-1) & (out < CAP).any(axis=-1)
+            seen["infeasible"] += int(some.sum())
+            seen["finite"] += int(np.isfinite(want).sum())
+            return out
+
+        monkeypatch.setattr(search_module, "_classify", _classify)
+        monkeypatch.setattr(search_module, "_price_moves", _price_moves)
+        for k, (state, uid) in enumerate(zip(states, ids)):
+            for fields in self.RUNS:
+                settings = GenerationSettings(seed=k, num_samples=60, **fields)
+                samples = sample_cost_batch(state, schema, table, settings.num_samples,
+                                            seed=k, subkey=uid)
+                seen["samples"] = samples
+                run = {"cols": cols, "pcols": pcols, "ls:emc": local_search}[fields["method"]]
+                run(state, clf, samples, schema, settings, user_key=uid)
+        assert seen["calls"] and seen["stays"] and seen["infeasible"] and seen["finite"]
+
+
+def assert_bits(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 class TestValidityChanneling:
