@@ -47,12 +47,9 @@ from .search import (
     GenerationSettings,
     SearchResult,
     cols,
-    column_stats,
-    compute_benefits,
     local_search,
     pcols,
     random_search,
-    select_swaps,
 )
 
 __version__ = "0.1.0"

@@ -93,21 +93,10 @@ Every price of a whole member comes from `cost_rows`, which takes members
 as domain positions (`DatasetSchema.positions`), gathers each feature's
 table rows for all members and adds them left to right; sums saturate at
 `math.inf`, so one infeasible feature makes a whole transition infeasible.
-Search prices whole new sets under every column; `min_cost` prices a
-hidden population, each member under its owner's column alone. A
-perturbed member is priced from its parent's row instead
+`random` prices its whole uniform sets under every column; `min_cost`
+prices a hidden population, each member under its owner's column alone.
+A perturbed member is priced from its parent's row instead
 (`search._price_moves`), which the quanta make exact too.
-
-The sampler writes exactly +0.0 into every column of a feature's origin
-row, and a searched member moves only a few of its features, so most of
-the rows a full (P, M) pricing gathers add nothing. It skips them: each
-member adds only its rows that are not all +0.0 (`CostSampleSet.zero_rows`),
-still in feature order, and a member with fewer such rows than the widest
-adds an all-+0.0 row in their place. That is bit for bit the full sum: a
-sum of doubles is -0.0 only when both terms are, so in a table without a
--0.0 no partial sum is -0.0, and adding +0.0 returns every other double
-unchanged. A table holding a -0.0 anywhere has no zero rows and is
-priced in full.
 """
 
 from __future__ import annotations
@@ -115,7 +104,6 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -161,16 +149,6 @@ class CostSampleSet:
     @property
     def m(self) -> int:
         return len(self.alpha)
-
-    @cached_property
-    def zero_rows(self) -> np.ndarray:
-        """(W,) bool: the table rows whose entries are all +0.0, which
-        `cost_rows` leaves out of its sums; none when the table holds a
-        -0.0 (see the module docstring)."""
-        zero = self.table == 0.0
-        if np.signbit(self.table[zero]).any():
-            return np.zeros(len(self.table), dtype=bool)
-        return zero.all(axis=1)
 
 
 def _check_inputs(
@@ -518,32 +496,13 @@ def cost_rows(index_matrix: np.ndarray, samples: CostSampleSet,
     `columns`, the (P,) cost of member p under column `columns[p]` alone.
 
     Each member's feature costs are added left to right, one gather per
-    term added in place. The (P, M) table skips each member's all-+0.0
-    rows, bit for bit (see the module docstring)."""
+    term added in place."""
     rows = index_matrix + samples.schema.offsets[:-1]
-    table = samples.table
-    if columns is None:
-        rows, columns = _moved_rows(rows, samples.zero_rows), slice(None)
-    out = table[rows[:, 0], columns]
+    columns = slice(None) if columns is None else columns
+    out = samples.table[rows[:, 0], columns]
     for fi in range(1, rows.shape[1]):
-        out += table[rows[:, fi], columns]
+        out += samples.table[rows[:, fi], columns]
     return out
-
-
-def _moved_rows(rows: np.ndarray, zero_rows: np.ndarray) -> np.ndarray:
-    """The (P, k) table rows that member p adds: its rows outside
-    `zero_rows` in feature order, then an all-+0.0 row up to k, the widest
-    member's count (at least 1). When no row is all +0.0 every member adds
-    all d of its rows, and the plan equals `rows`."""
-    pad = int(zero_rows.argmax())
-    live = ~zero_rows[rows]
-    count = live.sum(axis=1)
-    k = count.max(initial=1)
-    plan = np.full((len(rows), k), pad)
-    # Both boolean indexings run in row-major order, so member p's live rows
-    # fill its first count[p] slots in feature order.
-    plan[np.arange(k) < count[:, None]] = rows[live]
-    return plan
 
 
 def min_cost(positions: np.ndarray, owners: np.ndarray, population: CostSampleSet) -> np.ndarray:

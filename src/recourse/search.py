@@ -48,18 +48,20 @@ A candidate is its parent member with k = HAMMING features moved, so it
 is priced from the parent's raw row (`_price_moves`): the row plus, per
 move, the new position's table entry minus the old one's: four gathers
 and four adds of R * N rows, however many features the members have
-moved. A raw row sums a table in which CAP = 2**21 stands in for an
-infeasible move; CAP exceeds BIG, so a raw sum of CAP or more clamps to
-BIG exactly as inf does, and `_costs` turns it back into inf. Every cost
-is a multiple of `cost.QUANTUM` and every raw row a multiple no larger
-than d * CAP, far inside a double's exact range, so each add and
-subtract is exact and the candidate's raw row is bit for bit the
-`cost_rows` sum of its positions, with CAP or more where that sum is
-inf. The user state's raw row is all zeros, so the first set is priced
-by the same rule, and a swap copies the candidate's raw row with its
-position, validity and cost. `local_search` prices a perturbed set from
-the incumbent's raw rows the same way; only whole new sets (`random`)
-are priced by `cost_rows`.
+moved. A raw row sums a table in which BIG = 2**20 stands in for an
+infeasible move. A feasible row sums d costs of at most 1, far below
+BIG, so a raw row is BIG or more exactly where a move is infeasible: it
+clamps to BIG as inf does, `can_swap` never lets it beat a held minimum
+(at most BIG), and `_costs` turns it back into inf. Every cost is a
+multiple of `cost.QUANTUM` and every raw row a multiple no larger than
+d * BIG, far inside a double's exact range, so each add and subtract is
+exact and the candidate's raw row is bit for bit the `cost_rows` sum of
+its positions, with BIG or more where that sum is inf. The user state's
+raw row is all zeros, so the first set is priced by the same rule, and a
+swap copies the candidate's raw row with its position, validity and
+cost. `local_search` prices a perturbed set from the incumbent's raw
+rows the same way; only `random`'s whole new sets are priced by
+`cost_rows`.
 
 Perturbation is planned a chunk of calls at a time (`_Workspace.plan`).
 A call resamples two features of each of the R * N rows, and restart r
@@ -78,17 +80,22 @@ draws leave it. Every restart reads the same amount on every call, so it
 equals `_lockstep` run alone on its stream and B // R queries.
 
 `random_search` and `local_search` are the baselines used for ablations.
-Both run one whole-set hill climb, `_whole_set`: propose a whole candidate
-set, classify it in one query, and keep it only when its loss is strictly
-below the incumbent's. They differ in the proposal alone:
-`random_search` draws N states uniformly from the feasible product space,
-`local_search` perturbs every member like `cols` does.
+Both keep a whole candidate set only when its loss is strictly below the
+incumbent's. `local_search` is a hill climb: it perturbs every member of
+the incumbent like `cols` does and classifies each candidate set in one
+query. A `random_search` set is N states drawn uniformly from the
+feasible product space and never depends on the incumbent, so the run is
+one array program: it draws all B // N sets in stream order, classifies
+them in one query and prices each with `cost_rows`; its trace is the
+running minimum of their losses and its incumbent the first set at the
+least one.
 
 Every optimizer minimizes, and every trace holds the value minimized. For
 the emc objective that is `cost.emc`, the one definition of the objective:
-`_lockstep` reads it from the held column statistics and `_whole_set`
-from the priced set. `local_search`'s distance objectives are minimized
-as losses, the negated diversity, proximity or sparsity.
+`_lockstep` reads it from the held column statistics, `random_search`
+and `local_search` from the priced sets. `local_search`'s distance
+objectives are minimized as losses, the negated diversity, proximity or
+sparsity.
 
 Every optimizer takes the same `GenerationSettings` (method, budget, set
 size, restarts, seed; the other fields drive cost sampling) and has
@@ -136,14 +143,11 @@ from .schema import DatasetSchema, UserState, feasible_positions
 
 INF = math.inf
 
-# Finite stand-in for infinite costs inside benefit sums. Any value far above
-# the largest possible finite transition cost (= feature count) works; a
-# power of two keeps every benefit sum of cost quanta exact (see `cost`).
+# Finite stand-in for infinite costs inside benefit sums and for an
+# infeasible move in raw rows (`_price_moves`). Any value far above the
+# largest possible finite transition cost (= feature count) works; a power
+# of two keeps every benefit sum of cost quanta exact (see `cost`).
 BIG = float(2**20)
-
-# Finite stand-in for an infeasible move in raw rows (`_price_moves`): above
-# BIG, so a raw sum of CAP or more clamps to BIG exactly as inf does.
-CAP = float(2**21)
 
 # Features each perturbation resamples per member.
 HAMMING = 2
@@ -385,7 +389,7 @@ def can_swap(stats: ColumnStats, cand_raw: np.ndarray, cand_valid: np.ndarray) -
     masked by its (Nc,) validity, costs strictly less than its column's
     held minimum somewhere. The held minima are at most BIG, so a raw
     entry beats one exactly when the priced cost, inf where a raw row is
-    CAP or more, does. A restart it rejects has no strictly positive
+    BIG or more, does. A restart it rejects has no strictly positive
     benefit entry (see `_lockstep`)."""
     beats = (cand_raw < stats.min_vals[..., None, :]).any(axis=-1)
     return (beats & cand_valid).any(axis=-1)
@@ -411,8 +415,8 @@ def _classify(model: EncodedView, idx: np.ndarray, meter: BudgetMeter) -> np.nda
 
 
 def _raw_table(samples: CostSampleSet) -> np.ndarray:
-    """The (W, M) table raw rows add: each cost, with CAP for inf."""
-    return np.minimum(samples.table, CAP)
+    """The (W, M) table raw rows add: each cost, with BIG for inf."""
+    return np.minimum(samples.table, BIG)
 
 
 def _price_moves(parent: np.ndarray, table: np.ndarray, left: np.ndarray,
@@ -421,9 +425,9 @@ def _price_moves(parent: np.ndarray, table: np.ndarray, left: np.ndarray,
     (broadcast against (..., M); the user state's is 0.0) plus, per move j,
     `table[entered[..., j]] - table[left[..., j]]`, for (..., k) table rows
     of the `_raw_table` (W, M) `table`. A raw row is its member's sum of
-    table entries, CAP for an infeasible one, so it is CAP or more exactly
+    table entries, BIG for an infeasible one, so it is BIG or more exactly
     where `cost_rows` gives inf and equals the `cost_rows` sum elsewhere:
-    the entries are multiples of `cost.QUANTUM` no larger than CAP, so
+    the entries are multiples of `cost.QUANTUM` no larger than BIG, so
     every partial sum of a row's few dozen terms is exact."""
     out = parent + table.take(entered[..., 0], axis=0)
     out -= table.take(left[..., 0], axis=0)
@@ -435,8 +439,8 @@ def _price_moves(parent: np.ndarray, table: np.ndarray, left: np.ndarray,
 
 def _costs(raw: np.ndarray, valid: np.ndarray) -> np.ndarray:
     """(..., M) costs of raw rows: inf where the member is invalid or some
-    move infeasible (the raw row CAP or more), the raw row elsewhere."""
-    return np.where(valid[..., None] & (raw < CAP), raw, INF)
+    move infeasible (the raw row BIG or more), the raw row elsewhere."""
+    return np.where(valid[..., None] & (raw < BIG), raw, INF)
 
 
 def _lockstep(
@@ -572,11 +576,11 @@ def _set_loss(
     valid: np.ndarray,
     raw: Optional[np.ndarray],
 ) -> float:
-    """The loss `_whole_set` minimizes: the `emc` of the set's (N, M) raw
-    rows (or `cost_rows` table) priced by `_costs`, invalid members costing
-    inf, or the negated
-    diversity, proximity or sparsity. A set without a single valid member
-    has loss inf, mirroring the hard validity constraint on recourse."""
+    """The loss a whole-set search minimizes: the `emc` of the set's (N, M)
+    raw rows (or `cost_rows` table) priced by `_costs`, invalid members
+    costing inf, or the negated diversity, proximity or sparsity. A set
+    without a single valid member has loss inf, mirroring the hard
+    validity constraint on recourse."""
     if objective == "emc":
         return float(emc(_costs(raw, valid).min(axis=0)))
     if not valid.any():
@@ -585,46 +589,72 @@ def _set_loss(
     return -{"diversity": div, "proximity": prox, "sparsity": spar}[objective]
 
 
-def _whole_set(
+def random_search(
+    s_u: UserState,
+    classifier: Classifier,
+    samples: CostSampleSet,
+    schema: DatasetSchema,
+    settings: GenerationSettings,
+    user_key: int = 0,
+) -> SearchResult:
+    """Whole-set baseline: B // N sets of N states drawn uniformly from the
+    feasible product space, one `uniform_rows` call each in stream order,
+    all classified in one metered query and each priced with `cost_rows`.
+    A set replaces the incumbent only when its EMC is strictly lower, so
+    the trace, the incumbent's EMC after every set, is the running minimum
+    of the sets' EMCs, and the incumbent is the first set at the least."""
+    ws = _Workspace(s_u, schema)
+    rng = stream_rng(SEARCH_STREAM, settings.seed, 0, user_key)
+    n = settings.set_size
+    meter = BudgetMeter(settings.budget)
+    sets = np.stack([ws.uniform_rows(n, rng) for _ in range(settings.budget // n)])
+    valid = _classify(EncodedView(classifier, schema), sets, meter)
+    losses = np.array([_set_loss("emc", ws, cand, cand_valid, cost_rows(cand, samples))
+                       for cand, cand_valid in zip(sets, valid)])
+    trace = np.minimum.accumulate(losses)
+    best = int(losses.argmin())
+    return SearchResult(schema.codes(sets[best]), valid[best], trace.tolist(), meter.used,
+                        float(trace[-1]))
+
+
+def local_search(
     s_u: UserState,
     classifier: Classifier,
     samples: Optional[CostSampleSet],
     schema: DatasetSchema,
     settings: GenerationSettings,
-    user_key: int,
-    uniform: bool,
+    user_key: int = 0,
 ) -> SearchResult:
-    """Hill climbing on whole sets for `settings.objective`. Each candidate
-    set is drawn uniformly from the feasible product space (`uniform`) or
-    perturbed from the incumbent through the workspace's plan (the first
-    from N copies of the user state); it replaces the incumbent only when
-    its loss (`_set_loss`) is strictly lower. The loop ends when the budget
-    cannot pay for a candidate set, and the trace holds the incumbent's
-    loss after every iteration. Only the emc objective prices sets: a
-    uniform set with `cost_rows`, a perturbed one from the incumbent's raw
-    rows (`_price_moves`). Its final loss is the result's emc; the other
-    objectives never read `samples`, which may be None, and report an emc
-    of inf."""
+    """Plain hill climbing on whole sets for the objective `settings.method`
+    names: `ls:emc`, `ls:diversity`, `ls:proximity` or `ls:sparsity`.
+
+    Same perturbation neighborhood as `cols`: each candidate set perturbs
+    every member of the incumbent through the workspace's plan (the first
+    from N copies of the user state), and replaces the incumbent only when
+    its loss (`_set_loss`) is strictly lower; there is no per-member
+    swapping. The loop ends when the budget cannot pay for a candidate
+    set, and the trace holds the incumbent's loss after every iteration:
+    the EMC, or the negated diversity, proximity or sparsity of the set.
+    Only `ls:emc` prices sets, each from the incumbent's raw rows
+    (`_price_moves`), and reads `samples`, which may otherwise be None;
+    its final loss is the result's emc, and the other objectives report an
+    emc of inf.
+    """
     ws = _Workspace(s_u, schema)
     model = EncodedView(classifier, schema)
     rng = stream_rng(SEARCH_STREAM, settings.seed, 0, user_key)
     n, objective = settings.set_size, settings.objective
     meter = BudgetMeter(settings.budget)
     perturb = ws.plan([rng], n, meter)
-    table = _raw_table(samples) if objective == "emc" and not uniform else None
+    table = _raw_table(samples) if objective == "emc" else None
 
     def propose(members: np.ndarray, raw) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
         """A candidate set, its validity from one metered query, and its raw
         rows when the objective prices them."""
-        if uniform:
-            cand = ws.uniform_rows(n, rng)
-        else:
-            cand, left, entered = perturb(members)
+        cand, left, entered = perturb(members)
         cand_valid = _classify(model, cand, meter)
-        if objective != "emc":
+        if table is None:
             return cand, cand_valid, None
-        if uniform:
-            return cand, cand_valid, cost_rows(cand, samples)
         return cand, cand_valid, _price_moves(raw, table, left, entered)
 
     members, valid, raw = propose(np.tile(ws.user_idx, (n, 1)), 0.0)
@@ -643,37 +673,3 @@ def _whole_set(
 
     final = loss if objective == "emc" else INF
     return SearchResult(schema.codes(members), valid, trace, meter.used, final)
-
-
-def random_search(
-    s_u: UserState,
-    classifier: Classifier,
-    samples: CostSampleSet,
-    schema: DatasetSchema,
-    settings: GenerationSettings,
-    user_key: int = 0,
-) -> SearchResult:
-    """Whole-set baseline: draw N states uniformly from the feasible product
-    space each iteration and keep the candidate set only if its EMC beats
-    the incumbent's. The trace records the incumbent's EMC."""
-    return _whole_set(s_u, classifier, samples, schema, settings, user_key, uniform=True)
-
-
-def local_search(
-    s_u: UserState,
-    classifier: Classifier,
-    samples: Optional[CostSampleSet],
-    schema: DatasetSchema,
-    settings: GenerationSettings,
-    user_key: int = 0,
-) -> SearchResult:
-    """Plain hill climbing on whole sets for the objective `settings.method`
-    names: `ls:emc`, `ls:diversity`, `ls:proximity` or `ls:sparsity`.
-
-    Same perturbation neighborhood as `cols`, but a candidate set is taken
-    only when its objective strictly improves on the incumbent set's; there
-    is no per-member swapping. The trace records the minimized loss: the
-    EMC, or the negated diversity, proximity or sparsity of the set. Only
-    `ls:emc` reads `samples`.
-    """
-    return _whole_set(s_u, classifier, samples, schema, settings, user_key, uniform=False)

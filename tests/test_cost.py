@@ -995,8 +995,8 @@ class TestTwelveFeaturePricing:
 
 
 def dense_rows(positions, samples):
-    """Reference (P, M) pricing that skips nothing: every feature's table
-    row gathered and added left to right."""
+    """Reference (P, M) pricing: every feature's table row gathered and
+    added left to right, into a fresh array each time."""
     rows = positions + samples.schema.offsets[:-1]
     out = samples.table[rows[:, 0]].copy()
     for fi in range(1, rows.shape[1]):
@@ -1022,10 +1022,10 @@ def partly_moved(schema, state, counts, rng):
     return out
 
 
-class TestSkippedZeroRows:
-    """The (P, M) `cost_rows` adds only each member's rows that are not all
-    +0.0 (`CostSampleSet.zero_rows`) and still returns the dense
-    left-to-right sum, to the bit."""
+class TestDenseRowSums:
+    """The (P, M) `cost_rows` is the dense left-to-right sum of every
+    member's feature rows, to the bit, whether members moved no feature,
+    some or all of them."""
 
     @staticmethod
     def batches(adult):
@@ -1037,8 +1037,9 @@ class TestSkippedZeroRows:
                                              editable=editable)
 
     def test_sampler_tables_hold_no_negative_zero(self, adult):
-        """Skipping relies on the sampler writing +0.0, never -0.0; every
-        origin row is then a zero row."""
+        """Parent-row pricing (`search._price_moves`) starts from a +0.0 row
+        and relies on the sampler writing +0.0, never -0.0; every origin
+        row is all +0.0."""
         schema, rows, _, table, _ = adult
         population = sample_cost_functions(
             state_codes(rows[:50]), schema, table, [np.random.default_rng(u) for u in range(50)])
@@ -1048,8 +1049,7 @@ class TestSkippedZeroRows:
             assert zero.any() and not np.signbit(samples.table[zero]).any()
         for state, batch in self.batches(adult):
             origin = schema.offsets[:-1] + schema.positions(state.values)
-            assert batch.zero_rows[origin].all()
-            assert batch.zero_rows.sum() < len(batch.table)
+            assert (batch.table[origin] == 0.0).all()
 
     def test_mixed_live_counts_match_dense_sum(self, adult):
         schema = adult[0]
@@ -1077,9 +1077,9 @@ class TestSkippedZeroRows:
             got = cost_rows(positions, batch)
             assert_same_bits(got, np.zeros((3, batch.m)))
 
-    def test_table_without_zero_rows_is_priced_in_full(self, adult):
-        """A hand-built table with no all-+0.0 row, and one whose zero rows
-        sit beside a -0.0: neither skips, and both match the dense sum."""
+    def test_hand_tables_match_dense_sum(self, adult):
+        """A hand-built table with no all-+0.0 row, and a sampled one with
+        a -0.0 in an origin row: both match the dense sum."""
         schema, rows, _, table, _ = adult
         state = rows[0]
         batch = sample_cost_batch(state, schema, table, 30, seed=9)
@@ -1092,13 +1092,12 @@ class TestSkippedZeroRows:
         for hand in (dense, signed):
             samples = CostSampleSet(schema, batch.states, hand, batch.alpha,
                                     batch.editable, batch.preferences)
-            assert not samples.zero_rows.any()
             positions = partly_moved(schema, state, rng.integers(0, 12, size=30), rng)
             positions[:4] = schema.positions(state.values)
             want = dense_rows(positions, samples)
             assert_same_bits(cost_rows(positions, samples), want)
-        # -0.0 plus the other features' +0.0 is +0.0: skipping them would
-        # leave the sign.
+        # -0.0 plus the other features' +0.0 is +0.0: a sum that left them
+        # out would keep the sign.
         assert not np.signbit(want[:4]).any()
 
 

@@ -5,11 +5,10 @@ import pytest
 
 from recourse import search as search_module
 from recourse.cost import INF, SEARCH_STREAM, cost_rows, emc, sample_cost_batch, stream_rng
-from recourse.model import BudgetExhausted, BudgetMeter, Classifier
+from recourse.model import BudgetExhausted, BudgetMeter, Classifier, EncodedView, predict_batch
 from recourse.schema import DatasetSchema, FeatureSpec, UserState, feasible_values
 from recourse.search import (
     BIG,
-    CAP,
     CHUNK,
     HAMMING,
     METHODS,
@@ -354,8 +353,7 @@ class TestScreen:
             # validity masks candidates as the priced table does with inf
             valid = rng.random((r, nc)) < 0.8
             screen = can_swap(stats, cand, valid)
-            for raw in (np.minimum(cand, BIG), np.minimum(cand, CAP)):
-                assert np.array_equal(screen, can_swap(stats, raw, valid))
+            assert np.array_equal(screen, can_swap(stats, np.minimum(cand, BIG), valid))
             costs = np.where(valid[..., None], cand, INF)
             assert np.array_equal(screen, can_swap(stats, costs, np.ones_like(valid)))
             assert not screen[blocked].any()
@@ -986,7 +984,79 @@ class TestTracedNames:
         assert len(seen["benefits"]) < len(iterations)
 
 
+def sequential_random(s_u, clf, samples, schema, settings, user_key=0):
+    """The loop `random_search` stands for, one set at a time: draw a set,
+    classify it alone, price it with `cost_rows` and keep it when its emc
+    is strictly below the incumbent's, until the budget cannot pay for a
+    set. Returns (members, validity, trace, queries used, emc)."""
+    ws = _Workspace(s_u, schema)
+    model = EncodedView(clf, schema)
+    rng = stream_rng(SEARCH_STREAM, settings.seed, 0, user_key)
+    meter = BudgetMeter(settings.budget)
+    trace = []
+    while True:
+        cand = ws.uniform_rows(settings.set_size, rng)
+        try:
+            valid = predict_batch(model, cand, meter)
+        except BudgetExhausted:
+            break
+        loss = float(emc(np.where(valid[:, None], cost_rows(cand, samples), INF).min(axis=0)))
+        if not trace or loss < best:
+            members, validity, best = schema.codes(cand), valid, loss
+        trace.append(best)
+    return members, validity, trace, meter.used, best
+
+
 class TestRandomSearch:
+    @pytest.mark.parametrize("budget", [6, 7, 37])
+    def test_one_answered_query_of_every_set(self, synth6, monkeypatch, budget):
+        schema, rows, _, table, clf = synth6
+        s_u = rows[2]
+        samples = sample_cost_batch(s_u, schema, table, 20, seed=3)
+        answered = []
+
+        def counting(model, codes, meter):
+            out = predict_batch(model, codes, meter)
+            answered.append(len(codes))
+            return out
+
+        monkeypatch.setattr(search_module, "predict_batch", counting)
+        settings = GenerationSettings(method="random", budget=budget, set_size=6, seed=3)
+        res = random_search(s_u, clf, samples, schema, settings)
+        assert answered == [6 * (budget // 6)] == [res.queries_used]
+
+    def test_equals_the_sequential_loop(self, adult, synth6):
+        """Field by field on adult-like and synth6 users, under sampled
+        editable sets, where a uniform set seldom covers every sample, and
+        with every movable feature editable, where traces move."""
+        from recourse.experiments import select_undesired
+
+        runs = {"moved": 0, "all inf": 0}
+        for schema, rows, _, table, clf in (adult, synth6):
+            states, ids = select_undesired(rows, clf, schema, limit=3)
+            self.check_users(schema, table, clf, states, ids, runs)
+        assert all(runs.values()), runs
+
+    @staticmethod
+    def check_users(schema, table, clf, states, ids, runs):
+        movable = frozenset(schema.mutable_indices())
+        for k, (state, uid) in enumerate(zip(states, ids)):
+            for editable, seed in ((None, k), (movable, k + 10)):
+                samples = sample_cost_batch(state, schema, table, 40, seed=seed, subkey=uid,
+                                            editable=editable)
+                for budget in (6, 7, 37, 450):
+                    settings = GenerationSettings(method="random", budget=budget, set_size=6,
+                                                  seed=seed)
+                    res = random_search(state, clf, samples, schema, settings, user_key=uid)
+                    members, validity, trace, used, final = sequential_random(
+                        state, clf, samples, schema, settings, user_key=uid)
+                    assert np.array_equal(res.members, members)
+                    assert np.array_equal(res.validity, validity)
+                    assert res.trace == trace
+                    assert (res.queries_used, res.emc) == (used, final)
+                    runs["moved"] += trace[0] != trace[-1]
+                    runs["all inf"] += math.isinf(trace[-1])
+
     def test_trace_non_increasing_and_budget(self, synth6):
         schema, rows, _, table, clf = synth6
         s_u = rows[0]
@@ -1215,7 +1285,7 @@ class TestParentRowPricing:
             seen["calls"] += 1
             seen["stays"] += int((left == entered).sum())  # moves to the current position
             # rows with a move infeasible under some samples but not all
-            some = (out >= CAP).any(axis=-1) & (out < CAP).any(axis=-1)
+            some = (out >= BIG).any(axis=-1) & (out < BIG).any(axis=-1)
             seen["infeasible"] += int(some.sum())
             seen["finite"] += int(np.isfinite(want).sum())
             return out
