@@ -109,7 +109,7 @@ from typing import Optional, Sequence
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .schema import DatasetSchema, PercentileTable, SchemaError, UserState
+from .schema import DatasetSchema, PercentileTable, SchemaError
 
 INF = math.inf
 
@@ -342,16 +342,16 @@ def sample_cost_functions(
 
 
 def sample_cost_function(
-    state: UserState,
+    state: np.ndarray,
     schema: DatasetSchema,
     table: PercentileTable,
     rng: np.random.Generator,
     alpha: Optional[float] = None,
     editable: Optional[frozenset[int]] = None,
 ) -> CostSampleSet:
-    """Draw one cost function conditioned on `state` (a set with M=1): a
-    population of one for `sample_cost_functions`."""
-    return sample_cost_functions([state.values], schema, table, [rng], alpha, [editable])
+    """Draw one cost function conditioned on the (d,) code row `state` (a
+    set with M=1): a population of one for `sample_cost_functions`."""
+    return sample_cost_functions([state], schema, table, [rng], alpha, [editable])
 
 
 def stream_rng(stream: int, seed: int, index: int, subkey: int = 0) -> np.random.Generator:
@@ -461,7 +461,7 @@ def check_alpha(alpha: Optional[float]) -> None:
 
 
 def sample_cost_batch(
-    state: UserState,
+    state: np.ndarray,
     schema: DatasetSchema,
     table: PercentileTable,
     m: int,
@@ -472,8 +472,9 @@ def sample_cost_batch(
     pref: Optional[np.ndarray] = None,
     subkey: int = 0,
 ) -> CostSampleSet:
-    """Draw M independent generation-time cost functions; deterministic per
-    (seed, state, subkey), one generator per block of `BLOCK` samples.
+    """Draw M independent generation-time cost functions for the (d,) code
+    row `state`; deterministic per (seed, state, subkey), one generator per
+    block of `BLOCK` samples.
 
     `alpha` fixes every sample's mixing weight (1: step counts alone, 0:
     percentile shifts alone); None draws it per sample from Uniform(0,1).
@@ -482,7 +483,7 @@ def sample_cost_batch(
     if m < 1:
         raise ValueError(f"sample count must be >= 1, got {m}")
     rngs = [stream_rng(TRAIN_STREAM, seed, b, subkey) for b in range(-(-m // BLOCK))]
-    codes = np.array(state.values, dtype=np.int64)
+    codes = np.array(state, dtype=np.int64)
     drawn = _sample_blocks(np.broadcast_to(codes, (len(rngs), len(codes))), schema, table,
                            rngs, BLOCK, m, alpha, [editable] * len(rngs), pref)
     return CostSampleSet(schema, np.broadcast_to(codes, (m, len(codes))), *drawn)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .schema import DatasetSchema, FeatureSpec, UserState
+from .schema import DatasetSchema, FeatureSpec
 
 
 def adult_like_schema() -> DatasetSchema:
@@ -37,8 +37,8 @@ def adult_like_schema() -> DatasetSchema:
 
 def make_adult_like(
     n: int = 4000, seed: int = 7
-) -> tuple[DatasetSchema, list[UserState], list[int]]:
-    """Sample rows and binary labels from the income-style generative story."""
+) -> tuple[DatasetSchema, np.ndarray, list[int]]:
+    """Sample (n, 12) int64 codes and 0/1 labels from the income-style story."""
     schema = adult_like_schema()
     rng = np.random.default_rng(seed)
 
@@ -69,23 +69,9 @@ def make_adult_like(
     )
     labels = (score > 0).astype(int)
 
-    cols = np.column_stack(
-        [
-            age,
-            workclass,
-            edu_base,
-            marital,
-            occupation,
-            relationship,
-            race,
-            gender,
-            capital_gain,
-            capital_loss,
-            hours,
-            country,
-        ]
-    )
-    rows = [UserState(tuple(int(v) for v in row)) for row in cols]
+    rows = np.column_stack([age, workclass, edu_base, marital, occupation, relationship, race,
+                            gender, capital_gain, capital_loss, hours, country])
+    rows = rows.astype(np.int64)
     return schema, rows, labels.tolist()
 
 
@@ -107,7 +93,8 @@ def synthetic_schema_6f() -> DatasetSchema:
 
 def make_synthetic_6f(
     n: int = 800, seed: int = 11
-) -> tuple[DatasetSchema, list[UserState], list[int]]:
+) -> tuple[DatasetSchema, np.ndarray, list[int]]:
+    """(n, 6) int64 codes and binary labels on `synthetic_schema_6f`."""
     schema = synthetic_schema_6f()
     rng = np.random.default_rng(seed)
     level = rng.integers(0, 6, n)
@@ -125,6 +112,5 @@ def make_synthetic_6f(
         + rng.normal(0.0, 0.9, n)
     )
     labels = (score > 0).astype(int)
-    cols = np.column_stack([level, grade, band, sector, region, origin])
-    rows = [UserState(tuple(int(v) for v in row)) for row in cols]
+    rows = np.column_stack([level, grade, band, sector, region, origin]).astype(np.int64)
     return schema, rows, labels.tolist()

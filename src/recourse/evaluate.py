@@ -44,7 +44,7 @@ from .cost import (
     stream_rng,
     stream_rngs,
 )
-from .schema import DatasetSchema, PercentileTable, UserState
+from .schema import DatasetSchema, PercentileTable
 
 INF = math.inf
 
@@ -93,7 +93,7 @@ def metric_names(schema: DatasetSchema, k: float) -> list[str]:
 
 
 def simulate_user(
-    state: UserState,
+    state: np.ndarray,
     schema: DatasetSchema,
     table: PercentileTable,
     test_seed: int,
@@ -101,8 +101,8 @@ def simulate_user(
     alpha: Optional[float] = None,
     editable: Optional[frozenset[int]] = None,
 ) -> CostSampleSet:
-    """A user's hidden cost function (a population of one), keyed by
-    (test_seed, user_id); `alpha` as in `sample_cost_batch`."""
+    """The hidden cost function of the code row `state` (a population of
+    one), keyed by (test_seed, user_id); `alpha` as in `sample_cost_batch`."""
     rng = stream_rng(TEST_STREAM, test_seed, user_id)
     return sample_cost_function(state, schema, table, rng, alpha=alpha, editable=editable)
 

@@ -145,25 +145,26 @@ class ExperimentSpec:
 
 
 def select_undesired(
-    rows: Sequence[UserState],
+    rows: np.ndarray,
     classifier: Classifier,
     schema: DatasetSchema,
     limit: Optional[int] = None,
 ) -> tuple[list[UserState], list[int]]:
-    """Users the model currently rejects; only they need recourse.
+    """The rows of the (n, d) codes `rows` that the model currently rejects,
+    as users for `run_population`, with their row indices; only they need
+    recourse.
 
     The screening queries run on their own meter and are not charged to any
     user's search budget. `limit` caps how many users are returned.
     """
     if limit is not None and limit < 1:
         raise ValueError(f"user limit must be at least 1, got {limit}")
-    codes = np.asarray([r.values for r in rows], dtype=float)
     meter = BudgetMeter(limit=len(rows))
-    classes = predict_batch(classifier, codes, meter)
+    classes = predict_batch(classifier, rows, meter)
     picked = np.flatnonzero(~classes)[:limit].tolist()
     if not picked:
         raise ValueError("no rows are classified to the undesired class")
-    return [rows[i] for i in picked], picked
+    return [UserState(tuple(row)) for row in rows[picked].tolist()], picked
 
 
 def _stack(rows, n: int, d: int) -> np.ndarray:

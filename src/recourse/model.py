@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .schema import DatasetSchema, UserState
+from .schema import DatasetSchema
 
 ARCHITECTURES = ("logistic", "mlp")
 
@@ -213,12 +213,12 @@ def _init_layers(
 
 
 def train_classifier(
-    rows: Sequence[UserState],
+    rows: np.ndarray,
     labels: Sequence[int],
     schema: DatasetSchema,
     config: TrainConfig | None = None,
 ) -> Classifier:
-    """Fit a classifier with full-batch Adam on binary cross-entropy.
+    """Fit a classifier to (n, d) codes with full-batch Adam on binary cross-entropy.
 
     Deterministic given config.seed: the split shuffle, the weight init,
     and the (shuffle-free) update order all come from that seed. Dataset
@@ -226,7 +226,7 @@ def train_classifier(
     held-out accuracy is stored on the returned classifier.
     """
     config = config or TrainConfig()
-    if len(rows) != len(labels) or not rows:
+    if len(rows) != len(labels) or not len(rows):
         raise ValueError("rows and labels must be equally long and non-empty")
     y_raw = np.asarray(labels, dtype=int)
     if set(np.unique(y_raw)) - {0, 1}:
@@ -235,7 +235,7 @@ def train_classifier(
         raise ValueError("training needs both classes present")
     # Desired class is always coded 1 internally.
     y = (y_raw == schema.desired_class).astype(float)
-    x = np.asarray([r.values for r in rows], dtype=float)
+    x = np.asarray(rows, dtype=float)
     if x.shape[1] != schema.n_features:
         raise ValueError("row width does not match schema")
 

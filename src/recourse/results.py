@@ -51,11 +51,14 @@ def run_user(
 ) -> tuple[ResultDoc, Optional[CostSampleSet]]:
     """Sample this user's cost batch and run the configured method; returns
     the result document and the samples it was optimized against, None for
-    a method that prices none (`ls` with a distance objective)."""
+    a method that prices none (`ls` with a distance objective). The user
+    becomes a (d,) int64 code row through `positions`, which refuses any
+    value outside its feature's domain, one beyond int64 included."""
+    row = schema.codes(schema.positions(state.values))
     samples = None
     if settings.prices_samples:
         samples = sample_cost_batch(
-            state,
+            row,
             schema,
             table,
             settings.num_samples,
@@ -69,11 +72,11 @@ def run_user(
     # every run; every other method is an `ls:` one.
     optimizer = {"cols": cols, "pcols": pcols, "random": random_search}.get(
         settings.method, local_search)
-    result = optimizer(state, classifier, samples, schema, settings, user_key=user_id)
+    result = optimizer(row, classifier, samples, schema, settings, user_key=user_id)
     doc = ResultDoc(
         user_id=user_id,
         method=settings.method,
-        state=list(state.values),
+        state=row.tolist(),
         members=result.members.tolist(),
         validity=result.validity.tolist(),
         final_emc=result.emc,

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 import yaml
@@ -179,12 +179,10 @@ class DatasetSchema:
 
 @dataclass(frozen=True)
 class UserState:
-    """One row of the dataset: a value per feature, in schema order."""
+    """A user as `run_user` and `run_population` take one: a value per
+    feature, in schema order. Below them a user is a (d,) int64 code row."""
 
     values: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", tuple(int(v) for v in self.values))
 
 
 @dataclass(frozen=True)
@@ -251,15 +249,14 @@ def _moves(schema: DatasetSchema, fi: int, s: int, cdf):
     return targets, step, [abs(cdf[j] - cdf[s]) for j in targets]
 
 
-def build_percentile_table(
-    rows: Sequence[UserState], schema: DatasetSchema
-) -> PercentileTable:
-    """Empirical inclusive CDF P(X <= v) per ordered feature, from `rows`,
-    and every feature's moves from every origin position."""
-    if not rows:
-        raise SchemaError("cannot build percentile table from zero rows")
+def build_percentile_table(rows: np.ndarray, schema: DatasetSchema) -> PercentileTable:
+    """Empirical inclusive CDF P(X <= v) per ordered feature, from the
+    (n, d) codes `rows`, and every feature's moves from every origin
+    position."""
     n = len(rows)
-    pos = schema.positions([row.values for row in rows])
+    if not n:
+        raise SchemaError("cannot build percentile table from zero rows")
+    pos = schema.positions(rows)
     cdf = tuple(
         tuple((np.cumsum(np.bincount(pos[:, i], minlength=f.size)) / n).tolist())
         if f.kind == "ordered" else None
@@ -362,14 +359,14 @@ def save_schema(schema: DatasetSchema, path) -> None:
 
 
 def load_dataset(path, schema: DatasetSchema, label_column: Optional[str] = None):
-    """Read a comma-delimited table of integer codes as UserStates.
+    """Read a comma-delimited table of integer codes as (n, d) int64 codes.
 
     The header must list exactly the schema's feature names (any order,
     each once), plus `label_column` when one is given; the result is then
-    the pair (rows, labels) with one 0/1 label per row. Bad cells are
+    the pair (codes, labels) with one 0/1 label per row. Bad cells are
     rejected with the file, their 1-based row index and their column name;
-    codes outside their domains are found by one `positions` call over
-    every row, after the cells are read.
+    the cells become codes through one `positions` call over every row,
+    which refuses a code outside its domain, one beyond int64 included.
     """
     columns = [*schema.names, *([label_column] if label_column else [])]
     with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -389,7 +386,7 @@ def load_dataset(path, schema: DatasetSchema, label_column: Optional[str] = None
         if extra:
             raise SchemaError(f"dataset {path}: unknown columns {sorted(extra)}")
         order = [header.index(n) for n in columns]
-        rows: list[UserState] = []
+        rows: list[list[int]] = []
         linenos: list[int] = []
         labels: list[int] = []
         for lineno, cells in enumerate(reader, start=1):
@@ -415,24 +412,24 @@ def load_dataset(path, schema: DatasetSchema, label_column: Optional[str] = None
                         f"{where}: label {label} in column {label_column!r} is not 0/1"
                     )
                 labels.append(label)
-            rows.append(UserState(tuple(values)))
+            rows.append(values)
             linenos.append(lineno)
     if not rows:
         raise SchemaError(f"dataset {path} has a header but no rows")
     try:
-        schema.positions([row.values for row in rows])
+        codes = schema.codes(schema.positions(rows))
     except SchemaError:
         for lineno, row in zip(linenos, rows):
             try:
-                schema.positions(row.values)
+                schema.positions(row)
             except SchemaError as exc:
                 raise SchemaError(f"dataset {path} row {lineno}: {exc}") from None
-    return (rows, labels) if label_column else rows
+    return (codes, labels) if label_column else codes
 
 
-def save_dataset(rows: Iterable[UserState], schema: DatasetSchema, path) -> None:
+def save_dataset(rows: np.ndarray, schema: DatasetSchema, path) -> None:
+    """Write (n, d) codes as a table `load_dataset` reads back."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(schema.names)
-        for row in rows:
-            writer.writerow(row.values)
+        writer.writerows(rows.tolist())

@@ -98,12 +98,13 @@ objectives are minimized as losses, the negated diversity, proximity or
 sparsity.
 
 Every optimizer takes the same `GenerationSettings` (method, budget, set
-size, restarts, seed; the other fields drive cost sampling) and has
-the signature `fn(s_u, classifier, samples, schema, settings, user_key=0)`.
-Members are searched as domain positions (`DatasetSchema.positions`), and
-the result holds the recourse set as two arrays, the (N, d) int64 feature
-codes of the members (`DatasetSchema.codes`) and their (N,) bool validity
-flags, which is also the form evaluation scores and result documents store.
+size, restarts, seed; the other fields drive cost sampling) and has the
+signature `fn(state, classifier, samples, schema, settings, user_key=0)`,
+`state` the user's (d,) int64 code row. Members are searched as domain
+positions (`DatasetSchema.positions`), and the result holds the recourse
+set as two arrays, the (N, d) int64 feature codes of the members
+(`DatasetSchema.codes`) and their (N,) bool validity flags, which is also
+the form evaluation scores and result documents store.
 Beside the set a result keeps only its trace, the queries it used and its
 final objective; the members' costs are one `cost_rows` call away.
 
@@ -139,7 +140,7 @@ from .cost import (
 )
 from .evaluate import set_distance_stats
 from .model import BudgetExhausted, BudgetMeter, Classifier, EncodedView, predict_batch
-from .schema import DatasetSchema, UserState, feasible_positions
+from .schema import DatasetSchema, feasible_positions
 
 INF = math.inf
 
@@ -222,18 +223,18 @@ class SearchResult:
 
 
 class _Workspace:
-    """Per-user precomputation: the positions of s_u and its feasible moves."""
+    """Per-user precomputation: the positions of code row `state` and its moves."""
 
-    def __init__(self, s_u: UserState, schema: DatasetSchema):
+    def __init__(self, state: np.ndarray, schema: DatasetSchema):
         self.schema = schema
-        self.s_u = s_u
-        self.user_idx = schema.positions(s_u.values)
+        self.state = state
+        self.user_idx = schema.positions(state)
         self.movable = np.array(schema.mutable_indices(), dtype=np.intp)
         if not len(self.movable):
             raise ValueError("schema has no non-immutable features to perturb")
         # (d, max feasible) table of each feature's feasible domain positions,
         # padded past its n_choices[f] entries.
-        feasible = [feasible_positions(schema, fi, v) for fi, v in enumerate(s_u.values)]
+        feasible = [feasible_positions(schema, fi, v) for fi, v in enumerate(state.tolist())]
         self.n_choices = np.array([len(c) for c in feasible], dtype=np.intp)
         self.feasible = np.zeros((len(feasible), self.n_choices.max()), dtype=np.intp)
         for fi, choices in enumerate(feasible):
@@ -293,10 +294,14 @@ class _Workspace:
 
         return perturb
 
-    def uniform_rows(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        """Draw n states uniformly from the feasible product space."""
-        pos = [rng.integers(c, size=n) for c in self.n_choices.tolist()]
-        return self.feasible[np.arange(len(pos)), np.stack(pos, axis=1)]
+    def uniform_rows(self, k: int, n: int, rng: np.random.Generator) -> np.ndarray:
+        """(k, n, d) positions: k sets of n states drawn uniformly from the
+        feasible product space, in one `integers` call that reads the
+        stream as k * d calls of n draws each do, set by set and feature by
+        feature (a one-choice feature draws nothing)."""
+        d = len(self.n_choices)
+        pos = rng.integers(np.broadcast_to(self.n_choices[:, None], (k, d, n)))
+        return self.feasible[np.arange(d), pos.swapaxes(1, 2)]
 
 
 class ColumnStats(NamedTuple):
@@ -523,7 +528,7 @@ def _lockstep(
 
 
 def cols(
-    s_u: UserState,
+    state: np.ndarray,
     classifier: Classifier,
     samples: CostSampleSet,
     schema: DatasetSchema,
@@ -539,11 +544,11 @@ def cols(
     non-increasing; running out of budget mid-batch simply ends the loop.
     """
     one = replace(settings, restarts=1)
-    return pcols(s_u, classifier, samples, schema, one, user_key)
+    return pcols(state, classifier, samples, schema, one, user_key)
 
 
 def pcols(
-    s_u: UserState,
+    state: np.ndarray,
     classifier: Classifier,
     samples: CostSampleSet,
     schema: DatasetSchema,
@@ -557,7 +562,7 @@ def pcols(
     # cover the set.
     settings = replace(settings, method="pcols")
     restarts = settings.restarts
-    ws = _Workspace(s_u, schema)
+    ws = _Workspace(state, schema)
     meter = BudgetMeter(restarts * (settings.budget // restarts))
     rngs = [stream_rng(SEARCH_STREAM, settings.seed, r, user_key) for r in range(restarts)]
     members, valid, traces = _lockstep(
@@ -585,12 +590,12 @@ def _set_loss(
         return float(emc(_costs(raw, valid).min(axis=0)))
     if not valid.any():
         return INF
-    div, prox, spar = set_distance_stats(ws.s_u.values, ws.schema.codes(members), ws.schema)
+    div, prox, spar = set_distance_stats(ws.state, ws.schema.codes(members), ws.schema)
     return -{"diversity": div, "proximity": prox, "sparsity": spar}[objective]
 
 
 def random_search(
-    s_u: UserState,
+    state: np.ndarray,
     classifier: Classifier,
     samples: CostSampleSet,
     schema: DatasetSchema,
@@ -598,16 +603,16 @@ def random_search(
     user_key: int = 0,
 ) -> SearchResult:
     """Whole-set baseline: B // N sets of N states drawn uniformly from the
-    feasible product space, one `uniform_rows` call each in stream order,
-    all classified in one metered query and each priced with `cost_rows`.
-    A set replaces the incumbent only when its EMC is strictly lower, so
-    the trace, the incumbent's EMC after every set, is the running minimum
-    of the sets' EMCs, and the incumbent is the first set at the least."""
-    ws = _Workspace(s_u, schema)
+    feasible product space by one `uniform_rows` call, all classified in
+    one metered query and each priced with `cost_rows`. A set replaces the
+    incumbent only when its EMC is strictly lower, so the trace, the
+    incumbent's EMC after every set, is the running minimum of the sets'
+    EMCs, and the incumbent is the first set at the least."""
+    ws = _Workspace(state, schema)
     rng = stream_rng(SEARCH_STREAM, settings.seed, 0, user_key)
     n = settings.set_size
     meter = BudgetMeter(settings.budget)
-    sets = np.stack([ws.uniform_rows(n, rng) for _ in range(settings.budget // n)])
+    sets = ws.uniform_rows(settings.budget // n, n, rng)
     valid = _classify(EncodedView(classifier, schema), sets, meter)
     losses = np.array([_set_loss("emc", ws, cand, cand_valid, cost_rows(cand, samples))
                        for cand, cand_valid in zip(sets, valid)])
@@ -618,7 +623,7 @@ def random_search(
 
 
 def local_search(
-    s_u: UserState,
+    state: np.ndarray,
     classifier: Classifier,
     samples: Optional[CostSampleSet],
     schema: DatasetSchema,
@@ -640,7 +645,7 @@ def local_search(
     its final loss is the result's emc, and the other objectives report an
     emc of inf.
     """
-    ws = _Workspace(s_u, schema)
+    ws = _Workspace(state, schema)
     model = EncodedView(classifier, schema)
     rng = stream_rng(SEARCH_STREAM, settings.seed, 0, user_key)
     n, objective = settings.set_size, settings.objective

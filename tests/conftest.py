@@ -3,7 +3,7 @@ import pytest
 
 from recourse.datasets import make_adult_like, make_synthetic_6f
 from recourse.model import Classifier, TrainConfig, train_classifier
-from recourse.schema import DatasetSchema, FeatureSpec, UserState, build_percentile_table
+from recourse.schema import DatasetSchema, FeatureSpec, build_percentile_table
 
 
 def toy_schema_2f(size: int = 5) -> DatasetSchema:
@@ -17,12 +17,10 @@ def toy_schema_2f(size: int = 5) -> DatasetSchema:
     )
 
 
-def toy_rows_2f(schema: DatasetSchema, n: int = 60, seed: int = 3) -> list[UserState]:
+def toy_rows_2f(schema: DatasetSchema, n: int = 60, seed: int = 3) -> np.ndarray:
     rng = np.random.default_rng(seed)
     sizes = [f.size for f in schema.features]
-    return [
-        UserState(tuple(int(rng.integers(s)) for s in sizes)) for _ in range(n)
-    ]
+    return np.array([[int(rng.integers(s)) for s in sizes] for _ in range(n)])
 
 
 @pytest.fixture(scope="session")
@@ -57,12 +55,3 @@ def adult():
     table = build_percentile_table(rows, schema)
     return schema, rows, labels, table, clf
 
-
-def toy_valid_states(clf, schema):
-    out = []
-    for a in schema.features[0].domain:
-        for b in schema.features[1].domain:
-            s = UserState((a, b))
-            if clf.prob(np.asarray([s.values], dtype=float))[0] >= 0.5:
-                out.append(s)
-    return out

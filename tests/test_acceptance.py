@@ -29,7 +29,7 @@ from recourse.experiments import (
     select_undesired,
 )
 from recourse.results import GenerationSettings, run_population
-from recourse.schema import UserState, build_percentile_table, feasible_values
+from recourse.schema import build_percentile_table, feasible_values
 from recourse.search import BIG, cols, column_stats, compute_benefits
 
 from test_cost import feature_costs, moves, transition_cost
@@ -76,7 +76,8 @@ def test_criterion_1_monotonicity_suite(synth6):
     """100 COLS runs (20 users x 5 seeds): every objective trace
     non-increasing, zero violations, under the 2-minute budget."""
     schema, rows, _, table, clf = synth6
-    states, ids = select_undesired(rows, clf, schema, limit=20)
+    _, ids = select_undesired(rows, clf, schema, limit=20)
+    states = rows[ids]
     assert len(states) == 20
     start = time.time()
     violations = 0
@@ -144,17 +145,17 @@ def test_criterion_3_exhaustive_optimum(toy2):
     """Small-domain limit: with as many members as samples and ample
     budget, every per-sample minimum matches the exhaustive optimum."""
     schema, _, table, clf = toy2
-    all_states = [UserState((a, b)) for a in range(5) for b in range(5)]
+    all_states = [np.array((a, b)) for a in range(5) for b in range(5)]
     valid = [
         s
         for s in all_states
-        if clf.prob(np.asarray([s.values], dtype=float))[0] >= 0.5
+        if clf.prob(np.asarray([s], dtype=float))[0] >= 0.5
     ]
-    s_u = UserState((1, 1))
+    s_u = np.array((1, 1))
     for seed in range(20):
         samples = sample_cost_batch(s_u, schema, table, 3, seed=seed)
         optima = [
-            min((transition_cost(s_u, s.values, samples, i) for s in valid),
+            min((transition_cost(s_u, s, samples, i) for s in valid),
                 default=INF)
             for i in range(samples.m)
         ]
@@ -170,15 +171,15 @@ def test_criterion_3b_whole_set_optimum(toy2):
     """Companion check: the final objective equals the brute-force optimum
     over every possible member triple."""
     schema, _, table, clf = toy2
-    all_states = [UserState((a, b)) for a in range(5) for b in range(5)]
-    s_u = UserState((1, 1))
+    all_states = [np.array((a, b)) for a in range(5) for b in range(5)]
+    s_u = np.array((1, 1))
     for seed in range(5):
         samples = sample_cost_batch(s_u, schema, table, 3, seed=seed)
         costs = []
         for s in all_states:
-            ok = clf.prob(np.asarray([s.values], dtype=float))[0] >= 0.5
+            ok = clf.prob(np.asarray([s], dtype=float))[0] >= 0.5
             costs.append(
-                [transition_cost(s_u, s.values, samples, i) if ok else INF
+                [transition_cost(s_u, s, samples, i) if ok else INF
                  for i in range(samples.m)]
             )
         costs = np.asarray(costs)
@@ -208,7 +209,7 @@ def test_criterion_4_sampler_invariants(synth6, adult):
                 c = sample_cost_function(state, schema, table, rng, alpha=alpha)
                 total += c.m
                 editable = c.editable[0]
-                at = schema.positions(state.values)
+                at = schema.positions(state)
                 for fi, f in enumerate(schema.features):
                     vec = feature_costs(c)[fi][0]
                     s_idx = at[fi]
@@ -219,7 +220,7 @@ def test_criterion_4_sampler_invariants(synth6, adult):
                         assert all(vec[j] == INF for j in range(f.size)
                                    if j != s_idx)
                     else:
-                        allowed = feasible_values(schema, fi, state.values[fi])
+                        allowed = feasible_values(schema, fi, state[fi])
                         for j, v in enumerate(f.domain):
                             if v not in allowed:
                                 assert vec[j] == INF
@@ -234,7 +235,7 @@ def test_criterion_4_sampler_invariants(synth6, adult):
     # ordered raw means are monotone in the feasible direction
     for schema, rows, table in packs:
         for state in rows[:10]:
-            at = schema.positions(state.values).tolist()
+            at = schema.positions(state).tolist()
             for fi, f in enumerate(schema.features):
                 if f.kind != "ordered" or f.mutability == "immutable":
                     continue
@@ -435,7 +436,7 @@ def test_criterion_9_budget_exactness(synth6, monkeypatch):
                     checked += 1
     # direct check of real classifier traffic: the rows of every query the
     # model answered (a refused last query raises and charges nothing)
-    s_u = states[0]
+    s_u = rows[ids[0]]
     samples = sample_cost_batch(s_u, schema, table, 20, seed=0)
     answered = []
     real = search_module.predict_batch

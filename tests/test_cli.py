@@ -24,6 +24,7 @@ from recourse.results import (
     write_results,
 )
 from recourse.schema import (
+    SchemaError,
     UserState,
     build_percentile_table,
     load_dataset,
@@ -33,7 +34,7 @@ from recourse.schema import (
 )
 from recourse.search import METHODS
 
-from test_cost import feature_costs
+from test_cost import feature_costs, user
 
 
 @pytest.fixture(scope="module")
@@ -47,7 +48,7 @@ def workdir(tmp_path_factory):
         writer = csv.writer(fh)
         writer.writerow(list(schema.names) + ["label"])
         for row, label in zip(rows, labels):
-            writer.writerow(list(row.values) + [label])
+            writer.writerow([*row.tolist(), label])
     code = main(
         [
             "train",
@@ -340,7 +341,7 @@ class TestGenerate:
         docs = read_results(out / "results_cols.jsonl")
         doc = docs[0]
         editable = (schema.feature_index("level"), schema.feature_index("band"))
-        state = UserState(tuple(doc.state))
+        state = np.array(doc.state)
         table = build_percentile_table(rows, schema)
         batch = sample_cost_batch(
             state, schema, table, 20, seed=1,
@@ -350,7 +351,7 @@ class TestGenerate:
             assert batch.editable[:, fi].all() == (fi in editable)
             if fi in editable:
                 continue
-            s_idx = schema.positions(state.values)[fi]
+            s_idx = schema.positions(state)[fi]
             stack = feature_costs(batch)[fi]
             assert all(
                 (stack[:, j] == INF).all() for j in range(f.size) if j != s_idx
@@ -799,14 +800,14 @@ class TestEvaluate:
             calls.append(docs)
             return doc_arrays(docs, schema)
 
-        def counting_state(state):
-            states.append(state)
+        def counting_state(state, values):
+            states.append(values)
 
         schema = load_schema(workdir / "schema.yaml")
         table = build_percentile_table(load_dataset(workdir / "data.csv", schema), schema)
         docs = read_results(generated / "results_cols.jsonl")
         monkeypatch.setattr(xp, "doc_arrays", counting_arrays)
-        monkeypatch.setattr(UserState, "__post_init__", counting_state)
+        monkeypatch.setattr(UserState, "__init__", counting_state)
         tables = xp.score_docs(docs, schema, table, [901, 902, 903], 1.0, None)
         assert len(tables) == 3
         assert calls == [docs]
@@ -1511,7 +1512,7 @@ class TestResultDocs:
         settings = GenerationSettings(
             method="cols", budget=60, set_size=4, num_samples=10, seed=2
         )
-        doc, _ = run_user(0, rows[0], clf, schema, table, settings)
+        doc, _ = run_user(0, user(rows[0]), clf, schema, table, settings)
         path = tmp_path / "r.jsonl"
         write_results([doc], path)
         (loaded,) = read_results(path)
@@ -1540,9 +1541,9 @@ class TestResultDocs:
         settings = GenerationSettings(
             method="cols", budget=60, set_size=4, num_samples=10, seed=3
         )
-        seq = run_population(rows[:4], clf, schema, table, settings)
+        seq = run_population([user(r) for r in rows[:4]], clf, schema, table, settings)
         monkeypatch.setenv("RECOURSE_WORKERS", "2")
-        par = run_population(rows[:4], clf, schema, table, settings)
+        par = run_population([user(r) for r in rows[:4]], clf, schema, table, settings)
         assert [d.members for d in seq] == [d.members for d in par]
         assert [d.trace for d in seq] == [d.trace for d in par]
 
@@ -1558,7 +1559,7 @@ class TestResultDocs:
             method=f"ls:{objective}", budget=60, set_size=4, num_samples=10, seed=3
         )
         monkeypatch.setattr(results, "sample_cost_batch", no_batch)
-        doc, samples = run_user(0, rows[0], clf, schema, table, settings)
+        doc, samples = run_user(0, user(rows[0]), clf, schema, table, settings)
         assert samples is None
         assert doc.queries_used == 60 and math.isinf(doc.final_emc)
 
@@ -1567,8 +1568,18 @@ class TestResultDocs:
         settings = GenerationSettings(
             method="ls:emc", budget=60, set_size=4, num_samples=10, seed=3
         )
-        _, samples = run_user(0, rows[0], clf, schema, table, settings)
+        _, samples = run_user(0, user(rows[0]), clf, schema, table, settings)
         assert samples.m == 10
+
+    @pytest.mark.parametrize("method", ["cols", "ls:diversity"])
+    def test_user_beyond_int64_refused_naming_the_feature(self, synth6, method):
+        """A user's values are checked once, for every method; an emc method
+        used to fail converting the value to int64."""
+        schema, _, _, table, clf = synth6
+        settings = GenerationSettings(method=method, budget=60, set_size=4, num_samples=10)
+        with pytest.raises(SchemaError, match=f"^value {2**70} not in domain of feature "
+                                              f"'level'$"):
+            run_user(0, UserState((2**70, 0, 0, 0, 0, 0)), clf, schema, table, settings)
 
     @pytest.mark.parametrize("n_states,n_ids", [(5, 2), (2, 5)])
     def test_one_user_id_per_state(self, synth6, n_states, n_ids):
@@ -1579,7 +1590,7 @@ class TestResultDocs:
         )
         with pytest.raises(ValueError, match=f"need one user id per state, "
                                              f"got {n_ids} ids for {n_states} states"):
-            run_population(rows[:n_states], clf, schema, table, settings,
+            run_population([user(r) for r in rows[:n_states]], clf, schema, table, settings,
                            user_ids=list(range(n_ids)))
 
     @pytest.mark.parametrize("value", ["abc", "0", "-3"])
@@ -1596,4 +1607,4 @@ class TestResultDocs:
         monkeypatch.setattr(results, "ProcessPoolExecutor", no_pool)
         monkeypatch.setenv("RECOURSE_WORKERS", value)
         with pytest.raises(ValueError, match=f"RECOURSE_WORKERS.*{value}"):
-            run_population(rows[:2], clf, schema, table, settings)
+            run_population([user(r) for r in rows[:2]], clf, schema, table, settings)

@@ -29,6 +29,7 @@ from recourse.schema import (
     build_percentile_table,
     feasible_values,
 )
+from recourse.search import _Workspace
 
 
 def feature_costs(samples):
@@ -42,7 +43,7 @@ def transition_cost(s_u, s_j, samples, i=0):
     """Scalar oracle: the cost of moving s_u to the code row s_j under
     sample i, summed feature by feature; one infinite feature makes the move
     infinite."""
-    if tuple(samples.states[i].tolist()) != s_u.values:
+    if not np.array_equal(samples.states[i], s_u):
         raise ValueError("cost function is conditioned on a different state")
     total = 0.0
     at = samples.schema.positions(s_j)
@@ -60,7 +61,7 @@ def manual_samples(schema, state, per_sample):
     m, d = len(per_sample), schema.n_features
     return CostSampleSet(
         schema=schema,
-        states=np.tile(np.array(state.values, dtype=np.int64), (m, 1)),
+        states=np.tile(np.array(state, dtype=np.int64), (m, 1)),
         table=np.concatenate(
             [np.array([s[f] for s in per_sample], dtype=float).T for f in range(d)]
         ),
@@ -75,9 +76,10 @@ def codes(*members):
     return np.array(members, dtype=np.int64)
 
 
-def state_codes(states):
-    """(U, d) int64 codes of `UserState`s."""
-    return codes(*(s.values for s in states))
+def user(row):
+    """The `UserState` of a code row, as `run_user` and `run_population`
+    take a user."""
+    return UserState(tuple(row.tolist()))
 
 
 def one_feature_schema(mutability="increase_only", kind="ordered"):
@@ -87,7 +89,7 @@ def one_feature_schema(mutability="increase_only", kind="ordered"):
 
 
 def flat_table(schema):
-    rows = [UserState(tuple(f.domain[0] for f in schema.features))]
+    rows = np.array([[f.domain[0] for f in schema.features]])
     # a CDF is needed structurally; single-row step CDFs are fine for tests
     return build_percentile_table(rows, schema)
 
@@ -109,7 +111,7 @@ def moves(table, fi, s):
 def raw_means(schema, state, table, fi=0):
     """Feature fi's raw (step-count, CDF-shift) means by domain position:
     0 at the user's value, inf where infeasible."""
-    s_idx = schema.positions(state.values)[fi]
+    s_idx = schema.positions(state)[fi]
     targets, raw = moves(table, fi, s_idx)
     out = []
     for k in range(2):
@@ -132,7 +134,7 @@ def two_feature_schema():
 class TestLinearMeans:
     def test_two_thirds_example(self):
         schema = one_feature_schema("increase_only")
-        means, _ = raw_means(schema, UserState((1,)), flat_table(schema))
+        means, _ = raw_means(schema, np.array((1,)), flat_table(schema))
         assert means[3] == pytest.approx(2 / 3)
         assert means[2] == pytest.approx(1 / 3)
         assert means[4] == pytest.approx(1.0)
@@ -142,20 +144,20 @@ class TestLinearMeans:
         # the raw mean of 2/3
         schema = two_feature_schema()
         batch = sample_cost_batch(
-            UserState((1, 0)), schema, flat_table(schema), 200, alpha=1.0, seed=0,
+            np.array((1, 0)), schema, flat_table(schema), 200, alpha=1.0, seed=0,
             editable=frozenset({0, 1}), pref=np.array([0.5, 0.5]),
         )
         assert feature_costs(batch)[0][:, 3].mean() == pytest.approx(1 / 3, abs=0.005)
 
     def test_case_split(self):
         schema = one_feature_schema("increase_only")
-        means, _ = raw_means(schema, UserState((1,)), flat_table(schema))
+        means, _ = raw_means(schema, np.array((1,)), flat_table(schema))
         assert means[1] == 0.0
         assert means[0] == INF
 
     def test_decrease_only_mirrors(self):
         schema = one_feature_schema("decrease_only")
-        means, _ = raw_means(schema, UserState((3,)), flat_table(schema))
+        means, _ = raw_means(schema, np.array((3,)), flat_table(schema))
         assert means[1] == pytest.approx(2 / 3)
         assert means[4] == INF
         assert means[3] == 0.0
@@ -163,7 +165,7 @@ class TestLinearMeans:
     def test_not_editable_is_all_infinite(self):
         schema = two_feature_schema()
         batch = sample_cost_batch(
-            UserState((1, 2)), schema, flat_table(schema), 20, alpha=1.0, seed=0,
+            np.array((1, 2)), schema, flat_table(schema), 20, alpha=1.0, seed=0,
             editable=frozenset({0}),
         )
         g = feature_costs(batch)[1]
@@ -180,7 +182,7 @@ class TestLinearMeans:
             )
         )
         batch = sample_cost_batch(
-            UserState((2, 0)), schema, flat_table(schema), 50, alpha=1.0, seed=0,
+            np.array((2, 0)), schema, flat_table(schema), 50, alpha=1.0, seed=0,
             editable=frozenset({0, 1}), pref=np.array([0.0, 1.0]),
         )
         finite = feature_costs(batch)[0][:, [0, 1, 3, 4]]
@@ -197,9 +199,9 @@ class TestPercentileMeans:
 
     def test_cdf_shift_example(self):
         schema = one_feature_schema("increase_only")
-        table = build_percentile_table([UserState((v,)) for v in self.F_ROWS], schema)
+        table = build_percentile_table(np.array([(v,) for v in self.F_ROWS]), schema)
         assert table.cdf[0] == (0.2, 0.5, 0.7, 0.9, 1.0)
-        _, means = raw_means(schema, UserState((1,)), table)
+        _, means = raw_means(schema, np.array((1,)), table)
         assert means[3] == pytest.approx(0.4)
         assert means[1] == 0.0
         assert means[0] == INF
@@ -209,11 +211,11 @@ class TestPercentileMeans:
         # by 0.75
         schema = two_feature_schema()
         table = build_percentile_table(
-            [UserState(r) for r in zip(self.F_ROWS, self.G_ROWS)], schema
+            np.array(list(zip(self.F_ROWS, self.G_ROWS))), schema
         )
         assert table.cdf == ((0.2, 0.5, 0.7, 0.9, 1.0), (0.3, 0.6, 1.0))
         batch = sample_cost_batch(
-            UserState((1, 0)), schema, table, 200, alpha=0.0, seed=0,
+            np.array((1, 0)), schema, table, 200, alpha=0.0, seed=0,
             editable=frozenset({0, 1}), pref=np.array([0.25, 0.75]),
         )
         assert feature_costs(batch)[0][:, 3].mean() == pytest.approx(0.3, abs=0.005)
@@ -246,7 +248,7 @@ class TestForeignTable:
             desired_class=schema.desired_class,
             protected_attributes=schema.protected_attributes,
         )
-        shifted = [UserState(tuple(v + 100 for v in r.values)) for r in rows]
+        shifted = rows + 100
         self._draws(rows[0], schema, build_percentile_table(shifted, relabelled))
         self._draws(shifted[0], relabelled, table)
 
@@ -267,10 +269,10 @@ class TestMonotoneMeans:
     def test_ordered_means_monotone(self, mutability):
         schema = one_feature_schema(mutability)
         rng = np.random.default_rng(42)
-        rows = [UserState((int(v),)) for v in rng.integers(0, 5, size=200)]
+        rows = rng.integers(0, 5, size=200)[:, None]
         table = build_percentile_table(rows, schema)
         for s in range(5):
-            for means in raw_means(schema, UserState((s,)), table):
+            for means in raw_means(schema, np.array((s,)), table):
                 up = [means[j] for j in range(s, 5) if means[j] != INF]
                 down = [means[j] for j in range(s, -1, -1) if means[j] != INF]
                 assert all(b >= a - 1e-12 for a, b in zip(up, up[1:]))
@@ -284,7 +286,7 @@ class TestSampleCostFunction:
         table = flat_table(schema)
         pref = np.array([1.0])
         c = sample_cost_batch(
-            UserState((1,)), schema, table, 1, seed=1, alpha=1.0,
+            np.array((1,)), schema, table, 1, seed=1, alpha=1.0,
             editable=frozenset({0}), pref=pref,
         )
         assert c.m == 1
@@ -298,7 +300,7 @@ class TestSampleCostFunction:
         schema = two_feature_schema()
         table = flat_table(schema)
         c = sample_cost_batch(
-            UserState((1, 0)), schema, table, 1, seed=1, alpha=1.0,
+            np.array((1, 0)), schema, table, 1, seed=1, alpha=1.0,
             editable=frozenset({0, 1}), pref=np.array([0.0, 1.0]),
         )
         for j, expected in ((2, 1 / 3), (3, 2 / 3), (4, 1.0)):
@@ -310,7 +312,7 @@ class TestSampleCostFunction:
         )
         table = flat_table(schema)
         with pytest.raises(ValueError):
-            sample_cost_function(UserState((0,)), schema, table,
+            sample_cost_function(np.array((0,)), schema, table,
                                  np.random.default_rng(0))
 
     def test_same_seed_identical(self, synth6):
@@ -330,7 +332,7 @@ class TestSampleCostFunction:
         schema, rows, _, table, _ = synth6
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError, match="generator of its own"):
-            sample_cost_functions(state_codes(rows[:2]), schema, table, [rng, rng])
+            sample_cost_functions(rows[:2], schema, table, [rng, rng])
 
     def test_invariants_on_samples(self, synth6):
         schema, rows, _, table, _ = synth6
@@ -339,7 +341,7 @@ class TestSampleCostFunction:
         for _ in range(50):
             c = sample_cost_function(state, schema, table, rng)
             editable = c.editable[0]
-            at = schema.positions(state.values)
+            at = schema.positions(state)
             for fi, f in enumerate(schema.features):
                 vec = feature_costs(c)[fi][0]
                 s_idx = at[fi]
@@ -414,7 +416,7 @@ class TestInputChecks:
             features=(FeatureSpec("f", "ordered", (0, 1), "immutable"),)
         )
         with pytest.raises(ValueError, match="no mutable features"):
-            draw(UserState((0,)), schema, flat_table(schema))
+            draw(np.array((0,)), schema, flat_table(schema))
 
 
 class TestStreamRngs:
@@ -568,7 +570,7 @@ def scalar_cost_functions(state, schema, table, rngs):
     one scalar `beta` per target whose Beta exists. Returns a set with
     M = len(rngs)."""
     d, movable, m = schema.n_features, schema.mutable_indices(), len(rngs)
-    at = schema.positions(state.values).tolist()
+    at = schema.positions(state).tolist()
     costs = np.full((int(schema.offsets[-1]), m), INF)
     costs[schema.offsets[:-1] + at] = 0.0
     alphas, editable, prefs = np.empty(m), np.zeros((m, d), dtype=bool), np.zeros((m, d))
@@ -592,7 +594,7 @@ def scalar_cost_functions(state, schema, table, rngs):
                 costs[schema.offsets[f] + j, i] = (rng.beta(mu * nu, (1.0 - mu) * nu)
                                                    if nu > 0.0 else mu)
         editable[i, chosen] = True
-    return CostSampleSet(schema, np.tile(np.array(state.values, dtype=np.int64), (m, 1)),
+    return CostSampleSet(schema, np.tile(np.array(state, dtype=np.int64), (m, 1)),
                          costs, alphas, editable, prefs)
 
 
@@ -607,7 +609,7 @@ def reference_block(state, schema, table, rng, alpha, editable, pref, rounded=Tr
     editable mask, preferences) per row, each cost rounded up to a
     multiple of 2**-20 unless not `rounded`."""
     d, movable = schema.n_features, schema.mutable_indices()
-    at = schema.positions(state.values).tolist()
+    at = schema.positions(state).tolist()
     if editable is None:
         coins = rng.random((BLOCK, len(movable))).tolist()
         subsets = [[f for f, c in zip(movable, row) if c < 0.5] for row in coins]
@@ -817,7 +819,7 @@ class TestBlockDistribution:
                             for x in (block, single)],
                   "size": [np.bincount(x.editable.sum(axis=1), minlength=10)
                            for x in (block, single)]}
-        at = schema.positions(state.values)
+        at = schema.positions(state)
         for fi in movable:
             binned[f"editable {fi}"] = [
                 np.bincount(x.editable[:, fi], minlength=2) for x in (block, single)]
@@ -844,7 +846,7 @@ class TestBlockDistribution:
             for u, state in enumerate(rows[:6]):
                 batch = sample_cost_batch(state, schema, table, 130, alpha=alpha,
                                           seed=u, pref=pref, subkey=u)
-                at = schema.positions(state.values)
+                at = schema.positions(state)
                 for i in range(batch.m):
                     a = float(batch.alpha[i])
                     for fi in np.flatnonzero(batch.editable[i]).tolist():
@@ -877,7 +879,7 @@ class TestTransitionCost:
                 FeatureSpec("c", "ordered", (0, 1), "immutable"),
             )
         )
-        state = UserState((0, 0, 0))
+        state = np.array((0, 0, 0))
         c = manual_samples(
             schema, state, [[[0.0, 0.2, 0.9], [0.0, 0.3, 0.8], [0.0, INF]]]
         )
@@ -885,7 +887,7 @@ class TestTransitionCost:
 
     def test_noop_is_free(self):
         _, state, c = self._setup()
-        assert min_cost(*one_each(c, state.values), c).tolist() == [0.0]
+        assert min_cost(*one_each(c, state), c).tolist() == [0.0]
 
     def test_hand_sum(self):
         _, state, c = self._setup()
@@ -912,7 +914,7 @@ class TestTransitionCost:
                 sorted(feasible_values(schema, i, v))[
                     rng.integers(len(feasible_values(schema, i, v)))
                 ]
-                for i, v in enumerate(state.values)
+                for i, v in enumerate(state.tolist())
             )
             for _ in range(12)
         ]
@@ -927,7 +929,7 @@ def moved_members(schema, state, n, seed):
     value to a random other one."""
     rng = np.random.default_rng(seed)
     options = []
-    for i, v in enumerate(state.values):
+    for i, v in enumerate(state.tolist()):
         other = sorted(feasible_values(schema, i, v) - {v})
         options.append(other or [v])
     return [
@@ -978,7 +980,7 @@ class TestTwelveFeaturePricing:
         states = rows[:100]
         for k in range(20):
             rngs = [np.random.default_rng([k, u]) for u in range(100)]
-            population = sample_cost_functions(state_codes(states), schema, table, rngs,
+            population = sample_cost_functions(states, schema, table, rngs,
                                                editable=[movable] * 100)
             sizes = np.random.default_rng(k).integers(1, 20, size=100)
             sizes[k] = 0
@@ -1013,7 +1015,7 @@ def partly_moved(schema, state, counts, rng):
     """(len(counts), d) positions: the state's, with member p's `counts[p]`
     features, chosen at random, moved to another domain position, feasible
     or not."""
-    at = schema.positions(state.values)
+    at = schema.positions(state)
     sizes = [f.size for f in schema.features]
     out = np.tile(at, (len(counts), 1))
     for p, k in enumerate(counts):
@@ -1042,13 +1044,13 @@ class TestDenseRowSums:
         row is all +0.0."""
         schema, rows, _, table, _ = adult
         population = sample_cost_functions(
-            state_codes(rows[:50]), schema, table, [np.random.default_rng(u) for u in range(50)])
+            rows[:50], schema, table, [np.random.default_rng(u) for u in range(50)])
         sets = [(s, b) for s, b in self.batches(adult)] + [(rows[0], population)]
         for state, samples in sets:
             zero = samples.table == 0.0
             assert zero.any() and not np.signbit(samples.table[zero]).any()
         for state, batch in self.batches(adult):
-            origin = schema.offsets[:-1] + schema.positions(state.values)
+            origin = schema.offsets[:-1] + schema.positions(state)
             assert (batch.table[origin] == 0.0).all()
 
     def test_mixed_live_counts_match_dense_sum(self, adult):
@@ -1087,13 +1089,13 @@ class TestDenseRowSums:
         dense = rng.uniform(0.0, 1.0, size=batch.table.shape)
         dense[rng.random(dense.shape) < 0.1] = INF
         signed = np.array(batch.table)
-        origin = schema.offsets[:-1] + schema.positions(state.values)
+        origin = schema.offsets[:-1] + schema.positions(state)
         signed[origin[0]] = -0.0
         for hand in (dense, signed):
             samples = CostSampleSet(schema, batch.states, hand, batch.alpha,
                                     batch.editable, batch.preferences)
             positions = partly_moved(schema, state, rng.integers(0, 12, size=30), rng)
-            positions[:4] = schema.positions(state.values)
+            positions[:4] = schema.positions(state)
             want = dense_rows(positions, samples)
             assert_same_bits(cost_rows(positions, samples), want)
         # -0.0 plus the other features' +0.0 is +0.0: a sum that left them
@@ -1132,7 +1134,7 @@ class TestDrawEquivalence:
         `_flat_dirichlet` both return numpy's `dirichlet(ones(k))`."""
         schema = DatasetSchema(features=tuple(
             FeatureSpec(f"f{i}", "ordered", (0, 1)) for i in range(9)))
-        table, state = flat_table(schema), UserState((0,) * 9)
+        table, state = flat_table(schema), np.array((0,) * 9)
         for seed in self.SEEDS:
             old, new = self._pair(seed)
             want = old.dirichlet(np.ones(k))
@@ -1150,6 +1152,27 @@ class TestDrawEquivalence:
             want = old.beta(shape_a, shape_b)
             got = [new.beta(a, b) for a, b in zip(shape_a.tolist(), shape_b.tolist())]
             assert np.array(got).tobytes() == want.tobytes()
+            assert new.random() == old.random()
+
+    @pytest.mark.parametrize("k", [1, 4])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 10])
+    def test_uniform_rows_are_per_feature_integers(self, k, n):
+        """`_Workspace.uniform_rows`' one `integers` call draws what k sets
+        of one `integers(c, size=n)` call per feature do, c its feature's
+        count of feasible positions, and leaves the generator in the same
+        place, on adult-like users whose immutable features have one
+        choice and draw nothing."""
+        schema, rows, _ = make_adult_like(40, seed=7)
+        for seed, state in enumerate(rows):
+            ws = _Workspace(state, schema)
+            assert (ws.n_choices == 1).any()
+            old, new = self._pair(seed)
+            pos = [np.stack([old.integers(c, size=n) for c in ws.n_choices.tolist()], axis=1)
+                   for _ in range(k)]
+            want = ws.feasible[np.arange(schema.n_features), np.stack(pos)]
+            got = ws.uniform_rows(k, n, new)
+            assert got.shape == (k, n, schema.n_features)
+            assert np.array_equal(got, want)
             assert new.random() == old.random()
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -1192,7 +1215,7 @@ class TestMinCostAndEmc:
         schema = DatasetSchema(
             features=(FeatureSpec("f", "ordered", tuple(range(len(costs)))),)
         )
-        state = UserState((0,))
+        state = np.array((0,))
         return schema, state, manual_samples(schema, state, [[costs]])
 
     def test_min_of_three(self):
@@ -1214,7 +1237,7 @@ class TestMinCostAndEmc:
 
     def test_members_priced_under_their_owner_only(self):
         schema = DatasetSchema(features=(FeatureSpec("f", "ordered", (0, 1, 2)),))
-        state = UserState((0,))
+        state = np.array((0,))
         c = manual_samples(schema, state, [[[0.0, 0.2, 0.1]], [[0.0, 0.4, 0.7]]])
         members = schema.positions(codes((1,), (2,)))
         assert min_cost(members, np.array([1, 1]), c) == pytest.approx([INF, 0.4])
@@ -1225,14 +1248,14 @@ class TestMinCostAndEmc:
         schema, rows, _, table, _ = synth6
         state = rows[0]
         batch = sample_cost_batch(state, schema, table, 1, seed=4)
-        members = codes(state.values)
+        members = codes(state)
         assert [emc(cost_rows(schema.positions(members), batch).min(axis=0))] == (
-            min_cost(*one_each(batch, state.values), batch).tolist()
+            min_cost(*one_each(batch, state), batch).tolist()
         )
 
     def test_emc_hand_average(self):
         schema = DatasetSchema(features=(FeatureSpec("f", "ordered", (0, 1)),))
-        state = UserState((0,))
+        state = np.array((0,))
         batch = manual_samples(schema, state, [[[0.0, 0.2]], [[0.0, 0.4]]])
         rows = cost_rows(schema.positions([(1,)]), batch)
         assert emc(rows.min(axis=0)) == pytest.approx(0.3)
@@ -1246,7 +1269,7 @@ class TestMinCostAndEmc:
                 FeatureSpec("b", "ordered", (0, 1)),
             )
         )
-        state = UserState((0, 0))
+        state = np.array((0, 0))
         batch = manual_samples(
             schema, state,
             [[[0.0, 0.1], [0.0, 0.9]], [[0.0, 0.9], [0.0, 0.1]]],
@@ -1261,7 +1284,7 @@ class TestMinCostAndEmc:
         # exhaustive check over every changed-state singleton in the domain
         for a in (0, 1):
             for b in (0, 1):
-                if (a, b) != state.values:
+                if (a, b) != tuple(state.tolist()):
                     singles.append(set_emc([(a, b)]))
         assert pair < min(singles)
 
@@ -1274,7 +1297,7 @@ class TestMinCostAndEmc:
         def random_member():
             vals = []
             for i, f in enumerate(schema.features):
-                allowed = sorted(feasible_values(schema, i, state.values[i]))
+                allowed = sorted(feasible_values(schema, i, state[i]))
                 vals.append(allowed[rng.integers(len(allowed))])
             return tuple(vals)
 
@@ -1287,7 +1310,7 @@ class TestMinCostAndEmc:
 class TestCostMatrix:
     def test_1x1(self):
         schema = DatasetSchema(features=(FeatureSpec("f", "ordered", (0, 1)),))
-        state = UserState((0,))
+        state = np.array((0,))
         batch = manual_samples(schema, state, [[[0.0, 0.7]]])
         cm = cost_rows(schema.positions([(1,)]), batch)
         assert cm.shape == (1, 1)
@@ -1297,7 +1320,7 @@ class TestCostMatrix:
         schema, rows, _, table, _ = synth6
         state = rows[0]
         batch = sample_cost_batch(state, schema, table, 10, seed=8)
-        members = [state.values, rows[1].values]
+        members = [state, rows[1]]
         cm = cost_rows(schema.positions(members), batch)
         mins = [
             min(transition_cost(state, s, batch, i) for s in members)

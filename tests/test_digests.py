@@ -1,5 +1,6 @@
-"""Bit-identity guard: pinned sha256 digests of sampled cost functions, of
-generated result documents and of the CSV tables the command line writes.
+"""Bit-identity guard: pinned sha256 digests of the synthetic tables, of
+sampled cost functions, of generated result documents and of the CSV
+tables the command line writes.
 
 The sampler digests cover every cost array, alpha, editable mask and
 preference vector that `sample_cost_batch`, `simulate_user` and
@@ -26,13 +27,14 @@ from recourse.cost import (
     sample_cost_batch,
     stream_rng,
 )
+from recourse.datasets import make_adult_like, make_synthetic_6f
 from recourse.evaluate import simulate_user, simulate_users
 from recourse.experiments import select_undesired
 from recourse.model import save_model
 from recourse.results import GenerationSettings, run_user
 from recourse.schema import save_dataset, save_schema
 
-from test_cost import feature_costs, state_codes
+from test_cost import feature_costs
 
 # Fixed editable set and preferences for the pinned batch: three ordered
 # features (age, capital_gain, hours_per_week) and two unordered ones
@@ -85,6 +87,16 @@ DOC_DIGESTS = {
     "ls:emc": "bb5b08fd936cdbd64aec6c50b4bf9b4cb9dcdd506493d70a52db98af60a96830",
     "ls:diversity": "929878ab82760b4a8064f510841c1d86bdabe260f4f12982f3df06a6c2a7719d",
 }
+# (shape, sha256 of the <i8 codes, sha256 of the <i8 labels) of each
+# synthetic table.
+DATASET_DIGESTS = {
+    "adult_like": ((4000, 12),
+                   "e4dc0e43a00102399aa6a90824ee4aed34a606f301b3b1569a34bd03db832ec5",
+                   "06c720bfdf8a296f33c4f611b9af4397c7692f7a0d2a2c71da6df0731c12e4ac"),
+    "synthetic_6f": ((800, 6),
+                     "d8838b389f1d2d7b61760cac8c11202119e1aa3227be9e78cf8462f02fe67708",
+                     "d311691896e7c8f0cf1c0f8d8482f2e5a4e43b176ed8638d2ccec312b25771ad"),
+}
 SIMULATED_DIGEST = "fb2733235396b5fe6e2018c51c2dac2cf8206ffc1d209e1d8a7e1b7957fbe848"
 POPULATION_DIGEST = "224881fd9c47b5d15110dc77c8cf626191ac817c092f4c8f1db42e72fdd46844"
 CSV_DIGESTS = {
@@ -111,6 +123,18 @@ CSV_DIGESTS = {
 }
 
 
+@pytest.mark.parametrize("name", sorted(DATASET_DIGESTS))
+def test_dataset_digest(name):
+    """The synthetic tables are (n, d) int64 codes with pinned bytes."""
+    make = {"adult_like": lambda: make_adult_like(4000, seed=7),
+            "synthetic_6f": lambda: make_synthetic_6f(800, seed=11)}[name]
+    _, rows, labels = make()
+    shape, *digests = DATASET_DIGESTS[name]
+    assert rows.shape == shape and rows.dtype == np.int64
+    assert [hashlib.sha256(np.asarray(a, dtype="<i8").tobytes()).hexdigest()
+            for a in (rows, labels)] == digests
+
+
 def _update(h, samples) -> None:
     """Hash a sample set's per-feature cost arrays, alpha, editable mask and
     preferences, with their shapes."""
@@ -128,9 +152,10 @@ def _update(h, samples) -> None:
 
 @pytest.fixture(scope="module")
 def rejected(adult):
+    """The first 20 rejected users' code rows and row indices."""
     schema, rows, _, table, clf = adult
-    states, ids = select_undesired(rows, clf, schema, limit=20)
-    return schema, table, states, ids
+    _, ids = select_undesired(rows, clf, schema, limit=20)
+    return schema, table, rows[ids], ids
 
 
 @pytest.mark.parametrize("case", sorted(BATCH_DIGESTS))
@@ -164,7 +189,7 @@ def test_simulate_users_digest(adult):
     h = hashlib.sha256()
     for test_seed in (5, 9_137_000_004):
         for alpha in (None, 0.3):
-            _update(h, simulate_users(state_codes(states), schema, table, test_seed, ids, alpha,
+            _update(h, simulate_users(states, schema, table, test_seed, ids, alpha,
                                       editable))
     assert h.hexdigest() == POPULATION_DIGEST
 
@@ -179,7 +204,7 @@ def test_batch_is_its_blocks(rejected, case):
         batch = sample_cost_batch(state, schema, table, 130, seed=3, subkey=uid, **kwargs)
         rows = [batch.table.T, batch.alpha, batch.editable, batch.preferences]
         for b in range(3):
-            costs, *rest = _sample_blocks(state_codes([state]), schema, table,
+            costs, *rest = _sample_blocks(state[None], schema, table,
                                           [stream_rng(TRAIN_STREAM, 3, b, uid)], BLOCK, BLOCK,
                                           kwargs.get("alpha"), [kwargs.get("editable")],
                                           kwargs.get("pref"))
@@ -188,11 +213,11 @@ def test_batch_is_its_blocks(rejected, case):
 
 
 @pytest.fixture(scope="module")
-def documents(adult, rejected):
+def documents(adult):
     """The `run_user` documents of the first three rejected users, by
     `DOC_SETTINGS` key."""
-    schema, _, _, table, clf = adult
-    _, _, states, ids = rejected
+    schema, rows, _, table, clf = adult
+    states, ids = select_undesired(rows, clf, schema, limit=3)
     assert ADULT_MOVABLE == tuple(schema.mutable_indices())
     return {
         method: [run_user(uid, state, clf, schema, table,

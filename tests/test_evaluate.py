@@ -28,12 +28,11 @@ from recourse.schema import (
     DatasetSchema,
     FeatureSpec,
     SchemaError,
-    UserState,
     build_percentile_table,
 )
 from recourse.search import _Workspace
 
-from test_cost import feature_costs, manual_samples, state_codes, transition_cost
+from test_cost import feature_costs, manual_samples, transition_cost
 from test_search import perturb_once
 
 
@@ -47,7 +46,7 @@ def single_feature_users(*costs):
     schema = DatasetSchema(
         features=(FeatureSpec("f", "ordered", tuple(range(len(costs[0])))),)
     )
-    return manual_samples(schema, UserState((0,)), [[c] for c in costs])
+    return manual_samples(schema, np.array((0,)), [[c] for c in costs])
 
 
 def recourse_set(members, validity):
@@ -153,7 +152,7 @@ class TestDocArrays:
         """In-process scoring refuses an out-of-domain member naming its
         document: a valid one would be priced, and an invalid one's
         distances would enter the diversity."""
-        table = build_percentile_table([UserState((0, 5)), UserState((2, 7))], self.SCHEMA)
+        table = build_percentile_table(np.array([(0, 5), (2, 7)]), self.SCHEMA)
         score = {
             "evaluate_docs": lambda docs: evaluate_docs(docs, self.SCHEMA, table, 901),
             "score_docs": lambda docs: score_docs(docs, self.SCHEMA, table, [901], 1.0, None),
@@ -238,7 +237,7 @@ class TestFsAtK:
     def test_one_pin_per_user(self, synth6):
         schema, rows, _, table, _ = synth6
         with pytest.raises(ValueError, match="for 2 generators and 1 editable sets"):
-            simulate_users(state_codes(rows[:2]), schema, table, 5, [0, 1], editable=[None])
+            simulate_users(rows[:2], schema, table, 5, [0, 1], editable=[None])
 
 
 class TestPac:
@@ -305,9 +304,9 @@ def scalar_distance_stats(s_u, members, schema):
     """(diversity, proximity, sparsity) of code rows through the scalar
     oracle."""
     n, d = len(members), schema.n_features
-    prox = 1.0 - sum(_pair_distance(s_u.values, m, schema) for m in members) / n
+    prox = 1.0 - sum(_pair_distance(s_u, m, schema) for m in members) / n
     changed = sum(
-        1 for m in members for fi in range(d) if m[fi] != s_u.values[fi]
+        1 for m in members for fi in range(d) if m[fi] != s_u[fi]
     )
     spar = 1.0 - changed / (n * d)
     if n < 2:
@@ -329,29 +328,29 @@ class TestDistanceMetrics:
 
     def test_sparsity_single_change(self):
         schema = self._schema3()
-        s_u = UserState((0, 0, 0))
+        s_u = np.array((0, 0, 0))
         rs = recourse_set([(2, 0, 0)], [True])
-        div, prox, spar, val = distance_metrics(s_u.values, *rs, schema)
+        div, prox, spar, val = distance_metrics(s_u, *rs, schema)
         assert spar == pytest.approx(1 - 1 / 3)
         assert div == 0.0
         assert val == 1.0
 
     def test_noop_member_identity_case(self):
         schema = self._schema3()
-        s_u = UserState((1, 1, 0))
-        rs = recourse_set([s_u.values], [True])
-        div, prox, spar, val = distance_metrics(s_u.values, *rs, schema)
+        s_u = np.array((1, 1, 0))
+        rs = recourse_set([s_u], [True])
+        div, prox, spar, val = distance_metrics(s_u, *rs, schema)
         assert prox == 1.0
         assert spar == 1.0
         assert div == 0.0
 
     def test_validity_counts_unique_valid(self):
         schema = self._schema3()
-        s_u = UserState((0, 0, 0))
+        s_u = np.array((0, 0, 0))
         members = [(1 + i // 3, i % 3, 0) for i in range(9)]
         members.append((1, 0, 0))  # duplicate of the first
         rs = recourse_set(members, [True] * 10)
-        *_, val = distance_metrics(s_u.values, *rs, schema)
+        *_, val = distance_metrics(s_u, *rs, schema)
         assert val == pytest.approx(0.9)
 
     def test_metrics_bounded(self, synth6):
@@ -364,7 +363,7 @@ class TestDistanceMetrics:
                 for _ in range(4)
             ]
             rs = recourse_set(members, rng.random(4) < 0.5)
-            for v in distance_metrics(s_u.values, *rs, schema):
+            for v in distance_metrics(s_u, *rs, schema):
                 assert 0.0 <= v <= 1.0
 
 
@@ -381,8 +380,8 @@ class TestDistanceMetrics:
             moves = moves[0]
             members = schema.codes(moves)
             if uid % 4 == 0:  # repeated members and the user's own state
-                members = np.vstack([members[0], rows[uid].values, members, members[0]])
-            got = set_distance_stats(rows[uid].values, members, schema)
+                members = np.vstack([members[0], rows[uid], members, members[0]])
+            got = set_distance_stats(rows[uid], members, schema)
             assert got == scalar_distance_stats(rows[uid], members.tolist(), schema)
             checked += len(members) > 1
         assert checked > 40
@@ -471,16 +470,16 @@ class TestSimulatedUsers:
                     frozenset(f for f in schema.mutable_indices() if rng.random() < 0.5)
                     for u in range(100)]
             pins[1] = frozenset()
-        codes = state_codes(states)
+        codes = states
         together = simulate_users(codes, schema, table, 41, ids, alpha, pins)
         reversed_ = simulate_users(codes[::-1], schema, table, 41, ids[::-1], alpha,
                                    pins[::-1])
-        assert len({s.values for s in states}) > 50
+        assert len(set(map(tuple, states.tolist()))) > 50
         assert together.m == reversed_.m == 100
         for u, (state, uid, pin) in enumerate(zip(states, ids, pins)):
             alone = simulate_user(state, schema, table, 41, uid, alpha, pin)
             assert alone.m == 1
-            assert alone.states.tolist() == [list(state.values)]
+            assert alone.states.tolist() == [state.tolist()]
             if pin is not None:
                 assert np.flatnonzero(alone.editable[0]).tolist() == sorted(pin)
             for x, i in ((together, u), (reversed_, 99 - u)):
@@ -501,7 +500,7 @@ def adult_population():
     table = build_percentile_table(rows, schema)
     rng = np.random.default_rng(4)
     states = rows[:80]
-    users = simulate_users(state_codes(states), schema, table, 31, range(80))
+    users = simulate_users(states, schema, table, 31, range(80))
     sets = []
     for state in states:
         ws = _Workspace(state, schema)
@@ -515,8 +514,8 @@ def adult_population():
 class TestComputeReport:
     def test_report_fields_and_subgroups(self, synth6):
         schema, rows, _, table, _ = synth6
-        users = simulate_users(state_codes(rows[:20]), schema, table, 99, range(20))
-        sets = [recourse_set([state.values], [True]) for state in rows[:20]]
+        users = simulate_users(rows[:20], schema, table, 99, range(20))
+        sets = [recourse_set([state], [True]) for state in rows[:20]]
         report = compute_report(users, *valid_of(sets, schema), schema, k=1.0)
         assert report.n_users == 20
         assert 0.0 <= report.fs_at_k <= 1.0
@@ -560,9 +559,9 @@ class TestComputeReport:
         assert len(schema.protected_attributes) == 2
         for attr in schema.protected_attributes:
             fi = schema.feature_index(attr)
-            present = {state.values[fi] for state in states}
+            present = set(states[:, fi].tolist())
             for value in schema.features[fi].domain:
-                sub = costs[[state.values[fi] == value for state in states]]
+                sub = costs[states[:, fi] == value]
                 names = (f"fs_at_1[{attr}={value}]", f"coverage[{attr}={value}]")
                 if value not in present:
                     assert not set(names) & set(report.table)
@@ -597,7 +596,7 @@ class TestReportTables:
     def test_metric_names_list_a_full_table_in_row_order(self, adult_population):
         schema, states, users, sets = adult_population
         table = compute_report(users, *valid_of(sets, schema), schema, k=1.0).table
-        shared = set_metrics(state_codes(states), *stacked(sets), schema)
+        shared = set_metrics(states, *stacked(sets), schema)
         order = metric_names(schema, 1.0)
         assert set(table) | set(shared) <= set(order)
         assert [name for name in order if name in table] == list(table)
@@ -649,15 +648,15 @@ class TestReportTables:
 
     def test_set_metrics_are_means_of_distance_metrics(self, adult_population):
         schema, states, _, sets = adult_population
-        dists = [distance_metrics(state.values, *s, schema) for state, s in zip(states, sets)]
-        shared = set_metrics(state_codes(states), *stacked(sets), schema)
+        dists = [distance_metrics(state, *s, schema) for state, s in zip(states, sets)]
+        shared = set_metrics(states, *stacked(sets), schema)
         assert list(shared) == ["diversity", "proximity", "sparsity", "validity"]
         for i, value in enumerate(shared.values()):
             assert value == float(np.mean([d[i] for d in dists]))
         # Owners need not come in order: users last to first, each set kept in order.
         members, owners, validity = stacked(sets)
         back = np.argsort(-owners, kind="stable")
-        assert set_metrics(state_codes(states), members[back], owners[back], validity[back],
+        assert set_metrics(states, members[back], owners[back], validity[back],
                            schema) == shared
 
 
@@ -678,7 +677,7 @@ def relabelled_synth6(synth6):
     new_schema = replace(schema, features=tuple(
         replace(f, domain=tuple(recode(f, v) for v in f.domain)) for f in schema.features
     ))
-    new_rows = [UserState(tuple(relabel(schema, r.values))) for r in rows]
+    new_rows = np.array([relabel(schema, r) for r in rows.tolist()])
     clf = train_classifier(new_rows, labels, new_schema, TrainConfig(epochs=200, seed=0))
     return new_schema, new_rows, labels, build_percentile_table(new_rows, new_schema), clf
 

@@ -16,7 +16,7 @@ from recourse.model import (
     save_model,
     train_classifier,
 )
-from recourse.schema import DatasetSchema, FeatureSpec, UserState, feasible_positions
+from recourse.schema import DatasetSchema, FeatureSpec, feasible_positions
 
 
 def separable_toy(n=200, seed=0):
@@ -30,9 +30,9 @@ def separable_toy(n=200, seed=0):
     rows, labels = [], []
     for _ in range(n):
         a, b = int(rng.integers(10)), int(rng.integers(10))
-        rows.append(UserState((a, b)))
+        rows.append((a, b))
         labels.append(int(a + b >= 9))
-    return schema, rows, labels
+    return schema, np.array(rows), labels
 
 
 class TestTraining:
@@ -42,7 +42,7 @@ class TestTraining:
             rows, labels, schema,
             TrainConfig(architecture="logistic", epochs=800, lr=0.05, seed=0),
         )
-        codes = np.asarray([r.values for r in rows], dtype=float)
+        codes = np.asarray(rows, dtype=float)
         acc = ((clf.prob(codes) >= 0.5).astype(int) == np.asarray(labels)).mean()
         assert acc >= 0.99
 
@@ -84,6 +84,13 @@ class TestTraining:
         with pytest.raises(ValueError):
             train_classifier(rows, labels[:-1], schema, TrainConfig(epochs=1))
 
+    def test_zero_rows_rejected(self):
+        schema, _, _ = separable_toy()
+        with pytest.raises(ValueError, match="^rows and labels must be equally long and "
+                                             "non-empty$"):
+            train_classifier(np.empty((0, 2), dtype=np.int64), [], schema,
+                             TrainConfig(epochs=1))
+
     def test_desired_class_zero_flips_labels(self):
         schema, rows, labels = separable_toy()
         flipped = DatasetSchema(features=schema.features, desired_class=0)
@@ -91,14 +98,14 @@ class TestTraining:
                              TrainConfig("logistic", epochs=300, lr=0.05, seed=1))
         b = train_classifier(rows, labels, flipped,
                              TrainConfig("logistic", epochs=300, lr=0.05, seed=1))
-        codes = np.asarray([r.values for r in rows], dtype=float)
+        codes = np.asarray(rows, dtype=float)
         agree = ((a.prob(codes) >= 0.5) == (b.prob(codes) < 0.5)).mean()
         assert agree >= 0.95
 
 
 def predict_one(clf, state, meter):
     """Classify one state as a 1-row batch."""
-    return int(predict_batch(clf, np.asarray([state.values], dtype=float), meter)[0])
+    return int(predict_batch(clf, np.asarray([state], dtype=float), meter)[0])
 
 
 class TestPredictAndBudget:
@@ -114,22 +121,22 @@ class TestPredictAndBudget:
     def test_thresholding_and_charging(self):
         clf = self._clf()
         meter = BudgetMeter(limit=10)
-        assert predict_one(clf, UserState((9,)), meter) == 1
-        assert predict_one(clf, UserState((0,)), meter) == 0
+        assert predict_one(clf, np.array((9,)), meter) == 1
+        assert predict_one(clf, np.array((0,)), meter) == 0
         assert meter.used == 2
 
     def test_meter_at_limit_charges_nothing(self):
         clf = self._clf()
         meter = BudgetMeter(limit=1)
-        predict_one(clf, UserState((9,)), meter)
+        predict_one(clf, np.array((9,)), meter)
         with pytest.raises(BudgetExhausted):
-            predict_one(clf, UserState((9,)), meter)
+            predict_one(clf, np.array((9,)), meter)
         assert meter.used == 1
 
     def test_exactly_5000_then_error(self):
         clf = self._clf()
         meter = BudgetMeter(limit=5000)
-        state = UserState((7,))
+        state = np.array((7,))
         for _ in range(5000):
             predict_one(clf, state, meter)
         assert meter.used == 5000
@@ -199,7 +206,7 @@ class TestBatchInvariance:
     @pytest.mark.parametrize("batch", [1, 7, 10, 64, 257, 4000])
     def test_row_probability_is_bit_equal_in_every_batch(self, adult, batch):
         _, rows, _, _, clf = adult
-        codes = np.array([r.values for r in rows], dtype=float)
+        codes = np.array(rows, dtype=float)
         # Each batch scored from an unaligned copy.
         self._assert_batch_invariant(lambda block: clf.prob(unaligned_copy(block)),
                                      codes, clf.prob(codes), batch)
@@ -210,7 +217,7 @@ class TestBatchInvariance:
         as domain positions (`EncodedView`) get the probabilities of the one
         batch of their codes."""
         schema, rows, _, _, clf = adult
-        codes = np.array([r.values for r in rows])
+        codes = rows
         want = clf.prob(codes)
         self._assert_batch_invariant(lambda block: clf.forward(unaligned_copy(block)),
                                      clf.encode(codes), want, batch)
@@ -233,14 +240,14 @@ class TestEncodedView:
         for s_u in rows[:3]:
             pos = np.column_stack([
                 rng.choice(feasible_positions(schema, fi, v), size=4000)
-                for fi, v in enumerate(s_u.values)
+                for fi, v in enumerate(s_u.tolist())
             ])
             want = clf.prob(schema.codes(pos))
             assert np.array_equal(view.prob(pos).view(np.uint64), want.view(np.uint64))
 
     def test_predict_batch_on_positions(self, synth6):
         schema, rows, _, _, clf = synth6
-        codes = np.array([r.values for r in rows[:40]])
+        codes = rows[:40]
         meter = BudgetMeter(limit=100)
         out = predict_batch(EncodedView(clf, schema), schema.positions(codes), meter)
         assert meter.used == 40

@@ -11,7 +11,6 @@ from recourse.schema import (
     DatasetSchema,
     FeatureSpec,
     SchemaError,
-    UserState,
     build_percentile_table,
     feasible_positions,
     feasible_values,
@@ -195,13 +194,24 @@ class TestDataset:
         path = tmp_path / "d.csv"
         path.write_text("a,b\n0,1\n2,0\n1,1\n")
         rows = load_dataset(path, self._schema())
-        assert [r.values for r in rows] == [(0, 1), (2, 0), (1, 1)]
+        assert rows.dtype == np.int64
+        assert rows.tolist() == [[0, 1], [2, 0], [1, 1]]
 
     def test_out_of_domain_names_row_and_feature(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("a,b\n0,1\n9,0\n")
         with pytest.raises(SchemaError, match=r"row 2.*'a'"):
             load_dataset(path, self._schema())
+
+    def test_cell_beyond_int64_names_row_and_feature(self, tmp_path):
+        """Cells are checked as Python ints, before they become int64, so a
+        cell no int64 holds is refused as outside its feature's domain."""
+        path = tmp_path / "d.csv"
+        path.write_text("a,b\n0,1\n99999999999999999999,0\n")
+        with pytest.raises(SchemaError) as info:
+            load_dataset(path, self._schema())
+        assert str(info.value) == (f"dataset {path} row 2: value 99999999999999999999 "
+                                   f"not in domain of feature 'a'")
 
     def test_column_named_twice_refused(self, tmp_path):
         """A repeated column would have its second copy's values dropped."""
@@ -215,7 +225,7 @@ class TestDataset:
         path = tmp_path / "d.csv"
         path.write_text("y,a,b\n1,0,1\n0,2,0\n")
         rows, labels = load_dataset(path, self._schema(), label_column="y")
-        assert [r.values for r in rows] == [(0, 1), (2, 0)]
+        assert rows.tolist() == [[0, 1], [2, 0]]
         assert labels == [1, 0]
 
     def test_short_row_names_row(self, tmp_path):
@@ -244,10 +254,11 @@ class TestDataset:
 
     def test_save_load_identity(self, tmp_path):
         schema = self._schema()
-        rows = [UserState((0, 1)), UserState((2, 0)), UserState((1, 1))]
+        rows = np.array([(0, 1), (2, 0), (1, 1)])
         path = tmp_path / "d.csv"
         save_dataset(rows, schema, path)
-        assert load_dataset(path, schema) == rows
+        back = load_dataset(path, schema)
+        assert back.dtype == np.int64 and np.array_equal(back, rows)
 
 
 class TestPercentileTable:
@@ -255,7 +266,7 @@ class TestPercentileTable:
         schema = DatasetSchema(
             features=(FeatureSpec("f", "ordered", (0, 1, 2, 3, 4)),)
         )
-        rows = [UserState((v,)) for v in (0, 1, 1, 2, 4)]
+        rows = np.array([(v,) for v in (0, 1, 1, 2, 4)])
         table = build_percentile_table(rows, schema)
         f = schema.features[0]
         expected = {0: 0.2, 1: 0.6, 2: 0.8, 3: 0.8, 4: 1.0}
@@ -266,7 +277,7 @@ class TestPercentileTable:
         schema = DatasetSchema(
             features=(FeatureSpec("f", "ordered", (0, 1, 2, 3, 4)),)
         )
-        table = build_percentile_table([UserState((3,))], schema)
+        table = build_percentile_table(np.array([(3,)]), schema)
         cdf = table.cdf[0]
         assert cdf[2] == 0.0
         assert cdf[3] == 1.0
@@ -288,8 +299,9 @@ class TestPercentileTable:
 
     def test_empty_rows_rejected(self):
         schema = DatasetSchema(features=(FeatureSpec("f", "ordered", (0, 1)),))
-        with pytest.raises(SchemaError):
-            build_percentile_table([], schema)
+        with pytest.raises(SchemaError, match="^cannot build percentile table from zero "
+                                              "rows$"):
+            build_percentile_table(np.empty((0, 1), dtype=np.int64), schema)
 
 
 class TestFeasibleValues:
@@ -332,12 +344,12 @@ class TestUserState:
     def test_validate_rejects_out_of_domain(self):
         schema = DatasetSchema(features=(FeatureSpec("a", "ordered", (0, 1)),))
         with pytest.raises(SchemaError, match="^value 5 not in domain of feature 'a'$"):
-            schema.positions(UserState((5,)).values)
+            schema.positions(np.array((5,)))
 
     def test_validate_rejects_wrong_length(self):
         schema = DatasetSchema(features=(FeatureSpec("a", "ordered", (0, 1)),))
         with pytest.raises(SchemaError, match="not rows of 1 features"):
-            schema.positions(UserState((0, 0)).values)
+            schema.positions(np.array((0, 0)))
 
 
 def unsorted_schema():
@@ -489,8 +501,8 @@ class TestDomainPositions:
 def unsorted_rows(n=60, seed=0):
     schema = unsorted_schema()
     rng = np.random.default_rng(seed)
-    return [UserState(tuple(int(rng.choice(f.domain)) for f in schema.features))
-            for _ in range(n)]
+    return np.array([[int(rng.choice(f.domain)) for f in schema.features]
+                     for _ in range(n)])
 
 
 MOVE_PACKS = {
@@ -512,7 +524,7 @@ class TestMoveTable:
         first_row, cells = 0, []
         for fi, f in enumerate(schema.features):
             size = f.size
-            column = [r.values[fi] for r in rows]
+            column = rows[:, fi].tolist()
             cdf = None
             if f.kind == "ordered":
                 cdf = tuple(sum(1 for v in column if v <= x) / len(rows)

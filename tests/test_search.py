@@ -6,7 +6,7 @@ import pytest
 from recourse import search as search_module
 from recourse.cost import INF, SEARCH_STREAM, cost_rows, emc, sample_cost_batch, stream_rng
 from recourse.model import BudgetExhausted, BudgetMeter, Classifier, EncodedView, predict_batch
-from recourse.schema import DatasetSchema, FeatureSpec, UserState, feasible_values
+from recourse.schema import DatasetSchema, FeatureSpec, feasible_values
 from recourse.search import (
     BIG,
     CHUNK,
@@ -25,6 +25,8 @@ from recourse.search import (
     random_search,
     select_swaps,
 )
+
+from test_cost import user
 
 
 def naive_benefits(cb_raw: np.ndarray, cc_raw: np.ndarray) -> np.ndarray:
@@ -464,7 +466,7 @@ def perturb(base, s_u, schema, rng):
     """One perturbed candidate (a code row) per base state, through the
     search workspace."""
     ws = _Workspace(s_u, schema)
-    idx = schema.positions([s.values for s in base])
+    idx = schema.positions(base)
     return schema.codes(perturb_once(ws, idx[None], [rng])[0])
 
 
@@ -478,17 +480,17 @@ class TestPerturb:
             cands = perturb(base, s_u, schema, rng)
             for cand in cands:
                 changed = sum(
-                    a != b for a, b in zip(cand, s_u.values)
+                    a != b for a, b in zip(cand, s_u)
                 )
                 assert changed <= 2
                 for i in range(schema.n_features):
                     assert cand[i] in feasible_values(
-                        schema, i, s_u.values[i]
+                        schema, i, s_u[i]
                     )
 
     def test_exactly_two_mutable_features_both_chosen(self):
         schema = two_mutable_schema()
-        s_u = UserState((0, 0, 1))
+        s_u = np.array((0, 0, 1))
         rng = np.random.default_rng(1)
         changed_a = changed_b = 0
         for _ in range(200):
@@ -504,7 +506,7 @@ class TestPerturb:
         schema = DatasetSchema(
             features=(FeatureSpec("x", "ordered", (0, 1), "immutable"),)
         )
-        s_u = UserState((0,))
+        s_u = np.array((0,))
         with pytest.raises(ValueError):
             perturb([s_u], s_u, schema, np.random.default_rng(0))
 
@@ -538,7 +540,7 @@ class TestPerturbDistribution:
             FeatureSpec("top", "ordered", (0, 1, 2), "increase_only"),
         )
     )
-    USER = UserState((1, 0, 1, 2, 2))
+    USER = np.array((1, 0, 1, 2, 2))
     MOVABLE = (0, 1, 3, 4)
 
     @pytest.fixture(scope="class")
@@ -625,7 +627,7 @@ class TestPlan:
             FeatureSpec("frozen", "ordered", (0, 1), "immutable"),
             FeatureSpec("a", "ordered", (0, 1, 2, 3, 4), "mutable"),
         )),
-        UserState((1, 2)),
+        np.array((1, 2)),
     )
 
     @staticmethod
@@ -824,7 +826,8 @@ class TestLockstep:
         from recourse.experiments import select_undesired
 
         schema, rows, _, table, clf = synth6
-        states, _ = select_undesired(rows, clf, schema, limit=12)
+        _, ids = select_undesired(rows, clf, schema, limit=12)
+        states = rows[ids]
         # Every movable feature editable keeps the objectives finite, so the
         # restarts differ and the winner is not always restart 0. The first
         # 4 users are always checked; later ones, in screening order, only
@@ -995,7 +998,7 @@ def sequential_random(s_u, clf, samples, schema, settings, user_key=0):
     meter = BudgetMeter(settings.budget)
     trace = []
     while True:
-        cand = ws.uniform_rows(settings.set_size, rng)
+        cand = ws.uniform_rows(1, settings.set_size, rng)[0]
         try:
             valid = predict_batch(model, cand, meter)
         except BudgetExhausted:
@@ -1033,8 +1036,8 @@ class TestRandomSearch:
 
         runs = {"moved": 0, "all inf": 0}
         for schema, rows, _, table, clf in (adult, synth6):
-            states, ids = select_undesired(rows, clf, schema, limit=3)
-            self.check_users(schema, table, clf, states, ids, runs)
+            _, ids = select_undesired(rows, clf, schema, limit=3)
+            self.check_users(schema, table, clf, rows[ids], ids, runs)
         assert all(runs.values()), runs
 
     @staticmethod
@@ -1162,7 +1165,7 @@ class TestGenerationSettings:
         schema, rows, _, table, clf = synth6
         settings = GenerationSettings(method=method, budget=40, set_size=4,
                                       num_samples=10)
-        doc, samples = results.run_user(0, rows[0], clf, schema, table, settings)
+        doc, samples = results.run_user(0, user(rows[0]), clf, schema, table, settings)
         objective = method[3:] if method.startswith("ls:") else "emc"
         assert calls == [{"cols": "cols", "pcols": "pcols",
                           "random": "random_search"}.get(method, "local_search")]
@@ -1180,7 +1183,7 @@ class TestGenerationSettings:
         schema, rows, _, table, clf = synth6
         settings = GenerationSettings(method=method, budget=4, set_size=2,
                                       num_samples=5, restarts=5)
-        doc, _ = run_user(0, rows[0], clf, schema, table, settings)
+        doc, _ = run_user(0, user(rows[0]), clf, schema, table, settings)
         assert len(doc.members) == 2
         assert doc.queries_used == 4
         assert len(doc.trace) == 2
@@ -1197,7 +1200,7 @@ class TestPairedDirections:
         settings = GenerationSettings(
             method=method, budget=300, set_size=6, num_samples=30, seed=seed
         )
-        doc, _ = run_user(seed % 5, rows[seed % 5], clf, schema, table, settings)
+        doc, _ = run_user(seed % 5, user(rows[seed % 5]), clf, schema, table, settings)
         return doc
 
     def test_cols_emc_beats_local_search_in_most_seeds(self, synth6):
@@ -1230,7 +1233,6 @@ class TestPairedDirections:
     def test_random_search_satisfies_fewer_users(self, synth6):
         from recourse.cost import min_cost
         from recourse.evaluate import simulate_user
-        from recourse.schema import UserState
 
         schema, rows, _, table, clf = synth6
         hits = {"cols": 0, "random": 0}
@@ -1238,7 +1240,7 @@ class TestPairedDirections:
             for method in ("cols", "random"):
                 doc = self._run(synth6, method, seed)
                 user = simulate_user(
-                    UserState(tuple(doc.state)), schema, table,
+                    np.array(doc.state), schema, table,
                     test_seed=31337, user_id=seed,
                 )
                 valid = np.array(doc.validity)
@@ -1265,7 +1267,8 @@ class TestParentRowPricing:
         from recourse.experiments import select_undesired
 
         schema, rows, _, table, clf = request.getfixturevalue(data)
-        states, ids = select_undesired(rows, clf, schema, limit=4)
+        _, ids = select_undesired(rows, clf, schema, limit=4)
+        states = rows[ids]
         real = {name: getattr(search_module, name) for name in ("_classify", "_price_moves")}
         seen = {"calls": 0, "stays": 0, "infeasible": 0, "finite": 0}
 
@@ -1348,7 +1351,7 @@ def test_every_method_returns_its_set_as_two_arrays(synth6, monkeypatch, method)
         monkeypatch.setattr(results, name, recording)
     settings = GenerationSettings(method=method, budget=60, set_size=4, num_samples=10,
                                   restarts=2, seed=1)
-    doc, _ = results.run_user(3, rows[0], clf, schema, table, settings)
+    doc, _ = results.run_user(3, user(rows[0]), clf, schema, table, settings)
     (res,) = seen
     assert res.members.dtype == np.int64 and res.members.shape == (4, schema.n_features)
     assert res.validity.dtype == bool and res.validity.shape == (4,)
