@@ -24,31 +24,30 @@ the `PercentileTable` cell arrays, at the user's origin rows. Features
 outside the editable set cost infinity to move and draw no Beta.
 
 Every cost function comes from one block sampler. A block is a user
-state, a generator, a width and an optional pinned editable set: `width`
-samples for that state drawn from that generator alone, so a draw never
-depends on the other blocks of its call. `sample_cost_batch` draws
-ceil(M / 64) blocks of one state and one pin at width `BLOCK` = 64, block
-b from `stream_rng(stream, seed, b, subkey)`; every block draws its full
-width and the batch is then cut to M, so a batch is a prefix of any
-larger one. `sample_cost_functions` draws a population, one width-1 block
-per state on its own generator with its own pin, into one set whose
-column u belongs to state u, and evaluation draws each hidden population
-in one such call: a lone width-1 block costs more than the per-sample
-draw it replaced. A population's generators are seeded in one pass by
-`stream_rngs`, which runs numpy's SeedSequence hash (a stable algorithm,
-NEP 19) over every user's key at once; generator u has the state that
-`stream_rng` gives user u's key. Within a block the n movable features
-(`DatasetSchema.mutable_indices`) are drawn as whole arrays, with these
-calls in this order and no others:
+state, a generator and a width: `width` samples for that state drawn from
+that generator alone, so a draw never depends on the other blocks of its
+call. A call may pin one editable set and one preference vector for all
+its blocks, or draw them per sample. `sample_cost_batch` draws
+ceil(M / 64) blocks of one state at width `BLOCK` = 64, block b from
+`stream_rng(stream, seed, b, subkey)`; every block draws its full width
+and the batch is then cut to M, so a batch is a prefix of any larger
+one. `sample_cost_functions` draws a population, one width-1 block per
+state on its own generator, every input but alpha drawn, into one set
+whose column u belongs to state u, and evaluation draws each hidden
+population in one such call. A population's generators are seeded in
+one pass by `stream_rngs`, which runs numpy's SeedSequence hash (a stable
+algorithm, NEP 19) over every user's key at once; generator u has the
+state that `stream_rng` gives user u's key. Within a block the n movable
+features (`DatasetSchema.mutable_indices`) are drawn as whole arrays,
+with these calls in this order and no others:
 
-1. unless the block's editable set is pinned, `random((width, n))` coins,
+1. unless the editable set is pinned, `random((width, n))` coins,
    keeping those below 0.5; then, in row order, `random(n)` again for each
-   row that kept nothing, until it keeps one;
+   row that kept nothing, until it keeps one. A pin, which may not be
+   empty, is every row's set;
 2. unless preferences are pinned, one `standard_exponential(K)` over the K
    chosen (row, feature) cells in row-major order, each row times the
-   reciprocal of its left-to-right sum (numpy's `dirichlet(ones(k))`); a
-   row with no chosen feature (an empty pin) keeps zero preferences, and
-   a zero-size draw leaves its generator where it was;
+   reciprocal of its left-to-right sum (numpy's `dirichlet(ones(k))`);
 3. one `random(width * (1 + U))`, U the sum of 2 |D_f| over the
    unordered movable features in index order: the row alphas, then per
    row each such feature's step-count means and its percentile means by
@@ -61,11 +60,12 @@ calls in this order and no others:
    or one array `beta` when a cell has both shapes at most 1.
 
 A call runs these steps phase by phase over all its blocks: every
-unpinned block's coins into one array, the redraws in (block, row) order,
-then per block its exponential and uniform draws, then per block its
-Betas. Each generator still makes exactly the calls above in that order,
-so the phases change no draw; that needs a generator per block, and a
-population refuses a generator shared by two states.
+block's coins into one array unless the set is pinned, the redraws in
+(block, row) order, then per block its exponential and uniform draws,
+then per block its Betas. Each generator still makes exactly the calls
+above in that order, so the phases change no draw; that needs a
+generator per block, and a population refuses a generator shared by two
+states.
 
 The blend clip(alpha * (x * keep) + (1 - alpha) * (y * keep), 0, 1), keep
 = 1 - preference, is elementwise, so a cell without a Beta holds exactly
@@ -104,7 +104,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -119,12 +119,10 @@ _VAR = COST_STD * COST_STD
 
 # Seed-stream namespaces, so that no two uses share an RNG stream even for
 # equal integer seeds: generation-time samples, hidden evaluation-time
-# samples, search perturbations and the concentration-shift sweep's
-# editable sets.
+# samples and search perturbations.
 TRAIN_STREAM = 0
 TEST_STREAM = 1
 SEARCH_STREAM = 2
-SHIFT_STREAM = 3
 
 # Samples drawn per generator by `sample_cost_batch`.
 BLOCK = 64
@@ -155,15 +153,17 @@ def _check_inputs(
     schema: DatasetSchema,
     table: PercentileTable,
     alpha: Optional[float],
-    editables: Sequence[Optional[frozenset[int]]],
+    editable: Optional[Iterable[int]],
     pref: Optional[np.ndarray],
-) -> tuple[list[Optional[list[int]]], Optional[np.ndarray]]:
-    """The sampler's input check. Returns per block its pinned editable
-    features ascending, and the pinned preferences as floats, each None
-    when drawn per sample."""
+) -> tuple[Optional[list[int]], Optional[np.ndarray]]:
+    """The sampler's input check. Returns the pinned editable features
+    ascending and the pinned preferences as floats, each None when drawn
+    per sample."""
     d = schema.n_features
-    pins = [None if e is None else sorted(int(i) for i in e) for e in editables]
-    bad = [i for pin in pins for i in pin or [] if not 0 <= i < d]
+    pin = None if editable is None else sorted({int(i) for i in editable})
+    if pin == []:
+        raise ValueError("editable set is empty; pin at least one feature")
+    bad = [i for i in pin or [] if not 0 <= i < d]
     if bad:
         raise ValueError(f"editable feature index {bad[0]} out of range")
     if pref is not None:
@@ -174,16 +174,16 @@ def _check_inputs(
             raise ValueError(f"preference scores must be finite, got {pref.tolist()}")
         if (pref < 0).any():
             raise ValueError("preference scores must be non-negative")
-        if any((np.delete(pref, pin or []) != 0.0).any() for pin in pins):
+        if (np.delete(pref, pin or []) != 0.0).any():
             raise ValueError("preference mass outside the editable set")
-        if any(pins) and abs(pref.sum() - 1.0) > 1e-9:
+        if pin and abs(pref.sum() - 1.0) > 1e-9:
             raise ValueError("preference scores must sum to 1 over editable features")
     check_alpha(alpha)
     if table.schema is not schema and table.schema != schema:
         raise SchemaError("percentile table was built for a different schema")
-    if None in pins and not schema.mutable_indices():
+    if pin is None and not schema.mutable_indices():
         raise ValueError("schema has no mutable features; supply an editable set")
-    return pins, pref
+    return pin, pref
 
 
 def _betas(rngs: Sequence[np.random.Generator], shape_a: np.ndarray, shape_b: np.ndarray,
@@ -222,15 +222,15 @@ def _sample_blocks(
     width: int,
     m: int,
     alpha: Optional[float],
-    editables: Sequence[Optional[frozenset[int]]],
+    editable: Optional[Iterable[int]],
     pref: Optional[np.ndarray],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Samples `width * b` to `width * b + width - 1` drawn for the state
     codes `states[b]`, a row of (B, d), from `rngs[b]` in whole-array calls
-    (see the module docstring), their editable set `editables[b]` (None:
-    drawn), cut to the first m; absent inputs are drawn. Returns the
-    read-only (W, m) cost table, alphas, editable mask and preferences."""
-    pins, pref = _check_inputs(schema, table, alpha, editables, pref)
+    (see the module docstring), cut to the first m; absent inputs (alpha,
+    the editable set and the preferences) are drawn. Returns the read-only
+    (W, m) cost table, alphas, editable mask and preferences."""
+    pin, pref = _check_inputs(schema, table, alpha, editable, pref)
     d, off = schema.n_features, schema.offsets
     sizes = off[1:] - off[:-1]
     candidates = schema.mutable_indices()
@@ -243,20 +243,18 @@ def _sample_blocks(
     u = int(ends[-1])
 
     # Phase by phase over all blocks (see the module docstring).
-    free = [b for b, pin in enumerate(pins) if pin is None]
-    coins = np.empty((len(free), width, len(candidates)))
-    for j, b in enumerate(free):
-        rngs[b].random(out=coins[j])
-    kept = coins < 0.5
-    for j, r in np.argwhere(~kept.any(axis=2)).tolist():
-        while not kept[j, r].any():
-            kept[j, r] = rngs[free[j]].random(len(candidates)) < 0.5
     chosen = np.zeros((len(rngs), width, d), dtype=bool)
-    chosen[np.ix_(free, np.arange(width), candidates)] = kept
-    pinned = [(b, i) for b, pin in enumerate(pins) for i in pin or []]
-    if pinned:
-        at_block, at_feature = zip(*pinned)
-        chosen[at_block, :, at_feature] = True
+    if pin is None:
+        coins = np.empty((len(rngs), width, len(candidates)))
+        for rng, block in zip(rngs, coins):
+            rng.random(out=block)
+        kept = coins < 0.5
+        for b, r in np.argwhere(~kept.any(axis=2)).tolist():
+            while not kept[b, r].any():
+                kept[b, r] = rngs[b].random(len(candidates)) < 0.5
+        chosen[:, :, candidates] = kept
+    else:
+        chosen[:, :, pin] = True
     counts = np.count_nonzero(chosen, axis=(1, 2)).tolist()
     exponentials = []
     # Per block its alphas, unless fixed, then its means: one row of uniforms.
@@ -275,8 +273,7 @@ def _sample_blocks(
         prefs[:] = pref
     else:
         prefs[chosen] = np.concatenate(exponentials)
-        some = chosen.any(axis=1)
-        prefs[some] *= (1.0 / np.add.accumulate(prefs[some], axis=1)[:, -1])[:, None]
+        prefs *= (1.0 / np.add.accumulate(prefs, axis=1)[:, -1])[:, None]
 
     # Layout: per block, the cells of its state's moves, one per cost-table
     # row, kept to the rows (`cols`) of features that some sample chose and
@@ -322,21 +319,17 @@ def sample_cost_functions(
     table: PercentileTable,
     rngs: Sequence[np.random.Generator],
     alpha: Optional[float] = None,
-    editable: Optional[Sequence[Optional[frozenset[int]]]] = None,
 ) -> CostSampleSet:
     """A population: one set whose column u is a block of width 1 drawn for
-    the state codes `states[u]`, a row of (U, d), on `rngs[u]` with editable
-    set `editable[u]` (None, or no `editable` at all: drawn), all in one
-    call; absent inputs are drawn."""
+    the state codes `states[u]`, a row of (U, d), on `rngs[u]`, all in one
+    call, every input but alpha drawn."""
     codes = np.array(states, dtype=np.int64)
-    editable = [None] * len(codes) if editable is None else editable
-    if not len(codes) or not len(codes) == len(rngs) == len(editable):
-        raise ValueError(f"need one generator and one editable set per state and at least "
-                         f"one state, got {len(codes)} states for {len(rngs)} generators "
-                         f"and {len(editable)} editable sets")
+    if not len(codes) or len(codes) != len(rngs):
+        raise ValueError(f"need one generator per state and at least one state, "
+                         f"got {len(codes)} states for {len(rngs)} generators")
     if len(set(map(id, rngs))) < len(rngs):
         raise ValueError("each state needs a generator of its own")
-    drawn = _sample_blocks(codes, schema, table, rngs, 1, len(rngs), alpha, editable, None)
+    drawn = _sample_blocks(codes, schema, table, rngs, 1, len(rngs), alpha, None, None)
     codes.setflags(write=False)
     return CostSampleSet(schema, codes, *drawn)
 
@@ -347,11 +340,10 @@ def sample_cost_function(
     table: PercentileTable,
     rng: np.random.Generator,
     alpha: Optional[float] = None,
-    editable: Optional[frozenset[int]] = None,
 ) -> CostSampleSet:
     """Draw one cost function conditioned on the (d,) code row `state` (a
     set with M=1): a population of one for `sample_cost_functions`."""
-    return sample_cost_functions([state], schema, table, [rng], alpha, [editable])
+    return sample_cost_functions([state], schema, table, [rng], alpha)
 
 
 def stream_rng(stream: int, seed: int, index: int, subkey: int = 0) -> np.random.Generator:
@@ -468,7 +460,7 @@ def sample_cost_batch(
     *,
     seed: int = 0,
     alpha: Optional[float] = None,
-    editable: Optional[frozenset[int]] = None,
+    editable: Optional[Iterable[int]] = None,
     pref: Optional[np.ndarray] = None,
     subkey: int = 0,
 ) -> CostSampleSet:
@@ -485,7 +477,7 @@ def sample_cost_batch(
     rngs = [stream_rng(TRAIN_STREAM, seed, b, subkey) for b in range(-(-m // BLOCK))]
     codes = np.array(state, dtype=np.int64)
     drawn = _sample_blocks(np.broadcast_to(codes, (len(rngs), len(codes))), schema, table,
-                           rngs, BLOCK, m, alpha, [editable] * len(rngs), pref)
+                           rngs, BLOCK, m, alpha, editable, pref)
     return CostSampleSet(schema, np.broadcast_to(codes, (m, len(codes))), *drawn)
 
 

@@ -7,10 +7,12 @@ disjoint from the stream that produced the generation-time samples.
 `simulate_users` draws a population in one call, as one `CostSampleSet`
 whose column u is user u's cost function, each from the user's own
 (test seed, user id) stream, so a user's draw does not depend on who else
-is drawn. Every user's stream is seeded in one vectorized pass
-(`cost.stream_rngs`, each generator in the state `stream_rng` gives it),
-and the sampler runs its per-user draws phase by phase over the whole
-population, each generator making the same calls in the same order.
+is drawn. Every input of a hidden user's draw but alpha is drawn, the
+editable set too: `users.editable` holds the set each user chose. Every
+user's stream is seeded in one vectorized pass (`cost.stream_rngs`, each
+generator in the state `stream_rng` gives it), and the sampler runs its
+per-user draws phase by phase over the whole population, each generator
+making the same calls in the same order.
 
 A population's recourse sets are arrays: (P, d) int64 member codes and,
 per member, its owner (its user's index) and validity flag. A user's
@@ -99,12 +101,11 @@ def simulate_user(
     test_seed: int,
     user_id: int,
     alpha: Optional[float] = None,
-    editable: Optional[frozenset[int]] = None,
 ) -> CostSampleSet:
     """The hidden cost function of the code row `state` (a population of
     one), keyed by (test_seed, user_id); `alpha` as in `sample_cost_batch`."""
     rng = stream_rng(TEST_STREAM, test_seed, user_id)
-    return sample_cost_function(state, schema, table, rng, alpha=alpha, editable=editable)
+    return sample_cost_function(state, schema, table, rng, alpha=alpha)
 
 
 def simulate_users(
@@ -114,13 +115,11 @@ def simulate_users(
     test_seed: int,
     user_ids: Sequence[int],
     alpha: Optional[float] = None,
-    editable: Optional[Sequence[Optional[frozenset[int]]]] = None,
 ) -> CostSampleSet:
     """`simulate_user` for each user, the population drawn in one call:
-    column u is the hidden cost function of the state codes `states[u]`,
-    pinned to the editable set `editable[u]` when one is given."""
+    column u is the hidden cost function of the state codes `states[u]`."""
     rngs = stream_rngs(TEST_STREAM, test_seed, user_ids)
-    return sample_cost_functions(states, schema, table, rngs, alpha=alpha, editable=editable)
+    return sample_cost_functions(states, schema, table, rngs, alpha=alpha)
 
 
 def fs_at_k(costs: np.ndarray, k: float = 1.0) -> float:

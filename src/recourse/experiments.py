@@ -11,7 +11,9 @@ slices out some documents' arrays. `score_arrays` scores documents as one
 flat table per test seed, measuring the metrics of the sets alone once.
 The mean of several runs (`mean_table`) averages each metric over the
 runs that define it, so a subgroup present in only some runs keeps its
-rows, in a given row order whatever the run order.
+rows, in a given row order whatever the run order. The concentration-shift
+sweep compares the editable sets a user's recourse was optimized against
+with the set each hidden user's own draw chose.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .cost import SHIFT_STREAM, min_cost
+from .cost import min_cost
 from .evaluate import (
     MetricsReport,
     compute_report,
@@ -407,20 +409,10 @@ def _resource_sweep(spec, states, user_ids, classifier, schema, table):
     return header, rows
 
 
-def random_editable_subset(candidates: list[int], rng: np.random.Generator) -> list[int]:
-    """Uniform over non-empty subsets of the candidate features, ascending."""
-    if not candidates:
-        raise ValueError("schema has no mutable features; supply an editable set")
-    while True:
-        coins = rng.random(len(candidates)).tolist()
-        chosen = [c for c, u in zip(candidates, coins) if u < 0.5]
-        if chosen:
-            return chosen
-
-
 def _concentration_shift(spec, states, user_ids, classifier, schema, table):
-    """FS@k binned by how far a user's editable-feature pattern sits from
-    the nearest pattern their recourse was optimized against."""
+    """FS@k binned by how far a hidden user's editable-feature pattern, the
+    set their own draw chose, sits from the nearest pattern their recourse
+    was optimized against."""
     settings = replace(spec.base, method=spec.methods[0], seed=spec.seeds[0])
     if not settings.prices_samples:
         raise ValueError(
@@ -434,14 +426,10 @@ def _concentration_shift(spec, states, user_ids, classifier, schema, table):
         docs.append(doc)
         train_conc.append(samples.editable)
 
-    movable = schema.mutable_indices()
-    rng = np.random.default_rng(np.random.SeedSequence([SHIFT_STREAM, spec.test_seed]))
-    pins = [frozenset(random_editable_subset(movable, rng)) for _ in range(spec.shift_vectors)]
     owner = np.arange(spec.shift_vectors) % len(docs)
     codes, _, owners, validity, positions = doc_arrays([docs[i] for i in owner], schema)
     users = simulate_users(codes, schema, table, spec.test_seed,
-                           [spec.shift_vectors * 7 + v for v in range(spec.shift_vectors)],
-                           editable=pins)
+                           [spec.shift_vectors * 7 + v for v in range(spec.shift_vectors)])
     costs = min_cost(positions[validity], owners[validity], users)
     distances = np.empty(spec.shift_vectors)
     for i, train in enumerate(train_conc):

@@ -17,8 +17,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .cost import CostSampleSet, sample_cost_batch
 from .model import Classifier
 from .schema import DatasetSchema, PercentileTable, UserState
@@ -64,8 +62,8 @@ def run_user(
             settings.num_samples,
             seed=settings.seed,
             alpha=settings.alpha,
-            editable=frozenset(settings.editable) if settings.editable else None,
-            pref=np.asarray(settings.preferences) if settings.preferences else None,
+            editable=settings.editable,
+            pref=settings.preferences,
             subkey=user_id,
         )
     # Looked up at call time, so that wrappers installed on this module see

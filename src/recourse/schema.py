@@ -362,12 +362,15 @@ def load_dataset(path, schema: DatasetSchema, label_column: Optional[str] = None
     """Read a comma-delimited table of integer codes as (n, d) int64 codes.
 
     The header must list exactly the schema's feature names (any order,
-    each once), plus `label_column` when one is given; the result is then
-    the pair (codes, labels) with one 0/1 label per row. Bad cells are
-    rejected with the file, their 1-based row index and their column name;
-    the cells become codes through one `positions` call over every row,
-    which refuses a code outside its domain, one beyond int64 included.
+    each once), plus `label_column` when one is given, which may not name
+    a feature; the result is then the pair (codes, labels) with one 0/1
+    label per row. Bad cells are rejected with the file, their 1-based row
+    index and their column name; the cells become codes through one
+    `positions` call over every row, which refuses a code outside its
+    domain, one beyond int64 included.
     """
+    if label_column in schema.names:
+        raise SchemaError(f"dataset {path}: label column {label_column!r} is a feature")
     columns = [*schema.names, *([label_column] if label_column else [])]
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)

@@ -196,6 +196,8 @@ class GenerationSettings:
             )
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
+        if self.editable is not None and not self.editable:
+            raise ValueError("editable must name at least one feature, or be None to draw it")
         check_alpha(self.alpha)
 
     @property

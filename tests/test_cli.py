@@ -131,6 +131,24 @@ class TestTrain(object):
         assert f"dataset {tmp_path / 'bad.csv'} row 3" in err
         assert "label 7" in err and "column 'label'" in err
 
+    def test_label_column_naming_a_feature_exits_2(self, workdir, tmp_path, capsys):
+        """`--label-column origin` used to train on the `origin` feature as
+        the labels while keeping it as an input."""
+        code = main(
+            [
+                "train",
+                "--schema", str(workdir / "schema.yaml"),
+                "--data", str(workdir / "data.csv"),
+                "--label-column", "origin",
+                "--epochs", "1",
+                "--out", str(tmp_path / "model.json"),
+            ]
+        )
+        assert code == 2
+        assert (f"dataset {workdir / 'data.csv'}: label column 'origin' is a feature"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "model.json").exists()
+
     @pytest.mark.parametrize("flag,value,message", [
         ("--hidden-width", "0", "hidden_width must be at least 1, got 0"),
         ("--epochs", "0", "epochs must be at least 1, got 0"),
@@ -1580,6 +1598,15 @@ class TestResultDocs:
         with pytest.raises(SchemaError, match=f"^value {2**70} not in domain of feature "
                                               f"'level'$"):
             run_user(0, UserState((2**70, 0, 0, 0, 0, 0)), clf, schema, table, settings)
+
+    def test_empty_preferences_refused_by_the_sampler(self, synth6):
+        """An empty preference tuple reaches the sampler's length check; it
+        used to be read as no preferences, and the run went ahead."""
+        schema, rows, _, table, clf = synth6
+        settings = GenerationSettings(method="cols", budget=60, set_size=4, num_samples=10,
+                                      preferences=())
+        with pytest.raises(ValueError, match="preference vector length must match"):
+            run_user(0, user(rows[0]), clf, schema, table, settings)
 
     @pytest.mark.parametrize("n_states,n_ids", [(5, 2), (2, 5)])
     def test_one_user_id_per_state(self, synth6, n_states, n_ids):

@@ -11,6 +11,7 @@ from recourse.cost import (
     INF,
     TRAIN_STREAM,
     CostSampleSet,
+    _sample_blocks,
     cost_rows,
     emc,
     min_cost,
@@ -367,13 +368,10 @@ class TestSampleCostFunction:
 
 
 def _one(state, schema, table, alpha=None, editable=None, pref=None):
-    """One cost function: a population of one or, since only the batch path
-    pins preferences, a batch of one when `pref` is given."""
-    if pref is not None:
-        return sample_cost_batch(state, schema, table, 1, seed=0,
-                                 alpha=alpha, editable=editable, pref=pref)
-    return sample_cost_function(state, schema, table, np.random.default_rng(0),
-                                alpha=alpha, editable=editable)
+    """One cost function's arrays: a lone block of width 1, the block a
+    population draws per user, with the call's pinned inputs."""
+    return _sample_blocks(np.array(state)[None], schema, table, [np.random.default_rng(0)],
+                          1, 1, alpha, editable, pref)
 
 
 def _batch(state, schema, table, alpha=None, editable=None, pref=None):
@@ -382,8 +380,8 @@ def _batch(state, schema, table, alpha=None, editable=None, pref=None):
 
 
 class TestInputChecks:
-    """The one input check refuses the same inputs on the single-draw path
-    and the block path."""
+    """The one input check refuses the same inputs for a lone width-1 block
+    and for a batch."""
 
     @pytest.mark.parametrize("draw", [_one, _batch], ids=["single", "batch"])
     @pytest.mark.parametrize("inputs,message", [
@@ -404,6 +402,7 @@ class TestInputChecks:
          "must be finite"),
         (dict(editable=frozenset({1, 2}), pref=np.array([0, 1.0, -np.inf, 0, 0, 0])),
          "must be finite"),
+        (dict(editable=frozenset()), "editable set is empty"),
     ])
     def test_refused_on_both_paths(self, synth6, draw, inputs, message):
         schema, rows, _, table, _ = synth6
@@ -980,8 +979,8 @@ class TestTwelveFeaturePricing:
         states = rows[:100]
         for k in range(20):
             rngs = [np.random.default_rng([k, u]) for u in range(100)]
-            population = sample_cost_functions(states, schema, table, rngs,
-                                               editable=[movable] * 100)
+            population = CostSampleSet(schema, states, *_sample_blocks(
+                states, schema, table, rngs, 1, 100, None, movable, None))
             sizes = np.random.default_rng(k).integers(1, 20, size=100)
             sizes[k] = 0
             owned = [moved_members(schema, s, n, seed=100 * k + u)
@@ -1129,9 +1128,10 @@ class TestDrawEquivalence:
 
     @pytest.mark.parametrize("k", range(1, 10))
     def test_normalized_exponentials_are_flat_dirichlet(self, k):
-        """The block normalization (a pinned k-feature set, so the
-        exponentials are a block's first draw) and the reference's
-        `_flat_dirichlet` both return numpy's `dirichlet(ones(k))`."""
+        """The block normalization (a lone width-1 block pinned to a
+        k-feature set, so the exponentials are its first draw) and the
+        reference's `_flat_dirichlet` both return numpy's
+        `dirichlet(ones(k))`."""
         schema = DatasetSchema(features=tuple(
             FeatureSpec(f"f{i}", "ordered", (0, 1)) for i in range(9)))
         table, state = flat_table(schema), np.array((0,) * 9)
@@ -1140,9 +1140,10 @@ class TestDrawEquivalence:
             want = old.dirichlet(np.ones(k))
             assert _flat_dirichlet(new, k).tobytes() == want.tobytes()
             assert new.random() == old.random()
-            drawn = sample_cost_function(state, schema, table, np.random.default_rng(seed),
-                                         editable=frozenset(range(k)))
-            assert drawn.preferences[0, :k].tobytes() == want.tobytes()
+            *_, prefs = _sample_blocks(state[None], schema, table,
+                                       [np.random.default_rng(seed)], 1, 1, None,
+                                       frozenset(range(k)), None)
+            assert prefs[0, :k].tobytes() == want.tobytes()
 
     def test_scalar_betas_are_one_array_beta(self):
         grid = np.geomspace(1e-3, 3e3, 19)

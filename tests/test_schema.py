@@ -228,6 +228,14 @@ class TestDataset:
         assert rows.tolist() == [[0, 1], [2, 0]]
         assert labels == [1, 0]
 
+    def test_label_column_naming_a_feature_refused(self, tmp_path):
+        """Such a column used to be read as the labels and kept as an input."""
+        path = tmp_path / "d.csv"
+        path.write_text("a,b\n0,1\n1,0\n")
+        with pytest.raises(SchemaError) as info:
+            load_dataset(path, self._schema(), label_column="a")
+        assert str(info.value) == f"dataset {path}: label column 'a' is a feature"
+
     def test_short_row_names_row(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("a,b,y\n0,1,1\n2,0\n")

@@ -1135,6 +1135,7 @@ class TestGenerationSettings:
         (dict(num_samples=4097), "num_samples must be at most 4096, got 4097: benefit "
          "sums over more samples are no longer exact"),
         (dict(method="ls:diversity", num_samples=10**6), "num_samples must be at most 4096"),
+        (dict(editable=()), "editable must name at least one feature"),
     ])
     def test_rejected_at_construction(self, fields, message):
         with pytest.raises(ValueError, match=message):
