@@ -95,8 +95,10 @@ table rows for all members and adds them left to right; sums saturate at
 `math.inf`, so one infeasible feature makes a whole transition infeasible.
 `random` prices its whole uniform sets under every column; `min_cost`
 prices a hidden population, each member under its owner's column alone.
-A perturbed member is priced from its parent's row instead
-(`search._price_moves`), which the quanta make exact too.
+A perturbed member is priced from its parent's row instead, plus one
+row of a per-run table of move deltas T[b] - T[a] per move, or for wide
+domains the rows T[b] and 0 - T[a] (`search._price_moves`), which the
+quanta make exact too.
 """
 
 from __future__ import annotations
@@ -149,14 +151,15 @@ class CostSampleSet:
         return len(self.alpha)
 
 
-def _check_inputs(
+def check_inputs(
     schema: DatasetSchema,
     table: PercentileTable,
     alpha: Optional[float],
     editable: Optional[Iterable[int]],
     pref: Optional[np.ndarray],
 ) -> tuple[Optional[list[int]], Optional[np.ndarray]]:
-    """The sampler's input check. Returns the pinned editable features
+    """The sampler's input check, which generation runs for every method,
+    whether it samples or not. Returns the pinned editable features
     ascending and the pinned preferences as floats, each None when drawn
     per sample."""
     d = schema.n_features
@@ -230,7 +233,7 @@ def _sample_blocks(
     (see the module docstring), cut to the first m; absent inputs (alpha,
     the editable set and the preferences) are drawn. Returns the read-only
     (W, m) cost table, alphas, editable mask and preferences."""
-    pin, pref = _check_inputs(schema, table, alpha, editable, pref)
+    pin, pref = check_inputs(schema, table, alpha, editable, pref)
     d, off = schema.n_features, schema.offsets
     sizes = off[1:] - off[:-1]
     candidates = schema.mutable_indices()

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -144,19 +145,22 @@ def coverage(costs: np.ndarray) -> float:
 def _pair_distances(a: np.ndarray, b: np.ndarray, schema: DatasetSchema) -> np.ndarray:
     """Distance of each row pair of two (P, d) code arrays: the mean
     per-feature normalized distance, range-scaled absolute difference for
-    ordered features and change indicator for unordered ones. Features are
-    accumulated left to right."""
-    features = schema.features
-    ordered = np.array([f.kind == "ordered" for f in features])
-    # Ordered domains are sorted and duplicate-free, so a zero span is a
-    # one-value domain where every difference is zero.
-    spans = np.array([
-        max(f.domain[-1] - f.domain[0], 1) if f.kind == "ordered" else 1
-        for f in features
-    ])
+    ordered features (`DatasetSchema.distance_spans`) and change indicator
+    for unordered ones. Features are accumulated left to right."""
     diff = np.abs(a - b)
-    terms = np.where(ordered, diff / spans, diff != 0)
+    terms = np.where(schema.ordered, diff / schema.distance_spans, diff != 0)
     return np.cumsum(terms, axis=1)[:, -1] / schema.n_features
+
+
+@lru_cache(maxsize=64)
+def _pair_rows(n: int) -> np.ndarray:
+    """(2, n + n(n - 1) / 2) read-only row pairs that `set_distance_stats`
+    measures, rows 0..n-1 being the members and row n the user: the user
+    against each member, then the member pairs (i, j), i < j, in order."""
+    i, j = np.nonzero(np.less.outer(np.arange(n), np.arange(n)))
+    rows = np.stack([np.concatenate([np.full(n, n), i]), np.concatenate([np.arange(n), j])])
+    rows.setflags(write=False)
+    return rows
 
 
 def set_distance_stats(
@@ -168,15 +172,12 @@ def set_distance_stats(
     Pair distances are summed left to right, member pairs in (i, j) order."""
     n = len(members)
     d = schema.n_features
-    # Rows 0..n-1 are the members and row n is the user.
     codes = np.vstack([members, state], dtype=np.int64)
-    i, j = np.nonzero(np.less.outer(np.arange(n), np.arange(n)))
-    left = np.concatenate([np.full(n, n), i])
-    right = np.concatenate([np.arange(n), j])
+    left, right = _pair_rows(n)
     dist = _pair_distances(codes[left], codes[right], schema).tolist()
     prox = 1.0 - sum(dist[:n]) / n
     spar = 1.0 - int(np.count_nonzero(codes[:n] != codes[n])) / (n * d)
-    div = sum(dist[n:]) / len(i) if n >= 2 else 0.0
+    div = sum(dist[n:]) / (len(dist) - n) if n >= 2 else 0.0
     return div, prox, spar
 
 

@@ -17,7 +17,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .cost import CostSampleSet, sample_cost_batch
+from .cost import CostSampleSet, check_inputs, sample_cost_batch
 from .model import Classifier
 from .schema import DatasetSchema, PercentileTable, UserState
 from .search import GenerationSettings, cols, local_search, pcols, random_search
@@ -66,6 +66,9 @@ def run_user(
             pref=settings.preferences,
             subkey=user_id,
         )
+    else:
+        # A method that prices no samples still refuses what the sampler would.
+        check_inputs(schema, table, settings.alpha, settings.editable, settings.preferences)
     # Looked up at call time, so that wrappers installed on this module see
     # every run; every other method is an `ls:` one.
     optimizer = {"cols": cols, "pcols": pcols, "random": random_search}.get(

@@ -85,6 +85,11 @@ class DatasetSchema:
     protected_attributes: tuple[str, ...] = ()
     # (d + 1,) first cost-table row of each feature, then the row count W.
     offsets: np.ndarray = field(init=False, repr=False, compare=False)
+    # (d,) whether each feature is ordered, and the scale `evaluate`'s
+    # distances divide its code differences by: an ordered feature's range
+    # max(D) - min(D), at least 1, and 1 for an unordered one.
+    ordered: np.ndarray = field(init=False, repr=False, compare=False)
+    distance_spans: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         names = [f.name for f in self.features]
@@ -114,9 +119,15 @@ class DatasetSchema:
         for f, lo, b in zip(self.features, low, base):
             lookup[b + np.array(f.domain, dtype=np.int64) - lo] = np.arange(f.size)
         offsets = np.cumsum([0, *(f.size for f in self.features)]).astype(np.intp)
+        ordered = np.array([f.kind == "ordered" for f in self.features])
+        # Ordered domains are sorted and duplicate-free, so a zero range is
+        # a one-value domain where every difference is zero.
+        spans = np.array([max(f.domain[-1] - f.domain[0], 1) if f.kind == "ordered" else 1
+                          for f in self.features])
         for name, arr in (("_values", values), ("_low", np.array(low, dtype=np.int64)),
                           ("_span", np.array(span, dtype=np.uint64)), ("_base", base[:-1]),
-                          ("_lookup", lookup), ("offsets", offsets)):
+                          ("_lookup", lookup), ("offsets", offsets), ("ordered", ordered),
+                          ("distance_spans", spans)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 

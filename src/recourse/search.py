@@ -45,23 +45,32 @@ read from the held statistics, and an iteration without a swap repeats
 the previous values.
 
 A candidate is its parent member with k = HAMMING features moved, so it
-is priced from the parent's raw row (`_price_moves`): the row plus, per
-move, the new position's table entry minus the old one's: four gathers
-and four adds of R * N rows, however many features the members have
-moved. A raw row sums a table in which BIG = 2**20 stands in for an
-infeasible move. A feasible row sums d costs of at most 1, far below
-BIG, so a raw row is BIG or more exactly where a move is infeasible: it
-clamps to BIG as inf does, `can_swap` never lets it beat a held minimum
-(at most BIG), and `_costs` turns it back into inf. Every cost is a
-multiple of `cost.QUANTUM` and every raw row a multiple no larger than
-d * BIG, far inside a double's exact range, so each add and subtract is
-exact and the candidate's raw row is bit for bit the `cost_rows` sum of
-its positions, with BIG or more where that sum is inf. The user state's
-raw row is all zeros, so the first set is priced by the same rule, and a
-swap copies the candidate's raw row with its position, validity and
-cost. `local_search` prices a perturbed set from the incumbent's raw
-rows the same way; only `random`'s whole new sets are priced by
-`cost_rows`.
+is priced from the parent's raw row (`_price_moves`): the row plus the
+rows of the run's move-delta table (`_Workspace.deltas`) that its moves
+look up from their old and new positions (`plan`). A raw row sums a
+table T, the cost table with BIG = 2**20 standing in for an infeasible
+move. The table is paired when the sum over movable features f of
+|F_f|**2, F_f the user's feasible positions of f, is at most PAIRED_ROWS
+times the cost table's W rows: it holds T[b] - T[a] for every two
+feasible positions a, b of each movable feature, a move is one row, and
+R * N candidates cost two gathers and two adds. Wider domains would make
+that table quadratic in their size, so such a user gets the unpaired
+table instead, 0 - T[a] and T[b] for every feasible position, at most
+2 * W rows, and a move is two rows: the four gathers and adds of pricing
+from the cost table itself.
+A feasible row sums d costs of at most 1, far below BIG, so a raw row is
+BIG or more exactly where a move is infeasible: it clamps to BIG as inf
+does, `can_swap` never lets it beat a held minimum (at most BIG), and
+`_costs` turns it back into inf. Every entry of T is a multiple of
+`cost.QUANTUM` no larger than BIG, so every delta, and every raw row a
+multiple no larger than d * BIG, lies far inside a double's exact range:
+each subtract and add is exact, x - x is +0.0, and the candidate's raw
+row is bit for bit the `cost_rows` sum of its positions, with BIG or
+more where that sum is inf. The user state's raw row is all zeros, so
+the first set is priced by the same rule, and a swap copies the
+candidate's raw row with its position, validity and cost. `local_search`
+prices a perturbed set from the incumbent's raw rows the same way; only
+`random`'s whole new sets are priced by `cost_rows`.
 
 Perturbation is planned a chunk of calls at a time (`_Workspace.plan`).
 A call resamples two features of each of the R * N rows, and restart r
@@ -144,10 +153,11 @@ from .schema import DatasetSchema, feasible_positions
 
 INF = math.inf
 
-# Finite stand-in for infinite costs inside benefit sums and for an
-# infeasible move in raw rows (`_price_moves`). Any value far above the
-# largest possible finite transition cost (= feature count) works; a power
-# of two keeps every benefit sum of cost quanta exact (see `cost`).
+# Finite stand-in for infinite costs inside benefit sums, and for an
+# infeasible move in the move-delta table and so in raw rows
+# (`_price_moves`). Any value far above the largest possible finite
+# transition cost (= feature count) works; a power of two keeps every
+# delta, raw row and benefit sum of cost quanta exact (see `cost`).
 BIG = float(2**20)
 
 # Features each perturbation resamples per member.
@@ -155,6 +165,11 @@ HAMMING = 2
 
 # Perturbation calls a run draws at once (see `_Workspace.plan`).
 CHUNK = 64
+
+# The most rows a paired move-delta table may hold per cost-table row
+# (see `_Workspace`); a user whose feasible domains are wider gets the
+# unpaired table, at most twice the cost table, and two rows per move.
+PAIRED_ROWS = 8
 
 METHODS = ("cols", "pcols", "random", "ls:emc", "ls:diversity", "ls:proximity", "ls:sparsity")
 
@@ -241,17 +256,74 @@ class _Workspace:
         self.feasible = np.zeros((len(feasible), self.n_choices.max()), dtype=np.intp)
         for fi, choices in enumerate(feasible):
             self.feasible[fi, : len(choices)] = choices
+        # The move-delta table (`deltas`) holds a block for each movable
+        # feature f in `movable` order over its n = n_choices[f] feasible
+        # positions, whose cost-table rows `table_rows` lists block by block.
+        # Paired, a block is n * n rows and the move from feasible[f, i] to
+        # feasible[f, j] is its row i * n + j; unpaired, a block is 2 * n
+        # rows and the move is its two rows i and n + j. A move's one row is
+        # `leave[old] + enter[new]`, or its two rows are `leave[old]` and
+        # `enter[new]`, indexed by the positions' cost-table rows; every
+        # other entry is the row count, past the table's end.
+        self.sizes = self.n_choices[self.movable].tolist()
+        width = schema.offsets[-1]
+        self.paired = sum(n * n for n in self.sizes) <= PAIRED_ROWS * width
+        rows, leave, enter, start = [], [], [], 0
+        for f, n in zip(self.movable.tolist(), self.sizes):
+            rows.append(schema.offsets[f] + self.feasible[f, :n])
+            i = np.arange(n)
+            if self.paired:
+                leave.append(start + n * i)
+                enter.append(i)
+                start += n * n
+            else:
+                leave.append(start + i)
+                enter.append(start + n + i)
+                start += 2 * n
+        self.n_rows = start
+        self.table_rows = np.concatenate(rows)
+        self.leave = np.full(width, start, dtype=np.intp)
+        self.enter = np.full(width, start, dtype=np.intp)
+        self.leave[self.table_rows] = np.concatenate(leave)
+        self.enter[self.table_rows] = np.concatenate(enter)
+
+    def deltas(self, samples: CostSampleSet) -> np.ndarray:
+        """The (rows, M) move-delta table of `samples` (see `__init__`), T
+        the rows of `samples.table` with inf clamped to BIG: paired, the
+        row of the move from position a to b of a feature holds T[b] - T[a];
+        unpaired, its two rows hold 0 - T[a] and T[b]. Filled one feature
+        block at a time, with no temporary beyond one feature's T when
+        paired and none when unpaired."""
+        out = np.empty((self.n_rows, samples.m))
+        row = start = 0
+        for n in self.sizes:
+            rows = self.table_rows[row:row + n]
+            if self.paired:
+                t = samples.table[rows]
+                np.minimum(t, BIG, out=t)
+                np.subtract(t[None], t[:, None], out=out[start:start + n * n].reshape(n, n, -1))
+                start += n * n
+            else:
+                # The rows are in range; any mode but "raise" writes `out`
+                # without buffering a copy of it.
+                t = samples.table.take(rows, axis=0, out=out[start + n:start + 2 * n], mode="clip")
+                np.minimum(t, BIG, out=t)
+                np.subtract(0.0, t, out=out[start:start + n])
+                start += 2 * n
+            row += n
+        return out
 
     def _draw(
         self, rngs: Sequence[np.random.Generator], n: int, calls: int
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(calls, R * n * k) flat indices into (R, n, d) rows, the
-        positions to write there and the cost-table row offsets of their
-        features, for `calls` successive perturbations that each resample
-        k = min(HAMMING, m) distinct movable features of every row from
-        their feasible sets. Restart r draws the uniform (n, m + k) blocks
-        of all calls from rngs[r] at once: the first m columns of a block
-        rank the features, its last k pick the new positions."""
+        positions to write there, the cost-table row offsets of their
+        features and the `enter` entries of the new positions, for `calls`
+        successive perturbations that each resample k = min(HAMMING, m)
+        distinct movable features of every row from their feasible sets.
+        Restart r draws the uniform (n, m + k) blocks of all calls from
+        rngs[r] at once: the first m columns of a block rank the features,
+        its last k pick the new positions."""
         m = len(self.movable)
         k = min(HAMMING, m)
         u = np.empty((len(rngs), calls, n, m + k))
@@ -261,21 +333,24 @@ class _Workspace:
         pos = (u[..., m:] * self.n_choices[feats]).astype(np.intp)
         rows = np.arange(len(rngs))[:, None, None, None] * n + np.arange(n)[:, None]
         where = rows * len(self.user_idx) + feats
+        vals, offsets = self.feasible[feats, pos], self.schema.offsets[feats]
         return tuple(a.swapaxes(0, 1).reshape(calls, -1) for a in
-                     (where, self.feasible[feats, pos], self.schema.offsets[feats]))
+                     (where, vals, offsets, self.enter[offsets + vals]))
 
     def plan(
         self, rngs: Sequence[np.random.Generator], n: int, meter: BudgetMeter
-    ) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    ) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
         """A run's perturbation: each call of the returned function perturbs
         (R, n, d) rows (or (n, d) rows when R = 1) from the next call's
-        draws, and returns the perturbed rows with the cost-table rows
-        each row's k moves leave and enter, both (R, n, k) (or (n, k)), as
-        `_price_moves` takes them. The draws come CHUNK calls at a time,
-        but never more calls than `meter` can still pay for (R * n queries
-        each) plus the one that finds it exhausted, so every stream ends
-        where per-call draws leave it. On a meter that pays for nothing
-        every chunk is one call."""
+        draws, and returns the perturbed rows with the move-delta table
+        rows (`deltas`) of each row's k moves, looked up from each move's
+        old and new position, as `_price_moves` takes them: (R, n, k) (or
+        (n, k)) when the table is paired, else (R, n, 2 * k), the k moves'
+        old-position rows, then their new-position rows. The draws come
+        CHUNK calls at a time, but never more calls than `meter` can still
+        pay for (R * n queries each) plus the one that finds it exhausted,
+        so every stream ends where per-call draws leave it. On a meter that
+        pays for nothing every chunk is one call."""
         per_call = len(rngs) * n
 
         def chunks():
@@ -285,14 +360,16 @@ class _Workspace:
 
         moves = chunks()
 
-        def perturb(base: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-            where, vals, offsets = next(moves)
+        def perturb(base: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            where, vals, offsets, enter = next(moves)
             out = np.array(base, dtype=np.intp, order="C")
             flat = out.reshape(-1)
             moved = (*out.shape[:-1], -1)
-            left = (flat[where] + offsets).reshape(moved)
+            leave = self.leave[flat[where] + offsets].reshape(moved)
             flat[where] = vals
-            return out, left, (vals + offsets).reshape(moved)
+            if self.paired:
+                return out, leave + enter.reshape(moved)
+            return out, np.concatenate((leave, enter.reshape(moved)), axis=-1)
 
         return perturb
 
@@ -421,26 +498,19 @@ def _classify(model: EncodedView, idx: np.ndarray, meter: BudgetMeter) -> np.nda
     return predict_batch(model, rows, meter).reshape(idx.shape[:-1])
 
 
-def _raw_table(samples: CostSampleSet) -> np.ndarray:
-    """The (W, M) table raw rows add: each cost, with BIG for inf."""
-    return np.minimum(samples.table, BIG)
-
-
-def _price_moves(parent: np.ndarray, table: np.ndarray, left: np.ndarray,
-                 entered: np.ndarray) -> np.ndarray:
+def _price_moves(parent: np.ndarray, delta: np.ndarray, moves: np.ndarray) -> np.ndarray:
     """(..., M) raw rows of perturbed members: each member's parent raw row
-    (broadcast against (..., M); the user state's is 0.0) plus, per move j,
-    `table[entered[..., j]] - table[left[..., j]]`, for (..., k) table rows
-    of the `_raw_table` (W, M) `table`. A raw row is its member's sum of
-    table entries, BIG for an infeasible one, so it is BIG or more exactly
-    where `cost_rows` gives inf and equals the `cost_rows` sum elsewhere:
-    the entries are multiples of `cost.QUANTUM` no larger than BIG, so
-    every partial sum of a row's few dozen terms is exact."""
-    out = parent + table.take(entered[..., 0], axis=0)
-    out -= table.take(left[..., 0], axis=0)
-    for j in range(1, entered.shape[-1]):
-        out += table.take(entered[..., j], axis=0)
-        out -= table.take(left[..., j], axis=0)
+    (broadcast against (..., M); the user state's is 0.0) plus, for each j,
+    the row `moves[..., j]` of the move-delta table `delta`
+    (`_Workspace.deltas`): one row per move when the table is paired, two
+    when it is not. A raw row is its member's sum of cost-table entries,
+    BIG for an infeasible one, so it is BIG or more exactly where
+    `cost_rows` gives inf and equals the `cost_rows` sum elsewhere: the
+    entries are multiples of `cost.QUANTUM` no larger than BIG, so every
+    delta and every partial sum of a row's few dozen terms is exact."""
+    out = parent + delta.take(moves[..., 0], axis=0)
+    for j in range(1, moves.shape[-1]):
+        out += delta.take(moves[..., j], axis=0)
     return out
 
 
@@ -473,12 +543,11 @@ def _lockstep(
     uncovered columns' minima restored to inf.
     """
     model = EncodedView(classifier, ws.schema)
-    table = _raw_table(samples)
+    delta = ws.deltas(samples)
     perturb = ws.plan(rngs, n, meter)
-    members, left, entered = perturb(
-        np.broadcast_to(ws.user_idx, (len(rngs), n, len(ws.user_idx))))
+    members, moves = perturb(np.broadcast_to(ws.user_idx, (len(rngs), n, len(ws.user_idx))))
     valid = _classify(model, members, meter)
-    raw = _price_moves(0.0, table, left, entered)
+    raw = _price_moves(0.0, delta, moves)
     costs = _costs(raw, valid)
     stats = column_stats(costs)
     traces = [[] for _ in rngs]
@@ -490,12 +559,12 @@ def _lockstep(
             values = emc(np.where(stats.covered, stats.min_vals, INF)).tolist()
         for trace, value in zip(traces, values):
             trace.append(value)
-        cand, left, entered = perturb(members)
+        cand, moves = perturb(members)
         try:
             cand_valid = _classify(model, cand, meter)
         except BudgetExhausted:
             break
-        cand_raw = _price_moves(raw, table, left, entered)
+        cand_raw = _price_moves(raw, delta, moves)
         # Greedy rounds. Each starts by screening out the restarts with no
         # valid candidate below a held column minimum, which cannot swap;
         # after a swap only the restarts that swapped stay, with the
@@ -653,16 +722,16 @@ def local_search(
     n, objective = settings.set_size, settings.objective
     meter = BudgetMeter(settings.budget)
     perturb = ws.plan([rng], n, meter)
-    table = _raw_table(samples) if objective == "emc" else None
+    delta = ws.deltas(samples) if objective == "emc" else None
 
     def propose(members: np.ndarray, raw) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
         """A candidate set, its validity from one metered query, and its raw
         rows when the objective prices them."""
-        cand, left, entered = perturb(members)
+        cand, moves = perturb(members)
         cand_valid = _classify(model, cand, meter)
-        if table is None:
+        if delta is None:
             return cand, cand_valid, None
-        return cand, cand_valid, _price_moves(raw, table, left, entered)
+        return cand, cand_valid, _price_moves(raw, delta, moves)
 
     members, valid, raw = propose(np.tile(ws.user_idx, (n, 1)), 0.0)
     loss = _set_loss(objective, ws, members, valid, raw)

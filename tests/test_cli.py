@@ -1608,6 +1608,19 @@ class TestResultDocs:
         with pytest.raises(ValueError, match="preference vector length must match"):
             run_user(0, user(rows[0]), clf, schema, table, settings)
 
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("inputs,message", [
+        (dict(editable=(99,), preferences=(5.0,)), "editable feature index 99 out of range"),
+        (dict(preferences=(5.0,)), "preference vector length must match feature count"),
+    ])
+    def test_sampler_inputs_refused_by_every_method(self, synth6, method, inputs, message):
+        """Every method runs the sampler's input check; one that samples
+        nothing used to ignore the editable set and the preferences."""
+        schema, rows, _, table, clf = synth6
+        settings = GenerationSettings(method=method, budget=20, set_size=2, **inputs)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            run_user(0, user(rows[0]), clf, schema, table, settings)
+
     @pytest.mark.parametrize("n_states,n_ids", [(5, 2), (2, 5)])
     def test_one_user_id_per_state(self, synth6, n_states, n_ids):
         """Unequal lengths used to drop the users past the shorter one."""

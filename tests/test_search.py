@@ -6,12 +6,19 @@ import pytest
 from recourse import search as search_module
 from recourse.cost import INF, SEARCH_STREAM, cost_rows, emc, sample_cost_batch, stream_rng
 from recourse.model import BudgetExhausted, BudgetMeter, Classifier, EncodedView, predict_batch
-from recourse.schema import DatasetSchema, FeatureSpec, feasible_values
+from recourse.schema import (
+    DatasetSchema,
+    FeatureSpec,
+    build_percentile_table,
+    feasible_positions,
+    feasible_values,
+)
 from recourse.search import (
     BIG,
     CHUNK,
     HAMMING,
     METHODS,
+    PAIRED_ROWS,
     GenerationSettings,
     _lockstep,
     _refresh,
@@ -400,8 +407,8 @@ class TestScreen:
             held["valid"] = real["_classify"](model, idx, meter)
             return held["valid"]
 
-        def _price_moves(parent, table, left, entered):
-            out = real["_price_moves"](parent, table, left, entered)
+        def _price_moves(parent, delta, moves):
+            out = real["_price_moves"](parent, delta, moves)
             if "stats" in held:  # an iteration's candidates
                 held["cand"] = np.where(held["valid"][..., None], out, INF)
                 open_round()
@@ -594,11 +601,40 @@ class TestPerturbDistribution:
             base = out
 
 
+LAYOUTS = ("paired", "unpaired")
+
+
+def use_layout(monkeypatch, layout):
+    """Gives every workspace built from here on the move-delta table
+    paired, as every user of the test schemas gets it, or unpaired, as a
+    user with wide domains does."""
+    monkeypatch.setattr(search_module, "PAIRED_ROWS", PAIRED_ROWS if layout == "paired" else 0)
+
+
+def move_pairs(ws):
+    """(rows, 3) (feature, a, b) of each row of the workspace's move-delta
+    table, the row holding T[b] - T[a] with a term read as 0 where its
+    position is -1, in the layout `_Workspace` documents: a block per
+    movable feature in `movable` order over its feasible positions,
+    holding each move (a, b), b running fastest, when the table is paired,
+    and else each (a, -1), then each (-1, b)."""
+    rows = []
+    for f in ws.movable.tolist():
+        choices = ws.feasible[f, :ws.n_choices[f]].tolist()
+        if ws.paired:
+            rows += [(f, a, b) for a in choices for b in choices]
+        else:
+            rows += [(f, a, -1) for a in choices] + [(f, -1, b) for b in choices]
+    return np.array(rows, dtype=np.intp).reshape(-1, 3)
+
+
 def per_call_perturb(ws, base, rngs):
     """The per-call reference for `_Workspace.plan`: one uniform (N, m + k)
     block per restart and call, ranked and scaled on its own. Returns the
-    perturbed rows and the (R, N, k) cost-table rows each row's moves leave
-    and enter."""
+    perturbed rows and the move-delta table rows of each row's moves,
+    looked up in `move_pairs`: (R, N, k) by (feature, old position, new
+    position) when the table is paired, else (R, N, 2 * k), the moves'
+    (feature, old, -1) rows, then their (feature, -1, new) rows."""
     m = len(ws.movable)
     k = min(HAMMING, m)
     n_restarts, n = base.shape[:2]
@@ -609,10 +645,15 @@ def per_call_perturb(ws, base, rngs):
     pos = (u[..., m:] * ws.n_choices[feats]).astype(np.intp)
     out = np.array(base, dtype=np.intp)
     at = np.arange(n_restarts)[:, None, None], np.arange(n)[:, None], feats
-    offsets = ws.schema.offsets[feats]
-    left = offsets + out[at]
+    old = out[at]
     out[at] = ws.feasible[feats, pos]
-    return out, left, offsets + out[at]
+    row_of = {pair: r for r, pair in enumerate(map(tuple, move_pairs(ws).tolist()))}
+    keys = list(zip(feats.ravel().tolist(), old.ravel().tolist(), out[at].ravel().tolist()))
+    if ws.paired:
+        return out, np.array([row_of[key] for key in keys]).reshape(feats.shape)
+    leave = np.array([row_of[f, a, -1] for f, a, _ in keys]).reshape(feats.shape)
+    enter = np.array([row_of[f, -1, b] for f, _, b in keys]).reshape(feats.shape)
+    return out, np.concatenate((leave, enter), axis=-1)
 
 
 class TestPlan:
@@ -637,10 +678,16 @@ class TestPlan:
     @pytest.mark.parametrize("restarts", [1, 3])
     @pytest.mark.parametrize("n", [1, 7])
     @pytest.mark.parametrize("case", ["wide", "one_movable"])
-    def test_plan_equals_per_call_draws(self, restarts, n, case):
+    def test_plan_equals_per_call_draws(self, monkeypatch, restarts, n, case):
+        for layout in LAYOUTS:
+            use_layout(monkeypatch, layout)
+            self._check_plan(restarts, n, case, layout)
+
+    def _check_plan(self, restarts, n, case, layout):
         schema, user = {"wide": self.WIDE, "one_movable": self.ONE_MOVABLE}[case]
         ws = _Workspace(user, schema)
         assert len(ws.movable) == (1 if case == "one_movable" else 4)
+        assert ws.paired == (layout == "paired")
         paid = 2 * CHUNK + 5  # calls the meter pays for: three chunks
         meter = BudgetMeter(restarts * n * paid)
         planned, alone = self._streams(restarts), self._streams(restarts)
@@ -650,13 +697,12 @@ class TestPlan:
         base = np.broadcast_to(ws.user_idx, (restarts, n, len(ws.user_idx)))
         calls = 0
         while True:
-            out, *moves = perturb(base)
+            out, moves = perturb(base)
             calls += 1
             assert out.dtype == np.intp
-            want, *want_moves = per_call_perturb(ws, base, alone)
+            want, want_moves = per_call_perturb(ws, base, alone)
             assert np.array_equal(out, want)
-            for got, ref in zip(moves, want_moves, strict=True):
-                assert np.array_equal(got, ref)
+            assert np.array_equal(moves, want_moves)
             try:
                 meter.charge(restarts * n)
             except BudgetExhausted:
@@ -691,6 +737,94 @@ class TestPlan:
             for got, ref in zip(out, nested(base[None]), strict=True):
                 assert np.array_equal(got, ref[0])
             base = out[0]
+
+
+class TestMoveDeltas:
+    """The per-run move-delta table, T the cost table clamped to BIG:
+    paired, a row per (old, new) pair of feasible positions of each
+    movable feature, T[new] - T[old] bit for bit; unpaired, a row 0 - T[a]
+    and a row T[b] per feasible position."""
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    @pytest.mark.parametrize("data", ["adult", "synth6"])
+    def test_rows_are_clamped_differences(self, request, monkeypatch, layout, data):
+        use_layout(monkeypatch, layout)
+        schema, rows, _, table, _ = request.getfixturevalue(data)
+        clamped_entries = 0
+        for k, state in enumerate(rows[:6]):
+            samples = sample_cost_batch(state, schema, table, 70, seed=k)
+            ws = _Workspace(state, schema)
+            assert ws.paired == (layout == "paired")
+            delta = ws.deltas(samples)
+            pairs = move_pairs(ws)
+            feats, old, new = pairs.T
+            feasible = [set(feasible_positions(schema, f, v)) for f, v in enumerate(state.tolist())]
+            movable = schema.mutable_indices()
+            sizes = [len(feasible[f]) for f in movable]
+            want_rows = sum(n * n for n in sizes) if ws.paired else 2 * sum(sizes)
+            assert delta.shape == (want_rows, 70)
+            assert len(pairs) == len(delta)
+            # no immutable feature and no infeasible position gets a row
+            assert set(feats.tolist()) == set(movable)
+            assert all({a, b} - {-1} <= feasible[f] for f, a, b in pairs.tolist())
+            clamped = np.minimum(samples.table, BIG)
+            off = schema.offsets[feats]
+
+            def term(p):
+                return np.where((p >= 0)[:, None], clamped[off + p], 0.0)
+
+            assert_bits(delta, term(new) - term(old))
+            assert not np.signbit(delta[delta == 0.0]).any()
+            clamped_entries += int((np.abs(delta) == BIG).sum())
+            # a move's rows are read from its old and new positions' rows
+            if ws.paired:
+                assert (ws.leave[off + old] + ws.enter[off + new] == np.arange(len(delta))).all()
+            else:
+                assert (ws.leave[(off + old)[old >= 0]] == np.flatnonzero(old >= 0)).all()
+                assert (ws.enter[(off + new)[new >= 0]] == np.flatnonzero(new >= 0)).all()
+            # and point past the table for every position outside the blocks
+            inside = np.zeros(len(ws.leave), dtype=bool)
+            inside[ws.table_rows] = True
+            for lookup in (ws.leave, ws.enter):
+                assert (lookup[~inside] == len(delta)).all()
+                assert (lookup[inside] < len(delta)).all()
+        assert clamped_entries
+
+    def test_wide_domains_get_the_unpaired_table(self):
+        """A 1,000-position feature would make a paired table of 10**6 rows
+        (8 GB at M = 1,000): its user gets the unpaired one, at most twice
+        the cost table, checked before anything is allocated, and cols
+        prices with it as `cost_rows` does."""
+        schema = DatasetSchema(features=(
+            FeatureSpec("hours", "ordered", tuple(range(1000)), "mutable"),
+            FeatureSpec("b", "ordered", (0, 1, 2, 3), "mutable"),
+            FeatureSpec("c", "unordered", (0, 1, 2), "mutable"),
+        ), desired_class=1)
+        user = np.array((10, 0, 1))
+        ws = _Workspace(user, schema)
+        assert not ws.paired
+        assert ws.n_rows == 2 * (1000 + 4 + 3) == 2 * schema.offsets[-1]
+        rows = np.random.default_rng(3).integers((1000, 4, 3), size=(300, 3))
+        samples = sample_cost_batch(user, schema, build_percentile_table(rows, schema), 1000,
+                                    editable=(0, 1, 2))
+        clf = Classifier(architecture="logistic",
+                         layers=[(np.array([[8.0], [2.0], [0.0]]), np.array([-5.0]))],
+                         scale_min=np.zeros(3), scale_max=np.array((999.0, 3.0, 2.0)))
+        res = cols(user, clf, samples, schema,
+                   GenerationSettings(budget=200, set_size=5, num_samples=1000))
+        assert res.validity.any()
+        assert res.emc == emc(result_costs(res, samples).min(axis=0))
+        assert res.emc < INF
+
+    def test_a_one_position_feature_gets_one_zero_row(self):
+        ws = TestPlan.WIDE_WS
+        top = TestPerturbDistribution.SCHEMA.feature_index("top")
+        samples = sample_cost_batch(
+            TestPlan.WIDE[1], TestPlan.WIDE[0],
+            build_percentile_table(np.array([TestPlan.WIDE[1]]), TestPlan.WIDE[0]), 5)
+        pairs = move_pairs(ws)
+        (row,) = np.flatnonzero(pairs[:, 0] == top)
+        assert_bits(ws.deltas(samples)[row], np.zeros(5))
 
 
 class TestCols:
@@ -1253,11 +1387,12 @@ class TestPairedDirections:
 
 
 class TestParentRowPricing:
-    """Every searched candidate is priced from its parent's raw row
-    (`_price_moves`); each table it returns, clamped to BIG, is the
-    `cost_rows` table of the same positions clamped to BIG, bit for bit,
-    and priced by `_costs` it is the `cost_rows` table with invalid rows
-    inf."""
+    """Every searched candidate is priced from its parent's raw row and the
+    run's move-delta table (`_price_moves`); each table it returns, clamped
+    to BIG, is the `cost_rows` table of the same positions clamped to BIG,
+    bit for bit, and priced by `_costs` it is the `cost_rows` table with
+    invalid rows inf. The runs move into and out of positions that are
+    infeasible under some samples."""
 
     RUNS = (dict(method="cols", budget=300, set_size=5),
             dict(method="pcols", budget=600, set_size=5, restarts=3),
@@ -1271,15 +1406,15 @@ class TestParentRowPricing:
         _, ids = select_undesired(rows, clf, schema, limit=4)
         states = rows[ids]
         real = {name: getattr(search_module, name) for name in ("_classify", "_price_moves")}
-        seen = {"calls": 0, "stays": 0, "infeasible": 0, "finite": 0}
+        seen = {}
 
         def _classify(model, idx, meter):
             seen["idx"] = idx
             seen["valid"] = real["_classify"](model, idx, meter)
             return seen["valid"]
 
-        def _price_moves(parent, raw_table, left, entered):
-            out = real["_price_moves"](parent, raw_table, left, entered)
+        def _price_moves(parent, delta, moves):
+            out = real["_price_moves"](parent, delta, moves)
             idx, valid = seen["idx"], seen["valid"]
             want = cost_rows(idx.reshape(-1, idx.shape[-1]), seen["samples"])
             want = want.reshape(out.shape)
@@ -1287,7 +1422,15 @@ class TestParentRowPricing:
             assert_bits(search_module._costs(out, valid),
                         np.where(valid[..., None], want, INF))
             seen["calls"] += 1
-            seen["stays"] += int((left == entered).sum())  # moves to the current position
+            # moves whose old and new positions are equal: the k moves are
+            # rows (a, b) of a paired table, or rows (a, -1), then (-1, b)
+            terms = seen["pairs"][moves]
+            k = moves.shape[-1] // (1 if seen["paired"] else 2)
+            old, new = terms[..., :k, 1], terms[..., -k:, 2]
+            seen["stays"] += int((old == new).sum())
+            # cells a move makes infeasible, and cells it makes feasible again
+            seen["into"] += int(((parent < BIG) & (out >= BIG)).sum())
+            seen["out_of"] += int(((parent >= BIG) & (out < BIG)).sum())
             # rows with a move infeasible under some samples but not all
             some = (out >= BIG).any(axis=-1) & (out < BIG).any(axis=-1)
             seen["infeasible"] += int(some.sum())
@@ -1296,15 +1439,42 @@ class TestParentRowPricing:
 
         monkeypatch.setattr(search_module, "_classify", _classify)
         monkeypatch.setattr(search_module, "_price_moves", _price_moves)
-        for k, (state, uid) in enumerate(zip(states, ids)):
-            for fields in self.RUNS:
-                settings = GenerationSettings(seed=k, num_samples=60, **fields)
-                samples = sample_cost_batch(state, schema, table, settings.num_samples,
-                                            seed=k, subkey=uid)
-                seen["samples"] = samples
-                run = {"cols": cols, "pcols": pcols, "ls:emc": local_search}[fields["method"]]
-                run(state, clf, samples, schema, settings, user_key=uid)
-        assert seen["calls"] and seen["stays"] and seen["infeasible"] and seen["finite"]
+        for layout in LAYOUTS:
+            use_layout(monkeypatch, layout)
+            seen.update(calls=0, stays=0, infeasible=0, finite=0, into=0, out_of=0)
+            for k, (state, uid) in enumerate(zip(states, ids)):
+                for fields in self.RUNS:
+                    settings = GenerationSettings(seed=k, num_samples=60, **fields)
+                    samples = sample_cost_batch(state, schema, table, settings.num_samples,
+                                                seed=k, subkey=uid)
+                    seen["samples"] = samples
+                    ws = search_module._Workspace(state, schema)
+                    assert ws.paired == (layout == "paired")
+                    seen["pairs"], seen["paired"] = move_pairs(ws), ws.paired
+                    run = {"cols": cols, "pcols": pcols, "ls:emc": local_search}[fields["method"]]
+                    run(state, clf, samples, schema, settings, user_key=uid)
+            assert seen["calls"] and seen["stays"] and seen["infeasible"] and seen["finite"]
+            assert seen["into"] and seen["out_of"]
+
+    @pytest.mark.parametrize("fields", RUNS, ids=lambda f: f["method"])
+    def test_unpaired_table_finds_the_same_sets(self, adult, monkeypatch, fields):
+        """Both layouts price bit for bit alike, so a run is the same run."""
+        use_layout(monkeypatch, "paired")
+        schema, rows, _, table, clf = adult
+        run = {"cols": cols, "pcols": pcols, "ls:emc": local_search}[fields["method"]]
+        for k, state in enumerate(rows[:3]):
+            settings = GenerationSettings(seed=k, num_samples=60, **fields)
+            samples = sample_cost_batch(state, schema, table, 60, seed=k)
+            paired = run(state, clf, samples, schema, settings)
+            with monkeypatch.context() as patch:
+                use_layout(patch, "unpaired")
+                assert not search_module._Workspace(state, schema).paired
+                unpaired = run(state, clf, samples, schema, settings)
+            assert np.array_equal(paired.members, unpaired.members)
+            assert np.array_equal(paired.validity, unpaired.validity)
+            assert np.array_equal(np.array(paired.trace), np.array(unpaired.trace))
+            assert paired.queries_used == unpaired.queries_used
+            assert paired.emc == unpaired.emc
 
 
 def assert_bits(got, want):
